@@ -15,8 +15,26 @@
 //!   prefetches those files.
 //!
 //! [`FileCache`] implements [`FileSystem`], so the scan path simply
-//! reads "through" the cache: a hit is a local read, a miss faults the
-//! whole object in from shared storage first.
+//! reads "through" the cache. The contract of a read, whole or ranged:
+//!
+//! * a **hit** is decided and served from the local file inside one
+//!   critical section, so a concurrent eviction can never turn it into
+//!   `NotFound`;
+//! * a **miss** costs exactly one backing GET of the whole object
+//!   (shared by concurrent misses on the key), the reader is answered
+//!   from the fetched bytes, and the object is admitted if it fits; a
+//!   ranged read under a never-cache prefix, known beforehand not to be
+//!   kept, fetches just its range and counts as neither hit nor miss;
+//! * an object that can never be admitted — larger than the whole
+//!   depot — should not be read through here at all: every read of it
+//!   would be that whole-object GET. The scan path
+//!   (`eon-core::provider`) routes such containers, whose size the
+//!   catalog knows, to ranged reads of [`FileCache::backing`], as it
+//!   does for [`CacheMode::Bypass`] sessions; those reads are not
+//!   depot traffic and count as neither hit nor miss.
+//!
+//! With that one exception `hits + misses + bypasses` equals the reads
+//! issued, whole and ranged.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -229,30 +247,50 @@ impl FileCache {
         })
     }
 
+    /// Serve `key` from the depot if it is resident. Residency check,
+    /// local read and LRU touch share one critical section: an eviction
+    /// (which deletes the local file under the same lock) cannot slip
+    /// between the check and the read.
+    fn read_hit(
+        &self,
+        key: &str,
+        read: impl FnOnce(&dyn FileSystem) -> Result<Bytes>,
+    ) -> Option<Result<Bytes>> {
+        let mut g = self.inner.lock();
+        if !g.entries.contains_key(key) {
+            return None;
+        }
+        g.stats.hits += 1;
+        g.metrics.hits.inc();
+        g.touch(key);
+        Some(read(self.local.as_ref()))
+    }
+
+    fn count_miss(&self) {
+        let mut g = self.inner.lock();
+        g.stats.misses += 1;
+        g.metrics.misses.inc();
+    }
+
     /// Fault `key` in from shared storage with single-flight dedup:
     /// concurrent misses on the same key join one backing GET instead
     /// of each fetching. The winner counts the miss and populates the
-    /// cache; a loser waits on the winner's result and — on the
-    /// whole-object read path (`count_loser_hit`) — counts a hit,
+    /// cache; a loser waits on the winner's result and counts a hit,
     /// since it was served without touching shared storage, keeping
     /// `hits + misses + bypasses == reads` exact. Never-cache keys
     /// skip dedup so their every-read-fetches accounting stays
-    /// schedule-independent.
-    fn fault_in(&self, key: &str, count_loser_hit: bool) -> Result<Bytes> {
+    /// schedule-independent. Returns the whole object either way, so
+    /// no caller goes back to shared storage for bytes it just moved.
+    fn fault_in(&self, key: &str) -> Result<Bytes> {
         if !self.single_flight.load(Ordering::Relaxed) || self.never_cached(key) {
             let data = self.backing_read(key)?;
-            {
-                let mut g = self.inner.lock();
-                g.stats.misses += 1;
-                g.metrics.misses.inc();
-            }
+            self.count_miss();
             self.insert_local(key, data.clone())?;
             return Ok(data);
         }
         enum Role {
             Leader(Arc<FillSlot>),
             Waiter(Arc<FillSlot>),
-            Cached,
         }
         let role = {
             let mut m = self.inflight.lock();
@@ -260,9 +298,10 @@ impl FileCache {
             // check and here; the entries map is authoritative, and
             // checking it under the inflight lock closes the race
             // where a leader finished and unregistered its slot.
-            if self.contains(key) {
-                Role::Cached
-            } else if let Some(slot) = m.get(key) {
+            if let Some(hit) = self.read_hit(key, |local| local.read(key)) {
+                return hit;
+            }
+            if let Some(slot) = m.get(key) {
                 Role::Waiter(slot.clone())
             } else {
                 let slot = Arc::new(FillSlot {
@@ -274,23 +313,11 @@ impl FileCache {
             }
         };
         match role {
-            Role::Cached => {
-                let data = self.local.read(key)?;
-                let mut g = self.inner.lock();
-                g.stats.hits += 1;
-                g.metrics.hits.inc();
-                g.touch(key);
-                Ok(data)
-            }
             Role::Leader(slot) => {
                 let res = self.backing_read(key);
                 let mut inserted = Ok(());
                 if let Ok(data) = &res {
-                    {
-                        let mut g = self.inner.lock();
-                        g.stats.misses += 1;
-                        g.metrics.misses.inc();
-                    }
+                    self.count_miss();
                     inserted = self.insert_local(key, data.clone());
                 }
                 // Publish before unregistering so anyone who joined
@@ -311,9 +338,9 @@ impl FileCache {
                 while r.is_none() {
                     slot.ready.wait(&mut r);
                 }
-                let res = r.clone().unwrap();
+                let res = r.clone().expect("loop exits once the leader published");
                 drop(r);
-                if count_loser_hit && res.is_ok() {
+                if res.is_ok() {
                     let mut g = self.inner.lock();
                     g.stats.hits += 1;
                     g.metrics.hits.inc();
@@ -391,8 +418,11 @@ impl FileCache {
         if size > self.capacity {
             return Ok(()); // larger than the whole cache: don't thrash
         }
-        self.local.write(key, data)?;
+        // Write and register in one critical section: were the file
+        // written first, an eviction of this key's previous entry could
+        // delete it and leave a registered entry with no bytes.
         let mut g = self.inner.lock();
+        self.local.write(key, data)?;
         if let Some(old) = g.entries.remove(key) {
             g.lru.remove(&(old.stamp, key.to_owned()));
             g.used -= old.size;
@@ -456,15 +486,10 @@ impl FileCache {
             }
             return self.backing_read(key);
         }
-        if self.contains(key) {
-            let data = self.local.read(key)?;
-            let mut g = self.inner.lock();
-            g.stats.hits += 1;
-            g.metrics.hits.inc();
-            g.touch(key);
-            return Ok(data);
+        match self.read_hit(key, |local| local.read(key)) {
+            Some(hit) => hit,
+            None => self.fault_in(key),
         }
-        self.fault_in(key, true)
     }
 
     /// Write-through put: cache locally, upload to shared storage. The
@@ -542,37 +567,33 @@ impl FileSystem for FileCache {
     }
 
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        // Whole-file caching: fault the object in, then slice locally.
-        // A loser of a concurrent fill race counts nothing here — the
-        // `contains` re-check below books its hit, so hit/miss totals
-        // don't depend on thread timing.
-        if !self.contains(path) && !self.never_cached(path) {
-            self.fault_in(path, false)?;
+        // Whole-file caching: a hit slices the local file; a miss
+        // faults the object in and slices the bytes that fetch returned,
+        // admitted or not — never a second GET. A never-cache key is
+        // known beforehand not to be kept: fetch just the range.
+        if let Some(hit) = self.read_hit(path, |local| local.read_range(path, offset, len)) {
+            return hit;
         }
-        if self.contains(path) {
-            let mut g = self.inner.lock();
-            g.stats.hits += 1;
-            g.metrics.hits.inc();
-            g.touch(path);
-            drop(g);
-            self.local.read_range(path, offset, len)
-        } else {
+        if self.never_cached(path) {
             let retries = self.retry_counter();
-            with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
+            return with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
                 self.backing.read_range(path, offset, len)
-            })
+            });
         }
+        let all = self.fault_in(path)?;
+        let start = (offset as usize).min(all.len());
+        let end = (offset.saturating_add(len) as usize).min(all.len());
+        Ok(all.slice(start..end))
     }
 
     fn size(&self, path: &str) -> Result<u64> {
-        if self.contains(path) {
-            self.local.size(path)
-        } else {
-            let retries = self.retry_counter();
-            with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
-                self.backing.size(path)
-            })
+        if let Some(e) = self.inner.lock().entries.get(path) {
+            return Ok(e.size);
         }
+        let retries = self.retry_counter();
+        with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
+            self.backing.size(path)
+        })
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
@@ -953,6 +974,77 @@ mod tests {
         let s = cache.stats();
         assert_eq!(backing.stats().gets, 1, "one fault-in for all ranges");
         assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 4, "every ranged read books one hit");
+        assert_eq!(s.hits, 3, "a ranged read is one hit or one miss, like a whole read");
+    }
+
+    #[test]
+    fn unadmitted_ranged_miss_is_one_get() {
+        // Larger than the whole depot: never admitted, and the range is
+        // cut from the bytes the miss already fetched.
+        let (backing, cache) = setup(5);
+        backing.write("huge", Bytes::from_static(b"0123456789")).unwrap();
+        assert_eq!(cache.read_range("huge", 2, 3).unwrap().as_ref(), b"234");
+        assert!(!cache.contains("huge"));
+        assert_eq!(backing.stats().gets, 1);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
+    }
+
+    /// Hits racing evictions: the depot's residency check and its local
+    /// read must be one step, or an eviction between them surfaces as
+    /// `NotFound`. Four threads hammer a working set ten times the
+    /// capacity (some objects larger than the whole depot) with whole
+    /// reads, ranged reads and `size` calls against a zero-latency
+    /// backing store, so fills, evictions and hits interleave freely.
+    #[test]
+    fn concurrent_reads_never_lose_a_hit_to_an_eviction() {
+        const THREADS: u64 = 4;
+        const CALLS: u64 = 20_000;
+        const KEYS: u64 = 40;
+        const CAPACITY: u64 = 1_000;
+        // 37 objects of 250 B and three of 1 250 B: 13 kB in all.
+        let len_of = |k: u64| if k % 16 == 5 { 1_250 } else { 250 };
+        let body = |k: u64| Bytes::from((0..len_of(k)).map(|i| (i + k) as u8).collect::<Vec<u8>>());
+        let (backing, cache) = setup(CAPACITY);
+        for k in 0..KEYS {
+            backing.write(&format!("data/{k}"), body(k)).unwrap();
+        }
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    let mut x = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t + 1);
+                    start.wait();
+                    for call in 0..CALLS {
+                        // xorshift64: each thread walks its own key order.
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let k = x % KEYS;
+                        let (key, want) = (format!("data/{k}"), body(k));
+                        match call % 3 {
+                            0 => assert_eq!(cache.read(&key).unwrap(), want, "{key}"),
+                            1 => {
+                                let off = (x >> 32) % want.len() as u64;
+                                let got = cache.read_range(&key, off, 64).unwrap();
+                                let end = (off as usize + 64).min(want.len());
+                                assert_eq!(got, want.slice(off as usize..end), "{key}@{off}");
+                            }
+                            _ => assert_eq!(cache.size(&key).unwrap(), want.len() as u64, "{key}"),
+                        }
+                    }
+                });
+            }
+        });
+        assert!(cache.used_bytes() <= CAPACITY);
+        let s = cache.stats();
+        let reads = THREADS * (CALLS - CALLS / 3);
+        assert_eq!(s.hits + s.misses + s.bypasses, reads, "every read is a hit or a miss");
+        for k in 0..KEYS {
+            let key = format!("data/{k}");
+            if cache.contains(&key) {
+                assert_eq!(cache.local.read(&key).unwrap(), body(k), "{key} registered without bytes");
+            }
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! block pruning (§2.1's "tracking minimum and maximum values of
 //! columns in each storage"). Column data is independently retrievable
 //! (true column store) via ranged reads, and trailer-last layout means a
-//! reader needs only the object size plus two ranged reads to open a
-//! container of any width.
+//! reader that knows the object size (the catalog records it) opens a
+//! container of any width with one read of the object's tail.
 
 use bytes::Bytes;
 use eon_types::{EonError, Result, Value};
@@ -24,6 +24,10 @@ use crate::format::{checksum, Reader, Writer};
 
 const MAGIC: u32 = 0x524f_5331; // "ROS1"
 const TRAILER_LEN: u64 = 4 + 8 + 4;
+/// How much of the object's tail an open fetches in its one read. A
+/// 16-column, 50-block footer is about 12 KiB; a longer footer costs
+/// one follow-up read.
+pub const TAIL_READ: u64 = 16 * 1024;
 
 /// Rows per encoded block. Small enough that min/max pruning has
 /// resolution, large enough to amortize per-block headers.
@@ -248,33 +252,52 @@ fn parse_footer(buf: &[u8]) -> Result<RosFooter> {
 pub struct RosReader {
     key: String,
     footer: RosFooter,
+    index_bytes: u64,
 }
 
 impl RosReader {
-    /// Open by reading the trailer + footer (two ranged reads).
+    /// Open a container whose size the caller does not know: one
+    /// `size` request, then [`open_sized`](Self::open_sized).
     pub fn open(fs: &dyn eon_storage::FileSystem, key: &str) -> Result<Self> {
-        let size = fs.size(key)?;
+        Self::open_sized(fs, key, fs.size(key)?)
+    }
+
+    /// Open a container of exactly `size` bytes (the catalog's
+    /// `ContainerMeta::size_bytes`) with one read of its tail, which
+    /// holds the trailer and — unless the footer is longer than
+    /// [`TAIL_READ`] — the whole footer.
+    pub fn open_sized(fs: &dyn eon_storage::FileSystem, key: &str, size: u64) -> Result<Self> {
         if size < TRAILER_LEN {
             return Err(EonError::Corrupt(format!("{key}: too small ({size}B)")));
         }
-        let trailer = fs.read_range(key, size - TRAILER_LEN, TRAILER_LEN)?;
-        let mut tr = Reader::new(&trailer);
+        let tail_len = size.min(TAIL_READ);
+        let tail = fs.read_range(key, size - tail_len, tail_len)?;
+        if (tail.len() as u64) < tail_len {
+            return Err(EonError::Corrupt(format!("{key}: short tail read")));
+        }
+        let mut tr = Reader::new(&tail[(tail_len - TRAILER_LEN) as usize..]);
         let footer_len = tr.get_u32()? as u64;
         let crc = tr.get_u64()?;
         let magic = tr.get_u32()?;
         if magic != MAGIC {
             return Err(EonError::Corrupt(format!("{key}: bad magic {magic:#x}")));
         }
-        if footer_len + TRAILER_LEN > size {
+        let index_bytes = footer_len + TRAILER_LEN;
+        if index_bytes > size {
             return Err(EonError::Corrupt(format!("{key}: bad footer length")));
         }
-        let footer_buf = fs.read_range(key, size - TRAILER_LEN - footer_len, footer_len)?;
+        let footer_buf = if index_bytes <= tail_len {
+            tail.slice((tail_len - index_bytes) as usize..(tail_len - TRAILER_LEN) as usize)
+        } else {
+            fs.read_range(key, size - index_bytes, footer_len)?
+        };
         if checksum(&footer_buf) != crc {
             return Err(EonError::Corrupt(format!("{key}: footer checksum mismatch")));
         }
         Ok(RosReader {
             key: key.to_owned(),
             footer: parse_footer(&footer_buf)?,
+            index_bytes,
         })
     }
 
@@ -284,6 +307,12 @@ impl RosReader {
 
     pub fn footer(&self) -> &RosFooter {
         &self.footer
+    }
+
+    /// Bytes of the object that are position index (footer + trailer),
+    /// not column data.
+    pub fn index_bytes(&self) -> u64 {
+        self.index_bytes
     }
 
     pub fn total_rows(&self) -> u64 {
@@ -349,40 +378,59 @@ impl RosReader {
         coalesce_gap: Option<u64>,
         stats: &mut ReadStats,
     ) -> Result<Vec<Option<EncodedBlock>>> {
-        let meta = self
-            .footer
-            .columns
-            .get(col)
-            .ok_or_else(|| EonError::Query(format!("column {col} out of range")))?;
-        if keep.len() != meta.blocks.len() {
-            return Err(EonError::Internal("keep mask length mismatch".into()));
-        }
-        let mut out: Vec<Option<EncodedBlock>> = Vec::with_capacity(meta.blocks.len());
-        out.resize_with(meta.blocks.len(), || None);
+        let mut cols = self.read_columns_encoded(fs, &[col], keep, coalesce_gap, stats)?;
+        Ok(cols.pop().expect("one column requested"))
+    }
 
-        // Group surviving blocks into runs fetchable with one ranged
-        // read. Blocks of one column are laid out in index order, so a
-        // run is a span [start_byte, end_byte) covering every kept
-        // block in it, plus any skipped blocks tolerated as gap.
-        let mut runs: Vec<(Vec<usize>, u64, u64)> = Vec::new(); // (block idxs, start, end)
-        for (i, (b, &k)) in meta.blocks.iter().zip(keep).enumerate() {
-            if !k {
-                continue;
+    /// The container's one range planner: the kept blocks of every
+    /// column in `cols` (distinct indices; all columns share block
+    /// boundaries, hence one `keep` mask), sorted by file offset and
+    /// fetched in as few ranged reads as `coalesce_gap` allows — blocks
+    /// that are adjacent or separated by at most that many dead bytes,
+    /// whether a pruned block or an unrequested column, share a read.
+    /// `None` reads every block on its own. Returns one block list per
+    /// entry of `cols`, `None` in the slots `keep` skips.
+    pub fn read_columns_encoded(
+        &self,
+        fs: &dyn eon_storage::FileSystem,
+        cols: &[usize],
+        keep: &[bool],
+        coalesce_gap: Option<u64>,
+        stats: &mut ReadStats,
+    ) -> Result<Vec<Vec<Option<EncodedBlock>>>> {
+        let mut out = Vec::with_capacity(cols.len());
+        // (slot in `cols`, block index, block) for every kept block.
+        let mut wanted: Vec<(usize, usize, &BlockMeta)> = Vec::new();
+        for (slot, &col) in cols.iter().enumerate() {
+            let meta = self
+                .footer
+                .columns
+                .get(col)
+                .ok_or_else(|| EonError::Query(format!("column {col} out of range")))?;
+            if keep.len() != meta.blocks.len() {
+                return Err(EonError::Internal("keep mask length mismatch".into()));
             }
-            let merged = match (coalesce_gap, runs.last_mut()) {
-                (Some(gap), Some((idxs, _, end))) if b.offset - *end <= gap => {
-                    idxs.push(i);
-                    *end = b.offset + b.len;
-                    true
+            out.push(vec![None; meta.blocks.len()]);
+            let kept = meta.blocks.iter().enumerate().filter(|(i, _)| keep[*i]);
+            wanted.extend(kept.map(|(i, b)| (slot, i, b)));
+        }
+        wanted.sort_by_key(|(_, _, b)| b.offset);
+
+        let mut rest = wanted.as_slice();
+        while let Some((_, _, first)) = rest.first() {
+            // A run is the span [start, end) of one ranged read.
+            let (start, mut end) = (first.offset, first.offset + first.len);
+            let mut n = 1;
+            while let (Some(gap), Some((_, _, b))) = (coalesce_gap, rest.get(n)) {
+                if b.offset.saturating_sub(end) > gap {
+                    break;
                 }
-                _ => false,
-            };
-            if !merged {
-                runs.push((vec![i], b.offset, b.offset + b.len));
+                end = end.max(b.offset + b.len);
+                n += 1;
             }
-        }
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
 
-        for (idxs, start, end) in runs {
             let raw = fs.read_range(&self.key, start, end - start)?;
             if (raw.len() as u64) < end - start {
                 return Err(EonError::Corrupt(format!(
@@ -392,14 +440,14 @@ impl RosReader {
                     end - start
                 )));
             }
+            let kept: u64 = run.iter().map(|(_, _, b)| b.len).sum();
+            let gap_bytes = (end - start).saturating_sub(kept);
             stats.requests += 1;
             stats.bytes_read += end - start;
-            stats.requests_saved += idxs.len() as u64 - 1;
-            let kept: u64 = idxs.iter().map(|&i| meta.blocks[i].len).sum();
-            stats.gap_bytes += (end - start) - kept;
-            stats.waste_bytes += (end - start) - kept;
-            for i in idxs {
-                let b = &meta.blocks[i];
+            stats.requests_saved += n as u64 - 1;
+            stats.gap_bytes += gap_bytes;
+            stats.waste_bytes += gap_bytes;
+            for &(slot, i, b) in run {
                 let lo = (b.offset - start) as usize;
                 let hi = lo + b.len as usize;
                 let view = decode_column_view(&mut Reader::new(&raw[lo..hi]))?;
@@ -411,7 +459,7 @@ impl RosReader {
                         b.rows
                     )));
                 }
-                out[i] = Some(view);
+                out[slot][i] = Some(view);
             }
         }
         Ok(out)
@@ -469,6 +517,39 @@ mod tests {
         for (i, expect) in cols.iter().enumerate() {
             assert_eq!(&r.read_column(&fs, i).unwrap(), expect);
         }
+    }
+
+    #[test]
+    fn open_is_one_tail_read_or_two_for_a_long_footer() {
+        let fs = MemFs::new();
+        let footer = write_sample(&fs, "short");
+        let size = fs.size("short").unwrap();
+        let before = fs.stats();
+        let r = RosReader::open_sized(&fs, "short", size).unwrap();
+        let after = fs.stats();
+        assert_eq!((after.gets - before.gets, after.lists - before.lists), (1, 0));
+        assert_eq!(after.bytes_read - before.bytes_read, TAIL_READ.min(size));
+        assert_eq!(r.footer(), &footer);
+        // `open` is the same plus one size request.
+        RosReader::open(&fs, "short").unwrap();
+        assert_eq!(fs.stats().lists - after.lists, 1);
+
+        // 2 000 ten-row blocks: the footer alone outgrows the tail.
+        let cols: Vec<Vec<Value>> = vec![(0..20_000i64).map(Value::Int).collect()];
+        let (bytes, footer) = RosWriter::with_block_rows(10).encode(&cols).unwrap();
+        let size = bytes.len() as u64;
+        fs.write("long", bytes).unwrap();
+        let before = fs.stats();
+        let r = RosReader::open_sized(&fs, "long", size).unwrap();
+        assert!(r.index_bytes() > TAIL_READ);
+        assert_eq!(fs.stats().gets - before.gets, 2);
+        assert_eq!(r.footer(), &footer);
+        assert_eq!(r.read_column(&fs, 0).unwrap(), cols[0]);
+        // A wrong size reads the wrong tail: typed corruption, no panic.
+        assert!(matches!(
+            RosReader::open_sized(&fs, "long", size - 1),
+            Err(EonError::Corrupt(_))
+        ));
     }
 
     #[test]

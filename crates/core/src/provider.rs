@@ -22,7 +22,9 @@ use eon_cache::CacheMode;
 use eon_catalog::{CatalogState, ContainerMeta, Table};
 use eon_cluster::NodeRuntime;
 use eon_columnar::pruning::ColumnStats;
-use eon_columnar::{BlockCol, DeleteVector, EncodedBlock, Predicate, Projection, ReadStats, RosReader};
+use eon_columnar::{
+    BlockCol, DeleteVector, EncodedBlock, Predicate, Projection, ReadStats, RosFooter, RosReader,
+};
 use eon_exec::agg::{aggregate_partial, merge_partials, AggState, Partials};
 use eon_exec::crunch::CrunchSlice;
 use eon_exec::{AggSpec, Expr, ScanSpec, TableProvider};
@@ -217,14 +219,68 @@ fn remap_predicate(p: &Predicate, map: &HashMap<usize, usize>) -> Result<Predica
 }
 
 impl NodeProvider {
-    /// The filesystem scans read through: the depot, or shared storage
-    /// directly when the session bypasses the cache (§5.2).
+    /// The filesystem a session reads through: the depot, or shared
+    /// storage directly when the session bypasses the cache (§5.2).
     fn fs(&self) -> &dyn eon_storage::FileSystem {
         if self.cache_mode == CacheMode::Bypass {
             self.node.cache.backing().as_ref()
         } else {
             self.node.cache.as_ref()
         }
+    }
+
+    /// The filesystem one container's blocks are read from. A container
+    /// larger than the whole depot can never be admitted, so reading it
+    /// through the depot would move the whole object on every miss:
+    /// fetch just the ranges from shared storage instead, exactly as a
+    /// bypass session does.
+    fn fs_for(&self, c: &ContainerMeta) -> &dyn eon_storage::FileSystem {
+        if c.size_bytes > self.node.cache.capacity() {
+            self.node.cache.backing().as_ref()
+        } else {
+            self.fs()
+        }
+    }
+
+    /// Whether a plain read of `c` would fault it into the depot.
+    fn depot_cold(&self, c: &ContainerMeta) -> bool {
+        self.cache_mode != CacheMode::Bypass && !self.node.cache.contains(&c.key)
+    }
+
+    /// Open `c`'s footer with one tail read, sized from the catalog.
+    /// `direct` reads shared storage even for a depot-cold file that
+    /// would fit: a pushdown candidate must not fault the file in just
+    /// to read the footer, so an answered select leaves the depot
+    /// untouched (DESIGN.md "Pushdown execution").
+    fn open_container(&self, c: &ContainerMeta, direct: bool) -> Result<RosReader> {
+        let fs = if direct {
+            self.node.cache.backing().as_ref()
+        } else {
+            self.fs_for(c)
+        };
+        RosReader::open_sized(fs, &c.key, c.size_bytes)
+    }
+
+    /// Block-level pruning on footer min/max statistics; all columns
+    /// share block boundaries, so one mask covers the container.
+    fn prune_blocks(footer: &RosFooter, pred: &Predicate, metrics: &ScanMetrics) -> Vec<bool> {
+        let nblocks = footer.columns.first().map_or(0, |col| col.blocks.len());
+        let keep: Vec<bool> = (0..nblocks)
+            .map(|b| {
+                pred.could_match(&|col: usize| -> Option<ColumnStats> {
+                    let meta = footer.columns.get(col)?.blocks.get(b)?;
+                    Some(ColumnStats {
+                        min: meta.min.clone(),
+                        max: meta.max.clone(),
+                        has_null: meta.has_null,
+                    })
+                })
+            })
+            .collect();
+        metrics
+            .blocks_pruned
+            .add(keep.iter().filter(|&&k| !k).count() as u64);
+        keep
     }
 
     /// Choose the projection to answer a scan: the first one carrying
@@ -357,7 +413,8 @@ impl NodeProvider {
         table.defaults.get(table_idx).cloned().unwrap_or(Value::Null)
     }
 
-    /// Fetch one column's surviving blocks, as encoded views when
+    /// Fetch the surviving blocks of `cols` into `col_blocks` with one
+    /// pass of the container's range planner, as encoded views when
     /// compression-aware execution is on, decoded to plain rows when
     /// the session forces decode-first. Either way the scan loop sees
     /// [`EncodedBlock`]s — decode-first just never sees a compressed
@@ -367,29 +424,26 @@ impl NodeProvider {
         &self,
         reader: &RosReader,
         fs: &dyn eon_storage::FileSystem,
-        col: usize,
+        cols: &[usize],
         keep: &[bool],
         rstats: &mut ReadStats,
         metrics: &ScanMetrics,
-    ) -> Result<Vec<Option<EncodedBlock>>> {
-        let gap = self.scan.coalesce_gap;
-        if self.scan.encoded_exec {
-            let blocks = reader.read_column_blocks_encoded(fs, col, keep, gap, rstats)?;
-            metrics.encoded_blocks.add(
-                blocks
-                    .iter()
-                    .flatten()
-                    .filter(|b| b.is_encoded())
-                    .count() as u64,
-            );
-            Ok(blocks)
-        } else {
-            let blocks = reader.read_column_blocks_with(fs, col, keep, gap, rstats)?;
-            Ok(blocks
-                .into_iter()
-                .map(|b| b.map(EncodedBlock::Plain))
-                .collect())
+        col_blocks: &mut HashMap<usize, Vec<Option<EncodedBlock>>>,
+    ) -> Result<()> {
+        let fetched =
+            reader.read_columns_encoded(fs, cols, keep, self.scan.coalesce_gap, rstats)?;
+        for (&col, mut blocks) in cols.iter().zip(fetched) {
+            if self.scan.encoded_exec {
+                let encoded = blocks.iter().flatten().filter(|b| b.is_encoded()).count();
+                metrics.encoded_blocks.add(encoded as u64);
+            } else {
+                for b in blocks.iter_mut().flatten() {
+                    *b = EncodedBlock::Plain(b.decode());
+                }
+            }
+            col_blocks.insert(col, blocks);
         }
+        Ok(())
     }
 
     /// Scan one container, returning rows in projection column space
@@ -405,6 +459,8 @@ impl NodeProvider {
     /// blocks, without ever materializing the block). With
     /// `ScanOptions::late_materialization` off, every kept block is
     /// fully materialized and filtered row-at-a-time — same output.
+    /// A caller that already opened the container passes its reader as
+    /// `opened`, so the footer is fetched once.
     #[allow(clippy::too_many_arguments)]
     fn scan_container(
         &self,
@@ -417,46 +473,21 @@ impl NodeProvider {
         with_positions: bool,
         apply_crunch: bool,
         allow_pushdown: bool,
+        opened: Option<RosReader>,
         metrics: &ScanMetrics,
     ) -> Result<PosRows> {
-        let fs = self.fs();
-        // A pushdown candidate on a depot-cold file must not fault the
-        // file in just to read the footer: open it against the backing
-        // store, so an answered select leaves the depot untouched
-        // (DESIGN.md "Pushdown execution" — selects never fill the
-        // depot). Warm files and plain scans open through the cache as
-        // before.
+        let fs = self.fs_for(c);
         let pd_candidate = allow_pushdown && self.scan.pushdown && *pred_local != Predicate::True;
-        let cold = self.cache_mode != CacheMode::Bypass && !self.node.cache.contains(&c.key);
-        let reader = if pd_candidate && cold {
-            RosReader::open(self.node.cache.backing().as_ref(), &c.key)?
-        } else {
-            RosReader::open(fs, &c.key)?
+        let cold = self.depot_cold(c);
+        let reader = match opened {
+            Some(reader) => reader,
+            None => self.open_container(c, pd_candidate && cold)?,
         };
         let footer = reader.footer();
         let present = footer.columns.len();
-        let nblocks = footer
-            .columns
-            .first()
-            .map(|col| col.blocks.len())
-            .unwrap_or(0);
 
-        // Block-level pruning: all columns share block boundaries.
-        let mut keep = vec![true; nblocks];
-        for (b, slot) in keep.iter_mut().enumerate() {
-            let stats = |col: usize| -> Option<ColumnStats> {
-                let meta = footer.columns.get(col)?.blocks.get(b)?;
-                Some(ColumnStats {
-                    min: meta.min.clone(),
-                    max: meta.max.clone(),
-                    has_null: meta.has_null,
-                })
-            };
-            *slot = pred_local.could_match(&stats);
-        }
-        metrics
-            .blocks_pruned
-            .add(keep.iter().filter(|&&k| !k).count() as u64);
+        let mut keep = Self::prune_blocks(footer, pred_local, metrics);
+        let nblocks = keep.len();
         if !keep.iter().any(|&k| k) {
             return Ok(Vec::new());
         }
@@ -511,14 +542,8 @@ impl NodeProvider {
                 .into_iter()
                 .filter(|col| read_cols.contains(col))
                 .collect();
-            for &col in &pcols {
-                if col < present {
-                    col_blocks.insert(
-                        col,
-                        self.fetch_blocks(&reader, fs, col, &keep, &mut rstats, metrics)?,
-                    );
-                }
-            }
+            let fetch: Vec<usize> = pcols.iter().copied().filter(|&col| col < present).collect();
+            self.fetch_blocks(&reader, fs, &fetch, &keep, &mut rstats, metrics, &mut col_blocks)?;
             let defaults: HashMap<usize, Value> = pcols
                 .iter()
                 .filter(|&&col| col >= present)
@@ -575,14 +600,12 @@ impl NodeProvider {
 
         // Fetch the remaining needed columns (those physically
         // present) under the — possibly refined — keep mask.
-        for &col in read_cols {
-            if col < present && !col_blocks.contains_key(&col) {
-                col_blocks.insert(
-                    col,
-                    self.fetch_blocks(&reader, fs, col, &keep, &mut rstats, metrics)?,
-                );
-            }
-        }
+        let fetch: Vec<usize> = read_cols
+            .iter()
+            .copied()
+            .filter(|col| *col < present && !col_blocks.contains_key(col))
+            .collect();
+        self.fetch_blocks(&reader, fs, &fetch, &keep, &mut rstats, metrics, &mut col_blocks)?;
         metrics.record_io(&rstats);
 
         let mut out = Vec::new();
@@ -794,39 +817,16 @@ impl NodeProvider {
         aggs_local: &[AggSpec],
         metrics: &ScanMetrics,
     ) -> Result<Partials> {
-        let cold = self.cache_mode != CacheMode::Bypass && !self.node.cache.contains(&c.key);
+        let cold = self.depot_cold(c);
         let depot_ok = self.cache_mode == CacheMode::Bypass || cold;
         let no_dvs = self.snapshot.delete_vectors_for(c.oid).is_empty();
+        let mut opened = None;
         if depot_ok && no_dvs {
-            let fs_for_footer: &dyn eon_storage::FileSystem = if cold {
-                self.node.cache.backing().as_ref()
-            } else {
-                self.fs()
-            };
-            let reader = RosReader::open(fs_for_footer, &c.key)?;
+            let reader = opened.insert(self.open_container(c, cold)?);
             let footer = reader.footer();
             let present = footer.columns.len();
-            let nblocks = footer
-                .columns
-                .first()
-                .map(|col| col.blocks.len())
-                .unwrap_or(0);
             if read_cols.iter().all(|&col| col < present) {
-                let mut keep = vec![true; nblocks];
-                for (b, slot) in keep.iter_mut().enumerate() {
-                    let stats = |col: usize| -> Option<ColumnStats> {
-                        let meta = footer.columns.get(col)?.blocks.get(b)?;
-                        Some(ColumnStats {
-                            min: meta.min.clone(),
-                            max: meta.max.clone(),
-                            has_null: meta.has_null,
-                        })
-                    };
-                    *slot = pred_local.could_match(&stats);
-                }
-                metrics
-                    .blocks_pruned
-                    .add(keep.iter().filter(|&&k| !k).count() as u64);
+                let keep = Self::prune_blocks(footer, pred_local, metrics);
                 if !keep.iter().any(|&k| k) {
                     // Everything pruned: this container contributes the
                     // identity partial, no I/O at all.
@@ -862,9 +862,10 @@ impl NodeProvider {
             }
         }
         // Local fold over the plain scan of this container (rows-mode
-        // pushdown may still kick in underneath for the fetch itself).
+        // pushdown may still kick in underneath for the fetch itself),
+        // on the footer opened above if there is one.
         let rows = self.scan_container(
-            table, proj, c, read_cols, pred_local, width, false, false, true, metrics,
+            table, proj, c, read_cols, pred_local, width, false, false, true, opened, metrics,
         )?;
         let rows: Vec<Vec<Value>> = rows.into_iter().map(|(_, row)| row).collect();
         aggregate_partial(&rows, group_local, aggs_local)
@@ -919,7 +920,7 @@ impl NodeProvider {
         let metrics = self.scan_metrics();
         Ok(self
             .scan_container(
-                table, proj, c, read_cols, pred_local, width, false, false, false, &metrics,
+                table, proj, c, read_cols, pred_local, width, false, false, false, None, &metrics,
             )?
             .into_iter()
             .map(|(_, row)| row)
@@ -959,7 +960,7 @@ impl NodeProvider {
         let per_container = self.run_scan_tasks(work.len(), &metrics, |i| {
             let (_, c) = work[i];
             self.scan_container(
-                t, proj, c, &read_cols, &pred_local, width, true, false, false, &metrics,
+                t, proj, c, &read_cols, &pred_local, width, true, false, false, None, &metrics,
             )
         })?;
         let mut out = Vec::new();
@@ -1022,6 +1023,7 @@ impl TableProvider for NodeProvider {
                     false,
                     false,
                     false,
+                    None,
                     &metrics,
                 )
             })?;
@@ -1082,6 +1084,7 @@ impl TableProvider for NodeProvider {
                 false,
                 apply_crunch,
                 true,
+                None,
                 &metrics,
             )
         })?;

@@ -24,7 +24,6 @@
 //! schedule of the simulated store.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use eon_columnar::container::RosFooter;
@@ -585,24 +584,9 @@ pub fn kept_bytes(footer: &RosFooter, keep: &[bool], cols: &[usize]) -> u64 {
 // ---------------------------------------------------------------------
 
 /// A read-only filesystem over one in-memory object, so the engine can
-/// reuse `RosReader` verbatim. Counts bytes served — that count is the
-/// "bytes scanned" the store bills for.
+/// reuse `RosReader` verbatim.
 struct SingleObjectFs {
     object: Bytes,
-    read_bytes: AtomicU64,
-}
-
-impl SingleObjectFs {
-    fn new(object: Bytes) -> Self {
-        SingleObjectFs {
-            object,
-            read_bytes: AtomicU64::new(0),
-        }
-    }
-
-    fn scanned(&self) -> u64 {
-        self.read_bytes.load(Ordering::Relaxed)
-    }
 }
 
 impl FileSystem for SingleObjectFs {
@@ -611,16 +595,12 @@ impl FileSystem for SingleObjectFs {
     }
 
     fn read(&self, _path: &str) -> Result<Bytes> {
-        self.read_bytes
-            .fetch_add(self.object.len() as u64, Ordering::Relaxed);
         Ok(self.object.clone())
     }
 
     fn read_range(&self, _path: &str, offset: u64, len: u64) -> Result<Bytes> {
         let start = (offset as usize).min(self.object.len());
         let end = ((offset + len) as usize).min(self.object.len());
-        self.read_bytes
-            .fetch_add((end - start) as u64, Ordering::Relaxed);
         Ok(self.object.slice(start..end))
     }
 
@@ -654,7 +634,9 @@ const OBJECT_KEY: &str = "object";
 impl RosSelectEngine {
     fn run(&self, object: &Bytes, request: &[u8]) -> Result<Option<SelectOutput>> {
         let req = SelectRequest::decode(request)?;
-        let fs = SingleObjectFs::new(object.clone());
+        let fs = SingleObjectFs {
+            object: object.clone(),
+        };
         let reader = RosReader::open(&fs, OBJECT_KEY)?;
         let footer = reader.footer();
         let present = footer.columns.len();
@@ -815,9 +797,14 @@ impl RosSelectEngine {
                 SelectResponse::Partials(partials)
             }
         };
+        // "Bytes scanned" is what the store bills for: the position
+        // index plus every block the engine read. Taken from the
+        // reader's own accounting rather than from the bytes the open's
+        // tail read happened to move, which on a small object overlap
+        // the blocks and would be billed twice.
         Ok(Some(SelectOutput {
             response: response.encode()?,
-            scanned_bytes: fs.scanned(),
+            scanned_bytes: reader.index_bytes() + rstats.bytes_read,
         }))
     }
 }

@@ -22,7 +22,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -131,6 +131,14 @@ impl S3Config {
             ..Self::instant()
         }
     }
+}
+
+/// Whether `EON_S3_TRACE` asks for a per-request log on stderr. Read
+/// once: the environment lookup takes a process-wide lock and
+/// allocates, and `request` runs on every simulated request.
+fn trace_enabled() -> bool {
+    static TRACE: OnceLock<bool> = OnceLock::new();
+    *TRACE.get_or_init(|| std::env::var_os("EON_S3_TRACE").is_some())
 }
 
 /// splitmix64 finalizer — turns a hash into well-mixed dice bits.
@@ -282,7 +290,7 @@ impl S3SimFs {
     /// `transfer` bytes, then roll the failure dice. Returns this
     /// request's attempt number for the ambiguous-outcome roll.
     fn request(&self, verb: &'static str, path: &str, transfer: usize, price: u64) -> Result<u64> {
-        if std::env::var_os("EON_S3_TRACE").is_some() {
+        if trace_enabled() {
             eprintln!("s3 {verb} {path} ({transfer}B)");
         }
         let mut delay = self.config.request_latency;
@@ -430,7 +438,7 @@ impl FileSystem for S3SimFs {
         let price = self.config.select_price
             + out.scanned_bytes * self.config.select_scan_price_per_mib / (1 << 20)
             + returned * self.config.select_return_price_per_mib / (1 << 20);
-        if std::env::var_os("EON_S3_TRACE").is_some() {
+        if trace_enabled() {
             eprintln!(
                 "s3 SELECT {path} scanned={}B returned={returned}B",
                 out.scanned_bytes

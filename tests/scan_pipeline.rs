@@ -19,14 +19,21 @@
 //!   failover without changing answers;
 //! * concurrent misses on one depot key over simulated S3 must issue
 //!   exactly one backing GET, with `CacheStats` and the registry in
-//!   agreement.
+//!   agreement;
+//! * a container the depot cannot hold is scanned with one tail read
+//!   plus the range planner's runs — no size request, no whole-object
+//!   GET — and answers as the warm and Bypass scans do;
+//! * the multi-column range planner returns exactly the blocks of
+//!   per-column reads, for any column subset, keep mask and gap.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use eon_cache::{mem_cache, CacheMode};
+use eon_columnar::container::TAIL_READ;
 use eon_columnar::pruning::CmpOp;
-use eon_columnar::{Encoding, Predicate, Projection};
+use eon_columnar::{Encoding, Predicate, Projection, ReadStats, RosReader, RosWriter};
+use eon_core::pushdown::kept_bytes;
 use eon_core::{EonConfig, EonDb, SessionOpts};
 use eon_db as _;
 use eon_exec::{AggSpec, Expr, Plan, ScanSpec, SortKey};
@@ -330,4 +337,143 @@ fn concurrent_same_key_misses_issue_one_s3_get() {
         "without single-flight, a barrier-started stampede over a 20ms fill must duplicate GETs"
     );
     assert_eq!(cacheb.stats().singleflight_waits, 0);
+}
+
+/// A container larger than the whole depot, scanned through
+/// `CacheMode::Normal`, moves only what the scan uses: one tail read to
+/// open it (sized from the catalog, so no size request), then the range
+/// planner's runs — never the whole object, which the depot could not
+/// keep. The rows are those of a warm-depot scan and of a Bypass scan.
+#[test]
+fn oversized_container_scan_reads_tail_plus_planned_ranges() {
+    const N: usize = 20_000;
+    let rows = gen_rows(0xc01d, N);
+    let registry = Registry::new();
+    let s3 = Arc::new(S3SimFs::new(S3Config::instant()));
+    // Plain path only: a pushed select would replace the block GETs.
+    let cfg = |cache_bytes| EonConfig::new(1, 1).pushdown(false).cache_bytes(cache_bytes);
+    let cold = EonDb::create(s3.clone(), cfg(32 << 10).observability(registry.clone())).unwrap();
+    let warm = EonDb::create(Arc::new(MemFs::new()), cfg(64 << 20)).unwrap();
+    load(&cold, &rows, 1);
+    load(&warm, &rows, 1);
+
+    let snapshot = cold.snapshot().unwrap();
+    let containers: Vec<_> = snapshot.containers.values().collect();
+    assert_eq!(containers.len(), 1, "one shard, one batch, one container");
+    let c = containers[0];
+    assert!(c.size_bytes > 32 << 10, "the depot must be smaller than the container");
+
+    // `id` is the sort key, so the window keeps a run of blocks of
+    // every column; `grp` and `val` ride along as the second phase.
+    let (lo, hi) = (N as i64 / 5, N as i64 / 2);
+    let window = Predicate::and(vec![
+        Predicate::cmp(0, CmpOp::Ge, lo),
+        Predicate::cmp(0, CmpOp::Lt, hi),
+    ]);
+    let plan = Plan::scan(ScanSpec::new("t").predicate(window));
+    let counter = |name: &str| {
+        let snap = registry.snapshot();
+        snap.get(&format!("{name}{{node=\"node0\",subsystem=\"scan\"}}"))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0) // registered by the first scan
+    };
+
+    let (s0, requests0) = (s3.stats(), counter("scan_read_requests_total"));
+    let (read0, gap0) = (
+        counter("scan_coalesced_bytes_total"),
+        counter("scan_coalesced_gap_bytes_total"),
+    );
+    let got = cold.query(&plan).unwrap();
+    let s1 = s3.stats();
+    let planned = counter("scan_read_requests_total") - requests0;
+    let planned_bytes = counter("scan_coalesced_bytes_total") - read0;
+    let gap_bytes = counter("scan_coalesced_gap_bytes_total") - gap0;
+
+    // What the scan had to fetch, from the footer: every block of the
+    // three columns whose id range meets the window.
+    let reader = RosReader::open(cold.shared().as_ref(), &c.key).unwrap();
+    let ids = &reader.footer().columns[0].blocks;
+    let keep: Vec<bool> = ids
+        .iter()
+        .map(|b| b.max >= Value::Int(lo) && b.min < Value::Int(hi))
+        .collect();
+    let kept_bytes = kept_bytes(reader.footer(), &keep, &[0, 1, 2]);
+    assert!(keep.iter().any(|&k| !k) && keep.iter().filter(|&&k| k).count() >= 2);
+
+    let tail = c.size_bytes.min(TAIL_READ);
+    assert_eq!(s1.lists - s0.lists, 0, "the catalog knows the size: no size or list request");
+    assert_eq!(planned, 2, "one coalesced read per scan phase");
+    assert_eq!(s1.gets - s0.gets, 1 + planned, "one tail read plus the planner's runs");
+    assert_eq!(planned_bytes, kept_bytes + gap_bytes, "ReadStats: bytes_read = kept + gap");
+    assert_eq!(s1.bytes_read - s0.bytes_read, tail + planned_bytes);
+    assert!(
+        s1.bytes_read - s0.bytes_read < c.size_bytes,
+        "no GET of the whole object can hide in fewer bytes than the object has"
+    );
+    let depot = cold.membership().all()[0].cache.stats();
+    assert_eq!((depot.hits, depot.misses), (0, 0), "routed around the depot, not through it");
+
+    assert!(!got.is_empty());
+    assert_eq!(got, warm.query(&plan).unwrap(), "cold scan differs from the warm scan");
+    let bypass = SessionOpts { bypass_cache: true, ..Default::default() };
+    assert_eq!(got, cold.query_with(&plan, &bypass).unwrap(), "cold scan differs from Bypass");
+}
+
+proptest! {
+    /// The multi-column range planner is only a cheaper way to fetch:
+    /// for any column subset, keep mask and gap it returns exactly the
+    /// `EncodedBlock`s that one-column reads return, its `ReadStats`
+    /// describe the GETs it issued, and with no gap (`None`) it issues
+    /// one GET per kept block — nothing merges, within or across
+    /// columns.
+    #[test]
+    fn multi_column_planner_matches_per_column_reads(
+        seed in 0u64..1_000_000,
+        col_mask in 1usize..8,
+        keep_bits in 0u32..(1 << 10),
+        gap in prop_oneof![
+            Just(None),
+            Just(Some(0u64)),
+            (1u64..4_000).prop_map(Some),
+            Just(Some(u64::MAX)),
+        ],
+    ) {
+        // 1 000 rows in blocks of 100: ten blocks in each of 3 columns.
+        let rows = gen_rows(seed, 1_000);
+        let columns: Vec<Vec<Value>> =
+            (0..3).map(|c| rows.iter().map(|r| r[c].clone()).collect()).collect();
+        let (bytes, footer) = RosWriter::with_block_rows(100).encode(&columns).unwrap();
+        let size = bytes.len() as u64;
+        let fs = MemFs::new();
+        fs.write("c", bytes).unwrap();
+        let reader = RosReader::open_sized(&fs, "c", size).unwrap();
+        let cols: Vec<usize> = (0..3).filter(|c| col_mask & (1 << c) != 0).collect();
+        let keep: Vec<bool> = (0..10).map(|b| keep_bits & (1 << b) != 0).collect();
+
+        let mut one_by_one = ReadStats::default();
+        let expect: Vec<_> = cols
+            .iter()
+            .map(|&c| reader.read_column_blocks_encoded(&fs, c, &keep, gap, &mut one_by_one).unwrap())
+            .collect();
+
+        let before = fs.stats();
+        let mut stats = ReadStats::default();
+        let got = reader.read_columns_encoded(&fs, &cols, &keep, gap, &mut stats).unwrap();
+        let after = fs.stats();
+        prop_assert_eq!(&got, &expect);
+
+        let kept_blocks = (cols.len() * keep.iter().filter(|&&k| k).count()) as u64;
+        let kept_bytes = kept_bytes(&footer, &keep, &cols);
+        prop_assert_eq!(after.gets - before.gets, stats.requests);
+        prop_assert_eq!(after.bytes_read - before.bytes_read, stats.bytes_read);
+        prop_assert_eq!(stats.bytes_read, kept_bytes + stats.gap_bytes);
+        prop_assert_eq!(stats.requests + stats.requests_saved, kept_blocks);
+        prop_assert!(stats.requests <= one_by_one.requests);
+        match gap {
+            None => prop_assert_eq!((stats.requests, stats.gap_bytes), (kept_blocks, 0)),
+            // Everything bridges: one read for the whole request.
+            Some(u64::MAX) => prop_assert_eq!(stats.requests, kept_blocks.min(1)),
+            Some(_) => {}
+        }
+    }
 }
