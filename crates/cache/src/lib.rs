@@ -37,7 +37,7 @@
 //! issued, whole and ranged.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -176,8 +176,6 @@ pub struct FileCache {
     inner: Mutex<Inner>,
     /// In-flight backing fetches keyed by object path (single-flight).
     inflight: Mutex<HashMap<String, Arc<FillSlot>>>,
-    /// Whether concurrent misses dedup onto one backing GET.
-    single_flight: AtomicBool,
 }
 
 impl FileCache {
@@ -189,7 +187,6 @@ impl FileCache {
             aux: AuxRawStats::default(),
             retry: RetryPolicy::default(),
             inflight: Mutex::new(HashMap::new()),
-            single_flight: AtomicBool::new(true),
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 lru: BTreeSet::new(),
@@ -221,11 +218,6 @@ impl FileCache {
         m.warmup_bytes.add(self.aux.warmup_bytes.load(Ordering::Relaxed));
         m.retries.add(self.aux.retries.load(Ordering::Relaxed));
         g.metrics = m;
-    }
-
-    /// Enable or disable single-flight fill dedup (on by default).
-    pub fn set_single_flight(&self, enabled: bool) {
-        self.single_flight.store(enabled, Ordering::Relaxed);
     }
 
     /// Clone of the retry counter handle, for use outside the lock.
@@ -282,7 +274,7 @@ impl FileCache {
     /// schedule-independent. Returns the whole object either way, so
     /// no caller goes back to shared storage for bytes it just moved.
     fn fault_in(&self, key: &str) -> Result<Bytes> {
-        if !self.single_flight.load(Ordering::Relaxed) || self.never_cached(key) {
+        if self.never_cached(key) {
             let data = self.backing_read(key)?;
             self.count_miss();
             self.insert_local(key, data.clone())?;
@@ -921,15 +913,15 @@ mod tests {
     }
 
     #[test]
-    fn singleflight_disabled_fetches_per_miss() {
+    fn never_cache_keys_fetch_once_per_read_without_dedup() {
         let backing = Arc::new(SlowFs(MemFs::new(), std::time::Duration::from_millis(20)));
-        backing.0.write("k", payload(10)).unwrap();
+        backing.0.write("tmp/k", payload(10)).unwrap();
         let cache = Arc::new(FileCache::new(
             Arc::new(MemFs::new()),
             backing.clone(),
             1000,
         ));
-        cache.set_single_flight(false);
+        cache.never_cache_prefix("tmp/");
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let threads: Vec<_> = (0..2)
             .map(|_| {
@@ -937,15 +929,16 @@ mod tests {
                 let barrier = barrier.clone();
                 std::thread::spawn(move || {
                     barrier.wait();
-                    cache.read_with("k", CacheMode::Normal).unwrap()
+                    cache.read_with("tmp/k", CacheMode::Normal).unwrap()
                 })
             })
             .collect();
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(backing.stats().gets, 2, "no dedup when disabled");
+        assert_eq!(backing.stats().gets, 2, "a never-cache key is fetched by every read");
         assert_eq!(cache.stats().singleflight_waits, 0);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::encoding::{
     decode_column_view, encode_column, encode_with, encoding_fits, EncodedBlock, Encoding,
 };
 use crate::format::{checksum, Reader, Writer};
+use crate::pruning::{BlockCol, Predicate};
 
 const MAGIC: u32 = 0x524f_5331; // "ROS1"
 const TRAILER_LEN: u64 = 4 + 8 + 4;
@@ -332,70 +333,33 @@ impl RosReader {
 
     /// Read a column with block pruning: `keep[i] == false` skips block
     /// `i` (returning `None` in its slot so positions stay alignable).
-    /// One ranged read per surviving block.
+    /// Adjacent surviving blocks share a ranged read.
     pub fn read_column_blocks(
         &self,
         fs: &dyn eon_storage::FileSystem,
         col: usize,
         keep: &[bool],
     ) -> Result<Vec<Option<Vec<Value>>>> {
-        let mut stats = ReadStats::default();
-        self.read_column_blocks_with(fs, col, keep, None, &mut stats)
-    }
-
-    /// Like [`read_column_blocks`](Self::read_column_blocks), but with
-    /// request coalescing: surviving blocks whose byte ranges are
-    /// adjacent — or separated by a skipped gap of at most
-    /// `coalesce_gap` bytes — are fetched with one ranged read and
-    /// sliced locally. `None` disables coalescing (one GET per block).
-    /// I/O accounting lands in `stats`.
-    pub fn read_column_blocks_with(
-        &self,
-        fs: &dyn eon_storage::FileSystem,
-        col: usize,
-        keep: &[bool],
-        coalesce_gap: Option<u64>,
-        stats: &mut ReadStats,
-    ) -> Result<Vec<Option<Vec<Value>>>> {
-        let blocks = self.read_column_blocks_encoded(fs, col, keep, coalesce_gap, stats)?;
-        Ok(blocks
-            .into_iter()
-            .map(|b| b.map(|view| view.decode()))
-            .collect())
-    }
-
-    /// The encoded-view mode of
-    /// [`read_column_blocks_with`](Self::read_column_blocks_with):
-    /// same pruning and coalescing, but surviving blocks come back as
-    /// [`EncodedBlock`] views — RLE runs and dictionary codes are *not*
-    /// expanded to rows, so predicates can short-circuit on them and
-    /// late materialization can gather survivors only.
-    pub fn read_column_blocks_encoded(
-        &self,
-        fs: &dyn eon_storage::FileSystem,
-        col: usize,
-        keep: &[bool],
-        coalesce_gap: Option<u64>,
-        stats: &mut ReadStats,
-    ) -> Result<Vec<Option<EncodedBlock>>> {
-        let mut cols = self.read_columns_encoded(fs, &[col], keep, coalesce_gap, stats)?;
-        Ok(cols.pop().expect("one column requested"))
+        let mut cols = self.read_columns_encoded(fs, &[col], keep, 0, &mut ReadStats::default())?;
+        let blocks = cols.pop().expect("one column requested");
+        Ok(blocks.into_iter().map(|b| b.map(|view| view.decode())).collect())
     }
 
     /// The container's one range planner: the kept blocks of every
     /// column in `cols` (distinct indices; all columns share block
     /// boundaries, hence one `keep` mask), sorted by file offset and
-    /// fetched in as few ranged reads as `coalesce_gap` allows — blocks
-    /// that are adjacent or separated by at most that many dead bytes,
-    /// whether a pruned block or an unrequested column, share a read.
-    /// `None` reads every block on its own. Returns one block list per
-    /// entry of `cols`, `None` in the slots `keep` skips.
+    /// fetched in as few ranged reads as `gap` allows — blocks that are
+    /// adjacent or separated by at most that many dead bytes, whether a
+    /// pruned block or an unrequested column, share a read. Surviving
+    /// blocks come back as [`EncodedBlock`] views: RLE runs and
+    /// dictionary codes are *not* expanded to rows. Returns one block
+    /// list per entry of `cols`, `None` in the slots `keep` skips.
     pub fn read_columns_encoded(
         &self,
         fs: &dyn eon_storage::FileSystem,
         cols: &[usize],
         keep: &[bool],
-        coalesce_gap: Option<u64>,
+        gap: u64,
         stats: &mut ReadStats,
     ) -> Result<Vec<Vec<Option<EncodedBlock>>>> {
         let mut out = Vec::with_capacity(cols.len());
@@ -421,7 +385,7 @@ impl RosReader {
             // A run is the span [start, end) of one ranged read.
             let (start, mut end) = (first.offset, first.offset + first.len);
             let mut n = 1;
-            while let (Some(gap), Some((_, _, b))) = (coalesce_gap, rest.get(n)) {
+            while let Some((_, _, b)) = rest.get(n) {
                 if b.offset.saturating_sub(end) > gap {
                     break;
                 }
@@ -459,14 +423,154 @@ impl RosReader {
                         b.rows
                     )));
                 }
+                stats.encoded_blocks += view.is_encoded() as u64;
                 out[slot][i] = Some(view);
             }
         }
         Ok(out)
     }
+
+    /// The block-filter kernel every scan runs, on a node and inside
+    /// the store alike: fetch the predicate's columns through the range
+    /// planner, evaluate the predicate on the encoded views — once per
+    /// RLE run / dictionary entry — AND in the row mask, drop blocks
+    /// with no survivors before anything else is fetched for them, then
+    /// fetch the remaining columns under the refined `keep` and gather
+    /// only the surviving rows, column-major. `Predicate::True` is the
+    /// all-true selection; blocks come back in block order, rows in
+    /// position order.
+    pub fn filter_blocks(
+        &self,
+        fs: &dyn eon_storage::FileSystem,
+        f: &BlockFilter<'_>,
+        keep: &[bool],
+        gap: u64,
+        stats: &mut ReadStats,
+    ) -> Result<Vec<BlockRows>> {
+        let block_meta = self.footer.columns.first().map_or(&[][..], |c| &c.blocks);
+        if keep.len() != block_meta.len() {
+            return Err(EonError::Internal("keep mask length mismatch".into()));
+        }
+        let touched = f.pred.columns();
+        let consts = f.consts.iter().map(|(c, _)| c);
+        if let Some(c) = touched.iter().chain(f.read_cols).chain(consts).find(|&&c| c >= f.width) {
+            return Err(EonError::Query(format!("column {c} outside row width {}", f.width)));
+        }
+        let reads_pred = |c: &usize| touched.binary_search(c).is_ok();
+        let (pcols, rest): (Vec<usize>, Vec<usize>) =
+            f.read_cols.iter().partition(|c| reads_pred(c));
+        let pblocks = self.read_columns_encoded(fs, &pcols, keep, gap, stats)?;
+
+        // What the predicate sees of a block: Null for a column nobody
+        // reads, the constant for a column the container lacks, and the
+        // fetched view for the rest (filled in per block).
+        let mut view = vec![BlockCol::Const(&Value::Null); f.width];
+        for (c, v) in f.consts {
+            view[*c] = BlockCol::Const(v);
+        }
+        let mut keep = keep.to_vec();
+        let mut survivors: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut start = 0usize;
+        for (b, meta) in block_meta.iter().enumerate() {
+            let rows = meta.rows as usize;
+            if keep[b] {
+                for (&c, blocks) in pcols.iter().zip(&pblocks) {
+                    let fetched = blocks[b].as_ref().expect("kept block");
+                    stats.rows_short_circuited += fetched.short_circuit_rows();
+                    view[c] = fetched.as_block_col();
+                }
+                let mut sel = f.pred.eval_block(&view, rows);
+                if let Some(mask) = f.row_mask {
+                    for (s, m) in sel.iter_mut().zip(&mask[start..start + rows]) {
+                        *s &= m;
+                    }
+                }
+                let surv: Vec<usize> = (0..rows).filter(|&r| sel[r]).collect();
+                if surv.is_empty() {
+                    // The predicate-column bytes fetched for this block
+                    // contributed no row: count them as waste.
+                    keep[b] = false;
+                    stats.blocks_late_skipped += 1;
+                    stats.waste_bytes +=
+                        pcols.iter().map(|&c| self.footer.columns[c].blocks[b].len).sum::<u64>();
+                } else {
+                    survivors.push((b, surv));
+                }
+            }
+            start += rows;
+        }
+
+        let rblocks = self.read_columns_encoded(fs, &rest, &keep, gap, stats)?;
+        let (mut p, mut r) = (pblocks.iter(), rblocks.iter());
+        let by_col: Vec<&Vec<Option<EncodedBlock>>> = f
+            .read_cols
+            .iter()
+            .map(|c| if reads_pred(c) { p.next() } else { r.next() }.expect("partitioned above"))
+            .collect();
+        Ok(survivors
+            .into_iter()
+            .map(|(block, rows)| BlockRows {
+                block,
+                cols: by_col
+                    .iter()
+                    .map(|blocks| blocks[block].as_ref().expect("kept block").gather(&rows))
+                    .collect(),
+                rows,
+            })
+            .collect())
+    }
 }
 
-/// I/O accounting for coalesced column reads.
+/// What [`RosReader::filter_blocks`] keeps of a container: which rows
+/// (predicate, optional position mask) and which columns.
+pub struct BlockFilter<'a> {
+    /// Row width the predicate's column indices are resolved against.
+    pub width: usize,
+    pub pred: &'a Predicate,
+    /// Columns to return, all physically present in the container. A
+    /// predicate column outside this list evaluates as `Null`.
+    pub read_cols: &'a [usize],
+    /// Columns the container lacks (added to the table after it was
+    /// written, §6.3) with the value every row carries; the predicate
+    /// sees them as constants.
+    pub consts: &'a [(usize, Value)],
+    /// Per-position keep mask over the whole container — the delete
+    /// vector — ANDed into each block's selection.
+    pub row_mask: Option<&'a [bool]>,
+}
+
+/// The surviving rows of one block, column-major.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockRows {
+    /// Block index within the container.
+    pub block: usize,
+    /// Surviving in-block row indices, ascending.
+    pub rows: Vec<usize>,
+    /// One vector per column read, parallel to `rows`.
+    pub cols: Vec<Vec<Value>>,
+}
+
+impl BlockRows {
+    /// Transpose into `(in-block row index, row)` pairs: rows `width`
+    /// wide holding `self.cols[i]` at index `cols[i]`, `Null` elsewhere.
+    pub fn into_rows(
+        self,
+        width: usize,
+        cols: &[usize],
+    ) -> impl Iterator<Item = (usize, Vec<Value>)> + '_ {
+        let mut values: Vec<_> = self.cols.into_iter().map(Vec::into_iter).collect();
+        self.rows.into_iter().map(move |r| {
+            let mut row = vec![Value::Null; width];
+            for (vals, &c) in values.iter_mut().zip(cols) {
+                row[c] = vals.next().expect("columns are parallel to rows");
+            }
+            (r, row)
+        })
+    }
+}
+
+/// Accounting for one container's reads: what the range planner
+/// fetched and what the filter kernel got out of it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
     /// Ranged GETs issued.
@@ -479,11 +583,19 @@ pub struct ReadStats {
     /// run (the price paid for fewer requests).
     pub gap_bytes: u64,
     /// Bytes fetched and then discarded without contributing a row:
-    /// coalescing gap bytes, plus (added by the scan layer) predicate
-    /// column blocks whose every row was filtered out after the fetch.
+    /// coalescing gap bytes, plus predicate-column blocks whose every
+    /// row was filtered out after the fetch.
     /// This is the measurable side of the pushdown-vs-coalesce
     /// tradeoff — a select returns none of these bytes.
     pub waste_bytes: u64,
+    /// Blocks served in compressed form (RLE / dictionary views).
+    pub encoded_blocks: u64,
+    /// Predicate comparisons avoided by testing runs and dictionary
+    /// entries instead of rows.
+    pub rows_short_circuited: u64,
+    /// Blocks that passed min/max pruning but kept no row, so their
+    /// non-predicate columns were never fetched.
+    pub blocks_late_skipped: u64,
 }
 
 #[cfg(test)]
@@ -657,19 +769,29 @@ mod tests {
         assert!(b.min.is_null() && b.max.is_null() && b.has_null);
     }
 
+    /// One column's kept blocks through the range planner, decoded.
+    fn planned(
+        r: &RosReader,
+        fs: &MemFs,
+        keep: &[bool],
+        gap: u64,
+        stats: &mut ReadStats,
+    ) -> Vec<Option<Vec<Value>>> {
+        let mut cols = r.read_columns_encoded(fs, &[0], keep, gap, stats).unwrap();
+        let blocks = cols.pop().unwrap();
+        blocks.into_iter().map(|b| b.map(|view| view.decode())).collect()
+    }
+
     #[test]
-    fn coalesced_read_matches_per_block_read() {
+    fn adjacent_blocks_share_one_read() {
         let fs = MemFs::new();
         write_sample(&fs, "c1");
         let r = RosReader::open(&fs, "c1").unwrap();
-        let keep = [true, true, true];
-        let plain = r.read_column_blocks(&fs, 0, &keep).unwrap();
         let gets = fs.stats().gets;
         let mut stats = ReadStats::default();
-        let coalesced = r
-            .read_column_blocks_with(&fs, 0, &keep, Some(0), &mut stats)
-            .unwrap();
-        assert_eq!(coalesced, plain);
+        let blocks = planned(&r, &fs, &[true, true, true], 0, &mut stats);
+        let rows: Vec<Value> = blocks.into_iter().flatten().flatten().collect();
+        assert_eq!(rows, sample_columns()[0]);
         // Three adjacent blocks → one ranged read.
         assert_eq!(fs.stats().gets - gets, 1);
         assert_eq!(stats.requests, 1);
@@ -688,18 +810,14 @@ mod tests {
         // Gap tolerance below the skipped block: two separate reads,
         // and the skipped slot stays None.
         let mut tight = ReadStats::default();
-        let split = r
-            .read_column_blocks_with(&fs, 0, &keep, Some(gap - 1), &mut tight)
-            .unwrap();
+        let split = planned(&r, &fs, &keep, gap - 1, &mut tight);
         assert_eq!(tight.requests, 2);
         assert_eq!(tight.gap_bytes, 0);
         assert!(split[1].is_none());
 
         // Gap tolerance covering it: one read, gap bytes accounted.
         let mut wide = ReadStats::default();
-        let merged = r
-            .read_column_blocks_with(&fs, 0, &keep, Some(gap), &mut wide)
-            .unwrap();
+        let merged = planned(&r, &fs, &keep, gap, &mut wide);
         assert_eq!(wide.requests, 1);
         assert_eq!(wide.requests_saved, 1);
         assert_eq!(wide.gap_bytes, gap);
@@ -746,15 +864,144 @@ mod tests {
         let r = RosReader::open(&fs, "d").unwrap();
         let mut stats = ReadStats::default();
         let keep = vec![true; r.footer().columns[1].blocks.len()];
-        let blocks = r
-            .read_column_blocks_encoded(&fs, 1, &keep, Some(0), &mut stats)
-            .unwrap();
+        let blocks = r.read_columns_encoded(&fs, &[1], &keep, 0, &mut stats).unwrap().remove(0);
+        assert_eq!(stats.encoded_blocks, blocks.len() as u64);
         for b in blocks.iter().flatten() {
             assert!(matches!(b, EncodedBlock::Dict { dict, .. } if dict.len() == 13));
             assert!(b.is_encoded());
         }
         let decoded: Vec<Value> = blocks.into_iter().flatten().flat_map(|b| b.decode()).collect();
         assert_eq!(decoded, cols[1]);
+    }
+
+    proptest::proptest! {
+        /// The kernel against the naive scan: decode every column, zip
+        /// to rows, `eval_row`, apply the keep and row masks. Whatever
+        /// the stored encoding, predicate shape, column subset and gap,
+        /// `filter_blocks` returns those rows in block/row order, and
+        /// its `ReadStats` describe exactly the blocks it fetched.
+        #[test]
+        fn filter_blocks_matches_naive_scan(
+            seed in 0u64..1_000_000,
+            n in 1usize..200,
+            force_idx in 0usize..5,
+            pred_idx in 0usize..9,
+            col_bits in 0usize..16,
+            keep_bits in proptest::prelude::any::<u16>(),
+            masked in proptest::prelude::any::<bool>(),
+            gap_idx in 0usize..3,
+        ) {
+            use crate::pruning::CmpOp;
+            use proptest::prelude::*;
+            use rand::{Rng, SeedableRng, StdRng};
+
+            const BLOCK: usize = 16;
+            const WIDTH: usize = 6; // 4 stored columns, 4 and 5 absent
+            let mut rng = StdRng::seed_from_u64(seed);
+            let stored: Vec<Vec<Value>> = vec![
+                (0..n).map(|i| Value::Int(i as i64)).collect(),
+                (0..n).map(|i| Value::Int((i / 7 % 3) as i64)).collect(),
+                (0..n).map(|_| Value::Str(format!("t{}", rng.gen_range(0..3u32)))).collect(),
+                (0..n)
+                    .map(|_| match rng.gen_range(0..5i64) {
+                        0 => Value::Null,
+                        v => Value::Int(v * 11),
+                    })
+                    .collect(),
+            ];
+            let force = [Encoding::Plain, Encoding::Rle, Encoding::Dict, Encoding::Delta]
+                .get(force_idx)
+                .copied(); // index 4: the writer's own heuristic
+            let (bytes, footer) =
+                RosWriter::with_block_rows(BLOCK).force_encoding(force).encode(&stored).unwrap();
+            let fs = MemFs::new();
+            fs.write("c", bytes).unwrap();
+            let reader = RosReader::open(&fs, "c").unwrap();
+
+            let consts = [(4usize, Value::Int(rng.gen_range(0..2i64)))];
+            let pred = match pred_idx {
+                0 => Predicate::True,
+                1 => Predicate::cmp(0, CmpOp::Ge, rng.gen_range(0..n as i64)),
+                2 => Predicate::cmp(1, CmpOp::Le, rng.gen_range(0..3i64)),
+                3 => Predicate::eq(2, "t1"),
+                4 => Predicate::IsNull(3),
+                5 => Predicate::Or(vec![Predicate::eq(1, 2i64), Predicate::eq(2, "t0")]),
+                // A column the container lacks, fed by a constant.
+                6 => Predicate::And(vec![
+                    Predicate::cmp(0, CmpOp::Lt, (n / 2) as i64),
+                    Predicate::eq(4, 1i64),
+                ]),
+                7 => Predicate::cmp(3, CmpOp::Gt, 20i64),
+                // Neither stored nor a constant: Null on every row.
+                _ => Predicate::Or(vec![Predicate::IsNotNull(5), Predicate::eq(1, 0i64)]),
+            };
+            // Any subset of the stored columns, in either order, so
+            // predicate columns fall outside `read_cols` too.
+            let mut read_cols: Vec<usize> = (0..4).filter(|c| col_bits & (1 << c) != 0).collect();
+            if seed % 2 == 1 {
+                read_cols.reverse();
+            }
+            let nblocks = n.div_ceil(BLOCK);
+            let keep: Vec<bool> = (0..nblocks).map(|b| keep_bits & (1 << b) != 0).collect();
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen_range(0..4u32) != 0).collect();
+            let row_mask = masked.then_some(mask.as_slice());
+            let gap = [0, 64 << 10, 1 << 20][gap_idx];
+
+            // The naive answer, from whole decoded columns.
+            let decoded: Vec<Vec<Value>> =
+                (0..4).map(|c| reader.read_column(&fs, c).unwrap()).collect();
+            let mut want: Vec<BlockRows> = Vec::new();
+            for i in 0..n {
+                let mut row = vec![Value::Null; WIDTH];
+                for &c in &read_cols {
+                    row[c] = decoded[c][i].clone();
+                }
+                row[consts[0].0] = consts[0].1.clone();
+                if !keep[i / BLOCK] || !pred.eval_row(&row) || row_mask.is_some_and(|m| !m[i]) {
+                    continue;
+                }
+                if want.last().map(|br| br.block) != Some(i / BLOCK) {
+                    let cols = vec![vec![]; read_cols.len()];
+                    want.push(BlockRows { block: i / BLOCK, rows: vec![], cols });
+                }
+                let br = want.last_mut().unwrap();
+                br.rows.push(i % BLOCK);
+                for (vals, &c) in br.cols.iter_mut().zip(&read_cols) {
+                    vals.push(row[c].clone());
+                }
+            }
+
+            let filter = BlockFilter {
+                width: WIDTH,
+                pred: &pred,
+                read_cols: &read_cols,
+                consts: &consts,
+                row_mask,
+            };
+            let mut stats = ReadStats::default();
+            let got = reader.filter_blocks(&fs, &filter, &keep, gap, &mut stats).unwrap();
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+
+            // Predicate columns are fetched for every kept block, the
+            // rest only for blocks with a survivor.
+            let block_bytes = |c: usize, b: usize| footer.columns[c].blocks[b].len;
+            let survived = |b: usize| want.iter().any(|br| br.block == b);
+            let touched = pred.columns();
+            let mut kept_bytes = 0;
+            for &c in &read_cols {
+                for b in (0..nblocks).filter(|&b| keep[b]) {
+                    if touched.contains(&c) || survived(b) {
+                        kept_bytes += block_bytes(c, b);
+                    }
+                }
+            }
+            prop_assert_eq!(stats.bytes_read, kept_bytes + stats.gap_bytes);
+            if gap == 0 {
+                prop_assert_eq!(stats.gap_bytes, 0);
+            }
+            let late = (0..nblocks).filter(|&b| keep[b] && !survived(b)).count() as u64;
+            prop_assert_eq!(stats.blocks_late_skipped, late);
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub mod projection;
 pub mod pruning;
 pub mod segment;
 
-pub use container::{BlockMeta, ColumnMeta, ReadStats, RosFooter, RosReader, RosWriter};
+pub use container::{
+    BlockFilter, BlockMeta, BlockRows, ColumnMeta, ReadStats, RosFooter, RosReader, RosWriter,
+};
 pub use delete::DeleteVector;
 pub use encoding::{
     decode_column, decode_column_view, encode_column, encode_with, encoding_fits, EncodedBlock,

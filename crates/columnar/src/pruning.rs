@@ -75,6 +75,24 @@ impl Predicate {
         }
     }
 
+    /// The column indices this predicate reads, sorted and deduplicated.
+    pub fn columns(&self) -> Vec<usize> {
+        fn walk(p: &Predicate, out: &mut Vec<usize>) {
+            match p {
+                Predicate::True => {}
+                Predicate::Cmp { col, .. } | Predicate::IsNull(col) | Predicate::IsNotNull(col) => {
+                    out.push(*col)
+                }
+                Predicate::And(ps) | Predicate::Or(ps) => ps.iter().for_each(|q| walk(q, out)),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// Evaluate against a materialized row. SQL three-valued logic is
     /// collapsed to "NULL comparisons are false", which matches WHERE
     /// semantics.

@@ -15,7 +15,9 @@ pub struct EonConfig {
     pub num_shards: usize,
     /// Node failures tolerated (shards get `k_safety + 1` subscribers).
     pub k_safety: usize,
-    /// Execution slots per node (the `E` of §4.2).
+    /// Execution slots per node (the `E` of §4.2). Also the width of a
+    /// node's scan pool: a query scan runs one container task per slot
+    /// (DESIGN.md "Scan pipeline").
     pub exec_slots: usize,
     /// Depot capacity per node, bytes.
     pub cache_bytes: u64,
@@ -39,21 +41,6 @@ pub struct EonConfig {
     /// (`Arc` inside), so benches can hand in their own registry and
     /// snapshot it after a run.
     pub obs: eon_obs::Registry,
-    /// Scan-pool workers per node for query scans (DESIGN.md "Scan
-    /// pipeline"). `0` = auto: one worker per execution slot. `1`
-    /// forces the serial scan path. Always clamped to `exec_slots`.
-    pub scan_workers: usize,
-    /// Coalesce block ranged-reads whose gap is at most this many
-    /// bytes; `None` issues one read per surviving block.
-    pub scan_coalesce_gap: Option<u64>,
-    /// Selection-vector predicate evaluation with late
-    /// materialization of non-predicate columns.
-    pub scan_late_materialization: bool,
-    /// Force the decode-first scan path: every block is fully decoded
-    /// to rows before predicates see it, as before compression-aware
-    /// execution. Off by default; the A/B knob for
-    /// `tests/encoded_exec_prop.rs` and the `ablate_scan` bench.
-    pub scan_decode_first: bool,
     /// S3-Select-style pushdown (DESIGN.md "Pushdown execution"): run
     /// eligible predicates, projections, and partial aggregates inside
     /// the store via the `select` verb instead of fetching blocks with
@@ -77,9 +64,6 @@ pub struct EonConfig {
     /// per-block heuristic (blocks the encoding can't represent fall
     /// back). Testing knob for encoding-equivalence properties.
     pub force_encoding: Option<eon_columnar::Encoding>,
-    /// Single-flight depot fills: concurrent misses on one key share
-    /// one backing GET.
-    pub depot_single_flight: bool,
     /// Write-pool workers for loads (DESIGN.md "Write pipeline"): how
     /// many independent (projection, shard) container uploads a COPY /
     /// DML statement runs concurrently. `0` = auto: one worker per
@@ -157,16 +141,11 @@ impl Default for EonConfig {
             fragment_ms: 0,
             faults: FaultPlan::inert(),
             obs: eon_obs::Registry::new(),
-            scan_workers: 0,
-            scan_coalesce_gap: Some(crate::provider::DEFAULT_COALESCE_GAP),
-            scan_late_materialization: true,
-            scan_decode_first: false,
             pushdown: true,
             pushdown_max_selectivity: 0.25,
             pushdown_min_bytes: 32 * 1024,
             pushdown_max_groups: 64,
             force_encoding: None,
-            depot_single_flight: true,
             load_workers: 0,
             admission_max_concurrent: 0,
             admission_max_queue: 0,
@@ -226,31 +205,6 @@ impl EonConfig {
         self
     }
 
-    /// Scan-pool width per node (`0` = one worker per exec slot).
-    pub fn scan_workers(mut self, w: usize) -> Self {
-        self.scan_workers = w;
-        self
-    }
-
-    /// Ranged-read coalescing gap in bytes (`None` = off).
-    pub fn scan_coalesce_gap(mut self, gap: Option<u64>) -> Self {
-        self.scan_coalesce_gap = gap;
-        self
-    }
-
-    /// Toggle selection-vector filtering with late materialization.
-    pub fn scan_late_materialization(mut self, on: bool) -> Self {
-        self.scan_late_materialization = on;
-        self
-    }
-
-    /// Force the decode-first scan path (disable compression-aware
-    /// execution) for A/B comparison.
-    pub fn scan_decode_first(mut self, on: bool) -> Self {
-        self.scan_decode_first = on;
-        self
-    }
-
     /// Toggle S3-Select-style pushdown (the A/B knob for
     /// `ablate_pushdown` and the equivalence property tests).
     pub fn pushdown(mut self, on: bool) -> Self {
@@ -279,12 +233,6 @@ impl EonConfig {
     /// Force one block encoding at write time (`None` = heuristic).
     pub fn force_encoding(mut self, enc: Option<eon_columnar::Encoding>) -> Self {
         self.force_encoding = enc;
-        self
-    }
-
-    /// Toggle single-flight depot fills.
-    pub fn depot_single_flight(mut self, on: bool) -> Self {
-        self.depot_single_flight = on;
         self
     }
 

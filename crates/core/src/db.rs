@@ -226,33 +226,22 @@ impl EonDb {
             seed,
         );
         node.set_faults(self.config.faults.clone());
-        node.cache.set_single_flight(self.config.depot_single_flight);
         let label = format!("node{}", id.0);
         node.cache.attach_metrics(&self.config.obs, &label);
         node.slots.attach_metrics(&self.config.obs, &label);
         node
     }
 
-    /// Scan-pipeline options for a session on `node`, built from
-    /// config with the pool width clamped to the node's
-    /// execution-slot budget (§4.2).
+    /// Scan-pipeline options for a session on `node`: one scan-pool
+    /// worker per execution slot (§4.2), pushdown policy from config.
     pub(crate) fn scan_options(
         &self,
         node: &NodeRuntime,
         profile: Option<&eon_obs::QueryProfile>,
         cancel: Option<eon_types::CancelToken>,
     ) -> crate::provider::ScanOptions {
-        let slots = node.slots.capacity().max(1);
-        let workers = if self.config.scan_workers == 0 {
-            slots
-        } else {
-            self.config.scan_workers.min(slots)
-        };
         crate::provider::ScanOptions {
-            workers,
-            coalesce_gap: self.config.scan_coalesce_gap,
-            late_materialization: self.config.scan_late_materialization,
-            encoded_exec: !self.config.scan_decode_first,
+            workers: node.slots.capacity().max(1),
             pushdown: self.config.pushdown,
             pushdown_max_selectivity: self.config.pushdown_max_selectivity,
             pushdown_min_bytes: self.config.pushdown_min_bytes,

@@ -202,21 +202,12 @@ impl EonDb {
             cache_mode: CacheMode::Normal,
             crunch: None,
             // Mergeout reads serially — its parallelism is across
-            // jobs, not within one container scan.
+            // jobs, not within one container scan — and rewrites whole
+            // containers, so there is nothing to push below the GET.
             scan: crate::provider::ScanOptions {
                 workers: 1,
-                coalesce_gap: self.config.scan_coalesce_gap,
-                late_materialization: self.config.scan_late_materialization,
-                encoded_exec: !self.config.scan_decode_first,
-                // Mergeout rewrites whole containers; there is nothing
-                // to push below the GET.
                 pushdown: false,
-                pushdown_max_selectivity: self.config.pushdown_max_selectivity,
-                pushdown_min_bytes: self.config.pushdown_min_bytes,
-                pushdown_max_groups: self.config.pushdown_max_groups,
-                obs: self.config.obs.clone(),
-                profile: None,
-                cancel: None,
+                ..self.scan_options(worker, None, None)
             },
         };
 
@@ -227,8 +218,7 @@ impl EonDb {
             let Some(c) = snapshot.containers.get(oid) else {
                 return Ok(()); // concurrent mergeout took it
             };
-            let rows = self.read_container_rows(&provider, &table, &proj, c)?;
-            batches.push(rows);
+            batches.push(provider.scan_container_for_merge(&table, &proj, c)?);
             txn.push(CatalogOp::DropContainer(*oid));
         }
         let merged = eon_tm::merge_sorted_rows(batches, &proj.sort.0);
@@ -250,29 +240,6 @@ impl EonDb {
         self.commit_cluster(txn, &coord)?;
         metrics.record_job(inputs.len(), rewritten.0, rewritten.1, rewritten.2);
         Ok(())
-    }
-
-    /// All rows of one container with delete vectors applied, in the
-    /// projection's column space and sort order.
-    fn read_container_rows(
-        &self,
-        provider: &NodeProvider,
-        table: &eon_catalog::Table,
-        proj: &eon_columnar::Projection,
-        c: &eon_catalog::ContainerMeta,
-    ) -> Result<Vec<Vec<eon_types::Value>>> {
-        use eon_columnar::Predicate;
-        let width = proj.columns.len();
-        let read_cols: Vec<usize> = (0..width).collect();
-        let hits = provider.scan_container_for_merge(
-            table,
-            proj,
-            c,
-            &read_cols,
-            &Predicate::True,
-            width,
-        )?;
-        Ok(hits)
     }
 
     /// Upload every node's catalog to shared storage, compute the

@@ -7,11 +7,11 @@
 //! Scans run as a *pipeline* (see DESIGN.md "Scan pipeline"): the
 //! per-shard container list fans out across a bounded per-node worker
 //! pool so shared-storage latency on one container overlaps decode and
-//! filter compute on another; block ranges are coalesced into fewer
-//! ranged reads; and predicates evaluate columnar-wise into selection
-//! vectors so non-predicate columns are fetched only for blocks with
-//! surviving rows (late materialization). Results merge in container
-//! order, so output is identical to a serial scan.
+//! filter compute on another, and every container goes through the one
+//! block-filter kernel, [`RosReader::filter_blocks`] — coalesced ranged
+//! reads, predicates on encoded views, non-predicate columns fetched
+//! only for blocks with surviving rows. Results merge in container
+//! order, so output does not depend on the pool width.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,9 +23,9 @@ use eon_catalog::{CatalogState, ContainerMeta, Table};
 use eon_cluster::NodeRuntime;
 use eon_columnar::pruning::ColumnStats;
 use eon_columnar::{
-    BlockCol, DeleteVector, EncodedBlock, Predicate, Projection, ReadStats, RosFooter, RosReader,
+    BlockFilter, BlockRows, DeleteVector, Predicate, Projection, ReadStats, RosFooter, RosReader,
 };
-use eon_exec::agg::{aggregate_partial, merge_partials, AggState, Partials};
+use eon_exec::agg::{aggregate_partial, merge_partials, Partials};
 use eon_exec::crunch::CrunchSlice;
 use eon_exec::{AggSpec, Expr, ScanSpec, TableProvider};
 use eon_obs::{Counter, Histogram, QueryProfile, Registry};
@@ -33,41 +33,27 @@ use eon_types::{EonError, Oid, Result, ShardId, Value};
 use parking_lot::Mutex;
 
 use crate::pushdown::{
-    agg_pushable, estimate_selectivity, kept_bytes, predicate_cols, AggRequest, SelectRequest,
+    agg_pushable, estimate_selectivity, has_float_sum, kept_bytes, AggRequest, SelectRequest,
     SelectResponse,
 };
 
-/// Default coalescing gap: fetch up to this many dead bytes between
-/// two surviving blocks rather than pay a second request round-trip.
+/// Coalescing gap for node reads: fetch up to this many dead bytes
+/// between two surviving blocks rather than pay a second request
+/// round-trip.
 pub const DEFAULT_COALESCE_GAP: u64 = 64 * 1024;
 
 /// One container's scan output: `(position, row)` pairs in position
-/// order (position is 0 when the caller didn't ask for it).
+/// order.
 type PosRows = Vec<(u64, Vec<Value>)>;
 
-/// Scan-pipeline tuning, carried per session (built from `EonConfig`
-/// by the coordinator; defaults are serial + full optimisation, which
-/// keeps DML/mergeout scans single-threaded).
+/// Scan-pipeline tuning, carried per session (built by
+/// `EonDb::scan_options`).
 #[derive(Clone)]
 pub struct ScanOptions {
-    /// Container-scan worker threads per node; 1 = serial. The
-    /// coordinator clamps this to the node's execution-slot budget
-    /// (§4.2) so a scan can't out-parallelize its admission.
+    /// Container-scan worker threads per node: the node's
+    /// execution-slot budget (§4.2) for queries and DML, so a scan
+    /// can't out-parallelize its admission, and 1 for mergeout.
     pub workers: usize,
-    /// Coalesce ranged reads whose gap is at most this many bytes;
-    /// `None` issues one read per surviving block.
-    pub coalesce_gap: Option<u64>,
-    /// Evaluate predicates into per-block selection vectors and skip
-    /// fetching non-predicate columns for blocks with no survivors.
-    /// `false` falls back to materialize-then-`eval_row`.
-    pub late_materialization: bool,
-    /// Compression-aware execution (DESIGN.md "Compression-aware
-    /// execution"): serve blocks as [`EncodedBlock`] views so
-    /// predicates evaluate once per RLE run / dictionary entry and
-    /// survivors are gathered without materializing the block. `false`
-    /// forces the decode-first path (every block decoded to rows up
-    /// front) — output is identical either way.
-    pub encoded_exec: bool,
     /// S3-Select-style pushdown (DESIGN.md "Pushdown execution"): issue
     /// `select` requests against shared storage for eligible scans
     /// instead of fetching blocks with plain GETs. Output is identical
@@ -89,24 +75,6 @@ pub struct ScanOptions {
     /// Session cancellation, checked at every scan-task claim so a
     /// cancelled session stops fetching instead of finishing the scan.
     pub cancel: Option<eon_types::CancelToken>,
-}
-
-impl Default for ScanOptions {
-    fn default() -> Self {
-        ScanOptions {
-            workers: 1,
-            coalesce_gap: Some(DEFAULT_COALESCE_GAP),
-            late_materialization: true,
-            encoded_exec: true,
-            pushdown: false,
-            pushdown_max_selectivity: 0.25,
-            pushdown_min_bytes: 32 * 1024,
-            pushdown_max_groups: 64,
-            obs: Registry::new(),
-            profile: None,
-            cancel: None,
-        }
-    }
 }
 
 /// Registry handles for one node's scan pipeline. Counters are
@@ -162,6 +130,9 @@ impl ScanMetrics {
         self.coalesced_bytes.add(s.bytes_read);
         self.gap_bytes.add(s.gap_bytes);
         self.waste_bytes.add(s.waste_bytes);
+        self.encoded_blocks.add(s.encoded_blocks);
+        self.rows_short_circuited.add(s.rows_short_circuited);
+        self.blocks_late_skipped.add(s.blocks_late_skipped);
     }
 
     /// Record one answered select that spared `saved` plain-GET bytes.
@@ -185,8 +156,28 @@ pub struct NodeProvider {
     pub cache_mode: CacheMode,
     /// Crunch-scaling slice when several nodes share each shard (§4.4).
     pub crunch: Option<CrunchSlice>,
-    /// Scan-pipeline tuning (worker pool, coalescing, filtering).
+    /// Scan-pipeline tuning (worker pool, pushdown policy).
     pub scan: ScanOptions,
+}
+
+/// A scan resolved against the catalog snapshot: the projection that
+/// answers it, its predicate and columns in that projection's column
+/// space, and the containers catalog statistics could not rule out.
+struct ResolvedScan<'a> {
+    table: &'a Table,
+    proj: &'a Projection,
+    pred: Predicate,
+    /// Columns to read (output plus predicate columns).
+    read_cols: Vec<usize>,
+    /// The scan's output columns, in output order.
+    out_local: Vec<usize>,
+    /// Crunch hash-filter splits only the shard-local fact scan;
+    /// broadcast/replicated sides must stay complete on every worker
+    /// or joins lose rows (§4.4).
+    apply_crunch: bool,
+    /// Whether containers of this scan may be answered below the GET.
+    pushdown: bool,
+    work: Vec<(ShardId, &'a ContainerMeta)>,
 }
 
 /// Rewrite a predicate from table column indices to projection-local
@@ -413,390 +404,256 @@ impl NodeProvider {
         table.defaults.get(table_idx).cloned().unwrap_or(Value::Null)
     }
 
-    /// Fetch the surviving blocks of `cols` into `col_blocks` with one
-    /// pass of the container's range planner, as encoded views when
-    /// compression-aware execution is on, decoded to plain rows when
-    /// the session forces decode-first. Either way the scan loop sees
-    /// [`EncodedBlock`]s — decode-first just never sees a compressed
-    /// one, so the two modes share every line downstream of here.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_blocks(
-        &self,
-        reader: &RosReader,
-        fs: &dyn eon_storage::FileSystem,
-        cols: &[usize],
-        keep: &[bool],
-        rstats: &mut ReadStats,
-        metrics: &ScanMetrics,
-        col_blocks: &mut HashMap<usize, Vec<Option<EncodedBlock>>>,
-    ) -> Result<()> {
-        let fetched =
-            reader.read_columns_encoded(fs, cols, keep, self.scan.coalesce_gap, rstats)?;
-        for (&col, mut blocks) in cols.iter().zip(fetched) {
-            if self.scan.encoded_exec {
-                let encoded = blocks.iter().flatten().filter(|b| b.is_encoded()).count();
-                metrics.encoded_blocks.add(encoded as u64);
-            } else {
-                for b in blocks.iter_mut().flatten() {
-                    *b = EncodedBlock::Plain(b.decode());
+    /// Resolve a scan: table → needed columns → projection → predicate
+    /// and columns in projection space → work list. Container-level
+    /// pruning from catalog statistics happens here, so the pool only
+    /// sees containers that actually need I/O. Read-only on the catalog.
+    fn resolve_scan(&self, spec: &ScanSpec) -> Result<ResolvedScan<'_>> {
+        let table = self
+            .snapshot
+            .table_by_name(&spec.table)
+            .ok_or_else(|| EonError::UnknownTable(spec.table.clone()))?;
+        let out_cols: Vec<usize> = spec
+            .columns
+            .clone()
+            .unwrap_or_else(|| (0..table.schema.len()).collect());
+        let mut needed = out_cols.clone();
+        needed.extend(spec.predicate.columns());
+        needed.sort_unstable();
+        needed.dedup();
+        let global = spec.distribute == eon_exec::Distribution::Global;
+        let (proj_oid, proj) =
+            self.pick_projection(table, &needed, global, spec.projection.as_deref())?;
+
+        let (pred, read_cols, out_local) = if proj.is_live_aggregate() {
+            // Pinned LAP scan: yields the LAP's own layout; predicates
+            // and column subsets don't apply to pre-aggregated rows.
+            if spec.predicate != Predicate::True || spec.columns.is_some() {
+                return Err(EonError::Query(format!(
+                    "live aggregate projection {} supports only full unfiltered scans",
+                    proj.name
+                )));
+            }
+            let all: Vec<usize> = (0..proj.columns.len()).collect();
+            (Predicate::True, all.clone(), all)
+        } else {
+            let table_to_proj: HashMap<usize, usize> = proj
+                .columns
+                .iter()
+                .enumerate()
+                .map(|(pi, &ti)| (ti, pi))
+                .collect();
+            (
+                remap_predicate(&spec.predicate, &table_to_proj)?,
+                needed.iter().map(|c| table_to_proj[c]).collect(),
+                out_cols.iter().map(|c| table_to_proj[c]).collect(),
+            )
+        };
+
+        let mut work = Vec::new();
+        for shard in self.shards_for(proj, global) {
+            for c in self.snapshot.containers_for(proj_oid, shard) {
+                let stats = |col: usize| -> Option<ColumnStats> {
+                    let (min, max) = c.col_minmax.get(col)?.clone()?;
+                    // Catalog stats don't track nulls.
+                    Some(ColumnStats { min, max, has_null: true })
+                };
+                if pred.could_match(&stats) {
+                    work.push((shard, c));
                 }
             }
-            col_blocks.insert(col, blocks);
         }
-        Ok(())
+        Ok(ResolvedScan {
+            table,
+            proj,
+            pred,
+            read_cols,
+            out_local,
+            apply_crunch: !global && !proj.is_replicated() && !proj.is_live_aggregate(),
+            pushdown: self.scan.pushdown,
+            work,
+        })
     }
 
     /// Scan one container, returning rows in projection column space
-    /// (only `read_cols` populated; absent columns are the table
-    /// default).
+    /// (only `read_cols` populated; columns the container lacks carry
+    /// the table default).
     ///
-    /// Pipeline order: prune blocks on footer min/max stats, fetch
-    /// predicate columns (coalesced, as encoded views), evaluate the
-    /// predicate into a per-block selection vector — once per RLE run
-    /// / dictionary entry on compressed blocks — intersected with the
-    /// delete mask, drop blocks with no survivors, then fetch the
-    /// remaining columns and gather only selected rows (for compressed
-    /// blocks, without ever materializing the block). With
-    /// `ScanOptions::late_materialization` off, every kept block is
-    /// fully materialized and filtered row-at-a-time — same output.
-    /// A caller that already opened the container passes its reader as
+    /// Open → prune blocks on footer min/max stats → maybe answer the
+    /// scan with a pushed select → otherwise run the block-filter
+    /// kernel through this node's filesystem with the delete vector as
+    /// its row mask. Both ways end in [`assemble`](Self::assemble). A
+    /// caller that already opened the container passes its reader as
     /// `opened`, so the footer is fetched once.
-    #[allow(clippy::too_many_arguments)]
     fn scan_container(
         &self,
-        table: &Table,
-        proj: &Projection,
+        rs: &ResolvedScan,
         c: &ContainerMeta,
-        read_cols: &[usize],
-        pred_local: &Predicate,
-        width: usize,
-        with_positions: bool,
-        apply_crunch: bool,
-        allow_pushdown: bool,
         opened: Option<RosReader>,
         metrics: &ScanMetrics,
     ) -> Result<PosRows> {
-        let fs = self.fs_for(c);
-        let pd_candidate = allow_pushdown && self.scan.pushdown && *pred_local != Predicate::True;
+        let pd_candidate = rs.pushdown && rs.pred != Predicate::True;
         let cold = self.depot_cold(c);
         let reader = match opened {
             Some(reader) => reader,
             None => self.open_container(c, pd_candidate && cold)?,
         };
-        let footer = reader.footer();
-        let present = footer.columns.len();
-
-        let mut keep = Self::prune_blocks(footer, pred_local, metrics);
-        let nblocks = keep.len();
+        let keep = Self::prune_blocks(reader.footer(), &rs.pred, metrics);
         if !keep.iter().any(|&k| k) {
             return Ok(Vec::new());
         }
+        // Columns the container holds, and the §6.3 default of each
+        // column added to the table after it was written.
+        let present = reader.column_count();
+        let (held, added): (Vec<usize>, Vec<usize>) =
+            rs.read_cols.iter().partition(|&&col| col < present);
+        let absent: Vec<(usize, Value)> = added
+            .into_iter()
+            .map(|col| (col, Self::default_for(rs.table, rs.proj, col)))
+            .collect();
 
         // Pushdown composes with pruning: only unpruned blocks ride in
         // the select's keep mask, and an answered select replaces every
         // plain block GET below this point. A decline — by policy, by a
         // depot hit, or by the store — falls through to the plain path.
-        if pd_candidate && (self.cache_mode == CacheMode::Bypass || cold) {
-            if let Some(out) = self.try_select_rows(
-                table,
-                proj,
-                c,
-                &reader,
-                read_cols,
-                pred_local,
-                width,
-                with_positions,
-                apply_crunch,
-                &keep,
-                metrics,
-            )? {
-                return Ok(out);
-            }
-        }
-
-        let mut rstats = ReadStats::default();
+        let pushed = if pd_candidate && (self.cache_mode == CacheMode::Bypass || cold) {
+            self.try_select_rows(rs, c, &reader, &held, &keep, metrics)?
+        } else {
+            None
+        };
         let mask = self.delete_mask(c)?;
-        // Block start positions (cumulative row counts).
-        let mut block_start = Vec::with_capacity(nblocks);
-        let mut acc = 0u64;
-        if let Some(first) = footer.columns.first() {
-            for bm in &first.blocks {
-                block_start.push(acc);
-                acc += bm.rows;
-            }
-        }
-
-        let mut col_blocks: HashMap<usize, Vec<Option<EncodedBlock>>> = HashMap::new();
-        // Per kept block: which rows survive predicate + delete mask.
-        // `None` (only without late materialization) means "all rows,
-        // filter during materialization".
-        let mut selection: Vec<Option<Vec<bool>>> = vec![None; nblocks];
-        let late = self.scan.late_materialization && *pred_local != Predicate::True;
-
-        if late {
-            // Fetch predicate columns first. Only columns the caller
-            // asked to read participate — a predicate column outside
-            // `read_cols` evaluates as Null, exactly as the serial
-            // materialize-then-eval path would see it.
-            let pcols: Vec<usize> = predicate_cols(pred_local)
-                .into_iter()
-                .filter(|col| read_cols.contains(col))
-                .collect();
-            let fetch: Vec<usize> = pcols.iter().copied().filter(|&col| col < present).collect();
-            self.fetch_blocks(&reader, fs, &fetch, &keep, &mut rstats, metrics, &mut col_blocks)?;
-            let defaults: HashMap<usize, Value> = pcols
-                .iter()
-                .filter(|&&col| col >= present)
-                .map(|&col| (col, Self::default_for(table, proj, col)))
-                .collect();
-            let null = Value::Null;
-            for b in 0..nblocks {
-                if !keep[b] {
-                    continue;
-                }
-                let rows_in_block = footer.columns[0].blocks[b].rows as usize;
-                let cols_view: Vec<BlockCol> = (0..width)
-                    .map(|col| match col_blocks.get(&col) {
-                        Some(blocks) => match &blocks[b] {
-                            Some(view) => {
-                                metrics.rows_short_circuited.add(view.short_circuit_rows());
-                                view.as_block_col()
-                            }
-                            None => BlockCol::Const(&null),
-                        },
-                        None => match defaults.get(&col) {
-                            Some(d) => BlockCol::Const(d),
-                            None => BlockCol::Const(&null),
-                        },
-                    })
-                    .collect();
-                let mut sel = pred_local.eval_block(&cols_view, rows_in_block);
-                if let Some(m) = &mask {
-                    for (r, s) in sel.iter_mut().enumerate() {
-                        *s &= m[(block_start[b] + r as u64) as usize];
-                    }
-                }
-                if sel.iter().any(|&s| s) {
-                    selection[b] = Some(sel);
-                } else {
-                    // No survivors: don't fetch the other columns. The
-                    // predicate-column bytes already fetched for this
-                    // block contributed no row — count them as waste
-                    // (a pushed select would not have returned them).
-                    keep[b] = false;
-                    metrics.blocks_late_skipped.inc();
-                    for &col in &pcols {
-                        if col < present {
-                            rstats.waste_bytes += footer.columns[col].blocks[b].len;
-                        }
-                    }
-                }
-            }
-            if !keep.iter().any(|&k| k) {
+        match pushed {
+            // The store has no delete vectors: the mask applies here.
+            Some(blocks) => self.assemble(rs, &reader, blocks, &held, &absent, mask.as_deref()),
+            None => {
+                let filter = BlockFilter {
+                    width: rs.proj.columns.len(),
+                    pred: &rs.pred,
+                    read_cols: &held,
+                    consts: &absent,
+                    row_mask: mask.as_deref(),
+                };
+                let mut rstats = ReadStats::default();
+                let blocks = reader.filter_blocks(
+                    self.fs_for(c),
+                    &filter,
+                    &keep,
+                    DEFAULT_COALESCE_GAP,
+                    &mut rstats,
+                )?;
                 metrics.record_io(&rstats);
-                return Ok(Vec::new());
+                self.assemble(rs, &reader, blocks, &held, &absent, None)
             }
         }
+    }
 
-        // Fetch the remaining needed columns (those physically
-        // present) under the — possibly refined — keep mask.
-        let fetch: Vec<usize> = read_cols
-            .iter()
-            .copied()
-            .filter(|col| *col < present && !col_blocks.contains_key(col))
-            .collect();
-        self.fetch_blocks(&reader, fs, &fetch, &keep, &mut rstats, metrics, &mut col_blocks)?;
-        metrics.record_io(&rstats);
-
+    /// The one row assembler: turn a container's surviving blocks
+    /// (carrying columns `cols`) into `(position, row)` pairs in
+    /// projection column space — container positions, the delete `mask`
+    /// when whoever filtered could not apply it, defaults for `absent`
+    /// columns, the crunch slice.
+    fn assemble(
+        &self,
+        rs: &ResolvedScan,
+        reader: &RosReader,
+        blocks: Vec<BlockRows>,
+        cols: &[usize],
+        absent: &[(usize, Value)],
+        mask: Option<&[bool]>,
+    ) -> Result<PosRows> {
+        // (start position, row count) of every block.
+        let mut spans = Vec::new();
+        let mut acc = 0u64;
+        for bm in reader.footer().columns.first().map_or(&[][..], |col| &col.blocks) {
+            spans.push((acc, bm.rows));
+            acc += bm.rows;
+        }
+        let crunch = self.crunch.as_ref().filter(|_| rs.apply_crunch);
         let mut out = Vec::new();
-        for b in 0..nblocks {
-            if !keep[b] {
-                continue;
-            }
-            let rows_in_block = footer.columns[0].blocks[b].rows as usize;
-            // Survivor row indices within the block: the selection
-            // vector when late materialization ran, otherwise every
-            // row the delete mask keeps (row-at-a-time predicate and
-            // crunch filters still apply below).
-            let surv: Vec<usize> = match (late, &selection[b]) {
-                (true, Some(sel)) => sel
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(r, &s)| s.then_some(r))
-                    .collect(),
-                (true, None) => continue,
-                (false, _) => (0..rows_in_block)
-                    .filter(|&r| {
-                        mask.as_ref()
-                            .map(|m| m[(block_start[b] + r as u64) as usize])
-                            .unwrap_or(true)
-                    })
-                    .collect(),
+        for br in blocks {
+            let span = spans.get(br.block).filter(|(_, rows)| {
+                br.cols.len() == cols.len() && br.rows.last().is_none_or(|&r| (r as u64) < *rows)
+            });
+            let Some(&(start, _)) = span else {
+                return Err(EonError::Corrupt(format!(
+                    "{}: survivors of block {} do not fit the container",
+                    reader.key(),
+                    br.block
+                )));
             };
-            if surv.is_empty() {
-                continue;
-            }
-            // Gather survivor values per fetched column. Compressed
-            // blocks yield survivors in one pass over their runs/codes
-            // without materializing the other rows — this is late
-            // materialization below the decode boundary.
-            let mut gathered: HashMap<usize, Vec<Value>> = HashMap::new();
-            for (&col, blocks) in &col_blocks {
-                if let Some(view) = &blocks[b] {
-                    gathered.insert(col, view.gather(&surv));
-                }
-            }
-            for (j, &r) in surv.iter().enumerate() {
-                let pos = block_start[b] + r as u64;
-                let mut row = vec![Value::Null; width];
-                for &col in read_cols {
-                    row[col] = match col_blocks.get(&col) {
-                        // Gathered values are each used exactly once:
-                        // move them out instead of cloning.
-                        Some(_) => gathered
-                            .get_mut(&col)
-                            .map(|vals| std::mem::replace(&mut vals[j], Value::Null))
-                            .unwrap_or(Value::Null),
-                        // Column added after this container was written
-                        // (§6.3): materialize the default.
-                        None => Self::default_for(table, proj, col),
-                    };
-                }
-                if !late && !pred_local.eval_row(&row) {
+            for (r, mut row) in br.into_rows(rs.proj.columns.len(), cols) {
+                let pos = start + r as u64;
+                if mask.is_some_and(|m| !m[pos as usize]) {
                     continue;
                 }
-                if apply_crunch {
-                    if let Some(slice) = &self.crunch {
-                        if !slice.keeps_row(&row, proj.seg_cols()) {
-                            continue;
-                        }
-                    }
+                for (col, default) in absent {
+                    row[*col] = default.clone();
                 }
-                let pos_out = if with_positions { pos } else { 0 };
-                out.push((pos_out, row));
+                if crunch.is_some_and(|slice| !slice.keeps_row(&row, rs.proj.seg_cols())) {
+                    continue;
+                }
+                out.push((pos, row));
             }
         }
         Ok(out)
     }
 
     /// Attempt rows-mode pushdown for one container: predicate and
-    /// projection run inside the store, the node rebuilds rows from the
-    /// survivors. Returns `Ok(None)` when the crossover policy vetoes
-    /// the select or the store declines — the caller runs the plain
-    /// path, whose output is identical.
-    ///
-    /// Delete vectors, crunch slices, table defaults, and positions are
-    /// applied node-side, in exactly the order the plain path applies
-    /// them, so every caller feature composes with pushdown.
-    #[allow(clippy::too_many_arguments)]
+    /// projection run inside the store — the same kernel, below the
+    /// GET — and the survivors of `held` columns come back. Returns
+    /// `Ok(None)` when the crossover policy vetoes the select or the
+    /// store declines — the caller runs the plain path, whose output is
+    /// identical.
     fn try_select_rows(
         &self,
-        table: &Table,
-        proj: &Projection,
+        rs: &ResolvedScan,
         c: &ContainerMeta,
         reader: &RosReader,
-        read_cols: &[usize],
-        pred_local: &Predicate,
-        width: usize,
-        with_positions: bool,
-        apply_crunch: bool,
+        held: &[usize],
         keep: &[bool],
         metrics: &ScanMetrics,
-    ) -> Result<Option<PosRows>> {
+    ) -> Result<Option<Vec<BlockRows>>> {
         let footer = reader.footer();
-        let present = footer.columns.len();
         // Predicate columns that need table defaults stay local (the
         // store has no schema); columns outside `read_cols` evaluate as
         // Null on both paths, so they don't block pushdown.
-        let pcols = predicate_cols(pred_local);
-        if pcols.iter().any(|&col| read_cols.contains(&col) && col >= present) {
-            return Ok(None);
-        }
-        let send_cols: Vec<usize> =
-            read_cols.iter().copied().filter(|&col| col < present).collect();
-        if send_cols.is_empty() {
+        let needs_default =
+            |col: &usize| rs.read_cols.contains(col) && *col >= footer.columns.len();
+        if held.is_empty() || rs.pred.columns().iter().any(needs_default) {
             return Ok(None);
         }
         // Crossover policy: a select charges for bytes scanned; it only
         // pays off when it returns a small fraction of a large fetch.
-        let plain_bytes = kept_bytes(footer, keep, &send_cols);
+        let plain_bytes = kept_bytes(footer, keep, held);
         if plain_bytes < self.scan.pushdown_min_bytes {
             return Ok(None);
         }
-        if estimate_selectivity(pred_local, footer, keep) > self.scan.pushdown_max_selectivity {
+        if estimate_selectivity(&rs.pred, footer, keep) > self.scan.pushdown_max_selectivity {
             metrics.pushdown_fallbacks.inc();
             return Ok(None);
         }
         let req = SelectRequest {
-            width,
-            predicate: pred_local.clone(),
+            width: rs.proj.columns.len(),
+            predicate: rs.pred.clone(),
             keep: keep.to_vec(),
-            read_cols: send_cols.clone(),
+            read_cols: held.to_vec(),
             agg: None,
         };
-        let resp = match self.fs().select(&c.key, &req.encode()?)? {
-            Some(bytes) => bytes,
-            None => {
-                metrics.pushdown_fallbacks.inc();
-                return Ok(None);
-            }
+        let Some(resp) = self.fs().select(&c.key, &req.encode()?)? else {
+            metrics.pushdown_fallbacks.inc();
+            return Ok(None);
         };
         metrics.record_select(plain_bytes.saturating_sub(resp.len() as u64));
         let SelectResponse::Rows(blocks) = SelectResponse::decode(&resp)? else {
             return Err(EonError::Internal("rows select answered with partials".into()));
         };
-
-        let mask = self.delete_mask(c)?;
-        let mut block_start = Vec::with_capacity(footer.columns[0].blocks.len());
-        let mut acc = 0u64;
-        for bm in &footer.columns[0].blocks {
-            block_start.push(acc);
-            acc += bm.rows;
+        if let Some(br) = blocks.iter().find(|br| keep.get(br.block) != Some(&true)) {
+            return Err(EonError::Corrupt(format!(
+                "{}: select answered for unexpected block {}",
+                c.key, br.block
+            )));
         }
-        let mut out = Vec::new();
-        for mut br in blocks {
-            let b = br.block;
-            if b >= block_start.len() || !keep[b] {
-                return Err(EonError::Corrupt(format!(
-                    "{}: select answered for unexpected block {b}",
-                    c.key
-                )));
-            }
-            let rows_in_block = footer.columns[0].blocks[b].rows as usize;
-            for j in 0..br.rows.len() {
-                let r = br.rows[j];
-                if r >= rows_in_block {
-                    return Err(EonError::Corrupt(format!(
-                        "{}: select row {r} out of block bounds",
-                        c.key
-                    )));
-                }
-                let pos = block_start[b] + r as u64;
-                if let Some(m) = &mask {
-                    if !m[pos as usize] {
-                        continue;
-                    }
-                }
-                let mut row = vec![Value::Null; width];
-                for &col in read_cols {
-                    row[col] = match send_cols.iter().position(|&sc| sc == col) {
-                        Some(ci) => std::mem::replace(&mut br.cols[ci][j], Value::Null),
-                        // Column added after this container was written
-                        // (§6.3): materialize the default locally.
-                        None => Self::default_for(table, proj, col),
-                    };
-                }
-                if apply_crunch {
-                    if let Some(slice) = &self.crunch {
-                        if !slice.keeps_row(&row, proj.seg_cols()) {
-                            continue;
-                        }
-                    }
-                }
-                out.push((if with_positions { pos } else { 0 }, row));
-            }
-        }
-        Ok(Some(out))
+        Ok(Some(blocks))
     }
 
     /// One container's partial aggregates, pushed below the GET when
@@ -804,15 +661,10 @@ impl NodeProvider {
     /// enough to beat the select overhead), otherwise folded locally
     /// from a plain scan. Either way the returned states are the ones
     /// the local fold would produce.
-    #[allow(clippy::too_many_arguments)]
     fn partial_agg_container(
         &self,
-        table: &Table,
-        proj: &Projection,
+        rs: &ResolvedScan,
         c: &ContainerMeta,
-        read_cols: &[usize],
-        pred_local: &Predicate,
-        width: usize,
         group_local: &[usize],
         aggs_local: &[AggSpec],
         metrics: &ScanMetrics,
@@ -824,21 +676,20 @@ impl NodeProvider {
         if depot_ok && no_dvs {
             let reader = opened.insert(self.open_container(c, cold)?);
             let footer = reader.footer();
-            let present = footer.columns.len();
-            if read_cols.iter().all(|&col| col < present) {
-                let keep = Self::prune_blocks(footer, pred_local, metrics);
+            if rs.read_cols.iter().all(|&col| col < footer.columns.len()) {
+                let keep = Self::prune_blocks(footer, &rs.pred, metrics);
                 if !keep.iter().any(|&k| k) {
                     // Everything pruned: this container contributes the
                     // identity partial, no I/O at all.
                     return aggregate_partial(&Vec::new(), group_local, aggs_local);
                 }
-                let plain_bytes = kept_bytes(footer, &keep, read_cols);
+                let plain_bytes = kept_bytes(footer, &keep, &rs.read_cols);
                 if plain_bytes >= self.scan.pushdown_min_bytes {
                     let req = SelectRequest {
-                        width,
-                        predicate: pred_local.clone(),
+                        width: rs.proj.columns.len(),
+                        predicate: rs.pred.clone(),
                         keep,
-                        read_cols: read_cols.to_vec(),
+                        read_cols: rs.read_cols.clone(),
                         agg: Some(AggRequest {
                             group_by: group_local.to_vec(),
                             aggs: aggs_local.to_vec(),
@@ -864,9 +715,7 @@ impl NodeProvider {
         // Local fold over the plain scan of this container (rows-mode
         // pushdown may still kick in underneath for the fetch itself),
         // on the footer opened above if there is one.
-        let rows = self.scan_container(
-            table, proj, c, read_cols, pred_local, width, false, false, true, opened, metrics,
-        )?;
+        let rows = self.scan_container(rs, c, opened, metrics)?;
         let rows: Vec<Vec<Value>> = rows.into_iter().map(|(_, row)| row).collect();
         aggregate_partial(&rows, group_local, aggs_local)
     }
@@ -885,6 +734,12 @@ impl NodeProvider {
                 );
             }
         }
+    }
+
+    /// The profile span covering one scan's pipeline on this node.
+    fn pipeline_span(&self, table: &str) -> Option<eon_obs::SpanGuard> {
+        let scope = format!("node{}:{table}", self.node.id.0);
+        self.scan.profile.as_ref().map(|p| p.span("scan_pipeline", &scope))
     }
 
     /// The shards a scan covers given its distribution and projection.
@@ -913,18 +768,19 @@ impl NodeProvider {
         table: &Table,
         proj: &Projection,
         c: &ContainerMeta,
-        read_cols: &[usize],
-        pred_local: &Predicate,
-        width: usize,
     ) -> Result<Vec<Vec<Value>>> {
-        let metrics = self.scan_metrics();
-        Ok(self
-            .scan_container(
-                table, proj, c, read_cols, pred_local, width, false, false, false, None, &metrics,
-            )?
-            .into_iter()
-            .map(|(_, row)| row)
-            .collect())
+        let rs = ResolvedScan {
+            table,
+            proj,
+            pred: Predicate::True,
+            read_cols: (0..proj.columns.len()).collect(),
+            out_local: Vec::new(),
+            apply_crunch: false,
+            pushdown: false,
+            work: Vec::new(),
+        };
+        let rows = self.scan_container(&rs, c, None, &self.scan_metrics())?;
+        Ok(rows.into_iter().map(|(_, row)| row).collect())
     }
 
     /// Positions of rows matching `predicate`, per container — the DML
@@ -934,39 +790,20 @@ impl NodeProvider {
         table: &str,
         predicate: &Predicate,
     ) -> Result<Vec<(Oid, ShardId, Vec<u64>)>> {
-        let t = self
-            .snapshot
-            .table_by_name(table)
-            .ok_or_else(|| EonError::UnknownTable(table.to_owned()))?;
-        let pred_cols = predicate_cols(predicate);
-        let (proj_oid, proj) = self.pick_projection(t, &pred_cols, true, None)?;
-        let table_to_proj: HashMap<usize, usize> = proj
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(pi, &ti)| (ti, pi))
-            .collect();
-        let pred_local = remap_predicate(predicate, &table_to_proj)?;
-        let read_cols: Vec<usize> = pred_cols.iter().map(|c| table_to_proj[c]).collect();
-        let width = proj.columns.len();
-
+        let spec = ScanSpec::new(table)
+            .columns(Vec::new())
+            .predicate(predicate.clone())
+            .global();
+        // Position scans stay on the plain-GET path.
+        let rs = ResolvedScan { pushdown: false, ..self.resolve_scan(&spec)? };
         let metrics = self.scan_metrics();
-        let mut work: Vec<(ShardId, &ContainerMeta)> = Vec::new();
-        for shard in self.shards_for(proj, true) {
-            for c in self.snapshot.containers_for(proj_oid, shard) {
-                work.push((shard, c));
-            }
-        }
-        let per_container = self.run_scan_tasks(work.len(), &metrics, |i| {
-            let (_, c) = work[i];
-            self.scan_container(
-                t, proj, c, &read_cols, &pred_local, width, true, false, false, None, &metrics,
-            )
+        let per_container = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
+            self.scan_container(&rs, rs.work[i].1, None, &metrics)
         })?;
         let mut out = Vec::new();
-        for ((shard, c), hits) in work.into_iter().zip(per_container) {
+        for ((shard, c), hits) in rs.work.iter().zip(per_container) {
             if !hits.is_empty() {
-                out.push((c.oid, shard, hits.into_iter().map(|(p, _)| p).collect()));
+                out.push((c.oid, *shard, hits.into_iter().map(|(p, _)| p).collect()));
             }
         }
         Ok(out)
@@ -975,123 +812,16 @@ impl NodeProvider {
 
 impl TableProvider for NodeProvider {
     fn scan(&self, spec: &ScanSpec) -> Result<Vec<Vec<Value>>> {
-        let t = self
-            .snapshot
-            .table_by_name(&spec.table)
-            .ok_or_else(|| EonError::UnknownTable(spec.table.clone()))?;
-        let out_cols: Vec<usize> = spec
-            .columns
-            .clone()
-            .unwrap_or_else(|| (0..t.schema.len()).collect());
-        let mut needed = out_cols.clone();
-        needed.extend(predicate_cols(&spec.predicate));
-        needed.sort_unstable();
-        needed.dedup();
         let metrics = self.scan_metrics();
-        let _span = self
-            .scan
-            .profile
-            .as_ref()
-            .map(|p| p.span("scan_pipeline", &format!("node{}:{}", self.node.id.0, spec.table)));
-
-        let global = spec.distribute == eon_exec::Distribution::Global;
-        let (proj_oid, proj) =
-            self.pick_projection(t, &needed, global, spec.projection.as_deref())?;
-        if proj.is_live_aggregate() {
-            // Pinned LAP scan: yields the LAP's own layout; predicates
-            // and column subsets don't apply to pre-aggregated rows.
-            if spec.predicate != Predicate::True || spec.columns.is_some() {
-                return Err(EonError::Query(format!(
-                    "live aggregate projection {} supports only full unfiltered scans",
-                    proj.name
-                )));
-            }
-            let width = proj.columns.len();
-            let read_cols: Vec<usize> = (0..width).collect();
-            let mut work: Vec<&ContainerMeta> = Vec::new();
-            for shard in self.shards_for(proj, global) {
-                work.extend(self.snapshot.containers_for(proj_oid, shard));
-            }
-            let per_container = self.run_scan_tasks(work.len(), &metrics, |i| {
-                self.scan_container(
-                    t,
-                    proj,
-                    work[i],
-                    &read_cols,
-                    &Predicate::True,
-                    width,
-                    false,
-                    false,
-                    false,
-                    None,
-                    &metrics,
-                )
-            })?;
-            return Ok(per_container
-                .into_iter()
-                .flatten()
-                .map(|(_, row)| row)
-                .collect());
-        }
-        let table_to_proj: HashMap<usize, usize> = proj
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(pi, &ti)| (ti, pi))
-            .collect();
-        let pred_local = remap_predicate(&spec.predicate, &table_to_proj)?;
-        let read_cols: Vec<usize> = needed.iter().map(|c| table_to_proj[c]).collect();
-        let out_local: Vec<usize> = out_cols.iter().map(|c| table_to_proj[c]).collect();
-        let width = proj.columns.len();
-
-        // Crunch hash-filter splits only the shard-local fact scan;
-        // broadcast/replicated sides must stay complete on every
-        // worker or joins lose rows (§4.4).
-        let apply_crunch = !global && !proj.is_replicated();
-        // Container-level pruning from catalog statistics happens
-        // while building the work list, so the pool only sees
-        // containers that actually need I/O.
-        let mut work: Vec<&ContainerMeta> = Vec::new();
-        for shard in self.shards_for(proj, global) {
-            for c in self.snapshot.containers_for(proj_oid, shard) {
-                let stats = |col: usize| -> Option<ColumnStats> {
-                    let table_idx = proj.columns.get(col).copied()?;
-                    match c.col_minmax.get(col) {
-                        Some(Some((mn, mx))) => Some(ColumnStats {
-                            min: mn.clone(),
-                            max: mx.clone(),
-                            has_null: true, // catalog stats don't track nulls
-                        }),
-                        _ => {
-                            let _ = table_idx;
-                            None
-                        }
-                    }
-                };
-                if pred_local.could_match(&stats) {
-                    work.push(c);
-                }
-            }
-        }
-        let per_container = self.run_scan_tasks(work.len(), &metrics, |i| {
-            self.scan_container(
-                t,
-                proj,
-                work[i],
-                &read_cols,
-                &pred_local,
-                width,
-                false,
-                apply_crunch,
-                true,
-                None,
-                &metrics,
-            )
+        let _span = self.pipeline_span(&spec.table);
+        let rs = self.resolve_scan(spec)?;
+        let per_container = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
+            self.scan_container(&rs, rs.work[i].1, None, &metrics)
         })?;
         self.annotate_pushdown(&metrics);
         let mut rows = Vec::new();
         for (_, row) in per_container.into_iter().flatten() {
-            rows.push(out_local.iter().map(|&c| row[c].clone()).collect());
+            rows.push(rs.out_local.iter().map(|&c| row[c].clone()).collect());
         }
         Ok(rows)
     }
@@ -1108,43 +838,18 @@ impl TableProvider for NodeProvider {
         if !self.scan.pushdown || self.crunch.is_some() || !agg_pushable(aggs) {
             return Ok(None);
         }
-        let Some(t) = self.snapshot.table_by_name(&spec.table) else {
-            return Ok(None); // let the plain path surface the error
-        };
-        let out_cols: Vec<usize> = spec
-            .columns
-            .clone()
-            .unwrap_or_else(|| (0..t.schema.len()).collect());
-        let mut needed = out_cols.clone();
-        needed.extend(predicate_cols(&spec.predicate));
-        needed.sort_unstable();
-        needed.dedup();
-        let global = spec.distribute == eon_exec::Distribution::Global;
-        let Ok((proj_oid, proj)) =
-            self.pick_projection(t, &needed, global, spec.projection.as_deref())
-        else {
+        // An unresolvable scan is left for the plain path to report.
+        let Ok(rs) = self.resolve_scan(spec) else {
             return Ok(None);
         };
-        if proj.is_live_aggregate() {
+        if rs.proj.is_live_aggregate() {
             return Ok(None);
         }
-        let table_to_proj: HashMap<usize, usize> = proj
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(pi, &ti)| (ti, pi))
-            .collect();
-        let Ok(pred_local) = remap_predicate(&spec.predicate, &table_to_proj) else {
-            return Ok(None);
-        };
-        let read_cols: Vec<usize> = needed.iter().map(|c| table_to_proj[c]).collect();
-        let out_local: Vec<usize> = out_cols.iter().map(|c| table_to_proj[c]).collect();
-        let width = proj.columns.len();
         // `group_by` / `aggs` index the scan's OUTPUT columns; the
         // per-container fold runs on projection-local rows, so remap.
         let mut group_local = Vec::with_capacity(group_by.len());
         for &g in group_by {
-            match out_local.get(g) {
+            match rs.out_local.get(g) {
                 Some(&l) => group_local.push(l),
                 None => return Ok(None),
             }
@@ -1152,7 +857,7 @@ impl TableProvider for NodeProvider {
         let mut aggs_local = Vec::with_capacity(aggs.len());
         for a in aggs {
             let expr = match &a.expr {
-                Expr::Col(k) => match out_local.get(*k) {
+                Expr::Col(k) => match rs.out_local.get(*k) {
                     Some(&l) => Expr::col(l),
                     None => return Ok(None),
                 },
@@ -1162,57 +867,17 @@ impl TableProvider for NodeProvider {
         }
 
         let metrics = self.scan_metrics();
-        let _span = self
-            .scan
-            .profile
-            .as_ref()
-            .map(|p| p.span("scan_pipeline", &format!("node{}:{}", self.node.id.0, spec.table)));
-        let mut work: Vec<&ContainerMeta> = Vec::new();
-        for shard in self.shards_for(proj, global) {
-            for c in self.snapshot.containers_for(proj_oid, shard) {
-                let stats = |col: usize| -> Option<ColumnStats> {
-                    match c.col_minmax.get(col) {
-                        Some(Some((mn, mx))) => Some(ColumnStats {
-                            min: mn.clone(),
-                            max: mx.clone(),
-                            has_null: true,
-                        }),
-                        _ => None,
-                    }
-                };
-                if pred_local.could_match(&stats) {
-                    work.push(c);
-                }
-            }
-        }
-        let per_container = self.run_scan_tasks(work.len(), &metrics, |i| {
-            self.partial_agg_container(
-                t,
-                proj,
-                work[i],
-                &read_cols,
-                &pred_local,
-                width,
-                &group_local,
-                &aggs_local,
-                &metrics,
-            )
+        let _span = self.pipeline_span(&spec.table);
+        let mut parts = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
+            self.partial_agg_container(&rs, rs.work[i].1, &group_local, &aggs_local, &metrics)
         })?;
         // Float addition is order-sensitive: folding per container and
         // merging would not be byte-identical to the single local fold.
         // Any Float sum state means the whole query falls back.
-        let float_sum = per_container.iter().any(|parts| {
-            parts.iter().any(|pg| {
-                pg.states
-                    .iter()
-                    .any(|s| matches!(s, AggState::Sum { acc: Value::Float(_) }))
-            })
-        });
-        if float_sum {
+        if parts.iter().any(has_float_sum) {
             metrics.pushdown_fallbacks.inc();
             return Ok(None);
         }
-        let mut parts = per_container;
         // The identity partial makes zero-container global aggregates
         // produce their init group, matching the local path's SQL
         // semantics; with groups present it merges as a no-op.

@@ -11,10 +11,10 @@
 //!   (`eon_columnar::format`), so `Float` bit patterns — NaNs included —
 //!   round-trip exactly;
 //! * the compute engine ([`RosSelectEngine`]), installed into the shared
-//!   store at `EonDb` construction. It parses the object with the very
-//!   same `RosReader` / `eval_block` / `aggregate_partial` code the scan
-//!   path uses locally, which is what makes pushdown-on output *byte
-//!   identical* to pushdown-off output.
+//!   store at `EonDb` construction. It runs the very same
+//!   `RosReader::filter_blocks` kernel and `aggregate_partial` fold the
+//!   scan path runs locally, which is what makes pushdown-on output
+//!   *byte identical* to pushdown-off output.
 //!
 //! The engine answers (`Ok(Some)`), declines (`Ok(None)` — the caller
 //! falls back to plain GETs, nothing is charged), or errors (corrupt
@@ -23,13 +23,11 @@
 //! function of (object, request), so they never perturb the fault-dice
 //! schedule of the simulated store.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use eon_columnar::container::RosFooter;
 use eon_columnar::format::{Reader, Writer};
 use eon_columnar::pruning::CmpOp;
-use eon_columnar::{BlockCol, EncodedBlock, Predicate, ReadStats, RosReader};
+use eon_columnar::{BlockFilter, BlockRows, Predicate, ReadStats, RosReader};
 use eon_exec::agg::{aggregate_partial, AggState, PartialGroup, Partials};
 use eon_exec::{AggFunc, AggSpec, Expr};
 use eon_storage::{FileSystem, FsStats, SelectEngine, SelectOutput};
@@ -38,28 +36,6 @@ use eon_types::{EonError, Result, Value};
 /// Bumped whenever the request/response layout changes; the engine
 /// rejects versions it does not speak instead of misparsing them.
 pub const WIRE_VERSION: u8 = 1;
-
-/// Collect the column indices a predicate touches, sorted and deduped.
-pub fn predicate_cols(p: &Predicate) -> Vec<usize> {
-    fn walk(p: &Predicate, out: &mut Vec<usize>) {
-        match p {
-            Predicate::True => {}
-            Predicate::Cmp { col, .. } | Predicate::IsNull(col) | Predicate::IsNotNull(col) => {
-                out.push(*col)
-            }
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                for q in ps {
-                    walk(q, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(p, &mut out);
-    out.sort_unstable();
-    out.dedup();
-    out
-}
 
 // ---------------------------------------------------------------------
 // Request
@@ -84,7 +60,7 @@ pub struct AggRequest {
 pub struct SelectRequest {
     /// Row width the predicate's column indices are resolved against
     /// (the projection width node-side). Columns without data evaluate
-    /// as `Null`, exactly as in the local late-materialization path.
+    /// as `Null`, exactly as in the node-local scan.
     pub width: usize,
     pub predicate: Predicate,
     /// Per-block keep mask after node-side min/max pruning; the engine
@@ -305,18 +281,6 @@ impl SelectRequest {
 // ---------------------------------------------------------------------
 // Response
 // ---------------------------------------------------------------------
-
-/// Survivors of one block, rows-mode.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockRows {
-    /// Block index within the container (request numbering).
-    pub block: usize,
-    /// Surviving in-block row indices, ascending.
-    pub rows: Vec<usize>,
-    /// One vector per requested column (request `read_cols` order),
-    /// parallel to `rows`.
-    pub cols: Vec<Vec<Value>>,
-}
 
 /// What comes back over the wire from a select.
 #[derive(Debug, Clone, PartialEq)]
@@ -579,6 +543,17 @@ pub fn kept_bytes(footer: &RosFooter, keep: &[bool], cols: &[usize]) -> u64 {
         .sum()
 }
 
+/// Whether any state is a `Float` sum — the one pushable aggregate whose
+/// per-container partials do not merge bit-identically (float addition
+/// is order-sensitive).
+pub(crate) fn has_float_sum(partials: &Partials) -> bool {
+    partials.iter().any(|g| {
+        g.states
+            .iter()
+            .any(|s| matches!(s, AggState::Sum { acc: Value::Float(_) }))
+    })
+}
+
 // ---------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------
@@ -638,13 +613,8 @@ impl RosSelectEngine {
             object: object.clone(),
         };
         let reader = RosReader::open(&fs, OBJECT_KEY)?;
-        let footer = reader.footer();
-        let present = footer.columns.len();
-        let nblocks = footer
-            .columns
-            .first()
-            .map(|col| col.blocks.len())
-            .unwrap_or(0);
+        let present = reader.column_count();
+        let nblocks = reader.footer().columns.first().map_or(0, |col| col.blocks.len());
         if req.keep.len() != nblocks {
             return Err(EonError::Query(format!(
                 "select keep mask has {} entries for {nblocks} blocks",
@@ -658,140 +628,49 @@ impl RosSelectEngine {
         if req.read_cols.iter().any(|&c| c >= present || c >= req.width) {
             return Ok(None);
         }
-        if predicate_cols(&req.predicate).iter().any(|&c| c >= req.width) {
+        if req.predicate.columns().iter().any(|&c| c >= req.width) {
+            return Ok(None);
+        }
+        let agg_cols = req.agg.iter().flat_map(|a| {
+            let inputs = a.aggs.iter().filter_map(|s| match &s.expr {
+                Expr::Col(c) => Some(c),
+                _ => None,
+            });
+            a.group_by.iter().chain(inputs)
+        });
+        if agg_cols.into_iter().any(|&c| c >= req.width) {
             return Ok(None);
         }
 
-        let mut keep = req.keep.clone();
+        // The node's own kernel, over the object's bytes: no delete
+        // mask or defaults (the node applies those), and gap 0 — bytes
+        // here are billed, not waited for, so the engine reads exactly
+        // the kept blocks.
+        let filter = BlockFilter {
+            width: req.width,
+            pred: &req.predicate,
+            read_cols: &req.read_cols,
+            consts: &[],
+            row_mask: None,
+        };
         let mut rstats = ReadStats::default();
-        let mut col_blocks: HashMap<usize, Vec<Option<EncodedBlock>>> = HashMap::new();
-        // Predicate columns outside `read_cols` evaluate as Null —
-        // identical to the node-local late-materialization path.
-        let pcols: Vec<usize> = predicate_cols(&req.predicate)
-            .into_iter()
-            .filter(|c| req.read_cols.contains(c))
-            .collect();
-        for &col in &pcols {
-            col_blocks.insert(
-                col,
-                reader.read_column_blocks_encoded(&fs, col, &keep, None, &mut rstats)?,
-            );
-        }
-        let null = Value::Null;
-        let mut survivors: Vec<Option<Vec<usize>>> = vec![None; nblocks];
-        for b in 0..nblocks {
-            if !keep[b] {
-                continue;
-            }
-            let rows_in_block = footer.columns[0].blocks[b].rows as usize;
-            let cols_view: Vec<BlockCol> = (0..req.width)
-                .map(|col| match col_blocks.get(&col) {
-                    Some(blocks) => match &blocks[b] {
-                        Some(view) => view.as_block_col(),
-                        None => BlockCol::Const(&null),
-                    },
-                    None => BlockCol::Const(&null),
-                })
-                .collect();
-            let sel = req.predicate.eval_block(&cols_view, rows_in_block);
-            let surv: Vec<usize> = sel
-                .iter()
-                .enumerate()
-                .filter_map(|(r, &s)| s.then_some(r))
-                .collect();
-            if surv.is_empty() {
-                keep[b] = false;
-            } else {
-                survivors[b] = Some(surv);
-            }
-        }
-        // Remaining requested columns, under the refined keep mask (a
-        // block every row of which failed the predicate is never read).
-        for &col in &req.read_cols {
-            if let std::collections::hash_map::Entry::Vacant(e) = col_blocks.entry(col) {
-                e.insert(reader.read_column_blocks_encoded(&fs, col, &keep, None, &mut rstats)?);
-            }
-        }
-
+        let blocks = reader.filter_blocks(&fs, &filter, &req.keep, 0, &mut rstats)?;
         let response = match &req.agg {
-            None => {
-                let mut blocks_out = Vec::new();
-                for b in 0..nblocks {
-                    if !keep[b] {
-                        continue;
-                    }
-                    let Some(surv) = survivors[b].take() else {
-                        continue;
-                    };
-                    let cols: Vec<Vec<Value>> = req
-                        .read_cols
-                        .iter()
-                        .map(|col| match &col_blocks[col][b] {
-                            Some(view) => view.gather(&surv),
-                            None => vec![Value::Null; surv.len()],
-                        })
-                        .collect();
-                    blocks_out.push(BlockRows {
-                        block: b,
-                        rows: surv,
-                        cols,
-                    });
-                }
-                SelectResponse::Rows(blocks_out)
-            }
+            None => SelectResponse::Rows(blocks),
             Some(aggreq) => {
-                // Materialize survivor rows width-wide (Null outside
-                // `read_cols`) — the same rows the node-local scan
-                // would feed `aggregate_partial`, so states match
-                // bit-for-bit.
-                let mut rows: Vec<Vec<Value>> = Vec::new();
-                for b in 0..nblocks {
-                    if !keep[b] {
-                        continue;
-                    }
-                    let Some(surv) = survivors[b].take() else {
-                        continue;
-                    };
-                    let mut gathered: HashMap<usize, Vec<Value>> = HashMap::new();
-                    for &col in &req.read_cols {
-                        if let Some(view) = &col_blocks[&col][b] {
-                            gathered.insert(col, view.gather(&surv));
-                        }
-                    }
-                    for j in 0..surv.len() {
-                        let mut row = vec![Value::Null; req.width];
-                        for &col in &req.read_cols {
-                            if let Some(vals) = gathered.get_mut(&col) {
-                                row[col] = std::mem::replace(&mut vals[j], Value::Null);
-                            }
-                        }
-                        rows.push(row);
-                    }
-                }
-                if aggreq
-                    .group_by
-                    .iter()
-                    .chain(aggreq.aggs.iter().filter_map(|s| match &s.expr {
-                        Expr::Col(c) => Some(c),
-                        _ => None,
-                    }))
-                    .any(|&c| c >= req.width)
-                {
-                    return Ok(None);
-                }
+                // Survivor rows width-wide (Null outside `read_cols`) —
+                // the same rows the node-local scan would feed
+                // `aggregate_partial`, so states match bit-for-bit.
+                let rows: Vec<Vec<Value>> = blocks
+                    .into_iter()
+                    .flat_map(|br| br.into_rows(req.width, &req.read_cols))
+                    .map(|(_, row)| row)
+                    .collect();
                 let partials = aggregate_partial(&rows, &aggreq.group_by, &aggreq.aggs)?;
-                if partials.len() as u64 > aggreq.max_groups {
-                    return Ok(None);
-                }
                 // Float sums are order-sensitive: merging per-container
                 // accumulators is not bit-identical to one sequential
                 // fold. Decline; the node re-scans locally.
-                let float_sum = partials.iter().any(|g| {
-                    g.states
-                        .iter()
-                        .any(|s| matches!(s, AggState::Sum { acc: Value::Float(_) }))
-                });
-                if float_sum {
+                if partials.len() as u64 > aggreq.max_groups || has_float_sum(&partials) {
                     return Ok(None);
                 }
                 SelectResponse::Partials(partials)
@@ -902,7 +781,9 @@ mod tests {
             .select(&obj, &req.encode().unwrap())
             .unwrap()
             .unwrap();
-        assert!(out.scanned_bytes > 0 && out.scanned_bytes <= obj.len() as u64);
+        // What the store bills: the position index plus every block of
+        // both columns.
+        assert_eq!(out.scanned_bytes, 246);
         let SelectResponse::Rows(blocks) = SelectResponse::decode(&out.response).unwrap() else {
             panic!("expected rows response");
         };
@@ -930,12 +811,46 @@ mod tests {
         };
         let full = RosSelectEngine.select(&obj, &all.encode().unwrap()).unwrap().unwrap();
         let part = RosSelectEngine.select(&obj, &one.encode().unwrap()).unwrap().unwrap();
-        assert!(part.scanned_bytes < full.scanned_bytes);
+        assert_eq!((full.scanned_bytes, part.scanned_bytes), (149, 105));
         let SelectResponse::Rows(blocks) = SelectResponse::decode(&part.response).unwrap() else {
             panic!();
         };
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].rows.len(), 8);
+    }
+
+    /// A rows-mode response is the kernel's output, encoded: the store
+    /// and the node run one filter.
+    #[test]
+    fn rows_mode_response_is_the_kernels_output() {
+        let col0: Vec<i64> = (0..40).map(|i| i / 3).collect(); // RLE-friendly
+        let col1: Vec<i64> = (0..40).map(|i| i * 10).collect();
+        let tags: Vec<Value> = (0..40).map(|i| Value::Str(format!("t{}", i % 3))).collect();
+        let obj = container(&[ints(&col0), ints(&col1), tags], 8);
+        let req = SelectRequest {
+            width: 3,
+            predicate: Predicate::Or(vec![pred_gt(0, 9), Predicate::eq(2, "t1")]),
+            keep: vec![true, false, true, true, true],
+            read_cols: vec![2, 0],
+            agg: None,
+        };
+        let out = RosSelectEngine.select(&obj, &req.encode().unwrap()).unwrap().unwrap();
+
+        let fs = eon_storage::MemFs::new();
+        fs.write("c", obj).unwrap();
+        let reader = RosReader::open(&fs, "c").unwrap();
+        let filter = BlockFilter {
+            width: req.width,
+            pred: &req.predicate,
+            read_cols: &req.read_cols,
+            consts: &[],
+            row_mask: None,
+        };
+        let mut stats = ReadStats::default();
+        let want = reader.filter_blocks(&fs, &filter, &req.keep, 0, &mut stats).unwrap();
+        assert!(!want.is_empty());
+        assert_eq!(SelectResponse::decode(&out.response).unwrap(), SelectResponse::Rows(want));
+        assert_eq!(out.scanned_bytes, reader.index_bytes() + stats.bytes_read);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use eon_columnar::pruning::ColumnStats;
-use eon_columnar::{Predicate, RosReader};
+use eon_columnar::RosReader;
 use eon_exec::{Distribution, ScanSpec, TableProvider};
 use eon_types::{EonError, Result, Value};
 
@@ -127,7 +127,7 @@ impl TableProvider for EnterpriseProvider {
             .clone()
             .unwrap_or_else(|| (0..t.schema.len()).collect());
         let mut needed: Vec<usize> = out_cols.clone();
-        collect_pred_cols(&spec.predicate, &mut needed);
+        needed.extend(spec.predicate.columns());
         needed.sort_unstable();
         needed.dedup();
 
@@ -153,18 +153,5 @@ impl TableProvider for EnterpriseProvider {
 
     fn num_columns(&self, table: &str) -> Result<usize> {
         Ok(self.table(table)?.schema.len())
-    }
-}
-
-fn collect_pred_cols(p: &Predicate, out: &mut Vec<usize>) {
-    match p {
-        Predicate::True => {}
-        Predicate::Cmp { col, .. } => out.push(*col),
-        Predicate::IsNull(c) | Predicate::IsNotNull(c) => out.push(*c),
-        Predicate::And(ps) | Predicate::Or(ps) => {
-            for q in ps {
-                collect_pred_cols(q, out);
-            }
-        }
     }
 }

@@ -5,13 +5,14 @@
 //!
 //! Two families of properties:
 //!
-//! * **A/B equivalence** — the same randomized workload (predicates ×
-//!   projections × group-bys) over containers force-encoded as each of
-//!   Plain/RLE/Dict/Delta returns byte-identical rows (down to `Debug`
-//!   strings, so `Int(1)` can never silently become `Float(1.0)`) on an
-//!   encoded-exec database and a decode-first database, with the
-//!   pruning metrics in agreement and the decode-first side never
-//!   touching an encoded view.
+//! * **Encoding equivalence** — the same randomized workload
+//!   (predicates × projections × group-bys) over containers
+//!   force-encoded as each of heuristic/RLE/Dict/Delta returns rows
+//!   byte-identical (down to `Debug` strings, so `Int(1)` can never
+//!   silently become `Float(1.0)`) to a database that stored the same
+//!   rows `Plain` — same layout, pruning metrics in agreement, never an
+//!   encoded view served — and, as a sorted multiset, the rows
+//!   `EnterpriseDb` (decode everything, `eval_row` each row) computes.
 //!
 //! * **Decoder hardening** — truncating or bit-flipping encoded column
 //!   bytes must yield a typed [`EonError`], never a panic; at the
@@ -30,6 +31,7 @@ use eon_columnar::{
 };
 use eon_core::{EonConfig, EonDb};
 use eon_db as _;
+use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
 use eon_exec::{AggSpec, Expr, Plan, ScanSpec, SortKey};
 use eon_storage::{FileSystem, MemFs};
 use eon_types::{schema, EonError, Value};
@@ -71,12 +73,8 @@ fn gen_rows(seed: u64, n: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn make_db(force: Option<Encoding>, decode_first: bool, rows: &[Vec<Value>]) -> Arc<EonDb> {
-    let cfg = EonConfig::new(1, 1)
-        .scan_workers(2)
-        .scan_late_materialization(true)
-        .force_encoding(force)
-        .scan_decode_first(decode_first);
+fn make_db(force: Option<Encoding>, rows: &[Vec<Value>]) -> Arc<EonDb> {
+    let cfg = EonConfig::new(1, 1).exec_slots(2).force_encoding(force);
     let db = EonDb::create(Arc::new(MemFs::new()), cfg).unwrap();
     let s = schema![("id", Int), ("grp", Int), ("tag", Str), ("val", Int)];
     db.create_table(
@@ -91,6 +89,23 @@ fn make_db(force: Option<Encoding>, decode_first: bool, rows: &[Vec<Value>]) -> 
         db.copy_into("t", chunk.to_vec()).unwrap();
     }
     db
+}
+
+/// The same rows on the Enterprise baseline, spilled straight to ROS
+/// containers: the independent reference engine.
+fn make_enterprise(rows: &[Vec<Value>]) -> Arc<EnterpriseDb> {
+    // Two nodes: each segment lives on its owner and a distinct buddy.
+    let ent = EnterpriseDb::create(EnterpriseConfig {
+        num_nodes: 2,
+        exec_slots: 2,
+        wos_threshold: 1,
+        fragment_ms: 0,
+    });
+    let s = schema![("id", Int), ("grp", Int), ("tag", Str), ("val", Int)];
+    ent.create_table("t", s.clone(), Projection::super_projection("p", &s, &[0], &[0]))
+        .unwrap();
+    ent.copy_into("t", rows.to_vec()).unwrap();
+    ent
 }
 
 /// A random predicate over the four columns, weighted toward shapes the
@@ -170,23 +185,42 @@ fn metric_sum(db: &EonDb, name: &str) -> u64 {
 }
 
 proptest! {
-    /// The tentpole equivalence: for every forced encoding, an
-    /// encoded-exec database and a decode-first database answer a
-    /// random workload with byte-identical rows — including the exact
-    /// `Value` variants (`Debug` equality), so run-collapsed aggregates
-    /// can never alias `Int` and `Float` — and their pruning metrics
-    /// agree, while the decode-first side never serves an encoded view.
+    /// The tentpole equivalence: for every forced encoding, a random
+    /// workload answers with rows byte-identical to the same rows
+    /// stored `Plain` — including the exact `Value` variants (`Debug`
+    /// equality), so run-collapsed aggregates can never alias `Int` and
+    /// `Float` — with pruning metrics in agreement, and with the sorted
+    /// multiset the Enterprise engine computes.
     #[test]
-    fn encoded_and_decode_first_modes_agree(seed in 0u64..1_000_000, n in 60usize..220) {
+    fn encoded_blocks_answer_as_plain_stored_and_enterprise(
+        seed in 0u64..1_000_000,
+        n in 60usize..220,
+    ) {
         let rows = gen_rows(seed, n);
         let plans = gen_plans(&mut StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15), n);
-        for force in FORCES {
-            let enc = make_db(force, false, &rows);
-            let dec = make_db(force, true, &rows);
-            for plan in &plans {
-                let a = enc.query(plan).unwrap();
-                let b = dec.query(plan).unwrap();
-                prop_assert_eq!(&a, &b, "force {:?} seed {}", force, seed);
+        let plain = make_db(Some(Encoding::Plain), &rows);
+        let ent = make_enterprise(&rows);
+        let mut want = Vec::new();
+        for plan in &plans {
+            let a = plain.query(plan).unwrap();
+            let (mut got, mut reference) = (a.clone(), ent.query(plan).unwrap());
+            got.sort();
+            reference.sort();
+            prop_assert_eq!(
+                format!("{got:?}"),
+                format!("{reference:?}"),
+                "Enterprise disagrees: seed {}",
+                seed
+            );
+            want.push(a);
+        }
+        // Force-Plain stores nothing *to* view encoded.
+        prop_assert_eq!(metric_sum(&plain, "scan_encoded_blocks_total"), 0u64);
+        for force in FORCES.into_iter().filter(|f| *f != Some(Encoding::Plain)) {
+            let enc = make_db(force, &rows);
+            for (plan, a) in plans.iter().zip(&want) {
+                let b = enc.query(plan).unwrap();
+                prop_assert_eq!(a, &b, "force {:?} seed {}", force, seed);
                 prop_assert_eq!(
                     format!("{a:?}"),
                     format!("{b:?}"),
@@ -195,22 +229,16 @@ proptest! {
                     seed
                 );
             }
-            // Decode-first mode must never see an encoded view…
-            prop_assert_eq!(metric_sum(&dec, "scan_encoded_blocks_total"), 0u64);
-            // …and force-Plain stores nothing *to* view encoded.
-            if force == Some(Encoding::Plain) {
-                prop_assert_eq!(metric_sum(&enc, "scan_encoded_blocks_total"), 0u64);
-            }
-            // Force-RLE/Dict always fits, so the encoded side must have
+            // Force-RLE/Dict always fits, so the scan must have
             // genuinely executed on compressed views.
             if matches!(force, Some(Encoding::Rle) | Some(Encoding::Dict)) {
                 prop_assert!(metric_sum(&enc, "scan_encoded_blocks_total") > 0);
             }
-            // Stats pruning is upstream of block decoding: both modes
-            // must prune identically.
+            // Stats pruning is upstream of block decoding: every
+            // encoding must prune identically.
             prop_assert_eq!(
                 metric_sum(&enc, "scan_blocks_pruned_total"),
-                metric_sum(&dec, "scan_blocks_pruned_total"),
+                metric_sum(&plain, "scan_blocks_pruned_total"),
                 "pruning diverged under force {:?}", force
             );
         }

@@ -74,7 +74,7 @@ fn make_db(pushdown: bool, fail_rate: f64, rows: &[Vec<Value>]) -> (Arc<EonDb>, 
         &registry,
     ));
     let cfg = EonConfig::new(2, 2)
-        .scan_workers(2)
+        .exec_slots(2)
         .observability(registry.clone())
         .pushdown(pushdown)
         .pushdown_min_bytes(0)

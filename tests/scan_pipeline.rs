@@ -1,19 +1,21 @@
 //! Equivalence and concurrency tests for the pipelined parallel scan
 //! (DESIGN.md "Scan pipeline").
 //!
-//! The scan pool, coalesced ranged reads, selection-vector late
-//! materialization, and single-flight depot fills are all performance
+//! The scan pool, coalesced ranged reads, the block-filter kernel on
+//! encoded views, and single-flight depot fills are all performance
 //! machinery: none of them may change a query answer, the order of a
 //! scan's output, or the exactness of the depot's hit/miss accounting.
-//! These tests pin that:
+//! There is one scan path, so the references are other *data* and
+//! another *engine*, not another mode. These tests pin that:
 //!
-//! * a property test runs the same seeded workload through a serial
-//!   pipeline and a fully-enabled one (Normal, Bypass, and crunch
-//!   sessions) and requires identical answers — the serial side forces
-//!   the decode-first scan path and the workload sweeps forced block
-//!   encodings, so the property also pins compression-aware execution
-//!   (encoded-view blocks) against the row-at-a-time reference;
-//! * a single-node test compares *unsorted* scan output, which pins the
+//! * a property test runs the same seeded workload (Normal, Bypass, and
+//!   crunch sessions) over each forced block encoding and requires
+//!   (a) exactly the answers of a database that stored the same rows
+//!   `Plain` — same layout, no encoded view ever served — and (b) the
+//!   answers of `EnterpriseDb`, the serial, decode-everything,
+//!   row-at-a-time scan, as a sorted multiset;
+//! * a single-node test compares *unsorted* scan output of an
+//!   eight-worker pool with a one-slot (serial) node, which pins the
 //!   deterministic container-order merge of the parallel pool;
 //! * an armed `QUERY_WORKER_LOCAL` crash mid-scan must be absorbed by
 //!   failover without changing answers;
@@ -25,6 +27,9 @@
 //!   GET — and answers as the warm and Bypass scans do;
 //! * the multi-column range planner returns exactly the blocks of
 //!   per-column reads, for any column subset, keep mask and gap.
+//!
+//! The kernel itself is property-tested against a naive evaluator in
+//! `crates/columnar` (`filter_blocks_matches_naive_scan`).
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -36,6 +41,7 @@ use eon_columnar::{Encoding, Predicate, Projection, ReadStats, RosReader, RosWri
 use eon_core::pushdown::kept_bytes;
 use eon_core::{EonConfig, EonDb, SessionOpts};
 use eon_db as _;
+use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
 use eon_exec::{AggSpec, Expr, Plan, ScanSpec, SortKey};
 use eon_obs::Registry;
 use eon_storage::fault::{site, FaultPlan};
@@ -79,27 +85,26 @@ fn load(db: &EonDb, rows: &[Vec<Value>], batches: usize) {
     }
 }
 
-/// The scan pipeline with everything forced off: one worker, no
-/// coalescing, early materialization, decode-first blocks, per-miss
-/// depot fetches.
-fn serial_cfg(nodes: usize, shards: usize) -> EonConfig {
-    EonConfig::new(nodes, shards)
-        .exec_slots(4)
-        .scan_workers(1)
-        .scan_coalesce_gap(None)
-        .scan_late_materialization(false)
-        .scan_decode_first(true)
-        .depot_single_flight(false)
+/// An eight-slot cluster (eight scan-pool workers per node) storing
+/// every block under `force`.
+fn cfg(nodes: usize, shards: usize, force: Option<Encoding>) -> EonConfig {
+    EonConfig::new(nodes, shards).exec_slots(8).force_encoding(force)
 }
 
-/// Everything on, with an aggressive worker count.
-fn pipelined_cfg(nodes: usize, shards: usize, gap: Option<u64>) -> EonConfig {
-    EonConfig::new(nodes, shards)
-        .exec_slots(8)
-        .scan_workers(5)
-        .scan_coalesce_gap(gap)
-        .scan_late_materialization(true)
-        .depot_single_flight(true)
+/// The same rows on the Enterprise baseline, spilled straight to ROS
+/// containers so its decode-then-`eval_row` scan reads real blocks.
+fn load_enterprise(rows: &[Vec<Value>]) -> Arc<EnterpriseDb> {
+    let ent = EnterpriseDb::create(EnterpriseConfig {
+        num_nodes: 2,
+        exec_slots: 4,
+        wos_threshold: 1,
+        fragment_ms: 0,
+    });
+    let s = schema![("id", Int), ("grp", Int), ("val", Int)];
+    ent.create_table("t", s.clone(), Projection::super_projection("p", &s, &[0], &[0]))
+        .unwrap();
+    ent.copy_into("t", rows.to_vec()).unwrap();
+    ent
 }
 
 fn window_pred(n: usize) -> Predicate {
@@ -135,19 +140,13 @@ fn plans(n: usize) -> Vec<Plan> {
 }
 
 proptest! {
-    /// Serial and fully-pipelined scans must agree on every answer, in
-    /// Normal, Bypass, and crunch sessions, across seeds, row counts,
-    /// coalescing gaps (off / adjacent-only / everything-bridges), and
-    /// forced block encodings (heuristic / Plain / RLE / Dict / Delta).
-    /// The serial side runs decode-first, so this is also the
-    /// compression-aware-execution A/B.
+    /// Whatever the stored encoding (heuristic / Plain / RLE / Dict /
+    /// Delta), every answer — in Normal, Bypass, and crunch sessions —
+    /// is exactly the answer over `Plain`-stored rows, row order and
+    /// `Debug` value variants included, and the sorted multiset the
+    /// Enterprise engine computes from the same rows.
     #[test]
-    fn pipelined_scan_matches_serial(seed in 0u64..1_000_000, n in 100usize..400) {
-        let gap = match seed % 3 {
-            0 => None,
-            1 => Some(0),
-            _ => Some(1 << 20),
-        };
+    fn scan_matches_plain_stored_and_enterprise(seed in 0u64..1_000_000, n in 100usize..400) {
         let force = match seed % 5 {
             0 => None,
             1 => Some(Encoding::Plain),
@@ -158,15 +157,12 @@ proptest! {
         let rows = gen_rows(seed, n);
         // 5 nodes over 2 shards so crunch sessions genuinely split
         // shards across extra participants.
-        let serial =
-            EonDb::create(Arc::new(MemFs::new()), serial_cfg(5, 2).force_encoding(force)).unwrap();
-        let pipelined = EonDb::create(
-            Arc::new(MemFs::new()),
-            pipelined_cfg(5, 2, gap).force_encoding(force),
-        )
-        .unwrap();
-        load(&serial, &rows, 2);
-        load(&pipelined, &rows, 2);
+        let plain =
+            EonDb::create(Arc::new(MemFs::new()), cfg(5, 2, Some(Encoding::Plain))).unwrap();
+        let forced = EonDb::create(Arc::new(MemFs::new()), cfg(5, 2, force)).unwrap();
+        load(&plain, &rows, 2);
+        load(&forced, &rows, 2);
+        let ent = load_enterprise(&rows);
 
         let sessions = [
             SessionOpts::default(),
@@ -174,29 +170,36 @@ proptest! {
             SessionOpts { crunch: true, ..Default::default() },
         ];
         for plan in &plans(n) {
+            let mut want = ent.query(plan).unwrap();
+            want.sort();
             for opts in &sessions {
-                let a = serial.query_with(plan, opts).unwrap();
-                let b = pipelined.query_with(plan, opts).unwrap();
-                prop_assert_eq!(&a, &b, "seed {} gap {:?} opts {:?}", seed, gap, opts);
+                let a = plain.query_with(plan, opts).unwrap();
+                let b = forced.query_with(plan, opts).unwrap();
+                prop_assert_eq!(&a, &b, "seed {} force {:?} opts {:?}", seed, force, opts);
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "value variants diverged");
+                let mut got = b;
+                got.sort();
+                prop_assert_eq!(&got, &want, "Enterprise disagrees: seed {} opts {:?}", seed, opts);
             }
         }
+        // Plain-stored blocks have no compressed shape to serve.
+        let summary = eon_bench::metrics_summary(&plain.metrics().snapshot());
+        prop_assert_eq!(summary["scan_encoded_blocks"].as_u64(), Some(0));
     }
 }
 
 /// On one node the scan fans containers across pool workers but must
-/// emit them back in container order: the *unsorted* output of a
-/// parallel scan is byte-for-byte the serial output.
+/// emit them back in container order: the *unsorted* output of an
+/// eight-worker scan is byte-for-byte that of a one-slot node, whose
+/// pool degenerates to the serial loop.
 #[test]
 fn parallel_merge_preserves_container_order() {
     let rows = gen_rows(0xbeef, 3_000);
-    let serial = EonDb::create(Arc::new(MemFs::new()), serial_cfg(1, 1)).unwrap();
-    // Force RLE on the parallel side: encoded-view blocks must not
-    // perturb the pool's container-order merge either.
-    let parallel = EonDb::create(
-        Arc::new(MemFs::new()),
-        pipelined_cfg(1, 1, Some(64 << 10)).force_encoding(Some(Encoding::Rle)),
-    )
-    .unwrap();
+    // RLE on both sides: encoded-view blocks must not perturb the
+    // pool's container-order merge either.
+    let rle = Some(Encoding::Rle);
+    let serial = EonDb::create(Arc::new(MemFs::new()), cfg(1, 1, rle).exec_slots(1)).unwrap();
+    let parallel = EonDb::create(Arc::new(MemFs::new()), cfg(1, 1, rle)).unwrap();
     // Several batches so one shard holds several containers — the
     // pool's fan-out/merge has real interleaving to get wrong.
     load(&serial, &rows, 4);
@@ -221,18 +224,17 @@ fn parallel_merge_preserves_container_order() {
 
 /// A participant dying mid-query under the parallel pipeline is
 /// absorbed by coordinator failover, and answers still match a healthy
-/// serial cluster — before and after the crash fires. The wounded
-/// cluster stores force-RLE containers served as encoded views, so
-/// failover equivalence holds with compression-aware execution on.
+/// cluster over `Plain`-stored rows — before and after the crash
+/// fires. The wounded cluster stores force-RLE containers served as
+/// encoded views, so failover equivalence holds on compressed blocks.
 #[test]
 fn armed_worker_crash_does_not_change_answers() {
     let rows = gen_rows(0xfa11, 2_000);
-    let healthy = EonDb::create(Arc::new(MemFs::new()), serial_cfg(3, 3)).unwrap();
+    let healthy =
+        EonDb::create(Arc::new(MemFs::new()), cfg(3, 3, Some(Encoding::Plain))).unwrap();
     let wounded = EonDb::create(
         Arc::new(MemFs::new()),
-        pipelined_cfg(3, 3, Some(64 << 10))
-            .force_encoding(Some(Encoding::Rle))
-            .faults(FaultPlan::at(site::QUERY_WORKER_LOCAL, 0)),
+        cfg(3, 3, Some(Encoding::Rle)).faults(FaultPlan::at(site::QUERY_WORKER_LOCAL, 0)),
     )
     .unwrap();
     load(&healthy, &rows, 2);
@@ -309,34 +311,6 @@ fn concurrent_same_key_misses_issue_one_s3_get() {
     assert_eq!(metric("depot_hits_total"), stats.hits);
     assert_eq!(metric("depot_misses_total"), stats.misses);
     assert_eq!(metric("depot_singleflight_waits_total"), stats.singleflight_waits);
-
-    // Contrast: with single-flight disabled the same stampede fetches
-    // once per thread.
-    let s3b = Arc::new(S3SimFs::new(S3Config {
-        request_latency: Duration::from_millis(20),
-        bytes_per_micro: 0,
-        ..S3Config::instant()
-    }));
-    let sharedb: SharedFs = s3b.clone();
-    sharedb
-        .write("data/obj", bytes::Bytes::from(vec![7u8; 64 << 10]))
-        .unwrap();
-    let cacheb = mem_cache(sharedb, 1 << 20);
-    cacheb.set_single_flight(false);
-    let barrier = Barrier::new(THREADS);
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            scope.spawn(|| {
-                barrier.wait();
-                cacheb.read_with("data/obj", CacheMode::Normal).unwrap();
-            });
-        }
-    });
-    assert!(
-        s3b.stats().gets > 1,
-        "without single-flight, a barrier-started stampede over a 20ms fill must duplicate GETs"
-    );
-    assert_eq!(cacheb.stats().singleflight_waits, 0);
 }
 
 /// A container larger than the whole depot, scanned through
@@ -423,20 +397,15 @@ proptest! {
     /// The multi-column range planner is only a cheaper way to fetch:
     /// for any column subset, keep mask and gap it returns exactly the
     /// `EncodedBlock`s that one-column reads return, its `ReadStats`
-    /// describe the GETs it issued, and with no gap (`None`) it issues
-    /// one GET per kept block — nothing merges, within or across
-    /// columns.
+    /// describe the GETs it issued, with gap 0 it fetches exactly the
+    /// kept bytes, and with an unbounded gap everything bridges into
+    /// one GET.
     #[test]
     fn multi_column_planner_matches_per_column_reads(
         seed in 0u64..1_000_000,
         col_mask in 1usize..8,
         keep_bits in 0u32..(1 << 10),
-        gap in prop_oneof![
-            Just(None),
-            Just(Some(0u64)),
-            (1u64..4_000).prop_map(Some),
-            Just(Some(u64::MAX)),
-        ],
+        gap in prop_oneof![Just(0u64), 1u64..4_000, Just(u64::MAX)],
     ) {
         // 1 000 rows in blocks of 100: ten blocks in each of 3 columns.
         let rows = gen_rows(seed, 1_000);
@@ -453,7 +422,10 @@ proptest! {
         let mut one_by_one = ReadStats::default();
         let expect: Vec<_> = cols
             .iter()
-            .map(|&c| reader.read_column_blocks_encoded(&fs, c, &keep, gap, &mut one_by_one).unwrap())
+            .map(|&c| {
+                let one = reader.read_columns_encoded(&fs, &[c], &keep, gap, &mut one_by_one);
+                one.unwrap().remove(0)
+            })
             .collect();
 
         let before = fs.stats();
@@ -470,10 +442,11 @@ proptest! {
         prop_assert_eq!(stats.requests + stats.requests_saved, kept_blocks);
         prop_assert!(stats.requests <= one_by_one.requests);
         match gap {
-            None => prop_assert_eq!((stats.requests, stats.gap_bytes), (kept_blocks, 0)),
+            // Only touching blocks share a read: no dead byte moves.
+            0 => prop_assert_eq!(stats.gap_bytes, 0),
             // Everything bridges: one read for the whole request.
-            Some(u64::MAX) => prop_assert_eq!(stats.requests, kept_blocks.min(1)),
-            Some(_) => {}
+            u64::MAX => prop_assert_eq!(stats.requests, kept_blocks.min(1)),
+            _ => {}
         }
     }
 }
