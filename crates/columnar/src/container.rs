@@ -17,11 +17,12 @@
 use bytes::Bytes;
 use eon_types::{EonError, Result, Value};
 
+use crate::batch::Column;
 use crate::encoding::{
     decode_column_view, encode_column, encode_with, encoding_fits, EncodedBlock, Encoding,
 };
 use crate::format::{checksum, Reader, Writer};
-use crate::pruning::{BlockCol, Predicate};
+use crate::pruning::Predicate;
 
 const MAGIC: u32 = 0x524f_5331; // "ROS1"
 const TRAILER_LEN: u64 = 4 + 8 + 4;
@@ -342,7 +343,7 @@ impl RosReader {
     ) -> Result<Vec<Option<Vec<Value>>>> {
         let mut cols = self.read_columns_encoded(fs, &[col], keep, 0, &mut ReadStats::default())?;
         let blocks = cols.pop().expect("one column requested");
-        Ok(blocks.into_iter().map(|b| b.map(|view| view.decode())).collect())
+        Ok(blocks.into_iter().map(|b| b.map(|view| view.decode().to_values())).collect())
     }
 
     /// The container's one range planner: the kept blocks of every
@@ -461,23 +462,31 @@ impl RosReader {
             f.read_cols.iter().partition(|c| reads_pred(c));
         let pblocks = self.read_columns_encoded(fs, &pcols, keep, gap, stats)?;
 
-        // What the predicate sees of a block: Null for a column nobody
-        // reads, the constant for a column the container lacks, and the
-        // fetched view for the rest (filled in per block).
-        let mut view = vec![BlockCol::Const(&Value::Null); f.width];
-        for (c, v) in f.consts {
-            view[*c] = BlockCol::Const(v);
-        }
+        // What the predicate sees of a column it touches but no read
+        // fetched: the constant for a column the container lacks, Null
+        // for one nobody reads.
+        let unfetched: Vec<(usize, &Value)> = touched
+            .iter()
+            .filter(|c| !pcols.contains(c))
+            .map(|&c| (c, f.consts.iter().find(|(k, _)| *k == c).map_or(&Value::Null, |(_, v)| v)))
+            .collect();
+        let untouched = EncodedBlock::constant(Value::Null.as_ref(), 0);
         let mut keep = keep.to_vec();
         let mut survivors: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut start = 0usize;
         for (b, meta) in block_meta.iter().enumerate() {
             let rows = meta.rows as usize;
             if keep[b] {
+                let consts: Vec<EncodedBlock> =
+                    unfetched.iter().map(|(_, v)| EncodedBlock::constant(v.as_ref(), rows)).collect();
+                let mut view = vec![&untouched; f.width];
+                for ((c, _), block) in unfetched.iter().zip(&consts) {
+                    view[*c] = block;
+                }
                 for (&c, blocks) in pcols.iter().zip(&pblocks) {
                     let fetched = blocks[b].as_ref().expect("kept block");
                     stats.rows_short_circuited += fetched.short_circuit_rows();
-                    view[c] = fetched.as_block_col();
+                    view[c] = fetched;
                 }
                 let mut sel = f.pred.eval_block(&view, rows);
                 if let Some(mask) = f.row_mask {
@@ -546,27 +555,8 @@ pub struct BlockRows {
     pub block: usize,
     /// Surviving in-block row indices, ascending.
     pub rows: Vec<usize>,
-    /// One vector per column read, parallel to `rows`.
-    pub cols: Vec<Vec<Value>>,
-}
-
-impl BlockRows {
-    /// Transpose into `(in-block row index, row)` pairs: rows `width`
-    /// wide holding `self.cols[i]` at index `cols[i]`, `Null` elsewhere.
-    pub fn into_rows(
-        self,
-        width: usize,
-        cols: &[usize],
-    ) -> impl Iterator<Item = (usize, Vec<Value>)> + '_ {
-        let mut values: Vec<_> = self.cols.into_iter().map(Vec::into_iter).collect();
-        self.rows.into_iter().map(move |r| {
-            let mut row = vec![Value::Null; width];
-            for (vals, &c) in values.iter_mut().zip(cols) {
-                row[c] = vals.next().expect("columns are parallel to rows");
-            }
-            (r, row)
-        })
-    }
+    /// One column per column read, parallel to `rows`.
+    pub cols: Vec<Column>,
 }
 
 /// Accounting for one container's reads: what the range planner
@@ -779,7 +769,7 @@ mod tests {
     ) -> Vec<Option<Vec<Value>>> {
         let mut cols = r.read_columns_encoded(fs, &[0], keep, gap, stats).unwrap();
         let blocks = cols.pop().unwrap();
-        blocks.into_iter().map(|b| b.map(|view| view.decode())).collect()
+        blocks.into_iter().map(|b| b.map(|view| view.decode().to_values())).collect()
     }
 
     #[test]
@@ -870,7 +860,8 @@ mod tests {
             assert!(matches!(b, EncodedBlock::Dict { dict, .. } if dict.len() == 13));
             assert!(b.is_encoded());
         }
-        let decoded: Vec<Value> = blocks.into_iter().flatten().flat_map(|b| b.decode()).collect();
+        let decoded: Vec<Value> =
+            blocks.into_iter().flatten().flat_map(|b| b.decode().to_values()).collect();
         assert_eq!(decoded, cols[1]);
     }
 
@@ -950,7 +941,8 @@ mod tests {
             // The naive answer, from whole decoded columns.
             let decoded: Vec<Vec<Value>> =
                 (0..4).map(|c| reader.read_column(&fs, c).unwrap()).collect();
-            let mut want: Vec<BlockRows> = Vec::new();
+            // (block, in-block rows, one value vector per column read)
+            let mut want: Vec<(usize, Vec<usize>, Vec<Vec<Value>>)> = Vec::new();
             for i in 0..n {
                 let mut row = vec![Value::Null; WIDTH];
                 for &c in &read_cols {
@@ -960,13 +952,12 @@ mod tests {
                 if !keep[i / BLOCK] || !pred.eval_row(&row) || row_mask.is_some_and(|m| !m[i]) {
                     continue;
                 }
-                if want.last().map(|br| br.block) != Some(i / BLOCK) {
-                    let cols = vec![vec![]; read_cols.len()];
-                    want.push(BlockRows { block: i / BLOCK, rows: vec![], cols });
+                if want.last().map(|br| br.0) != Some(i / BLOCK) {
+                    want.push((i / BLOCK, vec![], vec![vec![]; read_cols.len()]));
                 }
                 let br = want.last_mut().unwrap();
-                br.rows.push(i % BLOCK);
-                for (vals, &c) in br.cols.iter_mut().zip(&read_cols) {
+                br.1.push(i % BLOCK);
+                for (vals, &c) in br.2.iter_mut().zip(&read_cols) {
                     vals.push(row[c].clone());
                 }
             }
@@ -979,13 +970,18 @@ mod tests {
                 row_mask,
             };
             let mut stats = ReadStats::default();
-            let got = reader.filter_blocks(&fs, &filter, &keep, gap, &mut stats).unwrap();
+            let got: Vec<_> = reader
+                .filter_blocks(&fs, &filter, &keep, gap, &mut stats)
+                .unwrap()
+                .into_iter()
+                .map(|br| (br.block, br.rows, br.cols.iter().map(Column::to_values).collect::<Vec<_>>()))
+                .collect();
             prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
 
             // Predicate columns are fetched for every kept block, the
             // rest only for blocks with a survivor.
             let block_bytes = |c: usize, b: usize| footer.columns[c].blocks[b].len;
-            let survived = |b: usize| want.iter().any(|br| br.block == b);
+            let survived = |b: usize| want.iter().any(|br| br.0 == b);
             let touched = pred.columns();
             let mut kept_bytes = 0;
             for &c in &read_cols {

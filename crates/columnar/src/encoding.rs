@@ -14,8 +14,9 @@
 //! [`encode_column`] picks an encoding by inspecting the block and
 //! writes a self-describing payload, so readers never guess.
 
-use eon_types::{Result, Value};
+use eon_types::{Result, Value, ValueRef};
 
+use crate::batch::{Column, Data};
 use crate::format::{Reader, Writer};
 
 /// Available block encodings. The numeric discriminants are the on-disk
@@ -214,34 +215,46 @@ pub fn encode_column(values: &[Value], w: &mut Writer) -> Encoding {
     enc
 }
 
-/// One decoded-or-not column block: the scan path's view of a block.
+/// One decoded-or-not column block: the scan path's view of a block,
+/// and what [`Predicate::eval_block`](crate::pruning::Predicate::eval_block)
+/// evaluates.
 ///
-/// `Plain` carries fully decoded values (the Delta decoder also lands
-/// here — deltas must be cumulated anyway, so there is nothing to
-/// operate on "encoded"). `Rle` and `Dict` keep the compressed shape so
-/// predicates and aggregates can work per-run / per-dictionary-entry
-/// instead of per-row, and so late materialization can gather only
-/// surviving rows without ever building the full `Vec<Value>`.
+/// `Plain` carries the block's cells as a typed [`Column`] (the Delta
+/// decoder also lands here — deltas must be cumulated anyway, so there
+/// is nothing to operate on "encoded"). `Rle` and `Dict` keep the
+/// compressed shape so predicates work per run / per dictionary entry
+/// instead of per row, and so late materialization can gather only
+/// surviving rows without ever building the full column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodedBlock {
-    Plain(Vec<Value>),
+    Plain(Column),
     Rle {
         rows: usize,
-        /// (run length, value); run lengths are ≥ 1 and sum to `rows`.
-        runs: Vec<(u64, Value)>,
+        /// Run lengths, each ≥ 1, summing to `rows`.
+        runs: Vec<u64>,
+        /// One value per run.
+        values: Column,
     },
     Dict {
         /// Distinct values in first-appearance order.
-        dict: Vec<Value>,
+        dict: Column,
         /// One in-range dictionary code per row.
         codes: Vec<u32>,
     },
 }
 
 impl EncodedBlock {
+    /// `rows` rows all carrying `v` — e.g. a column added to the table
+    /// after the container was written, materialized from its default:
+    /// one run, so a predicate tests it once.
+    pub fn constant(v: ValueRef<'_>, rows: usize) -> EncodedBlock {
+        let runs = if rows == 0 { 0 } else { 1 };
+        EncodedBlock::Rle { rows, runs: vec![rows as u64; runs], values: Column::constant(v, runs) }
+    }
+
     pub fn rows(&self) -> usize {
         match self {
-            EncodedBlock::Plain(vs) => vs.len(),
+            EncodedBlock::Plain(col) => col.len(),
             EncodedBlock::Rle { rows, .. } => *rows,
             EncodedBlock::Dict { codes, .. } => codes.len(),
         }
@@ -259,67 +272,60 @@ impl EncodedBlock {
     pub fn short_circuit_rows(&self) -> u64 {
         match self {
             EncodedBlock::Plain(_) => 0,
-            EncodedBlock::Rle { rows, runs } => (rows - runs.len()) as u64,
+            EncodedBlock::Rle { rows, runs, .. } => (rows - runs.len()) as u64,
             EncodedBlock::Dict { dict, codes } => codes.len().saturating_sub(dict.len()) as u64,
         }
     }
 
-    /// The [`BlockCol`](crate::pruning::BlockCol) view
-    /// [`Predicate::eval_block`](crate::pruning::Predicate::eval_block)
-    /// consumes.
-    pub fn as_block_col(&self) -> crate::pruning::BlockCol<'_> {
+    /// Apply a per-value test across the block's rows, exploiting the
+    /// encoding: `test` sees one value per run for RLE, one per
+    /// dictionary entry for Dict.
+    pub fn test_rows(&self, test: impl Fn(&Column) -> Vec<bool>) -> Vec<bool> {
         match self {
-            EncodedBlock::Plain(vs) => crate::pruning::BlockCol::Values(vs),
-            EncodedBlock::Rle { runs, .. } => crate::pruning::BlockCol::Rle(runs),
-            EncodedBlock::Dict { dict, codes } => crate::pruning::BlockCol::Dict { dict, codes },
+            EncodedBlock::Plain(col) => test(col),
+            EncodedBlock::Rle { rows, runs, values } => {
+                let mut sel = Vec::with_capacity(*rows);
+                for (run, verdict) in runs.iter().zip(test(values)) {
+                    sel.resize(sel.len() + *run as usize, verdict);
+                }
+                sel
+            }
+            EncodedBlock::Dict { dict, codes } => {
+                let verdicts = test(dict);
+                codes.iter().map(|&c| verdicts[c as usize]).collect()
+            }
         }
     }
 
     /// Materialize every row.
-    pub fn decode(&self) -> Vec<Value> {
+    pub fn decode(&self) -> Column {
         match self {
-            EncodedBlock::Plain(vs) => vs.clone(),
-            EncodedBlock::Rle { rows, runs } => {
-                let mut out = Vec::with_capacity(*rows);
-                for (run, v) in runs {
-                    out.resize(out.len() + *run as usize, v.clone());
-                }
-                out
-            }
-            EncodedBlock::Dict { dict, codes } => {
-                codes.iter().map(|&c| dict[c as usize].clone()).collect()
-            }
+            EncodedBlock::Plain(col) => col.clone(),
+            _ => self.gather(&(0..self.rows()).collect::<Vec<_>>()),
         }
     }
 
     /// Materialize only the rows at `idx` (sorted ascending, in range):
     /// late materialization below the decode boundary. One pass over
     /// the runs/codes regardless of how many survivors there are.
-    pub fn gather(&self, idx: &[usize]) -> Vec<Value> {
+    pub fn gather(&self, idx: &[usize]) -> Column {
         debug_assert!(idx.windows(2).all(|w| w[0] < w[1]));
         match self {
-            EncodedBlock::Plain(vs) => idx.iter().map(|&i| vs[i].clone()).collect(),
-            EncodedBlock::Rle { runs, .. } => {
-                let mut out = Vec::with_capacity(idx.len());
-                let mut it = idx.iter().peekable();
-                let mut end = 0u64;
-                for (run, v) in runs {
-                    end += run;
-                    while it.peek().map(|&&i| (i as u64) < end).unwrap_or(false) {
-                        it.next();
-                        out.push(v.clone());
+            EncodedBlock::Plain(col) => col.gather(idx),
+            EncodedBlock::Rle { runs, values, .. } => {
+                let (mut run, mut end) = (0, runs.first().copied().unwrap_or(0));
+                let of_run = |&i: &usize| {
+                    while i as u64 >= end {
+                        run += 1;
+                        end += runs[run];
                     }
-                    if it.peek().is_none() {
-                        break;
-                    }
-                }
-                debug_assert_eq!(out.len(), idx.len(), "gather index out of range");
-                out
+                    run
+                };
+                values.gather(&idx.iter().map(of_run).collect::<Vec<_>>())
             }
-            EncodedBlock::Dict { dict, codes } => idx
-                .iter()
-                .map(|&i| dict[codes[i] as usize].clone())
-                .collect(),
+            EncodedBlock::Dict { dict, codes } => {
+                dict.gather(&idx.iter().map(|&i| codes[i] as usize).collect::<Vec<_>>())
+            }
         }
     }
 }
@@ -347,36 +353,30 @@ pub fn decode_column_view(r: &mut Reader<'_>) -> Result<EncodedBlock> {
             if n > r.remaining() {
                 return Err(corrupt("plain count exceeds payload"));
             }
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(r.get_value()?);
-            }
-            Ok(EncodedBlock::Plain(out))
+            Ok(EncodedBlock::Plain(r.get_cells(n)?))
         }
         Encoding::Rle => {
             // Each run costs ≥ 2 bytes (length varint + value tag).
             let mut runs = Vec::with_capacity((n.min(r.remaining()) / 2).min(n));
+            let mut values = Column::nulls(0);
             let mut total = 0usize;
             while total < n {
                 let run = r.get_varint()?;
-                let v = r.get_value()?;
+                values.push(r.get_value_ref()?);
                 if run == 0 || total as u64 + run > n as u64 {
                     return Err(corrupt("bad RLE run"));
                 }
                 total += run as usize;
-                runs.push((run, v));
+                runs.push(run);
             }
-            Ok(EncodedBlock::Rle { rows: n, runs })
+            Ok(EncodedBlock::Rle { rows: n, runs, values })
         }
         Encoding::Dict => {
             let dsize = r.get_varint()? as usize;
             if dsize > r.remaining() {
                 return Err(corrupt("dict size exceeds payload"));
             }
-            let mut dict = Vec::with_capacity(dsize);
-            for _ in 0..dsize {
-                dict.push(r.get_value()?);
-            }
+            let dict = r.get_cells(dsize)?;
             if n > r.remaining() {
                 return Err(corrupt("dict code count exceeds payload"));
             }
@@ -395,24 +395,25 @@ pub fn decode_column_view(r: &mut Reader<'_>) -> Result<EncodedBlock> {
             if n > r.remaining() {
                 return Err(corrupt("delta count exceeds payload"));
             }
-            let mut out = Vec::with_capacity(n);
             let mut prev: i64 = 0;
-            for _ in 0..n {
+            let mut next = || -> Result<i64> {
                 prev = prev.wrapping_add(r.get_signed_varint()?);
-                out.push(if is_date {
-                    Value::Date(prev as i32)
-                } else {
-                    Value::Int(prev)
-                });
-            }
-            Ok(EncodedBlock::Plain(out))
+                Ok(prev)
+            };
+            let data = if is_date {
+                Data::Date((0..n).map(|_| Ok(next()? as i32)).collect::<Result<_>>()?)
+            } else {
+                Data::Int((0..n).map(|_| next()).collect::<Result<_>>()?)
+            };
+            Ok(EncodedBlock::Plain(Column::new(data, None)))
         }
     }
 }
 
-/// Decode one block written by [`encode_column`]/[`encode_with`].
+/// Decode one block written by [`encode_column`]/[`encode_with`] to
+/// values.
 pub fn decode_column(r: &mut Reader<'_>) -> Result<Vec<Value>> {
-    Ok(decode_column_view(r)?.decode())
+    Ok(decode_column_view(r)?.decode().to_values())
 }
 
 #[cfg(test)]
@@ -559,12 +560,12 @@ mod tests {
         encode_with(&rle, Encoding::Rle, &mut w);
         let b = w.into_bytes();
         let view = decode_column_view(&mut Reader::new(&b)).unwrap();
-        assert!(matches!(&view, EncodedBlock::Rle { rows: 100, runs } if runs.len() == 2));
+        assert!(matches!(&view, EncodedBlock::Rle { rows: 100, runs, .. } if runs.len() == 2));
         assert!(view.is_encoded());
         assert_eq!(view.short_circuit_rows(), 98);
-        assert_eq!(view.decode(), rle);
+        assert_eq!(view.decode().to_values(), rle);
         assert_eq!(
-            view.gather(&[0, 59, 60, 99]),
+            view.gather(&[0, 59, 60, 99]).to_values(),
             vec![rle[0].clone(), rle[59].clone(), rle[60].clone(), rle[99].clone()]
         );
 
@@ -575,8 +576,8 @@ mod tests {
         let view = decode_column_view(&mut Reader::new(&b)).unwrap();
         assert!(matches!(&view, EncodedBlock::Dict { dict, codes } if dict.len() == 3 && codes.len() == 40));
         assert_eq!(view.short_circuit_rows(), 37);
-        assert_eq!(view.decode(), dict);
-        assert_eq!(view.gather(&[1, 38]), vec![dict[1].clone(), dict[38].clone()]);
+        assert_eq!(view.decode().to_values(), dict);
+        assert_eq!(view.gather(&[1, 38]).to_values(), vec![dict[1].clone(), dict[38].clone()]);
 
         // Delta falls back to a decoded Plain view.
         let ints: Vec<Value> = (0..50).map(Value::Int).collect();
@@ -586,7 +587,7 @@ mod tests {
         let view = decode_column_view(&mut Reader::new(&b)).unwrap();
         assert!(matches!(&view, EncodedBlock::Plain(_)));
         assert!(!view.is_encoded());
-        assert_eq!(view.decode(), ints);
+        assert_eq!(view.decode().to_values(), ints);
     }
 
     proptest! {
@@ -610,7 +611,7 @@ mod tests {
                 let b = w.into_bytes();
                 let view = decode_column_view(&mut Reader::new(&b)).unwrap();
                 let expect: Vec<Value> = idx.iter().map(|&i| vals[i].clone()).collect();
-                prop_assert_eq!(view.gather(&idx), expect, "{:?}", enc);
+                prop_assert_eq!(view.gather(&idx).to_values(), expect, "{:?}", enc);
             }
         }
     }

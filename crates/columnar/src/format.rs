@@ -4,7 +4,9 @@
 //! wire format lives in exactly one place.
 
 use bytes::Bytes;
-use eon_types::{EonError, Result, Value};
+use eon_types::{EonError, Result, Value, ValueRef};
+
+use crate::batch::{Column, Data, StrVec};
 
 /// Append-only binary writer.
 #[derive(Default)]
@@ -82,30 +84,30 @@ impl Writer {
         self.put_bytes(s.as_bytes());
     }
 
-    /// Tagged value. Tags: 0 null, 1 int, 2 float, 3 str, 4 bool,
-    /// 5 date.
-    pub fn put_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.put_u8(0),
-            Value::Int(i) => {
+    /// Tagged value (a `&Value` or a borrowed cell). Tags: 0 null,
+    /// 1 int, 2 float, 3 str, 4 bool, 5 date.
+    pub fn put_value<'a>(&mut self, v: impl Into<ValueRef<'a>>) {
+        match v.into() {
+            ValueRef::Null => self.put_u8(0),
+            ValueRef::Int(i) => {
                 self.put_u8(1);
-                self.put_signed_varint(*i);
+                self.put_signed_varint(i);
             }
-            Value::Float(f) => {
+            ValueRef::Float(f) => {
                 self.put_u8(2);
-                self.put_f64(*f);
+                self.put_f64(f);
             }
-            Value::Str(s) => {
+            ValueRef::Str(s) => {
                 self.put_u8(3);
                 self.put_str(s);
             }
-            Value::Bool(b) => {
+            ValueRef::Bool(b) => {
                 self.put_u8(4);
-                self.put_u8(*b as u8);
+                self.put_u8(b as u8);
             }
-            Value::Date(d) => {
+            ValueRef::Date(d) => {
                 self.put_u8(5);
-                self.put_signed_varint(*d as i64);
+                self.put_signed_varint(d as i64);
             }
         }
     }
@@ -194,18 +196,74 @@ impl<'a> Reader<'a> {
     }
 
     pub fn get_str(&mut self) -> Result<String> {
-        let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| EonError::Corrupt("invalid utf8".into()))
+        Ok(self.get_str_ref()?.to_owned())
+    }
+
+    fn get_str_ref(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.get_bytes()?).map_err(|_| EonError::Corrupt("invalid utf8".into()))
     }
 
     pub fn get_value(&mut self) -> Result<Value> {
+        Ok(self.get_value_ref()?.to_value())
+    }
+
+    /// `n` tagged values straight into a typed column: no `Value`, no
+    /// allocation per string, and — while the cells are of one type or
+    /// NULL, which a stored column's are — one typed loop. The caller
+    /// bounds `n` by the buffer.
+    pub fn get_cells(&mut self, n: usize) -> Result<Column> {
+        // Cells tagged `$tag` (read by `$read`) or NULL, appended to
+        // `$cells` until there are `n` or a cell of another type shows.
+        macro_rules! typed {
+            ($tag:literal, $cells:expr, $null:expr, $read:expr, $data:path) => {{
+                let mut cells = $cells;
+                // NULLs are rare: their positions, not a flag per cell.
+                let mut nulls: Vec<usize> = (0..cells.len()).collect();
+                while cells.len() < n {
+                    match self.buf.get(self.pos) {
+                        Some($tag) => {
+                            self.pos += 1;
+                            cells.push($read);
+                        }
+                        Some(0) => {
+                            self.pos += 1;
+                            nulls.push(cells.len());
+                            cells.push($null);
+                        }
+                        _ => break,
+                    }
+                }
+                let mut valid = (!nulls.is_empty()).then(|| vec![true; cells.len()]);
+                nulls.iter().for_each(|&i| valid.as_mut().expect("has nulls")[i] = false);
+                Column::new($data(cells), valid)
+            }};
+        }
+        let lead = self.buf[self.pos..].iter().take(n).take_while(|&&tag| tag == 0).count();
+        self.pos += lead;
+        let mut out = match self.buf.get(self.pos).filter(|_| lead < n) {
+            Some(1) => typed!(1, vec![0i64; lead], 0, self.get_signed_varint()?, Data::Int),
+            Some(2) => typed!(2, vec![0f64; lead], 0.0, self.get_f64()?, Data::Float),
+            Some(3) => typed!(3, StrVec::nulls(lead), "", self.get_str_ref()?, Data::Str),
+            Some(4) => typed!(4, vec![false; lead], false, self.get_u8()? != 0, Data::Bool),
+            Some(5) => typed!(5, vec![0i32; lead], 0, self.get_signed_varint()? as i32, Data::Date),
+            _ => Column::nulls(lead),
+        };
+        // A block of mixed types (or a bad tag, reported here): cell by cell.
+        for _ in out.len()..n {
+            out.push(self.get_value_ref()?);
+        }
+        Ok(out)
+    }
+
+    /// One tagged value, a string borrowed from the buffer.
+    pub fn get_value_ref(&mut self) -> Result<ValueRef<'a>> {
         Ok(match self.get_u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.get_signed_varint()?),
-            2 => Value::Float(self.get_f64()?),
-            3 => Value::Str(self.get_str()?),
-            4 => Value::Bool(self.get_u8()? != 0),
-            5 => Value::Date(self.get_signed_varint()? as i32),
+            0 => ValueRef::Null,
+            1 => ValueRef::Int(self.get_signed_varint()?),
+            2 => ValueRef::Float(self.get_f64()?),
+            3 => ValueRef::Str(self.get_str_ref()?),
+            4 => ValueRef::Bool(self.get_u8()? != 0),
+            5 => ValueRef::Date(self.get_signed_varint()? as i32),
             t => return Err(EonError::Corrupt(format!("bad value tag {t}"))),
         })
     }

@@ -10,6 +10,7 @@
 //! to reduce file count. Column data is independently retrievable via
 //! ranged reads, so the engine stays a true column store.
 
+pub mod batch;
 pub mod container;
 pub mod delete;
 pub mod encoding;
@@ -18,6 +19,7 @@ pub mod projection;
 pub mod pruning;
 pub mod segment;
 
+pub use batch::{Batch, Column, Data, StrVec};
 pub use container::{
     BlockFilter, BlockMeta, BlockRows, ColumnMeta, ReadStats, RosFooter, RosReader, RosWriter,
 };
@@ -27,5 +29,5 @@ pub use encoding::{
     Encoding,
 };
 pub use projection::{LapFunc, LiveAggregate, Projection, SortOrder};
-pub use pruning::{BlockCol, ColumnStats, Predicate};
+pub use pruning::{ColumnStats, Predicate};
 pub use segment::split_rows_by_shard;

@@ -9,8 +9,13 @@
 //! file pruning the paper describes. Arbitrary expressions live in
 //! `eon-exec`; the planner extracts the prunable part into this form.
 
+use std::cmp::Ordering;
+
 use eon_types::Value;
 use serde::{Deserialize, Serialize};
+
+use crate::batch::{Column, Data};
+use crate::encoding::EncodedBlock;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,13 +28,28 @@ pub enum CmpOp {
     Ge,
 }
 
-/// Min/max/null statistics for one column of one block or container.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStats {
+impl CmpOp {
+    /// Whether `l op r` holds given how `l` orders against `r`.
+    pub fn accepts(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ne => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
+        }
+    }
+}
+
+/// Min/max/null statistics for one column of one block or container,
+/// borrowed from the footer or catalog entry that holds them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ColumnStats<'a> {
     /// Minimum non-null value; `Null` means the column slice is all
     /// null.
-    pub min: Value,
-    pub max: Value,
+    pub min: &'a Value,
+    pub max: &'a Value,
     pub has_null: bool,
 }
 
@@ -101,18 +121,7 @@ impl Predicate {
             Predicate::True => true,
             Predicate::Cmp { col, op, lit } => {
                 let v = &row[*col];
-                if v.is_null() || lit.is_null() {
-                    return false;
-                }
-                let ord = v.cmp(lit);
-                match op {
-                    CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                    CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                    CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                    CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                }
+                !v.is_null() && !lit.is_null() && op.accepts(v.cmp(lit))
             }
             Predicate::IsNull(col) => row[*col].is_null(),
             Predicate::IsNotNull(col) => !row[*col].is_null(),
@@ -128,7 +137,7 @@ impl Predicate {
     ///
     /// Soundness invariant (property-tested): if `eval_row(row)` is true
     /// for any row drawn from the stats' ranges, `could_match` is true.
-    pub fn could_match(&self, stats: &dyn Fn(usize) -> Option<ColumnStats>) -> bool {
+    pub fn could_match<'a>(&self, stats: &dyn Fn(usize) -> Option<ColumnStats<'a>>) -> bool {
         match self {
             Predicate::True => true,
             Predicate::Cmp { col, op, lit } => {
@@ -141,13 +150,13 @@ impl Predicate {
                     return false;
                 }
                 match op {
-                    CmpOp::Eq => s.min <= *lit && *lit <= s.max,
+                    CmpOp::Eq => s.min <= lit && lit <= s.max,
                     // Ne can only be pruned when every value equals lit.
-                    CmpOp::Ne => !(s.min == *lit && s.max == *lit),
-                    CmpOp::Lt => s.min < *lit,
-                    CmpOp::Le => s.min <= *lit,
-                    CmpOp::Gt => s.max > *lit,
-                    CmpOp::Ge => s.max >= *lit,
+                    CmpOp::Ne => !(s.min == lit && s.max == lit),
+                    CmpOp::Lt => s.min < lit,
+                    CmpOp::Le => s.min <= lit,
+                    CmpOp::Gt => s.max > lit,
+                    CmpOp::Ge => s.max >= lit,
                 }
             }
             Predicate::IsNull(col) => stats(*col).map(|s| s.has_null).unwrap_or(true),
@@ -161,35 +170,19 @@ impl Predicate {
     /// of `rows` booleans, one per row, equal to what
     /// [`eval_row`](Self::eval_row) would produce on materialized rows.
     /// `cols` is indexed by predicate column index; columns the
-    /// predicate doesn't touch may be `BlockCol::Const(&Value::Null)`
-    /// placeholders.
+    /// predicate doesn't touch may be any placeholder.
     ///
     /// This is where compression-aware execution pays off: an RLE
     /// column is tested once per run (the verdict fans across the run)
     /// and a dictionary column once per distinct value (a code-indexed
-    /// verdict table maps codes to booleans), instead of once per row.
-    pub fn eval_block(&self, cols: &[BlockCol<'_>], rows: usize) -> Vec<bool> {
+    /// verdict table maps codes to booleans), instead of once per row —
+    /// and each test is one typed loop over the column's vector.
+    pub fn eval_block(&self, cols: &[&EncodedBlock], rows: usize) -> Vec<bool> {
         match self {
             Predicate::True => vec![true; rows],
-            Predicate::Cmp { col, op, lit } => {
-                let test = |v: &Value| {
-                    if v.is_null() || lit.is_null() {
-                        return false;
-                    }
-                    let ord = v.cmp(lit);
-                    match op {
-                        CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                        CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                        CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                        CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                        CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                        CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                    }
-                };
-                cols[*col].test_rows(rows, &test)
-            }
-            Predicate::IsNull(col) => cols[*col].test_rows(rows, &|v| v.is_null()),
-            Predicate::IsNotNull(col) => cols[*col].test_rows(rows, &|v| !v.is_null()),
+            Predicate::Cmp { col, op, lit } => cols[*col].test_rows(|c| cmp_column(c, *op, lit)),
+            Predicate::IsNull(col) => cols[*col].test_rows(|c| null_mask(c, true)),
+            Predicate::IsNotNull(col) => cols[*col].test_rows(|c| null_mask(c, false)),
             Predicate::And(ps) => {
                 let mut sel = vec![true; rows];
                 for p in ps {
@@ -220,46 +213,45 @@ impl Predicate {
     }
 }
 
-/// One column of one block, as seen by [`Predicate::eval_block`].
-#[derive(Debug, Clone, Copy)]
-pub enum BlockCol<'a> {
-    /// Decoded per-row values.
-    Values(&'a [Value]),
-    /// Every row carries this value — e.g. a column added to the table
-    /// after the container was written, materialized from the default.
-    Const(&'a Value),
-    /// Run-length-encoded rows: (run length, value) pairs whose lengths
-    /// sum to the block's row count. Predicates test each run once.
-    Rle(&'a [(u64, Value)]),
-    /// Dictionary-encoded rows: distinct values plus one in-range code
-    /// per row. Predicates test each dictionary entry once.
-    Dict {
-        dict: &'a [Value],
-        codes: &'a [u32],
-    },
+/// Per cell: is it NULL (`want`) / not NULL (`!want`)?
+fn null_mask(col: &Column, want: bool) -> Vec<bool> {
+    match (col.data(), col.valid()) {
+        (Data::Null(n), _) => vec![want; *n],
+        (Data::Values(vs), _) => vs.iter().map(|v| v.is_null() == want).collect(),
+        (_, Some(valid)) => valid.iter().map(|&ok| ok != want).collect(),
+        (_, None) => vec![!want; col.len()],
+    }
 }
 
-impl BlockCol<'_> {
-    /// Apply a per-value test across the block's `rows`, exploiting the
-    /// encoding: one test per run for RLE, one per dictionary entry for
-    /// Dict, one total for Const.
-    fn test_rows(&self, rows: usize, test: &dyn Fn(&Value) -> bool) -> Vec<bool> {
-        match self {
-            BlockCol::Values(vs) => vs.iter().map(test).collect(),
-            BlockCol::Const(v) => vec![test(v); rows],
-            BlockCol::Rle(runs) => {
-                let mut sel = Vec::with_capacity(rows);
-                for (run, v) in *runs {
-                    sel.resize(sel.len() + *run as usize, test(v));
-                }
-                sel
-            }
-            BlockCol::Dict { dict, codes } => {
-                let verdicts: Vec<bool> = dict.iter().map(test).collect();
-                codes.iter().map(|&c| verdicts[c as usize]).collect()
-            }
+/// Per cell: does `cell op lit` hold? A NULL on either side is false.
+/// One monomorphic loop per column type; a literal of another type
+/// orders by `Value`'s cross-type rules, cell by cell.
+fn cmp_column(col: &Column, op: CmpOp, lit: &Value) -> Vec<bool> {
+    fn scan<T>(cells: &[T], ord: impl Fn(&T) -> Ordering, op: CmpOp) -> Vec<bool> {
+        cells.iter().map(|c| op.accepts(ord(c))).collect()
+    }
+    let mut sel = match (col.data(), lit) {
+        (_, Value::Null) | (Data::Null(_), _) => return vec![false; col.len()],
+        (Data::Int(v), Value::Int(x)) => scan(v, |a| a.cmp(x), op),
+        (Data::Int(v), Value::Float(x)) => scan(v, |a| (*a as f64).total_cmp(x), op),
+        (Data::Float(v), Value::Float(x)) => scan(v, |a| a.total_cmp(x), op),
+        (Data::Float(v), Value::Int(x)) => scan(v, |a| a.total_cmp(&(*x as f64)), op),
+        (Data::Date(v), Value::Date(x)) => scan(v, |a| a.cmp(x), op),
+        (Data::Bool(v), Value::Bool(x)) => scan(v, |a| a.cmp(x), op),
+        (Data::Str(v), Value::Str(x)) => {
+            (0..v.len()).map(|i| op.accepts(v.get(i).cmp(x.as_str()))).collect()
+        }
+        _ => {
+            let test = |v: eon_types::ValueRef<'_>| !v.is_null() && op.accepts(v.cmp(&lit.as_ref()));
+            return col.iter().map(test).collect();
+        }
+    };
+    if let Some(valid) = col.valid() {
+        for (s, ok) in sel.iter_mut().zip(valid) {
+            *s &= ok;
         }
     }
+    sel
 }
 
 #[cfg(test)]
@@ -267,12 +259,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn int_stats(min: i64, max: i64) -> ColumnStats {
+    /// Stats borrow their bounds; the caller keeps `range` alive.
+    fn int_stats(range: &(Value, Value)) -> ColumnStats<'_> {
         ColumnStats {
-            min: Value::Int(min),
-            max: Value::Int(max),
+            min: &range.0,
+            max: &range.1,
             has_null: false,
         }
+    }
+
+    fn ints(min: i64, max: i64) -> (Value, Value) {
+        (Value::Int(min), Value::Int(max))
+    }
+
+    fn column(vals: &[Value]) -> EncodedBlock {
+        EncodedBlock::Plain(Column::from_values(vals.iter().map(Value::as_ref)))
     }
 
     #[test]
@@ -305,8 +306,9 @@ mod tests {
     fn pruning_date_range_scenario() {
         // Paper's example: table partitioned by day; predicate on the
         // recent week excludes files from older days.
-        let old_block = |_c: usize| Some(int_stats(100, 200));
-        let new_block = |_c: usize| Some(int_stats(300, 400));
+        let (old, new) = (ints(100, 200), ints(300, 400));
+        let old_block = |_c: usize| Some(int_stats(&old));
+        let new_block = |_c: usize| Some(int_stats(&new));
         let recent = Predicate::cmp(0, CmpOp::Gt, 250i64);
         assert!(!recent.could_match(&old_block));
         assert!(recent.could_match(&new_block));
@@ -323,8 +325,8 @@ mod tests {
     fn all_null_slice_prunes_comparisons() {
         let stats = |_c: usize| {
             Some(ColumnStats {
-                min: Value::Null,
-                max: Value::Null,
+                min: &Value::Null,
+                max: &Value::Null,
                 has_null: true,
             })
         };
@@ -335,8 +337,9 @@ mod tests {
 
     #[test]
     fn ne_pruning_only_for_constant_blocks() {
-        let constant = |_c: usize| Some(int_stats(7, 7));
-        let varied = |_c: usize| Some(int_stats(7, 9));
+        let (same, spread) = (ints(7, 7), ints(7, 9));
+        let constant = |_c: usize| Some(int_stats(&same));
+        let varied = |_c: usize| Some(int_stats(&spread));
         let ne = Predicate::cmp(0, CmpOp::Ne, 7i64);
         assert!(!ne.could_match(&constant));
         assert!(ne.could_match(&varied));
@@ -368,15 +371,48 @@ mod tests {
                 Predicate::eq(1, lit1),
                 Predicate::IsNull(0),
             ]);
-            let cols = [BlockCol::Values(&col0), BlockCol::Const(&dflt)];
-            let sel = p.eval_block(&cols, rows);
+            let cols = [column(&col0), EncodedBlock::constant(dflt.as_ref(), rows)];
+            let sel = p.eval_block(&[&cols[0], &cols[1]], rows);
             for (i, v) in col0.iter().enumerate() {
                 let row = vec![v.clone(), dflt.clone()];
                 prop_assert_eq!(sel[i], p.eval_row(&row), "row {}", i);
             }
         }
 
-        /// The encoded `BlockCol` views (RLE runs, dictionary codes)
+        /// The typed comparison loops agree with `Value::cmp` row by
+        /// row for every column type against every literal type, NaN,
+        /// -0.0 and cross-type literals included.
+        #[test]
+        fn prop_typed_loops_match_eval_row(
+            kind in 0usize..6,
+            raw in proptest::collection::vec((any::<bool>(), -3i64..4), 1..40),
+            lit_kind in 0usize..6,
+            lit_raw in -3i64..4,
+            op_idx in 0usize..6,
+        ) {
+            let make = |kind: usize, v: i64| match kind {
+                0 => Value::Int(v),
+                1 => [Value::Float(v as f64 * 0.5), Value::Float(f64::NAN), Value::Float(-0.0)]
+                    [(v.unsigned_abs() % 3) as usize].clone(),
+                2 => Value::Date(v as i32),
+                3 => Value::Bool(v % 2 == 0),
+                4 => Value::Str(["", "a", "é"][(v.unsigned_abs() % 3) as usize].into()),
+                // A heterogeneous column: the `Values` fallback.
+                _ => if v % 2 == 0 { Value::Int(v) } else { Value::Float(v as f64) },
+            };
+            let col0: Vec<Value> = raw
+                .iter()
+                .map(|&(null, v)| if null { Value::Null } else { make(kind, v) })
+                .collect();
+            let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][op_idx];
+            let p = Predicate::cmp(0, op, make(lit_kind, lit_raw));
+            let sel = p.eval_block(&[&column(&col0)], col0.len());
+            for (i, v) in col0.iter().enumerate() {
+                prop_assert_eq!(sel[i], p.eval_row(std::slice::from_ref(v)), "row {}", i);
+            }
+        }
+
+        /// The encoded views (RLE runs, dictionary codes)
         /// must produce the same selection vector as the decoded
         /// per-row view for every predicate shape.
         #[test]
@@ -394,7 +430,7 @@ mod tests {
                 Predicate::cmp(0, op, lit0),
                 Predicate::IsNull(0),
             ]);
-            let baseline = p.eval_block(&[BlockCol::Values(&col0)], rows);
+            let baseline = p.eval_block(&[&column(&col0)], rows);
 
             // Build RLE runs from the raw rows.
             let mut runs: Vec<(u64, Value)> = Vec::new();
@@ -404,7 +440,12 @@ mod tests {
                     _ => runs.push((1, v.clone())),
                 }
             }
-            prop_assert_eq!(&p.eval_block(&[BlockCol::Rle(&runs)], rows), &baseline);
+            let rle = EncodedBlock::Rle {
+                rows,
+                runs: runs.iter().map(|(n, _)| *n).collect(),
+                values: Column::from_values(runs.iter().map(|(_, v)| v.as_ref())),
+            };
+            prop_assert_eq!(&p.eval_block(&[&rle], rows), &baseline);
 
             // Build a first-appearance dictionary.
             let mut dict: Vec<Value> = Vec::new();
@@ -416,8 +457,8 @@ mod tests {
                 };
                 codes.push(code as u32);
             }
-            let dcol = BlockCol::Dict { dict: &dict, codes: &codes };
-            prop_assert_eq!(&p.eval_block(&[dcol], rows), &baseline);
+            let dict = Column::from_values(dict.iter().map(Value::as_ref));
+            prop_assert_eq!(&p.eval_block(&[&EncodedBlock::Dict { dict, codes }], rows), &baseline);
         }
 
         /// Soundness: a block is never pruned if it contains a matching
@@ -432,7 +473,8 @@ mod tests {
             let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][op_idx];
             let min = *vals.iter().min().unwrap();
             let max = *vals.iter().max().unwrap();
-            let stats = move |_c: usize| Some(int_stats(min, max));
+            let range = ints(min, max);
+            let stats = |_c: usize| Some(int_stats(&range));
             let p = Predicate::cmp(0, op, lit);
             let any_match = vals.iter().any(|&v| p.eval_row(&[Value::Int(v)]));
             if any_match {

@@ -187,7 +187,8 @@ impl EonDb {
         // transaction's own snapshot, apply SET, and re-validate.
         let plan = Plan::scan(ScanSpec::new(table).predicate(predicate.clone()).global());
         let provider = self.dml_provider(&coord, Arc::new(txn.snapshot().clone()));
-        let mut rows = eon_exec::execute(&plan, &provider)?;
+        // Rows from here on: they are COPY input.
+        let mut rows = eon_exec::execute(&plan, &provider)?.into_rows();
         if rows.is_empty() {
             return Ok(0);
         }

@@ -23,13 +23,14 @@ use eon_catalog::{CatalogState, ContainerMeta, Table};
 use eon_cluster::NodeRuntime;
 use eon_columnar::pruning::ColumnStats;
 use eon_columnar::{
-    BlockFilter, BlockRows, DeleteVector, Predicate, Projection, ReadStats, RosFooter, RosReader,
+    Batch, BlockFilter, BlockRows, Column, DeleteVector, Predicate, Projection, ReadStats,
+    RosFooter, RosReader,
 };
 use eon_exec::agg::{aggregate_partial, merge_partials, Partials};
 use eon_exec::crunch::CrunchSlice;
-use eon_exec::{AggSpec, Expr, ScanSpec, TableProvider};
+use eon_exec::{AggFunc, AggSpec, Expr, ScanSpec, TableProvider};
 use eon_obs::{Counter, Histogram, QueryProfile, Registry};
-use eon_types::{EonError, Oid, Result, ShardId, Value};
+use eon_types::{hash_cells_32, DataType, EonError, Oid, Result, ShardId, Value, ValueRef};
 use parking_lot::Mutex;
 
 use crate::pushdown::{
@@ -42,9 +43,10 @@ use crate::pushdown::{
 /// round-trip.
 pub const DEFAULT_COALESCE_GAP: u64 = 64 * 1024;
 
-/// One container's scan output: `(position, row)` pairs in position
-/// order.
-type PosRows = Vec<(u64, Vec<Value>)>;
+/// One container's scan output: the scan's output columns for the
+/// surviving rows, in position order, with each row's container
+/// position beside them (delete vectors reference positions).
+type PosBatch = (Vec<u64>, Batch);
 
 /// Scan-pipeline tuning, carried per session (built by
 /// `EonDb::scan_options`).
@@ -258,13 +260,9 @@ impl NodeProvider {
         let nblocks = footer.columns.first().map_or(0, |col| col.blocks.len());
         let keep: Vec<bool> = (0..nblocks)
             .map(|b| {
-                pred.could_match(&|col: usize| -> Option<ColumnStats> {
+                pred.could_match(&|col: usize| {
                     let meta = footer.columns.get(col)?.blocks.get(b)?;
-                    Some(ColumnStats {
-                        min: meta.min.clone(),
-                        max: meta.max.clone(),
-                        has_null: meta.has_null,
-                    })
+                    Some(ColumnStats { min: &meta.min, max: &meta.max, has_null: meta.has_null })
                 })
             })
             .collect();
@@ -453,8 +451,8 @@ impl NodeProvider {
         let mut work = Vec::new();
         for shard in self.shards_for(proj, global) {
             for c in self.snapshot.containers_for(proj_oid, shard) {
-                let stats = |col: usize| -> Option<ColumnStats> {
-                    let (min, max) = c.col_minmax.get(col)?.clone()?;
+                let stats = |col: usize| {
+                    let (min, max) = c.col_minmax.get(col)?.as_ref()?;
                     // Catalog stats don't track nulls.
                     Some(ColumnStats { min, max, has_null: true })
                 };
@@ -475,9 +473,8 @@ impl NodeProvider {
         })
     }
 
-    /// Scan one container, returning rows in projection column space
-    /// (only `read_cols` populated; columns the container lacks carry
-    /// the table default).
+    /// Scan one container, returning the scan's output columns
+    /// (columns the container lacks carry the table default).
     ///
     /// Open → prune blocks on footer min/max stats → maybe answer the
     /// scan with a pushed select → otherwise run the block-filter
@@ -491,7 +488,7 @@ impl NodeProvider {
         c: &ContainerMeta,
         opened: Option<RosReader>,
         metrics: &ScanMetrics,
-    ) -> Result<PosRows> {
+    ) -> Result<PosBatch> {
         let pd_candidate = rs.pushdown && rs.pred != Predicate::True;
         let cold = self.depot_cold(c);
         let reader = match opened {
@@ -500,7 +497,7 @@ impl NodeProvider {
         };
         let keep = Self::prune_blocks(reader.footer(), &rs.pred, metrics);
         if !keep.iter().any(|&k| k) {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), Batch::nulls(rs.out_local.len(), 0)));
         }
         // Columns the container holds, and the §6.3 default of each
         // column added to the table after it was written.
@@ -547,11 +544,11 @@ impl NodeProvider {
         }
     }
 
-    /// The one row assembler: turn a container's surviving blocks
-    /// (carrying columns `cols`) into `(position, row)` pairs in
-    /// projection column space — container positions, the delete `mask`
-    /// when whoever filtered could not apply it, defaults for `absent`
-    /// columns, the crunch slice.
+    /// The one assembler: turn a container's surviving blocks (carrying
+    /// columns `cols`) into the scan's output columns, a column at a
+    /// time — container positions, the delete `mask` when whoever
+    /// filtered could not apply it, the crunch slice, defaults for
+    /// `absent` columns. Only `out_local` columns are materialized.
     fn assemble(
         &self,
         rs: &ResolvedScan,
@@ -560,7 +557,7 @@ impl NodeProvider {
         cols: &[usize],
         absent: &[(usize, Value)],
         mask: Option<&[bool]>,
-    ) -> Result<PosRows> {
+    ) -> Result<PosBatch> {
         // (start position, row count) of every block.
         let mut spans = Vec::new();
         let mut acc = 0u64;
@@ -569,10 +566,17 @@ impl NodeProvider {
             acc += bm.rows;
         }
         let crunch = self.crunch.as_ref().filter(|_| rs.apply_crunch);
-        let mut out = Vec::new();
+        let default_of = |col: usize| {
+            let found = absent.iter().find(|(c, _)| *c == col);
+            found.map_or(ValueRef::Null, |(_, v)| v.as_ref())
+        };
+        let mut positions = Vec::new();
+        let mut out = Batch::nulls(rs.out_local.len(), 0);
         for br in blocks {
             let span = spans.get(br.block).filter(|(_, rows)| {
-                br.cols.len() == cols.len() && br.rows.last().is_none_or(|&r| (r as u64) < *rows)
+                br.cols.len() == cols.len()
+                    && br.cols.iter().all(|c| c.len() == br.rows.len())
+                    && br.rows.last().is_none_or(|&r| (r as u64) < *rows)
             });
             let Some(&(start, _)) = span else {
                 return Err(EonError::Corrupt(format!(
@@ -581,21 +585,27 @@ impl NodeProvider {
                     br.block
                 )));
             };
-            for (r, mut row) in br.into_rows(rs.proj.columns.len(), cols) {
-                let pos = start + r as u64;
-                if mask.is_some_and(|m| !m[pos as usize]) {
-                    continue;
-                }
-                for (col, default) in absent {
-                    row[*col] = default.clone();
-                }
-                if crunch.is_some_and(|slice| !slice.keeps_row(&row, rs.proj.seg_cols())) {
-                    continue;
-                }
-                out.push((pos, row));
-            }
+            // Projection-local column `col` of this block: fetched, a
+            // §6.3 default, or (nobody reads it) Null.
+            let fetched = |col: usize| cols.iter().position(|&c| c == col).map(|k| &br.cols[k]);
+            let cell = |col: usize, k: usize| fetched(col).map_or(default_of(col), |c| c.get(k));
+            let pos = |k: usize| start + br.rows[k] as u64;
+            let kept: Vec<usize> = (0..br.rows.len())
+                .filter(|&k| mask.is_none_or(|m| m[pos(k) as usize]))
+                .filter(|&k| {
+                    let seg = rs.proj.seg_cols().iter().map(|&c| cell(c, k));
+                    crunch.is_none_or(|slice| slice.keeps(hash_cells_32(seg)))
+                })
+                .collect();
+            positions.extend(kept.iter().map(|&k| pos(k)));
+            let out_col = |&col: &usize| match fetched(col) {
+                Some(c) if kept.len() == c.len() => c.clone(),
+                Some(c) => c.gather(&kept),
+                None => Column::constant(default_of(col), kept.len()),
+            };
+            out.append(Batch::new(rs.out_local.iter().map(out_col).collect(), kept.len()));
         }
-        Ok(out)
+        Ok((positions, out))
     }
 
     /// Attempt rows-mode pushdown for one container: predicate and
@@ -660,13 +670,15 @@ impl NodeProvider {
     /// eligible (no delete vectors, all inputs physically present, big
     /// enough to beat the select overhead), otherwise folded locally
     /// from a plain scan. Either way the returned states are the ones
-    /// the local fold would produce.
+    /// the local fold would produce. `group_by` / `aggs` index the
+    /// scan's output columns; `pushed` is the same fold in
+    /// projection-local indices, the space the store sees.
     fn partial_agg_container(
         &self,
         rs: &ResolvedScan,
         c: &ContainerMeta,
-        group_local: &[usize],
-        aggs_local: &[AggSpec],
+        (group_by, aggs): (&[usize], &[AggSpec]),
+        pushed: &AggRequest,
         metrics: &ScanMetrics,
     ) -> Result<Partials> {
         let cold = self.depot_cold(c);
@@ -681,7 +693,7 @@ impl NodeProvider {
                 if !keep.iter().any(|&k| k) {
                     // Everything pruned: this container contributes the
                     // identity partial, no I/O at all.
-                    return aggregate_partial(&Vec::new(), group_local, aggs_local);
+                    return aggregate_partial(&Batch::nulls(rs.out_local.len(), 0), group_by, aggs);
                 }
                 let plain_bytes = kept_bytes(footer, &keep, &rs.read_cols);
                 if plain_bytes >= self.scan.pushdown_min_bytes {
@@ -690,11 +702,7 @@ impl NodeProvider {
                         predicate: rs.pred.clone(),
                         keep,
                         read_cols: rs.read_cols.clone(),
-                        agg: Some(AggRequest {
-                            group_by: group_local.to_vec(),
-                            aggs: aggs_local.to_vec(),
-                            max_groups: self.scan.pushdown_max_groups,
-                        }),
+                        agg: Some(pushed.clone()),
                     };
                     match self.fs().select(&c.key, &req.encode()?)? {
                         Some(resp) => {
@@ -715,9 +723,8 @@ impl NodeProvider {
         // Local fold over the plain scan of this container (rows-mode
         // pushdown may still kick in underneath for the fetch itself),
         // on the footer opened above if there is one.
-        let rows = self.scan_container(rs, c, opened, metrics)?;
-        let rows: Vec<Vec<Value>> = rows.into_iter().map(|(_, row)| row).collect();
-        aggregate_partial(&rows, group_local, aggs_local)
+        let (_, batch) = self.scan_container(rs, c, opened, metrics)?;
+        aggregate_partial(&batch, group_by, aggs)
     }
 
     /// Forward this scan's pushdown tallies into the query profile, so
@@ -769,18 +776,19 @@ impl NodeProvider {
         proj: &Projection,
         c: &ContainerMeta,
     ) -> Result<Vec<Vec<Value>>> {
+        let all: Vec<usize> = (0..proj.columns.len()).collect();
         let rs = ResolvedScan {
             table,
             proj,
             pred: Predicate::True,
-            read_cols: (0..proj.columns.len()).collect(),
-            out_local: Vec::new(),
+            read_cols: all.clone(),
+            out_local: all,
             apply_crunch: false,
             pushdown: false,
             work: Vec::new(),
         };
-        let rows = self.scan_container(&rs, c, None, &self.scan_metrics())?;
-        Ok(rows.into_iter().map(|(_, row)| row).collect())
+        // Mergeout's k-way merge and the container writer take rows.
+        Ok(self.scan_container(&rs, c, None, &self.scan_metrics())?.1.into_rows())
     }
 
     /// Positions of rows matching `predicate`, per container — the DML
@@ -801,9 +809,9 @@ impl NodeProvider {
             self.scan_container(&rs, rs.work[i].1, None, &metrics)
         })?;
         let mut out = Vec::new();
-        for ((shard, c), hits) in rs.work.iter().zip(per_container) {
-            if !hits.is_empty() {
-                out.push((c.oid, *shard, hits.into_iter().map(|(p, _)| p).collect()));
+        for ((shard, c), (positions, _)) in rs.work.iter().zip(per_container) {
+            if !positions.is_empty() {
+                out.push((c.oid, *shard, positions));
             }
         }
         Ok(out)
@@ -811,7 +819,7 @@ impl NodeProvider {
 }
 
 impl TableProvider for NodeProvider {
-    fn scan(&self, spec: &ScanSpec) -> Result<Vec<Vec<Value>>> {
+    fn scan(&self, spec: &ScanSpec) -> Result<Batch> {
         let metrics = self.scan_metrics();
         let _span = self.pipeline_span(&spec.table);
         let rs = self.resolve_scan(spec)?;
@@ -819,11 +827,11 @@ impl TableProvider for NodeProvider {
             self.scan_container(&rs, rs.work[i].1, None, &metrics)
         })?;
         self.annotate_pushdown(&metrics);
-        let mut rows = Vec::new();
-        for (_, row) in per_container.into_iter().flatten() {
-            rows.push(rs.out_local.iter().map(|&c| row[c].clone()).collect());
+        let mut out = Batch::nulls(rs.out_local.len(), 0);
+        for (_, batch) in per_container {
+            out.append(batch);
         }
-        Ok(rows)
+        Ok(out)
     }
 
     fn scan_partial_agg(
@@ -846,7 +854,7 @@ impl TableProvider for NodeProvider {
             return Ok(None);
         }
         // `group_by` / `aggs` index the scan's OUTPUT columns; the
-        // per-container fold runs on projection-local rows, so remap.
+        // store folds projection-local rows, so remap for it.
         let mut group_local = Vec::with_capacity(group_by.len());
         for &g in group_by {
             match rs.out_local.get(g) {
@@ -854,6 +862,7 @@ impl TableProvider for NodeProvider {
                 None => return Ok(None),
             }
         }
+        let metrics = self.scan_metrics();
         let mut aggs_local = Vec::with_capacity(aggs.len());
         for a in aggs {
             let expr = match &a.expr {
@@ -863,36 +872,39 @@ impl TableProvider for NodeProvider {
                 },
                 other => other.clone(), // CountStar ignores its expr
             };
+            // Only an Int sum merges bit-identically: Float addition is
+            // order-sensitive (and a sum over any other type ends up
+            // Float), so folding per container and merging would not
+            // equal the single local fold. Decline before any I/O.
+            if let (AggFunc::Sum, Expr::Col(l)) = (a.func, &expr) {
+                if rs.table.schema.fields[rs.proj.columns[*l]].dtype != DataType::Int {
+                    metrics.pushdown_fallbacks.inc();
+                    return Ok(None);
+                }
+            }
             aggs_local.push(AggSpec { func: a.func, expr });
         }
+        let pushed = AggRequest {
+            group_by: group_local,
+            aggs: aggs_local,
+            max_groups: self.scan.pushdown_max_groups,
+        };
 
-        let metrics = self.scan_metrics();
         let _span = self.pipeline_span(&spec.table);
         let mut parts = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
-            self.partial_agg_container(&rs, rs.work[i].1, &group_local, &aggs_local, &metrics)
+            self.partial_agg_container(&rs, rs.work[i].1, (group_by, aggs), &pushed, &metrics)
         })?;
-        // Float addition is order-sensitive: folding per container and
-        // merging would not be byte-identical to the single local fold.
-        // Any Float sum state means the whole query falls back.
         if parts.iter().any(has_float_sum) {
-            metrics.pushdown_fallbacks.inc();
-            return Ok(None);
+            return Err(EonError::Internal(
+                "a Float sum reached the per-container fold".into(),
+            ));
         }
         // The identity partial makes zero-container global aggregates
         // produce their init group, matching the local path's SQL
         // semantics; with groups present it merges as a no-op.
-        parts.push(aggregate_partial(&Vec::new(), &group_local, &aggs_local)?);
-        let merged = merge_partials(parts, &aggs_local);
+        parts.push(aggregate_partial(&Batch::nulls(rs.out_local.len(), 0), group_by, aggs)?);
+        let merged = merge_partials(parts);
         self.annotate_pushdown(&metrics);
         Ok(Some(merged))
-    }
-
-    fn num_columns(&self, table: &str) -> Result<usize> {
-        Ok(self
-            .snapshot
-            .table_by_name(table)
-            .ok_or_else(|| EonError::UnknownTable(table.to_owned()))?
-            .schema
-            .len())
     }
 }

@@ -13,8 +13,9 @@
 //! * the compute engine ([`RosSelectEngine`]), installed into the shared
 //!   store at `EonDb` construction. It runs the very same
 //!   `RosReader::filter_blocks` kernel and `aggregate_partial` fold the
-//!   scan path runs locally, which is what makes pushdown-on output
-//!   *byte identical* to pushdown-off output.
+//!   scan path runs locally, over the same typed column batches, which
+//!   is what makes pushdown-on output *byte identical* to pushdown-off
+//!   output.
 //!
 //! The engine answers (`Ok(Some)`), declines (`Ok(None)` — the caller
 //! falls back to plain GETs, nothing is charged), or errors (corrupt
@@ -27,7 +28,7 @@ use bytes::Bytes;
 use eon_columnar::container::RosFooter;
 use eon_columnar::format::{Reader, Writer};
 use eon_columnar::pruning::CmpOp;
-use eon_columnar::{BlockFilter, BlockRows, Predicate, ReadStats, RosReader};
+use eon_columnar::{Batch, BlockFilter, BlockRows, Column, Predicate, ReadStats, RosReader};
 use eon_exec::agg::{aggregate_partial, AggState, PartialGroup, Partials};
 use eon_exec::{AggFunc, AggSpec, Expr};
 use eon_storage::{FileSystem, FsStats, SelectEngine, SelectOutput};
@@ -351,9 +352,7 @@ impl SelectResponse {
                     }
                     w.put_varint(b.cols.len() as u64);
                     for col in &b.cols {
-                        for v in col {
-                            w.put_value(v);
-                        }
+                        col.iter().for_each(|v| w.put_value(v));
                     }
                 }
             }
@@ -407,13 +406,7 @@ impl SelectResponse {
                     if ncols > 100_000 {
                         return Err(EonError::Corrupt("absurd column count".into()));
                     }
-                    let mut cols = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        let vals = (0..nrows)
-                            .map(|_| r.get_value())
-                            .collect::<Result<Vec<_>>>()?;
-                        cols.push(vals);
-                    }
+                    let cols = (0..ncols).map(|_| r.get_cells(nrows)).collect::<Result<_>>()?;
                     blocks.push(BlockRows { block, rows, cols });
                 }
                 SelectResponse::Rows(blocks)
@@ -658,15 +651,22 @@ impl RosSelectEngine {
         let response = match &req.agg {
             None => SelectResponse::Rows(blocks),
             Some(aggreq) => {
-                // Survivor rows width-wide (Null outside `read_cols`) —
-                // the same rows the node-local scan would feed
-                // `aggregate_partial`, so states match bit-for-bit.
-                let rows: Vec<Vec<Value>> = blocks
-                    .into_iter()
-                    .flat_map(|br| br.into_rows(req.width, &req.read_cols))
-                    .map(|(_, row)| row)
-                    .collect();
-                let partials = aggregate_partial(&rows, &aggreq.group_by, &aggreq.aggs)?;
+                // The survivors as one batch `width` wide (untyped Nulls
+                // outside `read_cols`), blocks in block order — the rows
+                // the node-local scan would feed `aggregate_partial`,
+                // in the same order, so states match bit-for-bit.
+                let mut read = Batch::nulls(req.read_cols.len(), 0);
+                for br in blocks {
+                    let rows = br.rows.len();
+                    read.append(Batch::new(br.cols, rows));
+                }
+                let mut cols = vec![Column::nulls(read.rows()); req.width];
+                let rows = read.rows();
+                for (&c, col) in req.read_cols.iter().zip(read.into_cols()) {
+                    cols[c] = col;
+                }
+                let partials =
+                    aggregate_partial(&Batch::new(cols, rows), &aggreq.group_by, &aggreq.aggs)?;
                 // Float sums are order-sensitive: merging per-container
                 // accumulators is not bit-identical to one sequential
                 // fold. Decline; the node re-scans locally.
@@ -741,10 +741,14 @@ mod tests {
         let resp = SelectResponse::Rows(vec![BlockRows {
             block: 2,
             rows: vec![0, 3, 9],
-            cols: vec![
+            cols: [
                 vec![Value::Float(f64::NAN), Value::Float(-0.0), Value::Int(7)],
                 vec![Value::Null, Value::Str("x".into()), Value::Bool(true)],
-            ],
+                vec![Value::Null, Value::Float(-0.0), Value::Float(f64::NAN)],
+            ]
+            .iter()
+            .map(|vals| Column::from_values(vals.iter().map(Value::as_ref)))
+            .collect(),
         }]);
         let got = SelectResponse::decode(&resp.encode().unwrap()).unwrap();
         // Debug formatting distinguishes NaN payloads and -0.0.
@@ -791,7 +795,7 @@ mod tests {
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].block, 4);
         assert_eq!(blocks[0].rows, vec![2, 3, 4, 5, 6, 7]);
-        assert_eq!(blocks[0].cols[1], ints(&[340, 350, 360, 370, 380, 390]));
+        assert_eq!(blocks[0].cols[1].to_values(), ints(&[340, 350, 360, 370, 380, 390]));
     }
 
     #[test]
@@ -889,7 +893,7 @@ mod tests {
             .filter(|(_, &v)| v > -20)
             .map(|(&g, &v)| vec![Value::Int(g), Value::Int(v)])
             .collect();
-        let want = aggregate_partial(&rows, &[0], &aggs).unwrap();
+        let want = aggregate_partial(&Batch::from_rows(&rows, 2), &[0], &aggs).unwrap();
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 

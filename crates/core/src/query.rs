@@ -365,8 +365,10 @@ impl EonDb {
             joined.into_iter().collect::<Result<Vec<_>>>()
         })?;
 
+        // Rows are the contract of every public query entry point: one
+        // transpose, after the merge.
         let merge_span = profile.map(|p| p.span("coordinator_merge", ""));
-        let out = dp.finish(results);
+        let out = dp.finish(results).map(eon_columnar::Batch::into_rows);
         drop(merge_span);
         out
     }

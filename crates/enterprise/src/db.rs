@@ -327,7 +327,7 @@ impl EnterpriseDb {
                 .map(|h| h.join().expect("enterprise worker panicked"))
                 .collect::<Result<Vec<_>>>()
         })?;
-        dp.finish(results)
+        dp.finish(results).map(eon_columnar::Batch::into_rows)
     }
 
     /// Rebuild a restarted node's data from its buddies: the §6.1

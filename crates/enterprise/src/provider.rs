@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use eon_columnar::pruning::ColumnStats;
-use eon_columnar::RosReader;
+use eon_columnar::{Batch, RosReader};
 use eon_exec::{Distribution, ScanSpec, TableProvider};
 use eon_types::{EonError, Result, Value};
 
@@ -67,13 +67,9 @@ impl EnterpriseProvider {
                 .unwrap_or(0);
             let mut keep = vec![true; nblocks];
             for (b, slot) in keep.iter_mut().enumerate() {
-                let stats = |col: usize| -> Option<ColumnStats> {
+                let stats = |col: usize| {
                     let m = footer.columns.get(col)?.blocks.get(b)?;
-                    Some(ColumnStats {
-                        min: m.min.clone(),
-                        max: m.max.clone(),
-                        has_null: m.has_null,
-                    })
+                    Some(ColumnStats { min: &m.min, max: &m.max, has_null: m.has_null })
                 };
                 *slot = spec.predicate.could_match(&stats);
             }
@@ -120,7 +116,10 @@ impl EnterpriseProvider {
 }
 
 impl TableProvider for EnterpriseProvider {
-    fn scan(&self, spec: &ScanSpec) -> Result<Vec<Vec<Value>>> {
+    /// Decode to rows, `eval_row` each one — deliberately not the Eon
+    /// scan kernel, so answers from here check it independently — and
+    /// transpose to a batch only at this boundary.
+    fn scan(&self, spec: &ScanSpec) -> Result<Batch> {
         let t = self.table(&spec.table)?;
         let out_cols: Vec<usize> = spec
             .columns
@@ -148,10 +147,6 @@ impl TableProvider for EnterpriseProvider {
                 }
             }
         }
-        Ok(rows)
-    }
-
-    fn num_columns(&self, table: &str) -> Result<usize> {
-        Ok(self.table(table)?.schema.len())
+        Ok(Batch::from_rows(&rows, out_cols.len()))
     }
 }

@@ -11,9 +11,10 @@ use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use eon_types::{Result, Value};
+use eon_columnar::{Batch, Column};
+use eon_types::{Result, Value, ValueRef};
 
-use crate::ops::Rows;
+use crate::ops::HashChains;
 use crate::plan::{AggFunc, AggSpec};
 
 /// A mergeable partial aggregate. Serializable so nodes can ship states
@@ -30,51 +31,31 @@ pub enum AggState {
     Distinct { seen: BTreeSet<Value> },
 }
 
-fn add_values(acc: &Value, v: &Value) -> Value {
+fn add_values(acc: &Value, v: ValueRef<'_>) -> Value {
     match (acc, v) {
-        (Value::Null, x) => x.clone(),
-        (x, Value::Null) => x.clone(),
-        (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
+        (Value::Null, x) => x.to_value(),
+        (x, ValueRef::Null) => x.clone(),
+        (Value::Int(a), ValueRef::Int(b)) => Value::Int(a.wrapping_add(b)),
         (a, b) => Value::Float(a.as_float().unwrap_or(0.0) + b.as_float().unwrap_or(0.0)),
     }
 }
 
 /// `acc += v` applied `n ≥ 2` times, bit-exactly.
-fn sum_repeated(acc: &mut Value, v: &Value, n: u64) {
+fn sum_repeated(acc: &mut Value, v: ValueRef<'_>, n: u64) {
     match (&*acc, v) {
         // Int-only arithmetic is modular: n repeated wrapping adds
         // equal one wrapping multiply.
-        (Value::Null | Value::Int(_), Value::Int(b)) => {
-            *acc = add_values(acc, &Value::Int(b.wrapping_mul(n as i64)));
+        (Value::Null | Value::Int(_), ValueRef::Int(b)) => {
+            *acc = add_values(acc, ValueRef::Int(b.wrapping_mul(n as i64)));
         }
         // A float anywhere: replay the additions so rounding matches
-        // the row-at-a-time path exactly.
+        // the row-at-a-time fold exactly.
         _ => {
             for _ in 0..n {
                 *acc = add_values(acc, v);
             }
         }
     }
-}
-
-/// Structural row equality for run detection: stricter than `Value`'s
-/// comparison-based `==` (which deems `Int(1) == Float(1.0)` and all
-/// NaNs equal). A run must never span a representation change — the
-/// accumulator's type evolution depends on the exact variant it sees.
-fn same_repr(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Null, Value::Null) => true,
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        (Value::Str(x), Value::Str(y)) => x == y,
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        (Value::Date(x), Value::Date(y)) => x == y,
-        _ => false,
-    }
-}
-
-fn same_row(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_repr(x, y))
 }
 
 impl AggState {
@@ -95,46 +76,37 @@ impl AggState {
         }
     }
 
-    /// Fold one input value (already evaluated from the agg's expr).
+    /// Fold one input cell (already evaluated from the agg's expr).
     /// SQL semantics: NULL inputs are ignored by every aggregate except
     /// COUNT(*) (which the executor feeds a literal).
-    pub fn update(&mut self, v: &Value) {
+    pub fn update(&mut self, v: ValueRef<'_>) {
+        if v.is_null() {
+            return;
+        }
         match self {
-            AggState::Count { n } => {
-                if !v.is_null() {
-                    *n += 1;
-                }
-            }
-            AggState::Sum { acc } => {
-                if !v.is_null() {
-                    *acc = add_values(acc, v);
-                }
-            }
+            AggState::Count { n } => *n += 1,
+            AggState::Sum { acc } => *acc = add_values(acc, v),
             AggState::Avg { sum, n } => {
-                if !v.is_null() {
-                    *sum = add_values(sum, v);
-                    *n += 1;
-                }
+                *sum = add_values(sum, v);
+                *n += 1;
             }
             AggState::Min { acc } => {
-                if !v.is_null() && (acc.is_null() || v < acc) {
-                    *acc = v.clone();
+                if acc.is_null() || v < acc.as_ref() {
+                    *acc = v.to_value();
                 }
             }
             AggState::Max { acc } => {
-                if !v.is_null() && (acc.is_null() || v > acc) {
-                    *acc = v.clone();
+                if acc.is_null() || v > acc.as_ref() {
+                    *acc = v.to_value();
                 }
             }
             AggState::Distinct { seen } => {
-                if !v.is_null() {
-                    seen.insert(v.clone());
-                }
+                seen.insert(v.to_value());
             }
         }
     }
 
-    /// Fold the same input value `n` times — the RLE fast path for
+    /// Fold the same input cell `n` times — the RLE fast path for
     /// aggregates over runs of identical rows.
     ///
     /// Exactness contract (property-tested): the result is *byte
@@ -144,7 +116,7 @@ impl AggState {
     /// multiply, modular arithmetic); any float involvement replays
     /// the adds, because repeated float addition is not `v * n` at the
     /// bit level; MIN/MAX/DISTINCT are idempotent — once is enough.
-    pub fn update_repeated(&mut self, v: &Value, n: u64) {
+    pub fn update_repeated(&mut self, v: ValueRef<'_>, n: u64) {
         if n == 0 {
             return;
         }
@@ -168,9 +140,9 @@ impl AggState {
     pub fn merge(&mut self, other: &AggState) {
         match (self, other) {
             (AggState::Count { n }, AggState::Count { n: m }) => *n += m,
-            (AggState::Sum { acc }, AggState::Sum { acc: b }) => *acc = add_values(acc, b),
+            (AggState::Sum { acc }, AggState::Sum { acc: b }) => *acc = add_values(acc, b.as_ref()),
             (AggState::Avg { sum, n }, AggState::Avg { sum: s2, n: m }) => {
-                *sum = add_values(sum, s2);
+                *sum = add_values(sum, s2.as_ref());
                 *n += m;
             }
             (AggState::Min { acc }, AggState::Min { acc: b }) => {
@@ -218,45 +190,56 @@ pub struct PartialGroup {
 /// Partial aggregates of one batch of rows.
 pub type Partials = Vec<PartialGroup>;
 
-/// Fold rows into partial aggregates.
+/// Fold a batch into partial aggregates, rows in batch order (which is
+/// what makes a Float sum reproducible).
 ///
-/// RLE fast path (DESIGN.md "Compression-aware execution"): scans over
-/// run-length-encoded containers materialize long stretches of
-/// identical rows, so the fold detects runs of structurally identical
-/// consecutive rows and advances group lookup and expression
-/// evaluation once per run — [`AggState::update_repeated`] folds the
-/// whole run bit-exactly.
-pub fn aggregate_partial(rows: &Rows, group_by: &[usize], aggs: &[AggSpec]) -> Result<Partials> {
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+/// Every aggregate's input is evaluated once, a column at a time; group
+/// keys are hashed and compared cell by cell in their key columns, so a
+/// row costs no allocation. RLE fast path (DESIGN.md "Compression-aware
+/// execution"): scans over run-length-encoded containers yield long
+/// stretches of identical rows, so the fold detects runs of
+/// structurally identical consecutive rows and looks the group up once
+/// per run — [`AggState::update_repeated`] folds the whole run
+/// bit-exactly.
+pub fn aggregate_partial(batch: &Batch, group_by: &[usize], aggs: &[AggSpec]) -> Result<Partials> {
+    let inputs = aggs
+        .iter()
+        .map(|a| a.expr.eval(batch))
+        .collect::<Result<Vec<_>>>()?;
+    let keys: Vec<&Column> = group_by.iter().map(|&c| &batch.cols()[c]).collect();
+    let fresh = || aggs.iter().map(|a| AggState::new(a.func)).collect::<Vec<_>>();
+    let mut table = HashChains::new(batch.rows());
+    // Per group: the first row that carried its key, and its states.
+    let mut groups: Vec<(usize, Vec<AggState>)> = Vec::new();
     let mut i = 0;
-    while i < rows.len() {
-        let row = &rows[i];
-        let mut j = i + 1;
-        while j < rows.len() && same_row(&rows[j], row) {
-            j += 1;
+    while i < batch.rows() {
+        let same = |j: usize| batch.cols().iter().all(|c| c.get(j).same_repr(c.get(i)));
+        let run = 1 + (i + 1..batch.rows()).take_while(|&j| same(j)).count();
+        // Unlike a join key, a NULL group key is a group of its own.
+        let hash = eon_types::hash_cells_32(keys.iter().map(|k| k.get(i)));
+        let equal = |g: &usize| keys.iter().all(|k| k.get(groups[*g].0) == k.get(i));
+        let found = table.probe(hash).find(equal);
+        let g = found.unwrap_or_else(|| {
+            table.push(Some(hash));
+            groups.push((i, fresh()));
+            groups.len() - 1
+        });
+        for (state, input) in groups[g].1.iter_mut().zip(&inputs) {
+            state.update_repeated(input.get(i), run as u64);
         }
-        let n = (j - i) as u64;
-        let key: Vec<Value> = group_by.iter().map(|&c| row[c].clone()).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
-        for (st, spec) in states.iter_mut().zip(aggs) {
-            let v = spec.expr.eval(row)?;
-            st.update_repeated(&v, n);
-        }
-        i = j;
+        i += run;
     }
     // SQL: a global aggregate (no GROUP BY) over zero rows still
     // produces one output row (COUNT = 0, SUM = NULL, …).
     if group_by.is_empty() && groups.is_empty() {
-        groups.insert(
-            Vec::new(),
-            aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        );
+        groups.push((0, fresh()));
     }
     let mut out: Partials = groups
         .into_iter()
-        .map(|(key, states)| PartialGroup { key, states })
+        .map(|(first, states)| PartialGroup {
+            key: keys.iter().map(|k| k.get(first).to_value()).collect(),
+            states,
+        })
         .collect();
     // Deterministic order for tests and stable merges.
     out.sort_by(|a, b| a.key.cmp(&b.key));
@@ -264,7 +247,7 @@ pub fn aggregate_partial(rows: &Rows, group_by: &[usize], aggs: &[AggSpec]) -> R
 }
 
 /// Merge several nodes' partials into one.
-pub fn merge_partials(parts: Vec<Partials>, aggs: &[AggSpec]) -> Partials {
+pub fn merge_partials(parts: Vec<Partials>) -> Partials {
     let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
     for part in parts {
         for pg in part {
@@ -280,7 +263,6 @@ pub fn merge_partials(parts: Vec<Partials>, aggs: &[AggSpec]) -> Partials {
             }
         }
     }
-    let _ = aggs;
     let mut out: Partials = groups
         .into_iter()
         .map(|(key, states)| PartialGroup { key, states })
@@ -289,21 +271,27 @@ pub fn merge_partials(parts: Vec<Partials>, aggs: &[AggSpec]) -> Partials {
     out
 }
 
-/// Finalize partials into output rows: key columns then agg columns.
-pub fn finalize_partials(parts: Partials) -> Rows {
-    parts
-        .into_iter()
-        .map(|pg| {
-            let mut row = pg.key;
-            row.extend(pg.states.iter().map(|s| s.finalize()));
-            row
-        })
-        .collect()
+/// Finalize partials into a batch `width` wide: key columns then one
+/// column per aggregate.
+pub fn finalize_partials(parts: Partials, width: usize) -> Batch {
+    let keys = parts.first().map_or(0, |pg| pg.key.len());
+    let col = |c: usize| {
+        let mut col = Column::nulls(0);
+        for pg in &parts {
+            match c.checked_sub(keys) {
+                None => col.push(pg.key[c].as_ref()),
+                Some(agg) => col.push(pg.states[agg].finalize().as_ref()),
+            }
+        }
+        col
+    };
+    Batch::new((0..width).map(col).collect(), parts.len())
 }
 
 /// Single-phase aggregation (fold + finalize).
-pub fn aggregate(rows: &Rows, group_by: &[usize], aggs: &[AggSpec]) -> Result<Rows> {
-    Ok(finalize_partials(aggregate_partial(rows, group_by, aggs)?))
+pub fn aggregate(batch: &Batch, group_by: &[usize], aggs: &[AggSpec]) -> Result<Batch> {
+    let parts = aggregate_partial(batch, group_by, aggs)?;
+    Ok(finalize_partials(parts, group_by.len() + aggs.len()))
 }
 
 #[cfg(test)]
@@ -312,10 +300,14 @@ mod tests {
     use crate::expr::Expr;
     use proptest::prelude::*;
 
-    fn rows(data: &[&[i64]]) -> Rows {
-        data.iter()
-            .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
-            .collect()
+    fn rows(data: &[&[i64]]) -> Batch {
+        let rows: Vec<Vec<Value>> =
+            data.iter().map(|r| r.iter().map(|&v| Value::Int(v)).collect()).collect();
+        Batch::from_rows(&rows, 2)
+    }
+
+    fn aggregate_rows(batch: &Batch, group_by: &[usize], aggs: &[AggSpec]) -> Vec<Vec<Value>> {
+        aggregate(batch, group_by, aggs).unwrap().into_rows()
     }
 
     fn specs() -> Vec<AggSpec> {
@@ -332,7 +324,7 @@ mod tests {
     #[test]
     fn basic_group_by() {
         let input = rows(&[&[1, 10], &[2, 5], &[1, 20], &[2, 5]]);
-        let out = aggregate(&input, &[0], &specs()).unwrap();
+        let out = aggregate_rows(&input, &[0], &specs());
         assert_eq!(out.len(), 2);
         // Group 1: sum 30, count 2, avg 15, min 10, max 20, distinct 2.
         assert_eq!(
@@ -354,17 +346,17 @@ mod tests {
     #[test]
     fn global_aggregate_no_groups() {
         let input = rows(&[&[0, 1], &[0, 2], &[0, 3]]);
-        let out = aggregate(&input, &[], &[AggSpec::sum(Expr::col(1))]).unwrap();
+        let out = aggregate_rows(&input, &[], &[AggSpec::sum(Expr::col(1))]);
         assert_eq!(out, vec![vec![Value::Int(6)]]);
     }
 
     #[test]
     fn nulls_ignored_by_aggs() {
-        let input = vec![
-            vec![Value::Int(1), Value::Null],
-            vec![Value::Int(1), Value::Int(4)],
-        ];
-        let out = aggregate(
+        let input = Batch::from_rows(
+            &[vec![Value::Int(1), Value::Null], vec![Value::Int(1), Value::Int(4)]],
+            2,
+        );
+        let out = aggregate_rows(
             &input,
             &[0],
             &[
@@ -373,8 +365,7 @@ mod tests {
                 AggSpec::count_star(),
                 AggSpec::avg(Expr::col(1)),
             ],
-        )
-        .unwrap();
+        );
         assert_eq!(out[0][1], Value::Int(4)); // sum skips null
         assert_eq!(out[0][2], Value::Int(1)); // count(col) skips null
         assert_eq!(out[0][3], Value::Int(2)); // count(*) doesn't
@@ -383,8 +374,8 @@ mod tests {
 
     #[test]
     fn empty_input_empty_output() {
-        let out = aggregate(&vec![], &[0], &specs()).unwrap();
-        assert!(out.is_empty());
+        let out = aggregate(&rows(&[]), &[0], &specs()).unwrap();
+        assert_eq!((out.rows(), out.width()), (0, 7));
     }
 
     #[test]
@@ -396,7 +387,7 @@ mod tests {
         let specs = vec![AggSpec::avg(Expr::col(1))];
         let pa = aggregate_partial(&a, &[0], &specs).unwrap();
         let pb = aggregate_partial(&b, &[0], &specs).unwrap();
-        let merged = finalize_partials(merge_partials(vec![pa, pb], &specs));
+        let merged = finalize_partials(merge_partials(vec![pa, pb]), 2).into_rows();
         // True avg = 16/4 = 4.0, not (10+2)/2 = 6.0.
         assert_eq!(merged[0][1], Value::Float(4.0));
     }
@@ -408,26 +399,27 @@ mod tests {
         let specs = vec![AggSpec::new(AggFunc::CountDistinct, Expr::col(1))];
         let pa = aggregate_partial(&a, &[0], &specs).unwrap();
         let pb = aggregate_partial(&b, &[0], &specs).unwrap();
-        let merged = finalize_partials(merge_partials(vec![pa, pb], &specs));
+        let merged = finalize_partials(merge_partials(vec![pa, pb]), 2).into_rows();
         assert_eq!(merged[0][1], Value::Int(3));
     }
 
-    /// The pre-fast-path fold: one `update` per row. Reference for the
-    /// run-collapse equivalence property.
+    /// The fold without the run fast path: one `update` per row over
+    /// materialized rows. Reference for the run-collapse equivalence
+    /// property.
     fn aggregate_partial_rowwise(
-        rows: &Rows,
+        batch: &Batch,
         group_by: &[usize],
         aggs: &[AggSpec],
     ) -> Result<Partials> {
+        let inputs = aggs.iter().map(|a| a.expr.eval(batch)).collect::<Result<Vec<_>>>()?;
         let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-        for row in rows {
+        for (i, row) in batch.clone().into_rows().iter().enumerate() {
             let key: Vec<Value> = group_by.iter().map(|&c| row[c].clone()).collect();
             let states = groups
                 .entry(key)
                 .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
-            for (st, spec) in states.iter_mut().zip(aggs) {
-                let v = spec.expr.eval(row)?;
-                st.update(&v);
+            for (st, input) in states.iter_mut().zip(&inputs) {
+                st.update(input.get(i));
             }
         }
         if group_by.is_empty() && groups.is_empty() {
@@ -449,10 +441,10 @@ mod tests {
         // Int(1) == Float(1.0) under Value's comparison equality, but
         // they must NOT form a run: a sum over [Int(1), Float(1.0)] is
         // Float(2.0), while a collapsed Int run would yield Int(2).
-        let input = vec![
-            vec![Value::Int(0), Value::Int(1)],
-            vec![Value::Int(0), Value::Float(1.0)],
-        ];
+        let input = Batch::from_rows(
+            &[vec![Value::Int(0), Value::Int(1)], vec![Value::Int(0), Value::Float(1.0)]],
+            2,
+        );
         let specs = vec![AggSpec::sum(Expr::col(1))];
         let fast = aggregate_partial(&input, &[0], &specs).unwrap();
         let slow = aggregate_partial_rowwise(&input, &[0], &specs).unwrap();
@@ -481,13 +473,14 @@ mod tests {
             ),
         ) {
             // `reps` stretches values into runs of identical rows.
-            let all: Rows = data
+            let all: Vec<Vec<Value>> = data
                 .iter()
                 .flat_map(|(g, v, reps)| {
                     std::iter::repeat_with(|| vec![Value::Int(*g), v.clone()])
                         .take(*reps as usize + 1)
                 })
                 .collect();
+            let all = Batch::from_rows(&all, 2);
             let specs = specs();
             let fast = aggregate_partial(&all, &[0], &specs).unwrap();
             let slow = aggregate_partial_rowwise(&all, &[0], &specs).unwrap();
@@ -502,21 +495,22 @@ mod tests {
             data in proptest::collection::vec((0i64..5, -20i64..20), 0..120),
             split in 1usize..5,
         ) {
-            let all: Rows = data.iter().map(|&(g, v)| vec![Value::Int(g), Value::Int(v)]).collect();
+            let all: Vec<Vec<Value>> =
+                data.iter().map(|&(g, v)| vec![Value::Int(g), Value::Int(v)]).collect();
             let specs = specs();
-            let single = aggregate(&all, &[0], &specs).unwrap();
+            let single = aggregate_rows(&Batch::from_rows(&all, 2), &[0], &specs);
 
             let mut parts = Vec::new();
             for chunk_idx in 0..split {
-                let chunk: Rows = all
+                let chunk: Vec<Vec<Value>> = all
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| i % split == chunk_idx)
                     .map(|(_, r)| r.clone())
                     .collect();
-                parts.push(aggregate_partial(&chunk, &[0], &specs).unwrap());
+                parts.push(aggregate_partial(&Batch::from_rows(&chunk, 2), &[0], &specs).unwrap());
             }
-            let merged = finalize_partials(merge_partials(parts, &specs));
+            let merged = finalize_partials(merge_partials(parts), 7).into_rows();
             prop_assert_eq!(merged, single);
         }
     }

@@ -42,18 +42,21 @@ impl CrunchSlice {
         self.of > 1
     }
 
-    /// Hash-filter: does this worker keep the row? Applies a *second*
-    /// hash-segmentation predicate over the same segmentation columns
+    /// Hash-filter: does this worker keep the row whose segmentation
+    /// columns hash to `seg_hash` (`eon_types::hash_cells_32`)? Applies
+    /// a *second* hash-segmentation predicate over the same columns
     /// (decorrelated from the shard hash by a salt, otherwise every row
     /// of the shard would land on the same sub-slice).
-    pub fn keeps_row(&self, row: &[Value], seg_cols: &[usize]) -> bool {
-        if self.of == 1 {
-            return true;
-        }
+    pub fn keeps(&self, seg_hash: u32) -> bool {
         // Salt by rotating in a constant so the sub-split is independent
         // of the shard split even though both hash the same columns.
-        let h = hash_row_32(row, seg_cols).rotate_left(16) ^ 0x9e37_79b9;
-        HashRange::even_index(h, self.of) == self.worker
+        let h = seg_hash.rotate_left(16) ^ 0x9e37_79b9;
+        self.of == 1 || HashRange::even_index(h, self.of) == self.worker
+    }
+
+    /// [`keeps`](Self::keeps) for a materialized row.
+    pub fn keeps_row(&self, row: &[Value], seg_cols: &[usize]) -> bool {
+        self.keeps(hash_row_32(row, seg_cols))
     }
 
     /// Container-split: which of `container_count` containers this

@@ -13,22 +13,21 @@
 //! limit). For plans with no aggregate, nodes return raw rows and the
 //! coordinator concatenates.
 
+use eon_columnar::Batch;
 use eon_types::{EonError, Result};
 
 use crate::agg::{
     aggregate, aggregate_partial, finalize_partials, merge_partials, Partials,
 };
 use crate::expr::Expr;
-use crate::ops::{self, Rows};
+use crate::ops;
 use crate::plan::{AggSpec, Plan, ScanSpec, SortKey};
 
 /// Storage integration point: materialize a scan.
 pub trait TableProvider {
-    fn scan(&self, spec: &ScanSpec) -> Result<Rows>;
-
-    /// Number of columns a scan of `table` (all columns) yields. Needed
-    /// to pad LEFT joins whose right side came back empty.
-    fn num_columns(&self, table: &str) -> Result<usize>;
+    /// The scan's output columns; a scan that finds no rows still
+    /// returns a batch of the right width.
+    fn scan(&self, spec: &ScanSpec) -> Result<Batch>;
 
     /// Aggregate pushdown: produce this node's partial aggregate states
     /// for `aggs` grouped by `group_by` directly from the scan,
@@ -45,43 +44,12 @@ pub trait TableProvider {
     }
 }
 
-/// Output width of a plan (column count).
-pub fn plan_width(plan: &Plan, provider: &dyn TableProvider) -> Result<usize> {
-    Ok(match plan {
-        Plan::Scan(s) => match &s.columns {
-            Some(cols) => cols.len(),
-            None => provider.num_columns(&s.table)?,
-        },
-        Plan::Filter { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {
-            plan_width(input, provider)?
-        }
-        Plan::Project { exprs, .. } => exprs.len(),
-        Plan::Join {
-            left, right, kind, ..
-        } => match kind {
-            crate::plan::JoinKind::Semi | crate::plan::JoinKind::Anti => {
-                plan_width(left, provider)?
-            }
-            _ => plan_width(left, provider)? + plan_width(right, provider)?,
-        },
-        Plan::Aggregate {
-            group_by, aggs, ..
-        } => group_by.len() + aggs.len(),
-    })
-}
-
 /// Execute a plan on a single node.
-pub fn execute(plan: &Plan, provider: &dyn TableProvider) -> Result<Rows> {
+pub fn execute(plan: &Plan, provider: &dyn TableProvider) -> Result<Batch> {
     match plan {
         Plan::Scan(spec) => provider.scan(spec),
-        Plan::Filter { input, predicate } => {
-            let rows = execute(input, provider)?;
-            ops::filter(rows, predicate)
-        }
-        Plan::Project { input, exprs, .. } => {
-            let rows = execute(input, provider)?;
-            ops::project(rows, exprs)
-        }
+        Plan::Filter { input, predicate } => ops::filter(execute(input, provider)?, predicate),
+        Plan::Project { input, exprs, .. } => ops::project(execute(input, provider)?, exprs),
         Plan::Join {
             left,
             right,
@@ -91,17 +59,13 @@ pub fn execute(plan: &Plan, provider: &dyn TableProvider) -> Result<Rows> {
         } => {
             let l = execute(left, provider)?;
             let r = execute(right, provider)?;
-            let right_width = plan_width(right, provider)?;
-            ops::hash_join(l, r, left_keys, right_keys, *kind, right_width)
+            ops::hash_join(l, r, left_keys, right_keys, *kind)
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
-        } => {
-            let rows = execute(input, provider)?;
-            aggregate(&rows, group_by, aggs)
-        }
+        } => aggregate(&execute(input, provider)?, group_by, aggs),
         Plan::Sort { input, keys } => Ok(ops::sort(execute(input, provider)?, keys)),
         Plan::Limit { input, n } => Ok(ops::limit(execute(input, provider)?, *n)),
     }
@@ -132,7 +96,7 @@ pub struct DistributedPlan {
 /// What a node ships back to the coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LocalResult {
-    Rows(Rows),
+    Batch(Batch),
     Partials(Partials),
 }
 
@@ -215,56 +179,52 @@ impl DistributedPlan {
                 return Ok(LocalResult::Partials(partials));
             }
         }
-        let rows = execute(&self.local, provider)?;
+        let batch = execute(&self.local, provider)?;
         match &self.partial_agg {
             Some((group_by, aggs)) => Ok(LocalResult::Partials(aggregate_partial(
-                &rows, group_by, aggs,
+                &batch, group_by, aggs,
             )?)),
-            None => Ok(LocalResult::Rows(rows)),
+            None => Ok(LocalResult::Batch(batch)),
         }
     }
 
-    /// Coordinator: combine node results and apply the merge steps.
-    pub fn finish(&self, results: Vec<LocalResult>) -> Result<Rows> {
-        let mut rows: Rows = match &self.partial_agg {
-            Some((_, aggs)) => {
-                let mut parts = Vec::with_capacity(results.len());
-                for r in results {
-                    match r {
-                        LocalResult::Partials(p) => parts.push(p),
-                        LocalResult::Rows(_) => {
-                            return Err(EonError::Internal(
-                                "expected partial aggregates from node".into(),
-                            ))
-                        }
-                    }
+    /// Coordinator: combine node results — partials merged, batches
+    /// concatenated in node order — and apply the merge steps.
+    pub fn finish(&self, results: Vec<LocalResult>) -> Result<Batch> {
+        let mut parts = Vec::new();
+        let mut all: Option<Batch> = None;
+        for r in results {
+            match (r, &self.partial_agg) {
+                (LocalResult::Partials(p), Some(_)) => parts.push(p),
+                (LocalResult::Batch(b), None) => match &mut all {
+                    Some(all) => all.append(b),
+                    None => all = Some(b),
+                },
+                (LocalResult::Batch(_), Some(_)) => {
+                    return Err(EonError::Internal("expected partial aggregates from node".into()))
                 }
-                finalize_partials(merge_partials(parts, aggs))
-            }
-            None => {
-                let mut all = Vec::new();
-                for r in results {
-                    match r {
-                        LocalResult::Rows(mut rs) => all.append(&mut rs),
-                        LocalResult::Partials(_) => {
-                            return Err(EonError::Internal(
-                                "unexpected partial aggregates from node".into(),
-                            ))
-                        }
-                    }
+                (LocalResult::Partials(_), None) => {
+                    return Err(EonError::Internal(
+                        "unexpected partial aggregates from node".into(),
+                    ))
                 }
-                all
             }
+        }
+        let mut batch = match &self.partial_agg {
+            Some((group_by, aggs)) => {
+                finalize_partials(merge_partials(parts), group_by.len() + aggs.len())
+            }
+            None => all.ok_or_else(|| EonError::Internal("no node answered the query".into()))?,
         };
         for step in &self.merge {
-            rows = match step {
-                MergeStep::Filter(e) => ops::filter(rows, e)?,
-                MergeStep::Project { exprs, .. } => ops::project(rows, exprs)?,
-                MergeStep::Sort(keys) => ops::sort(rows, keys),
-                MergeStep::Limit(n) => ops::limit(rows, *n),
+            batch = match step {
+                MergeStep::Filter(e) => ops::filter(batch, e)?,
+                MergeStep::Project { exprs, .. } => ops::project(batch, exprs)?,
+                MergeStep::Sort(keys) => ops::sort(batch, keys),
+                MergeStep::Limit(n) => ops::limit(batch, *n),
             };
         }
-        Ok(rows)
+        Ok(batch)
     }
 }
 
@@ -282,13 +242,13 @@ pub mod testing {
     /// node's slice (row index mod node count), `Global` scans return
     /// everything — mimicking segmentation without real storage.
     pub struct MemProvider {
-        pub tables: HashMap<String, Rows>,
+        pub tables: HashMap<String, Vec<Vec<Value>>>,
         pub node: usize,
         pub nodes_total: usize,
     }
 
     impl MemProvider {
-        pub fn single(tables: HashMap<String, Rows>) -> Self {
+        pub fn single(tables: HashMap<String, Vec<Vec<Value>>>) -> Self {
             MemProvider {
                 tables,
                 node: 0,
@@ -298,11 +258,12 @@ pub mod testing {
     }
 
     impl TableProvider for MemProvider {
-        fn scan(&self, spec: &ScanSpec) -> Result<Rows> {
+        fn scan(&self, spec: &ScanSpec) -> Result<Batch> {
             let rows = self
                 .tables
                 .get(&spec.table)
                 .ok_or_else(|| EonError::UnknownTable(spec.table.clone()))?;
+            let width = rows.first().map_or(0, |r| r.len());
             let mut out = Vec::new();
             for (i, row) in rows.iter().enumerate() {
                 if spec.distribute == crate::plan::Distribution::LocalShards
@@ -319,14 +280,7 @@ pub mod testing {
                 };
                 out.push(projected);
             }
-            Ok(out)
-        }
-
-        fn num_columns(&self, table: &str) -> Result<usize> {
-            self.tables
-                .get(table)
-                .and_then(|rows| rows.first().map(|r| r.len()))
-                .ok_or_else(|| EonError::UnknownTable(table.to_owned()))
+            Ok(Batch::from_rows(&out, spec.columns.as_ref().map_or(width, |c| c.len())))
         }
     }
 }
@@ -341,7 +295,7 @@ mod tests {
     use eon_types::Value;
     use std::collections::HashMap;
 
-    fn irows(data: &[&[i64]]) -> Rows {
+    fn irows(data: &[&[i64]]) -> Vec<Vec<Value>> {
         data.iter()
             .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
             .collect()
@@ -367,7 +321,7 @@ mod tests {
 
     #[test]
     fn end_to_end_aggregate() {
-        let out = execute(&sum_by_region(), &provider()).unwrap();
+        let out = execute(&sum_by_region(), &provider()).unwrap().into_rows();
         assert_eq!(out, irows(&[&[1, 30], &[2, 20], &[3, 7]]));
     }
 
@@ -378,7 +332,7 @@ mod tests {
                 .predicate(Predicate::cmp(1, eon_columnar::pruning::CmpOp::Gt, 9i64))
                 .columns(vec![1]),
         );
-        let out = execute(&p, &provider()).unwrap();
+        let out = execute(&p, &provider()).unwrap().into_rows();
         assert_eq!(out, irows(&[&[10], &[20], &[15]]));
     }
 
@@ -389,7 +343,7 @@ mod tests {
             .join(Plan::scan(ScanSpec::new("regions").global()), vec![0], vec![0])
             .aggregate(vec![3], vec![AggSpec::sum(Expr::col(1))])
             .sort(vec![SortKey::asc(0)]);
-        let out = execute(&p, &provider()).unwrap();
+        let out = execute(&p, &provider()).unwrap().into_rows();
         // tier 100: regions 1,3 → 30 + 7 = 37; tier 200: region 2 → 20.
         assert_eq!(out, irows(&[&[100, 37], &[200, 20]]));
     }
@@ -402,7 +356,7 @@ mod tests {
             vec![0],
             JoinKind::Semi,
         );
-        assert_eq!(plan_width(&p, &provider()).unwrap(), 2);
+        assert_eq!(execute(&p, &provider()).unwrap().width(), 2);
     }
 
     #[test]
@@ -410,7 +364,7 @@ mod tests {
         // 3 "nodes" each see a slice of sales; distributed execution
         // must equal the single-node answer.
         let plan = sum_by_region();
-        let single = execute(&plan, &provider()).unwrap();
+        let single = execute(&plan, &provider()).unwrap().into_rows();
 
         let dp = auto_distribute(&plan);
         assert!(dp.has_local_scan());
@@ -421,7 +375,7 @@ mod tests {
             p.nodes_total = 3;
             results.push(dp.execute_local(&p).unwrap());
         }
-        assert_eq!(dp.finish(results).unwrap(), single);
+        assert_eq!(dp.finish(results).unwrap().into_rows(), single);
     }
 
     #[test]
@@ -430,7 +384,7 @@ mod tests {
             .join(Plan::scan(ScanSpec::new("regions").global()), vec![0], vec![0])
             .aggregate(vec![3], vec![AggSpec::sum(Expr::col(1)), AggSpec::count_star()])
             .sort(vec![SortKey::asc(0)]);
-        let single = execute(&plan, &provider()).unwrap();
+        let single = execute(&plan, &provider()).unwrap().into_rows();
         let dp = auto_distribute(&plan);
         let results: Vec<_> = (0..2)
             .map(|node| {
@@ -440,7 +394,7 @@ mod tests {
                 dp.execute_local(&p).unwrap()
             })
             .collect();
-        assert_eq!(dp.finish(results).unwrap(), single);
+        assert_eq!(dp.finish(results).unwrap().into_rows(), single);
     }
 
     #[test]
@@ -451,7 +405,7 @@ mod tests {
             .filter(Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit(10i64)))
             .sort(vec![SortKey::desc(1)])
             .limit(1);
-        let single = execute(&plan, &provider()).unwrap();
+        let single = execute(&plan, &provider()).unwrap().into_rows();
         assert_eq!(single, irows(&[&[1, 30]]));
 
         let dp = auto_distribute(&plan);
@@ -464,13 +418,13 @@ mod tests {
                 dp.execute_local(&p).unwrap()
             })
             .collect();
-        assert_eq!(dp.finish(results).unwrap(), single);
+        assert_eq!(dp.finish(results).unwrap().into_rows(), single);
     }
 
     #[test]
     fn plan_without_aggregate_concatenates() {
         let plan = Plan::scan(ScanSpec::new("sales")).sort(vec![SortKey::asc(1)]).limit(3);
-        let single = execute(&plan, &provider()).unwrap();
+        let single = execute(&plan, &provider()).unwrap().into_rows();
         let dp = auto_distribute(&plan);
         assert!(dp.partial_agg.is_none());
         let results: Vec<_> = (0..2)
@@ -481,7 +435,7 @@ mod tests {
                 dp.execute_local(&p).unwrap()
             })
             .collect();
-        assert_eq!(dp.finish(results).unwrap(), single);
+        assert_eq!(dp.finish(results).unwrap().into_rows(), single);
     }
 
     #[test]
@@ -493,7 +447,8 @@ mod tests {
         // Executed on ONE node, the answer is correct.
         let out = dp
             .finish(vec![dp.execute_local(&provider()).unwrap()])
-            .unwrap();
+            .unwrap()
+            .into_rows();
         assert_eq!(out, irows(&[&[3]]));
     }
 
@@ -503,7 +458,7 @@ mod tests {
             vec![],
             vec![AggSpec::new(AggFunc::CountDistinct, Expr::col(0))],
         );
-        let single = execute(&plan, &provider()).unwrap();
+        let single = execute(&plan, &provider()).unwrap().into_rows();
         assert_eq!(single, irows(&[&[3]]));
         let dp = auto_distribute(&plan);
         let results: Vec<_> = (0..3)
@@ -514,6 +469,6 @@ mod tests {
                 dp.execute_local(&p).unwrap()
             })
             .collect();
-        assert_eq!(dp.finish(results).unwrap(), single);
+        assert_eq!(dp.finish(results).unwrap().into_rows(), single);
     }
 }

@@ -8,7 +8,8 @@
 //! * [`plan`] — the logical plan language: scans with pushed-down
 //!   predicates and a distribution mode, filter/project/join/
 //!   aggregate/sort/limit;
-//! * [`ops`] — the row-at-a-time operator implementations;
+//! * [`ops`] — the operators, each one implementation over typed column
+//!   batches (`eon_columnar::Batch`);
 //! * [`agg`] — aggregation with *mergeable partial states*, the basis of
 //!   distributed group-by;
 //! * [`execute`] — the single-node executor over a [`TableProvider`],

@@ -1,147 +1,141 @@
-//! Row-at-a-time operator implementations over materialized batches.
+//! The operators, each one implementation over [`Batch`]es: an operator
+//! reads whole columns and emits whole columns, and nothing in here
+//! builds a row (DESIGN.md "Execution engine: batches").
 //!
-//! `Vec<Vec<Value>>` batches keep the executor simple and testable; the
-//! columnar smarts (encodings, pruning) live below the scan, where the
-//! paper puts them.
+//! Row order is part of every operator's contract — a filter keeps its
+//! input order, a join emits in probe order with each probe row's
+//! matches in build order, a sort is stable — because Float sums
+//! downstream are only bit-reproducible when rows fold in one order.
 
-use std::collections::HashMap;
-
-use eon_types::{Result, Value};
+use eon_columnar::{Batch, Column};
+use eon_types::{hash_cells_32, Result, ValueRef};
 
 use crate::expr::Expr;
 use crate::plan::{JoinKind, SortKey};
 
-pub type Rows = Vec<Vec<Value>>;
-
 /// Keep rows where `predicate` evaluates to true.
-pub fn filter(rows: Rows, predicate: &Expr) -> Result<Rows> {
-    let mut out = Vec::with_capacity(rows.len() / 2);
-    for row in rows {
-        if predicate.eval_filter(&row)? {
-            out.push(row);
-        }
-    }
-    Ok(out)
+pub fn filter(batch: Batch, predicate: &Expr) -> Result<Batch> {
+    let verdict = predicate.eval(&batch)?;
+    let keep: Vec<usize> = (0..batch.rows())
+        .filter(|&i| matches!(verdict.get(i), ValueRef::Bool(true)))
+        .collect();
+    drop(verdict);
+    Ok(if keep.len() == batch.rows() { batch } else { batch.gather(&keep) })
 }
 
-/// Evaluate `exprs` against each row.
-pub fn project(rows: Rows, exprs: &[Expr]) -> Result<Rows> {
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut new_row = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            new_row.push(e.eval(&row)?);
-        }
-        out.push(new_row);
-    }
-    Ok(out)
+/// Evaluate `exprs` over the batch: one output column each.
+pub fn project(batch: Batch, exprs: &[Expr]) -> Result<Batch> {
+    let cols = exprs
+        .iter()
+        .map(|e| Ok(e.eval(&batch)?.into_owned()))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(Batch::new(cols, batch.rows()))
 }
 
-/// Key extractor for hash operations. Rows containing NULL in any key
-/// column get `None` — SQL equi-joins never match on NULL.
-fn join_key(row: &[Value], cols: &[usize]) -> Option<Vec<Value>> {
-    let mut key = Vec::with_capacity(cols.len());
-    for &c in cols {
-        let v = &row[c];
-        if v.is_null() {
-            return None;
-        }
-        key.push(v.clone());
-    }
-    Some(key)
+/// A bucket-chained hash index over entry numbers: what the join's
+/// build side and the aggregate's group table share. Keys live in the
+/// caller's columns; the index holds only hashes and links, so looking
+/// a row up allocates nothing.
+pub(crate) struct HashChains {
+    /// Bucket → its most recently linked entry, `NONE` when empty.
+    heads: Vec<u32>,
+    /// Entry → the entry linked into its bucket before it.
+    next: Vec<u32>,
+    hashes: Vec<u32>,
 }
 
-/// Emit output rows for one probe row given its build-side matches.
-fn emit_join_rows(
-    lrow: &[Value],
-    matches: Option<&Vec<&Vec<Value>>>,
-    kind: JoinKind,
-    right_width: usize,
-    out: &mut Rows,
-) {
-    match kind {
-        JoinKind::Inner => {
-            if let Some(ms) = matches {
-                for r in ms {
-                    let mut row = lrow.to_vec();
-                    row.extend(r.iter().cloned());
-                    out.push(row);
-                }
-            }
-        }
-        JoinKind::Left => match matches {
-            Some(ms) => {
-                for r in ms {
-                    let mut row = lrow.to_vec();
-                    row.extend(r.iter().cloned());
-                    out.push(row);
-                }
-            }
-            None => {
-                let mut row = lrow.to_vec();
-                row.extend(std::iter::repeat_n(Value::Null, right_width));
-                out.push(row);
-            }
-        },
-        JoinKind::Semi => {
-            if matches.is_some() {
-                out.push(lrow.to_vec());
-            }
-        }
-        JoinKind::Anti => {
-            if matches.is_none() {
-                out.push(lrow.to_vec());
-            }
-        }
+const NONE: u32 = u32::MAX;
+
+impl HashChains {
+    /// An index sized for about `entries` entries.
+    pub(crate) fn new(entries: usize) -> HashChains {
+        let buckets = entries.max(1).next_power_of_two();
+        HashChains { heads: vec![NONE; buckets], next: Vec::new(), hashes: Vec::new() }
+    }
+
+    /// The hash of row `i`'s key cells, `None` if any is NULL.
+    pub(crate) fn key_hash(keys: &[&Column], i: usize) -> Option<u32> {
+        let cells = keys.iter().map(|k| k.get(i));
+        (!cells.clone().any(ValueRef::is_null)).then(|| hash_cells_32(cells))
+    }
+
+    /// Add the next entry; `Some(hash)` links it in, `None` leaves it
+    /// unreachable (a NULL key never matches).
+    pub(crate) fn push(&mut self, hash: Option<u32>) {
+        let entry = u32::try_from(self.next.len()).expect("under 2^32 entries");
+        let bucket = hash.map(|h| h as usize & (self.heads.len() - 1));
+        self.next.push(bucket.map_or(NONE, |b| std::mem::replace(&mut self.heads[b], entry)));
+        self.hashes.push(hash.unwrap_or(0));
+    }
+
+    /// Entries linked under `hash`, most recent first.
+    pub(crate) fn probe(&self, hash: u32) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.heads[hash as usize & (self.heads.len() - 1)];
+        std::iter::from_fn(move || {
+            let entry = (at != NONE).then_some(at as usize)?;
+            at = self.next[entry];
+            Some(entry)
+        })
+        .filter(move |&e| self.hashes[e] == hash)
     }
 }
 
-/// Hash join. Builds on the right side, probes with the left.
-/// Single-column keys — the overwhelmingly common case — hash the
-/// value by reference; only multi-column keys materialize a composite
-/// `Vec<Value>` key per row.
+/// Hash join: builds on the right side's key columns, probes with the
+/// left's, and emits by gather indices — left rows in probe order, each
+/// one's matches in build order. A NULL in any key column never matches
+/// (SQL equi-join); `Left` pads unmatched rows with NULLs, `Semi` /
+/// `Anti` emit left columns only.
 pub fn hash_join(
-    left: Rows,
-    right: Rows,
+    left: Batch,
+    right: Batch,
     left_keys: &[usize],
     right_keys: &[usize],
     kind: JoinKind,
-    right_width: usize,
-) -> Result<Rows> {
-    let mut out = Vec::new();
-    if let ([lk], [rk]) = (left_keys, right_keys) {
-        let mut table: HashMap<&Value, Vec<&Vec<Value>>> = HashMap::new();
-        for row in &right {
-            let v = &row[*rk];
-            if !v.is_null() {
-                table.entry(v).or_default().push(row);
+) -> Result<Batch> {
+    let lkeys: Vec<&Column> = left_keys.iter().map(|&c| &left.cols()[c]).collect();
+    let rkeys: Vec<&Column> = right_keys.iter().map(|&c| &right.cols()[c]).collect();
+    let mut table = HashChains::new(right.rows());
+    for r in 0..right.rows() {
+        table.push(HashChains::key_hash(&rkeys, r));
+    }
+    // An index past the end gathers as NULL: the padding of `Left`.
+    let unmatched = usize::MAX;
+    let (mut lidx, mut ridx, mut matches) = (Vec::new(), Vec::new(), Vec::new());
+    for l in 0..left.rows() {
+        matches.clear();
+        if let Some(hash) = HashChains::key_hash(&lkeys, l) {
+            let equal = |r: &usize| lkeys.iter().zip(&rkeys).all(|(a, b)| a.get(l) == b.get(*r));
+            matches.extend(table.probe(hash).filter(equal));
+        }
+        match kind {
+            JoinKind::Inner | JoinKind::Left => {
+                if matches.is_empty() && kind == JoinKind::Left {
+                    matches.push(unmatched);
+                }
+                lidx.extend(std::iter::repeat_n(l, matches.len()));
+                ridx.extend(matches.iter().rev());
+            }
+            JoinKind::Semi | JoinKind::Anti => {
+                if matches.is_empty() == (kind == JoinKind::Anti) {
+                    lidx.push(l);
+                }
             }
         }
-        for lrow in &left {
-            let v = &lrow[*lk];
-            let matches = if v.is_null() { None } else { table.get(v) };
-            emit_join_rows(lrow, matches, kind, right_width, &mut out);
-        }
-        return Ok(out);
     }
-    let mut table: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::new();
-    for row in &right {
-        if let Some(k) = join_key(row, right_keys) {
-            table.entry(k).or_default().push(row);
-        }
+    let mut cols = left.gather(&lidx).into_cols();
+    if matches!(kind, JoinKind::Inner | JoinKind::Left) {
+        cols.extend(right.gather(&ridx).into_cols());
     }
-    for lrow in &left {
-        let matches = join_key(lrow, left_keys).and_then(|k| table.get(&k));
-        emit_join_rows(lrow, matches, kind, right_width, &mut out);
-    }
-    Ok(out)
+    Ok(Batch::new(cols, lidx.len()))
 }
 
-/// Stable multi-key sort.
-pub fn sort(mut rows: Rows, keys: &[SortKey]) -> Rows {
-    rows.sort_by(|a, b| {
+/// Stable multi-key sort, as a permutation applied to every column.
+pub fn sort(batch: Batch, keys: &[SortKey]) -> Batch {
+    let mut order: Vec<usize> = (0..batch.rows()).collect();
+    order.sort_by(|&a, &b| {
         for k in keys {
-            let ord = a[k.col].cmp(&b[k.col]);
+            let col = &batch.cols()[k.col];
+            let ord = col.get(a).cmp(&col.get(b));
             let ord = if k.desc { ord.reverse() } else { ord };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -149,96 +143,103 @@ pub fn sort(mut rows: Rows, keys: &[SortKey]) -> Rows {
         }
         std::cmp::Ordering::Equal
     });
-    rows
+    batch.gather(&order)
 }
 
 /// First `n` rows.
-pub fn limit(mut rows: Rows, n: usize) -> Rows {
-    rows.truncate(n);
-    rows
+pub fn limit(batch: Batch, n: usize) -> Batch {
+    if n >= batch.rows() {
+        return batch;
+    }
+    batch.gather(&(0..n).collect::<Vec<_>>())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
+    use eon_types::Value;
 
-    fn rows(data: &[&[i64]]) -> Rows {
+    fn rows(data: &[&[i64]]) -> Vec<Vec<Value>> {
         data.iter()
             .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
             .collect()
     }
 
+    fn batch(data: &[&[i64]]) -> Batch {
+        Batch::from_rows(&rows(data), data.first().map_or(0, |r| r.len()))
+    }
+
     #[test]
     fn filter_keeps_matches() {
         let r = filter(
-            rows(&[&[1], &[5], &[10]]),
+            batch(&[&[1], &[5], &[10]]),
             &Expr::cmp(CmpOp::Ge, Expr::col(0), Expr::lit(5i64)),
         )
         .unwrap();
-        assert_eq!(r, rows(&[&[5], &[10]]));
+        assert_eq!(r.into_rows(), rows(&[&[5], &[10]]));
     }
 
     #[test]
     fn project_computes() {
         let r = project(
-            rows(&[&[2, 3]]),
+            batch(&[&[2, 3]]),
             &[Expr::mul(Expr::col(0), Expr::col(1)), Expr::col(0)],
         )
         .unwrap();
-        assert_eq!(r, rows(&[&[6, 2]]));
+        assert_eq!(r.into_rows(), rows(&[&[6, 2]]));
     }
 
     #[test]
-    fn inner_join_matches() {
-        let left = rows(&[&[1, 10], &[2, 20], &[3, 30]]);
-        let right = rows(&[&[1, 100], &[2, 200], &[2, 201]]);
-        let out = hash_join(left, right, &[0], &[0], JoinKind::Inner, 2).unwrap();
-        assert_eq!(out.len(), 3); // key 1 once, key 2 twice
-        assert!(out.contains(&vec![
-            Value::Int(2),
-            Value::Int(20),
-            Value::Int(2),
-            Value::Int(201)
-        ]));
+    fn inner_join_emits_probe_order_then_build_order() {
+        let left = batch(&[&[1, 10], &[2, 20], &[3, 30]]);
+        let right = batch(&[&[1, 100], &[2, 200], &[2, 201]]);
+        let out = hash_join(left, right, &[0], &[0], JoinKind::Inner).unwrap();
+        assert_eq!(
+            out.into_rows(),
+            rows(&[&[1, 10, 1, 100], &[2, 20, 2, 200], &[2, 20, 2, 201]])
+        );
     }
 
     #[test]
-    fn left_join_pads_nulls() {
-        let left = rows(&[&[1], &[9]]);
-        let right = rows(&[&[1, 100]]);
-        let out = hash_join(left, right, &[0], &[0], JoinKind::Left, 2).unwrap();
+    fn left_join_pads_nulls_even_against_an_empty_right_side() {
+        let out = hash_join(batch(&[&[1], &[9]]), batch(&[&[1, 100]]), &[0], &[0], JoinKind::Left)
+            .unwrap()
+            .into_rows();
         assert_eq!(out.len(), 2);
         assert_eq!(out[1], vec![Value::Int(9), Value::Null, Value::Null]);
+        // A zero-row right side still knows its width.
+        let out = hash_join(batch(&[&[1]]), Batch::nulls(2, 0), &[0], &[0], JoinKind::Left).unwrap();
+        assert_eq!(out.into_rows(), vec![vec![Value::Int(1), Value::Null, Value::Null]]);
     }
 
     #[test]
     fn semi_and_anti() {
-        let left = rows(&[&[1], &[2], &[3]]);
-        let right = rows(&[&[2, 0], &[2, 1]]);
-        let semi = hash_join(left.clone(), right.clone(), &[0], &[0], JoinKind::Semi, 2).unwrap();
-        assert_eq!(semi, rows(&[&[2]])); // no duplication despite 2 matches
-        let anti = hash_join(left, right, &[0], &[0], JoinKind::Anti, 2).unwrap();
-        assert_eq!(anti, rows(&[&[1], &[3]]));
+        let left = batch(&[&[1], &[2], &[3]]);
+        let right = batch(&[&[2, 0], &[2, 1]]);
+        let semi = hash_join(left.clone(), right.clone(), &[0], &[0], JoinKind::Semi).unwrap();
+        assert_eq!(semi.into_rows(), rows(&[&[2]])); // no duplication despite 2 matches
+        let anti = hash_join(left, right, &[0], &[0], JoinKind::Anti).unwrap();
+        assert_eq!(anti.into_rows(), rows(&[&[1], &[3]]));
     }
 
     #[test]
     fn null_keys_never_match() {
-        let left = vec![vec![Value::Null, Value::Int(1)]];
-        let right = vec![vec![Value::Null, Value::Int(2)]];
-        let out = hash_join(left.clone(), right.clone(), &[0], &[0], JoinKind::Inner, 2).unwrap();
-        assert!(out.is_empty());
+        let left = Batch::from_rows(&[vec![Value::Null, Value::Int(1)]], 2);
+        let right = Batch::from_rows(&[vec![Value::Null, Value::Int(2)]], 2);
+        let out = hash_join(left.clone(), right.clone(), &[0], &[0], JoinKind::Inner).unwrap();
+        assert_eq!(out.rows(), 0);
         // In a LEFT join the null-keyed left row survives with padding.
-        let out = hash_join(left, right, &[0], &[0], JoinKind::Left, 2).unwrap();
+        let out = hash_join(left, right, &[0], &[0], JoinKind::Left).unwrap().into_rows();
         assert_eq!(out.len(), 1);
         assert!(out[0][2].is_null());
     }
 
     #[test]
     fn multi_key_join() {
-        let left = rows(&[&[1, 2, 77]]);
-        let right = rows(&[&[1, 2, 88], &[1, 3, 99]]);
-        let out = hash_join(left, right, &[0, 1], &[0, 1], JoinKind::Inner, 3).unwrap();
+        let left = batch(&[&[1, 2, 77]]);
+        let right = batch(&[&[1, 2, 88], &[1, 3, 99]]);
+        let out = hash_join(left, right, &[0, 1], &[0, 1], JoinKind::Inner).unwrap().into_rows();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][5], Value::Int(88));
     }
@@ -246,15 +247,15 @@ mod tests {
     #[test]
     fn sort_multi_key_with_desc() {
         let out = sort(
-            rows(&[&[1, 5], &[2, 3], &[1, 9]]),
+            batch(&[&[1, 5], &[2, 3], &[1, 9]]),
             &[SortKey::asc(0), SortKey::desc(1)],
         );
-        assert_eq!(out, rows(&[&[1, 9], &[1, 5], &[2, 3]]));
+        assert_eq!(out.into_rows(), rows(&[&[1, 9], &[1, 5], &[2, 3]]));
     }
 
     #[test]
     fn limit_truncates() {
-        assert_eq!(limit(rows(&[&[1], &[2], &[3]]), 2).len(), 2);
-        assert_eq!(limit(rows(&[&[1]]), 5).len(), 1);
+        assert_eq!(limit(batch(&[&[1], &[2], &[3]]), 2).rows(), 2);
+        assert_eq!(limit(batch(&[&[1]]), 5).rows(), 1);
     }
 }

@@ -1,0 +1,378 @@
+//! Differential property test of the batch operators (DESIGN.md
+//! "Execution engine: batches"): for random typed batches, every
+//! operator's output — transposed to rows — equals, exactly and in
+//! order (floats by bits), what a naive row-at-a-time evaluator
+//! computes. The evaluator below is the row engine this crate used to
+//! ship, reduced to a reference: one obvious loop per operator, no
+//! hashing tricks, no shared code with `ops`/`agg`/`Expr::eval`.
+//!
+//! Inputs cover NULLs in every column, NaN and -0.0, `i64::MIN/MAX`
+//! (wrapping sums), empty and multi-byte strings, a heterogeneous
+//! Int/Float `Values` column (`Int(1)` and `Float(1.0)` must hash and
+//! group as one key), RLE-shaped runs of identical rows, and zero-row
+//! inputs.
+
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
+
+use eon_columnar::pruning::CmpOp;
+use eon_columnar::{Batch, Data};
+use eon_exec::agg::{aggregate_partial, finalize_partials, merge_partials};
+use eon_exec::expr::ArithOp;
+use eon_exec::{ops, AggFunc, AggSpec, Expr, JoinKind, SortKey};
+use eon_types::{EonError, Result, Value};
+use proptest::prelude::*;
+use rand::{Rng, SeedableRng, StdRng};
+
+type Row = Vec<Value>;
+
+// ------------------------------------------------- the reference evaluator
+
+fn eval(e: &Expr, row: &[Value]) -> Result<Value> {
+    let bad = |what: &str| Err(EonError::Query(what.into()));
+    Ok(match e {
+        Expr::Col(i) => row[*i].clone(),
+        Expr::Lit(v) => v.clone(),
+        Expr::Arith { op, l, r } => match (eval(l, row)?, eval(r, row)?, op) {
+            (Value::Null, _, _) | (_, Value::Null, _) => Value::Null,
+            (Value::Int(a), Value::Int(b), ArithOp::Add) => Value::Int(a.wrapping_add(b)),
+            (Value::Int(a), Value::Int(b), ArithOp::Sub) => Value::Int(a.wrapping_sub(b)),
+            (Value::Int(a), Value::Int(b), ArithOp::Mul) => Value::Int(a.wrapping_mul(b)),
+            (a, b, op) => match (a.as_float(), b.as_float(), op) {
+                (Some(a), Some(b), ArithOp::Add) => Value::Float(a + b),
+                (Some(a), Some(b), ArithOp::Sub) => Value::Float(a - b),
+                (Some(a), Some(b), ArithOp::Mul) => Value::Float(a * b),
+                (Some(a), Some(b), ArithOp::Div) => {
+                    if b == 0.0 { Value::Null } else { Value::Float(a / b) }
+                }
+                _ => return bad("arithmetic over non-numeric"),
+            },
+        },
+        Expr::Cmp { op, l, r } => match (eval(l, row)?, eval(r, row)?) {
+            (Value::Null, _) | (_, Value::Null) => Value::Null,
+            (a, b) => Value::Bool(op.accepts(a.cmp(&b))),
+        },
+        Expr::And(es) | Expr::Or(es) => {
+            let decisive = matches!(e, Expr::Or(_));
+            let mut verdict = Value::Bool(!decisive);
+            for term in es {
+                match eval(term, row)? {
+                    Value::Bool(b) if b == decisive => return Ok(Value::Bool(b)),
+                    Value::Bool(_) => {}
+                    Value::Null => verdict = Value::Null,
+                    _ => return bad("connective over non-boolean"),
+                }
+            }
+            verdict
+        }
+        Expr::Not(e) => match eval(e, row)? {
+            Value::Bool(b) => Value::Bool(!b),
+            Value::Null => Value::Null,
+            _ => return bad("NOT over non-boolean"),
+        },
+        Expr::IsNull(e) => Value::Bool(eval(e, row)?.is_null()),
+        Expr::Case { whens, otherwise } => {
+            for (cond, out) in whens {
+                if eval(cond, row)? == Value::Bool(true) {
+                    return eval(out, row);
+                }
+            }
+            eval(otherwise, row)?
+        }
+        Expr::Like { expr, pattern, negated } => match eval(expr, row)? {
+            Value::Null => Value::Null,
+            // Every generated pattern is `prefix%`.
+            Value::Str(s) => Value::Bool(s.starts_with(pattern.trim_end_matches('%')) != *negated),
+            _ => return bad("LIKE over non-string"),
+        },
+        Expr::InList { expr, list, negated } => match eval(expr, row)? {
+            Value::Null => Value::Null,
+            v => Value::Bool(list.contains(&v) != *negated),
+        },
+        Expr::ExtractYear(e) => match eval(e, row)? {
+            Value::Date(d) => Value::Int(eon_types::value::days_to_ymd(d).0 as i64),
+            Value::Null => Value::Null,
+            _ => return bad("EXTRACT over non-date"),
+        },
+    })
+}
+
+fn ref_project(rows: &[Row], exprs: &[Expr]) -> Result<Vec<Row>> {
+    rows.iter().map(|row| exprs.iter().map(|e| eval(e, row)).collect()).collect()
+}
+
+fn ref_filter(rows: &[Row], pred: &Expr) -> Result<Vec<Row>> {
+    let verdicts = ref_project(rows, std::slice::from_ref(pred))?;
+    let kept = rows.iter().zip(verdicts).filter(|(_, v)| v[0] == Value::Bool(true));
+    Ok(kept.map(|(row, _)| row.clone()).collect())
+}
+
+/// Nested loops: every left row against every right row, in order.
+fn ref_join(left: &[Row], right: &[Row], lk: &[usize], rk: &[usize], kind: JoinKind) -> Vec<Row> {
+    let mut out = Vec::new();
+    for l in left {
+        // NULL equals only NULL, so a non-NULL left key rules a NULL right key out.
+        let on = |r: &&Row| lk.iter().zip(rk).all(|(&a, &b)| !l[a].is_null() && l[a] == r[b]);
+        let matches: Vec<&Row> = right.iter().filter(on).collect();
+        match (kind, matches.is_empty()) {
+            (JoinKind::Semi, false) | (JoinKind::Anti, true) => out.push(l.clone()),
+            (JoinKind::Semi | JoinKind::Anti, _) => {}
+            (JoinKind::Left, true) => out.push(l.iter().cloned().chain(vec![Value::Null; WIDTH]).collect()),
+            _ => out.extend(matches.iter().map(|r| l.iter().chain(r.iter()).cloned().collect::<Row>())),
+        }
+    }
+    out
+}
+
+/// Everything any aggregate function needs of its non-NULL inputs.
+#[derive(Default)]
+struct Acc {
+    /// Sum of the chunks folded so far, and of the chunk in progress.
+    sum: Option<Value>,
+    part: Option<Value>,
+    n: i64,
+    /// In `Value` order; of equal values (`Int(1)`, `Float(1.0)`) the
+    /// first one inserted stays, which is also MIN/MAX's tie rule.
+    seen: BTreeSet<Value>,
+}
+
+fn add(acc: Option<Value>, v: &Value) -> Option<Value> {
+    Some(match (acc, v) {
+        (None, v) => v.clone(),
+        (Some(Value::Int(a)), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
+        (Some(a), b) => Value::Float(a.as_float().unwrap_or(0.0) + b.as_float().unwrap_or(0.0)),
+    })
+}
+
+/// Grouped aggregation row by row. Each chunk's sums are folded on
+/// their own and added in chunk order, as per-node partials merge (one
+/// chunk = the single-phase answer).
+fn ref_aggregate(chunks: &[Vec<Row>], group_by: &[usize], aggs: &[AggSpec]) -> Result<Vec<Row>> {
+    let fresh = || aggs.iter().map(|_| Acc::default()).collect::<Vec<_>>();
+    let mut groups: Vec<(Row, Vec<Acc>)> = Vec::new();
+    let mut index: HashMap<Row, usize> = HashMap::new();
+    for chunk in chunks {
+        for row in chunk {
+            let key: Row = group_by.iter().map(|&c| row[c].clone()).collect();
+            let g = *index.entry(key.clone()).or_insert(groups.len());
+            if g == groups.len() {
+                groups.push((key, fresh()));
+            }
+            for (acc, spec) in groups[g].1.iter_mut().zip(aggs) {
+                let v = eval(&spec.expr, row)?;
+                if !v.is_null() {
+                    acc.part = add(acc.part.take(), &v);
+                    acc.n += 1;
+                    acc.seen.insert(v);
+                }
+            }
+        }
+        for acc in groups.iter_mut().flat_map(|(_, accs)| accs) {
+            acc.sum = acc.part.take().iter().fold(acc.sum.take(), add);
+        }
+    }
+    if group_by.is_empty() && groups.is_empty() {
+        groups.push((Vec::new(), fresh()));
+    }
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    let finish = |acc: &Acc, func: AggFunc| match func {
+        AggFunc::Count | AggFunc::CountStar => Value::Int(acc.n),
+        AggFunc::CountDistinct => Value::Int(acc.seen.len() as i64),
+        AggFunc::Avg => (acc.sum.as_ref())
+            .map_or(Value::Null, |s| Value::Float(s.as_float().unwrap_or(0.0) / acc.n as f64)),
+        AggFunc::Sum => acc.sum.clone().unwrap_or(Value::Null),
+        AggFunc::Min => acc.seen.first().cloned().unwrap_or(Value::Null),
+        AggFunc::Max => acc.seen.last().cloned().unwrap_or(Value::Null),
+    };
+    let aggregated = |accs: &[Acc]| accs.iter().zip(aggs).map(|(a, s)| finish(a, s.func)).collect::<Row>();
+    Ok(groups.iter().map(|(key, accs)| key.iter().cloned().chain(aggregated(accs)).collect()).collect())
+}
+
+fn ref_sort(mut rows: Vec<Row>, keys: &[SortKey]) -> Vec<Row> {
+    rows.sort_by(|a, b| {
+        let ord = |k: &SortKey| if k.desc { b[k.col].cmp(&a[k.col]) } else { a[k.col].cmp(&b[k.col]) };
+        keys.iter().map(ord).find(|o| *o != Ordering::Equal).unwrap_or(Ordering::Equal)
+    });
+    rows
+}
+
+// --------------------------------------------------------------- inputs
+
+const WIDTH: usize = 7;
+
+/// Columns: 0 small Int key, 1 wide Int, 2 Float, 3 Str, 4 Date, 5 Bool,
+/// 6 a `Values` column mixing Int and Float. NULLs everywhere; each row
+/// repeats 1–4 times so runs form.
+fn gen_rows(rng: &mut StdRng, max: usize) -> Vec<Row> {
+    let n = if rng.gen_range(0..8u32) == 0 { 0 } else { rng.gen_range(0..max) };
+    let mut rows = Vec::new();
+    while rows.len() < n {
+        let mut pick = |n: usize| rng.gen_range(0..n);
+        let mut row = vec![
+            Value::Int(pick(5) as i64 - 2),
+            Value::Int([i64::MIN, i64::MAX, -7, 0, 3, 1 << 40][pick(6)]),
+            Value::Float([f64::NAN, -0.0, 0.0, 0.1, -2.5, 1e300, 7.0][pick(7)]),
+            Value::Str(["", "a", "ab", "é", "aé"][pick(5)].into()),
+            Value::Date([0, -400, 9_000, 19_999][pick(4)]),
+            Value::Bool(pick(2) == 0),
+            [Value::Int(1), Value::Float(1.0), Value::Int(2), Value::Float(0.5)][pick(4)].clone(),
+        ];
+        for cell in &mut row {
+            if pick(7) == 0 {
+                *cell = Value::Null;
+            }
+        }
+        for _ in 0..rng.gen_range(1..5u32) {
+            rows.push(row.clone());
+        }
+    }
+    rows
+}
+
+fn exprs() -> Vec<Expr> {
+    let col = Expr::col;
+    let lt = |l, r| Expr::cmp(CmpOp::Lt, l, r);
+    let not = |e| Expr::Not(Box::new(e));
+    let is_null = |e| Expr::IsNull(Box::new(e));
+    vec![
+        Expr::add(col(1), col(0)),
+        Expr::mul(col(2), Expr::lit(1.5)),
+        Expr::div(col(1), col(0)),
+        Expr::div(col(2), col(2)),
+        Expr::sub(col(6), col(1)),
+        Expr::sub(col(4), Expr::lit(1i64)),
+        Expr::mul(Expr::sub(Expr::lit(1i64), col(2)), Expr::add(Expr::lit(1i64), col(6))),
+        Expr::cmp(CmpOp::Ge, col(6), col(0)),
+        Expr::cmp(CmpOp::Eq, col(3), Expr::lit("a")),
+        Expr::cmp(CmpOp::Ne, col(2), col(1)),
+        // A heterogeneous CASE: Str, Int and Float branches in one column.
+        Expr::Case {
+            whens: vec![(lt(col(0), Expr::lit(0i64)), Expr::lit("neg")), (is_null(col(0)), col(1))],
+            otherwise: Box::new(col(2)),
+        },
+        // A branch that would error is never evaluated for rows that do not take it.
+        Expr::Case { whens: vec![(is_null(col(3)), Expr::lit(0i64))], otherwise: Box::new(Expr::like(col(3), "a%")) },
+        Expr::Like { expr: Box::new(col(3)), pattern: "a%".into(), negated: true },
+        Expr::InList { expr: Box::new(col(6)), list: vec![Value::Int(1), Value::Float(0.5)], negated: false },
+        Expr::InList { expr: Box::new(col(3)), list: vec![Value::Str("é".into())], negated: true },
+        Expr::ExtractYear(Box::new(col(4))),
+        Expr::And(vec![col(5), lt(Expr::lit(0i64), col(0))]),
+        Expr::Or(vec![is_null(col(0)), col(5), lt(col(2), Expr::lit(0i64))]),
+        not(Expr::Or(vec![col(5), is_null(col(1))])),
+        // Short circuit: the erroring term runs only where the first leaves the row undecided.
+        Expr::And(vec![Expr::lit(false), not(col(1))]),
+        Expr::Or(vec![col(5), not(col(1))]),
+        Expr::And(vec![is_null(col(5)), Expr::add(col(3), col(1))]),
+        Expr::add(col(3), col(1)),
+    ]
+}
+
+/// Rows with floats spelled by bits, so NaN payloads and -0.0 count.
+fn bits(rows: &[Row]) -> Vec<Vec<String>> {
+    let cell = |v: &Value| match v {
+        Value::Float(f) => format!("Float#{:016x}", f.to_bits()),
+        v => format!("{v:?}"),
+    };
+    rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+}
+
+/// Same rows in the same order (and the width, which a zero-row batch
+/// must still know) — or both sides a typed error.
+fn check(got: Result<Batch>, want: Result<Vec<Row>>, width: usize, what: &str) {
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            assert_eq!(got.width(), width, "{what}: width");
+            assert_eq!(bits(&got.into_rows()), bits(&want), "{what}");
+        }
+        (got, want) => assert_eq!(got.is_err(), want.is_err(), "{what}: error"),
+    }
+}
+
+proptest! {
+    #[test]
+    fn batch_round_trips_rows(seed in 0u64..1_000_000) {
+        let rows = gen_rows(&mut StdRng::seed_from_u64(seed), 40);
+        let batch = Batch::from_rows(&rows, WIDTH);
+        if !rows.is_empty() {
+            // Typed where the column is homogeneous, `Values` where it is not.
+            prop_assert!(!matches!(batch.cols()[1].data(), Data::Values(_)));
+        }
+        prop_assert_eq!(bits(&batch.into_rows()), bits(&rows));
+    }
+
+    #[test]
+    fn filter_project_sort_limit_match_the_reference(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = gen_rows(&mut rng, 60);
+        let batch = || Batch::from_rows(&rows, WIDTH);
+        for (i, e) in exprs().iter().enumerate() {
+            check(ops::filter(batch(), e), ref_filter(&rows, e), WIDTH, &format!("filter by expr {i}"));
+            let pair = [e.clone(), Expr::col(3)];
+            check(ops::project(batch(), &pair), ref_project(&rows, &pair), 2, &format!("project expr {i}"));
+        }
+        let keys: Vec<SortKey> = (0..rng.gen_range(1..4usize))
+            .map(|_| SortKey { col: rng.gen_range(0..WIDTH), desc: rng.gen_range(0..2u32) == 0 })
+            .collect();
+        check(Ok(ops::sort(batch(), &keys)), Ok(ref_sort(rows.clone(), &keys)), WIDTH, "sort");
+        let n = rng.gen_range(0..rows.len() + 2);
+        let head = rows.iter().take(n).cloned().collect();
+        check(Ok(ops::limit(batch(), n)), Ok(head), WIDTH, "limit");
+    }
+
+    #[test]
+    fn joins_match_nested_loops(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (left, right) = (gen_rows(&mut rng, 40), gen_rows(&mut rng, 25));
+        // Single key, composite key, and the Int/Float `Values` key.
+        for (lk, rk) in [(vec![0], vec![0]), (vec![0, 5], vec![0, 5]), (vec![6], vec![6]), (vec![6, 0], vec![0, 6])] {
+            for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+                let width = if matches!(kind, JoinKind::Inner | JoinKind::Left) { 2 * WIDTH } else { WIDTH };
+                for right in [&right, &Vec::new()] {
+                    let got = ops::hash_join(
+                        Batch::from_rows(&left, WIDTH), Batch::from_rows(right, WIDTH), &lk, &rk, kind,
+                    );
+                    let want = ref_join(&left, right, &lk, &rk, kind);
+                    check(got, Ok(want), width, &format!("{kind:?} join on {lk:?}={rk:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn aggregates_match_the_row_fold(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = gen_rows(&mut rng, 80);
+        let aggs = vec![
+            AggSpec::sum(Expr::col(1)),                         // wraps at i64::MIN/MAX
+            AggSpec::sum(Expr::col(2)),                         // Float: order-sensitive
+            AggSpec::sum(Expr::col(6)),                         // Int → Float promotion
+            AggSpec::sum(Expr::mul(Expr::col(0), Expr::lit(2i64))),
+            AggSpec::new(AggFunc::Count, Expr::col(0)),
+            AggSpec::count_star(),
+            AggSpec::avg(Expr::col(1)),
+            AggSpec::avg(Expr::col(2)),
+            AggSpec::min(Expr::col(3)),
+            AggSpec::max(Expr::col(2)),
+            AggSpec::min(Expr::col(6)),
+            AggSpec::new(AggFunc::CountDistinct, Expr::col(0)),
+            AggSpec::new(AggFunc::CountDistinct, Expr::col(3)),
+        ];
+        for group_by in [vec![], vec![0], vec![3, 5], vec![6], vec![2]] {
+            let width = group_by.len() + aggs.len();
+            // One chunk: the single-phase fold, Float sums bit-exact.
+            // Several: per-node partials merged at the coordinator.
+            for split in [1, rng.gen_range(2..5usize)] {
+                let size = rows.len().div_ceil(split).max(1);
+                let mut chunks: Vec<Vec<Row>> = rows.chunks(size).map(<[Row]>::to_vec).collect();
+                chunks.resize(split, Vec::new()); // zero-row nodes answer too
+                let parts = chunks
+                    .iter()
+                    .map(|c| aggregate_partial(&Batch::from_rows(c, WIDTH), &group_by, &aggs))
+                    .collect::<Result<Vec<_>>>();
+                let got = parts.map(|p| finalize_partials(merge_partials(p), width));
+                let what = format!("group by {group_by:?} over {split} chunks");
+                check(got, ref_aggregate(&chunks, &group_by, &aggs), width, &what);
+            }
+        }
+    }
+}

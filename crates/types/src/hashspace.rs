@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// Width of the hash space. Shard ranges are over `[0, 2^32)`.
 pub const HASH_SPACE_BITS: u32 = 32;
@@ -42,33 +42,40 @@ fn mix(mut x: u64) -> u64 {
     x
 }
 
-/// Hash a single value into a 64-bit digest. `Int` and `Float` values
-/// that compare equal hash equal (matching `Value`'s `Hash` impl).
-pub fn hash_value(v: &Value) -> u64 {
-    let state = match v {
-        Value::Null => fnv1a(&[0], FNV_OFFSET),
-        Value::Bool(b) => fnv1a(&[1, *b as u8], FNV_OFFSET),
-        Value::Int(i) => fnv1a(&(*i as f64).to_bits().to_le_bytes(), fnv1a(&[2], FNV_OFFSET)),
-        Value::Float(f) => fnv1a(&f.to_bits().to_le_bytes(), fnv1a(&[2], FNV_OFFSET)),
-        Value::Date(d) => fnv1a(&d.to_le_bytes(), fnv1a(&[3], FNV_OFFSET)),
-        Value::Str(s) => fnv1a(s.as_bytes(), fnv1a(&[4], FNV_OFFSET)),
+/// Hash a single value (a `&Value` or a borrowed cell) into a 64-bit
+/// digest. `Int` and `Float` values that compare equal hash equal
+/// (matching `Value`'s `Hash` impl).
+pub fn hash_value<'a>(v: impl Into<ValueRef<'a>>) -> u64 {
+    let state = match v.into() {
+        ValueRef::Null => fnv1a(&[0], FNV_OFFSET),
+        ValueRef::Bool(b) => fnv1a(&[1, b as u8], FNV_OFFSET),
+        ValueRef::Int(i) => fnv1a(&(i as f64).to_bits().to_le_bytes(), fnv1a(&[2], FNV_OFFSET)),
+        ValueRef::Float(f) => fnv1a(&f.to_bits().to_le_bytes(), fnv1a(&[2], FNV_OFFSET)),
+        ValueRef::Date(d) => fnv1a(&d.to_le_bytes(), fnv1a(&[3], FNV_OFFSET)),
+        ValueRef::Str(s) => fnv1a(s.as_bytes(), fnv1a(&[4], FNV_OFFSET)),
     };
     mix(state)
 }
 
-/// Hash the given columns of a row into the 32-bit segmentation space.
+/// Hash a row's segmentation cells, in segmentation-column order, into
+/// the 32-bit segmentation space.
 ///
-/// `cols` are indices into `row`; combining uses a positional multiplier
-/// so `HASH(a, b) != HASH(b, a)` in general, like SQL `HASH(a, b)`.
-pub fn hash_row_32(row: &[Value], cols: &[usize]) -> u32 {
+/// Combining uses a positional multiplier so `HASH(a, b) != HASH(b, a)`
+/// in general, like SQL `HASH(a, b)`.
+pub fn hash_cells_32<'a>(cells: impl IntoIterator<Item = ValueRef<'a>>) -> u32 {
     let mut acc = FNV_OFFSET;
-    for &c in cols {
+    for v in cells {
         acc = acc
             .rotate_left(5)
             .wrapping_mul(FNV_PRIME)
-            .wrapping_add(hash_value(&row[c]));
+            .wrapping_add(hash_value(v));
     }
     (mix(acc) >> 32) as u32
+}
+
+/// [`hash_cells_32`] over the columns `cols` of a materialized row.
+pub fn hash_row_32(row: &[Value], cols: &[usize]) -> u32 {
+    hash_cells_32(cols.iter().map(|&c| row[c].as_ref()))
 }
 
 /// A half-open region `[lo, hi)` of the 32-bit hash space. `hi` is held

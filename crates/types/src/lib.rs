@@ -17,8 +17,8 @@ pub mod value;
 
 pub use cancel::CancelToken;
 pub use error::{all_error_exemplars, EonError, Result, WireError};
-pub use hashspace::{hash_row_32, hash_value, HashRange, HASH_SPACE_BITS};
+pub use hashspace::{hash_cells_32, hash_row_32, hash_value, HashRange, HASH_SPACE_BITS};
 pub use ids::{NodeId, Oid, ShardId, TxnVersion};
 pub use row::Row;
 pub use schema::{Field, Schema};
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};

@@ -104,82 +104,172 @@ impl Value {
         }
     }
 
-    /// A rank used to order values of *different* types, so the total
-    /// order covers heterogeneous columns (which only arise transiently,
-    /// e.g. before type checking rejects a plan).
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 2,
-            Value::Float(_) => 2, // ints and floats compare numerically
-            Value::Date(_) => 3,
-            Value::Str(_) => 4,
+    /// The borrowed view of this value.
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        self.into()
+    }
+}
+
+/// One cell, borrowed: what a typed column hands out without
+/// allocating (a `Str` points into the column's string arena). It
+/// shares `Value`'s order, equality and hash (`value_semantics!`), so a
+/// key hashed or compared cell by cell groups exactly as owned `Value`s
+/// would.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Bool(bool),
+    Date(i32),
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    #[inline]
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Int(x) => ValueRef::Int(*x),
+            Value::Float(x) => ValueRef::Float(*x),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Date(d) => ValueRef::Date(*d),
         }
     }
 }
 
-impl PartialEq for Value {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl ValueRef<'_> {
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(x) => Value::Int(x),
+            ValueRef::Float(x) => Value::Float(x),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Date(d) => Value::Date(d),
+        }
     }
-}
 
-impl Eq for Value {}
-
-impl PartialOrd for Value {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
     }
-}
 
-impl Ord for Value {
-    fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
+    /// Numeric view, as [`Value::as_float`].
+    pub fn as_float(self) -> Option<f64> {
+        match self {
+            ValueRef::Float(v) => Some(v),
+            ValueRef::Int(v) => Some(v as f64),
+            ValueRef::Date(v) => Some(v as f64),
+            _ => None,
+        }
+    }
+
+    /// Structural identity: same variant, floats by bits. Stricter than
+    /// `==`, which deems `Int(1) == Float(1.0)`; run detection and the
+    /// encoders must never let one representation stand in for another.
+    #[inline]
+    pub fn same_repr(self, other: ValueRef<'_>) -> bool {
         match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            (a, b) => a.type_rank().cmp(&b.type_rank()),
+            (ValueRef::Null, ValueRef::Null) => true,
+            (ValueRef::Int(x), ValueRef::Int(y)) => x == y,
+            (ValueRef::Float(x), ValueRef::Float(y)) => x.to_bits() == y.to_bits(),
+            (ValueRef::Str(x), ValueRef::Str(y)) => x == y,
+            (ValueRef::Bool(x), ValueRef::Bool(y)) => x == y,
+            (ValueRef::Date(x), ValueRef::Date(y)) => x == y,
+            _ => false,
         }
     }
 }
 
-impl std::hash::Hash for Value {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Null => 0u8.hash(state),
-            Value::Bool(b) => {
-                1u8.hash(state);
-                b.hash(state)
-            }
-            // Int and Float that compare equal must hash equal.
-            Value::Int(v) => {
-                2u8.hash(state);
-                (*v as f64).to_bits().hash(state)
-            }
-            Value::Float(v) => {
-                2u8.hash(state);
-                v.to_bits().hash(state)
-            }
-            Value::Date(v) => {
-                3u8.hash(state);
-                v.hash(state)
-            }
-            Value::Str(s) => {
-                4u8.hash(state);
-                s.hash(state)
+/// `Value`'s order, equality and hash, written once and instantiated
+/// for the owned and the borrowed cell, so the two cannot drift apart
+/// and neither pays a conversion to compare.
+macro_rules! value_semantics {
+    ($ty:ty, $v:ident) => {
+        impl $ty {
+            /// A rank used to order values of *different* types, so the
+            /// total order covers heterogeneous columns (which only
+            /// arise transiently, e.g. before type checking rejects a
+            /// plan).
+            fn type_rank(&self) -> u8 {
+                match self {
+                    $v::Null => 0,
+                    $v::Bool(_) => 1,
+                    $v::Int(_) => 2,
+                    $v::Float(_) => 2, // ints and floats compare numerically
+                    $v::Date(_) => 3,
+                    $v::Str(_) => 4,
+                }
             }
         }
-    }
+
+        impl PartialEq for $ty {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == Ordering::Equal
+            }
+        }
+
+        impl Eq for $ty {}
+
+        impl PartialOrd for $ty {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl Ord for $ty {
+            fn cmp(&self, other: &Self) -> Ordering {
+                match (self, other) {
+                    ($v::Null, $v::Null) => Ordering::Equal,
+                    ($v::Null, _) => Ordering::Less,
+                    (_, $v::Null) => Ordering::Greater,
+                    ($v::Int(a), $v::Int(b)) => a.cmp(b),
+                    ($v::Float(a), $v::Float(b)) => a.total_cmp(b),
+                    ($v::Int(a), $v::Float(b)) => (*a as f64).total_cmp(b),
+                    ($v::Float(a), $v::Int(b)) => a.total_cmp(&(*b as f64)),
+                    ($v::Str(a), $v::Str(b)) => a.cmp(b),
+                    ($v::Bool(a), $v::Bool(b)) => a.cmp(b),
+                    ($v::Date(a), $v::Date(b)) => a.cmp(b),
+                    (a, b) => a.type_rank().cmp(&b.type_rank()),
+                }
+            }
+        }
+
+        impl std::hash::Hash for $ty {
+            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+                match self {
+                    $v::Null => 0u8.hash(state),
+                    $v::Bool(b) => {
+                        1u8.hash(state);
+                        b.hash(state)
+                    }
+                    // Int and Float that compare equal must hash equal.
+                    $v::Int(v) => {
+                        2u8.hash(state);
+                        (*v as f64).to_bits().hash(state)
+                    }
+                    $v::Float(v) => {
+                        2u8.hash(state);
+                        v.to_bits().hash(state)
+                    }
+                    $v::Date(v) => {
+                        3u8.hash(state);
+                        v.hash(state)
+                    }
+                    $v::Str(s) => {
+                        4u8.hash(state);
+                        s.hash(state)
+                    }
+                }
+            }
+        }
+    };
 }
+
+value_semantics!(Value, Value);
+value_semantics!(ValueRef<'_>, ValueRef);
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -187,6 +187,47 @@ fn clear_depots(db: &EonDb) {
     }
 }
 
+/// A Float `SUM` never merges bit-identically per container, and the
+/// schema says so before any byte moves: the aggregate declines up
+/// front — no select is issued (or billed), every container is read
+/// exactly once — and the answer is the plain path's.
+#[test]
+fn float_sum_declines_before_any_io() {
+    let make = |pushdown: bool| {
+        let registry = Registry::new();
+        let s3 = Arc::new(S3SimFs::with_metrics(S3Config::instant(), &registry));
+        let cfg = EonConfig::new(2, 2)
+            .observability(registry.clone())
+            .pushdown(pushdown)
+            .pushdown_min_bytes(0)
+            .pushdown_max_selectivity(1.0);
+        let db = EonDb::create(s3, cfg).unwrap();
+        let s = schema![("id", Int), ("grp", Int), ("amount", Float)];
+        db.create_table("t", s.clone(), vec![Projection::super_projection("p", &s, &[0], &[0])])
+            .unwrap();
+        let row = |i: i64| vec![Value::Int(i), Value::Int(i % 3), Value::Float(i as f64 * 0.1)];
+        db.copy_into("t", (0..400).map(row).collect()).unwrap();
+        db.copy_into("t", (400..800).map(row).collect()).unwrap();
+        (db, registry)
+    };
+    let plan = Plan::scan(ScanSpec::new("t"))
+        .aggregate(vec![1], vec![AggSpec::sum(Expr::col(2)), AggSpec::count_star()])
+        .sort(vec![SortKey::asc(0)]);
+    let (on, reg) = make(true);
+    let (off, _) = make(false);
+    clear_depots(&on);
+    clear_depots(&off);
+    let containers = on.snapshot().unwrap().containers.len() as u64;
+    let gets = |reg: &Registry| metric_sum(reg, "s3_requests_total{subsystem=\"s3\",verb=\"get\"}");
+    let g0 = gets(&reg);
+    let got = on.query(&plan).unwrap();
+    assert_eq!(format!("{got:?}"), format!("{:?}", off.query(&plan).unwrap()));
+    assert_eq!(metric_sum(&reg, "s3_select_scanned_bytes_total"), 0);
+    assert_eq!(metric_sum(&reg, "scan_pushdown_selects_total"), 0);
+    assert!(containers >= 4, "two loads over two shards");
+    assert_eq!(gets(&reg) - g0, containers, "each container faulted in once");
+}
+
 proptest! {
     /// The tentpole equivalence: pushdown on and off answer a random
     /// workload byte-identically in bypass mode, depot-cold normal
