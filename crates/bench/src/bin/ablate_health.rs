@@ -71,7 +71,7 @@ fn build_db(ab: &Ablation, rows: usize) -> (Arc<EonDb>, Registry, Arc<S3SimFs>) 
     let s3 = Arc::new(S3SimFs::with_metrics(S3Config::instant(), &registry));
     let mut config = EonConfig::new(NODES, SHARDS)
         .observability(registry.clone())
-        .load_workers(1); // serial uploads: deterministic breaker accounting
+        .exec_slots(1); // one-wide write pool: deterministic breaker accounting
     if ab.detector {
         config = config.health_ticks(1, 2, 2).supervisor_restart_ticks(3);
     }

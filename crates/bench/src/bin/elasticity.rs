@@ -60,7 +60,6 @@ fn main() {
         num_nodes: 3,
         exec_slots: 8,
         wos_threshold: 1024,
-        fragment_ms: 0,
     });
     load_tpch_enterprise(&ent, &data).unwrap();
     // Enterprise elasticity cost: the fixed layout means adding a node

@@ -32,7 +32,6 @@ fn main() {
         num_nodes: 4,
         exec_slots: 8,
         wos_threshold: 1024,
-        fragment_ms: 0,
     });
     load_tpch_enterprise(&ent, &data).unwrap();
 

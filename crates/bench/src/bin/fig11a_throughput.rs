@@ -114,7 +114,6 @@ fn main() {
         num_nodes: 9,
         exec_slots: SLOTS,
         wos_threshold: 1_000_000,
-        fragment_ms: 0,
     });
     dashboard::load_enterprise(&ent9, &data).unwrap();
 

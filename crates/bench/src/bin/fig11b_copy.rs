@@ -13,7 +13,7 @@
 //! commit point starts to matter, matching the paper's 3→6→9 curves.
 //!
 //! A second, real-execution phase runs actual COPY batches through the
-//! parallel write pipeline (serial vs full-width write pool) over
+//! write pipeline (one execution slot vs four per node) over
 //! simulated S3 with per-request latency, and records the measured
 //! throughput into `BENCH_copy.json` alongside the virtual-time curves
 //! (`EON_BENCH_JSON` overrides the path).
@@ -82,8 +82,9 @@ fn copies_per_min(db: &EonDb, clients: usize) -> f64 {
 }
 
 /// Real-execution COPY throughput: actual `copy_into` batches through
-/// the write pipeline over latency-bearing simulated S3, serial write
-/// pool vs full width. This is the measured counterpart of the
+/// the write pipeline over latency-bearing simulated S3, a one-slot
+/// cluster (write pool of one) vs the full slot budget. This is the
+/// measured counterpart of the
 /// virtual-time curves above and the source of `BENCH_copy.json`'s
 /// `fig11b_real` section.
 fn real_copy_phase() -> serde_json::Value {
@@ -102,7 +103,7 @@ fn real_copy_phase() -> serde_json::Value {
     );
 
     let mut out = std::collections::BTreeMap::new();
-    for (name, workers) in [("serial", 1usize), ("parallel", 0)] {
+    for (name, slots) in [("serial", 1usize), ("parallel", SLOTS)] {
         let registry = Registry::new();
         let s3 = Arc::new(S3SimFs::with_metrics(
             S3Config { request_latency: latency, ..S3Config::default() },
@@ -111,9 +112,8 @@ fn real_copy_phase() -> serde_json::Value {
         let db = EonDb::create(
             s3,
             EonConfig::new(NODES, REAL_SHARDS)
-                .exec_slots(SLOTS)
-                .observability(registry)
-                .load_workers(workers),
+                .exec_slots(slots)
+                .observability(registry),
         )
         .unwrap();
         copyload::create_telemetry_table(&db).unwrap();

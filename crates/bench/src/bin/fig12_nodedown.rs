@@ -70,7 +70,6 @@ fn main() {
         num_nodes: 4,
         exec_slots: SLOTS,
         wos_threshold: 1_000_000,
-        fragment_ms: 0,
     });
     dashboard::load_enterprise(&ent, &data).unwrap();
     let ent_out = simulate(

@@ -55,7 +55,6 @@ fn main() {
             num_nodes: 3,
             exec_slots: 4,
             wos_threshold: 1024,
-            fragment_ms: 0,
         });
         ent.create_table(
             "t",

@@ -175,14 +175,15 @@ pub fn flap_brownout_schedule(seed: u64) -> Result<HealthRunReport, String> {
         },
         &registry,
     ));
-    // Serial writes: parallel uploads would race the breaker's failure
-    // accounting and break byte-identical same-seed metrics.
+    // One slot per node, so the write pool is one wide: parallel
+    // uploads would race the breaker's failure accounting and break
+    // byte-identical same-seed metrics.
     let config = EonConfig::new(NODES, NODES)
         .observability(registry.clone())
         .health_ticks(1, 2, 2)
         .supervisor_restart_ticks(3)
         .breaker(2, 3, 1)
-        .load_workers(1);
+        .exec_slots(1);
     let db = EonDb::create(s3.clone(), config).map_err(|e| format!("create: {e}"))?;
     let s = schema![("id", Int), ("v", Int)];
     db.create_table(
@@ -329,9 +330,12 @@ pub fn flap_brownout_schedule(seed: u64) -> Result<HealthRunReport, String> {
     Ok(report)
 }
 
-/// The group-commit crash sites, in the order the seed cycles them.
-/// Deliberately separate from [`SITES`]: the serial schedule never
-/// opens an accumulation window, so these are only reachable here.
+/// The commit crash sites, in the order the seed cycles them. Every
+/// commit passes them, but they stay out of [`SITES`]: a fired commit
+/// site is the leader's death with every in-memory catalog gone, which
+/// only `cold_restart_all` recovers — the per-site recovery loop of
+/// `crash_schedule` does not perform it, and adding to `SITES` would
+/// change which site every existing seed picks.
 const GROUP_SITES: &[&str] = &[
     site::COMMIT_LEADER_APPEND,
     site::COMMIT_MID_DISTRIBUTION,
@@ -393,7 +397,7 @@ pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, St
         .faults(faults.clone())
         .observability(registry.clone())
         .commit_group_max(WRITERS)
-        .load_workers(1);
+        .exec_slots(1);
     let db = EonDb::create(s3.clone(), config).map_err(|e| format!("create: {e}"))?;
     let s = schema![("id", Int), ("v", Int)];
     db.create_table(
@@ -409,8 +413,9 @@ pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, St
         .map_err(|e| format!("base copy: {e}"))?;
     model.rows.extend(base);
 
-    // Arm the crash and open the window only now: bootstrap ran serial
-    // and quiet, so occurrence 0 of the armed site is the batch's.
+    // Arm the crash and open the window only now: bootstrap committed
+    // as batches of one, and `rearm` resets the occurrence counters, so
+    // occurrence 0 of the armed site is the batch's.
     let v0 = db.version();
     faults.rearm(armed, 0, None);
     db.set_commit_group_window(500_000);

@@ -85,9 +85,8 @@ impl CatalogStore {
     /// = one durability point for the whole batch: after a crash either
     /// every record in the file is replayable or none is, which is how
     /// the prefix-or-nothing batch invariant is kept). Records must be
-    /// consecutive versions in order; a singleton batch degenerates to
-    /// the plain single-record file so the log shape is identical to
-    /// serial commit.
+    /// consecutive versions in order; a batch of one — every lone
+    /// commit — writes the plain single-record file.
     pub fn append_local_batch(&self, records: &[TxnRecord]) -> Result<()> {
         match records {
             [] => Ok(()),

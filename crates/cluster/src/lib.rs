@@ -12,6 +12,7 @@
 pub mod health;
 pub mod membership;
 pub mod node;
+pub mod pool;
 pub mod slots;
 
 pub use health::{FailureDetector, HealthConfig, HealthEvent, HealthTransition, NodeHealth};

@@ -1,28 +1,36 @@
-//! Group commit (DESIGN.md "Group commit"): amortize the fixed
-//! per-commit costs — the durable log append and the distribution
-//! round-trip to every up node — across concurrent statements.
+//! The cluster commit protocol (DESIGN.md "Group commit"). There is
+//! one: every statement's commit — COPY, DML, DDL, mergeout, the
+//! bootstrap transactions — parks in the accumulator and is committed
+//! as a member of a batch, and a lone statement is a batch of one.
 //!
 //! Every DML statement serializes on the global commit lock, so under
-//! many small concurrent writers (the trickle-load shape) commit cost,
-//! not data movement, bounds throughput. The accumulator batches
-//! concurrent `commit_staged_write` / `commit_cluster` calls: the first
-//! arrival becomes the **batch leader** and waits a small accumulation
-//! window (`EonConfig::commit_group_window` deterministic ticks,
-//! closing early at `commit_group_max` statements); followers park
-//! their validated [`Txn`]s and wake with their own [`TxnRecord`] or
-//! their own typed error. The leader then, under the commit lock:
+//! many small concurrent writers (the trickle-load shape) commit cost —
+//! the durable log append and the distribution round-trip to every up
+//! node — not data movement, bounds throughput. The first arrival
+//! becomes the **batch leader** and waits an accumulation window
+//! (`EonConfig::commit_group_window` deterministic ticks, closing early
+//! at `commit_group_max` statements); followers park their validated
+//! [`Txn`]s and wake with their own [`TxnRecord`] or their own typed
+//! error. With the default window of 0 the leader does not wait: it
+//! takes the queue — itself — in the same critical section it joined
+//! it in. The leader then, under the commit lock:
 //!
 //! 1. per statement, in arrival order: re-validates its §4.5 writer
 //!    subscriptions against the *current* snapshot and OCC-commits it
-//!    on the batch coordinator — one stale writer or write conflict
-//!    fails *that* statement, never the batch;
+//!    (§6.3) on the batch coordinator — one stale writer or write
+//!    conflict fails *that* statement, never the batch;
 //! 2. applies the committed records to every other up node's in-memory
 //!    catalog in one pass ([`eon_catalog::Catalog::apply_committed_batch`],
-//!    one copy-on-write clone per node per batch instead of per record);
-//! 3. appends all records as **one** multi-record log file on the
-//!    coordinator (the §3.5 durability point — a single atomic write,
-//!    so a crash durably commits the whole batch or nothing, never a
-//!    gap), then distributes the same single append to every peer.
+//!    one copy-on-write clone per node per batch instead of per record)
+//!    — §3.2's eager metadata redistribution; down nodes miss records
+//!    and repair via re-subscription (§3.3);
+//! 3. appends all records as **one** log file on the coordinator (the
+//!    §3.5 durability point — a single atomic write, so a crash durably
+//!    commits the whole batch or nothing, never a gap; a batch of one
+//!    writes the plain single-record file), then distributes the same
+//!    single append to every peer;
+//! 4. hands each statement's dropped keys whose catalog reference count
+//!    reached zero to the §6.5 reaper.
 //!
 //! Determinism rule: the accumulation window is measured in planned
 //! ticks — each leader wait charges one full tick whether the condvar
@@ -57,7 +65,7 @@ pub(crate) struct CommitMetrics {
     /// Statements committed through the cluster commit protocol.
     pub(crate) statements: Arc<Counter>,
     /// Durable log-file appends on the batch coordinator — the count
-    /// group commit exists to shrink (serial: one per statement).
+    /// group commit exists to shrink (one per statement at window 0).
     pub(crate) appends: Arc<Counter>,
     /// Statements that parked as group-commit followers.
     pub(crate) group_waits: Arc<Counter>,
@@ -153,9 +161,30 @@ impl EonDb {
         self.group_commit.inner.lock().queue.len()
     }
 
-    /// Group-commit entry point: park the statement, elect the first
-    /// arrival as leader, return this statement's own outcome.
-    pub(crate) fn commit_grouped(
+    /// Commit a catalog transaction cluster-wide.
+    pub(crate) fn commit_cluster(
+        &self,
+        txn: Txn,
+        coordinator: &Arc<NodeRuntime>,
+    ) -> Result<TxnRecord> {
+        self.commit_grouped(txn, coordinator.clone(), None)
+    }
+
+    /// Commit a staged write (COPY / UPDATE). The leader re-checks
+    /// under the commit lock that every writer still holds its
+    /// subscription; a concurrent rebalance forces a rollback (§4.5).
+    pub(crate) fn commit_staged_write(
+        &self,
+        txn: Txn,
+        coord: &Arc<NodeRuntime>,
+        writers: LoadWriters,
+    ) -> Result<TxnRecord> {
+        self.commit_grouped(txn, coord.clone(), Some(writers))
+    }
+
+    /// Park the statement, elect the first arrival as leader, return
+    /// this statement's own outcome.
+    fn commit_grouped(
         &self,
         txn: Txn,
         coord: Arc<NodeRuntime>,
@@ -179,10 +208,11 @@ impl EonDb {
             metrics.group_waits.inc();
             return slot.wait();
         }
-        // Leader: accumulate for up to `window` ticks, closing early
-        // when the batch fills. Each wait charges one full tick
-        // regardless of why it woke (the planned-wait determinism
-        // rule): tick count is a function of arrivals, not of races.
+        // Leader: accumulate for up to `window` ticks (none at window
+        // 0), closing early when the batch fills. Each wait charges one
+        // full tick regardless of why it woke (the planned-wait
+        // determinism rule): tick count is a function of arrivals, not
+        // of races.
         let window = self.commit_group_window();
         let max = self.config.commit_group_max.max(1);
         let mut ticks = 0;
@@ -204,7 +234,8 @@ impl EonDb {
     fn run_commit_batch(&self, batch: Vec<Pending>, metrics: &CommitMetrics) {
         let _lock = self.commit_lock.lock();
         // Phase 1 — commit each statement on the batch coordinator (the
-        // first committed statement's coord), in arrival order.
+        // coord of the first statement whose coord is still up), in
+        // arrival order.
         // Catalogs are in lockstep so a Txn begun on any node's catalog
         // validates identically here; per-statement failures
         // (stale writer, OCC conflict) fail that statement alone.
@@ -212,6 +243,14 @@ impl EonDb {
         let mut batch_coord: Option<Arc<NodeRuntime>> = None;
         let mut dropped: Vec<(Vec<String>, eon_types::TxnVersion)> = Vec::new();
         for p in batch {
+            // A coordinator that died since the statement began stopped
+            // receiving commits: OCC against its catalog would validate
+            // stale state and mint a version its peers already hold.
+            if !p.coord.is_up() {
+                let died = format!("coordinator {} died before commit", p.coord.id);
+                p.slot.deliver(Err(EonError::NodeDown(died)));
+                continue;
+            }
             let coord = batch_coord.get_or_insert_with(|| p.coord.clone());
             let snapshot = coord.catalog.snapshot();
             if let Some(w) = &p.writers {
@@ -238,70 +277,7 @@ impl EonDb {
         }
         let records: Vec<TxnRecord> = committed.iter().map(|(r, _)| r.clone()).collect();
 
-        // Phase 2 — one in-memory apply pass per peer for the whole
-        // batch. Failure is §3.4 divergence: batch-fatal, halts the
-        // cluster.
-        let mut fatal: Option<EonError> = None;
-        for node in self.membership.up_nodes() {
-            if node.id == coord.id {
-                continue;
-            }
-            if let Err(e) = node.catalog.apply_committed_batch(&records) {
-                fatal = Some(self.declare_divergence(node.id, &e));
-                break;
-            }
-        }
-
-        // Phase 3 — durability and distribution: one multi-record log
-        // file, appended first on the coordinator (the §3.5 durability
-        // point: the single atomic write is what makes the batch
-        // all-or-nothing on disk), then on every peer. A fired crash
-        // site models the leader process dying — every member observes
-        // the crash; a *real* peer append failure is divergence.
-        if fatal.is_none() {
-            let durable = self
-                .config
-                .faults
-                .hit(site::COMMIT_LEADER_APPEND)
-                .and_then(|()| {
-                    self.charge_append_cost();
-                    coord.store.append_local_batch(&records)
-                });
-            match durable {
-                Ok(()) => metrics.appends.inc(),
-                Err(e) => fatal = Some(e),
-            }
-        }
-        if fatal.is_none() {
-            'peers: for node in self.membership.up_nodes() {
-                if node.id == coord.id {
-                    continue;
-                }
-                if let Err(e) = self
-                    .config
-                    .faults
-                    .hit_node(site::COMMIT_MID_DISTRIBUTION, node.id.0)
-                {
-                    fatal = Some(e);
-                    break 'peers;
-                }
-                self.charge_append_cost();
-                if let Err(e) = node.store.append_local_batch(&records) {
-                    fatal = Some(match e {
-                        crash @ EonError::FaultInjected(_) => crash,
-                        other => self.declare_divergence(node.id, &other),
-                    });
-                    break 'peers;
-                }
-            }
-        }
-        if fatal.is_none() {
-            if let Err(e) = self.config.faults.hit(site::COMMIT_POST_APPEND) {
-                fatal = Some(e);
-            }
-        }
-
-        if let Some(e) = fatal {
+        if let Err(e) = self.distribute_batch(&coord, &records, metrics) {
             for (_, slot) in committed {
                 slot.deliver(Err(e.clone()));
             }
@@ -309,8 +285,8 @@ impl EonDb {
         }
 
         // Reference count (§6.5) against the post-batch snapshot, per
-        // statement at its own version — exactly the bookkeeping each
-        // statement would have done committing alone.
+        // statement at its own version: only keys with no remaining
+        // catalog reference become deletion candidates.
         let post = coord.catalog.snapshot();
         for (keys, version) in dropped {
             let orphaned: Vec<String> = keys
@@ -325,6 +301,51 @@ impl EonDb {
         for (rec, slot) in committed {
             slot.deliver(Ok(rec));
         }
+    }
+
+    /// Phases 2 and 3 of the leader's pass; any error is batch-fatal.
+    ///
+    /// Apply, then append. Phase 2 is one in-memory apply pass per peer
+    /// for the whole batch; a peer that refuses a record its
+    /// coordinator accepted is §3.4 divergence and halts the cluster.
+    /// Phase 3 is durability and distribution: one log file, appended
+    /// first on the coordinator (the §3.5 durability point: the single
+    /// atomic write is what makes the batch all-or-nothing on disk),
+    /// then on every peer. A fired crash site models the leader process
+    /// dying — every member observes the crash. A peer that applied in
+    /// memory but cannot persist the batch (`commit.peer_append`) is
+    /// just as divergent as one that refused it, never a retryable
+    /// storage error: its next local recovery would silently rewind
+    /// behind the cluster.
+    fn distribute_batch(
+        &self,
+        coord: &NodeRuntime,
+        records: &[TxnRecord],
+        metrics: &CommitMetrics,
+    ) -> Result<()> {
+        let faults = &self.config.faults;
+        let peers: Vec<Arc<NodeRuntime>> = self
+            .membership
+            .up_nodes()
+            .into_iter()
+            .filter(|n| n.id != coord.id)
+            .collect();
+        for node in &peers {
+            node.catalog
+                .apply_committed_batch(records)
+                .map_err(|e| self.declare_divergence(node.id, &e))?;
+        }
+        faults.hit(site::COMMIT_LEADER_APPEND)?;
+        coord.store.append_local_batch(records)?;
+        metrics.appends.inc();
+        for node in &peers {
+            faults.hit_node(site::COMMIT_MID_DISTRIBUTION, node.id.0)?;
+            faults
+                .hit_node(site::COMMIT_PEER_APPEND, node.id.0)
+                .and_then(|()| node.store.append_local_batch(records))
+                .map_err(|e| self.declare_divergence(node.id, &e))?;
+        }
+        faults.hit(site::COMMIT_POST_APPEND)
     }
 }
 
@@ -400,7 +421,9 @@ mod tests {
         }
         let grouped = db_with(EonConfig::new(3, 3).commit_group_max(WRITERS));
         let metrics = CommitMetrics::register(grouped.metrics());
+        // Bootstrap and DDL committed as batches of one; count from here.
         let (appends0, stmts0) = (metrics.appends.get(), metrics.statements.get());
+        let (batches0, batched0) = (metrics.batch_size.count(), metrics.batch_size.sum());
         grouped.set_commit_group_window(500_000);
         run_sequenced_copies(&grouped, WRITERS);
         assert_eq!(fingerprint(&grouped), fingerprint(&serial));
@@ -412,8 +435,8 @@ mod tests {
         assert_eq!(metrics.appends.get() - appends0, 1, "one append for the batch");
         assert_eq!(metrics.statements.get() - stmts0, batch_stmts);
         assert_eq!(metrics.group_waits.get(), batch_stmts - 1);
-        assert_eq!(metrics.batch_size.count(), 1);
-        assert_eq!(metrics.batch_size.sum(), batch_stmts);
+        assert_eq!(metrics.batch_size.count() - batches0, 1);
+        assert_eq!(metrics.batch_size.sum() - batched0, batch_stmts);
         let pre_batch = grouped.version().0 - batch_stmts;
         for node in grouped.membership().up_nodes() {
             let recs = node
@@ -465,6 +488,33 @@ mod tests {
     }
 
     #[test]
+    fn statement_of_a_dead_coordinator_fails_alone() {
+        // A statement begins on node 2, node 2 dies, the cluster commits
+        // on without it, then the statement reaches the commit: it must
+        // fail typed instead of minting a version the peers already
+        // hold (which would read as §3.4 divergence and halt them).
+        let db = db_with(EonConfig::new(4, 3));
+        let dead = db.membership().get(NodeId(2)).unwrap();
+        let mut txn = dead.catalog.begin();
+        txn.push(CatalogOp::SetMergeoutCoordinator {
+            shard: ShardId(0),
+            node: NodeId(0),
+        });
+        db.kill_node(NodeId(2)).unwrap();
+        db.copy_into("t", vec![vec![Value::Int(1), Value::Int(1)]]).unwrap();
+        let v = db.version();
+
+        let err = db.commit_cluster(txn, &dead).unwrap_err();
+        assert!(matches!(err, EonError::NodeDown(_)), "{err:?}");
+        assert_eq!(db.version(), v);
+        assert!(!matches!(
+            db.cluster_health(),
+            crate::supervisor::ClusterHealth::Down { .. }
+        ));
+        db.copy_into("t", vec![vec![Value::Int(2), Value::Int(2)]]).unwrap();
+    }
+
+    #[test]
     fn peer_append_failure_is_metadata_divergence() {
         // Satellite regression: a peer that applied a record in memory
         // but failed its durable append must surface §3.4 ClusterDown,
@@ -499,6 +549,129 @@ mod tests {
             crate::supervisor::ClusterHealth::Down { .. }
         ));
         assert!(db.copy_into("t", vec![vec![Value::Int(1), Value::Int(1)]]).is_err());
+    }
+
+    #[test]
+    fn lone_commit_is_a_batch_of_one() {
+        // Default config, statements one at a time: bootstrap (two
+        // transactions), DDL, COPY, DDL, DELETE, COPY. Each is its own
+        // batch, with its own append, and nobody parks as a follower.
+        let db = db_with(EonConfig::new(3, 3));
+        db.copy_into("t", (0..40).map(|i| vec![Value::Int(i), Value::Int(7)]).collect())
+            .unwrap();
+        let s = schema![("x", Int)];
+        db.create_table(
+            "t2",
+            s.clone(),
+            vec![Projection::super_projection("t2p", &s, &[0], &[0])],
+        )
+        .unwrap();
+        let pred = eon_columnar::Predicate::cmp(0, eon_columnar::pruning::CmpOp::Lt, 10i64);
+        assert_eq!(db.delete_where("t", &pred).unwrap(), 10);
+        db.copy_into("t", vec![vec![Value::Int(99), Value::Int(1)]]).unwrap();
+
+        let metrics = CommitMetrics::register(db.metrics());
+        let statements = metrics.statements.get();
+        assert_eq!(statements, 7);
+        assert_eq!(db.version(), TxnVersion(statements));
+        assert_eq!(metrics.batch_size.count(), statements);
+        assert_eq!(metrics.batch_size.sum(), statements);
+        assert_eq!(metrics.appends.get(), statements);
+        assert_eq!(metrics.group_waits.get(), 0);
+
+        // On disk a batch of one is the plain single-record file: one
+        // `txn/{version:020}` key per commit holding exactly that
+        // record's encoding, on every node.
+        for node in db.membership().up_nodes() {
+            let want: Vec<String> = (1..=statements)
+                .map(|v| format!("catalog/txn/{v:020}"))
+                .collect();
+            let mut keys = node.local_disk.list("catalog/txn/").unwrap();
+            keys.sort();
+            assert_eq!(keys, want, "{}", node.id);
+            for (key, v) in want.iter().zip(1..) {
+                let bytes = node.local_disk.read(key).unwrap();
+                let rec = TxnRecord::decode(&bytes).unwrap();
+                assert_eq!(rec.version, TxnVersion(v));
+                assert_eq!(rec.encode(), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn commit_crash_points_hold_for_a_lone_statement() {
+        // No window, no concurrency: a lone COPY is a batch, so the
+        // leader's crash points are its crash points.
+        for s in [
+            site::COMMIT_LEADER_APPEND,
+            site::COMMIT_MID_DISTRIBUTION,
+            site::COMMIT_POST_APPEND,
+        ] {
+            let faults = FaultPlan::inert();
+            let db = db_with(EonConfig::new(3, 3).faults(faults.clone()));
+            let base = vec![vec![Value::Int(1), Value::Int(1)]];
+            db.copy_into("t", base.clone()).unwrap();
+            let v0 = db.version();
+
+            faults.rearm(s, 0, None);
+            let row = vec![Value::Int(2), Value::Int(2)];
+            let err = db.copy_into("t", vec![row.clone()]).unwrap_err();
+            assert!(matches!(err, EonError::FaultInjected(_)), "site {s}: {err}");
+
+            // The leader died: recover every node from its durable log.
+            db.cold_restart_all().unwrap();
+            let durable = s != site::COMMIT_LEADER_APPEND;
+            for node in db.membership().up_nodes() {
+                let recs = node.store.read_records_after(v0).unwrap();
+                assert_eq!(recs.len(), durable as usize, "site {s}: {}", node.id);
+            }
+            let mut model = crate::TableModel { name: "t".into(), rows: base };
+            if durable {
+                model.rows.push(row);
+            }
+            let report = crate::check_crash_invariants(&db, &[model]).unwrap();
+            assert_eq!(
+                report.reclaimed.is_empty(),
+                durable,
+                "site {s}: an aborted upload is a crash orphan, a durable one is live: {:?}",
+                report.reclaimed
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_lone_commits_all_land() {
+        // Window 0 under concurrency: every statement leads its own
+        // batch of one and they serialize on the commit lock.
+        const THREADS: usize = 8;
+        const PER: usize = 20;
+        let db = db_with(EonConfig::new(3, 3));
+        let v0 = db.version();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let db = &db;
+                scope.spawn(move || {
+                    for i in 0..PER {
+                        let id = (t * PER + i) as i64;
+                        db.copy_into("t", vec![vec![Value::Int(id), Value::Int(7)]])
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let total = (THREADS * PER) as u64;
+        assert_eq!(db.version(), TxnVersion(v0.0 + total));
+        for node in db.membership().up_nodes() {
+            let versions: Vec<u64> = node
+                .store
+                .read_records_after(v0)
+                .unwrap()
+                .iter()
+                .map(|r| r.version.0)
+                .collect();
+            let want: Vec<u64> = (v0.0 + 1..=v0.0 + total).collect();
+            assert_eq!(versions, want, "{}", node.id);
+        }
     }
 
     #[test]

@@ -16,20 +16,12 @@ pub struct EonConfig {
     /// Node failures tolerated (shards get `k_safety + 1` subscribers).
     pub k_safety: usize,
     /// Execution slots per node (the `E` of §4.2). Also the width of a
-    /// node's scan pool: a query scan runs one container task per slot
-    /// (DESIGN.md "Scan pipeline").
+    /// node's scan pool and of the write pool of a statement it
+    /// coordinates: one container task per slot (DESIGN.md "Scan
+    /// pipeline", "Write pipeline").
     pub exec_slots: usize,
     /// Depot capacity per node, bytes.
     pub cache_bytes: u64,
-    /// Lease duration stamped into `cluster_info.json`, milliseconds.
-    pub lease_ms: u64,
-    /// Simulated per-fragment service time, milliseconds (0 = off).
-    /// Models each node's fixed compute capacity: a query fragment
-    /// occupies its execution slots for at least this long. Needed for
-    /// throughput experiments because in-process simulated nodes share
-    /// the host CPU (DESIGN.md §1) — without it, 3 simulated nodes and
-    /// 9 simulated nodes have identical total compute.
-    pub fragment_ms: u64,
     /// Crash-point fault plan (DESIGN.md "Fault model"). Inert by
     /// default; chaos tests install a seeded [`FaultPlan`] to kill the
     /// process at a named commit-path site. Shared (`Arc`) so every
@@ -57,20 +49,10 @@ pub struct EonConfig {
     /// containers — where per-request overhead dominates — on the plain
     /// path.
     pub pushdown_min_bytes: u64,
-    /// Partial-aggregate pushdown: the store declines a select that
-    /// produces more groups than this, falling back to the local fold.
-    pub pushdown_max_groups: u64,
     /// Force every container block onto one encoding instead of the
     /// per-block heuristic (blocks the encoding can't represent fall
     /// back). Testing knob for encoding-equivalence properties.
     pub force_encoding: Option<eon_columnar::Encoding>,
-    /// Write-pool workers for loads (DESIGN.md "Write pipeline"): how
-    /// many independent (projection, shard) container uploads a COPY /
-    /// DML statement runs concurrently. `0` = auto: one worker per
-    /// execution slot. `1` forces the serial write path. Always
-    /// clamped to `exec_slots`; forced to 1 while a fault plan is
-    /// armed so seeded crash schedules replay identically.
-    pub load_workers: usize,
     /// Admission control (DESIGN.md "Admission control & workload
     /// management"): max concurrently *running* queries per subcluster
     /// resource pool. `0` disables admission control entirely — every
@@ -113,19 +95,13 @@ pub struct EonConfig {
     pub supervisor_restart_ticks: u64,
     /// Group commit (DESIGN.md "Group commit"): how many deterministic
     /// accumulation ticks the batch leader waits for followers to join
-    /// before closing the batch. `0` = serial commit, today's shape:
-    /// every statement pays its own log append and distribution
-    /// round-trip.
+    /// before closing the batch. `0` = the leader does not wait, so a
+    /// statement with nobody beside it is a batch of one and pays its
+    /// own log append and distribution round-trip.
     pub commit_group_window: u64,
     /// Max statements per commit batch; the leader closes the batch
-    /// early when it fills. Ignored while the window is 0.
+    /// early when it fills.
     pub commit_group_max: usize,
-    /// Simulated per-append log fsync cost, microseconds (0 = off).
-    /// Models the fixed durable-write latency a real redo log pays per
-    /// append — the cost group commit amortizes. Needed for commit
-    /// throughput experiments because the in-process local log is a
-    /// MemFs with free writes (same reason `fragment_ms` exists).
-    pub commit_append_us: u64,
 }
 
 impl Default for EonConfig {
@@ -137,16 +113,12 @@ impl Default for EonConfig {
             k_safety: 1,
             exec_slots: 4,
             cache_bytes: 256 << 20,
-            lease_ms: 10_000,
-            fragment_ms: 0,
             faults: FaultPlan::inert(),
             obs: eon_obs::Registry::new(),
             pushdown: true,
             pushdown_max_selectivity: 0.25,
             pushdown_min_bytes: 32 * 1024,
-            pushdown_max_groups: 64,
             force_encoding: None,
-            load_workers: 0,
             admission_max_concurrent: 0,
             admission_max_queue: 0,
             admission_timeout_ms: 10_000,
@@ -160,7 +132,6 @@ impl Default for EonConfig {
             supervisor_restart_ticks: 4,
             commit_group_window: 0,
             commit_group_max: 16,
-            commit_append_us: 0,
         }
     }
 }
@@ -186,11 +157,6 @@ impl EonConfig {
 
     pub fn cache_bytes(mut self, b: u64) -> Self {
         self.cache_bytes = b;
-        self
-    }
-
-    pub fn fragment_ms(mut self, ms: u64) -> Self {
-        self.fragment_ms = ms;
         self
     }
 
@@ -224,21 +190,9 @@ impl EonConfig {
         self
     }
 
-    /// Partial-aggregate group-cardinality cap for pushed selects.
-    pub fn pushdown_max_groups(mut self, groups: u64) -> Self {
-        self.pushdown_max_groups = groups;
-        self
-    }
-
     /// Force one block encoding at write time (`None` = heuristic).
     pub fn force_encoding(mut self, enc: Option<eon_columnar::Encoding>) -> Self {
         self.force_encoding = enc;
-        self
-    }
-
-    /// Write-pool width for loads (`0` = one worker per exec slot).
-    pub fn load_workers(mut self, w: usize) -> Self {
-        self.load_workers = w;
         self
     }
 
@@ -292,7 +246,7 @@ impl EonConfig {
         self
     }
 
-    /// Group-commit accumulation window in ticks (`0` = serial commit).
+    /// Group-commit accumulation window in ticks (`0` = no wait).
     pub fn commit_group_window(mut self, ticks: u64) -> Self {
         self.commit_group_window = ticks;
         self
@@ -301,12 +255,6 @@ impl EonConfig {
     /// Max statements per commit batch.
     pub fn commit_group_max(mut self, n: usize) -> Self {
         self.commit_group_max = n.max(1);
-        self
-    }
-
-    /// Simulated per-append log fsync cost, microseconds (`0` = off).
-    pub fn commit_append_us(mut self, us: u64) -> Self {
-        self.commit_append_us = us;
         self
     }
 }

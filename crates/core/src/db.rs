@@ -1,11 +1,12 @@
-//! The [`EonDb`] handle: cluster bootstrap and the commit protocol.
+//! The [`EonDb`] handle and cluster bootstrap (the commit protocol is
+//! in [`crate::commit`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use eon_catalog::{CatalogOp, CatalogState, ShardDef, ShardKind, SubState, Subscription, Txn, TxnRecord};
+use eon_catalog::{CatalogOp, CatalogState, ShardDef, ShardKind, SubState, Subscription, Txn};
 use eon_cluster::{Membership, NodeRuntime};
 use eon_shard::rebalance_plan;
 use eon_storage::{BreakerConfig, CircuitBreaker, SharedFs};
@@ -43,14 +44,14 @@ pub struct EonDb {
     /// Self-healing supervisor state: the failure detector plus repair
     /// bookkeeping, driven by [`EonDb::supervise_tick`].
     pub(crate) supervisor: Mutex<crate::supervisor::SupervisorState>,
-    /// Group-commit accumulator (DESIGN.md "Group commit"); idle unless
-    /// the window is non-zero.
+    /// Group-commit accumulator (DESIGN.md "Group commit"): every
+    /// commit parks here.
     pub(crate) group_commit: crate::commit::GroupCommit,
     /// Live group-commit window, ticks (`EonConfig::commit_group_window`
     /// seeds it). Dynamic so a harness can bring the cluster up with
-    /// serial commits and then enable batching for the workload under
-    /// test — bootstrap DDL has no concurrency to amortize against and
-    /// would otherwise wait out the whole window alone.
+    /// no wait and then open the window for the workload under test —
+    /// bootstrap DDL has no concurrency to amortize against and would
+    /// otherwise wait out the whole window alone.
     pub(crate) commit_group_window: AtomicU64,
     /// Set when metadata divergence is detected (§3.4): a node applied
     /// a record in memory but could not persist it, or refused a record
@@ -245,28 +246,9 @@ impl EonDb {
             pushdown: self.config.pushdown,
             pushdown_max_selectivity: self.config.pushdown_max_selectivity,
             pushdown_min_bytes: self.config.pushdown_min_bytes,
-            pushdown_max_groups: self.config.pushdown_max_groups,
             obs: self.config.obs.clone(),
             profile: profile.cloned(),
             cancel,
-        }
-    }
-
-    /// Write-pool width for one load statement coordinated by `node`,
-    /// clamped to the execution-slot budget (§4.2) like the scan pool.
-    /// Armed fault plans force the serial path: which upload a one-shot
-    /// crash site interrupts (and therefore which files a seeded chaos
-    /// run orphans) must not depend on thread scheduling (DESIGN.md
-    /// "Write pipeline").
-    pub(crate) fn load_pool_width(&self, node: &NodeRuntime) -> usize {
-        if self.config.faults.is_armed() {
-            return 1;
-        }
-        let slots = node.slots.capacity().max(1);
-        if self.config.load_workers == 0 {
-            slots
-        } else {
-            self.config.load_workers.min(slots)
         }
     }
 
@@ -286,34 +268,15 @@ impl EonDb {
         self.session_counter.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The cluster commit protocol: commit on the coordinator (OCC
-    /// validation, §6.3), persist to its local log, then distribute the
-    /// record to every other up node (§3.2's eager metadata
-    /// redistribution — all subscribers have the metadata at commit).
-    /// Down nodes miss records and repair via re-subscription (§3.3).
-    /// With a non-zero group window the statement instead joins the
-    /// group-commit accumulator (DESIGN.md "Group commit").
-    pub(crate) fn commit_cluster(
-        &self,
-        txn: Txn,
-        coordinator: &Arc<NodeRuntime>,
-    ) -> Result<TxnRecord> {
-        if self.commit_group_window() > 0 {
-            return self.commit_grouped(txn, coordinator.clone(), None);
-        }
-        let _g = self.commit_lock.lock();
-        self.commit_cluster_locked(txn, coordinator)
-    }
-
-    /// The live group-commit accumulation window, in ticks (`0` =
-    /// serial commit).
+    /// The live group-commit accumulation window, in ticks (`0` = the
+    /// batch leader does not wait: a lone statement is a batch of one).
     pub fn commit_group_window(&self) -> u64 {
         self.commit_group_window.load(Ordering::Relaxed)
     }
 
-    /// Change the group-commit window at runtime. `0` restores serial
-    /// commit; statements already parked in the accumulator finish
-    /// under the window they arrived with.
+    /// Change the group-commit window at runtime; statements already
+    /// parked in the accumulator finish under the window they arrived
+    /// with.
     pub fn set_commit_group_window(&self, ticks: u64) {
         self.commit_group_window.store(ticks, Ordering::Relaxed);
     }
@@ -328,71 +291,12 @@ impl EonDb {
         EonError::ClusterDown(msg)
     }
 
-    /// Simulated fixed durable-append cost (`EonConfig::
-    /// commit_append_us`) — charged per log-file append so group commit
-    /// has the fsync economics the real redo log has.
-    pub(crate) fn charge_append_cost(&self) {
-        if self.config.commit_append_us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(self.config.commit_append_us));
-        }
-    }
-
-    /// Commit with the lock already held (used by the load path, which
-    /// re-validates subscription stability under the lock, §4.5).
-    pub(crate) fn commit_cluster_locked(
-        &self,
-        txn: Txn,
-        coordinator: &NodeRuntime,
-    ) -> Result<TxnRecord> {
-        // Collect the shared-storage keys this transaction's drops
-        // *might* orphan — the snapshot still holds them. After apply
-        // they are checked against the new state: `copy_table` can put
-        // the same file under several tables (§5.1), so a key only
-        // feeds the §6.5 reaper when its catalog reference count
-        // actually reaches zero.
-        let dropped_keys = Self::dropped_keys(&txn);
-        let rec = coordinator.catalog.commit(txn)?;
-        self.charge_append_cost();
-        coordinator.store.append_local(&rec)?;
-        let metrics = crate::commit::CommitMetrics::register(&self.config.obs);
-        metrics.statements.inc();
-        metrics.appends.inc();
-        for node in self.membership.up_nodes() {
-            if node.id == coordinator.id {
-                continue;
-            }
-            // All up nodes advance in lockstep; failure here would mean
-            // divergence, which §3.4 says must shut the cluster down.
-            node.catalog
-                .apply_committed(&rec)
-                .map_err(|e| self.declare_divergence(node.id, &e))?;
-            // A peer that applied in memory but cannot persist the
-            // record is just as divergent: its next local recovery
-            // would silently rewind behind the cluster. Same §3.4
-            // classification — never a retryable storage error.
-            self.charge_append_cost();
-            self.config
-                .faults
-                .hit_node(eon_storage::fault::site::COMMIT_PEER_APPEND, node.id.0)
-                .and_then(|()| node.store.append_local(&rec))
-                .map_err(|e| self.declare_divergence(node.id, &e))?;
-        }
-        // Reference count (§6.5): only keys with no remaining catalog
-        // reference become deletion candidates.
-        let post = coordinator.catalog.snapshot();
-        let orphaned: Vec<String> = dropped_keys
-            .into_iter()
-            .filter(|k| {
-                !post.containers.values().any(|c| &c.key == k)
-                    && !post.delete_vectors.values().any(|d| &d.key == k)
-            })
-            .collect();
-        self.reaper.note_dropped(orphaned, rec.version);
-        Ok(rec)
-    }
-
-    /// Shared-storage keys orphaned by a transaction's drop ops,
-    /// resolved against the transaction's snapshot (before apply).
+    /// Shared-storage keys a transaction's drop ops *might* orphan,
+    /// resolved against the transaction's snapshot (before apply — the
+    /// snapshot still holds them). `copy_table` can put the same file
+    /// under several tables (§5.1), so the commit checks them against
+    /// the post-commit state and only a key whose catalog reference
+    /// count reached zero feeds the §6.5 reaper.
     pub(crate) fn dropped_keys(txn: &Txn) -> Vec<String> {
         let snap = txn.snapshot();
         let mut keys = Vec::new();

@@ -17,7 +17,6 @@ use eon_exec::{Plan, ScanSpec};
 use eon_types::{EonError, Result, Value};
 
 use crate::db::EonDb;
-use crate::load::LoadMetrics;
 use crate::provider::NodeProvider;
 
 impl EonDb {
@@ -44,9 +43,8 @@ impl EonDb {
     /// Find the rows matching `predicate`, encode one delete vector per
     /// hit container, upload the DVs on the write pool, and push
     /// `AddDeleteVector` ops — OIDs minted after the join, in hit
-    /// order, like the load path. Uploaded keys land in `uploaded`
-    /// (successes of a partially-failed fan-out included). Returns the
-    /// number of rows tombstoned.
+    /// order, like the load path. Every attempted upload's key lands
+    /// in `uploaded`. Returns the number of rows tombstoned.
     pub(crate) fn stage_delete_vectors(
         &self,
         txn: &mut Txn,
@@ -68,36 +66,15 @@ impl EonDb {
             .collect();
         let total: u64 = jobs.iter().map(|(_, _, _, dv)| dv.len() as u64).sum();
 
-        let metrics = LoadMetrics::register(&self.config.obs, &format!("node{}", coord.id.0));
-        let width = self.load_pool_width(coord);
-        let results = self.run_write_pool(width, jobs.len(), &metrics, None, |i| {
+        let keys: Vec<&str> = jobs.iter().map(|(_, _, key, _)| key.as_str()).collect();
+        self.run_write_pool(coord, &keys, None, uploaded, |i| {
             let (_, _, key, dv) = &jobs[i];
             // Crash site: dies between delete-vector uploads, orphaning
             // any DV files already on shared storage.
             self.config.faults.hit(fault_site::DML_UPLOAD)?;
             // Delete marks are files too: cache + upload before commit.
-            coord.cache.put_through(key, dv.encode())?;
-            Ok(())
-        });
-        let mut first_err = None;
-        for (r, (_, _, key, _)) in results.into_iter().zip(&jobs) {
-            match r {
-                Some(Ok(())) => uploaded.push(key.clone()),
-                Some(Err(e)) => {
-                    // Attempted PUTs whose response was lost may have
-                    // applied; register the pre-minted key anyway —
-                    // reaping a missing object is a no-op (§5.3).
-                    uploaded.push(key.clone());
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                None => {}
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+            coord.cache.put_through(key, dv.encode())
+        })?;
 
         for (container_oid, shard, key, dv) in jobs {
             txn.push(CatalogOp::AddDeleteVector(eon_catalog::DeleteVectorMeta {
@@ -205,12 +182,12 @@ impl EonDb {
             let total =
                 self.stage_delete_vectors(&mut txn, &coord, table, predicate, &mut uploaded)?;
             debug_assert_eq!(total, n, "scan and tombstone row counts agree");
-            let writers = self.stage_load(&mut txn, &coord, &t, &rows, None, &mut uploaded)?;
+            let writers = self.stage_load(&mut txn, &coord, &t, &rows, (None, None), &mut uploaded)?;
             // Crash site: every DV and container is uploaded; dying
             // here must leave the table byte-identical to before the
             // UPDATE.
             self.config.faults.hit(fault_site::DML_PRE_COMMIT)?;
-            self.commit_staged_write(txn, &coord, &writers)
+            self.commit_staged_write(txn, &coord, writers)
         })();
         match result {
             Ok(_) => Ok(n),

@@ -476,7 +476,7 @@ impl EonDb {
             incarnation: new_incarnation,
             database: db.config.database.clone(),
             timestamp_ms: now_ms,
-            lease_until_ms: now_ms + db.config.lease_ms,
+            lease_until_ms: now_ms + crate::maintenance::LEASE_MS,
             nodes: new_ids.iter().map(|n| n.0).collect(),
         };
         new_info.write(shared.as_ref())?;

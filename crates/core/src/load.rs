@@ -5,9 +5,9 @@
 //! 2. split per projection by segmentation hash so each container holds
 //!    exactly one shard's rows (§4.5) — each non-empty (projection,
 //!    shard) bucket becomes one independent upload job;
-//! 3. fan the jobs across a bounded write pool
-//!    ([`crate::EonConfig::load_workers`], clamped to the §4.2
-//!    execution-slot budget): each job sorts + encodes its rows, writes
+//! 3. fan the jobs across the bounded pool
+//!    ([`eon_cluster::pool::run_indexed`], as wide as the coordinator's
+//!    §4.2 execution-slot budget): each job sorts + encodes its rows, writes
 //!    the container through the writer's cache (write-through, §5.2) —
 //!    uploading to shared storage — and ships the bytes to the shard's
 //!    other subscribers' caches concurrently so a node-down failover
@@ -15,7 +15,7 @@
 //! 4. after the pool joins, mint catalog OIDs and push `AddContainer`
 //!    ops in the fixed (projection, shard) job order — storage keys are
 //!    pre-minted in that same order before the fan-out — so the
-//!    committed catalog state is byte-identical to the serial path;
+//!    committed catalog state does not depend on the pool width;
 //! 5. commit, re-validating under the commit lock that every writer
 //!    (segment *and* replica shard) still subscribes to the shard it
 //!    wrote (§4.5's rollback rule).
@@ -27,13 +27,12 @@
 //! deletable instead of waiting for a manual leak scan.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use eon_catalog::{CatalogOp, ContainerMeta, SubState, Table, Txn};
+use eon_cluster::pool::run_indexed;
 use eon_cluster::NodeRuntime;
 use eon_obs::{Counter, Histogram, QueryProfile, Registry};
 use eon_storage::fault::site as fault_site;
@@ -47,7 +46,7 @@ use crate::db::EonDb;
 /// deterministic functions of the workload (how many containers, rows,
 /// bytes a statement wrote); only the queue-wait histogram is
 /// wall-clock.
-pub(crate) struct LoadMetrics {
+struct LoadMetrics {
     pool_tasks: Arc<Counter>,
     queue_wait: Arc<Histogram>,
     containers: Arc<Counter>,
@@ -59,7 +58,7 @@ pub(crate) struct LoadMetrics {
 }
 
 impl LoadMetrics {
-    pub(crate) fn register(registry: &Registry, node: &str) -> Self {
+    fn register(registry: &Registry, node: &str) -> Self {
         let labels: &[(&str, &str)] = &[("node", node), ("subsystem", "load")];
         LoadMetrics {
             pool_tasks: registry.counter("load_pool_tasks_total", labels),
@@ -89,8 +88,8 @@ pub(crate) struct LoadJob {
 
 /// What an upload job leaves on shared storage: everything
 /// [`ContainerMeta`] needs except the catalog OID, which is minted
-/// after the pool joins (in job order) to keep OIDs identical to the
-/// serial path.
+/// after the pool joins (in job order) so OIDs do not depend on the
+/// pool width.
 pub(crate) struct StagedContainer {
     key: String,
     rows: u64,
@@ -99,9 +98,8 @@ pub(crate) struct StagedContainer {
 }
 
 /// The writers a staged load used, for §4.5 re-validation under the
-/// commit lock. Cloned into the group-commit accumulator when the
-/// statement parks as a batch member.
-#[derive(Clone)]
+/// commit lock; parks in the group-commit accumulator with the
+/// statement.
 pub(crate) struct LoadWriters {
     assignment: HashMap<ShardId, NodeId>,
     replica_writer: Option<NodeId>,
@@ -233,22 +231,15 @@ impl EonDb {
 
         let span = profile.map(|p| p.span("load_pipeline", &coord.id.to_string()));
         let mut uploaded = Vec::new();
-        let staged = self.stage_load_cancellable(
-            &mut txn,
-            &coord,
-            &t,
-            &rows,
-            profile,
-            &mut uploaded,
-            cancel.as_ref(),
-        );
+        let session = (profile, cancel.as_ref());
+        let staged = self.stage_load(&mut txn, &coord, &t, &rows, session, &mut uploaded);
         let result = staged.and_then(|writers| {
             // Crash site: every container is on shared storage but the
             // commit never runs — the §3.5 orphaned-upload scenario the
             // §6.5 leak scan exists for.
             self.config.faults.hit(fault_site::LOAD_PRE_COMMIT)?;
             let commit_span = profile.map(|p| p.span("load_commit", &coord.id.to_string()));
-            let rec = self.commit_staged_write(txn, &coord, &writers);
+            let rec = self.commit_staged_write(txn, &coord, writers);
             drop(commit_span);
             rec
         });
@@ -272,29 +263,17 @@ impl EonDb {
     /// attempted jobs whose PUT reported failure (an ambiguous outcome
     /// may have applied it) — so the caller can register them with the
     /// reaper if the statement never commits. On failure the
-    /// lowest-index job error is returned.
+    /// lowest-index job error is returned. `profile` and `cancel` are
+    /// the statement's, when it has them: the fan-out records its span
+    /// in the first and checks the second at every job claim.
     pub(crate) fn stage_load(
         &self,
         txn: &mut Txn,
         coord: &Arc<NodeRuntime>,
         t: &Table,
         rows: &[Vec<Value>],
-        profile: Option<&QueryProfile>,
+        (profile, cancel): (Option<&QueryProfile>, Option<&eon_types::CancelToken>),
         uploaded: &mut Vec<String>,
-    ) -> Result<LoadWriters> {
-        self.stage_load_cancellable(txn, coord, t, rows, profile, uploaded, None)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn stage_load_cancellable(
-        &self,
-        txn: &mut Txn,
-        coord: &Arc<NodeRuntime>,
-        t: &Table,
-        rows: &[Vec<Value>],
-        profile: Option<&QueryProfile>,
-        uploaded: &mut Vec<String>,
-        cancel: Option<&eon_types::CancelToken>,
     ) -> Result<LoadWriters> {
         // Writers: one serving subscriber per segment shard (§4.5).
         let snapshot = txn.snapshot().clone();
@@ -357,46 +336,17 @@ impl EonDb {
         if let Some(p) = profile {
             p.annotate("load_jobs", jobs.len() as i64);
         }
-        let metrics = LoadMetrics::register(&self.config.obs, &format!("node{}", coord.id.0));
         let fanout_span = profile.map(|p| p.span("load_upload_fanout", &coord.id.to_string()));
-        let width = self.load_pool_width(coord);
-        let results = self.run_write_pool(width, jobs.len(), &metrics, cancel, |i| {
+        let keys: Vec<&str> = jobs.iter().map(|j| j.key.as_str()).collect();
+        let staged = self.run_write_pool(coord, &keys, cancel, uploaded, |i| {
             self.upload_container(&jobs[i])
-        });
+        })?;
         drop(fanout_span);
 
-        let mut staged: Vec<Option<StagedContainer>> = Vec::with_capacity(jobs.len());
-        let mut first_err = None;
-        for (i, r) in results.into_iter().enumerate() {
-            match r {
-                Some(Ok(s)) => {
-                    uploaded.push(s.key.clone());
-                    staged.push(Some(s));
-                }
-                Some(Err(e)) => {
-                    // An attempted PUT that *reported* failure may still
-                    // have applied (ambiguous S3 outcome, §5.3). Its key
-                    // is pre-minted, so register it too: deleting a
-                    // missing object is a no-op, and a half-applied one
-                    // stops being a leak.
-                    uploaded.push(jobs[i].key.clone());
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    staged.push(None);
-                }
-                None => staged.push(None),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-
-        // Seal after the join, in job order: catalog OIDs must come out
-        // exactly as the serial loop minted them (DESIGN.md "Write
+        // Seal after the join, in job order: catalog OIDs must not
+        // depend on which worker finished first (DESIGN.md "Write
         // pipeline" determinism rule).
         for (job, s) in jobs.iter().zip(staged) {
-            let s = s.expect("no pool error implies every job staged");
             txn.push(CatalogOp::AddContainer(ContainerMeta {
                 oid: coord.catalog.next_oid(),
                 key: s.key,
@@ -414,98 +364,44 @@ impl EonDb {
         })
     }
 
-    /// Run `count` independent upload jobs on a bounded write pool of
-    /// `width` workers. Returns one slot per job: `Some(result)` if
-    /// the job ran, `None` if the pool stopped claiming after an
-    /// earlier failure. With one worker (or one job) this degenerates
-    /// to the serial loop, early-exit on error included; in parallel,
-    /// in-flight jobs finish (their uploads still reach shared storage
-    /// and must be tracked) but no new jobs start after a failure.
+    /// Run one upload job per pre-minted key on the write pool
+    /// ([`run_indexed`], as wide as the coordinator's §4.2
+    /// execution-slot budget, like the scan pool) and fold the outcome
+    /// the way every staged write needs it: each *attempted*
+    /// job's key goes to `uploaded` — a PUT that reported failure may
+    /// still have applied (ambiguous S3 outcome, §5.3), deleting a
+    /// missing object is a no-op, and a half-applied one stops being a
+    /// leak — then the lowest-index error wins, else the results come
+    /// back in job order. After a failure no new job starts; jobs in
+    /// flight finish, since their uploads still reach shared storage
+    /// and must be tracked.
     pub(crate) fn run_write_pool<T, F>(
         &self,
-        width: usize,
-        count: usize,
-        metrics: &LoadMetrics,
+        coord: &NodeRuntime,
+        keys: &[&str],
         cancel: Option<&eon_types::CancelToken>,
+        uploaded: &mut Vec<String>,
         f: F,
-    ) -> Vec<Option<Result<T>>>
+    ) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(usize) -> Result<T> + Sync,
     {
-        metrics.pool_tasks.add(count as u64);
-        let workers = width.max(1).min(count.max(1));
-        if workers <= 1 {
-            let mut out = Vec::with_capacity(count);
-            let mut failed = false;
-            for i in 0..count {
-                if failed {
-                    out.push(None);
-                    continue;
-                }
-                // A fired token is a failure at the claim boundary:
-                // recorded against the claimed job, not a silent skip.
-                let r = match cancel.map(|c| c.check("write pool job claim")) {
-                    Some(Err(e)) => Err(e),
-                    _ => f(i),
-                };
-                failed = r.is_err();
-                out.push(Some(r));
-            }
-            return out;
-        }
-        let started = Instant::now();
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let results: Mutex<Vec<(usize, Result<T>)>> = Mutex::new(Vec::with_capacity(count));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    if let Some(Err(e)) = cancel.map(|c| c.check("write pool job claim")) {
-                        failed.store(true, Ordering::Relaxed);
-                        results.lock().push((i, Err(e)));
-                        break;
-                    }
-                    metrics
-                        .queue_wait
-                        .observe(started.elapsed().as_micros() as u64);
-                    let r = f(i);
-                    if r.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                    results.lock().push((i, r));
-                });
-            }
-        });
-        let mut got: HashMap<usize, Result<T>> = results.into_inner().into_iter().collect();
-        (0..count).map(|i| got.remove(&i)).collect()
-    }
-
-    /// Commit a staged write. Under the commit lock, re-check that
-    /// every writer still holds its subscription — the segment-shard
-    /// assignment *and* the replica-shard writer; a concurrent
-    /// rebalance forces a rollback (§4.5).
-    pub(crate) fn commit_staged_write(
-        &self,
-        txn: Txn,
-        coord: &Arc<NodeRuntime>,
-        writers: &LoadWriters,
-    ) -> Result<eon_catalog::TxnRecord> {
-        if self.commit_group_window() > 0 {
-            // Group commit: the leader re-runs the §4.5 validation per
-            // statement under the lock (DESIGN.md "Group commit").
-            return self.commit_grouped(txn, coord.clone(), Some(writers.clone()));
-        }
-        let _g = self.commit_lock.lock();
-        self.validate_writers(&coord.catalog.snapshot(), writers)?;
-        self.commit_cluster_locked(txn, coord)
+        let metrics = LoadMetrics::register(&self.config.obs, &format!("node{}", coord.id.0));
+        metrics.pool_tasks.add(keys.len() as u64);
+        // While a fault plan is armed the pool is one wide: which upload
+        // a one-shot crash site interrupts (and therefore which files a
+        // seeded chaos run orphans) must not depend on thread
+        // scheduling (DESIGN.md "Write pipeline").
+        let width = if self.config.faults.is_armed() {
+            1
+        } else {
+            coord.slots.capacity()
+        };
+        let results = run_indexed(width, keys.len(), cancel, Some(&metrics.queue_wait), f);
+        let attempted = results.iter().zip(keys).filter(|(r, _)| r.is_some());
+        uploaded.extend(attempted.map(|(_, key)| key.to_string()));
+        results.into_iter().flatten().collect()
     }
 
     /// The §4.5 commit-time invariant: every writer the staged load
@@ -617,7 +513,8 @@ impl EonDb {
         // Ship to peers subscribed to this shard so their caches are
         // warm if they take over (§5.2: "much better node down
         // performance"). Peers are independent caches, so the copies
-        // go out in parallel.
+        // go out in parallel, one pool worker per peer — the first on
+        // this thread.
         let snapshot = writer.catalog.snapshot();
         let peers: Vec<Arc<NodeRuntime>> = snapshot
             .subscribers_in(job.shard, SubState::Active)
@@ -626,26 +523,12 @@ impl EonDb {
             .filter_map(|p| self.membership.get(p))
             .filter(|p| p.is_up())
             .collect();
-        if peers.len() <= 1 {
-            for peer in &peers {
-                peer.cache.insert_local(&key, bytes.clone())?;
-            }
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = peers
-                    .iter()
-                    .map(|peer| {
-                        let bytes = bytes.clone();
-                        let key = &key;
-                        s.spawn(move || peer.cache.insert_local(key, bytes))
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("peer ship panicked")?;
-                }
-                Ok::<(), EonError>(())
-            })?;
-        }
+        run_indexed(peers.len(), peers.len(), None, None, |i| {
+            peers[i].cache.insert_local(&key, bytes.clone())
+        })
+        .into_iter()
+        .flatten()
+        .collect::<Result<()>>()?;
 
         let metrics =
             LoadMetrics::register(&self.config.obs, &format!("node{}", writer.id.0));

@@ -15,6 +15,11 @@ use eon_types::{Oid, Result, ShardId, TxnVersion};
 use crate::db::EonDb;
 use crate::provider::NodeProvider;
 
+/// Lease duration stamped into `cluster_info.json` by every metadata
+/// sync and by revive, milliseconds (§3.5): a revive refuses to start
+/// while the previous cluster's lease is live.
+pub(crate) const LEASE_MS: u64 = 10_000;
+
 /// A shared-storage file whose catalog reference count hit zero at
 /// `drop_version` — deletable once no query and no pending revive can
 /// still reference it (§6.5).
@@ -270,7 +275,7 @@ impl EonDb {
             incarnation: self.incarnation(),
             database: self.config.database.clone(),
             timestamp_ms: now_ms,
-            lease_until_ms: now_ms + self.config.lease_ms,
+            lease_until_ms: now_ms + LEASE_MS,
             nodes: self.membership.up_ids().iter().map(|n| n.0).collect(),
         };
         info.write(self.shared.as_ref())?;

@@ -16,10 +16,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use eon_cache::CacheMode;
 use eon_catalog::{CatalogState, ContainerMeta, Table};
+use eon_cluster::pool::run_indexed;
 use eon_cluster::NodeRuntime;
 use eon_columnar::pruning::ColumnStats;
 use eon_columnar::{
@@ -31,7 +31,6 @@ use eon_exec::crunch::CrunchSlice;
 use eon_exec::{AggFunc, AggSpec, Expr, ScanSpec, TableProvider};
 use eon_obs::{Counter, Histogram, QueryProfile, Registry};
 use eon_types::{hash_cells_32, DataType, EonError, Oid, Result, ShardId, Value, ValueRef};
-use parking_lot::Mutex;
 
 use crate::pushdown::{
     agg_pushable, estimate_selectivity, has_float_sum, kept_bytes, AggRequest, SelectRequest,
@@ -42,6 +41,11 @@ use crate::pushdown::{
 /// between two surviving blocks rather than pay a second request
 /// round-trip.
 pub const DEFAULT_COALESCE_GAP: u64 = 64 * 1024;
+
+/// Partial-aggregate pushdown group-cardinality cap: the store declines
+/// a select producing more groups than this and the scan falls back to
+/// the local fold.
+const PUSHDOWN_MAX_GROUPS: u64 = 64;
 
 /// One container's scan output: the scan's output columns for the
 /// surviving rows, in position order, with each row's container
@@ -67,9 +71,6 @@ pub struct ScanOptions {
     /// Push only when the plain-GET path would fetch at least this many
     /// bytes from the container.
     pub pushdown_min_bytes: u64,
-    /// Partial-aggregate pushdown group-cardinality cap; the store
-    /// declines selects producing more groups than this.
-    pub pushdown_max_groups: u64,
     /// Registry scan metrics land in.
     pub obs: Registry,
     /// Per-query profile for scan spans, when one is being collected.
@@ -342,57 +343,19 @@ impl NodeProvider {
 
     /// Run `count` independent scan tasks on the session's scan pool
     /// and return their results in task order, so callers see exactly
-    /// the serial iteration order. With one worker (or one task) this
-    /// degenerates to the serial loop, early-exit on error included;
-    /// in parallel the lowest-index error wins.
+    /// the iteration order of a one-worker scan. The lowest-index error
+    /// wins; the pool claims nothing further once a task has failed.
     fn run_scan_tasks<T, F>(&self, count: usize, metrics: &ScanMetrics, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(usize) -> Result<T> + Sync,
     {
         metrics.pool_tasks.add(count as u64);
-        let workers = self.scan.workers.max(1).min(count);
-        if workers <= 1 {
-            return (0..count)
-                .map(|i| {
-                    if let Some(c) = &self.scan.cancel {
-                        c.check("scan task claim")?;
-                    }
-                    f(i)
-                })
-                .collect();
-        }
-        let started = Instant::now();
-        let next = AtomicUsize::new(0);
-        let results = Mutex::new(Vec::with_capacity(count));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    // A fired cancel token stops the pool at the claim
-                    // boundary. The claimed index records the error —
-                    // not a silent break — so the merged result is an
-                    // `Err`, never a truncated `Ok`.
-                    if let Some(c) = &self.scan.cancel {
-                        if let Err(e) = c.check("scan task claim") {
-                            results.lock().push((i, Err(e)));
-                            break;
-                        }
-                    }
-                    metrics
-                        .queue_wait
-                        .observe(started.elapsed().as_micros() as u64);
-                    let r = f(i);
-                    results.lock().push((i, r));
-                });
-            }
-        });
-        let mut results = results.into_inner();
-        results.sort_by_key(|(i, _)| *i);
-        results.into_iter().map(|(_, r)| r).collect()
+        let cancel = self.scan.cancel.as_ref();
+        run_indexed(self.scan.workers, count, cancel, Some(&metrics.queue_wait), f)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Table default for a projection-local column (materialized for
@@ -887,7 +850,7 @@ impl TableProvider for NodeProvider {
         let pushed = AggRequest {
             group_by: group_local,
             aggs: aggs_local,
-            max_groups: self.scan.pushdown_max_groups,
+            max_groups: PUSHDOWN_MAX_GROUPS,
         };
 
         let _span = self.pipeline_span(&spec.table);

@@ -282,7 +282,6 @@ impl EonDb {
                 let dp = dp.clone();
                 let snapshot = snapshot.clone();
                 let all_shards = all_shards.clone();
-                let fragment_ms = self.config.fragment_ms;
                 let faults = self.config.faults.clone();
                 let slot_wait = &slot_wait;
                 handles.push(scope.spawn(move || {
@@ -294,10 +293,6 @@ impl EonDb {
                             &node.id.to_string(),
                             queued.elapsed().as_micros() as u64,
                         );
-                    }
-                    // Simulated per-node compute (see EonConfig::fragment_ms).
-                    if fragment_ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(fragment_ms));
                     }
                     // Crash site: this participant's process dies during
                     // its local phase (§4.1). Node-scoped so a seeded

@@ -22,9 +22,6 @@ pub struct EnterpriseConfig {
     /// Rows below which a load buffers in the WOS instead of writing a
     /// ROS container directly (§2.3).
     pub wos_threshold: usize,
-    /// Simulated per-fragment service time, ms — same knob as
-    /// `EonConfig::fragment_ms` so throughput comparisons are fair.
-    pub fragment_ms: u64,
 }
 
 impl Default for EnterpriseConfig {
@@ -33,7 +30,6 @@ impl Default for EnterpriseConfig {
             num_nodes: 3,
             exec_slots: 4,
             wos_threshold: 1024,
-            fragment_ms: 0,
         }
     }
 }
@@ -306,12 +302,8 @@ impl EnterpriseDb {
                 let tables = self.tables.read().clone();
                 let cluster = self.nodes.clone();
                 let servers = servers.clone();
-                let fragment_ms = self.config.fragment_ms;
                 handles.push(scope.spawn(move || {
                     let _slots = node.slots.acquire(segments.len().max(1))?;
-                    if fragment_ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(fragment_ms));
-                    }
                     let provider = crate::provider::EnterpriseProvider {
                         node,
                         cluster,
@@ -413,7 +405,6 @@ mod tests {
             num_nodes: nodes,
             exec_slots: 4,
             wos_threshold: 200,
-            fragment_ms: 0,
         });
         let s = schema![("id", Int), ("v", Int)];
         db.create_table("t", s.clone(), Projection::super_projection("p", &s, &[0], &[0]))

@@ -177,7 +177,6 @@ mod tests {
             num_nodes: 3,
             exec_slots: 4,
             wos_threshold: 100_000,
-            fragment_ms: 0,
         });
         load_enterprise(&ent, &data).unwrap();
 

@@ -99,7 +99,6 @@ fn make_enterprise(rows: &[Vec<Value>]) -> Arc<EnterpriseDb> {
         num_nodes: 2,
         exec_slots: 2,
         wos_threshold: 1,
-        fragment_ms: 0,
     });
     let s = schema![("id", Int), ("grp", Int), ("tag", Str), ("val", Int)];
     ent.create_table("t", s.clone(), Projection::super_projection("p", &s, &[0], &[0]))

@@ -6,7 +6,7 @@
 //! These tests pin the contract:
 //!
 //! * a property test drives the same seeded COPY/DELETE/UPDATE/mergeout
-//!   workload through a serial pool and a wide one and requires
+//!   workload through a one-slot pool and an eight-slot one and requires
 //!   byte-identical committed catalog state — storage keys included —
 //!   plus identical query answers;
 //! * armed `LOAD_UPLOAD` / `LOAD_PRE_COMMIT` crashes must leave no
@@ -63,15 +63,15 @@ fn make_table(db: &EonDb) {
     .unwrap();
 }
 
-fn cfg(nodes: usize, shards: usize, load_workers: usize) -> EonConfig {
-    EonConfig::new(nodes, shards)
-        .exec_slots(8)
-        .load_workers(load_workers)
+/// The write pool is as wide as the coordinator's execution-slot
+/// budget: one slot is the one-worker reference, eight the wide side.
+fn cfg(nodes: usize, shards: usize, slots: usize) -> EonConfig {
+    EonConfig::new(nodes, shards).exec_slots(slots)
 }
 
-/// Committed write-path state, storage keys included: the pool must
-/// reproduce the serial loop byte for byte (DESIGN.md "Write pipeline"
-/// determinism rule).
+/// Committed write-path state, storage keys included: the wide pool
+/// must reproduce the one-worker run byte for byte (DESIGN.md "Write
+/// pipeline" determinism rule).
 fn fingerprint(db: &EonDb) -> Vec<String> {
     let snap = db.snapshot().unwrap();
     let mut out: Vec<String> = snap
@@ -109,13 +109,13 @@ fn count_and_sum(db: &EonDb) -> (i64, i64) {
 }
 
 proptest! {
-    /// Serial and wide write pools must commit identical state — keys,
+    /// One-slot and wide write pools must commit identical state — keys,
     /// OIDs, stats — and identical answers, through COPY batches, a
     /// DELETE, an atomic UPDATE, and a mergeout pass.
     #[test]
     fn parallel_load_commits_identical_state(seed in 0u64..1_000_000, n in 90usize..300) {
         let serial = EonDb::create(Arc::new(MemFs::new()), cfg(4, 4, 1)).unwrap();
-        let wide = EonDb::create(Arc::new(MemFs::new()), cfg(4, 4, 6)).unwrap();
+        let wide = EonDb::create(Arc::new(MemFs::new()), cfg(4, 4, 8)).unwrap();
         let rows = gen_rows(seed, n);
         for db in [&serial, &wide] {
             make_table(db);
@@ -488,8 +488,8 @@ fn failed_load_registers_uploads_with_reaper() {
     let committed = sorted_rows(&db);
     assert!(db.reaper_pending_keys().is_empty());
 
-    // Serial pool (load_workers = 1): the first upload job lands on
-    // shared storage, the second fails with a non-transient error.
+    // One-slot pool: the first upload job lands on shared storage, the
+    // second fails with a non-transient error.
     fs.data_writes_allowed.store(1, Ordering::SeqCst);
     let err = db.copy_into("t", gen_rows(6, 160)).unwrap_err();
     assert!(matches!(err, EonError::Internal(_)), "{err}");
@@ -562,7 +562,7 @@ fn failed_reap_reinstates_pending_entries() {
     let registry = Registry::new();
     let db = EonDb::create(
         fs.clone(),
-        cfg(3, 3, 0).observability(registry.clone()),
+        cfg(3, 3, 8).observability(registry.clone()),
     )
     .unwrap();
     make_table(&db);
@@ -623,7 +623,7 @@ fn concurrent_loads_mergeout_and_reap_lose_nothing() {
     const LOADERS: usize = 3;
     const BATCHES: usize = 4;
     const PER: usize = 120;
-    let db = EonDb::create(Arc::new(MemFs::new()), cfg(4, 4, 0)).unwrap();
+    let db = EonDb::create(Arc::new(MemFs::new()), cfg(4, 4, 8)).unwrap();
     make_table(&db);
 
     std::thread::scope(|scope| {

@@ -98,7 +98,6 @@ fn load_enterprise(rows: &[Vec<Value>]) -> Arc<EnterpriseDb> {
         num_nodes: 2,
         exec_slots: 4,
         wos_threshold: 1,
-        fragment_ms: 0,
     });
     let s = schema![("id", Int), ("grp", Int), ("val", Int)];
     ent.create_table("t", s.clone(), Projection::super_projection("p", &s, &[0], &[0]))

@@ -41,7 +41,6 @@ fn setup() -> (Arc<EonDb>, Arc<EnterpriseDb>) {
         num_nodes: 4,
         exec_slots: 4,
         wos_threshold: 1_000_000, // force everything through the WOS path too
-        fragment_ms: 0,
     });
     load_tpch_enterprise(&ent, &data).unwrap();
     (eon, ent)
