@@ -28,7 +28,7 @@ use std::sync::Arc;
 use eon_columnar::pruning::CmpOp;
 use eon_columnar::{Predicate, Projection};
 use eon_core::{check_crash_invariants, EonConfig, EonDb, TableModel};
-use eon_exec::{AggSpec, Expr, Plan, ScanSpec};
+use eon_exec::{Plan, ScanSpec};
 use eon_obs::Registry;
 use eon_storage::fault::{site, SITES};
 use eon_storage::{FaultInjector, FaultPlan, S3Config, S3SimFs};
@@ -549,31 +549,6 @@ pub fn crash_schedule_encoded(
     ambiguous: bool,
     force: Option<eon_columnar::Encoding>,
 ) -> Result<CrashRunReport, String> {
-    crash_schedule_with(plan, s3_seed, ambiguous, force, false)
-}
-
-/// [`crash_schedule`] with S3-Select pushdown forced eager (the
-/// crossover knobs opened so the schedule's small containers qualify):
-/// mid-schedule selective scans and partial aggregates then answer
-/// below the GET — against delete-vectored containers, across injected
-/// crashes — and determinism must hold anyway. Selects roll the same
-/// keyed-hash fault dice as every other verb, so same seed ⇒ same
-/// fired sites, digest, and metrics snapshot.
-pub fn crash_schedule_pushdown(
-    plan: FaultInjector,
-    s3_seed: u64,
-    ambiguous: bool,
-) -> Result<CrashRunReport, String> {
-    crash_schedule_with(plan, s3_seed, ambiguous, None, true)
-}
-
-fn crash_schedule_with(
-    plan: FaultInjector,
-    s3_seed: u64,
-    ambiguous: bool,
-    force: Option<eon_columnar::Encoding>,
-    eager_pushdown: bool,
-) -> Result<CrashRunReport, String> {
     let registry = Registry::new();
     let s3 = Arc::new(S3SimFs::with_metrics(
         S3Config {
@@ -583,13 +558,10 @@ fn crash_schedule_with(
         },
         &registry,
     ));
-    let mut config = EonConfig::new(NODES, NODES)
+    let config = EonConfig::new(NODES, NODES)
         .faults(plan.clone())
         .force_encoding(force)
         .observability(registry.clone());
-    if eager_pushdown {
-        config = config.pushdown_min_bytes(0).pushdown_max_selectivity(1.0);
-    }
     // No fault site precedes the first commit, so creation cannot crash.
     let db = EonDb::create(s3.clone(), config.clone()).map_err(|e| format!("create: {e}"))?;
     let s = schema![("id", Int), ("v", Int)];
@@ -632,50 +604,6 @@ fn crash_schedule_with(
             .map(|_| ())
     })?;
     model.rows.retain(|r| !matches!(r[0], Value::Int(i) if i < 200));
-
-    // With pushdown eager, a selective scan and a global partial
-    // aggregate answer below the GET against the delete-vectored
-    // containers — both must match the model exactly, mid-schedule.
-    if eager_pushdown {
-        let pred = Predicate::cmp(0, CmpOp::Ge, 900i64);
-        let mut got = db
-            .query(&Plan::scan(ScanSpec::new("t").predicate(pred.clone())))
-            .map_err(|e| format!("pushdown scan: {e}"))?;
-        got.sort();
-        let mut want: Vec<Vec<Value>> = model
-            .rows
-            .iter()
-            .filter(|r| matches!(r[0], Value::Int(i) if i >= 900))
-            .cloned()
-            .collect();
-        want.sort();
-        if got != want {
-            return Err(format!(
-                "pushdown scan inexact: got {} rows, want {}",
-                got.len(),
-                want.len()
-            ));
-        }
-        let agg = db
-            .query(
-                &Plan::scan(ScanSpec::new("t").predicate(pred)).aggregate(
-                    vec![],
-                    vec![AggSpec::sum(Expr::col(1)), AggSpec::count_star()],
-                ),
-            )
-            .map_err(|e| format!("pushdown agg: {e}"))?;
-        let want_sum: i64 = want
-            .iter()
-            .map(|r| match r[1] {
-                Value::Int(v) => v,
-                _ => 0,
-            })
-            .sum();
-        let want_agg = vec![vec![Value::Int(want_sum), Value::Int(want.len() as i64)]];
-        if agg != want_agg {
-            return Err(format!("pushdown agg inexact: got {agg:?}, want {want_agg:?}"));
-        }
-    }
 
     // Mergeout rewrites containers (mergeout.pre_write / pre_commit)
     // and parks the replaced files with the reaper.

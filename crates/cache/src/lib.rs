@@ -603,25 +603,6 @@ impl FileSystem for FileCache {
         })
     }
 
-    fn select(&self, path: &str, request: &[u8]) -> Result<Option<Bytes>> {
-        // A depot-cached file filters locally for free — a select
-        // round-trip could only add latency and request cost, so
-        // decline and let the caller read the local copy. Misses
-        // forward to shared storage *without* faulting the file in:
-        // pushdown exists precisely to avoid moving the whole object.
-        if self.contains(path) {
-            return Ok(None);
-        }
-        let retries = self.retry_counter();
-        with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
-            self.backing.select(path, request)
-        })
-    }
-
-    fn install_select_engine(&self, engine: Arc<dyn eon_storage::SelectEngine>) {
-        self.backing.install_select_engine(engine);
-    }
-
     fn stats(&self) -> FsStats {
         self.backing.stats()
     }

@@ -431,15 +431,14 @@ impl RosReader {
         Ok(out)
     }
 
-    /// The block-filter kernel every scan runs, on a node and inside
-    /// the store alike: fetch the predicate's columns through the range
-    /// planner, evaluate the predicate on the encoded views — once per
-    /// RLE run / dictionary entry — AND in the row mask, drop blocks
-    /// with no survivors before anything else is fetched for them, then
-    /// fetch the remaining columns under the refined `keep` and gather
-    /// only the surviving rows, column-major. `Predicate::True` is the
-    /// all-true selection; blocks come back in block order, rows in
-    /// position order.
+    /// The block-filter kernel every scan runs: fetch the predicate's
+    /// columns through the range planner, evaluate the predicate on the
+    /// encoded views — once per RLE run / dictionary entry — AND in the
+    /// row mask, drop blocks with no survivors before anything else is
+    /// fetched for them, then fetch the remaining columns under the
+    /// refined `keep` and gather only the surviving rows, column-major.
+    /// `Predicate::True` is the all-true selection; blocks come back in
+    /// block order, rows in position order.
     pub fn filter_blocks(
         &self,
         fs: &dyn eon_storage::FileSystem,
@@ -575,8 +574,6 @@ pub struct ReadStats {
     /// Bytes fetched and then discarded without contributing a row:
     /// coalescing gap bytes, plus predicate-column blocks whose every
     /// row was filtered out after the fetch.
-    /// This is the measurable side of the pushdown-vs-coalesce
-    /// tradeoff — a select returns none of these bytes.
     pub waste_bytes: u64,
     /// Blocks served in compressed form (RLE / dictionary views).
     pub encoded_blocks: u64,

@@ -33,22 +33,6 @@ pub struct EonConfig {
     /// (`Arc` inside), so benches can hand in their own registry and
     /// snapshot it after a run.
     pub obs: eon_obs::Registry,
-    /// S3-Select-style pushdown (DESIGN.md "Pushdown execution"): run
-    /// eligible predicates, projections, and partial aggregates inside
-    /// the store via the `select` verb instead of fetching blocks with
-    /// plain GETs. Output is byte-identical either way; this is purely
-    /// a cost/latency knob.
-    pub pushdown: bool,
-    /// Crossover policy: push a rows-mode select only when the
-    /// footer-stats selectivity estimate is at or below this fraction.
-    /// Unselective scans return most bytes anyway, so a select would
-    /// add scan charges on top of near-full transfer.
-    pub pushdown_max_selectivity: f64,
-    /// Crossover policy: push only when the plain-GET scan would fetch
-    /// at least this many bytes from the container. Keeps tiny
-    /// containers — where per-request overhead dominates — on the plain
-    /// path.
-    pub pushdown_min_bytes: u64,
     /// Force every container block onto one encoding instead of the
     /// per-block heuristic (blocks the encoding can't represent fall
     /// back). Testing knob for encoding-equivalence properties.
@@ -115,9 +99,6 @@ impl Default for EonConfig {
             cache_bytes: 256 << 20,
             faults: FaultPlan::inert(),
             obs: eon_obs::Registry::new(),
-            pushdown: true,
-            pushdown_max_selectivity: 0.25,
-            pushdown_min_bytes: 32 * 1024,
             force_encoding: None,
             admission_max_concurrent: 0,
             admission_max_queue: 0,
@@ -168,25 +149,6 @@ impl EonConfig {
     /// Use `registry` for all of this database's metrics.
     pub fn observability(mut self, registry: eon_obs::Registry) -> Self {
         self.obs = registry;
-        self
-    }
-
-    /// Toggle S3-Select-style pushdown (the A/B knob for
-    /// `ablate_pushdown` and the equivalence property tests).
-    pub fn pushdown(mut self, on: bool) -> Self {
-        self.pushdown = on;
-        self
-    }
-
-    /// Rows-mode crossover: maximum estimated selectivity to push.
-    pub fn pushdown_max_selectivity(mut self, frac: f64) -> Self {
-        self.pushdown_max_selectivity = frac;
-        self
-    }
-
-    /// Crossover floor: minimum plain-GET bytes before a select pays.
-    pub fn pushdown_min_bytes(mut self, bytes: u64) -> Self {
-        self.pushdown_min_bytes = bytes;
         self
     }
 

@@ -72,11 +72,6 @@ impl EonDb {
         // write-admission front door.
         let breaker = Self::build_breaker(&config);
         let shared = eon_storage::RetryFs::wrap_with_breaker(shared, &config.obs, breaker.clone());
-        // Teach the store to answer `select` requests against ROS
-        // containers (DESIGN.md "Pushdown execution"). Installed
-        // unconditionally — the per-session pushdown knobs decide
-        // whether scans actually issue selects.
-        shared.install_select_engine(Arc::new(crate::pushdown::RosSelectEngine));
         let incarnation = format!("inc{:08x}", 0xe0ee_0000u32);
         let db = Arc::new(EonDb {
             shared: shared.clone(),
@@ -234,7 +229,7 @@ impl EonDb {
     }
 
     /// Scan-pipeline options for a session on `node`: one scan-pool
-    /// worker per execution slot (§4.2), pushdown policy from config.
+    /// worker per execution slot (§4.2).
     pub(crate) fn scan_options(
         &self,
         node: &NodeRuntime,
@@ -243,9 +238,6 @@ impl EonDb {
     ) -> crate::provider::ScanOptions {
         crate::provider::ScanOptions {
             workers: node.slots.capacity().max(1),
-            pushdown: self.config.pushdown,
-            pushdown_max_selectivity: self.config.pushdown_max_selectivity,
-            pushdown_min_bytes: self.config.pushdown_min_bytes,
             obs: self.config.obs.clone(),
             profile: profile.cloned(),
             cancel,

@@ -32,7 +32,6 @@ pub mod lifecycle;
 pub mod load;
 pub mod maintenance;
 pub mod provider;
-pub mod pushdown;
 pub mod query;
 pub mod sql_api;
 pub mod supervisor;

@@ -64,10 +64,16 @@ impl EonDb {
 
         // Metadata transfer *before* rejoining the commit fan-out: the
         // node must reach the cluster version or distributed records
-        // would arrive out of order (§3.3's catch-up rounds).
+        // would arrive out of order (§3.3's catch-up rounds). Both
+        // happen under the commit lock: a commit landing between the
+        // catch-up and the rejoin would be shipped to neither the
+        // catch-up nor the new runtime.
         let coord = self.pick_up_peer(id)?;
-        self.catch_up_node(&node, &coord)?;
-        self.membership.add(node.clone()); // replaces the dead runtime
+        {
+            let _no_commits = self.commit_lock.lock();
+            self.catch_up_node(&node, &coord)?;
+            self.membership.add(node.clone()); // replaces the dead runtime
+        }
 
         // Re-subscription (§3.3): the cluster flips the rejoiner's
         // ACTIVE subscriptions to PENDING...
@@ -360,7 +366,6 @@ impl EonDb {
         let breaker = Self::build_breaker(&config);
         let shared =
             eon_storage::RetryFs::wrap_with_breaker(shared, &config.obs, breaker.clone());
-        shared.install_select_engine(Arc::new(crate::pushdown::RosSelectEngine));
         let info = ClusterInfo::read(shared.as_ref())?
             .ok_or_else(|| EonError::Revive("no cluster_info.json on shared storage".into()))?;
         if info.lease_live(now_ms) {

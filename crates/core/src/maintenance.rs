@@ -207,11 +207,9 @@ impl EonDb {
             cache_mode: CacheMode::Normal,
             crunch: None,
             // Mergeout reads serially — its parallelism is across
-            // jobs, not within one container scan — and rewrites whole
-            // containers, so there is nothing to push below the GET.
+            // jobs, not within one container scan.
             scan: crate::provider::ScanOptions {
                 workers: 1,
-                pushdown: false,
                 ..self.scan_options(worker, None, None)
             },
         };

@@ -14,7 +14,6 @@
 //! order, so output does not depend on the pool width.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use eon_cache::CacheMode;
@@ -26,26 +25,15 @@ use eon_columnar::{
     Batch, BlockFilter, BlockRows, Column, DeleteVector, Predicate, Projection, ReadStats,
     RosFooter, RosReader,
 };
-use eon_exec::agg::{aggregate_partial, merge_partials, Partials};
 use eon_exec::crunch::CrunchSlice;
-use eon_exec::{AggFunc, AggSpec, Expr, ScanSpec, TableProvider};
+use eon_exec::{ScanSpec, TableProvider};
 use eon_obs::{Counter, Histogram, QueryProfile, Registry};
-use eon_types::{hash_cells_32, DataType, EonError, Oid, Result, ShardId, Value, ValueRef};
-
-use crate::pushdown::{
-    agg_pushable, estimate_selectivity, has_float_sum, kept_bytes, AggRequest, SelectRequest,
-    SelectResponse,
-};
+use eon_types::{hash_cells_32, EonError, Oid, Result, ShardId, Value, ValueRef};
 
 /// Coalescing gap for node reads: fetch up to this many dead bytes
 /// between two surviving blocks rather than pay a second request
 /// round-trip.
 pub const DEFAULT_COALESCE_GAP: u64 = 64 * 1024;
-
-/// Partial-aggregate pushdown group-cardinality cap: the store declines
-/// a select producing more groups than this and the scan falls back to
-/// the local fold.
-const PUSHDOWN_MAX_GROUPS: u64 = 64;
 
 /// One container's scan output: the scan's output columns for the
 /// surviving rows, in position order, with each row's container
@@ -60,17 +48,6 @@ pub struct ScanOptions {
     /// execution-slot budget (§4.2) for queries and DML, so a scan
     /// can't out-parallelize its admission, and 1 for mergeout.
     pub workers: usize,
-    /// S3-Select-style pushdown (DESIGN.md "Pushdown execution"): issue
-    /// `select` requests against shared storage for eligible scans
-    /// instead of fetching blocks with plain GETs. Output is identical
-    /// either way; the knobs below steer the cost crossover.
-    pub pushdown: bool,
-    /// Push a rows-mode select only when the footer-stats selectivity
-    /// estimate is at or below this fraction.
-    pub pushdown_max_selectivity: f64,
-    /// Push only when the plain-GET path would fetch at least this many
-    /// bytes from the container.
-    pub pushdown_min_bytes: u64,
     /// Registry scan metrics land in.
     pub obs: Registry,
     /// Per-query profile for scan spans, when one is being collected.
@@ -95,13 +72,6 @@ struct ScanMetrics {
     coalesced_bytes: Arc<Counter>,
     gap_bytes: Arc<Counter>,
     waste_bytes: Arc<Counter>,
-    pushdown_selects: Arc<Counter>,
-    pushdown_fallbacks: Arc<Counter>,
-    pushdown_bytes_saved: Arc<Counter>,
-    /// Per-scan tallies (this struct is built fresh per scan call) that
-    /// feed the query profile's pushdown annotations.
-    profile_selects: AtomicUsize,
-    profile_saved: AtomicUsize,
 }
 
 impl ScanMetrics {
@@ -119,11 +89,6 @@ impl ScanMetrics {
             coalesced_bytes: registry.counter("scan_coalesced_bytes_total", labels),
             gap_bytes: registry.counter("scan_coalesced_gap_bytes_total", labels),
             waste_bytes: registry.counter("scan_coalesce_waste_bytes_total", labels),
-            pushdown_selects: registry.counter("scan_pushdown_selects_total", labels),
-            pushdown_fallbacks: registry.counter("scan_pushdown_fallbacks_total", labels),
-            pushdown_bytes_saved: registry.counter("scan_pushdown_bytes_saved_total", labels),
-            profile_selects: AtomicUsize::new(0),
-            profile_saved: AtomicUsize::new(0),
         }
     }
 
@@ -136,14 +101,6 @@ impl ScanMetrics {
         self.encoded_blocks.add(s.encoded_blocks);
         self.rows_short_circuited.add(s.rows_short_circuited);
         self.blocks_late_skipped.add(s.blocks_late_skipped);
-    }
-
-    /// Record one answered select that spared `saved` plain-GET bytes.
-    fn record_select(&self, saved: u64) {
-        self.pushdown_selects.inc();
-        self.pushdown_bytes_saved.add(saved);
-        self.profile_selects.fetch_add(1, Ordering::Relaxed);
-        self.profile_saved.fetch_add(saved as usize, Ordering::Relaxed);
     }
 }
 
@@ -159,7 +116,7 @@ pub struct NodeProvider {
     pub cache_mode: CacheMode,
     /// Crunch-scaling slice when several nodes share each shard (§4.4).
     pub crunch: Option<CrunchSlice>,
-    /// Scan-pipeline tuning (worker pool, pushdown policy).
+    /// Scan-pipeline tuning (worker pool, metrics, cancellation).
     pub scan: ScanOptions,
 }
 
@@ -178,8 +135,6 @@ struct ResolvedScan<'a> {
     /// broadcast/replicated sides must stay complete on every worker
     /// or joins lose rows (§4.4).
     apply_crunch: bool,
-    /// Whether containers of this scan may be answered below the GET.
-    pushdown: bool,
     work: Vec<(ShardId, &'a ContainerMeta)>,
 }
 
@@ -234,25 +189,6 @@ impl NodeProvider {
         } else {
             self.fs()
         }
-    }
-
-    /// Whether a plain read of `c` would fault it into the depot.
-    fn depot_cold(&self, c: &ContainerMeta) -> bool {
-        self.cache_mode != CacheMode::Bypass && !self.node.cache.contains(&c.key)
-    }
-
-    /// Open `c`'s footer with one tail read, sized from the catalog.
-    /// `direct` reads shared storage even for a depot-cold file that
-    /// would fit: a pushdown candidate must not fault the file in just
-    /// to read the footer, so an answered select leaves the depot
-    /// untouched (DESIGN.md "Pushdown execution").
-    fn open_container(&self, c: &ContainerMeta, direct: bool) -> Result<RosReader> {
-        let fs = if direct {
-            self.node.cache.backing().as_ref()
-        } else {
-            self.fs_for(c)
-        };
-        RosReader::open_sized(fs, &c.key, c.size_bytes)
     }
 
     /// Block-level pruning on footer min/max statistics; all columns
@@ -386,7 +322,7 @@ impl NodeProvider {
         let (proj_oid, proj) =
             self.pick_projection(table, &needed, global, spec.projection.as_deref())?;
 
-        let (pred, read_cols, out_local) = if proj.is_live_aggregate() {
+        let (pred, mut read_cols, out_local) = if proj.is_live_aggregate() {
             // Pinned LAP scan: yields the LAP's own layout; predicates
             // and column subsets don't apply to pre-aggregated rows.
             if spec.predicate != Predicate::True || spec.columns.is_some() {
@@ -411,6 +347,16 @@ impl NodeProvider {
             )
         };
 
+        let apply_crunch = !global && !proj.is_replicated() && !proj.is_live_aggregate();
+        if apply_crunch && self.crunch.is_some() {
+            // The slice hashes every row's segmentation columns.
+            for c in proj.seg_cols() {
+                if !read_cols.contains(c) {
+                    read_cols.push(*c);
+                }
+            }
+        }
+
         let mut work = Vec::new();
         for shard in self.shards_for(proj, global) {
             for c in self.snapshot.containers_for(proj_oid, shard) {
@@ -430,8 +376,7 @@ impl NodeProvider {
             pred,
             read_cols,
             out_local,
-            apply_crunch: !global && !proj.is_replicated() && !proj.is_live_aggregate(),
-            pushdown: self.scan.pushdown,
+            apply_crunch,
             work,
         })
     }
@@ -439,25 +384,18 @@ impl NodeProvider {
     /// Scan one container, returning the scan's output columns
     /// (columns the container lacks carry the table default).
     ///
-    /// Open → prune blocks on footer min/max stats → maybe answer the
-    /// scan with a pushed select → otherwise run the block-filter
+    /// Open the footer with one tail read sized from the catalog →
+    /// prune blocks on footer min/max stats → run the block-filter
     /// kernel through this node's filesystem with the delete vector as
-    /// its row mask. Both ways end in [`assemble`](Self::assemble). A
-    /// caller that already opened the container passes its reader as
-    /// `opened`, so the footer is fetched once.
+    /// its row mask → [`assemble`](Self::assemble).
     fn scan_container(
         &self,
         rs: &ResolvedScan,
         c: &ContainerMeta,
-        opened: Option<RosReader>,
         metrics: &ScanMetrics,
     ) -> Result<PosBatch> {
-        let pd_candidate = rs.pushdown && rs.pred != Predicate::True;
-        let cold = self.depot_cold(c);
-        let reader = match opened {
-            Some(reader) => reader,
-            None => self.open_container(c, pd_candidate && cold)?,
-        };
+        let fs = self.fs_for(c);
+        let reader = RosReader::open_sized(fs, &c.key, c.size_bytes)?;
         let keep = Self::prune_blocks(reader.footer(), &rs.pred, metrics);
         if !keep.iter().any(|&k| k) {
             return Ok((Vec::new(), Batch::nulls(rs.out_local.len(), 0)));
@@ -471,47 +409,24 @@ impl NodeProvider {
             .into_iter()
             .map(|col| (col, Self::default_for(rs.table, rs.proj, col)))
             .collect();
-
-        // Pushdown composes with pruning: only unpruned blocks ride in
-        // the select's keep mask, and an answered select replaces every
-        // plain block GET below this point. A decline — by policy, by a
-        // depot hit, or by the store — falls through to the plain path.
-        let pushed = if pd_candidate && (self.cache_mode == CacheMode::Bypass || cold) {
-            self.try_select_rows(rs, c, &reader, &held, &keep, metrics)?
-        } else {
-            None
-        };
         let mask = self.delete_mask(c)?;
-        match pushed {
-            // The store has no delete vectors: the mask applies here.
-            Some(blocks) => self.assemble(rs, &reader, blocks, &held, &absent, mask.as_deref()),
-            None => {
-                let filter = BlockFilter {
-                    width: rs.proj.columns.len(),
-                    pred: &rs.pred,
-                    read_cols: &held,
-                    consts: &absent,
-                    row_mask: mask.as_deref(),
-                };
-                let mut rstats = ReadStats::default();
-                let blocks = reader.filter_blocks(
-                    self.fs_for(c),
-                    &filter,
-                    &keep,
-                    DEFAULT_COALESCE_GAP,
-                    &mut rstats,
-                )?;
-                metrics.record_io(&rstats);
-                self.assemble(rs, &reader, blocks, &held, &absent, None)
-            }
-        }
+        let filter = BlockFilter {
+            width: rs.proj.columns.len(),
+            pred: &rs.pred,
+            read_cols: &held,
+            consts: &absent,
+            row_mask: mask.as_deref(),
+        };
+        let mut rstats = ReadStats::default();
+        let blocks = reader.filter_blocks(fs, &filter, &keep, DEFAULT_COALESCE_GAP, &mut rstats)?;
+        metrics.record_io(&rstats);
+        self.assemble(rs, &reader, blocks, &held, &absent)
     }
 
-    /// The one assembler: turn a container's surviving blocks (carrying
-    /// columns `cols`) into the scan's output columns, a column at a
-    /// time — container positions, the delete `mask` when whoever
-    /// filtered could not apply it, the crunch slice, defaults for
-    /// `absent` columns. Only `out_local` columns are materialized.
+    /// Turn a container's surviving blocks (carrying columns `cols`)
+    /// into the scan's output columns, a column at a time — container
+    /// positions, the crunch slice, defaults for `absent` columns. Only
+    /// `out_local` columns are materialized.
     fn assemble(
         &self,
         rs: &ResolvedScan,
@@ -519,7 +434,6 @@ impl NodeProvider {
         blocks: Vec<BlockRows>,
         cols: &[usize],
         absent: &[(usize, Value)],
-        mask: Option<&[bool]>,
     ) -> Result<PosBatch> {
         // (start position, row count) of every block.
         let mut spans = Vec::new();
@@ -554,7 +468,6 @@ impl NodeProvider {
             let cell = |col: usize, k: usize| fetched(col).map_or(default_of(col), |c| c.get(k));
             let pos = |k: usize| start + br.rows[k] as u64;
             let kept: Vec<usize> = (0..br.rows.len())
-                .filter(|&k| mask.is_none_or(|m| m[pos(k) as usize]))
                 .filter(|&k| {
                     let seg = rs.proj.seg_cols().iter().map(|&c| cell(c, k));
                     crunch.is_none_or(|slice| slice.keeps(hash_cells_32(seg)))
@@ -569,141 +482,6 @@ impl NodeProvider {
             out.append(Batch::new(rs.out_local.iter().map(out_col).collect(), kept.len()));
         }
         Ok((positions, out))
-    }
-
-    /// Attempt rows-mode pushdown for one container: predicate and
-    /// projection run inside the store — the same kernel, below the
-    /// GET — and the survivors of `held` columns come back. Returns
-    /// `Ok(None)` when the crossover policy vetoes the select or the
-    /// store declines — the caller runs the plain path, whose output is
-    /// identical.
-    fn try_select_rows(
-        &self,
-        rs: &ResolvedScan,
-        c: &ContainerMeta,
-        reader: &RosReader,
-        held: &[usize],
-        keep: &[bool],
-        metrics: &ScanMetrics,
-    ) -> Result<Option<Vec<BlockRows>>> {
-        let footer = reader.footer();
-        // Predicate columns that need table defaults stay local (the
-        // store has no schema); columns outside `read_cols` evaluate as
-        // Null on both paths, so they don't block pushdown.
-        let needs_default =
-            |col: &usize| rs.read_cols.contains(col) && *col >= footer.columns.len();
-        if held.is_empty() || rs.pred.columns().iter().any(needs_default) {
-            return Ok(None);
-        }
-        // Crossover policy: a select charges for bytes scanned; it only
-        // pays off when it returns a small fraction of a large fetch.
-        let plain_bytes = kept_bytes(footer, keep, held);
-        if plain_bytes < self.scan.pushdown_min_bytes {
-            return Ok(None);
-        }
-        if estimate_selectivity(&rs.pred, footer, keep) > self.scan.pushdown_max_selectivity {
-            metrics.pushdown_fallbacks.inc();
-            return Ok(None);
-        }
-        let req = SelectRequest {
-            width: rs.proj.columns.len(),
-            predicate: rs.pred.clone(),
-            keep: keep.to_vec(),
-            read_cols: held.to_vec(),
-            agg: None,
-        };
-        let Some(resp) = self.fs().select(&c.key, &req.encode()?)? else {
-            metrics.pushdown_fallbacks.inc();
-            return Ok(None);
-        };
-        metrics.record_select(plain_bytes.saturating_sub(resp.len() as u64));
-        let SelectResponse::Rows(blocks) = SelectResponse::decode(&resp)? else {
-            return Err(EonError::Internal("rows select answered with partials".into()));
-        };
-        if let Some(br) = blocks.iter().find(|br| keep.get(br.block) != Some(&true)) {
-            return Err(EonError::Corrupt(format!(
-                "{}: select answered for unexpected block {}",
-                c.key, br.block
-            )));
-        }
-        Ok(Some(blocks))
-    }
-
-    /// One container's partial aggregates, pushed below the GET when
-    /// eligible (no delete vectors, all inputs physically present, big
-    /// enough to beat the select overhead), otherwise folded locally
-    /// from a plain scan. Either way the returned states are the ones
-    /// the local fold would produce. `group_by` / `aggs` index the
-    /// scan's output columns; `pushed` is the same fold in
-    /// projection-local indices, the space the store sees.
-    fn partial_agg_container(
-        &self,
-        rs: &ResolvedScan,
-        c: &ContainerMeta,
-        (group_by, aggs): (&[usize], &[AggSpec]),
-        pushed: &AggRequest,
-        metrics: &ScanMetrics,
-    ) -> Result<Partials> {
-        let cold = self.depot_cold(c);
-        let depot_ok = self.cache_mode == CacheMode::Bypass || cold;
-        let no_dvs = self.snapshot.delete_vectors_for(c.oid).is_empty();
-        let mut opened = None;
-        if depot_ok && no_dvs {
-            let reader = opened.insert(self.open_container(c, cold)?);
-            let footer = reader.footer();
-            if rs.read_cols.iter().all(|&col| col < footer.columns.len()) {
-                let keep = Self::prune_blocks(footer, &rs.pred, metrics);
-                if !keep.iter().any(|&k| k) {
-                    // Everything pruned: this container contributes the
-                    // identity partial, no I/O at all.
-                    return aggregate_partial(&Batch::nulls(rs.out_local.len(), 0), group_by, aggs);
-                }
-                let plain_bytes = kept_bytes(footer, &keep, &rs.read_cols);
-                if plain_bytes >= self.scan.pushdown_min_bytes {
-                    let req = SelectRequest {
-                        width: rs.proj.columns.len(),
-                        predicate: rs.pred.clone(),
-                        keep,
-                        read_cols: rs.read_cols.clone(),
-                        agg: Some(pushed.clone()),
-                    };
-                    match self.fs().select(&c.key, &req.encode()?)? {
-                        Some(resp) => {
-                            metrics.record_select(plain_bytes.saturating_sub(resp.len() as u64));
-                            let SelectResponse::Partials(parts) = SelectResponse::decode(&resp)?
-                            else {
-                                return Err(EonError::Internal(
-                                    "agg select answered with rows".into(),
-                                ));
-                            };
-                            return Ok(parts);
-                        }
-                        None => metrics.pushdown_fallbacks.inc(),
-                    }
-                }
-            }
-        }
-        // Local fold over the plain scan of this container (rows-mode
-        // pushdown may still kick in underneath for the fetch itself),
-        // on the footer opened above if there is one.
-        let (_, batch) = self.scan_container(rs, c, opened, metrics)?;
-        aggregate_partial(&batch, group_by, aggs)
-    }
-
-    /// Forward this scan's pushdown tallies into the query profile, so
-    /// `EXPLAIN ANALYZE` shows whether — and how much — the store
-    /// filtered below the GET.
-    fn annotate_pushdown(&self, metrics: &ScanMetrics) {
-        if let Some(p) = &self.scan.profile {
-            let selects = metrics.profile_selects.load(Ordering::Relaxed);
-            if selects > 0 {
-                p.annotate("pushdown_selects", selects as i64);
-                p.annotate(
-                    "pushdown_bytes_saved",
-                    metrics.profile_saved.load(Ordering::Relaxed) as i64,
-                );
-            }
-        }
     }
 
     /// The profile span covering one scan's pipeline on this node.
@@ -747,11 +525,10 @@ impl NodeProvider {
             read_cols: all.clone(),
             out_local: all,
             apply_crunch: false,
-            pushdown: false,
             work: Vec::new(),
         };
         // Mergeout's k-way merge and the container writer take rows.
-        Ok(self.scan_container(&rs, c, None, &self.scan_metrics())?.1.into_rows())
+        Ok(self.scan_container(&rs, c, &self.scan_metrics())?.1.into_rows())
     }
 
     /// Positions of rows matching `predicate`, per container — the DML
@@ -765,11 +542,10 @@ impl NodeProvider {
             .columns(Vec::new())
             .predicate(predicate.clone())
             .global();
-        // Position scans stay on the plain-GET path.
-        let rs = ResolvedScan { pushdown: false, ..self.resolve_scan(&spec)? };
+        let rs = self.resolve_scan(&spec)?;
         let metrics = self.scan_metrics();
         let per_container = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
-            self.scan_container(&rs, rs.work[i].1, None, &metrics)
+            self.scan_container(&rs, rs.work[i].1, &metrics)
         })?;
         let mut out = Vec::new();
         for ((shard, c), (positions, _)) in rs.work.iter().zip(per_container) {
@@ -787,87 +563,12 @@ impl TableProvider for NodeProvider {
         let _span = self.pipeline_span(&spec.table);
         let rs = self.resolve_scan(spec)?;
         let per_container = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
-            self.scan_container(&rs, rs.work[i].1, None, &metrics)
+            self.scan_container(&rs, rs.work[i].1, &metrics)
         })?;
-        self.annotate_pushdown(&metrics);
         let mut out = Batch::nulls(rs.out_local.len(), 0);
         for (_, batch) in per_container {
             out.append(batch);
         }
         Ok(out)
-    }
-
-    fn scan_partial_agg(
-        &self,
-        spec: &ScanSpec,
-        group_by: &[usize],
-        aggs: &[AggSpec],
-    ) -> Result<Option<Partials>> {
-        // Crunch slicing filters rows node-side after the fetch;
-        // pushing the fold below the GET would fold sliced-away rows
-        // in, so crunch workers take the plain path.
-        if !self.scan.pushdown || self.crunch.is_some() || !agg_pushable(aggs) {
-            return Ok(None);
-        }
-        // An unresolvable scan is left for the plain path to report.
-        let Ok(rs) = self.resolve_scan(spec) else {
-            return Ok(None);
-        };
-        if rs.proj.is_live_aggregate() {
-            return Ok(None);
-        }
-        // `group_by` / `aggs` index the scan's OUTPUT columns; the
-        // store folds projection-local rows, so remap for it.
-        let mut group_local = Vec::with_capacity(group_by.len());
-        for &g in group_by {
-            match rs.out_local.get(g) {
-                Some(&l) => group_local.push(l),
-                None => return Ok(None),
-            }
-        }
-        let metrics = self.scan_metrics();
-        let mut aggs_local = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            let expr = match &a.expr {
-                Expr::Col(k) => match rs.out_local.get(*k) {
-                    Some(&l) => Expr::col(l),
-                    None => return Ok(None),
-                },
-                other => other.clone(), // CountStar ignores its expr
-            };
-            // Only an Int sum merges bit-identically: Float addition is
-            // order-sensitive (and a sum over any other type ends up
-            // Float), so folding per container and merging would not
-            // equal the single local fold. Decline before any I/O.
-            if let (AggFunc::Sum, Expr::Col(l)) = (a.func, &expr) {
-                if rs.table.schema.fields[rs.proj.columns[*l]].dtype != DataType::Int {
-                    metrics.pushdown_fallbacks.inc();
-                    return Ok(None);
-                }
-            }
-            aggs_local.push(AggSpec { func: a.func, expr });
-        }
-        let pushed = AggRequest {
-            group_by: group_local,
-            aggs: aggs_local,
-            max_groups: PUSHDOWN_MAX_GROUPS,
-        };
-
-        let _span = self.pipeline_span(&spec.table);
-        let mut parts = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
-            self.partial_agg_container(&rs, rs.work[i].1, (group_by, aggs), &pushed, &metrics)
-        })?;
-        if parts.iter().any(has_float_sum) {
-            return Err(EonError::Internal(
-                "a Float sum reached the per-container fold".into(),
-            ));
-        }
-        // The identity partial makes zero-container global aggregates
-        // produce their init group, matching the local path's SQL
-        // semantics; with groups present it merges as a no-op.
-        parts.push(aggregate_partial(&Batch::nulls(rs.out_local.len(), 0), group_by, aggs)?);
-        let merged = merge_partials(parts);
-        self.annotate_pushdown(&metrics);
-        Ok(Some(merged))
     }
 }

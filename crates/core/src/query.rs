@@ -15,8 +15,8 @@ use std::sync::Arc;
 use eon_cache::CacheMode;
 use eon_cluster::NodeRuntime;
 use eon_exec::crunch::CrunchSlice;
-use eon_exec::execute::LocalResult;
-use eon_exec::{auto_distribute, Plan};
+use eon_exec::execute::{DistributedPlan, LocalResult};
+use eon_exec::{auto_distribute, AggSpec, Expr, Plan, ScanSpec};
 use eon_obs::QueryProfile;
 use eon_shard::{select_participants, AssignmentProblem};
 use eon_types::{EonError, NodeId, Result, ShardId, Value};
@@ -58,6 +58,50 @@ impl SessionOpts {
 pub struct Participation {
     /// (node, shards it serves, crunch slice).
     pub workers: Vec<(NodeId, Vec<ShardId>, CrunchSlice)>,
+}
+
+/// A local phase that is a bare scan feeding the partial aggregate
+/// reads only the group keys and the columns the aggregates name:
+/// narrow the scan to those and re-index the aggregate, so a node
+/// materializes nothing the fold never looks at (`COUNT(*)`
+/// materializes no column). Computed inputs (`SUM(a * b)`) keep the
+/// scan as it is, and a pinned projection yields its own layout.
+fn narrow_local_scan(dp: &mut DistributedPlan) {
+    let (Some((group_by, aggs)), Plan::Scan(spec)) = (&dp.partial_agg, &dp.local) else {
+        return;
+    };
+    if spec.projection.is_some() {
+        return;
+    }
+    let mut used = group_by.clone();
+    for a in aggs {
+        match &a.expr {
+            Expr::Col(c) => used.push(*c),
+            Expr::Lit(_) => {} // COUNT(*)
+            _ => return,
+        }
+    }
+    used.sort_unstable();
+    used.dedup();
+    let at = |c: &usize| used.binary_search(c).expect("collected above");
+    // Scan-output index → table column index.
+    let to_table = |&u: &usize| match &spec.columns {
+        Some(cols) => cols.get(u).copied(),
+        None => Some(u),
+    };
+    let Some(columns) = used.iter().map(to_table).collect::<Option<Vec<_>>>() else {
+        return; // out-of-range reference: execution reports it
+    };
+    let aggs = aggs
+        .iter()
+        .map(|a| match &a.expr {
+            Expr::Col(c) => AggSpec::new(a.func, Expr::col(at(c))),
+            _ => a.clone(),
+        })
+        .collect();
+    let group_by = group_by.iter().map(at).collect();
+    dp.local = Plan::Scan(ScanSpec { columns: Some(columns), ..spec.clone() });
+    dp.partial_agg = Some((group_by, aggs));
 }
 
 impl EonDb {
@@ -233,7 +277,9 @@ impl EonDb {
         // Answer eligible aggregations from Live Aggregate Projections
         // (§2.1) before splitting the plan for distribution.
         let plan = crate::lap::rewrite_for_laps(plan, &snapshot);
-        let dp = Arc::new(auto_distribute(&plan));
+        let mut dp = auto_distribute(&plan);
+        narrow_local_scan(&mut dp);
+        let dp = Arc::new(dp);
         let version = self.version();
         let cache_mode = if opts.bypass_cache {
             CacheMode::Bypass
@@ -442,6 +488,57 @@ mod tests {
         let out = db.query(&plan).unwrap();
         assert_eq!(out.len(), 10);
         assert_eq!(out[9], vec![Value::Int(9)]);
+    }
+
+    #[test]
+    fn aggregate_over_a_bare_scan_narrows_the_scan() {
+        let narrowed = |plan: &Plan| {
+            let mut dp = auto_distribute(plan);
+            narrow_local_scan(&mut dp);
+            (dp.local, dp.partial_agg.unwrap())
+        };
+        // Group key 1 and input 2 survive, re-indexed; `id` is not read.
+        let (local, (group_by, aggs)) = narrowed(&sum_by_grp());
+        assert_eq!(local, Plan::scan(ScanSpec::new("sales").columns(vec![1, 2])));
+        assert_eq!(group_by, vec![0]);
+        assert_eq!(aggs, vec![AggSpec::sum(Expr::col(1)), AggSpec::count_star()]);
+        // COUNT(*) alone reads no column at all.
+        let count = Plan::scan(ScanSpec::new("sales")).aggregate(vec![], vec![AggSpec::count_star()]);
+        assert_eq!(narrowed(&count).0, Plan::scan(ScanSpec::new("sales").columns(vec![])));
+        // A computed input keeps the scan as it is.
+        let product = Expr::mul(Expr::col(1), Expr::col(2));
+        let computed = Plan::scan(ScanSpec::new("sales")).aggregate(vec![], vec![AggSpec::sum(product)]);
+        assert_eq!(narrowed(&computed).0, Plan::scan(ScanSpec::new("sales")));
+
+        let db = db_loaded(3, 3);
+        assert_eq!(db.query(&sum_by_grp()).unwrap(), expected_sum_by_grp());
+        assert_eq!(db.query(&count).unwrap(), vec![vec![Value::Int(2000)]]);
+    }
+
+    /// The crunch slice hashes each row's segmentation column, so the
+    /// scan reads it even when the output does not carry it; with the
+    /// column unread every row would hash alike and land on one worker.
+    #[test]
+    fn crunch_slices_split_a_scan_that_drops_the_segmentation_column() {
+        use eon_exec::TableProvider;
+        let db = db_loaded(1, 1);
+        let node = db.membership().all()[0].clone();
+        let rows_of = |worker: usize| {
+            let provider = NodeProvider {
+                node: node.clone(),
+                snapshot: db.snapshot().unwrap(),
+                my_shards: db.segment_shards(),
+                all_shards: db.segment_shards(),
+                replica_shard: db.replica_shard(),
+                cache_mode: CacheMode::Normal,
+                crunch: Some(CrunchSlice::new(worker, 2)),
+                scan: db.scan_options(&node, None, None),
+            };
+            provider.scan(&ScanSpec::new("sales").columns(vec![1])).unwrap().rows()
+        };
+        let (a, b) = (rows_of(0), rows_of(1));
+        assert_eq!(a + b, 2000);
+        assert!(a > 0 && b > 0, "slices of {a} and {b} rows");
     }
 
     #[test]

@@ -266,55 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_reports_pushdown() {
-        use eon_storage::{S3Config, S3SimFs};
-        // An object store that answers selects, with the crossover
-        // knobs opened so the small test containers qualify.
-        let db = EonDb::create(
-            Arc::new(S3SimFs::new(S3Config::instant())),
-            EonConfig::new(3, 3)
-                .pushdown_min_bytes(0)
-                .pushdown_max_selectivity(1.0),
-        )
-        .unwrap();
-        let s = schema![("id", Int), ("grp", Str), ("price", Int)];
-        db.create_table(
-            "sales",
-            s.clone(),
-            vec![Projection::super_projection("sales_super", &s, &[0], &[0])],
-        )
-        .unwrap();
-        db.copy_into(
-            "sales",
-            (0..1000)
-                .map(|i| {
-                    vec![
-                        Value::Int(i),
-                        Value::Str(if i % 3 == 0 { "a" } else { "b" }.into()),
-                        Value::Int(i % 50),
-                    ]
-                })
-                .collect(),
-        )
-        .unwrap();
-        // The load wrote through the depots; pushdown only engages on
-        // depot-cold files (cached reads are already cheap), so start
-        // cold.
-        for node in db.membership().all() {
-            node.cache.clear().unwrap();
-        }
-        let (rows, report) = db
-            .sql_explain_analyze(
-                "SELECT id, price FROM sales WHERE price < 5 ORDER BY id",
-                &SessionOpts::default(),
-            )
-            .unwrap();
-        assert_eq!(rows.len(), 100);
-        assert!(report.contains("pushdown_selects ="), "{report}");
-        assert!(report.contains("pushdown_bytes_saved ="), "{report}");
-    }
-
-    #[test]
     fn sql_agrees_with_plan_api() {
         use eon_exec::{AggSpec, Expr, Plan, ScanSpec, SortKey};
         let db = db_loaded();

@@ -28,20 +28,6 @@ pub trait TableProvider {
     /// The scan's output columns; a scan that finds no rows still
     /// returns a batch of the right width.
     fn scan(&self, spec: &ScanSpec) -> Result<Batch>;
-
-    /// Aggregate pushdown: produce this node's partial aggregate states
-    /// for `aggs` grouped by `group_by` directly from the scan,
-    /// *bit-exactly* equal to `aggregate_partial(scan(spec), ..)`.
-    /// `Ok(None)` means the provider can't (or won't, by cost policy)
-    /// — the caller falls back to scan-then-fold. Default: declined.
-    fn scan_partial_agg(
-        &self,
-        _spec: &ScanSpec,
-        _group_by: &[usize],
-        _aggs: &[AggSpec],
-    ) -> Result<Option<Partials>> {
-        Ok(None)
-    }
 }
 
 /// Execute a plan on a single node.
@@ -171,14 +157,6 @@ impl DistributedPlan {
 
     /// Run the local phase on one node.
     pub fn execute_local(&self, provider: &dyn TableProvider) -> Result<LocalResult> {
-        // Aggregate-over-bare-scan is the shape where the provider may
-        // compute the partials below the scan (S3-Select-style); any
-        // other local plan folds node-side as before.
-        if let (Some((group_by, aggs)), Plan::Scan(spec)) = (&self.partial_agg, &self.local) {
-            if let Some(partials) = provider.scan_partial_agg(spec, group_by, aggs)? {
-                return Ok(LocalResult::Partials(partials));
-            }
-        }
         let batch = execute(&self.local, provider)?;
         match &self.partial_agg {
             Some((group_by, aggs)) => Ok(LocalResult::Partials(aggregate_partial(

@@ -9,7 +9,7 @@ use crate::lexer::{tokenize, Sym, Token};
 pub fn parse(sql: &str) -> Result<SelectStmt> {
     let tokens = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.select()?;
+    let stmt = p.select_stmt()?;
     if p.pos != p.tokens.len() {
         return Err(EonError::Query(format!(
             "trailing tokens after statement: {:?}",
@@ -88,7 +88,7 @@ impl Parser {
 
     // ---------------------------------------------------------- SELECT
 
-    fn select(&mut self) -> Result<SelectStmt> {
+    fn select_stmt(&mut self) -> Result<SelectStmt> {
         self.expect_kw("SELECT")?;
         let mut items = Vec::new();
         loop {

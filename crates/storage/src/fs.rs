@@ -34,30 +34,6 @@ impl FsStats {
     }
 }
 
-/// Result of a server-side `select` computation: the serialized
-/// response plus how many object bytes the engine had to scan to
-/// produce it. The split drives the two-axis pricing model (bytes
-/// scanned vs bytes returned) that makes pushdown a cost decision.
-#[derive(Debug, Clone)]
-pub struct SelectOutput {
-    pub response: Bytes,
-    pub scanned_bytes: u64,
-}
-
-/// The compute half of an S3-Select-style `select` verb. The store
-/// hands the engine the raw object plus an opaque serialized request;
-/// the engine parses both and either answers (`Ok(Some(_))`), declines
-/// because the request shape is unsupported (`Ok(None)` — the caller
-/// falls back to plain GETs), or fails (corrupt object, malformed
-/// request).
-///
-/// The engine lives above the storage crate (it understands the ROS
-/// container format), so stores hold it as a trait object injected via
-/// [`FileSystem::install_select_engine`].
-pub trait SelectEngine: Send + Sync {
-    fn select(&self, object: &Bytes, request: &[u8]) -> Result<Option<SelectOutput>>;
-}
-
 /// The user-defined filesystem abstraction.
 ///
 /// All paths are `/`-separated keys relative to the filesystem root; the
@@ -97,20 +73,6 @@ pub trait FileSystem: Send + Sync {
     /// Delete the object. Deleting a missing object is not an error
     /// (S3 semantics), so the delete-file protocol of §6.5 is idempotent.
     fn delete(&self, path: &str) -> Result<()>;
-
-    /// S3-Select-style pushdown: run `request` (an opaque serialized
-    /// `SelectRequest`) against the object at `path` inside the store
-    /// and return only the surviving/partial data. `Ok(None)` means the
-    /// store (or its installed engine) does not support this request —
-    /// the caller must fall back to plain reads. Default: unsupported.
-    fn select(&self, _path: &str, _request: &[u8]) -> Result<Option<Bytes>> {
-        Ok(None)
-    }
-
-    /// Install the compute engine backing [`select`](Self::select).
-    /// Wrappers (retry, cache) forward to their inner store; plain
-    /// filesystems ignore it (their `select` stays unsupported).
-    fn install_select_engine(&self, _engine: Arc<dyn SelectEngine>) {}
 
     /// Snapshot of the request counters.
     fn stats(&self) -> FsStats;

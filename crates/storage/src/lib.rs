@@ -23,7 +23,7 @@ pub mod sid;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use fault::{FaultEvent, FaultInjector, FaultPlan};
-pub use fs::{FileSystem, FsStats, SelectEngine, SelectOutput, SharedFs};
+pub use fs::{FileSystem, FsStats, SharedFs};
 pub use mem::MemFs;
 pub use posix::PosixFs;
 pub use retry::{with_retry, with_retry_observed, RetryPolicy};

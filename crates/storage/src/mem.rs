@@ -39,19 +39,6 @@ impl MemFs {
     pub fn total_bytes(&self) -> u64 {
         self.inner.lock().objects.values().map(|b| b.len() as u64).sum()
     }
-
-    /// Object lookup that bypasses the request/byte counters. The S3
-    /// simulator's SELECT verb feeds the object to its compute engine
-    /// in-store; that read never crosses the simulated wire, so it must
-    /// not show up in [`FsStats`] as a GET.
-    pub(crate) fn peek(&self, path: &str) -> Result<Bytes> {
-        self.inner
-            .lock()
-            .objects
-            .get(path)
-            .cloned()
-            .ok_or_else(|| EonError::NotFound(path.to_owned()))
-    }
 }
 
 impl Default for MemFs {
@@ -85,7 +72,7 @@ impl FileSystem for MemFs {
         // Bill only the bytes actually served: the trait default reads
         // the whole object, which would make every ranged GET count as
         // a full-object transfer in [`FsStats`] and swamp the byte
-        // accounting the pushdown crossover measurements rely on.
+        // accounting the scan and depot measurements rely on.
         let mut g = self.inner.lock();
         g.stats.gets += 1;
         match g.objects.get(path) {

@@ -142,16 +142,6 @@ impl FileSystem for RetryFs {
         self.retrying(|| self.inner.delete(path))
     }
 
-    fn select(&self, path: &str, request: &[u8]) -> Result<Option<Bytes>> {
-        // Selects are read-only and therefore idempotent: retry, trip,
-        // and fast-fail exactly like any other verb.
-        self.retrying(|| self.inner.select(path, request))
-    }
-
-    fn install_select_engine(&self, engine: Arc<dyn crate::fs::SelectEngine>) {
-        self.inner.install_select_engine(engine);
-    }
-
     fn stats(&self) -> FsStats {
         self.inner.stats()
     }

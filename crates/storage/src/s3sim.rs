@@ -30,7 +30,7 @@ use eon_obs::{Counter, Registry};
 use eon_types::{EonError, Result};
 use parking_lot::Mutex;
 
-use crate::fs::{FileSystem, FsStats, SelectEngine};
+use crate::fs::{FileSystem, FsStats};
 use crate::mem::MemFs;
 
 /// Tuning knobs for the simulator.
@@ -64,15 +64,6 @@ pub struct S3Config {
     pub put_price: u64,
     /// Nano-dollar price per LIST request.
     pub list_price: u64,
-    /// Nano-dollar price per SELECT request (same order as GET).
-    pub select_price: u64,
-    /// Nano-dollar price per MiB *scanned* by a SELECT — the dominant
-    /// charge; mirrors S3 Select's $0.002/GB-scanned axis.
-    pub select_scan_price_per_mib: u64,
-    /// Nano-dollar price per MiB *returned* by a SELECT — cheaper than
-    /// scanning ($0.0007/GB returned), which is why selective pushdown
-    /// wins on cost as well as latency.
-    pub select_return_price_per_mib: u64,
 }
 
 impl Default for S3Config {
@@ -92,11 +83,6 @@ impl Default for S3Config {
             get_price: 400,
             put_price: 5_000,
             list_price: 5_000,
-            // SELECT: per-request like GET, plus the scanned/returned
-            // byte axes ($0.002/GB scanned, $0.0007/GB returned).
-            select_price: 400,
-            select_scan_price_per_mib: 2_000,
-            select_return_price_per_mib: 700,
         }
     }
 }
@@ -158,12 +144,6 @@ struct S3Metrics {
     put: Arc<Counter>,
     list: Arc<Counter>,
     delete: Arc<Counter>,
-    select: Arc<Counter>,
-    /// Bytes a SELECT request scanned inside the store vs bytes it
-    /// shipped back — the two pricing axes, tracked separately so the
-    /// pushdown-vs-GET tradeoff is measurable from the registry.
-    select_scanned: Arc<Counter>,
-    select_returned: Arc<Counter>,
     cost: Arc<Counter>,
     fail: Arc<Counter>,
     throttle: Arc<Counter>,
@@ -181,11 +161,6 @@ impl S3Metrics {
             put: verb("put"),
             list: verb("list"),
             delete: verb("delete"),
-            select: verb("select"),
-            select_scanned: registry
-                .counter("s3_select_scanned_bytes_total", &[("subsystem", "s3")]),
-            select_returned: registry
-                .counter("s3_select_returned_bytes_total", &[("subsystem", "s3")]),
             cost: registry.counter("s3_cost_nanodollars_total", &[("subsystem", "s3")]),
             fail: kind("fail"),
             throttle: kind("throttle"),
@@ -199,7 +174,6 @@ impl S3Metrics {
             "get" => &self.get,
             "put" => &self.put,
             "delete" => &self.delete,
-            "select" => &self.select,
             _ => &self.list,
         }
     }
@@ -227,11 +201,6 @@ pub struct S3SimFs {
     /// reachable but serving nothing, the §5.3 scenario the circuit
     /// breaker and depot-only read mode exist for.
     brownout: AtomicBool,
-    /// The compute engine behind the `select` verb. Injected from above
-    /// (the engine understands the ROS container format, which this
-    /// crate does not); `None` means SELECT is unsupported and callers
-    /// fall back to plain GETs.
-    select_engine: Mutex<Option<Arc<dyn SelectEngine>>>,
 }
 
 impl S3SimFs {
@@ -248,7 +217,6 @@ impl S3SimFs {
             cost: Mutex::new(0),
             metrics: S3Metrics::register(registry),
             brownout: AtomicBool::new(false),
-            select_engine: Mutex::new(None),
         }
     }
 
@@ -400,58 +368,6 @@ impl FileSystem for S3SimFs {
     fn exists(&self, path: &str) -> Result<bool> {
         self.request("list", path, 0, self.config.list_price)?;
         self.store.exists(path)
-    }
-
-    fn select(&self, path: &str, request: &[u8]) -> Result<Option<Bytes>> {
-        let engine = match self.select_engine.lock().clone() {
-            Some(e) => e,
-            None => return Ok(None),
-        };
-        // Compute *before* rolling the request dice: the engine is a
-        // pure function of (object, request), so whether a fault fires
-        // on attempt N never depends on engine internals, and the
-        // fault schedule stays a keyed hash of (seed, verb, path,
-        // attempt) exactly like every other verb.
-        let object = match self.store.peek(path) {
-            Ok(o) => o,
-            Err(e) => {
-                // A select on a missing key still costs a request.
-                self.request("select", path, 0, self.config.select_price)?;
-                return Err(e);
-            }
-        };
-        let out = match engine.select(&object, request) {
-            Ok(Some(out)) => out,
-            // Engine declines (unsupported request shape): no charge,
-            // caller falls back to plain GETs.
-            Ok(None) => return Ok(None),
-            Err(e) => {
-                self.request("select", path, 0, self.config.select_price)?;
-                return Err(e);
-            }
-        };
-        let returned = out.response.len() as u64;
-        // Latency: the response transfer at full bandwidth plus a
-        // scan-compute surcharge (scanning inside the store is cheaper
-        // than shipping, not free — 1/8th the byte-transfer charge).
-        let transfer = (returned + out.scanned_bytes / 8) as usize;
-        let price = self.config.select_price
-            + out.scanned_bytes * self.config.select_scan_price_per_mib / (1 << 20)
-            + returned * self.config.select_return_price_per_mib / (1 << 20);
-        if trace_enabled() {
-            eprintln!(
-                "s3 SELECT {path} scanned={}B returned={returned}B",
-                out.scanned_bytes
-            );
-        }
-        self.request("select", path, transfer, price)?;
-        self.metrics.select_scanned.add(out.scanned_bytes);
-        self.metrics.select_returned.add(returned);
-        Ok(Some(out.response))
-    }
-
-    fn install_select_engine(&self, engine: Arc<dyn SelectEngine>) {
-        *self.select_engine.lock() = Some(engine);
     }
 
     fn stats(&self) -> FsStats {

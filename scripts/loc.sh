@@ -1,0 +1,35 @@
+#!/bin/sh
+# Non-test, non-comment, non-blank lines per crate ("PR 15's awk"):
+# every `crates/<c>/src/**/*.rs`, each file counted up to its first
+# top-level `#[cfg(test)]`, skipping blank lines and lines that start
+# with `//`. Then the public-field counts of the two config structs.
+# Run from anywhere; takes an optional repo root (default: this repo).
+set -eu
+root=${1:-$(dirname "$0")/..}
+cd "$root"
+
+total=0
+for dir in crates/*/; do
+    n=$(find "$dir/src" -name '*.rs' | sort | xargs awk '
+        FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        t { next }
+        /^[[:space:]]*$/ { next }
+        /^[[:space:]]*\/\// { next }
+        { n++ }
+        END { print n + 0 }')
+    printf '%-16s %6d\n' "eon-$(basename "$dir")" "$n"
+    total=$((total + n))
+done
+printf '%-16s %6d\n' total "$total"
+
+# `pub` fields between `pub struct <name> {` and its closing brace.
+fields() {
+    awk -v s="pub struct $1 {" '
+        index($0, s) == 1 { on = 1; next }
+        on && /^}/ { exit }
+        on && /^    pub / { n++ }
+        END { print n + 0 }' "$2"
+}
+printf '%-16s %6d\n' "EonConfig fields" "$(fields EonConfig crates/core/src/config.rs)"
+printf '%-16s %6d\n' "S3Config fields" "$(fields S3Config crates/storage/src/s3sim.rs)"

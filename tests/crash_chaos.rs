@@ -9,8 +9,8 @@
 //! reachable, and a given seed replays identically.
 
 use eon_bench::chaos::{
-    crash_schedule, crash_schedule_encoded, crash_schedule_group_commit, crash_schedule_pushdown,
-    flap_brownout_schedule, seeded_crash_schedule,
+    crash_schedule, crash_schedule_encoded, crash_schedule_group_commit, flap_brownout_schedule,
+    seeded_crash_schedule,
 };
 use eon_columnar::Encoding;
 use eon_db as _;
@@ -117,40 +117,6 @@ fn force_encoded_schedules_replay_identically() {
                 "seed {seed} force {force:?}: encoding changed the logical table"
             );
         }
-    }
-}
-
-/// Pushdown under crashes: the seeded schedule with S3-Select pushdown
-/// forced eager (selective scans and partial aggregates answered below
-/// the GET, against delete-vectored containers, across injected
-/// crashes) must (a) uphold every crash-consistency invariant, (b)
-/// replay deterministically — selects roll the same keyed-hash fault
-/// dice as every other verb, so same seed ⇒ byte-identical digest and
-/// metrics — and (c) land on the same logical table as the plain run,
-/// since pushdown is purely a cost change.
-#[test]
-fn pushdown_schedules_replay_identically() {
-    for seed in [0u64, 7] {
-        let baseline = seeded_crash_schedule(seed, false).unwrap();
-        let plan = || FaultPlan::seeded(seed, SITES, 3);
-        let a = crash_schedule_pushdown(plan(), seed, false)
-            .unwrap_or_else(|e| panic!("seed {seed} pushdown: {e}"));
-        let b = crash_schedule_pushdown(plan(), seed, false).unwrap();
-        assert_eq!(a.fired, b.fired, "seed {seed} pushdown: sites diverged");
-        assert_eq!(a.digest, b.digest, "seed {seed} pushdown: digest diverged");
-        assert_eq!(
-            a.metrics, b.metrics,
-            "seed {seed} pushdown: metrics snapshots diverged"
-        );
-        assert_eq!(
-            a.rows, baseline.rows,
-            "seed {seed} pushdown: pushdown changed the logical table"
-        );
-        assert!(
-            a.metrics.contains("scan_pushdown_selects_total"),
-            "seed {seed}: schedule never pushed down: {}",
-            a.metrics
-        );
     }
 }
 

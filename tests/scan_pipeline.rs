@@ -22,6 +22,8 @@
 //! * concurrent misses on one depot key over simulated S3 must issue
 //!   exactly one backing GET, with `CacheStats` and the registry in
 //!   agreement;
+//! * a depot-cold container that fits the depot costs a predicate scan
+//!   exactly one GET — the fault-in — and depot hits after it;
 //! * a container the depot cannot hold is scanned with one tail read
 //!   plus the range planner's runs — no size request, no whole-object
 //!   GET — and answers as the warm and Bypass scans do;
@@ -37,8 +39,7 @@ use std::time::Duration;
 use eon_cache::{mem_cache, CacheMode};
 use eon_columnar::container::TAIL_READ;
 use eon_columnar::pruning::CmpOp;
-use eon_columnar::{Encoding, Predicate, Projection, ReadStats, RosReader, RosWriter};
-use eon_core::pushdown::kept_bytes;
+use eon_columnar::{Encoding, Predicate, Projection, ReadStats, RosFooter, RosReader, RosWriter};
 use eon_core::{EonConfig, EonDb, SessionOpts};
 use eon_db as _;
 use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
@@ -104,6 +105,13 @@ fn load_enterprise(rows: &[Vec<Value>]) -> Arc<EnterpriseDb> {
         .unwrap();
     ent.copy_into("t", rows.to_vec()).unwrap();
     ent
+}
+
+/// Reference for `ReadStats`: the bytes of `cols`' blocks kept by
+/// `keep`, from the footer alone (no coalescing gaps).
+fn kept_bytes(footer: &RosFooter, keep: &[bool], cols: &[usize]) -> u64 {
+    let kept = |c: &usize| footer.columns[*c].blocks.iter().zip(keep).filter(|(_, &k)| k);
+    cols.iter().flat_map(kept).map(|(bm, _)| bm.len).sum()
 }
 
 fn window_pred(n: usize) -> Predicate {
@@ -312,6 +320,48 @@ fn concurrent_same_key_misses_issue_one_s3_get() {
     assert_eq!(metric("depot_singleflight_waits_total"), stats.singleflight_waits);
 }
 
+/// A depot-cold container that fits the depot, scanned with a
+/// predicate through `CacheMode::Normal`, costs exactly one S3 GET: the
+/// footer read misses and faults the whole file in (§5.2), and every
+/// read after it — the kernel's two phases — is a depot hit. No second
+/// request reaches shared storage for the footer.
+#[test]
+fn cold_predicate_scan_of_a_depot_sized_container_costs_one_get() {
+    const N: usize = 20_000;
+    let rows = gen_rows(0xc01d, N);
+    let registry = Registry::new();
+    let s3 = Arc::new(S3SimFs::with_metrics(S3Config::instant(), &registry));
+    let db = EonDb::create(s3, EonConfig::new(1, 1).cache_bytes(64 << 20)).unwrap();
+    load(&db, &rows, 1);
+    let snapshot = db.snapshot().unwrap();
+    assert_eq!(snapshot.containers.len(), 1, "one shard, one batch, one container");
+
+    // The load wrote through the depot; start cold.
+    let cache = &db.membership().all()[0].cache;
+    cache.clear().unwrap();
+    // Requests the store billed, by verb.
+    let billed = |verb: &str| {
+        let snap = registry.snapshot();
+        snap.get(&format!("s3_requests_total{{subsystem=\"s3\",verb=\"{verb}\"}}"))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(u64::MAX)
+    };
+    let plan = Plan::scan(ScanSpec::new("t").predicate(window_pred(N)));
+    let (gets0, lists0, d0) = (billed("get"), billed("list"), cache.stats());
+    let got = db.query(&plan).unwrap();
+    let d1 = cache.stats();
+
+    assert_eq!(billed("get") - gets0, 1, "the fault-in is the only GET");
+    assert_eq!(billed("list") - lists0, 0, "the catalog knows the size: no size or list request");
+    assert_eq!(d1.misses - d0.misses, 1, "the footer read is the one miss");
+    assert!(d1.hits > d0.hits, "the block reads hit the faulted-in file");
+    assert_eq!(d1.bypasses, d0.bypasses);
+
+    let bypass = SessionOpts { bypass_cache: true, ..Default::default() };
+    assert!(!got.is_empty());
+    assert_eq!(got, db.query_with(&plan, &bypass).unwrap(), "cold scan differs from Bypass");
+}
+
 /// A container larger than the whole depot, scanned through
 /// `CacheMode::Normal`, moves only what the scan uses: one tail read to
 /// open it (sized from the catalog, so no size request), then the range
@@ -323,8 +373,7 @@ fn oversized_container_scan_reads_tail_plus_planned_ranges() {
     let rows = gen_rows(0xc01d, N);
     let registry = Registry::new();
     let s3 = Arc::new(S3SimFs::new(S3Config::instant()));
-    // Plain path only: a pushed select would replace the block GETs.
-    let cfg = |cache_bytes| EonConfig::new(1, 1).pushdown(false).cache_bytes(cache_bytes);
+    let cfg = |cache_bytes| EonConfig::new(1, 1).cache_bytes(cache_bytes);
     let cold = EonDb::create(s3.clone(), cfg(32 << 10).observability(registry.clone())).unwrap();
     let warm = EonDb::create(Arc::new(MemFs::new()), cfg(64 << 20)).unwrap();
     load(&cold, &rows, 1);
