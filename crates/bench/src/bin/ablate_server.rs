@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use eon_bench::{metrics_summary, print_json, print_table, update_bench_json_default};
+use eon_bench::{metrics_summary, print_json, print_table, update_bench_json};
 use eon_columnar::Projection;
 use eon_core::{EonConfig, EonDb};
 use eon_net::wire::{read_frame, write_frame};
@@ -388,7 +388,7 @@ fn main() {
         );
     }
 
-    update_bench_json_default(
+    update_bench_json(
         "BENCH_server.json",
         "ablate_server",
         serde_json::json!({

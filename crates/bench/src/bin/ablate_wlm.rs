@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use eon_bench::{metrics_summary, print_json, print_table, update_bench_json_default};
+use eon_bench::{metrics_summary, print_json, print_table, update_bench_json};
 use eon_columnar::Projection;
 use eon_core::{EonConfig, EonDb, SessionOpts};
 use eon_exec::{AggSpec, Expr, Plan, ScanSpec};
@@ -322,7 +322,7 @@ fn main() {
         "admission metrics disagree with observed outcomes"
     );
 
-    update_bench_json_default(
+    update_bench_json(
         "BENCH_wlm.json",
         "ablate_wlm",
         serde_json::json!({

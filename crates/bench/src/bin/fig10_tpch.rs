@@ -12,9 +12,7 @@
 
 use std::sync::Arc;
 
-use eon_bench::{
-    metrics_summary, print_json, print_table, scale_factor, time_best_of, update_bench_json,
-};
+use eon_bench::{metrics_summary, print_json, print_table, scale_factor, time_best_of};
 use eon_core::{EonConfig, EonDb, SessionOpts};
 use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
 use eon_obs::Registry;
@@ -48,7 +46,6 @@ fn main() {
     load_tpch_eon(&eon, &data).unwrap();
 
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for q in 1..=TPCH_QUERY_COUNT {
         let plan = tpch_query(q);
         let t_ent = time_best_of(2, || {
@@ -72,8 +69,7 @@ fn main() {
             "eon_cache_ms": t_eon_cache.as_secs_f64() * 1e3,
             "eon_s3_ms": t_eon_s3.as_secs_f64() * 1e3,
         });
-        print_json("fig10", record.clone());
-        json_rows.push(record);
+        print_json("fig10", record);
         rows.push(vec![
             format!("Q{q}"),
             format!("{:.1}", t_ent.as_secs_f64() * 1e3),
@@ -95,17 +91,6 @@ fn main() {
         }),
     );
     eprintln!("\n-- metrics (prometheus text) --\n{}", registry.prometheus_text());
-
-    // Machine-readable perf baseline: one section per bench bin in
-    // BENCH_scan.json so trajectory tooling can diff runs.
-    update_bench_json(
-        "fig10",
-        serde_json::json!({
-            "scale_factor": sf,
-            "queries": json_rows,
-            "metrics_summary": metrics_summary(&snapshot),
-        }),
-    );
 
     print_table(
         &format!("Fig 10 — TPC-H (SF {sf}) query runtime, ms"),

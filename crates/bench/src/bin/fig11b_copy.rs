@@ -14,16 +14,15 @@
 //!
 //! A second, real-execution phase runs actual COPY batches through the
 //! write pipeline (one execution slot vs four per node) over
-//! simulated S3 with per-request latency, and records the measured
-//! throughput into `BENCH_copy.json` alongside the virtual-time curves
-//! (`EON_BENCH_JSON` overrides the path).
+//! simulated S3 with per-request latency, and prints the measured
+//! throughput as `fig11b_real` JSON records.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use eon_bench::vsim::{sim_per_minute, simulate, Fragment, OpSpec};
-use eon_bench::{print_json, print_table, time_once, update_bench_json_default};
+use eon_bench::{print_json, print_table, time_once};
 use eon_core::{EonConfig, EonDb};
 use eon_obs::Registry;
 use eon_storage::{MemFs, S3Config, S3SimFs};
@@ -84,10 +83,9 @@ fn copies_per_min(db: &EonDb, clients: usize) -> f64 {
 /// Real-execution COPY throughput: actual `copy_into` batches through
 /// the write pipeline over latency-bearing simulated S3, a one-slot
 /// cluster (write pool of one) vs the full slot budget. This is the
-/// measured counterpart of the
-/// virtual-time curves above and the source of `BENCH_copy.json`'s
-/// `fig11b_real` section.
-fn real_copy_phase() -> serde_json::Value {
+/// measured counterpart of the virtual-time curves above (one
+/// `fig11b_real` JSON record per configuration).
+fn real_copy_phase() {
     const NODES: usize = 6;
     const REAL_SHARDS: usize = 6;
     const BATCHES: usize = 4;
@@ -102,7 +100,7 @@ fn real_copy_phase() -> serde_json::Value {
             .unwrap_or(2_000),
     );
 
-    let mut out = std::collections::BTreeMap::new();
+    let mut total_ms = Vec::new();
     for (name, slots) in [("serial", 1usize), ("parallel", SLOTS)] {
         let registry = Registry::new();
         let s3 = Arc::new(S3SimFs::with_metrics(
@@ -128,24 +126,16 @@ fn real_copy_phase() -> serde_json::Value {
             "fig11b_real",
             serde_json::json!({
                 "config": name, "batches": BATCHES, "rows_per_batch": rows,
+                "s3_latency_us": latency.as_micros() as u64,
                 "total_ms": total.as_secs_f64() * 1e3, "copies_per_min": per_min,
             }),
         );
-        out.insert(
-            name.to_string(),
-            serde_json::json!({
-                "total_ms": total.as_secs_f64() * 1e3,
-                "copies_per_min": per_min,
-            }),
-        );
+        total_ms.push(total.as_secs_f64() * 1e3);
     }
-    let speedup = out["serial"]["total_ms"].as_f64().unwrap()
-        / out["parallel"]["total_ms"].as_f64().unwrap();
-    out.insert("parallel_speedup".into(), serde_json::json!(speedup));
-    out.insert("rows_per_batch".into(), serde_json::json!(rows));
-    out.insert("s3_latency_us".into(), serde_json::json!(latency.as_micros() as u64));
-    println!("\nreal COPY phase: parallel/serial speedup = {speedup:.2}x");
-    serde_json::Value::Object(out)
+    println!(
+        "\nreal COPY phase: parallel/serial speedup = {:.2}x",
+        total_ms[0] / total_ms[1]
+    );
 }
 
 fn main() {
@@ -177,13 +167,5 @@ fn main() {
     );
 
     eprintln!("real COPY phase…");
-    let real = real_copy_phase();
-    update_bench_json_default(
-        "BENCH_copy.json",
-        "fig11b_real",
-        serde_json::json!({
-            "vsim_table": rows,
-            "real": real,
-        }),
-    );
+    real_copy_phase();
 }

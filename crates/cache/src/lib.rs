@@ -27,14 +27,20 @@
 //!   kept, fetches just its range and counts as neither hit nor miss;
 //! * an object that can never be admitted — larger than the whole
 //!   depot — should not be read through here at all: every read of it
-//!   would be that whole-object GET. The scan path
-//!   (`eon-core::provider`) routes such containers, whose size the
-//!   catalog knows, to ranged reads of [`FileCache::backing`], as it
-//!   does for [`CacheMode::Bypass`] sessions; those reads are not
-//!   depot traffic and count as neither hit nor miss.
+//!   would be that whole-object GET. [`FileCache::reader`] is the one
+//!   place that rule and [`CacheMode::Bypass`] are applied: the scan
+//!   path (`eon-core::provider`) asks it which filesystem to read a
+//!   container through, and for those two cases gets shared storage
+//!   itself for ranged reads; those reads are not depot traffic and
+//!   count as neither hit nor miss.
 //!
 //! With that one exception `hits + misses + bypasses` equals the reads
 //! issued, whole and ranged.
+//!
+//! The depot **never retries**: every backing request below is issued
+//! once. The §5.3 retry loop and the circuit breaker live in the
+//! `eon_storage::RetryFs` the database wraps shared storage in, so one
+//! logical depot operation is one operation to that layer.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +48,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use eon_obs::{Counter, Determinism, Gauge, Registry};
-use eon_storage::{with_retry_observed, FileSystem, FsStats, RetryPolicy, SharedFs};
+use eon_storage::{FileSystem, FsStats, SharedFs};
 use eon_types::{EonError, Result};
 use parking_lot::{Condvar, Mutex};
 
@@ -86,8 +92,8 @@ struct Entry {
     pinned: bool,
 }
 
-/// Registry handles mirroring [`CacheStats`], plus warm-up and retry
-/// counters that only exist in the registry. Always present — the
+/// Registry handles mirroring [`CacheStats`], plus warm-up counters
+/// that only exist in the registry. Always present — the
 /// constructor wires a private registry until
 /// [`FileCache::attach_metrics`] swaps in the shared one.
 #[derive(Clone)]
@@ -98,7 +104,6 @@ struct CacheMetrics {
     bypasses: Arc<Counter>,
     warmup_files: Arc<Counter>,
     warmup_bytes: Arc<Counter>,
-    retries: Arc<Counter>,
     singleflight_waits: Arc<Counter>,
     writes: Arc<Counter>,
     used_bytes: Arc<Gauge>,
@@ -114,7 +119,6 @@ impl CacheMetrics {
             bypasses: registry.counter("depot_bypasses_total", labels),
             warmup_files: registry.counter("depot_warmup_files_total", labels),
             warmup_bytes: registry.counter("depot_warmup_bytes_total", labels),
-            retries: registry.counter("depot_retries_total", labels),
             // Which thread wins a concurrent fill race is scheduling,
             // not workload: keep this out of deterministic snapshots.
             singleflight_waits: registry.counter_with(
@@ -160,7 +164,6 @@ impl Inner {
 struct AuxRawStats {
     warmup_files: AtomicU64,
     warmup_bytes: AtomicU64,
-    retries: AtomicU64,
 }
 
 pub struct FileCache {
@@ -168,11 +171,6 @@ pub struct FileCache {
     backing: SharedFs,
     capacity: u64,
     aux: AuxRawStats,
-    /// Backoff policy for shared-storage access — §5.3's "properly
-    /// balanced retry loop". Every backing read/write below goes
-    /// through it, so transient S3 failures and throttles never reach
-    /// the engine.
-    retry: RetryPolicy,
     inner: Mutex<Inner>,
     /// In-flight backing fetches keyed by object path (single-flight).
     inflight: Mutex<HashMap<String, Arc<FillSlot>>>,
@@ -185,7 +183,6 @@ impl FileCache {
             backing,
             capacity: capacity_bytes,
             aux: AuxRawStats::default(),
-            retry: RetryPolicy::default(),
             inflight: Mutex::new(HashMap::new()),
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
@@ -213,30 +210,10 @@ impl FileCache {
         m.writes.add(g.stats.writes);
         m.used_bytes.set(g.used as i64);
         // Registry-only counters carry over from their raw totals, so
-        // warm-ups and retries from before attachment aren't dropped.
+        // warm-ups from before attachment aren't dropped.
         m.warmup_files.add(self.aux.warmup_files.load(Ordering::Relaxed));
         m.warmup_bytes.add(self.aux.warmup_bytes.load(Ordering::Relaxed));
-        m.retries.add(self.aux.retries.load(Ordering::Relaxed));
         g.metrics = m;
-    }
-
-    /// Clone of the retry counter handle, for use outside the lock.
-    fn retry_counter(&self) -> Arc<Counter> {
-        self.inner.lock().metrics.retries.clone()
-    }
-
-    /// Count one shared-storage retry in both the raw total and the
-    /// currently-attached registry handle.
-    fn count_retry(&self, handle: &Counter) {
-        self.aux.retries.fetch_add(1, Ordering::Relaxed);
-        handle.inc();
-    }
-
-    fn backing_read(&self, key: &str) -> Result<Bytes> {
-        let retries = self.retry_counter();
-        with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
-            self.backing.read(key)
-        })
     }
 
     /// Serve `key` from the depot if it is resident. Residency check,
@@ -275,7 +252,7 @@ impl FileCache {
     /// no caller goes back to shared storage for bytes it just moved.
     fn fault_in(&self, key: &str) -> Result<Bytes> {
         if self.never_cached(key) {
-            let data = self.backing_read(key)?;
+            let data = self.backing.read(key)?;
             self.count_miss();
             self.insert_local(key, data.clone())?;
             return Ok(data);
@@ -306,7 +283,7 @@ impl FileCache {
         };
         match role {
             Role::Leader(slot) => {
-                let res = self.backing_read(key);
+                let res = self.backing.read(key);
                 let mut inserted = Ok(());
                 if let Ok(data) = &res {
                     self.count_miss();
@@ -347,8 +324,25 @@ impl FileCache {
         self.capacity
     }
 
-    pub fn backing(&self) -> &SharedFs {
-        &self.backing
+    /// The filesystem a read of one object goes through, given the
+    /// session's cache mode and the object's size where the catalog
+    /// knows it. A bypass session (§5.2) and an object larger than the
+    /// whole depot — which [`insert_local`](Self::insert_local) would
+    /// never keep, so every read through the depot would move the whole
+    /// object — read ranges straight from shared storage, as neither
+    /// hit nor miss; everything else reads through the depot.
+    pub fn reader(&self, mode: CacheMode, size_bytes: Option<u64>) -> &dyn FileSystem {
+        if mode == CacheMode::Bypass || !self.admits(size_bytes.unwrap_or(0)) {
+            self.backing.as_ref()
+        } else {
+            self
+        }
+    }
+
+    /// The one admission rule: an object larger than the whole depot
+    /// is never kept (it would evict everything and still not fit).
+    fn admits(&self, size: u64) -> bool {
+        size <= self.capacity
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -407,8 +401,8 @@ impl FileCache {
             return Ok(());
         }
         let size = data.len() as u64;
-        if size > self.capacity {
-            return Ok(()); // larger than the whole cache: don't thrash
+        if !self.admits(size) {
+            return Ok(());
         }
         // Write and register in one critical section: were the file
         // written first, an eviction of this key's previous entry could
@@ -476,7 +470,7 @@ impl FileCache {
                 g.stats.bypasses += 1;
                 g.metrics.bypasses.inc();
             }
-            return self.backing_read(key);
+            return self.backing.read(key);
         }
         match self.read_hit(key, |local| local.read(key)) {
             Some(hit) => hit,
@@ -493,10 +487,7 @@ impl FileCache {
             g.metrics.writes.inc();
         }
         self.insert_local(key, data.clone())?;
-        let retries = self.retry_counter();
-        with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
-            self.backing.write(key, data.clone())
-        })
+        self.backing.write(key, data)
     }
 
     /// Most-recently-used keys fitting in `budget` bytes — what a peer
@@ -529,7 +520,7 @@ impl FileCache {
             if self.never_cached(key) {
                 continue;
             }
-            match self.backing_read(key) {
+            match self.backing.read(key) {
                 Ok(data) => {
                     {
                         let g = self.inner.lock();
@@ -567,10 +558,7 @@ impl FileSystem for FileCache {
             return hit;
         }
         if self.never_cached(path) {
-            let retries = self.retry_counter();
-            return with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
-                self.backing.read_range(path, offset, len)
-            });
+            return self.backing.read_range(path, offset, len);
         }
         let all = self.fault_in(path)?;
         let start = (offset as usize).min(all.len());
@@ -582,33 +570,20 @@ impl FileSystem for FileCache {
         if let Some(e) = self.inner.lock().entries.get(path) {
             return Ok(e.size);
         }
-        let retries = self.retry_counter();
-        with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
-            self.backing.size(path)
-        })
+        self.backing.size(path)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        let retries = self.retry_counter();
-        with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
-            self.backing.list(prefix)
-        })
+        self.backing.list(prefix)
     }
 
     fn delete(&self, path: &str) -> Result<()> {
         self.evict(path)?;
-        let retries = self.retry_counter();
-        with_retry_observed(&self.retry, |_| self.count_retry(&retries), || {
-            self.backing.delete(path)
-        })
+        self.backing.delete(path)
     }
 
     fn stats(&self) -> FsStats {
         self.backing.stats()
-    }
-
-    fn kind(&self) -> &'static str {
-        "cache"
     }
 }
 
@@ -625,7 +600,7 @@ pub fn mem_cache(backing: SharedFs, capacity_bytes: u64) -> Arc<FileCache> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eon_storage::MemFs;
+    use eon_storage::{MemFs, S3Config, S3SimFs};
 
     fn setup(capacity: u64) -> (Arc<MemFs>, FileCache) {
         let backing = Arc::new(MemFs::new());
@@ -835,38 +810,19 @@ mod tests {
         assert_eq!(cache.used_bytes(), 30);
     }
 
-    /// MemFs with a read delay, so concurrent misses reliably overlap.
-    struct SlowFs(MemFs, std::time::Duration);
-
-    impl FileSystem for SlowFs {
-        fn write(&self, path: &str, data: Bytes) -> Result<()> {
-            self.0.write(path, data)
-        }
-        fn read(&self, path: &str) -> Result<Bytes> {
-            std::thread::sleep(self.1);
-            self.0.read(path)
-        }
-        fn size(&self, path: &str) -> Result<u64> {
-            self.0.size(path)
-        }
-        fn list(&self, prefix: &str) -> Result<Vec<String>> {
-            self.0.list(prefix)
-        }
-        fn delete(&self, path: &str) -> Result<()> {
-            self.0.delete(path)
-        }
-        fn stats(&self) -> FsStats {
-            self.0.stats()
-        }
-        fn kind(&self) -> &'static str {
-            "slow"
-        }
+    /// A backing store whose every request takes `millis`, so
+    /// concurrent misses reliably overlap.
+    fn slow_backing(millis: u64) -> Arc<S3SimFs> {
+        Arc::new(S3SimFs::new(S3Config {
+            request_latency: std::time::Duration::from_millis(millis),
+            ..S3Config::instant()
+        }))
     }
 
     #[test]
     fn singleflight_dedups_concurrent_misses() {
-        let backing = Arc::new(SlowFs(MemFs::new(), std::time::Duration::from_millis(40)));
-        backing.0.write("k", payload(10)).unwrap();
+        let backing = slow_backing(40);
+        backing.write("k", payload(10)).unwrap();
         let cache = Arc::new(FileCache::new(
             Arc::new(MemFs::new()),
             backing.clone(),
@@ -895,8 +851,8 @@ mod tests {
 
     #[test]
     fn never_cache_keys_fetch_once_per_read_without_dedup() {
-        let backing = Arc::new(SlowFs(MemFs::new(), std::time::Duration::from_millis(20)));
-        backing.0.write("tmp/k", payload(10)).unwrap();
+        let backing = slow_backing(20);
+        backing.write("tmp/k", payload(10)).unwrap();
         let cache = Arc::new(FileCache::new(
             Arc::new(MemFs::new()),
             backing.clone(),
@@ -924,8 +880,8 @@ mod tests {
 
     #[test]
     fn singleflight_waiters_share_ranged_fault_in() {
-        let backing = Arc::new(SlowFs(MemFs::new(), std::time::Duration::from_millis(40)));
-        backing.0.write("obj", Bytes::from_static(b"0123456789")).unwrap();
+        let backing = slow_backing(40);
+        backing.write("obj", Bytes::from_static(b"0123456789")).unwrap();
         let cache = Arc::new(FileCache::new(
             Arc::new(MemFs::new()),
             backing.clone(),

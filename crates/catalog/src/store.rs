@@ -143,11 +143,9 @@ impl CatalogStore {
                     // advanced: some files uploaded, later ones not.
                     self.faults.lock().hit(site::SYNC_MID_UPLOAD)?;
                     let data = self.local.read(&lk)?;
-                    // §5.3 retry loop: uploads must survive transient
-                    // S3 failures or the sync interval never advances.
-                    eon_storage::with_retry(&eon_storage::RetryPolicy::default(), || {
-                        self.shared.write(&sk, data.clone())
-                    })?;
+                    // `shared` is the database's retrying handle: the
+                    // upload survives transient S3 failures below here.
+                    self.shared.write(&sk, data)?;
                 }
                 if kind == "txn/" {
                     if let Some((_, v)) = version_range_of_key(&lk) {

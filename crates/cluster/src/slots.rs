@@ -13,7 +13,7 @@
 //!   a **planned-wait budget**: it is consumed by the planned condvar
 //!   tick, not by measured wall clock, so the give-up point — how many
 //!   ticks a waiter sits through before `DeadlineExceeded` — is a pure
-//!   function of the configuration, like `RetryPolicy::max_elapsed`.
+//!   function of the configuration, never of scheduler noise.
 //! * [`ExecSlots::close`] poisons the semaphore and wakes every waiter
 //!   with `NodeDown` — a query parked on a dying node's slots fails
 //!   fast and the coordinator's failover loop re-plans on survivors.

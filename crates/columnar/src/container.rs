@@ -249,8 +249,8 @@ fn parse_footer(buf: &[u8]) -> Result<RosFooter> {
 /// Read access to one container object through any UDFS filesystem.
 ///
 /// The reader keeps no data, only the footer; every `read_*` call goes
-/// back to the filesystem, so placing a [`eon_storage::PosixFs`]-backed
-/// cache in front is what makes repeated scans fast (§5.2).
+/// back to the filesystem, so placing the depot (`eon-cache`) in front
+/// is what makes repeated scans fast (§5.2).
 pub struct RosReader {
     key: String,
     footer: RosFooter,

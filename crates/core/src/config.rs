@@ -56,23 +56,14 @@ pub struct EonConfig {
     /// session instead of parking it forever.
     pub slot_wait_ms: u64,
     /// S3 circuit breaker (DESIGN.md "Failure detection & degraded
-    /// modes"): consecutive exhausted-retry storage failures before the
-    /// breaker opens and writes fast-fail with `StoreUnavailable`.
-    /// `0` disables the breaker (the historical always-retry shape).
-    pub breaker_failure_threshold: u32,
-    /// Fast-failed operations while the breaker is open before it
-    /// half-opens and lets a probe through. Counted in operations, not
-    /// wall clock, so the half-open point is deterministic.
-    pub breaker_cooldown: u32,
-    /// Probe successes required to close a half-open breaker.
-    pub breaker_half_open_probes: u32,
-    /// Failure detector: missed heartbeat ticks before SUSPECT.
-    pub health_suspect_after: u32,
-    /// Missed heartbeat ticks before DOWN (≥ `health_suspect_after`).
-    pub health_down_after: u32,
-    /// Consecutive probe hits before a flapping node is declared
-    /// recovered (hysteresis; see `eon_cluster::FailureDetector`).
-    pub health_recover_after: u32,
+    /// modes"): thresholds after which shared-storage operations
+    /// fast-fail with `StoreUnavailable`, all counted in operations so
+    /// the half-open point is deterministic. `None` = no breaker, every
+    /// operation runs its full retry budget.
+    pub breaker: Option<eon_storage::BreakerConfig>,
+    /// Failure-detector thresholds in heartbeat ticks (hysteresis; see
+    /// `eon_cluster::FailureDetector`).
+    pub health: eon_cluster::HealthConfig,
     /// Supervisor auto-restart: ticks a node stays declared DOWN before
     /// the supervisor re-admits it through the `restart_node` path.
     /// `0` disables auto-restart (detection and takeover still run).
@@ -104,12 +95,8 @@ impl Default for EonConfig {
             admission_max_queue: 0,
             admission_timeout_ms: 10_000,
             slot_wait_ms: 10_000,
-            breaker_failure_threshold: 0,
-            breaker_cooldown: 8,
-            breaker_half_open_probes: 1,
-            health_suspect_after: 2,
-            health_down_after: 4,
-            health_recover_after: 2,
+            breaker: None,
+            health: eon_cluster::HealthConfig::default(),
             supervisor_restart_ticks: 4,
             commit_group_window: 0,
             commit_group_max: 16,
@@ -187,18 +174,22 @@ impl EonConfig {
     /// consecutive exhausted-retry failures, half-open after `cooldown`
     /// fast-fails, close after `half_open_probes` probe successes.
     pub fn breaker(mut self, failure_threshold: u32, cooldown: u32, half_open_probes: u32) -> Self {
-        self.breaker_failure_threshold = failure_threshold;
-        self.breaker_cooldown = cooldown;
-        self.breaker_half_open_probes = half_open_probes;
+        self.breaker = Some(eon_storage::BreakerConfig {
+            failure_threshold,
+            cooldown,
+            half_open_probes,
+        });
         self
     }
 
     /// Failure-detector thresholds in ticks: SUSPECT after `suspect`
     /// misses, DOWN after `down`, recovered after `recover` hits.
     pub fn health_ticks(mut self, suspect: u32, down: u32, recover: u32) -> Self {
-        self.health_suspect_after = suspect;
-        self.health_down_after = down;
-        self.health_recover_after = recover;
+        self.health = eon_cluster::HealthConfig {
+            suspect_after: suspect,
+            down_after: down,
+            recover_after: recover,
+        };
         self
     }
 

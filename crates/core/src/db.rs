@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use eon_catalog::{CatalogOp, CatalogState, ShardDef, ShardKind, SubState, Subscription, Txn};
 use eon_cluster::{Membership, NodeRuntime};
 use eon_shard::rebalance_plan;
-use eon_storage::{BreakerConfig, CircuitBreaker, SharedFs};
+use eon_storage::{CircuitBreaker, RetryFs, SharedFs};
 use eon_types::{EonError, HashRange, NodeId, Result, ShardId, TxnVersion};
 
 use crate::config::EonConfig;
@@ -66,12 +66,7 @@ impl EonDb {
     /// shard), and subscribe nodes via the ring rebalance.
     pub fn create(shared: SharedFs, config: EonConfig) -> Result<Arc<EonDb>> {
         assert!(config.num_nodes > 0 && config.num_shards > 0);
-        // Uniform §5.3 retry loop around every shared-storage access;
-        // its retry count lands in the database registry. The optional
-        // circuit breaker gates the same wrapper and is shared with the
-        // write-admission front door.
-        let breaker = Self::build_breaker(&config);
-        let shared = eon_storage::RetryFs::wrap_with_breaker(shared, &config.obs, breaker.clone());
+        let (shared, breaker) = Self::resilient(shared, &config);
         let incarnation = format!("inc{:08x}", 0xe0ee_0000u32);
         let db = Arc::new(EonDb {
             shared: shared.clone(),
@@ -159,20 +154,21 @@ impl EonDb {
         self.breaker.as_ref()
     }
 
-    /// Build the configured breaker (`None` when the threshold is 0).
+    /// Wrap raw shared storage in the one resilience layer (§5.3 retry
+    /// loop, retry count in the database registry) behind the
+    /// configured breaker, which the write-admission front door shares.
     /// Shared by `create` and `revive`.
-    pub(crate) fn build_breaker(config: &EonConfig) -> Option<Arc<CircuitBreaker>> {
-        if config.breaker_failure_threshold == 0 {
-            return None;
-        }
-        Some(CircuitBreaker::with_metrics(
-            BreakerConfig {
-                failure_threshold: config.breaker_failure_threshold,
-                cooldown: config.breaker_cooldown,
-                half_open_probes: config.breaker_half_open_probes,
-            },
-            &config.obs,
-        ))
+    pub(crate) fn resilient(
+        shared: SharedFs,
+        config: &EonConfig,
+    ) -> (SharedFs, Option<Arc<CircuitBreaker>>) {
+        let breaker = config
+            .breaker
+            .clone()
+            .map(|b| CircuitBreaker::with_metrics(b, &config.obs));
+        // The default policy: 5 attempts (DESIGN.md "Retry everywhere").
+        let fs = RetryFs::new(shared, Default::default(), &config.obs, breaker.clone());
+        (Arc::new(fs), breaker)
     }
 
     pub fn membership(&self) -> &Membership {

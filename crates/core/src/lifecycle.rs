@@ -111,16 +111,24 @@ impl EonDb {
         let id = NodeId(self.next_node_id.fetch_add(1, Ordering::Relaxed));
         let node = self.commission_node(id);
         let coord = self.pick_up_peer(id)?;
-        // New node installs the current catalog wholesale.
-        node.catalog.install(
-            (*coord.catalog.snapshot()).clone(),
-            coord.catalog.version(),
-        );
-        for oid in node.catalog.snapshot().obj_versions.keys() {
-            node.catalog.bump_oid_floor(oid.0);
+        // New node installs the current catalog wholesale. Install and
+        // join happen under the commit lock, as in `restart_node`: a
+        // commit landing between them would be distributed to a
+        // membership without the newcomer, whose catalog then cannot
+        // apply the next record consecutively. From the join on, the
+        // commit fan-out keeps it current.
+        {
+            let _no_commits = self.commit_lock.lock();
+            node.catalog.install(
+                (*coord.catalog.snapshot()).clone(),
+                coord.catalog.version(),
+            );
+            for oid in node.catalog.snapshot().obj_versions.keys() {
+                node.catalog.bump_oid_floor(oid.0);
+            }
+            node.checkpoint()?;
+            self.membership.add(node.clone());
         }
-        node.checkpoint()?;
-        self.membership.add(node.clone());
 
         // Rebalance over the grown node set; the plan creates PENDING
         // subscriptions for the newcomer (and REMOVING for surplus).
@@ -140,7 +148,8 @@ impl EonDb {
         }));
         self.commit_cluster(txn, &coord)?;
 
-        self.catch_up_node(&node, &coord)?;
+        // No metadata catch-up: the newcomer joined at the cluster
+        // version and has been shipped every commit since.
         self.promote_subscriptions(id, &coord)?;
         self.warm_cache_from_peer(&node)?;
         Ok(id)
@@ -363,9 +372,7 @@ impl EonDb {
         config: EonConfig,
         now_ms: u64,
     ) -> Result<Arc<EonDb>> {
-        let breaker = Self::build_breaker(&config);
-        let shared =
-            eon_storage::RetryFs::wrap_with_breaker(shared, &config.obs, breaker.clone());
+        let (shared, breaker) = Self::resilient(shared, &config);
         let info = ClusterInfo::read(shared.as_ref())?
             .ok_or_else(|| EonError::Revive("no cluster_info.json on shared storage".into()))?;
         if info.lease_live(now_ms) {

@@ -168,29 +168,6 @@ fn remap_predicate(p: &Predicate, map: &HashMap<usize, usize>) -> Result<Predica
 }
 
 impl NodeProvider {
-    /// The filesystem a session reads through: the depot, or shared
-    /// storage directly when the session bypasses the cache (§5.2).
-    fn fs(&self) -> &dyn eon_storage::FileSystem {
-        if self.cache_mode == CacheMode::Bypass {
-            self.node.cache.backing().as_ref()
-        } else {
-            self.node.cache.as_ref()
-        }
-    }
-
-    /// The filesystem one container's blocks are read from. A container
-    /// larger than the whole depot can never be admitted, so reading it
-    /// through the depot would move the whole object on every miss:
-    /// fetch just the ranges from shared storage instead, exactly as a
-    /// bypass session does.
-    fn fs_for(&self, c: &ContainerMeta) -> &dyn eon_storage::FileSystem {
-        if c.size_bytes > self.node.cache.capacity() {
-            self.node.cache.backing().as_ref()
-        } else {
-            self.fs()
-        }
-    }
-
     /// Block-level pruning on footer min/max statistics; all columns
     /// share block boundaries, so one mask covers the container.
     fn prune_blocks(footer: &RosFooter, pred: &Predicate, metrics: &ScanMetrics) -> Vec<bool> {
@@ -266,7 +243,7 @@ impl NodeProvider {
         }
         let mut merged = DeleteVector::default();
         for dv in dvs {
-            let data = self.fs().read(&dv.key)?;
+            let data = self.node.cache.reader(self.cache_mode, None).read(&dv.key)?;
             merged = merged.merge(&DeleteVector::decode(&data)?);
         }
         Ok(Some(merged.keep_mask(c.rows)))
@@ -394,7 +371,7 @@ impl NodeProvider {
         c: &ContainerMeta,
         metrics: &ScanMetrics,
     ) -> Result<PosBatch> {
-        let fs = self.fs_for(c);
+        let fs = self.node.cache.reader(self.cache_mode, Some(c.size_bytes));
         let reader = RosReader::open_sized(fs, &c.key, c.size_bytes)?;
         let keep = Self::prune_blocks(reader.footer(), &rs.pred, metrics);
         if !keep.iter().any(|&k| k) {

@@ -10,8 +10,8 @@
 //!
 //! 1. **Detect** — a deterministic tick-driven
 //!    [`eon_cluster::FailureDetector`] probes node liveness; `SUSPECT`
-//!    after `health_suspect_after` missed beats, `DOWN` after
-//!    `health_down_after`, with hysteresis so a flapping node is
+//!    after `health.suspect_after` missed beats, `DOWN` after
+//!    `health.down_after`, with hysteresis so a flapping node is
 //!    declared down once instead of thrashing the rebalancer.
 //! 2. **Take over** — a `DOWN` declaration schedules a repair pass:
 //!    [`eon_shard::rebalance_plan`] over the surviving nodes creates
@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use eon_catalog::{CatalogOp, SubState, Subscription};
-use eon_cluster::{FailureDetector, HealthConfig, HealthEvent, HealthTransition, NodeHealth};
+use eon_cluster::{FailureDetector, HealthEvent, HealthTransition, NodeHealth};
 use eon_types::{EonError, NodeId, Result};
 
 use crate::config::EonConfig;
@@ -106,11 +106,7 @@ pub struct SupervisorState {
 impl SupervisorState {
     pub(crate) fn new(config: &EonConfig) -> Self {
         SupervisorState {
-            detector: FailureDetector::new(HealthConfig {
-                suspect_after: config.health_suspect_after,
-                down_after: config.health_down_after,
-                recover_after: config.health_recover_after,
-            }),
+            detector: FailureDetector::new(config.health.clone()),
             down_since: HashMap::new(),
             needs_rebalance: false,
             restart_ticks: config.supervisor_restart_ticks,

@@ -36,7 +36,9 @@ use parking_lot::Mutex;
 /// Breaker thresholds, all counted in operations (deterministic).
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
-    /// Consecutive exhausted-retry failures that open the breaker.
+    /// Consecutive exhausted-retry failures that open the breaker. One
+    /// per logical operation: [`crate::RetryFs`] is the only retry
+    /// loop, so a failed depot write or catalog upload counts once.
     pub failure_threshold: u32,
     /// Fast-failed admissions while open before the breaker half-opens.
     pub cooldown: u32,

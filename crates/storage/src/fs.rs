@@ -48,8 +48,8 @@ pub trait FileSystem: Send + Sync {
     fn read(&self, path: &str) -> Result<Bytes>;
 
     /// Read `len` bytes starting at `offset`. Default implementation
-    /// reads the whole object and slices; the POSIX backend overrides
-    /// this with a positioned read.
+    /// reads the whole object and slices; the backends override it so
+    /// a ranged read bills and moves only its range.
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
         let all = self.read(path)?;
         let start = (offset as usize).min(all.len());
@@ -76,9 +76,6 @@ pub trait FileSystem: Send + Sync {
 
     /// Snapshot of the request counters.
     fn stats(&self) -> FsStats;
-
-    /// A short name for diagnostics ("mem", "posix", "s3sim").
-    fn kind(&self) -> &'static str;
 }
 
 /// Shared handle to a filesystem. Nodes, caches, and services all hold

@@ -125,10 +125,6 @@ impl FileSystem for MemFs {
     fn stats(&self) -> FsStats {
         self.inner.lock().stats
     }
-
-    fn kind(&self) -> &'static str {
-        "mem"
-    }
 }
 
 #[cfg(test)]

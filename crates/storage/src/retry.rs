@@ -3,27 +3,12 @@
 //! exponential backoff; permanent errors (NotFound, schema violations)
 //! surface immediately so queries stay cancelable.
 //!
-//! Two optional refinements, both off by default so existing behaviour
-//! stays byte-for-byte deterministic:
-//!
-//! * **Decorrelated jitter** (`jitter_seed`): with plain exponential
-//!   backoff, every node that got throttled in the same instant retries
-//!   in the same instant — a synchronized thundering herd against the
-//!   very store that told them to slow down. A seeded decorrelated
-//!   jitter (`sleep = min(cap, rand(base, prev * 3))`, the AWS
-//!   architecture-blog formula) spreads the herd while staying
-//!   reproducible under a fixed seed.
-//! * **Overall deadline** (`max_elapsed`): bounds the *sum* of backoff
-//!   sleeps rather than just the attempt count, so a caller holding a
-//!   commit lock can't be parked for an unbounded time. Accounted by
-//!   accumulated planned sleep, not wall clock, to keep the give-up
-//!   point deterministic.
+//! [`crate::RetryFs`] is this loop's only caller: layers above it (the
+//! depot, the catalog sync) issue each request once.
 
 use std::time::Duration;
 
 use eon_types::{EonError, Result};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Backoff policy for shared-storage requests.
 #[derive(Debug, Clone)]
@@ -34,12 +19,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Cap on a single backoff sleep.
     pub max_backoff: Duration,
-    /// Give up once the accumulated backoff sleep would exceed this,
-    /// even if attempts remain. `None` = attempt count alone governs.
-    pub max_elapsed: Option<Duration>,
-    /// Seed for decorrelated jitter. `None` = pure exponential backoff
-    /// (the historical, fully deterministic schedule).
-    pub jitter_seed: Option<u64>,
 }
 
 impl Default for RetryPolicy {
@@ -48,116 +27,38 @@ impl Default for RetryPolicy {
             max_attempts: 5,
             base_backoff: Duration::from_micros(100),
             max_backoff: Duration::from_millis(20),
-            max_elapsed: None,
-            jitter_seed: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A policy that never retries; used where the caller handles
-    /// failures itself (e.g. the leak-scan of §6.5 tolerates misses).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            max_elapsed: None,
-            jitter_seed: None,
-        }
-    }
-
-    /// This policy with decorrelated jitter under `seed`.
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
-    /// This policy with an overall backoff-time deadline.
-    pub fn with_max_elapsed(mut self, deadline: Duration) -> Self {
-        self.max_elapsed = Some(deadline);
-        self
-    }
-
     fn backoff(&self, attempt: u32) -> Duration {
         let exp = self.base_backoff.saturating_mul(1u32 << attempt.min(16));
         exp.min(self.max_backoff)
     }
-
-    /// The full sleep schedule this policy would produce (one entry per
-    /// retry, i.e. `max_attempts - 1` entries). Pure function of the
-    /// policy — used by tests to assert reproducibility and by callers
-    /// that want to budget worst-case stall time.
-    pub fn sleep_schedule(&self) -> Vec<Duration> {
-        let mut rng = self.jitter_seed.map(StdRng::seed_from_u64);
-        let mut prev = self.base_backoff;
-        (0..self.max_attempts.saturating_sub(1))
-            .map(|attempt| {
-                let sleep = match &mut rng {
-                    Some(rng) => {
-                        // Decorrelated jitter: rand(base, prev * 3),
-                        // capped. Nanosecond-granularity draw keeps the
-                        // schedule identical across platforms.
-                        let lo = self.base_backoff.as_nanos() as u64;
-                        let hi = (prev.saturating_mul(3).as_nanos() as u64).max(lo + 1);
-                        Duration::from_nanos(rng.gen_range(lo..hi)).min(self.max_backoff)
-                    }
-                    None => self.backoff(attempt),
-                };
-                prev = sleep.max(self.base_backoff);
-                sleep
-            })
-            .collect()
-    }
 }
 
-/// Run `op`, retrying transient errors per `policy`.
+/// Run `op`, retrying transient errors per `policy`; `on_retry` runs
+/// once per retry, before the backoff sleep, so the caller can count
+/// re-issued requests without this loop knowing about metrics.
 ///
 /// Throttles back off twice as hard as plain failures — the service is
 /// telling us to slow down, and hammering it is how you stay throttled.
-pub fn with_retry<T>(policy: &RetryPolicy, op: impl FnMut() -> Result<T>) -> Result<T> {
-    with_retry_observed(policy, |_| {}, op)
-}
-
-/// [`with_retry`] with an observation hook: `on_retry(&err)` runs once
-/// per retry, before the backoff sleep. The depot and [`crate::RetryFs`]
-/// use it to count retries in the metrics registry without the policy
-/// layer knowing about metrics.
-pub fn with_retry_observed<T>(
+pub(crate) fn with_retry<T>(
     policy: &RetryPolicy,
-    mut on_retry: impl FnMut(&eon_types::EonError),
+    mut on_retry: impl FnMut(),
     mut op: impl FnMut() -> Result<T>,
 ) -> Result<T> {
-    let mut rng = policy.jitter_seed.map(StdRng::seed_from_u64);
-    let mut prev = policy.base_backoff;
-    let mut slept = Duration::ZERO;
     let mut attempt = 0;
     loop {
         match op() {
             Ok(v) => return Ok(v),
             Err(e) if e.is_transient() && attempt + 1 < policy.max_attempts => {
-                let mut sleep = match &mut rng {
-                    Some(rng) => {
-                        let lo = policy.base_backoff.as_nanos() as u64;
-                        let hi = (prev.saturating_mul(3).as_nanos() as u64).max(lo + 1);
-                        Duration::from_nanos(rng.gen_range(lo..hi)).min(policy.max_backoff)
-                    }
-                    None => policy.backoff(attempt),
-                };
-                prev = sleep.max(policy.base_backoff);
+                let mut sleep = policy.backoff(attempt);
                 if matches!(e, EonError::Throttled) {
                     sleep = sleep.saturating_mul(2).min(policy.max_backoff);
                 }
-                // Deadline accounting uses the *planned* sleep total so
-                // the give-up point is deterministic regardless of
-                // scheduler noise.
-                if let Some(deadline) = policy.max_elapsed {
-                    if slept + sleep > deadline {
-                        return Err(e);
-                    }
-                }
-                on_retry(&e);
-                slept += sleep;
+                on_retry();
                 if !sleep.is_zero() {
                     std::thread::sleep(sleep);
                 }
@@ -176,11 +77,12 @@ mod tests {
     #[test]
     fn succeeds_after_transient_failures() {
         let calls = AtomicU32::new(0);
+        let mut retries = 0;
         let policy = RetryPolicy {
             base_backoff: Duration::ZERO,
             ..Default::default()
         };
-        let out = with_retry(&policy, || {
+        let out = with_retry(&policy, || retries += 1, || {
             if calls.fetch_add(1, Ordering::SeqCst) < 2 {
                 Err(EonError::Throttled)
             } else {
@@ -189,6 +91,7 @@ mod tests {
         });
         assert_eq!(out.unwrap(), 42);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
+        assert_eq!(retries, 2);
     }
 
     #[test]
@@ -198,9 +101,8 @@ mod tests {
             max_attempts: 3,
             base_backoff: Duration::ZERO,
             max_backoff: Duration::ZERO,
-            ..Default::default()
         };
-        let out: Result<()> = with_retry(&policy, || {
+        let out: Result<()> = with_retry(&policy, || {}, || {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(EonError::Storage("boom".into()))
         });
@@ -211,7 +113,7 @@ mod tests {
     #[test]
     fn permanent_errors_do_not_retry() {
         let calls = AtomicU32::new(0);
-        let out: Result<()> = with_retry(&RetryPolicy::default(), || {
+        let out: Result<()> = with_retry(&RetryPolicy::default(), || {}, || {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(EonError::NotFound("k".into()))
         });
@@ -220,9 +122,13 @@ mod tests {
     }
 
     #[test]
-    fn none_policy_tries_once() {
+    fn one_attempt_policy_tries_once() {
         let calls = AtomicU32::new(0);
-        let out: Result<()> = with_retry(&RetryPolicy::none(), || {
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..Default::default()
+        };
+        let out: Result<()> = with_retry(&policy, || {}, || {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(EonError::Throttled)
         });
@@ -236,79 +142,10 @@ mod tests {
             max_attempts: 10,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(4),
-            ..Default::default()
         };
         assert_eq!(p.backoff(0), Duration::from_millis(1));
         assert_eq!(p.backoff(1), Duration::from_millis(2));
         assert_eq!(p.backoff(5), Duration::from_millis(4)); // capped
         assert_eq!(p.backoff(31), Duration::from_millis(4)); // no overflow
-    }
-
-    #[test]
-    fn jitter_schedule_is_reproducible_and_bounded() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_backoff: Duration::from_micros(50),
-            max_backoff: Duration::from_millis(5),
-            ..Default::default()
-        }
-        .with_jitter(0xdecaf);
-        let a = p.sleep_schedule();
-        let b = p.sleep_schedule();
-        assert_eq!(a, b, "same seed must give the same schedule");
-        assert_eq!(a.len(), 7);
-        for s in &a {
-            assert!(*s >= Duration::from_micros(50) && *s <= Duration::from_millis(5));
-        }
-        // A different seed decorrelates the herd.
-        let c = p.clone().with_jitter(0xdecaf + 1).sleep_schedule();
-        assert_ne!(a, c, "different seeds should not retry in lockstep");
-        // No seed: the historical pure-exponential schedule.
-        let plain = RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(16),
-            ..Default::default()
-        };
-        assert_eq!(
-            plain.sleep_schedule(),
-            vec![
-                Duration::from_millis(1),
-                Duration::from_millis(2),
-                Duration::from_millis(4)
-            ]
-        );
-    }
-
-    #[test]
-    fn max_elapsed_gives_up_before_max_attempts() {
-        let calls = AtomicU32::new(0);
-        let policy = RetryPolicy {
-            max_attempts: 100,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(1),
-            ..Default::default()
-        }
-        .with_max_elapsed(Duration::from_millis(3));
-        let out: Result<()> = with_retry(&policy, || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            Err(EonError::Storage("boom".into()))
-        });
-        assert!(out.is_err());
-        // 1ms planned sleep per retry, 3ms budget: initial attempt plus
-        // exactly 3 retries before the 4th sleep would breach it.
-        assert_eq!(calls.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn max_elapsed_zero_still_tries_once() {
-        let calls = AtomicU32::new(0);
-        let policy = RetryPolicy::default().with_max_elapsed(Duration::ZERO);
-        let out: Result<()> = with_retry(&policy, || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            Err(EonError::Throttled)
-        });
-        assert!(out.is_err());
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 }

@@ -1,8 +1,11 @@
-//! A [`FileSystem`] decorator applying the §5.3 retry loop to every
-//! operation. `EonDb` wraps its shared storage in this once, so all
-//! downstream access — caches' backing reads, catalog uploads,
+//! The one resilience layer of the storage column (DESIGN.md "Retry
+//! everywhere"): a [`FileSystem`] decorator applying the §5.3 retry
+//! loop and the circuit-breaker gate to every operation. `EonDb` wraps
+//! its shared storage in this once, so all downstream access — depots'
+//! backing reads and write-through, catalog uploads,
 //! `cluster_info.json`, the leak scan — survives transient failures
-//! and throttles uniformly.
+//! and throttles uniformly. Nothing above this layer retries: one
+//! logical operation is at most `max_attempts` store requests.
 //!
 //! Whole-object writes and deletes are idempotent on an object store,
 //! so retrying them blindly is safe; that is precisely why the UDFS
@@ -22,84 +25,43 @@ use eon_types::Result;
 
 use crate::breaker::CircuitBreaker;
 use crate::fs::{FileSystem, FsStats, SharedFs};
-use crate::retry::{with_retry_observed, RetryPolicy};
+use crate::retry::{with_retry, RetryPolicy};
 
 /// Retrying wrapper over any filesystem.
 pub struct RetryFs {
     inner: SharedFs,
     policy: RetryPolicy,
-    /// `s3_retries_total` — one tick per re-issued request. Wired to a
-    /// private registry until [`RetryFs::with_metrics`].
+    /// `s3_retries_total` — one tick per re-issued request.
     retries: Arc<Counter>,
     /// Optional brownout protection (DESIGN.md "Failure detection &
-    /// degraded modes"). `None` = the historical always-retry shape.
+    /// degraded modes"). `None` = always retry.
     breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl RetryFs {
-    pub fn new(inner: SharedFs) -> Self {
-        Self::with_metrics(inner, RetryPolicy::default(), &Registry::new())
-    }
-
-    pub fn with_policy(inner: SharedFs, policy: RetryPolicy) -> Self {
-        Self::with_metrics(inner, policy, &Registry::new())
-    }
-
-    /// A wrapper whose retry count lands in `registry`.
-    pub fn with_metrics(inner: SharedFs, policy: RetryPolicy, registry: &Registry) -> Self {
+    /// Wrap `inner`: every operation retries per `policy` (its retry
+    /// count lands in `registry`) behind `breaker` when one is given.
+    pub fn new(
+        inner: SharedFs,
+        policy: RetryPolicy,
+        registry: &Registry,
+        breaker: Option<Arc<CircuitBreaker>>,
+    ) -> Self {
         RetryFs {
             inner,
             policy,
             retries: registry.counter("s3_retries_total", &[("subsystem", "s3")]),
-            breaker: None,
+            breaker,
         }
     }
 
-    /// This wrapper with a circuit breaker gating every operation.
-    pub fn breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
-        self.breaker = Some(breaker);
-        self
-    }
-
-    pub fn inner(&self) -> &SharedFs {
-        &self.inner
-    }
-
-    /// Wrap unless already wrapped (idempotent at the type level via
-    /// the kind marker).
-    pub fn wrap(fs: SharedFs) -> SharedFs {
-        Self::wrap_with(fs, &Registry::new())
-    }
-
-    /// [`RetryFs::wrap`] with the retry counter in `registry`.
-    pub fn wrap_with(fs: SharedFs, registry: &Registry) -> SharedFs {
-        Self::wrap_with_breaker(fs, registry, None)
-    }
-
-    /// [`RetryFs::wrap_with`], additionally gating every operation
-    /// behind `breaker` when one is given. An already-wrapped fs passes
-    /// through untouched (same idempotence as [`RetryFs::wrap`]).
-    pub fn wrap_with_breaker(
-        fs: SharedFs,
-        registry: &Registry,
-        breaker: Option<Arc<CircuitBreaker>>,
-    ) -> SharedFs {
-        if fs.kind() == "retry" {
-            fs
-        } else {
-            let mut wrapped = Self::with_metrics(fs, RetryPolicy::default(), registry);
-            wrapped.breaker = breaker;
-            Arc::new(wrapped)
-        }
-    }
-
-    fn retrying<T>(&self, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+    fn retrying<T>(&self, op: impl FnMut() -> Result<T>) -> Result<T> {
         // Fast-fail while the breaker is open (it half-opens itself
         // after its cooldown; that admission proceeds as the probe).
         if let Some(b) = &self.breaker {
             b.admit()?;
         }
-        let result = with_retry_observed(&self.policy, |_| self.retries.inc(), &mut op);
+        let result = with_retry(&self.policy, || self.retries.inc(), op);
         if let Some(b) = &self.breaker {
             match &result {
                 Ok(_) => b.record_success(),
@@ -145,32 +107,29 @@ impl FileSystem for RetryFs {
     fn stats(&self) -> FsStats {
         self.inner.stats()
     }
-
-    fn kind(&self) -> &'static str {
-        "retry"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::{BreakerConfig, BreakerState};
     use crate::s3sim::{S3Config, S3SimFs};
-    use std::sync::Arc;
+    use std::time::Duration;
+
+    fn instant_policy(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            base_backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+        }
+    }
 
     #[test]
     fn operations_succeed_despite_failures() {
         let flaky = Arc::new(S3SimFs::new(S3Config::flaky(0.4, 0.2, 99)));
         // 60% of requests fail: give the loop enough attempts that the
         // whole test fails with probability < 1e-4.
-        let fs = RetryFs::with_policy(
-            flaky,
-            RetryPolicy {
-                max_attempts: 25,
-                base_backoff: std::time::Duration::ZERO,
-                max_backoff: std::time::Duration::ZERO,
-                ..Default::default()
-            },
-        );
+        let fs = RetryFs::new(flaky, instant_policy(25), &Registry::new(), None);
         for i in 0..50 {
             let key = format!("k{i}");
             fs.write(&key, Bytes::from(vec![i as u8])).unwrap();
@@ -180,17 +139,13 @@ mod tests {
     }
 
     #[test]
-    fn wrap_is_idempotent() {
-        let base: SharedFs = Arc::new(crate::mem::MemFs::new());
-        let once = RetryFs::wrap(base);
-        assert_eq!(once.kind(), "retry");
-        let twice = RetryFs::wrap(once.clone());
-        assert!(Arc::ptr_eq(&once, &twice));
-    }
-
-    #[test]
     fn permanent_errors_still_surface() {
-        let fs = RetryFs::new(Arc::new(crate::mem::MemFs::new()));
+        let fs = RetryFs::new(
+            Arc::new(crate::mem::MemFs::new()),
+            RetryPolicy::default(),
+            &Registry::new(),
+            None,
+        );
         assert!(matches!(
             fs.read("missing"),
             Err(eon_types::EonError::NotFound(_))
@@ -199,7 +154,6 @@ mod tests {
 
     #[test]
     fn breaker_opens_on_exhausted_retries_and_fast_fails() {
-        use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
         let sim = Arc::new(S3SimFs::new(S3Config::instant()));
         sim.set_brownout(true);
         let breaker = CircuitBreaker::new(BreakerConfig {
@@ -207,16 +161,12 @@ mod tests {
             cooldown: 3,
             half_open_probes: 1,
         });
-        let fs = RetryFs::with_policy(
+        let fs = RetryFs::new(
             sim.clone(),
-            RetryPolicy {
-                max_attempts: 3,
-                base_backoff: std::time::Duration::ZERO,
-                max_backoff: std::time::Duration::ZERO,
-                ..Default::default()
-            },
-        )
-        .breaker(breaker.clone());
+            instant_policy(3),
+            &Registry::new(),
+            Some(breaker.clone()),
+        );
         // Two operations exhaust their retries → breaker opens.
         assert!(matches!(fs.read("k"), Err(eon_types::EonError::Storage(_))));
         assert!(matches!(fs.read("k"), Err(eon_types::EonError::Storage(_))));
@@ -240,12 +190,16 @@ mod tests {
 
     #[test]
     fn terminal_errors_do_not_feed_the_breaker() {
-        use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
         let breaker = CircuitBreaker::new(BreakerConfig {
             failure_threshold: 1,
             ..Default::default()
         });
-        let fs = RetryFs::new(Arc::new(crate::mem::MemFs::new())).breaker(breaker.clone());
+        let fs = RetryFs::new(
+            Arc::new(crate::mem::MemFs::new()),
+            RetryPolicy::default(),
+            &Registry::new(),
+            Some(breaker.clone()),
+        );
         for _ in 0..5 {
             assert!(matches!(
                 fs.read("missing"),

@@ -11,8 +11,8 @@
 //!   charges using the S3 price card shape (PUT/LIST ≫ GET).
 //! * **Fallibility** — "any filesystem access can (and will) fail":
 //!   a seeded RNG injects transient `Storage` errors and `Throttled`
-//!   responses at configurable rates; callers must use the §5.3 retry
-//!   loop ([`crate::with_retry`]).
+//!   responses at configurable rates; callers reach it through the
+//!   §5.3 retry loop ([`crate::RetryFs`]).
 //! * **API shape** — whole-object writes, no rename/append, list by
 //!   prefix, idempotent delete. Objects are immutable once written in
 //!   the sense Vertica relies on: the engine never overwrites, and the
@@ -374,10 +374,6 @@ impl FileSystem for S3SimFs {
         let mut s = self.store.stats();
         s.cost_nanodollars = *self.cost.lock();
         s
-    }
-
-    fn kind(&self) -> &'static str {
-        "s3sim"
     }
 }
 

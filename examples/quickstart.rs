@@ -16,7 +16,7 @@ use eon_db::types::{schema, NodeId, Value};
 
 fn main() -> eon_db::types::Result<()> {
     // Shared storage: the simulated S3 (latency + request-cost model).
-    // Swap in `MemFs` for instant tests or `PosixFs` for a local dir.
+    // Swap in `MemFs` for instant tests.
     let s3 = Arc::new(S3SimFs::new(S3Config::default()));
 
     // A 3-node cluster over 3 segment shards, tolerating 1 node failure.

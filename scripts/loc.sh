@@ -33,3 +33,20 @@ fields() {
 }
 printf '%-16s %6d\n' "EonConfig fields" "$(fields EonConfig crates/core/src/config.rs)"
 printf '%-16s %6d\n' "S3Config fields" "$(fields S3Config crates/storage/src/s3sim.rs)"
+
+# "One storage stack" as numbers: `FileSystem` impls in non-test crate
+# source (target 4: MemFs, S3SimFs, RetryFs, FileCache) and retry-loop
+# call sites outside eon-storage (target 0: only RetryFs retries).
+# matches <pattern> <crate dir>...: non-test, non-comment lines matching.
+matches() {
+    pat=$1
+    shift
+    find "$@" -path '*/src/*' -name '*.rs' | sort | xargs awk -v pat="$pat" '
+        FNR == 1 { t = 0 }
+        /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && $0 !~ /^[[:space:]]*\/\// && $0 ~ pat { n++ }
+        END { print n + 0 }'
+}
+printf '%-16s %6d\n' "FileSystem impls" "$(matches 'impl FileSystem for' crates)"
+printf '%-16s %6d\n' "with_retry calls" \
+    "$(matches 'with_retry' $(ls -d crates/*/ | grep -v '^crates/storage/'))"

@@ -1,8 +1,8 @@
 //! Chaos testing against the flaky S3 simulator: "any filesystem access
 //! can (and will) fail" (§5.3). With transient failures and throttles
-//! injected on every request, the retry loops in the cache and the
-//! catalog sync must keep loads, queries, DML, mergeout, and revive
-//! fully functional — and never corrupt an answer.
+//! injected on every request, the one retry loop (`RetryFs`, below the
+//! depots and the catalog sync) must keep loads, queries, DML,
+//! mergeout, and revive fully functional — and never corrupt an answer.
 
 use std::sync::Arc;
 

@@ -464,11 +464,7 @@ impl FileSystem for FlakyFs {
     }
     fn stats(&self) -> FsStats {
         self.inner.stats()
-    }
-    fn kind(&self) -> &'static str {
-        "flaky-mem"
-    }
-}
+    }}
 
 /// A COPY that fails partway through its upload fan-out (an ordinary
 /// storage error, not a crash) must roll back by registering every key

@@ -12,8 +12,11 @@ use eon_columnar::Projection;
 use eon_core::{check_crash_invariants, ClusterHealth, EonConfig, EonDb, TableModel};
 use eon_exec::{Plan, ScanSpec};
 use eon_storage::fault::{site, FaultPlan};
-use eon_storage::{BreakerState, FileSystem, MemFs, S3Config, S3SimFs};
-use eon_types::{schema, EonError, NodeId, Value};
+use eon_storage::{
+    BreakerConfig, BreakerState, CircuitBreaker, FileSystem, MemFs, RetryFs, RetryPolicy, S3Config,
+    S3SimFs, SharedFs,
+};
+use eon_types::{schema, EonError, NodeId, TxnVersion, Value};
 
 fn int_rows(range: std::ops::Range<i64>) -> Vec<Vec<Value>> {
     range.map(|i| vec![Value::Int(i), Value::Int(i * 3)]).collect()
@@ -239,6 +242,122 @@ fn brownout_serves_depot_reads_and_fast_fails_writes() {
     want.extend(extra);
     want.sort();
     assert_eq!(scan_sorted(&db), want, "post-brownout state inexact");
+}
+
+/// Sum of a registry's `name{...}` counter series.
+fn series_sum(registry: &eon_obs::Registry, name: &str) -> u64 {
+    let snap = registry.snapshot();
+    let prefix = format!("{name}{{");
+    snap.as_object()
+        .unwrap()
+        .iter()
+        .filter(|(k, _)| k.starts_with(&prefix))
+        .filter_map(|(_, v)| v.as_u64())
+        .sum()
+}
+
+/// The storage column retries in exactly one place. A depot write
+/// against a browned-out store costs `max_attempts` requests and counts
+/// as one breaker failure — not `max_attempts`² requests and a breaker
+/// tripped by a single logical operation — and under a flaky store a
+/// whole read miss, a ranged miss and the catalog sync all retry through
+/// `RetryFs`, whose `s3_retries_total` is the only retry series.
+#[test]
+fn one_retry_loop_below_the_depot() {
+    let registry = eon_obs::Registry::new();
+    let requests = || series_sum(&registry, "s3_requests_total");
+    let policy = RetryPolicy::default();
+    let (threshold, cooldown) = (2, 3);
+
+    let sim = Arc::new(S3SimFs::with_metrics(S3Config::instant(), &registry));
+    let breaker = CircuitBreaker::new(BreakerConfig {
+        failure_threshold: threshold,
+        cooldown,
+        half_open_probes: 1,
+    });
+    let shared: SharedFs = Arc::new(RetryFs::new(
+        sim.clone(),
+        policy.clone(),
+        &registry,
+        Some(breaker.clone()),
+    ));
+    let cache = eon_cache::mem_cache(shared, 1 << 20);
+    cache.attach_metrics(&registry, "n0");
+    let body = bytes::Bytes::from_static(b"0123456789");
+
+    sim.set_brownout(true);
+    // One logical write = one retry budget = one recorded failure.
+    let before = requests();
+    assert!(matches!(cache.put_through("a", body.clone()), Err(EonError::Storage(_))));
+    assert_eq!(requests() - before, u64::from(policy.max_attempts));
+    assert_eq!(breaker.state(), BreakerState::Closed, "one write is one failure, threshold is 2");
+    // The second failed write reaches the threshold.
+    assert!(matches!(cache.put_through("b", body.clone()), Err(EonError::Storage(_))));
+    assert_eq!(requests() - before, 2 * u64::from(policy.max_attempts));
+    assert_eq!(breaker.state(), BreakerState::Open);
+    // Open: exactly `cooldown` admissions fast-fail without a request…
+    let open_at = requests();
+    for _ in 0..cooldown {
+        assert!(matches!(
+            cache.put_through("c", body.clone()),
+            Err(EonError::StoreUnavailable(_))
+        ));
+    }
+    assert_eq!(requests(), open_at, "an open breaker must not reach the store");
+    // …then the probe goes through, finds the store back, and closes it.
+    sim.set_brownout(false);
+    cache.put_through("c", body.clone()).unwrap();
+    assert_eq!(requests() - open_at, 1);
+    assert_eq!(breaker.state(), BreakerState::Closed);
+    assert_eq!(series_sum(&registry, "s3_retries_total"), 2 * u64::from(policy.max_attempts - 1));
+
+    // A flaky store (four requests in five fail): every injected
+    // fault is answered by exactly one retry, counted by the one layer.
+    let registry = eon_obs::Registry::new();
+    let flaky = Arc::new(S3SimFs::with_metrics(S3Config::flaky(0.6, 0.2, 0xf1a4), &registry));
+    let patient = RetryPolicy {
+        max_attempts: 200,
+        base_backoff: std::time::Duration::ZERO,
+        max_backoff: std::time::Duration::ZERO,
+    };
+    let shared: SharedFs = Arc::new(RetryFs::new(flaky, patient, &registry, None));
+    let cache = eon_cache::mem_cache(shared.clone(), 1 << 20);
+    cache.attach_metrics(&registry, "n0");
+    for i in 0..8 {
+        shared.write(&format!("data/{i}"), body.clone()).unwrap();
+    }
+    let local = Arc::new(MemFs::new());
+    let store = eon_catalog::CatalogStore::new(local, shared, "inc0");
+    for v in 1..=8 {
+        let record = eon_catalog::TxnRecord { version: TxnVersion(v), ops: Vec::new() };
+        store.append_local(&record).unwrap();
+    }
+    let retried = |what: &str, op: &dyn Fn()| {
+        let faults = series_sum(&registry, "s3_faults_injected_total");
+        let retries = series_sum(&registry, "s3_retries_total");
+        op();
+        let faults = series_sum(&registry, "s3_faults_injected_total") - faults;
+        assert!(faults > 0, "{what}: the dice injected nothing");
+        assert_eq!(series_sum(&registry, "s3_retries_total") - retries, faults, "{what}");
+    };
+    retried("whole read miss", &|| {
+        for i in 0..4 {
+            assert_eq!(cache.read(&format!("data/{i}")).unwrap(), body);
+        }
+    });
+    retried("ranged read miss", &|| {
+        for i in 4..8 {
+            assert_eq!(cache.read_range(&format!("data/{i}"), 2, 3).unwrap().as_ref(), b"234");
+        }
+    });
+    retried("catalog sync", &|| {
+        assert_eq!(store.sync_to_shared().unwrap().hi, TxnVersion(8));
+    });
+    assert_eq!(cache.stats().misses, 8);
+    let snap = registry.snapshot();
+    let retry_series: Vec<&String> =
+        snap.as_object().unwrap().keys().filter(|k| k.contains("retries")).collect();
+    assert_eq!(retry_series, ["s3_retries_total{subsystem=\"s3\"}"]);
 }
 
 /// The same kill/restart schedule produces a byte-identical detection
