@@ -317,10 +317,20 @@ impl NodeProvider {
                 .enumerate()
                 .map(|(pi, &ti)| (ti, pi))
                 .collect();
+            // Only a pinned projection can lack a column (an unpinned
+            // pick qualified on every needed one); `needed` covers the
+            // predicate's columns, so this error names the projection
+            // before `remap_predicate` could fail without it.
+            let local = |c: &usize| {
+                table_to_proj.get(c).copied().ok_or_else(|| {
+                    EonError::Query(format!("projection {} lacks column {c}", proj.name))
+                })
+            };
+            let read_cols = needed.iter().map(local).collect::<Result<_>>()?;
             (
                 remap_predicate(&spec.predicate, &table_to_proj)?,
-                needed.iter().map(|c| table_to_proj[c]).collect(),
-                out_cols.iter().map(|c| table_to_proj[c]).collect(),
+                read_cols,
+                out_cols.iter().map(local).collect::<Result<_>>()?,
             )
         };
 

@@ -13,10 +13,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use eon_cache::CacheMode;
+use eon_catalog::CatalogState;
 use eon_cluster::NodeRuntime;
 use eon_exec::crunch::CrunchSlice;
-use eon_exec::execute::{DistributedPlan, LocalResult};
-use eon_exec::{auto_distribute, AggSpec, Expr, Plan, ScanSpec};
+use eon_exec::execute::LocalResult;
+use eon_exec::{auto_distribute, prune_columns, Plan, ScanSpec};
 use eon_obs::QueryProfile;
 use eon_shard::{select_participants, AssignmentProblem};
 use eon_types::{EonError, NodeId, Result, ShardId, Value};
@@ -60,48 +61,26 @@ pub struct Participation {
     pub workers: Vec<(NodeId, Vec<ShardId>, CrunchSlice)>,
 }
 
-/// A local phase that is a bare scan feeding the partial aggregate
-/// reads only the group keys and the columns the aggregates name:
-/// narrow the scan to those and re-index the aggregate, so a node
-/// materializes nothing the fold never looks at (`COUNT(*)`
-/// materializes no column). Computed inputs (`SUM(a * b)`) keep the
-/// scan as it is, and a pinned projection yields its own layout.
-fn narrow_local_scan(dp: &mut DistributedPlan) {
-    let (Some((group_by, aggs)), Plan::Scan(spec)) = (&dp.partial_agg, &dp.local) else {
-        return;
-    };
-    if spec.projection.is_some() {
-        return;
-    }
-    let mut used = group_by.clone();
-    for a in aggs {
-        match &a.expr {
-            Expr::Col(c) => used.push(*c),
-            Expr::Lit(_) => {} // COUNT(*)
-            _ => return,
-        }
-    }
-    used.sort_unstable();
-    used.dedup();
-    let at = |c: &usize| used.binary_search(c).expect("collected above");
-    // Scan-output index → table column index.
-    let to_table = |&u: &usize| match &spec.columns {
-        Some(cols) => cols.get(u).copied(),
-        None => Some(u),
-    };
-    let Some(columns) = used.iter().map(to_table).collect::<Option<Vec<_>>>() else {
-        return; // out-of-range reference: execution reports it
-    };
-    let aggs = aggs
-        .iter()
-        .map(|a| match &a.expr {
-            Expr::Col(c) => AggSpec::new(a.func, Expr::col(at(c))),
-            _ => a.clone(),
+/// The plan a statement actually runs, and the one `EXPLAIN` renders:
+/// eligible aggregates answered from Live Aggregate Projections
+/// (§2.1), then every scan narrowed to the columns the plan uses
+/// (DESIGN.md "Plan rules: column pruning"). Read-only on the catalog.
+pub(crate) fn optimize(plan: &Plan, snapshot: &CatalogState) -> Plan {
+    let plan = crate::lap::rewrite_for_laps(plan, snapshot);
+    // Asked for scans without a column list (the table's width) and for
+    // pinned scans, where a LAP yields its own layout.
+    prune_columns(&plan, &|spec: &ScanSpec| {
+        let table = snapshot.table_by_name(&spec.table)?;
+        let pinned = spec.projection.as_ref();
+        let lap = pinned
+            .and_then(|name| table.projections.iter().find(|(_, p)| p.name == *name))
+            .filter(|(_, p)| p.is_live_aggregate());
+        Some(match (lap, &spec.columns) {
+            (Some((_, p)), _) => p.columns.len(),
+            (None, Some(cols)) => cols.len(),
+            (None, None) => table.schema.len(),
         })
-        .collect();
-    let group_by = group_by.iter().map(at).collect();
-    dp.local = Plan::Scan(ScanSpec { columns: Some(columns), ..spec.clone() });
-    dp.partial_agg = Some((group_by, aggs));
+    })
 }
 
 impl EonDb {
@@ -274,12 +253,7 @@ impl EonDb {
     ) -> Result<Vec<Vec<Value>>> {
         self.ensure_viable()?;
         let snapshot = self.snapshot()?;
-        // Answer eligible aggregations from Live Aggregate Projections
-        // (§2.1) before splitting the plan for distribution.
-        let plan = crate::lap::rewrite_for_laps(plan, &snapshot);
-        let mut dp = auto_distribute(&plan);
-        narrow_local_scan(&mut dp);
-        let dp = Arc::new(dp);
+        let dp = Arc::new(auto_distribute(&optimize(plan, &snapshot)));
         let version = self.version();
         let cache_mode = if opts.bypass_cache {
             CacheMode::Bypass
@@ -490,29 +464,53 @@ mod tests {
         assert_eq!(out[9], vec![Value::Int(9)]);
     }
 
+    /// A scan pinned to a projection that lacks a requested column is a
+    /// typed error before any I/O, not a worker panic retried through
+    /// the failover loop; unpinned, the same columns are answered
+    /// exactly from whichever projection carries them.
     #[test]
-    fn aggregate_over_a_bare_scan_narrows_the_scan() {
-        let narrowed = |plan: &Plan| {
-            let mut dp = auto_distribute(plan);
-            narrow_local_scan(&mut dp);
-            (dp.local, dp.partial_agg.unwrap())
+    fn pinned_projection_lacking_a_column_is_a_typed_error() {
+        use eon_columnar::projection::{Segmentation, SortOrder};
+        let db = EonDb::create(Arc::new(MemFs::new()), EonConfig::new(3, 3)).unwrap();
+        let s = schema![("id", Int), ("grp", Int), ("price", Int)];
+        let narrow = Projection {
+            name: "narrow".into(),
+            columns: vec![0, 2],
+            sort: SortOrder(vec![0]),
+            segmentation: Segmentation::Segmented { cols: vec![0] },
+            live_aggregate: None,
         };
-        // Group key 1 and input 2 survive, re-indexed; `id` is not read.
-        let (local, (group_by, aggs)) = narrowed(&sum_by_grp());
-        assert_eq!(local, Plan::scan(ScanSpec::new("sales").columns(vec![1, 2])));
-        assert_eq!(group_by, vec![0]);
-        assert_eq!(aggs, vec![AggSpec::sum(Expr::col(1)), AggSpec::count_star()]);
-        // COUNT(*) alone reads no column at all.
-        let count = Plan::scan(ScanSpec::new("sales")).aggregate(vec![], vec![AggSpec::count_star()]);
-        assert_eq!(narrowed(&count).0, Plan::scan(ScanSpec::new("sales").columns(vec![])));
-        // A computed input keeps the scan as it is.
-        let product = Expr::mul(Expr::col(1), Expr::col(2));
-        let computed = Plan::scan(ScanSpec::new("sales")).aggregate(vec![], vec![AggSpec::sum(product)]);
-        assert_eq!(narrowed(&computed).0, Plan::scan(ScanSpec::new("sales")));
+        let wide = Projection::super_projection("p", &s, &[0], &[0]);
+        db.create_table("sales", s, vec![wide, narrow]).unwrap();
+        let rows: Vec<Vec<Value>> =
+            (0..500).map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Int(i * 3)]).collect();
+        db.copy_into("sales", rows).unwrap();
 
-        let db = db_loaded(3, 3);
-        assert_eq!(db.query(&sum_by_grp()).unwrap(), expected_sum_by_grp());
-        assert_eq!(db.query(&count).unwrap(), vec![vec![Value::Int(2000)]]);
+        let attempts = || {
+            let labels: &[(&str, &str)] = &[("subsystem", "coordinator")];
+            db.config().obs.counter("coordinator_query_attempts_total", labels).get()
+        };
+        let before = attempts();
+        for spec in [
+            ScanSpec::new("sales").projection("narrow").columns(vec![1]),
+            ScanSpec::new("sales").projection("narrow"),
+        ] {
+            match db.query(&Plan::scan(spec)) {
+                Err(EonError::Query(msg)) => {
+                    assert_eq!(msg, "projection narrow lacks column 1")
+                }
+                other => panic!("expected a typed Query error, got {other:?}"),
+            }
+        }
+        assert_eq!(attempts() - before, 2, "a typed error is not failed over");
+
+        let by_id = vec![SortKey::asc(0)];
+        let expected: Vec<Vec<Value>> =
+            (0..500).map(|i| vec![Value::Int(i), Value::Int(i * 3)]).collect();
+        let pinned = ScanSpec::new("sales").projection("narrow").columns(vec![0, 2]);
+        assert_eq!(db.query(&Plan::scan(pinned).sort(by_id.clone())).unwrap(), expected);
+        let unpinned = ScanSpec::new("sales").columns(vec![0, 2]);
+        assert_eq!(db.query(&Plan::scan(unpinned).sort(by_id)).unwrap(), expected);
     }
 
     /// The crunch slice hashes each row's segmentation column, so the

@@ -7,7 +7,7 @@ use eon_sql::SchemaSource;
 use eon_types::{EonError, Result, Schema, Value};
 
 use crate::db::EonDb;
-use crate::query::SessionOpts;
+use crate::query::{optimize, SessionOpts};
 
 struct SnapshotSchemas(Arc<eon_catalog::CatalogState>);
 
@@ -54,11 +54,13 @@ impl EonDb {
         self.query_with(&plan, opts)
     }
 
-    /// `EXPLAIN`: render the plan a statement would run, without
+    /// `EXPLAIN`: render the plan a statement would run — after the
+    /// plan rules, so scans show the columns they read — without
     /// executing it.
     pub fn sql_explain(&self, query: &str) -> Result<String> {
         let schemas = SnapshotSchemas(self.snapshot()?);
-        eon_sql::explain(query, &schemas)
+        let plan = eon_sql::compile(query, &schemas)?;
+        Ok(optimize(&plan, &schemas.0).describe())
     }
 
     /// `EXPLAIN ANALYZE`: execute the statement and return its rows
@@ -76,7 +78,7 @@ impl EonDb {
         let compile_us = compile_started.elapsed().as_micros() as u64;
         let (rows, profile) = self.query_profiled(&plan, opts)?;
         profile.record_span("compile", "", compile_us);
-        let report = format!("{}\n{}", plan.describe(), profile.render());
+        let report = format!("{}\n{}", optimize(&plan, &schemas.0).describe(), profile.render());
         Ok((rows, report))
     }
 }
@@ -238,14 +240,33 @@ mod tests {
             .is_err());
     }
 
+    /// WHERE filters the output of a LEFT JOIN, NULL-padded rows
+    /// included: with NA the only region, the 500 odd-region sales are
+    /// padded, and neither test on `r.region` may thin the scan below
+    /// the join (which pads all 1 000 and keeps them).
+    #[test]
+    fn where_on_the_nullable_side_of_a_left_join_filters_its_output() {
+        let db = db_loaded();
+        db.delete_where("regions", &eon_columnar::Predicate::eq(0, 1i64)).unwrap();
+        let from = "SELECT s.id FROM sales s LEFT JOIN regions r ON s.region_id = r.region_id";
+        assert_eq!(db.sql(from).unwrap().len(), 1000);
+        let matched = db.sql(&format!("{from} WHERE r.region = 'NA' ORDER BY 1")).unwrap();
+        assert_eq!(matched.len(), 500);
+        assert_eq!(matched[1], vec![Value::Int(2)]);
+        let padded = db.sql(&format!("{from} WHERE r.region IS NULL ORDER BY 1")).unwrap();
+        assert_eq!(padded.len(), 500);
+        assert_eq!(padded[1], vec![Value::Int(3)]);
+    }
+
     #[test]
     fn explain_shows_pushdown_without_executing() {
         let db = db_loaded();
         let text = db
             .sql_explain("SELECT grp, COUNT(*) FROM sales WHERE price > 10 GROUP BY grp")
             .unwrap();
-        assert!(text.contains("Scan sales"), "{text}");
-        assert!(text.contains("[pushdown]"), "{text}");
+        // The plan that runs: `grp` is the one column the scan outputs,
+        // `price` is read by the pushed-down predicate only.
+        assert!(text.contains("Scan sales cols=[1] [pushdown]"), "{text}");
         assert!(text.contains("Aggregate"), "{text}");
     }
 
@@ -259,7 +280,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rows.len(), 2);
-        assert!(report.contains("Scan sales"), "{report}");
+        assert!(report.contains("Scan sales cols=[1]"), "{report}");
         assert!(report.contains("Query Profile"), "{report}");
         assert!(report.contains("local_phase"), "{report}");
         assert!(report.contains("rows_returned = 2"), "{report}");

@@ -129,6 +129,66 @@ impl Expr {
         }
     }
 
+    /// Call `f` with every column index the expression references.
+    pub fn visit_cols(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Expr::Col(i) => f(*i),
+            Expr::Lit(_) => {}
+            Expr::Arith { l, r, .. } | Expr::Cmp { l, r, .. } => {
+                l.visit_cols(f);
+                r.visit_cols(f);
+            }
+            Expr::And(es) | Expr::Or(es) => es.iter().for_each(|e| e.visit_cols(f)),
+            Expr::Not(e)
+            | Expr::IsNull(e)
+            | Expr::ExtractYear(e)
+            | Expr::Like { expr: e, .. }
+            | Expr::InList { expr: e, .. } => e.visit_cols(f),
+            Expr::Case { whens, otherwise } => {
+                for (cond, out) in whens {
+                    cond.visit_cols(f);
+                    out.visit_cols(f);
+                }
+                otherwise.visit_cols(f);
+            }
+        }
+    }
+
+    /// The expression with every column reference `i` rewritten to
+    /// `map(i)`; `None` if `map` has no answer for one of them.
+    pub fn remap_cols(&self, map: &impl Fn(usize) -> Option<usize>) -> Option<Expr> {
+        let boxed = |e: &Expr| e.remap_cols(map).map(Box::new);
+        let each = |es: &[Expr]| es.iter().map(|e| e.remap_cols(map)).collect::<Option<Vec<_>>>();
+        Some(match self {
+            Expr::Col(i) => Expr::Col(map(*i)?),
+            Expr::Lit(v) => Expr::Lit(v.clone()),
+            Expr::Arith { op, l, r } => Expr::Arith { op: *op, l: boxed(l)?, r: boxed(r)? },
+            Expr::Cmp { op, l, r } => Expr::Cmp { op: *op, l: boxed(l)?, r: boxed(r)? },
+            Expr::And(es) => Expr::And(each(es)?),
+            Expr::Or(es) => Expr::Or(each(es)?),
+            Expr::Not(e) => Expr::Not(boxed(e)?),
+            Expr::IsNull(e) => Expr::IsNull(boxed(e)?),
+            Expr::ExtractYear(e) => Expr::ExtractYear(boxed(e)?),
+            Expr::Like { expr, pattern, negated } => Expr::Like {
+                expr: boxed(expr)?,
+                pattern: pattern.clone(),
+                negated: *negated,
+            },
+            Expr::InList { expr, list, negated } => Expr::InList {
+                expr: boxed(expr)?,
+                list: list.clone(),
+                negated: *negated,
+            },
+            Expr::Case { whens, otherwise } => Expr::Case {
+                whens: whens
+                    .iter()
+                    .map(|(cond, out)| Some((cond.remap_cols(map)?, out.remap_cols(map)?)))
+                    .collect::<Option<_>>()?,
+                otherwise: boxed(otherwise)?,
+            },
+        })
+    }
+
     /// Evaluate over every row of `batch`, a column at a time. Errors
     /// only on type mismatches a planner should have rejected (e.g.
     /// `'a' + 1`), and only for rows SQL evaluation order reaches: a

@@ -15,6 +15,8 @@
 //! * [`execute`] — the single-node executor over a [`TableProvider`],
 //!   plus [`execute::auto_distribute`], which splits a logical plan
 //!   into a per-node local phase and a coordinator merge phase;
+//! * [`prune`] — the column-pruning plan rule: scans read only the
+//!   columns the plan uses;
 //! * [`crunch`] — crunch scaling (§4.4): hash-filter and container-split
 //!   predicates that let several nodes share one shard's scan.
 //!
@@ -28,7 +30,9 @@ pub mod execute;
 pub mod expr;
 pub mod ops;
 pub mod plan;
+pub mod prune;
 
 pub use execute::{auto_distribute, execute, DistributedPlan, MergeStep, TableProvider};
 pub use expr::Expr;
 pub use plan::{AggFunc, AggSpec, Distribution, JoinKind, Plan, ScanSpec, SortKey};
+pub use prune::prune_columns;

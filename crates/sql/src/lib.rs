@@ -54,9 +54,3 @@ pub fn compile_with_columns(
     let columns = stmt.output_columns();
     Ok((plan(&stmt, schemas)?, columns))
 }
-
-/// `EXPLAIN`: compile the statement and render the plan tree without
-/// executing it. Shows pushdown and distribution decisions per scan.
-pub fn explain(sql: &str, schemas: &dyn SchemaSource) -> eon_types::Result<String> {
-    Ok(compile(sql, schemas)?.describe())
-}

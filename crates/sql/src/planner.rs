@@ -4,7 +4,8 @@
 //! the leftmost table scans shard-local, joined tables broadcast
 //! (`Global`), and WHERE conjuncts that are simple column-vs-literal
 //! tests on a single base table are pushed into that table's scan for
-//! block pruning (§2.1); the rest become a residual filter.
+//! block pruning (§2.1); the rest — and every test on the nullable side
+//! of a `LEFT JOIN` — become a residual filter above the joins.
 
 use std::collections::HashMap;
 
@@ -104,10 +105,14 @@ pub fn plan(stmt: &SelectStmt, schemas: &dyn SchemaSource) -> Result<Plan> {
             SqlExpr::And(terms) => terms.clone(),
             other => vec![other.clone()],
         };
+        // WHERE sees the NULL-padded rows of a LEFT JOIN: a test on the
+        // nullable side filters the join's output, so it stays above
+        // the join instead of thinning the scan below it.
+        let nullable = |rel: usize| rel > 0 && stmt.joins[rel - 1].kind == JoinType::Left;
         for c in conjuncts {
             match to_pushdown(&c, &ns)? {
-                Some((rel, pred)) => pushdown[rel].push(pred),
-                None => residual.push(c),
+                Some((rel, pred)) if !nullable(rel) => pushdown[rel].push(pred),
+                _ => residual.push(c),
             }
         }
     }
@@ -611,4 +616,44 @@ fn to_pushdown(e: &SqlExpr, ns: &Namespace) -> Result<Option<(usize, Predicate)>
         }
         _ => None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eon_types::schema;
+
+    fn schemas() -> HashMap<String, Schema> {
+        HashMap::from([
+            ("sales".to_owned(), schema![("id", Int), ("region_id", Int)]),
+            ("regions".to_owned(), schema![("region_id", Int), ("region", Str)]),
+        ])
+    }
+
+    /// The scans of `sql`'s plan, left to right, and whether a residual
+    /// `Filter` sits above the join.
+    fn shape(sql: &str) -> (Vec<ScanSpec>, bool) {
+        let plan = crate::compile(sql, &schemas()).unwrap();
+        let mut scans = Vec::new();
+        plan.visit_scans(&mut |s| scans.push(s.clone()));
+        (scans, plan.describe().contains("Filter"))
+    }
+
+    #[test]
+    fn where_on_the_nullable_side_of_a_left_join_stays_above_it() {
+        let from = "SELECT s.id FROM sales s LEFT JOIN regions r ON s.region_id = r.region_id";
+        for test in ["r.region = 'NA'", "r.region IS NULL"] {
+            let (scans, filtered) = shape(&format!("{from} WHERE {test} AND s.id < 10"));
+            assert_eq!(scans[0].predicate, Predicate::cmp(0, CmpOp::Lt, 10i64), "{test}");
+            assert_eq!(scans[1].predicate, Predicate::True, "{test}");
+            assert!(filtered, "{test}");
+        }
+        // An inner join commutes with the filter: both sides push down.
+        let (scans, filtered) = shape(
+            "SELECT s.id FROM sales s JOIN regions r ON s.region_id = r.region_id \
+             WHERE r.region = 'NA' AND s.id < 10",
+        );
+        assert_eq!(scans[1].predicate, Predicate::eq(1, "NA"));
+        assert!(!filtered);
+    }
 }

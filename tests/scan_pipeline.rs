@@ -27,6 +27,9 @@
 //! * a container the depot cannot hold is scanned with one tail read
 //!   plus the range planner's runs — no size request, no whole-object
 //!   GET — and answers as the warm and Bypass scans do;
+//! * a SQL statement naming k of n columns, and a Q3-shaped join, read
+//!   cold exactly the tails plus the planned ranges of the columns they
+//!   name — the column-pruning rule, in bytes;
 //! * the multi-column range planner returns exactly the blocks of
 //!   per-column reads, for any column subset, keep mask and gap.
 //!
@@ -439,6 +442,148 @@ fn oversized_container_scan_reads_tail_plus_planned_ranges() {
     assert_eq!(got, warm.query(&plan).unwrap(), "cold scan differs from the warm scan");
     let bypass = SessionOpts { bypass_cache: true, ..Default::default() };
     assert_eq!(got, cold.query_with(&plan, &bypass).unwrap(), "cold scan differs from Bypass");
+}
+
+/// Bytes the scans of one statement planned, as `oversized_…` reads
+/// them: (coalesced bytes, gap bytes among them) of node 0's registry.
+fn planned_bytes(registry: &Registry) -> (u64, u64) {
+    let snap = registry.snapshot();
+    let counter = |name: &str| {
+        snap.get(&format!("{name}{{node=\"node0\",subsystem=\"scan\"}}"))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0) // registered by the first scan
+    };
+    (counter("scan_coalesced_bytes_total"), counter("scan_coalesced_gap_bytes_total"))
+}
+
+/// Column pruning, in bytes (DESIGN.md "Plan rules: column pruning"): a
+/// SQL statement naming two of a table's three columns, run cold on a
+/// container the depot cannot hold, reads the tail plus the planned
+/// ranges of those two columns and nothing of the third. (SQL never
+/// lists scan columns; before the rule this read all three.)
+#[test]
+fn sql_naming_k_of_n_columns_reads_tail_plus_their_planned_ranges() {
+    const N: usize = 20_000;
+    let rows = gen_rows(0xc01d, N);
+    let registry = Registry::new();
+    let s3 = Arc::new(S3SimFs::new(S3Config::instant()));
+    let cfg = |cache_bytes| EonConfig::new(1, 1).cache_bytes(cache_bytes);
+    let cold = EonDb::create(s3.clone(), cfg(32 << 10).observability(registry.clone())).unwrap();
+    let warm = EonDb::create(Arc::new(MemFs::new()), cfg(64 << 20)).unwrap();
+    load(&cold, &rows, 1);
+    load(&warm, &rows, 1);
+    let snapshot = cold.snapshot().unwrap();
+    let c = snapshot.containers.values().next().expect("one container");
+    assert!(c.size_bytes > 32 << 10, "the depot must be smaller than the container");
+
+    let (lo, hi) = (N as i64 / 5, N as i64 / 2);
+    let sql = format!("SELECT id, val FROM t WHERE id >= {lo} AND id < {hi}");
+    let explained = cold.sql_explain(&sql).unwrap();
+    assert!(explained.contains("Scan t cols=[0, 2] [pushdown]"), "{explained}");
+
+    let (s0, (read0, gap0)) = (s3.stats(), planned_bytes(&registry));
+    let got = cold.sql(&sql).unwrap();
+    let (s1, (read1, gap1)) = (s3.stats(), planned_bytes(&registry));
+
+    let reader = RosReader::open(cold.shared().as_ref(), &c.key).unwrap();
+    let ids = &reader.footer().columns[0].blocks;
+    let keep: Vec<bool> =
+        ids.iter().map(|b| b.max >= Value::Int(lo) && b.min < Value::Int(hi)).collect();
+    assert!(keep.iter().any(|&k| !k) && keep.iter().filter(|&&k| k).count() >= 2);
+    let named = kept_bytes(reader.footer(), &keep, &[0, 2]);
+    let unnamed = kept_bytes(reader.footer(), &keep, &[1]);
+    assert!(unnamed > 0);
+
+    // Each phase fetches one column's contiguous blocks: no gap to
+    // bridge, so nothing of `grp` can hide in the total.
+    assert_eq!(gap1 - gap0, 0);
+    assert_eq!(read1 - read0, named, "planned ranges are the named columns' kept blocks");
+    assert_eq!(s1.gets - s0.gets, 3, "one tail read, one range per scan phase");
+    assert_eq!(s1.bytes_read - s0.bytes_read, c.size_bytes.min(TAIL_READ) + named);
+
+    assert_eq!(got.len(), (hi - lo) as usize);
+    assert_eq!(got, warm.sql(&sql).unwrap(), "cold scan differs from the warm scan");
+}
+
+/// A Q3-shaped three-table join over SQL plans no range of a comment
+/// column — or of any column the statement does not name: cold, with
+/// every container larger than the depot, the bytes read are the three
+/// tails plus exactly the blocks of the 4 + 4 + 2 columns read (3, 4
+/// and 1 of them scan outputs, the rest pushed-down predicates).
+#[test]
+fn q3_shaped_join_reads_no_range_of_a_comment_column() {
+    // Far from compressible, and most of every container.
+    let comment = |i: i64| Value::Str(format!("{:032x}", (i as u128 + 1) * 0x9e37_79b9_7f4a_7c15_f39c));
+    let s = |v: &str| Value::Str(v.into());
+    let li = schema![("l_orderkey", Int), ("l_price", Int), ("l_disc", Int), ("l_shipdate", Int), ("l_tax", Int), ("l_comment", Str)];
+    let ord = schema![("o_orderkey", Int), ("o_custkey", Int), ("o_prio", Int), ("o_date", Int), ("o_clerk", Str), ("o_comment", Str)];
+    let cust = schema![("c_custkey", Int), ("c_segment", Str), ("c_name", Str), ("c_comment", Str)];
+    let li_rows: Vec<Vec<Value>> = (0..3000i64)
+        .map(|i| vec![Value::Int(i / 3), Value::Int(100 + i % 97), Value::Int(i % 10), Value::Int(i % 1000), Value::Int(i % 8), comment(i)])
+        .collect();
+    let ord_rows: Vec<Vec<Value>> = (0..1000i64)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 300), Value::Int(i % 5), Value::Int((i * 7) % 1000), s(&format!("clerk{}", i % 40)), comment(i)])
+        .collect();
+    let cust_rows: Vec<Vec<Value>> = (0..300i64)
+        .map(|i| vec![Value::Int(i), s(["A", "B", "C"][i as usize % 3]), s(&format!("customer{i}")), comment(i)])
+        .collect();
+    let create = |db: &EonDb| {
+        for (name, schema, rows) in [("li", &li, &li_rows), ("ord", &ord, &ord_rows)] {
+            let p = Projection::super_projection(format!("{name}_p"), schema, &[0], &[0]);
+            db.create_table(name, schema.clone(), vec![p]).unwrap();
+            db.copy_into(name, rows.clone()).unwrap();
+        }
+        db.create_table("cust", cust.clone(), vec![Projection::replicated("cust_p", &cust, &[0])]).unwrap();
+        db.copy_into("cust", cust_rows.clone()).unwrap();
+    };
+    let registry = Registry::new();
+    let s3 = Arc::new(S3SimFs::new(S3Config::instant()));
+    let cfg = |cache_bytes| EonConfig::new(1, 1).cache_bytes(cache_bytes);
+    let cold = EonDb::create(s3.clone(), cfg(8 << 10).observability(registry.clone())).unwrap();
+    let warm = EonDb::create(Arc::new(MemFs::new()), cfg(64 << 20)).unwrap();
+    create(&cold);
+    create(&warm);
+
+    let sql = "SELECT l.l_orderkey, o.o_date, o.o_prio, SUM(l.l_price * (100 - l.l_disc)) AS revenue \
+               FROM li l JOIN ord o ON l.l_orderkey = o.o_orderkey \
+               JOIN cust c ON o.o_custkey = c.c_custkey \
+               WHERE c.c_segment = 'B' AND o.o_date < 500 AND l.l_shipdate > 200 \
+               GROUP BY l.l_orderkey, o.o_date, o.o_prio ORDER BY revenue DESC, 2, 1 LIMIT 10";
+    let explained = cold.sql_explain(sql).unwrap();
+    for scan in ["Scan li cols=[0, 1, 2] [pushdown]", "Scan ord cols=[0, 1, 2, 3] [pushdown]", "Scan cust cols=[0] [pushdown]"] {
+        assert!(explained.contains(scan), "no `{scan}` in\n{explained}");
+    }
+
+    let (s0, (read0, gap0)) = (s3.stats(), planned_bytes(&registry));
+    let got = cold.sql(sql).unwrap();
+    let (s1, (read1, gap1)) = (s3.stats(), planned_bytes(&registry));
+
+    // One container a table, one block a column (under 4 096 rows), and
+    // every predicate leaves survivors: a column is read whole or not
+    // at all.
+    let snapshot = cold.snapshot().unwrap();
+    assert_eq!(snapshot.containers.len(), 3);
+    let (mut tails, mut named, mut comments) = (0, 0, 0);
+    for (table, read_cols) in [("li", &[0, 1, 2, 3][..]), ("ord", &[0, 1, 2, 3]), ("cust", &[0, 1])] {
+        let t = snapshot.table_by_name(table).unwrap();
+        let c = snapshot.containers.values().find(|c| c.table == t.oid).unwrap();
+        assert!(c.size_bytes > 8 << 10, "{table}: the depot must be smaller than the container");
+        let reader = RosReader::open(cold.shared().as_ref(), &c.key).unwrap();
+        assert!(reader.footer().columns.iter().all(|col| col.blocks.len() == 1));
+        tails += c.size_bytes.min(TAIL_READ);
+        named += kept_bytes(reader.footer(), &[true], read_cols);
+        comments += kept_bytes(reader.footer(), &[true], &[t.schema.len() - 1]);
+    }
+    // The columns of each phase are neighbours in the file: no gap
+    // bytes, so every planned byte is a block of a named column.
+    assert_eq!(gap1 - gap0, 0);
+    assert_eq!(read1 - read0, named);
+    assert_eq!(s1.bytes_read - s0.bytes_read, tails + named);
+    assert!(comments > 2 * named, "the comments ({comments}B) are what a 16-column scan would drag");
+    assert_eq!(s1.gets - s0.gets, 3 + 6, "three tail reads, two phases a container");
+
+    assert_eq!(got.len(), 10);
+    assert_eq!(got, warm.sql(sql).unwrap(), "cold join differs from the warm join");
 }
 
 proptest! {
