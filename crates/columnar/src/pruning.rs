@@ -7,7 +7,8 @@
 //! column-vs-literal comparisons plus boolean combinators — rich enough
 //! for TPC-H's date-range and equality filters, which is what drives the
 //! file pruning the paper describes. Arbitrary expressions live in
-//! `eon-exec`; the planner extracts the prunable part into this form.
+//! `eon-exec`; its `push_predicates` rule extracts the prunable part into
+//! this form.
 
 use std::cmp::Ordering;
 

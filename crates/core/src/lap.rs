@@ -18,59 +18,14 @@ use eon_exec::{AggFunc, AggSpec, Expr, Plan, ScanSpec};
 /// Rewrite every eligible aggregate in the plan to read from a matching
 /// Live Aggregate Projection. Non-matching nodes pass through.
 pub fn rewrite_for_laps(plan: &Plan, snapshot: &CatalogState) -> Plan {
-    match plan {
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            if let Plan::Scan(spec) = &**input {
-                if let Some(rewritten) = try_rewrite(spec, group_by, aggs, snapshot) {
-                    return rewritten;
-                }
-            }
-            Plan::Aggregate {
-                input: Box::new(rewrite_for_laps(input, snapshot)),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
+    if let Plan::Aggregate { input, group_by, aggs } = plan {
+        if let Plan::Scan(spec) = &**input {
+            if let Some(rewritten) = try_rewrite(spec, group_by, aggs, snapshot) {
+                return rewritten;
             }
         }
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(rewrite_for_laps(input, snapshot)),
-            predicate: predicate.clone(),
-        },
-        Plan::Project {
-            input,
-            exprs,
-            names,
-        } => Plan::Project {
-            input: Box::new(rewrite_for_laps(input, snapshot)),
-            exprs: exprs.clone(),
-            names: names.clone(),
-        },
-        Plan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-        } => Plan::Join {
-            left: Box::new(rewrite_for_laps(left, snapshot)),
-            right: Box::new(rewrite_for_laps(right, snapshot)),
-            left_keys: left_keys.clone(),
-            right_keys: right_keys.clone(),
-            kind: *kind,
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(rewrite_for_laps(input, snapshot)),
-            keys: keys.clone(),
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(rewrite_for_laps(input, snapshot)),
-            n: *n,
-        },
-        Plan::Scan(_) => plan.clone(),
     }
+    plan.map_inputs(|input| rewrite_for_laps(input, snapshot))
 }
 
 fn try_rewrite(

@@ -17,7 +17,7 @@ use eon_catalog::CatalogState;
 use eon_cluster::NodeRuntime;
 use eon_exec::crunch::CrunchSlice;
 use eon_exec::execute::LocalResult;
-use eon_exec::{auto_distribute, prune_columns, Plan, ScanSpec};
+use eon_exec::{auto_distribute, prune_columns, push_predicates, Plan, ScanSpec};
 use eon_obs::QueryProfile;
 use eon_shard::{select_participants, AssignmentProblem};
 use eon_types::{EonError, NodeId, Result, ShardId, Value};
@@ -61,15 +61,15 @@ pub struct Participation {
     pub workers: Vec<(NodeId, Vec<ShardId>, CrunchSlice)>,
 }
 
-/// The plan a statement actually runs, and the one `EXPLAIN` renders:
-/// eligible aggregates answered from Live Aggregate Projections
-/// (§2.1), then every scan narrowed to the columns the plan uses
-/// (DESIGN.md "Plan rules: column pruning"). Read-only on the catalog.
-pub(crate) fn optimize(plan: &Plan, snapshot: &CatalogState) -> Plan {
-    let plan = crate::lap::rewrite_for_laps(plan, snapshot);
+/// The plan a statement actually runs, and the one `EXPLAIN` renders —
+/// the plan rules in order (DESIGN.md "Plan rules"): eligible aggregates
+/// answered from Live Aggregate Projections (§2.1), filter conjuncts
+/// moved into the scans they test, then every scan narrowed to the
+/// columns the plan uses. Read-only on the catalog.
+pub fn optimize(plan: &Plan, snapshot: &CatalogState) -> Plan {
     // Asked for scans without a column list (the table's width) and for
     // pinned scans, where a LAP yields its own layout.
-    prune_columns(&plan, &|spec: &ScanSpec| {
+    let scan_width = |spec: &ScanSpec| {
         let table = snapshot.table_by_name(&spec.table)?;
         let pinned = spec.projection.as_ref();
         let lap = pinned
@@ -80,7 +80,10 @@ pub(crate) fn optimize(plan: &Plan, snapshot: &CatalogState) -> Plan {
             (None, Some(cols)) => cols.len(),
             (None, None) => table.schema.len(),
         })
-    })
+    };
+    let plan = crate::lap::rewrite_for_laps(plan, snapshot);
+    let plan = push_predicates(&plan, &scan_width);
+    prune_columns(&plan, &scan_width)
 }
 
 impl EonDb {

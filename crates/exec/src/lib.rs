@@ -15,8 +15,9 @@
 //! * [`execute`] — the single-node executor over a [`TableProvider`],
 //!   plus [`execute::auto_distribute`], which splits a logical plan
 //!   into a per-node local phase and a coordinator merge phase;
-//! * [`prune`] — the column-pruning plan rule: scans read only the
-//!   columns the plan uses;
+//! * [`prune`] and [`push`] — the plan rules: scans read only the
+//!   columns the plan uses, and carry every filter conjunct they can
+//!   evaluate;
 //! * [`crunch`] — crunch scaling (§4.4): hash-filter and container-split
 //!   predicates that let several nodes share one shard's scan.
 //!
@@ -31,8 +32,10 @@ pub mod expr;
 pub mod ops;
 pub mod plan;
 pub mod prune;
+pub mod push;
 
 pub use execute::{auto_distribute, execute, DistributedPlan, MergeStep, TableProvider};
 pub use expr::Expr;
 pub use plan::{AggFunc, AggSpec, Distribution, JoinKind, Plan, ScanSpec, SortKey};
 pub use prune::prune_columns;
+pub use push::push_predicates;

@@ -1,11 +1,12 @@
 //! The logical plan language.
 //!
-//! Plans are built by hand (the workload crate plays the role of
-//! Vertica's parser + optimizer output) and are deliberately explicit
-//! about the two things the paper's execution model cares about:
-//! which predicate is *pushed down* into the scan (for block pruning,
-//! §2.1) and how each scan *distributes* over the cluster (shard-local
-//! vs global, §4).
+//! Plans come from the SQL binder (`eon-sql`) or are built by hand (the
+//! workload crate), and the plan rules (`prune`, `push`, and in
+//! `eon-core` the Live Aggregate Projection rewrite) rewrite them before
+//! Eon executes. A plan is explicit about the two things the paper's
+//! execution model cares about: which predicate is *pushed down* into
+//! the scan (for block pruning, §2.1) and how each scan *distributes*
+//! over the cluster (shard-local vs global, §4).
 
 use serde::{Deserialize, Serialize};
 
@@ -339,6 +340,33 @@ impl Plan {
                 out.push_str(&format!("Limit {n}\n"));
                 input.describe_into(out, depth + 1);
             }
+        }
+    }
+
+    /// This node with each direct input replaced by `f(input)`: the one
+    /// child-rewriting walk the plan rules share.
+    pub fn map_inputs(&self, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
+        let mut map = |p: &Plan| Box::new(f(p));
+        match self {
+            Plan::Scan(_) => self.clone(),
+            Plan::Filter { input, predicate } => {
+                Plan::Filter { input: map(input), predicate: predicate.clone() }
+            }
+            Plan::Project { input, exprs, names } => {
+                Plan::Project { input: map(input), exprs: exprs.clone(), names: names.clone() }
+            }
+            Plan::Join { left, right, left_keys, right_keys, kind } => Plan::Join {
+                left: map(left),
+                right: map(right),
+                left_keys: left_keys.clone(),
+                right_keys: right_keys.clone(),
+                kind: *kind,
+            },
+            Plan::Aggregate { input, group_by, aggs } => {
+                Plan::Aggregate { input: map(input), group_by: group_by.clone(), aggs: aggs.clone() }
+            }
+            Plan::Sort { input, keys } => Plan::Sort { input: map(input), keys: keys.clone() },
+            Plan::Limit { input, n } => Plan::Limit { input: map(input), n: *n },
         }
     }
 

@@ -1,4 +1,4 @@
-//! Plan rule: column pruning (DESIGN.md "Plan rules: column pruning").
+//! Plan rule: column pruning (DESIGN.md "Plan rules").
 //!
 //! A columnar scan should touch only the columns the query names
 //! (§2.1). [`prune_columns`] walks a plan top-down with the set of
@@ -50,7 +50,8 @@ fn scan_output_width(spec: &ScanSpec, scan_width: ScanWidth) -> Option<usize> {
     }
 }
 
-fn width(plan: &Plan, scan_width: ScanWidth) -> Option<usize> {
+/// How many columns `plan` outputs; `None` when a scan's width is unknown.
+pub(crate) fn width(plan: &Plan, scan_width: ScanWidth) -> Option<usize> {
     match plan {
         Plan::Scan(spec) => scan_output_width(spec, scan_width),
         Plan::Filter { input, .. } | Plan::Sort { input, .. } | Plan::Limit { input, .. } => {

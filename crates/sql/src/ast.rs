@@ -1,5 +1,5 @@
 //! The SQL AST: deliberately close to the SELECT grammar, with name
-//! resolution deferred to the planner.
+//! resolution deferred to the binder.
 
 use eon_types::Value;
 
@@ -48,6 +48,24 @@ pub enum SqlExpr {
         arg: Option<Box<SqlExpr>>,
         distinct: bool,
     },
+}
+
+impl SqlExpr {
+    /// Levels from this node down to its deepest leaf; a column or a
+    /// literal is one level.
+    pub(crate) fn depth(&self) -> usize {
+        1 + match self {
+            SqlExpr::Col(_) | SqlExpr::Lit(_) => 0,
+            SqlExpr::Binary { l, r, .. } => l.depth().max(r.depth()),
+            SqlExpr::And(es) | SqlExpr::Or(es) => es.iter().map(SqlExpr::depth).max().unwrap_or(0),
+            SqlExpr::Not(e)
+            | SqlExpr::IsNull { expr: e, .. }
+            | SqlExpr::Like { expr: e, .. }
+            | SqlExpr::InList { expr: e, .. } => e.depth(),
+            SqlExpr::Between { expr, lo, hi } => expr.depth().max(lo.depth()).max(hi.depth()),
+            SqlExpr::Agg { arg, .. } => arg.as_ref().map_or(0, |a| a.depth()),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -20,10 +20,14 @@
 //! `COUNT(DISTINCT …)`), `GROUP BY`, `HAVING`, `ORDER BY`, `LIMIT`, and
 //! date literals `DATE '1994-01-01'`.
 //!
-//! [`parse`] produces an AST; [`plan`] resolves names against a
-//! [`SchemaSource`] (any catalog) and emits an `eon_exec::Plan`. Scans
-//! of the leftmost table stay shard-local; joined tables broadcast —
-//! the same safe defaults the hand-built workloads use.
+//! [`parse`] produces an AST, with expression nesting bounded so that
+//! no statement can exhaust a thread's stack. [`bind`] resolves names
+//! against a [`SchemaSource`] (any catalog) and emits an unoptimized
+//! `eon_exec::Plan`: bare scans (the leftmost table shard-local, joined
+//! tables broadcast — the same safe defaults the hand-built workloads
+//! use) and the whole WHERE clause in one `Filter` above the joins.
+//! Optimizing is the plan rules' job, in `eon-exec` and `eon-core`.
+//! [`compile`] is parse, bind and `eon_exec::push_predicates`.
 
 pub mod ast;
 pub mod lexer;
@@ -32,14 +36,14 @@ pub mod planner;
 
 pub use ast::SelectStmt;
 pub use parser::parse;
-pub use planner::{plan, SchemaSource};
+pub use planner::{bind, SchemaSource};
 
-/// Parse + plan in one call.
+/// Parse, bind, and move the WHERE conjuncts into the scans they test.
 pub fn compile(
     sql: &str,
     schemas: &dyn SchemaSource,
 ) -> eon_types::Result<eon_exec::Plan> {
-    plan(&parse(sql)?, schemas)
+    Ok(compile_with_columns(sql, schemas)?.0)
 }
 
 /// [`compile`], additionally returning the output column labels (alias
@@ -51,6 +55,9 @@ pub fn compile_with_columns(
     schemas: &dyn SchemaSource,
 ) -> eon_types::Result<(eon_exec::Plan, Vec<String>)> {
     let stmt = parse(sql)?;
-    let columns = stmt.output_columns();
-    Ok((plan(&stmt, schemas)?, columns))
+    let plan = bind(&stmt, schemas)?;
+    // A scan's width, for routing conjuncts through joins; bound scans
+    // carry no column list and are never pinned.
+    let scan_width = |spec: &eon_exec::ScanSpec| schemas.table_schema(&spec.table).ok().map(|s| s.len());
+    Ok((eon_exec::push_predicates(&plan, &scan_width), stmt.output_columns()))
 }

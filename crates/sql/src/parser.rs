@@ -5,10 +5,22 @@ use eon_types::{EonError, Result, Value};
 use crate::ast::*;
 use crate::lexer::{tokenize, Sym, Token};
 
+/// How deep an expression may nest. Parentheses, `NOT`, unary minus and
+/// aggregate arguments each open a level, and every link of a `+ - * /`
+/// chain adds one to the left-deep tree it builds. The parser, the
+/// binder, the plan rules, evaluation and drop all recurse once per
+/// level, so this bound is what keeps one statement from the network
+/// from overflowing a session thread's stack.
+const MAX_DEPTH: usize = 128;
+
+fn too_deep() -> EonError {
+    EonError::Query(format!("expression nests deeper than {MAX_DEPTH} levels"))
+}
+
 /// Parse one SELECT statement.
 pub fn parse(sql: &str) -> Result<SelectStmt> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let stmt = p.select_stmt()?;
     if p.pos != p.tokens.len() {
         return Err(EonError::Query(format!(
@@ -22,9 +34,27 @@ pub fn parse(sql: &str) -> Result<SelectStmt> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting level of the expression being parsed.
+    depth: usize,
 }
 
 impl Parser {
+    /// `parse` one nesting level down. Its result, with every level
+    /// above it, must fit in [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<SqlExpr>) -> Result<SqlExpr> {
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep());
+        }
+        self.depth += 1;
+        let e = parse(self);
+        self.depth -= 1;
+        let e = e?;
+        if self.depth + 1 + e.depth() > MAX_DEPTH {
+            return Err(too_deep());
+        }
+        Ok(e)
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -279,7 +309,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<SqlExpr> {
         if self.eat_kw("NOT") {
-            Ok(SqlExpr::Not(Box::new(self.not_expr()?)))
+            Ok(SqlExpr::Not(Box::new(self.nested(Self::not_expr)?)))
         } else {
             self.comparison()
         }
@@ -378,34 +408,42 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<SqlExpr> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Sym::Plus)) => BinOp::Add,
-                Some(Token::Symbol(Sym::Minus)) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.multiplicative()?;
-            left = SqlExpr::Binary {
-                op,
-                l: Box::new(left),
-                r: Box::new(right),
-            };
-        }
-        Ok(left)
+        self.chain(Self::multiplicative, |sym| match sym {
+            Sym::Plus => Some(BinOp::Add),
+            Sym::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative(&mut self) -> Result<SqlExpr> {
-        let mut left = self.atom()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Sym::Star)) => BinOp::Mul,
-                Some(Token::Symbol(Sym::Slash)) => BinOp::Div,
-                _ => break,
-            };
+        self.chain(Self::atom, |sym| match sym {
+            Sym::Star => Some(BinOp::Mul),
+            Sym::Slash => Some(BinOp::Div),
+            _ => None,
+        })
+    }
+
+    /// A left-associative chain `operand (op operand)*`. Each link puts
+    /// everything parsed so far one level deeper, so the chain's depth
+    /// is checked link by link.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<SqlExpr>,
+        op_of: fn(&Sym) -> Option<BinOp>,
+    ) -> Result<SqlExpr> {
+        let mut left = operand(self)?;
+        let mut depth = None;
+        while let Some(op) = match self.peek() {
+            Some(Token::Symbol(sym)) => op_of(sym),
+            _ => None,
+        } {
             self.pos += 1;
-            let right = self.atom()?;
+            let right = operand(self)?;
+            let linked = depth.unwrap_or_else(|| left.depth()).max(right.depth()) + 1;
+            if self.depth + linked > MAX_DEPTH {
+                return Err(too_deep());
+            }
+            depth = Some(linked);
             left = SqlExpr::Binary {
                 op,
                 l: Box::new(left),
@@ -431,14 +469,14 @@ impl Parser {
         match self.peek().cloned() {
             Some(Token::Symbol(Sym::LParen)) => {
                 self.pos += 1;
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect_sym(Sym::RParen)?;
                 Ok(e)
             }
             Some(Token::Symbol(Sym::Minus)) => {
                 self.pos += 1;
                 // Negative literal or 0 - expr.
-                let inner = self.atom()?;
+                let inner = self.nested(Self::atom)?;
                 Ok(match inner {
                     SqlExpr::Lit(Value::Int(n)) => SqlExpr::Lit(Value::Int(-n)),
                     SqlExpr::Lit(Value::Float(f)) => SqlExpr::Lit(Value::Float(-f)),
@@ -495,7 +533,7 @@ impl Parser {
                         let arg = if self.eat_sym(Sym::Star) {
                             None
                         } else {
-                            Some(Box::new(self.expr()?))
+                            Some(Box::new(self.nested(Self::expr)?))
                         };
                         self.expect_sym(Sym::RParen)?;
                         return Ok(SqlExpr::Agg {
@@ -641,6 +679,37 @@ mod tests {
         assert!(parse("SELECT a FROM t LIMIT x").is_err());
         assert!(parse("SELECT a FROM t extra garbage ,").is_err());
         assert!(parse("SELECT 1 FROM t WHERE d = DATE '1994-13-01'").is_err());
+    }
+
+    /// One statement per way to nest an expression, `n` levels deep.
+    fn nested_statements(n: usize) -> [String; 4] {
+        [
+            format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n)),
+            format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(n)),
+            format!("SELECT a{} FROM t", " + a".repeat(n)),
+            format!("SELECT {}a FROM t", "- ".repeat(n)),
+        ]
+    }
+
+    /// On a thread with the default stack, as every `eon-server` session
+    /// thread has, a statement nested 100 000 deep is a typed error (it
+    /// used to abort the process with a stack overflow), and one nested
+    /// 100 deep still parses.
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        std::thread::spawn(|| {
+            for sql in nested_statements(100_000) {
+                match parse(&sql) {
+                    Err(EonError::Query(m)) => assert!(m.contains("nests deeper"), "{m}"),
+                    other => panic!("{}…: {other:?}", &sql[..20]),
+                }
+            }
+            for sql in nested_statements(100) {
+                parse(&sql).unwrap_or_else(|e| panic!("{}…: {e}", &sql[..20]));
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! Name resolution and planning: AST → `eon_exec::Plan`.
+//! Name resolution: AST → `eon_exec::Plan`, with no optimization.
 //!
-//! Planning follows the same conventions as the hand-built workloads:
-//! the leftmost table scans shard-local, joined tables broadcast
-//! (`Global`), and WHERE conjuncts that are simple column-vs-literal
-//! tests on a single base table are pushed into that table's scan for
-//! block pruning (§2.1); the rest — and every test on the nullable side
-//! of a `LEFT JOIN` — become a residual filter above the joins.
+//! The binder maps names to column ordinals and follows the same
+//! conventions as the hand-built workloads: the leftmost table scans
+//! shard-local and joined tables broadcast (`Global`). Every scan is
+//! bare and the whole WHERE clause is one `Filter` above the joins;
+//! placing its conjuncts is `eon_exec::push_predicates`' job.
 
 use std::collections::HashMap;
 
 use eon_columnar::pruning::CmpOp;
-use eon_columnar::Predicate;
 use eon_exec::{AggFunc, AggSpec, Distribution, Expr, JoinKind, Plan, ScanSpec, SortKey};
-use eon_types::{EonError, Result, Schema, Value};
+use eon_types::{EonError, Result, Schema};
 
 use crate::ast::*;
 
-/// Where the planner looks up table schemas. `eon_core::EonDb::sql`
+/// Where the binder looks up table schemas. `eon_core::EonDb::sql`
 /// adapts its catalog snapshot; tests can use a plain map.
 pub trait SchemaSource {
     fn table_schema(&self, name: &str) -> Result<Schema>;
@@ -74,8 +72,8 @@ impl Namespace {
     }
 }
 
-/// Plan a parsed statement against the given schemas.
-pub fn plan(stmt: &SelectStmt, schemas: &dyn SchemaSource) -> Result<Plan> {
+/// Bind a parsed statement to the given schemas.
+pub fn bind(stmt: &SelectStmt, schemas: &dyn SchemaSource) -> Result<Plan> {
     // ---- namespace -------------------------------------------------
     let mut relations = Vec::new();
     let mut offset = 0;
@@ -97,32 +95,9 @@ pub fn plan(stmt: &SelectStmt, schemas: &dyn SchemaSource) -> Result<Plan> {
     }
     let ns = Namespace { relations };
 
-    // ---- WHERE split: pushdown vs residual -------------------------
-    let mut pushdown: Vec<Vec<Predicate>> = vec![Vec::new(); ns.relations.len()];
-    let mut residual: Vec<SqlExpr> = Vec::new();
-    if let Some(w) = &stmt.where_ {
-        let conjuncts = match w {
-            SqlExpr::And(terms) => terms.clone(),
-            other => vec![other.clone()],
-        };
-        // WHERE sees the NULL-padded rows of a LEFT JOIN: a test on the
-        // nullable side filters the join's output, so it stays above
-        // the join instead of thinning the scan below it.
-        let nullable = |rel: usize| rel > 0 && stmt.joins[rel - 1].kind == JoinType::Left;
-        for c in conjuncts {
-            match to_pushdown(&c, &ns)? {
-                Some((rel, pred)) if !nullable(rel) => pushdown[rel].push(pred),
-                _ => residual.push(c),
-            }
-        }
-    }
-
     // ---- scans + joins ---------------------------------------------
     let mk_scan = |ri: usize, dist: Distribution| -> Plan {
-        let rel = &ns.relations[ri];
-        let mut spec = ScanSpec::new(rel.table.clone()).predicate(Predicate::and(
-            pushdown[ri].clone(),
-        ));
+        let mut spec = ScanSpec::new(ns.relations[ri].table.clone());
         spec.distribute = dist;
         Plan::Scan(spec)
     };
@@ -154,16 +129,8 @@ pub fn plan(stmt: &SelectStmt, schemas: &dyn SchemaSource) -> Result<Plan> {
         };
         plan = plan.join_kind(right, lk, rk, kind);
     }
-    if !residual.is_empty() {
-        let exprs = residual
-            .iter()
-            .map(|e| to_expr(e, &ns))
-            .collect::<Result<Vec<_>>>()?;
-        plan = plan.filter(if exprs.len() == 1 {
-            exprs.into_iter().next().unwrap()
-        } else {
-            Expr::And(exprs)
-        });
+    if let Some(w) = &stmt.where_ {
+        plan = plan.filter(to_expr(w, &ns)?);
     }
 
     // ---- aggregation ------------------------------------------------
@@ -181,7 +148,7 @@ pub fn plan(stmt: &SelectStmt, schemas: &dyn SchemaSource) -> Result<Plan> {
         })
     };
 
-    if has_agg {
+    let exprs: Vec<Expr> = if has_agg {
         // Group keys must be plain columns.
         let group_abs: Vec<usize> = stmt
             .group_by
@@ -191,14 +158,8 @@ pub fn plan(stmt: &SelectStmt, schemas: &dyn SchemaSource) -> Result<Plan> {
 
         // Collect aggregates from the SELECT list (and HAVING).
         let mut agg_specs: Vec<(SqlExpr, AggSpec)> = Vec::new();
-        let mut add_aggs = |e: &SqlExpr| -> Result<()> {
-            collect_aggs(e, &ns, &mut agg_specs)
-        };
-        for item in &stmt.items {
-            add_aggs(&item.expr)?;
-        }
-        if let Some(h) = &stmt.having {
-            add_aggs(h)?;
+        for e in stmt.items.iter().map(|i| &i.expr).chain(&stmt.having) {
+            collect_aggs(e, &ns, &mut agg_specs)?;
         }
 
         plan = plan.aggregate(
@@ -206,56 +167,32 @@ pub fn plan(stmt: &SelectStmt, schemas: &dyn SchemaSource) -> Result<Plan> {
             agg_specs.iter().map(|(_, s)| s.clone()).collect(),
         );
 
-        // Aggregate output: group cols then aggs. Map SELECT items.
+        // Aggregate output: group cols then aggs.
         let g = group_abs.len();
-        let out_index = |e: &SqlExpr| -> Result<Expr> {
-            map_post_agg(e, &ns, &stmt.group_by, &group_abs, &agg_specs, g)
-        };
-
         if let Some(h) = &stmt.having {
             // HAVING references aliases, group columns, or aggregates.
-            let resolved = resolve_having(h, stmt, &ns, &stmt.group_by, &group_abs, &agg_specs, g)?;
+            let resolved = resolve_having(h, stmt, &ns, &group_abs, &agg_specs, g)?;
             plan = plan.filter(resolved);
         }
-
-        let exprs: Vec<Expr> = stmt
-            .items
+        stmt.items
             .iter()
-            .map(|i| out_index(&i.expr))
-            .collect::<Result<_>>()?;
-        let names: Vec<String> = stmt
-            .items
-            .iter()
-            .enumerate()
-            .map(|(k, i)| item_name(i).unwrap_or_else(|| format!("col{k}")))
-            .collect();
-        plan = Plan::Project {
-            input: Box::new(plan),
-            exprs,
-            names: names.clone(),
-        };
-        plan = apply_order_limit(plan, stmt, &names)?;
-        Ok(plan)
+            .map(|i| map_post_agg(&i.expr, &ns, &group_abs, &agg_specs, g))
+            .collect::<Result<_>>()?
     } else {
-        let exprs: Vec<Expr> = stmt
-            .items
-            .iter()
-            .map(|i| to_expr(&i.expr, &ns))
-            .collect::<Result<_>>()?;
-        let names: Vec<String> = stmt
-            .items
-            .iter()
-            .enumerate()
-            .map(|(k, i)| item_name(i).unwrap_or_else(|| format!("col{k}")))
-            .collect();
-        plan = Plan::Project {
-            input: Box::new(plan),
-            exprs,
-            names: names.clone(),
-        };
-        plan = apply_order_limit(plan, stmt, &names)?;
-        Ok(plan)
-    }
+        stmt.items.iter().map(|i| to_expr(&i.expr, &ns)).collect::<Result<_>>()?
+    };
+    let names: Vec<String> = stmt
+        .items
+        .iter()
+        .enumerate()
+        .map(|(k, i)| item_name(i).unwrap_or_else(|| format!("col{k}")))
+        .collect();
+    plan = Plan::Project {
+        input: Box::new(plan),
+        exprs,
+        names: names.clone(),
+    };
+    apply_order_limit(plan, stmt, &names)
 }
 
 fn apply_order_limit(mut plan: Plan, stmt: &SelectStmt, names: &[String]) -> Result<Plan> {
@@ -383,7 +320,6 @@ fn collect_aggs(
 fn map_post_agg(
     e: &SqlExpr,
     ns: &Namespace,
-    group_refs: &[ColRef],
     group_abs: &[usize],
     aggs: &[(SqlExpr, AggSpec)],
     g: usize,
@@ -403,13 +339,12 @@ fn map_post_agg(
                         c.column
                     ))
                 })?;
-            let _ = group_refs;
             Ok(Expr::col(gi))
         }
         SqlExpr::Lit(v) => Ok(Expr::lit(v.clone())),
         SqlExpr::Binary { op, l, r } => {
-            let le = map_post_agg(l, ns, group_refs, group_abs, aggs, g)?;
-            let re = map_post_agg(r, ns, group_refs, group_abs, aggs, g)?;
+            let le = map_post_agg(l, ns, group_abs, aggs, g)?;
+            let re = map_post_agg(r, ns, group_abs, aggs, g)?;
             Ok(binop(*op, le, re))
         }
         other => Err(EonError::Query(format!(
@@ -420,12 +355,10 @@ fn map_post_agg(
 
 /// Resolve a HAVING expression against the aggregate output: aliases
 /// from the SELECT list, group columns, and aggregate calls.
-#[allow(clippy::too_many_arguments)]
 fn resolve_having(
     e: &SqlExpr,
     stmt: &SelectStmt,
     ns: &Namespace,
-    group_refs: &[ColRef],
     group_abs: &[usize],
     aggs: &[(SqlExpr, AggSpec)],
     g: usize,
@@ -438,30 +371,25 @@ fn resolve_having(
                 .iter()
                 .find(|i| i.alias.as_deref().map(|a| a.eq_ignore_ascii_case(&c.column)).unwrap_or(false))
             {
-                return map_post_agg(&item.expr, ns, group_refs, group_abs, aggs, g);
+                return map_post_agg(&item.expr, ns, group_abs, aggs, g);
             }
         }
     }
+    let each = |es: &[SqlExpr]| {
+        es.iter()
+            .map(|x| resolve_having(x, stmt, ns, group_abs, aggs, g))
+            .collect::<Result<_>>()
+    };
     match e {
-        SqlExpr::And(es) => Ok(Expr::And(
-            es.iter()
-                .map(|x| resolve_having(x, stmt, ns, group_refs, group_abs, aggs, g))
-                .collect::<Result<_>>()?,
-        )),
-        SqlExpr::Or(es) => Ok(Expr::Or(
-            es.iter()
-                .map(|x| resolve_having(x, stmt, ns, group_refs, group_abs, aggs, g))
-                .collect::<Result<_>>()?,
-        )),
-        SqlExpr::Not(x) => Ok(Expr::Not(Box::new(resolve_having(
-            x, stmt, ns, group_refs, group_abs, aggs, g,
-        )?))),
+        SqlExpr::And(es) => Ok(Expr::And(each(es)?)),
+        SqlExpr::Or(es) => Ok(Expr::Or(each(es)?)),
+        SqlExpr::Not(x) => Ok(Expr::Not(Box::new(resolve_having(x, stmt, ns, group_abs, aggs, g)?))),
         SqlExpr::Binary { op, l, r } => {
-            let le = resolve_having(l, stmt, ns, group_refs, group_abs, aggs, g)?;
-            let re = resolve_having(r, stmt, ns, group_refs, group_abs, aggs, g)?;
+            let le = resolve_having(l, stmt, ns, group_abs, aggs, g)?;
+            let re = resolve_having(r, stmt, ns, group_abs, aggs, g)?;
             Ok(binop(*op, le, re))
         }
-        other => map_post_agg(other, ns, group_refs, group_abs, aggs, g),
+        other => map_post_agg(other, ns, group_abs, aggs, g),
     }
 }
 
@@ -530,97 +458,10 @@ fn to_expr(e: &SqlExpr, ns: &Namespace) -> Result<Expr> {
     })
 }
 
-/// Try to turn a conjunct into a pruning predicate on a single base
-/// relation: `col op literal`, `col IS [NOT] NULL`, `col IN (…)`,
-/// `col BETWEEN a AND b`, and OR-combinations within one relation.
-fn to_pushdown(e: &SqlExpr, ns: &Namespace) -> Result<Option<(usize, Predicate)>> {
-    fn col_of(e: &SqlExpr, ns: &Namespace) -> Option<(usize, usize)> {
-        if let SqlExpr::Col(c) = e {
-            let (ri, abs) = ns.resolve(c).ok()?;
-            let local = abs - ns.relations[ri].offset;
-            Some((ri, local))
-        } else {
-            None
-        }
-    }
-    fn lit_of(e: &SqlExpr) -> Option<Value> {
-        if let SqlExpr::Lit(v) = e {
-            Some(v.clone())
-        } else {
-            None
-        }
-    }
-    Ok(match e {
-        SqlExpr::Binary { op, l, r } => {
-            let cmp = |op: BinOp| -> Option<CmpOp> {
-                Some(match op {
-                    BinOp::Eq => CmpOp::Eq,
-                    BinOp::Ne => CmpOp::Ne,
-                    BinOp::Lt => CmpOp::Lt,
-                    BinOp::Le => CmpOp::Le,
-                    BinOp::Gt => CmpOp::Gt,
-                    BinOp::Ge => CmpOp::Ge,
-                    _ => return None,
-                })
-            };
-            let Some(op) = cmp(*op) else { return Ok(None) };
-            if let (Some((ri, col)), Some(lit)) = (col_of(l, ns), lit_of(r)) {
-                Some((ri, Predicate::cmp(col, op, lit)))
-            } else if let (Some(lit), Some((ri, col))) = (lit_of(l), col_of(r, ns)) {
-                // literal op col → flip
-                let flipped = match op {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::Ge => CmpOp::Le,
-                    other => other,
-                };
-                Some((ri, Predicate::cmp(col, flipped, lit)))
-            } else {
-                None
-            }
-        }
-        SqlExpr::IsNull { expr, negated } => col_of(expr, ns).map(|(ri, col)| {
-            (
-                ri,
-                if *negated {
-                    Predicate::IsNotNull(col)
-                } else {
-                    Predicate::IsNull(col)
-                },
-            )
-        }),
-        SqlExpr::InList {
-            expr,
-            list,
-            negated: false,
-        } => col_of(expr, ns).map(|(ri, col)| {
-            (
-                ri,
-                Predicate::Or(list.iter().map(|v| Predicate::eq(col, v.clone())).collect()),
-            )
-        }),
-        SqlExpr::Between { expr, lo, hi } => {
-            if let (Some((ri, col)), Some(lo), Some(hi)) = (col_of(expr, ns), lit_of(lo), lit_of(hi))
-            {
-                Some((
-                    ri,
-                    Predicate::And(vec![
-                        Predicate::cmp(col, CmpOp::Ge, lo),
-                        Predicate::cmp(col, CmpOp::Le, hi),
-                    ]),
-                ))
-            } else {
-                None
-            }
-        }
-        _ => None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eon_columnar::Predicate;
     use eon_types::schema;
 
     fn schemas() -> HashMap<String, Schema> {
@@ -630,8 +471,8 @@ mod tests {
         ])
     }
 
-    /// The scans of `sql`'s plan, left to right, and whether a residual
-    /// `Filter` sits above the join.
+    /// The scans of `sql`'s compiled plan, left to right, and whether a
+    /// residual `Filter` sits above the join.
     fn shape(sql: &str) -> (Vec<ScanSpec>, bool) {
         let plan = crate::compile(sql, &schemas()).unwrap();
         let mut scans = Vec::new();
@@ -639,8 +480,40 @@ mod tests {
         (scans, plan.describe().contains("Filter"))
     }
 
+    /// The binder places nothing: bare scans, and the WHERE clause as one
+    /// `Filter` above the joins, its conjuncts in order.
     #[test]
-    fn where_on_the_nullable_side_of_a_left_join_stays_above_it() {
+    fn bind_leaves_scans_bare_and_where_above_the_joins() {
+        let stmt = crate::parse(
+            "SELECT s.id FROM sales s JOIN regions r ON s.region_id = r.region_id \
+             WHERE r.region = 'NA' AND s.id < 10",
+        )
+        .unwrap();
+        let Plan::Project { input, .. } = bind(&stmt, &schemas()).unwrap() else { panic!() };
+        let Plan::Filter { input, predicate } = *input else { panic!("{input:?}") };
+        assert_eq!(
+            predicate,
+            Expr::And(vec![
+                Expr::eq(Expr::col(3), Expr::lit("NA")),
+                Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(10i64)),
+            ])
+        );
+        let mut scans = Vec::new();
+        input.visit_scans(&mut |s| scans.push(s.clone()));
+        assert_eq!(scans, vec![ScanSpec::new("sales"), ScanSpec::new("regions").global()]);
+    }
+
+    /// A disjunction of tests on one column is one conjunct the scan can
+    /// evaluate, so it lands in the scan.
+    #[test]
+    fn where_or_on_one_table_lands_in_the_scan() {
+        let (scans, filtered) = shape("SELECT id FROM sales WHERE id = 1 OR id = 2");
+        assert_eq!(scans[0].predicate, Predicate::Or(vec![Predicate::eq(0, 1i64), Predicate::eq(0, 2i64)]));
+        assert!(!filtered);
+    }
+
+    #[test]
+    fn where_on_the_padded_side_of_a_left_join_stays_above_it() {
         let from = "SELECT s.id FROM sales s LEFT JOIN regions r ON s.region_id = r.region_id";
         for test in ["r.region = 'NA'", "r.region IS NULL"] {
             let (scans, filtered) = shape(&format!("{from} WHERE {test} AND s.id < 10"));

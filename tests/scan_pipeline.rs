@@ -456,7 +456,7 @@ fn planned_bytes(registry: &Registry) -> (u64, u64) {
     (counter("scan_coalesced_bytes_total"), counter("scan_coalesced_gap_bytes_total"))
 }
 
-/// Column pruning, in bytes (DESIGN.md "Plan rules: column pruning"): a
+/// Column pruning, in bytes (DESIGN.md "Plan rules"): a
 /// SQL statement naming two of a table's three columns, run cold on a
 /// container the depot cannot hold, reads the tail plus the planned
 /// ranges of those two columns and nothing of the third. (SQL never

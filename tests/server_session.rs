@@ -404,3 +404,34 @@ fn explain_and_analyze_ride_the_session() {
     drop(c);
     assert_quiesced(&db, &handle);
 }
+
+/// Expression nesting is bounded in the parser: nested parentheses, a
+/// `NOT` chain and a left-deep `+` chain 100 000 deep each come back over
+/// the wire as a typed `QUERY` error — they used to overflow the session
+/// thread's stack and abort the server — and 100 deep they still run.
+#[test]
+fn deeply_nested_statements_are_typed_errors_and_the_server_keeps_answering() {
+    let (db, handle) = serve(0, 0, 0);
+    let mut c = EonClient::connect(handle.addr()).unwrap();
+    let shapes = |n: usize| {
+        [
+            format!("SELECT {}id{} FROM sales WHERE id = 7", "(".repeat(n), ")".repeat(n)),
+            format!("SELECT id FROM sales WHERE {}id = 7", "NOT NOT ".repeat(n / 2)),
+            format!("SELECT id{} FROM sales WHERE id = 7", " + 0".repeat(n)),
+        ]
+    };
+    for sql in shapes(100_000) {
+        match c.sql(&sql) {
+            Err(EonError::Query(m)) => assert!(m.contains("nests deeper"), "{m}"),
+            other => panic!("{}…: {other:?}", &sql[..30]),
+        }
+    }
+    for sql in shapes(100) {
+        match c.sql(&sql).unwrap() {
+            SqlOutcome::Rows { rows, .. } => assert_eq!(rows, vec![vec![Value::Int(7)]], "{}…", &sql[..30]),
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+    drop(c);
+    assert_quiesced(&db, &handle);
+}
