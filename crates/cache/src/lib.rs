@@ -41,9 +41,13 @@
 //! once. The §5.3 retry loop and the circuit breaker live in the
 //! `eon_storage::RetryFs` the database wraps shared storage in, so one
 //! logical depot operation is one operation to that layer.
+//!
+//! The depot counts into the registry it is built with, labeled by
+//! node, and [`CacheStats`] is a read of those counters. Registry keys
+//! are deduplicated, so the depot of a restarted node continues its
+//! predecessor's series.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -63,7 +67,8 @@ pub enum CacheMode {
     Bypass,
 }
 
-/// Counters for cache effectiveness.
+/// Counters for cache effectiveness, read from the depot's registry
+/// series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -92,11 +97,8 @@ struct Entry {
     pinned: bool,
 }
 
-/// Registry handles mirroring [`CacheStats`], plus warm-up counters
-/// that only exist in the registry. Always present — the
-/// constructor wires a private registry until
-/// [`FileCache::attach_metrics`] swaps in the shared one.
-#[derive(Clone)]
+/// Registry handles behind [`CacheStats`], plus warm-up counters that
+/// only exist in the registry.
 struct CacheMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -138,9 +140,7 @@ struct Inner {
     lru: BTreeSet<(u64, String)>,
     clock: u64,
     used: u64,
-    stats: CacheStats,
     never_prefixes: Vec<String>,
-    metrics: CacheMetrics,
 }
 
 impl Inner {
@@ -157,63 +157,42 @@ impl Inner {
 /// The disk file cache. `local` is the node's cache directory (instance
 /// storage in the paper's deployments — loss is harmless, §8);
 /// `backing` is the shared storage.
-/// Raw totals for the registry-only counters (no [`CacheStats`]
-/// field). Source of truth the registry mirrors, so counts made before
-/// [`FileCache::attach_metrics`] survive the re-homing.
-#[derive(Default)]
-struct AuxRawStats {
-    warmup_files: AtomicU64,
-    warmup_bytes: AtomicU64,
-}
-
 pub struct FileCache {
     local: SharedFs,
     backing: SharedFs,
     capacity: u64,
-    aux: AuxRawStats,
+    metrics: CacheMetrics,
     inner: Mutex<Inner>,
     /// In-flight backing fetches keyed by object path (single-flight).
     inflight: Mutex<HashMap<String, Arc<FillSlot>>>,
 }
 
 impl FileCache {
-    pub fn new(local: SharedFs, backing: SharedFs, capacity_bytes: u64) -> Self {
+    /// An empty depot counting into `registry` under `node`.
+    pub fn new(
+        local: SharedFs,
+        backing: SharedFs,
+        capacity_bytes: u64,
+        registry: &Registry,
+        node: &str,
+    ) -> Self {
+        let metrics = CacheMetrics::register(registry, node);
+        // A new process starts with an empty depot.
+        metrics.used_bytes.set(0);
         FileCache {
             local,
             backing,
             capacity: capacity_bytes,
-            aux: AuxRawStats::default(),
+            metrics,
             inflight: Mutex::new(HashMap::new()),
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 lru: BTreeSet::new(),
                 clock: 0,
                 used: 0,
-                stats: CacheStats::default(),
                 never_prefixes: Vec::new(),
-                metrics: CacheMetrics::register(&Registry::new(), "detached"),
             }),
         }
-    }
-
-    /// Re-home this cache's counters onto a shared registry, labeled by
-    /// node. Anything already counted is carried over, so registry
-    /// totals always agree with [`CacheStats`].
-    pub fn attach_metrics(&self, registry: &Registry, node: &str) {
-        let mut g = self.inner.lock();
-        let m = CacheMetrics::register(registry, node);
-        m.hits.add(g.stats.hits);
-        m.misses.add(g.stats.misses);
-        m.evictions.add(g.stats.evictions);
-        m.bypasses.add(g.stats.bypasses);
-        m.singleflight_waits.add(g.stats.singleflight_waits);
-        m.writes.add(g.stats.writes);
-        m.used_bytes.set(g.used as i64);
-        // Registry-only counters carry over from their raw totals, so
-        // warm-ups from before attachment aren't dropped.
-        m.warmup_files.add(self.aux.warmup_files.load(Ordering::Relaxed));
-        m.warmup_bytes.add(self.aux.warmup_bytes.load(Ordering::Relaxed));
-        g.metrics = m;
     }
 
     /// Serve `key` from the depot if it is resident. Residency check,
@@ -229,16 +208,9 @@ impl FileCache {
         if !g.entries.contains_key(key) {
             return None;
         }
-        g.stats.hits += 1;
-        g.metrics.hits.inc();
+        self.metrics.hits.inc();
         g.touch(key);
         Some(read(self.local.as_ref()))
-    }
-
-    fn count_miss(&self) {
-        let mut g = self.inner.lock();
-        g.stats.misses += 1;
-        g.metrics.misses.inc();
     }
 
     /// Fault `key` in from shared storage with single-flight dedup:
@@ -253,7 +225,7 @@ impl FileCache {
     fn fault_in(&self, key: &str) -> Result<Bytes> {
         if self.never_cached(key) {
             let data = self.backing.read(key)?;
-            self.count_miss();
+            self.metrics.misses.inc();
             self.insert_local(key, data.clone())?;
             return Ok(data);
         }
@@ -286,7 +258,7 @@ impl FileCache {
                 let res = self.backing.read(key);
                 let mut inserted = Ok(());
                 if let Ok(data) = &res {
-                    self.count_miss();
+                    self.metrics.misses.inc();
                     inserted = self.insert_local(key, data.clone());
                 }
                 // Publish before unregistering so anyone who joined
@@ -298,11 +270,7 @@ impl FileCache {
                 res
             }
             Role::Waiter(slot) => {
-                {
-                    let mut g = self.inner.lock();
-                    g.stats.singleflight_waits += 1;
-                    g.metrics.singleflight_waits.inc();
-                }
+                self.metrics.singleflight_waits.inc();
                 let mut r = slot.result.lock();
                 while r.is_none() {
                     slot.ready.wait(&mut r);
@@ -310,10 +278,8 @@ impl FileCache {
                 let res = r.clone().expect("loop exits once the leader published");
                 drop(r);
                 if res.is_ok() {
-                    let mut g = self.inner.lock();
-                    g.stats.hits += 1;
-                    g.metrics.hits.inc();
-                    g.touch(key);
+                    self.metrics.hits.inc();
+                    self.inner.lock().touch(key);
                 }
                 res
             }
@@ -346,7 +312,15 @@ impl FileCache {
     }
 
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
+        let m = &self.metrics;
+        CacheStats {
+            hits: m.hits.get(),
+            misses: m.misses.get(),
+            evictions: m.evictions.get(),
+            bypasses: m.bypasses.get(),
+            singleflight_waits: m.singleflight_waits.get(),
+            writes: m.writes.get(),
+        }
     }
 
     pub fn used_bytes(&self) -> u64 {
@@ -381,7 +355,7 @@ impl FileCache {
         g.entries.clear();
         g.lru.clear();
         g.used = 0;
-        g.metrics.used_bytes.set(0);
+        self.metrics.used_bytes.set(0);
         Ok(())
     }
 
@@ -426,8 +400,7 @@ impl FileCache {
                     if let Some(e) = g.entries.remove(&k) {
                         g.used -= e.size;
                     }
-                    g.stats.evictions += 1;
-                    g.metrics.evictions.inc();
+                    self.metrics.evictions.inc();
                     self.local.delete(&k)?;
                 }
                 None => break, // everything pinned; overshoot rather than fail
@@ -445,7 +418,7 @@ impl FileCache {
             },
         );
         g.used += size;
-        g.metrics.used_bytes.set(g.used as i64);
+        self.metrics.used_bytes.set(g.used as i64);
         Ok(())
     }
 
@@ -456,7 +429,7 @@ impl FileCache {
         if let Some(e) = g.entries.remove(key) {
             g.lru.remove(&(e.stamp, key.to_owned()));
             g.used -= e.size;
-            g.metrics.used_bytes.set(g.used as i64);
+            self.metrics.used_bytes.set(g.used as i64);
             self.local.delete(key)?;
         }
         Ok(())
@@ -465,11 +438,7 @@ impl FileCache {
     /// Read a whole object with an explicit cache mode.
     pub fn read_with(&self, key: &str, mode: CacheMode) -> Result<Bytes> {
         if mode == CacheMode::Bypass {
-            {
-                let mut g = self.inner.lock();
-                g.stats.bypasses += 1;
-                g.metrics.bypasses.inc();
-            }
+            self.metrics.bypasses.inc();
             return self.backing.read(key);
         }
         match self.read_hit(key, |local| local.read(key)) {
@@ -481,11 +450,7 @@ impl FileCache {
     /// Write-through put: cache locally, upload to shared storage. The
     /// data-load path (Fig 8 steps 2–3) calls this.
     pub fn put_through(&self, key: &str, data: Bytes) -> Result<()> {
-        {
-            let mut g = self.inner.lock();
-            g.stats.writes += 1;
-            g.metrics.writes.inc();
-        }
+        self.metrics.writes.inc();
         self.insert_local(key, data.clone())?;
         self.backing.write(key, data)
     }
@@ -522,13 +487,8 @@ impl FileCache {
             }
             match self.backing.read(key) {
                 Ok(data) => {
-                    {
-                        let g = self.inner.lock();
-                        self.aux.warmup_files.fetch_add(1, Ordering::Relaxed);
-                        self.aux.warmup_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-                        g.metrics.warmup_files.inc();
-                        g.metrics.warmup_bytes.add(data.len() as u64);
-                    }
+                    self.metrics.warmup_files.inc();
+                    self.metrics.warmup_bytes.add(data.len() as u64);
                     self.insert_local(key, data)?;
                     n += 1;
                 }
@@ -589,11 +549,18 @@ impl FileSystem for FileCache {
 
 /// Convenience constructor for an in-memory cache over any backing
 /// store (tests, simulations).
-pub fn mem_cache(backing: SharedFs, capacity_bytes: u64) -> Arc<FileCache> {
+pub fn mem_cache(
+    backing: SharedFs,
+    capacity_bytes: u64,
+    registry: &Registry,
+    node: &str,
+) -> Arc<FileCache> {
     Arc::new(FileCache::new(
         Arc::new(eon_storage::MemFs::new()),
         backing,
         capacity_bytes,
+        registry,
+        node,
     ))
 }
 
@@ -604,7 +571,13 @@ mod tests {
 
     fn setup(capacity: u64) -> (Arc<MemFs>, FileCache) {
         let backing = Arc::new(MemFs::new());
-        let cache = FileCache::new(Arc::new(MemFs::new()), backing.clone(), capacity);
+        let cache = FileCache::new(
+            Arc::new(MemFs::new()),
+            backing.clone(),
+            capacity,
+            &Default::default(),
+            "n0",
+        );
         (backing, cache)
     }
 
@@ -708,7 +681,13 @@ mod tests {
             peer.put_through(k, payload(10)).unwrap();
         }
         let (_, newcomer) = {
-            let cache = FileCache::new(Arc::new(MemFs::new()), backing.clone(), 1000);
+            let cache = FileCache::new(
+                Arc::new(MemFs::new()),
+                backing.clone(),
+                1000,
+                &Default::default(),
+                "n1",
+            );
             (backing.clone(), cache)
         };
         let warmed = newcomer.warm_from(&peer.mru_list(25)).unwrap();
@@ -726,7 +705,8 @@ mod tests {
         }
         // Newcomer can only hold two of the three files: warming must
         // stay within capacity and keep the *newest* ones.
-        let newcomer = FileCache::new(Arc::new(MemFs::new()), backing, 80);
+        let newcomer =
+            FileCache::new(Arc::new(MemFs::new()), backing, 80, &Default::default(), "n1");
         newcomer.warm_from(&peer.mru_list(1000)).unwrap();
         assert!(newcomer.used_bytes() <= 80);
         assert!(newcomer.contains("new") && newcomer.contains("mid"));
@@ -738,7 +718,13 @@ mod tests {
         let (backing, peer) = setup(1000);
         peer.put_through("archive/cold", payload(10)).unwrap();
         peer.put_through("hot", payload(10)).unwrap();
-        let newcomer = FileCache::new(Arc::new(MemFs::new()), backing.clone(), 1000);
+        let newcomer = FileCache::new(
+            Arc::new(MemFs::new()),
+            backing.clone(),
+            1000,
+            &Default::default(),
+            "n1",
+        );
         newcomer.never_cache_prefix("archive/");
         let gets = backing.stats().gets;
         let warmed = newcomer.warm_from(&peer.mru_list(1000)).unwrap();
@@ -754,9 +740,8 @@ mod tests {
         let (backing, peer) = setup(1000);
         peer.put_through("f1", payload(10)).unwrap();
         peer.put_through("f2", payload(30)).unwrap();
-        let newcomer = FileCache::new(Arc::new(MemFs::new()), backing, 1000);
         let registry = Registry::new();
-        newcomer.attach_metrics(&registry, "n1");
+        let newcomer = FileCache::new(Arc::new(MemFs::new()), backing, 1000, &registry, "n1");
         newcomer.warm_from(&peer.mru_list(1000)).unwrap();
         let snap = registry.deterministic_snapshot();
         let metric = |name: &str| {
@@ -827,6 +812,8 @@ mod tests {
             Arc::new(MemFs::new()),
             backing.clone(),
             1000,
+            &Default::default(),
+            "n0",
         ));
         const N: usize = 6;
         let barrier = Arc::new(std::sync::Barrier::new(N));
@@ -857,6 +844,8 @@ mod tests {
             Arc::new(MemFs::new()),
             backing.clone(),
             1000,
+            &Default::default(),
+            "n0",
         ));
         cache.never_cache_prefix("tmp/");
         let barrier = Arc::new(std::sync::Barrier::new(2));
@@ -886,6 +875,8 @@ mod tests {
             Arc::new(MemFs::new()),
             backing.clone(),
             1000,
+            &Default::default(),
+            "n0",
         ));
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let threads: Vec<_> = (0..4u64)

@@ -242,7 +242,7 @@ mod tests {
         let m = Membership::new();
         let shared: SharedFs = Arc::new(MemFs::new());
         for i in 0..n {
-            m.add(NodeRuntime::new(NodeId(i), shared.clone(), "inc", 1 << 20, 4, 7));
+            m.add(NodeRuntime::new(NodeId(i), shared.clone(), "inc", 1 << 20, 4, 7, &Default::default()));
         }
         m
     }
@@ -302,7 +302,7 @@ mod tests {
         assert_eq!(d.health(NodeId(0)), NodeHealth::Down);
         // "Restart" by swapping in a fresh runtime under the same id.
         let shared: SharedFs = Arc::new(MemFs::new());
-        m.add(NodeRuntime::new(NodeId(0), shared, "inc2", 1 << 20, 4, 8));
+        m.add(NodeRuntime::new(NodeId(0), shared, "inc2", 1 << 20, 4, 8, &Default::default()));
         assert!(d.tick(&m).is_empty()); // hit 1 of 2: not yet
         assert_eq!(d.health(NodeId(0)), NodeHealth::Down);
         let ev = d.tick(&m); // hit 2: recovered
@@ -323,7 +323,7 @@ mod tests {
             if i % 2 == 0 {
                 m.get(NodeId(0)).unwrap().kill();
             } else {
-                m.add(NodeRuntime::new(NodeId(0), shared.clone(), "inc", 1 << 20, 4, i));
+                m.add(NodeRuntime::new(NodeId(0), shared.clone(), "inc", 1 << 20, 4, i, &Default::default()));
             }
             d.tick(&m);
         }

@@ -116,7 +116,7 @@ mod tests {
         let m = Membership::new();
         let shared: SharedFs = Arc::new(MemFs::new());
         for i in 0..n {
-            m.add(NodeRuntime::new(NodeId(i), shared.clone(), "inc", 1 << 20, 4, 7));
+            m.add(NodeRuntime::new(NodeId(i), shared.clone(), "inc", 1 << 20, 4, 7, &Default::default()));
         }
         m
     }

@@ -4,7 +4,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eon_cache::FileCache;
-use eon_catalog::{Catalog, CatalogStore, Checkpoint};
+use eon_catalog::{Catalog, CatalogState, CatalogStore, Checkpoint};
+use eon_obs::Registry;
 use eon_storage::{FaultInjector, InstanceId, MemFs, SharedFs, SidFactory, StorageId};
 use eon_types::{NodeId, Result, TxnVersion};
 
@@ -46,6 +47,7 @@ impl NodeRuntime {
         cache_capacity: u64,
         exec_slots: usize,
         instance_seed: u64,
+        registry: &Registry,
     ) -> Arc<Self> {
         let local_disk: SharedFs = Arc::new(MemFs::new());
         Self::with_local_disk(
@@ -56,10 +58,14 @@ impl NodeRuntime {
             cache_capacity,
             exec_slots,
             instance_seed,
+            registry,
         )
     }
 
-    /// Commission (or restart) a node on an existing local disk.
+    /// Commission (or restart) a node on an existing local disk. Its
+    /// depot and slots count into `registry` labeled `node<id>`, so a
+    /// restarted node continues the series of the process it replaces.
+    #[allow(clippy::too_many_arguments)]
     pub fn with_local_disk(
         id: NodeId,
         local_disk: SharedFs,
@@ -68,12 +74,16 @@ impl NodeRuntime {
         cache_capacity: u64,
         exec_slots: usize,
         instance_seed: u64,
+        registry: &Registry,
     ) -> Arc<Self> {
+        let label = format!("node{}", id.0);
         let store = CatalogStore::new(local_disk.clone(), shared.clone(), incarnation);
         let cache = Arc::new(FileCache::new(
             Arc::new(MemFs::new()),
             shared,
             cache_capacity,
+            registry,
+            &label,
         ));
         let catalog = Catalog::new();
         // OID namespace = node id + 1 (0 is reserved for "unassigned"),
@@ -89,7 +99,7 @@ impl NodeRuntime {
             sids: SidFactory::new(InstanceId::from_seed(
                 instance_seed.wrapping_mul(0x1000).wrapping_add(id.0),
             )),
-            slots: ExecSlots::new(exec_slots),
+            slots: ExecSlots::new(exec_slots, registry, &[("node", &label), ("subsystem", "exec")]),
             up: AtomicBool::new(true),
             subcluster: AtomicU64::new(0),
             min_query_version: AtomicU64::new(u64::MAX),
@@ -131,12 +141,18 @@ impl NodeRuntime {
     /// Recover the catalog from local disk (normal restart, §2.4).
     pub fn recover_local(&self) -> Result<TxnVersion> {
         let (state, version) = self.store.recover_local()?;
+        self.install_catalog(state, version);
+        Ok(version)
+    }
+
+    /// Install a whole catalog snapshot, then raise the OID floor past
+    /// every object in it so this node never mints a colliding OID.
+    pub fn install_catalog(&self, state: CatalogState, version: TxnVersion) {
         let oids: Vec<u64> = state.obj_versions.keys().map(|o| o.0).collect();
         self.catalog.install(state, version);
         for oid in oids {
             self.catalog.bump_oid_floor(oid);
         }
-        Ok(version)
     }
 
     /// Write a catalog checkpoint for the current state.
@@ -185,7 +201,7 @@ mod tests {
 
     fn mk_node(id: u64) -> Arc<NodeRuntime> {
         let shared: SharedFs = Arc::new(MemFs::new());
-        NodeRuntime::new(NodeId(id), shared, "inc0", 1 << 20, 4, 42)
+        NodeRuntime::new(NodeId(id), shared, "inc0", 1 << 20, 4, 42, &Default::default())
     }
 
     fn create_table_commit(node: &NodeRuntime, name: &str) {
@@ -220,6 +236,7 @@ mod tests {
             1 << 20,
             4,
             43,
+            &Default::default(),
         );
         let v = revived.recover_local().unwrap();
         assert_eq!(v, TxnVersion(2));

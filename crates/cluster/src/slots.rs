@@ -5,25 +5,28 @@
 //! accounting, so the semaphore is the load-bearing primitive of the
 //! Fig 11a experiment.
 //!
-//! Waiting on the semaphore is never unbounded (DESIGN.md "Admission
-//! control & workload management"):
+//! [`ExecSlots`] is the one counting semaphore in the system: each
+//! subcluster's admission pool (§4.3, `eon_core::admission`) is one too,
+//! with `max_concurrent` slots and a bound on waiters. Waiting on it is
+//! never unbounded (DESIGN.md "Admission control & workload
+//! management"):
 //!
 //! * [`ExecSlots::acquire_wait`] takes a [`SlotWait`] carrying an
 //!   optional deadline and an optional [`CancelToken`]. The deadline is
-//!   a **planned-wait budget**: it is consumed by the planned condvar
-//!   tick, not by measured wall clock, so the give-up point — how many
-//!   ticks a waiter sits through before `DeadlineExceeded` — is a pure
-//!   function of the configuration, never of scheduler noise.
+//!   a **planned-wait budget**: it is consumed in whole [`WAIT_TICK`]s
+//!   of condvar wait, not by measured wall clock, so the give-up point
+//!   — how many ticks a waiter sits through before `DeadlineExceeded` —
+//!   is a pure function of the configuration, never of scheduler noise.
+//! * [`ExecSlots::max_waiters`] bounds the queue: a waiter arriving when
+//!   it is full gets the typed `Saturated` backpressure error at once.
 //! * [`ExecSlots::close`] poisons the semaphore and wakes every waiter
 //!   with `NodeDown` — a query parked on a dying node's slots fails
 //!   fast and the coordinator's failover loop re-plans on survivors.
 //!
-//! Counters are kept in raw atomics owned by the semaphore itself and
-//! mirrored into the registry; [`ExecSlots::attach_metrics`] carries
-//! everything already counted onto the shared registry, so slots
-//! acquired before a node is commissioned are never silently dropped.
+//! The semaphore counts into the registry it is built with, under the
+//! labels it is given. Registry keys are deduplicated, so the semaphore
+//! of a restarted node continues its predecessor's series.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,27 +34,19 @@ use eon_obs::{Counter, Gauge, Histogram, Registry};
 use eon_types::{CancelToken, EonError, Result};
 use parking_lot::{Condvar, Mutex};
 
+/// The planned-wait tick: a waiter re-checks cancellation and its
+/// budget once per tick, and each wait charges one whole tick to the
+/// budget, which is what makes the give-up point deterministic.
+pub const WAIT_TICK: Duration = Duration::from_millis(1);
+
 /// How a caller is willing to wait for slots.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SlotWait {
     /// Total planned-wait budget; `None` waits until slots free up or
     /// the semaphore closes.
     pub timeout: Option<Duration>,
-    /// Condvar re-check tick. The budget is consumed in whole ticks,
-    /// which is what makes the give-up point deterministic.
-    pub tick: Duration,
     /// Session cancellation, checked every tick.
     pub cancel: Option<CancelToken>,
-}
-
-impl Default for SlotWait {
-    fn default() -> Self {
-        SlotWait {
-            timeout: None,
-            tick: Duration::from_millis(1),
-            cancel: None,
-        }
-    }
 }
 
 impl SlotWait {
@@ -64,7 +59,7 @@ impl SlotWait {
     pub fn with_timeout(timeout: Duration) -> Self {
         SlotWait {
             timeout: Some(timeout),
-            ..Self::default()
+            cancel: None,
         }
     }
 
@@ -75,40 +70,29 @@ impl SlotWait {
     }
 }
 
-/// Raw totals owned by the semaphore — the source of truth the registry
-/// mirrors. Survives [`ExecSlots::attach_metrics`] re-homing.
-#[derive(Default)]
-struct SlotStats {
-    acquired: AtomicU64,
-    slots_acquired: AtomicU64,
-    timeouts: AtomicU64,
-    cancellations: AtomicU64,
-    node_down_wakeups: AtomicU64,
-}
-
-/// Registry handles for the slot semaphore. The queue-wait histogram is
+/// Registry handles for the semaphore. The queue-wait histogram is
 /// wall-clock (excluded from deterministic snapshots); the acquisition
 /// counters are pure functions of the workload.
-#[derive(Clone)]
 struct SlotMetrics {
     acquired: Arc<Counter>,
     slots_acquired: Arc<Counter>,
     timeouts: Arc<Counter>,
     cancellations: Arc<Counter>,
     node_down_wakeups: Arc<Counter>,
+    rejections: Arc<Counter>,
     waiters: Arc<Gauge>,
     queue_wait_us: Arc<Histogram>,
 }
 
 impl SlotMetrics {
-    fn register(registry: &Registry, node: &str) -> Self {
-        let labels: &[(&str, &str)] = &[("node", node), ("subsystem", "exec")];
+    fn register(registry: &Registry, labels: &[(&str, &str)]) -> Self {
         SlotMetrics {
             acquired: registry.counter("exec_slot_acquisitions_total", labels),
             slots_acquired: registry.counter("exec_slots_acquired_total", labels),
             timeouts: registry.counter("exec_slot_timeouts_total", labels),
             cancellations: registry.counter("exec_slot_cancellations_total", labels),
             node_down_wakeups: registry.counter("exec_slot_node_down_wakeups_total", labels),
+            rejections: registry.counter("exec_slot_rejections_total", labels),
             waiters: registry.gauge("exec_slot_waiters", labels),
             queue_wait_us: registry.timing_histogram("exec_slot_queue_wait_us", labels),
         }
@@ -121,20 +105,21 @@ struct State {
     /// gets `NodeDown` until [`ExecSlots::reopen`].
     closed: bool,
     waiters: usize,
+    /// Waiters allowed at once; `0` = unbounded.
+    max_waiters: usize,
 }
 
 struct Inner {
     state: Mutex<State>,
     cv: Condvar,
     capacity: usize,
-    stats: SlotStats,
-    /// `None` until [`ExecSlots::attach_metrics`] re-homes the counters
-    /// onto a real registry — a detached semaphore counts only into
-    /// [`SlotStats`], and the totals carry over on attach.
-    metrics: Mutex<Option<SlotMetrics>>,
+    /// The labels as `k=v,...`, naming the semaphore in its errors.
+    name: String,
+    metrics: SlotMetrics,
 }
 
-/// A counting semaphore over a node's execution slots.
+/// A counting semaphore over a node's execution slots (or an admission
+/// pool's seats).
 #[derive(Clone)]
 pub struct ExecSlots {
     inner: Arc<Inner>,
@@ -161,37 +146,31 @@ impl Drop for SlotGuard {
 }
 
 impl ExecSlots {
-    pub fn new(capacity: usize) -> Self {
+    /// A semaphore of `capacity` slots counting into `registry` under
+    /// `labels` (`node` + `subsystem="exec"` for a node's slots).
+    pub fn new(capacity: usize, registry: &Registry, labels: &[(&str, &str)]) -> Self {
+        let name: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
         ExecSlots {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
                     available: capacity,
                     closed: false,
                     waiters: 0,
+                    max_waiters: 0,
                 }),
                 cv: Condvar::new(),
                 capacity,
-                stats: SlotStats::default(),
-                metrics: Mutex::new(None),
+                name: name.join(","),
+                metrics: SlotMetrics::register(registry, labels),
             }),
         }
     }
 
-    /// Re-home this semaphore's counters onto a shared registry,
-    /// labeled by node. Totals counted while detached carry over, so
-    /// the registry always agrees with the semaphore's own accounting.
-    pub fn attach_metrics(&self, registry: &Registry, node: &str) {
-        let m = SlotMetrics::register(registry, node);
-        m.acquired.add(self.inner.stats.acquired.load(Ordering::Relaxed));
-        m.slots_acquired
-            .add(self.inner.stats.slots_acquired.load(Ordering::Relaxed));
-        m.timeouts.add(self.inner.stats.timeouts.load(Ordering::Relaxed));
-        m.cancellations
-            .add(self.inner.stats.cancellations.load(Ordering::Relaxed));
-        m.node_down_wakeups
-            .add(self.inner.stats.node_down_wakeups.load(Ordering::Relaxed));
-        m.waiters.set(self.inner.state.lock().waiters as i64);
-        *self.inner.metrics.lock() = Some(m);
+    /// Bound the queue at `depth` waiters (`0` = unbounded): an arrival
+    /// that would wait behind a full queue gets `Saturated` instead.
+    pub fn max_waiters(self, depth: usize) -> Self {
+        self.inner.state.lock().max_waiters = depth;
+        self
     }
 
     pub fn capacity(&self) -> usize {
@@ -200,6 +179,11 @@ impl ExecSlots {
 
     pub fn available(&self) -> usize {
         self.inner.state.lock().available
+    }
+
+    /// Sessions parked waiting for slots right now.
+    pub fn waiters(&self) -> usize {
+        self.inner.state.lock().waiters
     }
 
     pub fn is_closed(&self) -> bool {
@@ -225,30 +209,14 @@ impl ExecSlots {
         self.inner.cv.notify_all();
     }
 
-    fn on_acquired(&self, n: usize, queued_at: Instant) {
-        self.inner.stats.acquired.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .slots_acquired
-            .fetch_add(n as u64, Ordering::Relaxed);
-        if let Some(m) = self.inner.metrics.lock().as_ref() {
-            m.acquired.inc();
-            m.slots_acquired.add(n as u64);
-            m.queue_wait_us
-                .observe(queued_at.elapsed().as_micros() as u64);
-        }
-    }
-
-    fn on_failed(&self, raw: &AtomicU64, pick: fn(&SlotMetrics) -> &Arc<Counter>) {
-        raw.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.inner.metrics.lock().as_ref() {
-            pick(m).inc();
-        }
-    }
-
-    fn set_waiters(&self, n: usize) {
-        if let Some(m) = self.inner.metrics.lock().as_ref() {
-            m.waiters.set(n as i64);
+    fn granted(&self, n: usize, queued_at: Instant) -> SlotGuard {
+        let m = &self.inner.metrics;
+        m.acquired.inc();
+        m.slots_acquired.add(n as u64);
+        m.queue_wait_us.observe(queued_at.elapsed().as_micros() as u64);
+        SlotGuard {
+            inner: self.inner.clone(),
+            n,
         }
     }
 
@@ -263,81 +231,58 @@ impl ExecSlots {
 
     /// [`ExecSlots::acquire`] with a wait policy: a planned-wait
     /// deadline, a cancellation token, or both. The deadline budget is
-    /// consumed by the planned tick per condvar wait — never by
-    /// measured wall clock — so the give-up point is deterministic
-    /// regardless of scheduler noise.
+    /// consumed by [`WAIT_TICK`] per condvar wait — never by measured
+    /// wall clock — so the give-up point is deterministic regardless of
+    /// scheduler noise. A fired token fails before any slot is taken.
     pub fn acquire_wait(&self, n: usize, wait: &SlotWait) -> Result<SlotGuard> {
         let n = n.min(self.inner.capacity).max(1);
         let queued_at = Instant::now();
-        let tick = wait.tick.max(Duration::from_micros(100));
+        let m = &self.inner.metrics;
         let mut planned = Duration::ZERO;
         let mut st = self.inner.state.lock();
         let mut waiting = false;
         let outcome = loop {
             if st.closed {
-                break Err(EonError::NodeDown("execution slots closed".into()));
+                m.node_down_wakeups.inc();
+                let name = &self.inner.name;
+                break Err(EonError::NodeDown(format!("execution slots closed ({name})")));
             }
-            if let Some(c) = &wait.cancel {
-                if c.is_cancelled() {
-                    break Err(EonError::Cancelled("execution slot wait".into()));
-                }
+            if wait.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+                m.cancellations.inc();
+                break Err(EonError::Cancelled(format!("slot wait ({})", self.inner.name)));
             }
             if st.available >= n {
                 st.available -= n;
                 break Ok(());
             }
-            if let Some(deadline) = wait.timeout {
-                if planned >= deadline {
-                    break Err(EonError::DeadlineExceeded(format!(
-                        "slot wait budget {deadline:?} spent waiting for {n} slot(s)"
-                    )));
-                }
+            if let Some(deadline) = wait.timeout.filter(|d| planned >= *d) {
+                m.timeouts.inc();
+                break Err(EonError::DeadlineExceeded(format!(
+                    "slot wait budget {deadline:?} spent waiting for {n} slot(s) ({})",
+                    self.inner.name
+                )));
             }
             if !waiting {
+                if st.max_waiters > 0 && st.waiters >= st.max_waiters {
+                    m.rejections.inc();
+                    break Err(EonError::Saturated {
+                        queued: st.waiters,
+                        depth: st.max_waiters,
+                    });
+                }
                 waiting = true;
                 st.waiters += 1;
-                let w = st.waiters;
-                drop(st);
-                self.set_waiters(w);
-                st = self.inner.state.lock();
-                // Re-check from the top: state may have changed while
-                // the lock was dropped to publish the gauge.
-                continue;
+                m.waiters.add(1);
             }
-            self.inner.cv.wait_for(&mut st, tick);
-            planned += tick;
+            self.inner.cv.wait_for(&mut st, WAIT_TICK);
+            planned += WAIT_TICK;
         };
         if waiting {
             st.waiters -= 1;
-            let w = st.waiters;
-            drop(st);
-            self.set_waiters(w);
-        } else {
-            drop(st);
+            m.waiters.add(-1);
         }
-        match outcome {
-            Ok(()) => {
-                self.on_acquired(n, queued_at);
-                Ok(SlotGuard {
-                    inner: self.inner.clone(),
-                    n,
-                })
-            }
-            Err(e) => {
-                match &e {
-                    EonError::DeadlineExceeded(_) => {
-                        self.on_failed(&self.inner.stats.timeouts, |m| &m.timeouts)
-                    }
-                    EonError::Cancelled(_) => {
-                        self.on_failed(&self.inner.stats.cancellations, |m| &m.cancellations)
-                    }
-                    _ => self.on_failed(&self.inner.stats.node_down_wakeups, |m| {
-                        &m.node_down_wakeups
-                    }),
-                }
-                Err(e)
-            }
-        }
+        drop(st);
+        outcome.map(|()| self.granted(n, queued_at))
     }
 
     /// Non-blocking acquire; `None` when the node is saturated or the
@@ -352,11 +297,7 @@ impl ExecSlots {
             }
             st.available -= n;
         }
-        self.on_acquired(n, queued_at);
-        Some(SlotGuard {
-            inner: self.inner.clone(),
-            n,
-        })
+        Some(self.granted(n, queued_at))
     }
 }
 
@@ -368,7 +309,7 @@ mod tests {
 
     #[test]
     fn acquire_and_release() {
-        let s = ExecSlots::new(4);
+        let s = ExecSlots::new(4, &Default::default(), &[]);
         let g1 = s.acquire(3).unwrap();
         assert_eq!(s.available(), 1);
         assert!(s.try_acquire(2).is_none());
@@ -379,7 +320,7 @@ mod tests {
 
     #[test]
     fn oversized_request_clamps() {
-        let s = ExecSlots::new(2);
+        let s = ExecSlots::new(2, &Default::default(), &[]);
         let g = s.acquire(10).unwrap();
         assert_eq!(s.available(), 0);
         drop(g);
@@ -387,7 +328,7 @@ mod tests {
 
     #[test]
     fn blocked_acquire_wakes_on_release() {
-        let s = ExecSlots::new(1);
+        let s = ExecSlots::new(1, &Default::default(), &[]);
         let g = s.acquire(1).unwrap();
         let s2 = s.clone();
         let done = Arc::new(AtomicUsize::new(0));
@@ -405,7 +346,7 @@ mod tests {
 
     #[test]
     fn concurrency_never_exceeds_capacity() {
-        let s = ExecSlots::new(3);
+        let s = ExecSlots::new(3, &Default::default(), &[]);
         let peak = Arc::new(AtomicUsize::new(0));
         let cur = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
@@ -427,7 +368,7 @@ mod tests {
 
     #[test]
     fn deadline_expires_instead_of_hanging() {
-        let s = ExecSlots::new(1);
+        let s = ExecSlots::new(1, &Default::default(), &[]);
         let _g = s.acquire(1).unwrap();
         let err = s
             .acquire_wait(1, &SlotWait::with_timeout(Duration::from_millis(10)))
@@ -441,7 +382,7 @@ mod tests {
 
     #[test]
     fn cancel_token_wakes_waiter() {
-        let s = ExecSlots::new(1);
+        let s = ExecSlots::new(1, &Default::default(), &[]);
         let g = s.acquire(1).unwrap();
         let token = CancelToken::new();
         let wait = SlotWait::unbounded().cancel(token.clone());
@@ -457,7 +398,7 @@ mod tests {
 
     #[test]
     fn close_wakes_parked_waiters_with_node_down() {
-        let s = ExecSlots::new(1);
+        let s = ExecSlots::new(1, &Default::default(), &[]);
         let g = s.acquire(1).unwrap();
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -484,26 +425,42 @@ mod tests {
         assert_eq!(s.available(), 1);
     }
 
+    /// The semaphore counts into the registry it is built with; a
+    /// successor under the same labels (a restarted node) continues the
+    /// series, and a full queue is counted as a rejection.
     #[test]
-    fn attach_metrics_carries_detached_totals() {
-        let s = ExecSlots::new(4);
+    fn counts_into_the_registry_it_is_built_with() {
+        let registry = Registry::new();
+        let labels: &[(&str, &str)] = &[("node", "n0"), ("subsystem", "exec")];
+        let s = ExecSlots::new(4, &registry, labels);
         drop(s.acquire(2).unwrap());
-        drop(s.acquire(1).unwrap());
         let _held = s.acquire(4).unwrap();
         let _ = s
             .acquire_wait(1, &SlotWait::with_timeout(Duration::from_millis(5)))
             .unwrap_err();
-        let registry = Registry::new();
-        s.attach_metrics(&registry, "n0");
-        drop(s.try_acquire(4)); // closed-out, available==0 → None
+        let successor = ExecSlots::new(1, &registry, labels).max_waiters(1);
+        let busy = successor.acquire(1).unwrap();
+        let queued = {
+            let successor = successor.clone();
+            std::thread::spawn(move || successor.acquire(1).map(drop))
+        };
+        while successor.waiters() == 0 {
+            std::thread::yield_now();
+        }
+        let err = successor.acquire(1).unwrap_err();
+        assert!(matches!(err, EonError::Saturated { queued: 1, depth: 1 }), "{err}");
+        drop(busy);
+        queued.join().unwrap().unwrap();
         let snap = registry.deterministic_snapshot();
         let metric = |name: &str| {
             snap.get(&format!("{name}{{node=\"n0\",subsystem=\"exec\"}}"))
                 .and_then(|v| v.as_u64())
                 .unwrap_or(u64::MAX)
         };
-        assert_eq!(metric("exec_slot_acquisitions_total"), 3);
-        assert_eq!(metric("exec_slots_acquired_total"), 7);
+        assert_eq!(metric("exec_slot_acquisitions_total"), 4);
+        assert_eq!(metric("exec_slots_acquired_total"), 8);
         assert_eq!(metric("exec_slot_timeouts_total"), 1);
+        assert_eq!(metric("exec_slot_rejections_total"), 1);
+        assert_eq!(metric("exec_slot_waiters"), 0);
     }
 }

@@ -5,31 +5,36 @@
 //! it says nothing about how many sessions may pile up waiting. Under
 //! heavy traffic a bare semaphore parks every extra session forever —
 //! the availability bug production Vertica prevents with its resource
-//! manager's admission queues. This module adds that missing layer:
+//! manager's admission queues. This module adds that missing layer, and
+//! builds it from the same semaphore: each subcluster (§4.3) gets a
+//! **resource pool** that is an [`ExecSlots`] with
+//! [`crate::EonConfig::admission_max_concurrent`] slots and at most
+//! [`crate::EonConfig::admission_max_queue`] waiters, so
 //!
-//! * each subcluster (§4.3) gets a **resource pool** bounding how many
-//!   queries *run* concurrently ([`crate::EonConfig::admission_max_concurrent`])
-//!   and how many may *wait* ([`crate::EonConfig::admission_max_queue`]);
 //! * a full queue rejects new arrivals immediately with the typed
 //!   [`EonError::Saturated`] backpressure error — clients shed load
 //!   instead of hanging;
-//! * a queued session waits on a **planned-wait budget**
-//!   ([`crate::EonConfig::admission_timeout_ms`]): the budget is consumed by the
-//!   planned condvar tick, never measured wall clock, so how many ticks
-//!   a session waits before `DeadlineExceeded` is deterministic;
-//! * a fired [`eon_types::CancelToken`] wakes the session out of the
-//!   queue with `Cancelled`.
+//! * a queued session waits on the semaphore's **planned-wait budget**
+//!   ([`crate::EonConfig::admission_timeout_ms`]) before
+//!   `DeadlineExceeded`, deterministically;
+//! * a fired [`eon_types::CancelToken`] fails the session with
+//!   `Cancelled`, whether it is queued or just arriving.
 //!
-//! With `admission_max_concurrent == 0` (the default) the layer is a
-//! no-op pass-through and queries go straight to the slot semaphore.
+//! A pool counts into the database registry under
+//! `{pool="sc<n>",subsystem="admission"}` with the semaphore's series
+//! names. With `admission_max_concurrent == 0` (the default) the layer
+//! is a no-op pass-through and queries go straight to the slot
+//! semaphore.
+//!
+//! [`EonError::Saturated`]: eon_types::EonError::Saturated
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use eon_obs::{Counter, Gauge, Histogram, Registry};
-use eon_types::{CancelToken, EonError, Result};
-use parking_lot::{Condvar, Mutex};
+use eon_cluster::{ExecSlots, SlotGuard, SlotWait};
+use eon_obs::Registry;
+use eon_types::{CancelToken, Result};
+use parking_lot::Mutex;
 
 /// Pool limits, copied out of `EonConfig` at database creation.
 #[derive(Clone, Copy, Debug)]
@@ -50,70 +55,6 @@ impl AdmissionLimits {
             },
         }
     }
-
-    fn enabled(&self) -> bool {
-        self.max_concurrent > 0
-    }
-}
-
-struct PoolMetrics {
-    admitted: Arc<Counter>,
-    rejected: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    running: Arc<Gauge>,
-    queued: Arc<Gauge>,
-    wait_us: Arc<Histogram>,
-}
-
-impl PoolMetrics {
-    fn register(registry: &Registry, subcluster: u64) -> Self {
-        let sc = format!("sc{subcluster}");
-        let labels: &[(&str, &str)] = &[("pool", &sc), ("subsystem", "admission")];
-        PoolMetrics {
-            admitted: registry.counter("admission_admitted_total", labels),
-            rejected: registry.counter("admission_rejected_total", labels),
-            timeouts: registry.counter("admission_timeouts_total", labels),
-            cancelled: registry.counter("admission_cancelled_total", labels),
-            running: registry.gauge("admission_running", labels),
-            queued: registry.gauge("admission_queued", labels),
-            wait_us: registry.timing_histogram("admission_wait_us", labels),
-        }
-    }
-}
-
-struct PoolState {
-    running: usize,
-    queued: usize,
-}
-
-/// One subcluster's resource pool.
-struct Pool {
-    limits: AdmissionLimits,
-    state: Mutex<PoolState>,
-    cv: Condvar,
-    metrics: PoolMetrics,
-}
-
-/// RAII admission: the session counts against its pool's `running`
-/// bound until dropped.
-pub struct AdmissionGuard {
-    pool: Arc<Pool>,
-}
-
-impl Drop for AdmissionGuard {
-    fn drop(&mut self) {
-        let mut st = self.pool.state.lock();
-        st.running -= 1;
-        self.pool.metrics.running.set(st.running as i64);
-        self.pool.cv.notify_all();
-    }
-}
-
-impl std::fmt::Debug for AdmissionGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionGuard").finish()
-    }
 }
 
 /// The database-wide admission layer: one pool per subcluster, created
@@ -121,7 +62,7 @@ impl std::fmt::Debug for AdmissionGuard {
 pub struct AdmissionControl {
     limits: AdmissionLimits,
     registry: Registry,
-    pools: Mutex<HashMap<u64, Arc<Pool>>>,
+    pools: Mutex<HashMap<u64, ExecSlots>>,
 }
 
 impl AdmissionControl {
@@ -134,23 +75,18 @@ impl AdmissionControl {
     }
 
     pub fn enabled(&self) -> bool {
-        self.limits.enabled()
+        self.limits.max_concurrent > 0
     }
 
-    fn pool(&self, subcluster: u64) -> Arc<Pool> {
+    fn pool(&self, subcluster: u64) -> ExecSlots {
         self.pools
             .lock()
             .entry(subcluster)
             .or_insert_with(|| {
-                Arc::new(Pool {
-                    limits: self.limits,
-                    state: Mutex::new(PoolState {
-                        running: 0,
-                        queued: 0,
-                    }),
-                    cv: Condvar::new(),
-                    metrics: PoolMetrics::register(&self.registry, subcluster),
-                })
+                let sc = format!("sc{subcluster}");
+                let labels: &[(&str, &str)] = &[("pool", &sc), ("subsystem", "admission")];
+                ExecSlots::new(self.limits.max_concurrent, &self.registry, labels)
+                    .max_waiters(self.limits.max_queue)
             })
             .clone()
     }
@@ -163,90 +99,29 @@ impl AdmissionControl {
         &self,
         subcluster: u64,
         cancel: Option<&CancelToken>,
-    ) -> Result<Option<AdmissionGuard>> {
-        if !self.limits.enabled() {
+    ) -> Result<Option<SlotGuard>> {
+        if !self.enabled() {
             return Ok(None);
         }
-        let pool = self.pool(subcluster);
-        let queued_at = Instant::now();
-        let tick = Duration::from_millis(1);
-        let mut planned = Duration::ZERO;
-        let mut st = pool.state.lock();
-        if st.running < pool.limits.max_concurrent {
-            st.running += 1;
-            pool.metrics.running.set(st.running as i64);
-            drop(st);
-            pool.metrics.admitted.inc();
-            pool.metrics.wait_us.observe(0);
-            return Ok(Some(AdmissionGuard { pool }));
-        }
-        // Pool is at its concurrency bound — queue, or reject if the
-        // queue itself is full. `Saturated` is the typed backpressure
-        // signal: the caller sheds load instead of parking.
-        if pool.limits.max_queue > 0 && st.queued >= pool.limits.max_queue {
-            let err = EonError::Saturated {
-                queued: st.queued,
-                depth: pool.limits.max_queue,
-            };
-            drop(st);
-            pool.metrics.rejected.inc();
-            return Err(err);
-        }
-        st.queued += 1;
-        pool.metrics.queued.set(st.queued as i64);
-        let outcome = loop {
-            if let Some(c) = cancel {
-                if c.is_cancelled() {
-                    break Err(EonError::Cancelled("admission queue".into()));
-                }
-            }
-            if st.running < pool.limits.max_concurrent {
-                st.running += 1;
-                pool.metrics.running.set(st.running as i64);
-                break Ok(());
-            }
-            if let Some(deadline) = pool.limits.timeout {
-                if planned >= deadline {
-                    break Err(EonError::DeadlineExceeded(format!(
-                        "admission queue budget {deadline:?} spent in pool sc{subcluster}"
-                    )));
-                }
-            }
-            pool.cv.wait_for(&mut st, tick);
-            planned += tick;
+        let wait = SlotWait {
+            timeout: self.limits.timeout,
+            cancel: cancel.cloned(),
         };
-        st.queued -= 1;
-        pool.metrics.queued.set(st.queued as i64);
-        drop(st);
-        match outcome {
-            Ok(()) => {
-                pool.metrics.admitted.inc();
-                pool.metrics
-                    .wait_us
-                    .observe(queued_at.elapsed().as_micros() as u64);
-                Ok(Some(AdmissionGuard { pool }))
-            }
-            Err(e) => {
-                match &e {
-                    EonError::Cancelled(_) => pool.metrics.cancelled.inc(),
-                    _ => pool.metrics.timeouts.inc(),
-                }
-                Err(e)
-            }
-        }
+        self.pool(subcluster).acquire_wait(1, &wait).map(Some)
     }
 
     /// (running, queued) for one pool — test/bench introspection.
     pub fn pool_depths(&self, subcluster: u64) -> (usize, usize) {
         let pool = self.pool(subcluster);
-        let st = pool.state.lock();
-        (st.running, st.queued)
+        (pool.capacity() - pool.available(), pool.waiters())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eon_types::EonError;
+    use std::sync::Arc;
 
     fn ctl(max_concurrent: usize, max_queue: usize, timeout_ms: u64) -> AdmissionControl {
         AdmissionControl::new(

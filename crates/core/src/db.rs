@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use eon_catalog::{CatalogOp, CatalogState, ShardDef, ShardKind, SubState, Subscription, Txn};
 use eon_cluster::{Membership, NodeRuntime};
 use eon_shard::rebalance_plan;
-use eon_storage::{CircuitBreaker, RetryFs, SharedFs};
+use eon_storage::{CircuitBreaker, MemFs, RetryFs, SharedFs};
 use eon_types::{EonError, HashRange, NodeId, Result, ShardId, TxnVersion};
 
 use crate::config::EonConfig;
@@ -67,28 +67,7 @@ impl EonDb {
     pub fn create(shared: SharedFs, config: EonConfig) -> Result<Arc<EonDb>> {
         assert!(config.num_nodes > 0 && config.num_shards > 0);
         let (shared, breaker) = Self::resilient(shared, &config);
-        let incarnation = format!("inc{:08x}", 0xe0ee_0000u32);
-        let db = Arc::new(EonDb {
-            shared: shared.clone(),
-            membership: Membership::new(),
-            incarnation: Mutex::new(incarnation.clone()),
-            commit_lock: Mutex::new(()),
-            session_counter: AtomicU64::new(1),
-            coordinator_counter: AtomicU64::new(0),
-            next_node_id: AtomicU64::new(config.num_nodes as u64),
-            instance_seed: AtomicU64::new(1),
-            reaper: Reaper::default(),
-            admission: crate::admission::AdmissionControl::new(
-                crate::admission::AdmissionLimits::from_config(&config),
-                config.obs.clone(),
-            ),
-            breaker,
-            supervisor: Mutex::new(crate::supervisor::SupervisorState::new(&config)),
-            group_commit: crate::commit::GroupCommit::new(),
-            commit_group_window: AtomicU64::new(config.commit_group_window),
-            halted: Mutex::new(None),
-            config,
-        });
+        let db = Self::assemble(shared, breaker, config, format!("inc{:08x}", 0xe0ee_0000u32), 1);
         for i in 0..db.config.num_nodes {
             let node = db.commission_node(NodeId(i as u64));
             db.membership.add(node);
@@ -127,6 +106,39 @@ impl EonDb {
         }
         db.commit_cluster(txn, &coord)?;
         Ok(db)
+    }
+
+    /// The database handle, before any node is commissioned: what
+    /// `create` and `revive` differ in is the incarnation id and the
+    /// first instance seed.
+    pub(crate) fn assemble(
+        shared: SharedFs,
+        breaker: Option<Arc<CircuitBreaker>>,
+        config: EonConfig,
+        incarnation: String,
+        instance_seed: u64,
+    ) -> Arc<EonDb> {
+        Arc::new(EonDb {
+            shared,
+            membership: Membership::new(),
+            incarnation: Mutex::new(incarnation),
+            commit_lock: Mutex::new(()),
+            session_counter: AtomicU64::new(1),
+            coordinator_counter: AtomicU64::new(0),
+            next_node_id: AtomicU64::new(config.num_nodes as u64),
+            instance_seed: AtomicU64::new(instance_seed),
+            reaper: Reaper::default(),
+            admission: crate::admission::AdmissionControl::new(
+                crate::admission::AdmissionLimits::from_config(&config),
+                config.obs.clone(),
+            ),
+            breaker,
+            supervisor: Mutex::new(crate::supervisor::SupervisorState::new(&config)),
+            group_commit: crate::commit::GroupCommit::new(),
+            commit_group_window: AtomicU64::new(config.commit_group_window),
+            halted: Mutex::new(None),
+            config,
+        })
     }
 
     pub fn config(&self) -> &EonConfig {
@@ -207,20 +219,28 @@ impl EonDb {
         defs
     }
 
+    /// A brand-new node process with empty local storage.
     pub(crate) fn commission_node(&self, id: NodeId) -> Arc<NodeRuntime> {
+        self.start_node(id, Arc::new(MemFs::new()))
+    }
+
+    /// Start a node process over `local_disk` — the one place a node
+    /// runtime is built, whether commissioned, restarted or cold
+    /// restarted: a fresh instance id, depot and slots counting into
+    /// the database registry, the crash-point plan installed.
+    pub(crate) fn start_node(&self, id: NodeId, local_disk: SharedFs) -> Arc<NodeRuntime> {
         let seed = self.instance_seed.fetch_add(1, Ordering::Relaxed);
-        let node = NodeRuntime::new(
+        let node = NodeRuntime::with_local_disk(
             id,
+            local_disk,
             self.shared.clone(),
             &format!("{}/node{}", self.incarnation(), id.0),
             self.config.cache_bytes,
             self.config.exec_slots,
             seed,
+            &self.config.obs,
         );
         node.set_faults(self.config.faults.clone());
-        let label = format!("node{}", id.0);
-        node.cache.attach_metrics(&self.config.obs, &label);
-        node.slots.attach_metrics(&self.config.obs, &label);
         node
     }
 
@@ -347,7 +367,6 @@ impl EonDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eon_storage::MemFs;
 
     fn db() -> Arc<EonDb> {
         EonDb::create(Arc::new(MemFs::new()), EonConfig::new(4, 3)).unwrap()

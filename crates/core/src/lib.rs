@@ -36,7 +36,7 @@ pub mod query;
 pub mod sql_api;
 pub mod supervisor;
 
-pub use admission::{AdmissionControl, AdmissionGuard, AdmissionLimits};
+pub use admission::{AdmissionControl, AdmissionLimits};
 pub use config::EonConfig;
 pub use db::EonDb;
 pub use invariants::{check_crash_invariants, InvariantReport, TableModel};

@@ -49,17 +49,7 @@ impl EonDb {
             return Err(EonError::Internal(format!("{id} is already up")));
         }
         // Fresh process over the same local disk (new instance id).
-        let seed = self.instance_seed.fetch_add(1, Ordering::Relaxed);
-        let node = NodeRuntime::with_local_disk(
-            id,
-            old.local_disk.clone(),
-            self.shared.clone(),
-            &format!("{}/node{}", self.incarnation(), id.0),
-            self.config.cache_bytes,
-            self.config.exec_slots,
-            seed,
-        );
-        node.set_faults(self.config.faults.clone());
+        let node = self.start_node(id, old.local_disk.clone());
         node.recover_local()?;
 
         // Metadata transfer *before* rejoining the commit fan-out: the
@@ -119,13 +109,7 @@ impl EonDb {
         // commit fan-out keeps it current.
         {
             let _no_commits = self.commit_lock.lock();
-            node.catalog.install(
-                (*coord.catalog.snapshot()).clone(),
-                coord.catalog.version(),
-            );
-            for oid in node.catalog.snapshot().obj_versions.keys() {
-                node.catalog.bump_oid_floor(oid.0);
-            }
+            node.install_catalog((*coord.catalog.snapshot()).clone(), coord.catalog.version());
             node.checkpoint()?;
             self.membership.add(node.clone());
         }
@@ -175,17 +159,7 @@ impl EonDb {
             if old.is_up() {
                 old.kill();
             }
-            let seed = self.instance_seed.fetch_add(1, Ordering::Relaxed);
-            let node = NodeRuntime::with_local_disk(
-                old.id,
-                old.local_disk.clone(),
-                self.shared.clone(),
-                &format!("{}/node{}", self.incarnation(), old.id.0),
-                self.config.cache_bytes,
-                self.config.exec_slots,
-                seed,
-            );
-            node.set_faults(self.config.faults.clone());
+            let node = self.start_node(old.id, old.local_disk.clone());
             node.recover_local()?;
             nodes.push(node);
         }
@@ -321,11 +295,7 @@ impl EonDb {
             let records = peer.store.read_records_after(have)?;
             if records.is_empty() {
                 // Gap: full snapshot install.
-                node.catalog
-                    .install((*peer.catalog.snapshot()).clone(), peer.catalog.version());
-                for oid in node.catalog.snapshot().obj_versions.keys() {
-                    node.catalog.bump_oid_floor(oid.0);
-                }
+                node.install_catalog((*peer.catalog.snapshot()).clone(), peer.catalog.version());
                 node.checkpoint()?;
                 return Ok(());
             }
@@ -412,33 +382,11 @@ impl EonDb {
         // Fresh incarnation id (§3.5): uploads from the revived cluster
         // land in a distinct namespace.
         let new_incarnation = format!("inc{:08x}", now_ms as u32 ^ 0x5eed_cafe);
-        let db = Arc::new(EonDb {
-            shared: shared.clone(),
-            membership: eon_cluster::Membership::new(),
-            incarnation: parking_lot::Mutex::new(new_incarnation.clone()),
-            commit_lock: parking_lot::Mutex::new(()),
-            session_counter: std::sync::atomic::AtomicU64::new(1),
-            coordinator_counter: std::sync::atomic::AtomicU64::new(0),
-            next_node_id: std::sync::atomic::AtomicU64::new(config.num_nodes as u64),
-            instance_seed: std::sync::atomic::AtomicU64::new(now_ms | 1),
-            reaper: crate::maintenance::Reaper::default(),
-            admission: crate::admission::AdmissionControl::new(
-                crate::admission::AdmissionLimits::from_config(&config),
-                config.obs.clone(),
-            ),
-            breaker,
-            supervisor: parking_lot::Mutex::new(crate::supervisor::SupervisorState::new(&config)),
-            group_commit: crate::commit::GroupCommit::new(),
-            commit_group_window: std::sync::atomic::AtomicU64::new(config.commit_group_window),
-            halted: parking_lot::Mutex::new(None),
-            config,
-        });
+        let seed = now_ms | 1;
+        let db = Self::assemble(shared.clone(), breaker, config, new_incarnation.clone(), seed);
         for i in 0..db.config.num_nodes {
             let node = db.commission_node(NodeId(i as u64));
-            node.catalog.install(state.clone(), version);
-            for oid in state.obj_versions.keys() {
-                node.catalog.bump_oid_floor(oid.0);
-            }
+            node.install_catalog(state.clone(), version);
             node.store.truncate_local(version, &state)?;
             db.membership.add(node);
         }

@@ -297,7 +297,6 @@ impl EonDb {
                 ms => Some(std::time::Duration::from_millis(ms)),
             },
             cancel: opts.cancel.clone(),
-            ..Default::default()
         };
         let results: Vec<LocalResult> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers.len());

@@ -173,6 +173,43 @@ fn restarted_node_cache_is_warm() {
     assert!(warmed > 0, "peer warming moved no files");
 }
 
+/// A restarted node keeps counting into the database registry: its
+/// new depot and slots continue node 1's series rather than counting
+/// somewhere no snapshot reads. Holds for a single restart and for a
+/// whole-cluster cold restart.
+#[test]
+fn restarted_nodes_count_into_the_registry() {
+    let (_, db) = db_loaded(3, 3);
+    let node1 = |name: &str, subsystem: &str| {
+        let key = format!("{name}{{node=\"node1\",subsystem=\"{subsystem}\"}}");
+        let snap = db.metrics().deterministic_snapshot();
+        snap.get(&key).and_then(|v| v.as_u64()).unwrap_or(0)
+    };
+    let run_queries = || {
+        for _ in 0..30 {
+            total(&db);
+        }
+    };
+    run_queries();
+    db.kill_node(NodeId(1)).unwrap();
+    let warmed = db.restart_node(NodeId(1)).unwrap();
+    assert!(warmed > 0, "peer warming moved no files");
+    assert_eq!(node1("depot_warmup_files_total", "depot"), warmed as u64);
+
+    // After the restart, then after a whole-cluster cold restart.
+    for cold in [false, true] {
+        if cold {
+            db.cold_restart_all().unwrap();
+        }
+        let slots = node1("exec_slot_acquisitions_total", "exec");
+        let hits = node1("depot_hits_total", "depot");
+        run_queries();
+        assert!(node1("exec_slot_acquisitions_total", "exec") > slots, "slot acquisitions stalled");
+        assert!(node1("depot_hits_total", "depot") > hits, "depot hits stalled");
+    }
+    assert_eq!(node1("depot_warmup_files_total", "depot"), warmed as u64);
+}
+
 #[test]
 fn add_node_without_data_redistribution() {
     let (shared, db) = db_loaded(3, 3);

@@ -62,7 +62,7 @@ impl EnterpriseNode {
             index,
             disk: Arc::new(MemFs::new()),
             wos: Wos::new(wos_threshold),
-            slots: ExecSlots::new(exec_slots),
+            slots: ExecSlots::new(exec_slots, &Default::default(), &[]),
             up: AtomicBool::new(true),
             containers: RwLock::new(Vec::new()),
         })

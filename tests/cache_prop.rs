@@ -254,9 +254,8 @@ proptest! {
             backing.write(k, Bytes::from(vec![9u8; 15])).unwrap();
         }
         let registry = Registry::new();
-        let cache = mem_cache(backing, capacity);
+        let cache = mem_cache(backing, capacity, &registry, "prop");
         cache.never_cache_prefix("tmp/");
-        cache.attach_metrics(&registry, "prop");
 
         let mut model = Model::new(capacity);
         for op in &ops {

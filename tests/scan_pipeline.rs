@@ -281,8 +281,7 @@ fn concurrent_same_key_misses_issue_one_s3_get() {
     shared
         .write("data/obj", bytes::Bytes::from(vec![7u8; 64 << 10]))
         .unwrap();
-    let cache = mem_cache(shared.clone(), 1 << 20);
-    cache.attach_metrics(&registry, "n0");
+    let cache = mem_cache(shared.clone(), 1 << 20, &registry, "n0");
 
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|scope| {

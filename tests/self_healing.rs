@@ -281,8 +281,7 @@ fn one_retry_loop_below_the_depot() {
         &registry,
         Some(breaker.clone()),
     ));
-    let cache = eon_cache::mem_cache(shared, 1 << 20);
-    cache.attach_metrics(&registry, "n0");
+    let cache = eon_cache::mem_cache(shared, 1 << 20, &registry, "n0");
     let body = bytes::Bytes::from_static(b"0123456789");
 
     sim.set_brownout(true);
@@ -321,8 +320,7 @@ fn one_retry_loop_below_the_depot() {
         max_backoff: std::time::Duration::ZERO,
     };
     let shared: SharedFs = Arc::new(RetryFs::new(flaky, patient, &registry, None));
-    let cache = eon_cache::mem_cache(shared.clone(), 1 << 20);
-    cache.attach_metrics(&registry, "n0");
+    let cache = eon_cache::mem_cache(shared.clone(), 1 << 20, &registry, "n0");
     for i in 0..8 {
         shared.write(&format!("data/{i}"), body.clone()).unwrap();
     }

@@ -107,6 +107,8 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 /// Pool at max concurrency + full queue ⇒ the next session is turned
 /// away immediately with `Saturated {queued, depth}`, and the sessions
 /// already admitted or queued still complete once capacity frees up.
+/// The pool's rejection, timeout and cancellation series count exactly
+/// the outcomes the sessions saw.
 #[test]
 fn saturated_pool_rejects_instead_of_parking() {
     with_watchdog(120, || {
@@ -154,6 +156,17 @@ fn saturated_pool_rejects_instead_of_parking() {
         assert_eq!(a.join().unwrap().unwrap()[0][0], Value::Int(500));
         assert_eq!(b.join().unwrap().unwrap()[0][0], Value::Int(500));
         assert_quiesced(&db);
+
+        // One `Saturated`, no `DeadlineExceeded`, no `Cancelled`.
+        let snap = db.metrics().deterministic_snapshot();
+        let pool = |name: &str| {
+            snap.get(&format!("{name}{{pool=\"sc0\",subsystem=\"admission\"}}"))
+                .and_then(|v| v.as_u64())
+        };
+        assert_eq!(pool("exec_slot_rejections_total"), Some(1));
+        assert_eq!(pool("exec_slot_timeouts_total"), Some(0));
+        assert_eq!(pool("exec_slot_cancellations_total"), Some(0));
+        assert_eq!(pool("exec_slot_acquisitions_total"), Some(2));
     });
 }
 
@@ -455,11 +468,11 @@ fn serial_admission_counts_are_deterministic() {
     }
     let snap = db.metrics().deterministic_snapshot();
     let admitted = snap
-        .get("admission_admitted_total{pool=\"sc0\",subsystem=\"admission\"}")
+        .get("exec_slot_acquisitions_total{pool=\"sc0\",subsystem=\"admission\"}")
         .and_then(|v| v.as_u64());
     assert_eq!(admitted, Some(10), "expected exactly 10 admissions");
     let rejected = snap
-        .get("admission_rejected_total{pool=\"sc0\",subsystem=\"admission\"}")
+        .get("exec_slot_rejections_total{pool=\"sc0\",subsystem=\"admission\"}")
         .and_then(|v| v.as_u64());
     assert_eq!(rejected, Some(0));
     assert_quiesced(&db);
@@ -467,8 +480,7 @@ fn serial_admission_counts_are_deterministic() {
 
 /// Regression: nodes commissioned after database creation must land
 /// their slot metrics in the database registry, not a throwaway one —
-/// `ExecSlots::new` can't see the shared registry, so commissioning
-/// re-homes the counters and carries any earlier totals over.
+/// every node runtime is built with the database registry.
 #[test]
 fn fresh_node_slot_metrics_land_in_db_registry() {
     let db = EonDb::create(Arc::new(MemFs::new()), EonConfig::new(2, 2)).unwrap();

@@ -12,14 +12,16 @@
 //!   case runs to completion without a watchdog precisely because the
 //!   planned-wait budget bounds every wait);
 //! * the admission pool's running count mirrors the live guards and
-//!   its queue drains to zero.
+//!   its queue drains to zero;
+//! * a session whose token already fired is turned away at the pool
+//!   with `Cancelled` and leaves the pool's depths as they were.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use eon_cluster::{ExecSlots, SlotWait};
-use eon_core::{AdmissionControl, AdmissionGuard, AdmissionLimits};
+use eon_cluster::{ExecSlots, SlotGuard, SlotWait};
+use eon_core::{AdmissionControl, AdmissionLimits};
 use eon_db as _;
 use eon_obs::Registry;
 use eon_types::{CancelToken, EonError};
@@ -56,6 +58,8 @@ enum Op {
     /// With the pool full: a queued waiter fills the queue, the next
     /// session bounces with `Saturated`, the waiter times out.
     AdmitContended,
+    /// Enter the admission pool with a pre-fired cancellation token.
+    CancelledAdmit,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -70,6 +74,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Admit),
         Just(Op::ReleaseAdmit),
         Just(Op::AdmitContended),
+        Just(Op::CancelledAdmit),
     ]
 }
 
@@ -87,7 +92,7 @@ fn admission() -> Arc<AdmissionControl> {
 /// Plain admit with the full outcome contract: a guard when the pool
 /// has room, `DeadlineExceeded` when it doesn't (single-threaded, so
 /// nobody drains the queue while we wait).
-fn admit_one(ctl: &AdmissionControl, admits: &mut Vec<AdmissionGuard>) {
+fn admit_one(ctl: &AdmissionControl, admits: &mut Vec<SlotGuard>) {
     match ctl.admit(0, None) {
         Ok(Some(g)) => {
             assert!(admits.len() < MAX_CONCURRENT, "admitted past max_concurrent");
@@ -106,11 +111,11 @@ proptest! {
     fn random_interleavings_never_deadlock_or_leak(
         ops in vec(op_strategy(), 1..40),
     ) {
-        let slots = ExecSlots::new(CAPACITY);
+        let slots = ExecSlots::new(CAPACITY, &Registry::new(), &[]);
         let ctl = admission();
         let mut held: Vec<(usize, eon_cluster::SlotGuard)> = Vec::new();
         let mut held_n = 0usize;
-        let mut admits: Vec<AdmissionGuard> = Vec::new();
+        let mut admits: Vec<SlotGuard> = Vec::new();
         let mut closed = false;
 
         for op in &ops {
@@ -224,6 +229,18 @@ proptest! {
                         Err(EonError::DeadlineExceeded(_)) => {}
                         other => panic!("queued waiter must time out, got {other:?}"),
                     }
+                }
+                Op::CancelledAdmit => {
+                    // Refused at the pool, full or not: the session
+                    // takes no seat and no queue spot.
+                    let token = CancelToken::new();
+                    token.cancel();
+                    let depths = ctl.pool_depths(0);
+                    match ctl.admit(0, Some(&token)) {
+                        Err(EonError::Cancelled(_)) => {}
+                        other => panic!("fired token must cancel at the pool, got {other:?}"),
+                    }
+                    prop_assert_eq!(ctl.pool_depths(0), depths, "cancelled admit moved the pool");
                 }
             }
             // The ledger invariant, after every single op.
