@@ -100,11 +100,21 @@ impl Column {
         Column { data: Data::Null(n), valid: None }
     }
 
-    /// `n` copies of `v`.
+    /// `n` copies of `v`, filled straight into the typed vector.
     pub fn constant(v: ValueRef<'_>, n: usize) -> Column {
-        let mut one = Column::nulls(0);
-        one.push(v);
-        one.gather(&vec![0; n])
+        let data = match v {
+            ValueRef::Null => Data::Null(n),
+            ValueRef::Int(x) => Data::Int(vec![x; n]),
+            ValueRef::Float(x) => Data::Float(vec![x; n]),
+            ValueRef::Date(x) => Data::Date(vec![x; n]),
+            ValueRef::Bool(x) => Data::Bool(vec![x; n]),
+            ValueRef::Str(s) => {
+                let mut strs = StrVec::default();
+                (0..n).for_each(|_| strs.push(s));
+                Data::Str(strs)
+            }
+        };
+        Column { data, valid: None }
     }
 
     pub fn from_values<'a>(values: impl IntoIterator<Item = ValueRef<'a>>) -> Column {

@@ -240,6 +240,38 @@ mod tests {
             .is_err());
     }
 
+    /// SUM / AVG over a string, boolean or date cell is a typed query
+    /// error, never a number made up from it (`0.0`, the string itself,
+    /// a count of days); a fold that reaches no non-NULL cell is NULL.
+    #[test]
+    fn sum_and_avg_over_non_numeric_columns_are_typed_errors() {
+        let db = db_loaded();
+        let s = schema![("id", Int), ("d", Date), ("ok", Bool)];
+        let days = Projection::super_projection("days_super", &s, &[0], &[0]);
+        db.create_table("days", s.clone(), vec![days]).unwrap();
+        let day = |i: i64| vec![Value::Int(i), Value::Date(i as i32), Value::Bool(i % 2 == 0)];
+        db.copy_into("days", (0..10).map(day).collect()).unwrap();
+        for stmt in [
+            "SELECT SUM(grp) FROM sales",
+            "SELECT AVG(grp) FROM sales",
+            "SELECT SUM(grp) FROM sales WHERE id = 3",
+            "SELECT grp, SUM(grp) FROM sales GROUP BY grp",
+            "SELECT SUM(d) FROM days",
+            "SELECT AVG(d) FROM days",
+            "SELECT SUM(ok) FROM days",
+        ] {
+            match db.sql(stmt) {
+                Err(EonError::Query(msg)) => assert!(msg.contains("non-numeric"), "{stmt}: {msg}"),
+                other => panic!("{stmt}: {other:?}"),
+            }
+        }
+        let joined = "FROM sales JOIN days ON sales.id = days.id";
+        let none_reached = db.sql(&format!("SELECT SUM(grp), AVG(d) {joined} WHERE sales.id < 0"));
+        assert_eq!(none_reached.unwrap(), vec![vec![Value::Null, Value::Null]]);
+        let any_type = db.sql(&format!("SELECT COUNT(grp), MIN(d) {joined}")).unwrap();
+        assert_eq!(any_type, vec![vec![Value::Int(10), Value::Date(0)]]);
+    }
+
     /// WHERE filters the output of a LEFT JOIN, NULL-padded rows
     /// included: with NA the only region, the 500 odd-region sales are
     /// padded, and neither test on `r.region` may thin the scan below

@@ -6,13 +6,18 @@
 //! coordinator, and the coordinator merges. Co-segmented group-bys
 //! would allow skipping the merge; we always merge because states are
 //! tiny and it is unconditionally correct.
+//!
+//! The local fold is column-at-a-time (DESIGN.md "Aggregation: group
+//! ids, then one typed loop per aggregate"): one pass numbers every
+//! row's group, then each aggregate is one loop over its input column
+//! and those ids.
 
 use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use eon_columnar::{Batch, Column};
-use eon_types::{Result, Value, ValueRef};
+use eon_columnar::{Batch, Column, Data};
+use eon_types::{hash_cells_32, EonError, Result, Value, ValueRef};
 
 use crate::ops::HashChains;
 use crate::plan::{AggFunc, AggSpec};
@@ -31,6 +36,8 @@ pub enum AggState {
     Distinct { seen: BTreeSet<Value> },
 }
 
+/// `acc + v`. Only numbers reach a sum ([`numeric`]), so both sides
+/// have a float view.
 fn add_values(acc: &Value, v: ValueRef<'_>) -> Value {
     match (acc, v) {
         (Value::Null, x) => x.to_value(),
@@ -40,21 +47,12 @@ fn add_values(acc: &Value, v: ValueRef<'_>) -> Value {
     }
 }
 
-/// `acc += v` applied `n ≥ 2` times, bit-exactly.
-fn sum_repeated(acc: &mut Value, v: ValueRef<'_>, n: u64) {
-    match (&*acc, v) {
-        // Int-only arithmetic is modular: n repeated wrapping adds
-        // equal one wrapping multiply.
-        (Value::Null | Value::Int(_), ValueRef::Int(b)) => {
-            *acc = add_values(acc, ValueRef::Int(b.wrapping_mul(n as i64)));
-        }
-        // A float anywhere: replay the additions so rounding matches
-        // the row-at-a-time fold exactly.
-        _ => {
-            for _ in 0..n {
-                *acc = add_values(acc, v);
-            }
-        }
+/// A `SUM` / `AVG` input cell, which must be a number: a string, a
+/// boolean or a date is a typed error, not a silent `0.0`.
+fn numeric<'a>(func: &str, v: ValueRef<'a>) -> Result<ValueRef<'a>> {
+    match v {
+        ValueRef::Int(_) | ValueRef::Float(_) => Ok(v),
+        v => Err(EonError::Query(format!("{func} over non-numeric value {}", v.to_value()))),
     }
 }
 
@@ -76,18 +74,18 @@ impl AggState {
         }
     }
 
-    /// Fold one input cell (already evaluated from the agg's expr).
-    /// SQL semantics: NULL inputs are ignored by every aggregate except
-    /// COUNT(*) (which the executor feeds a literal).
-    pub fn update(&mut self, v: ValueRef<'_>) {
+    /// Fold one input cell (already evaluated from the agg's expr): the
+    /// per-cell arm of [`aggregate_partial`]. SQL semantics: NULL inputs
+    /// are ignored by every aggregate (COUNT(*) never gets here).
+    fn update(&mut self, v: ValueRef<'_>) -> Result<()> {
         if v.is_null() {
-            return;
+            return Ok(());
         }
         match self {
             AggState::Count { n } => *n += 1,
-            AggState::Sum { acc } => *acc = add_values(acc, v),
+            AggState::Sum { acc } => *acc = add_values(acc, numeric("SUM", v)?),
             AggState::Avg { sum, n } => {
-                *sum = add_values(sum, v);
+                *sum = add_values(sum, numeric("AVG", v)?);
                 *n += 1;
             }
             AggState::Min { acc } => {
@@ -104,36 +102,7 @@ impl AggState {
                 seen.insert(v.to_value());
             }
         }
-    }
-
-    /// Fold the same input cell `n` times — the RLE fast path for
-    /// aggregates over runs of identical rows.
-    ///
-    /// Exactness contract (property-tested): the result is *byte
-    /// identical* to calling [`update`](Self::update) `n` times.
-    /// COUNT adds `n`; an Int sum over an Int/empty accumulator takes
-    /// one wrapping multiply (repeated wrapping adds ≡ one wrapping
-    /// multiply, modular arithmetic); any float involvement replays
-    /// the adds, because repeated float addition is not `v * n` at the
-    /// bit level; MIN/MAX/DISTINCT are idempotent — once is enough.
-    pub fn update_repeated(&mut self, v: ValueRef<'_>, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if n == 1 || v.is_null() {
-            return self.update(v);
-        }
-        match self {
-            AggState::Count { n: c } => *c += n as i64,
-            AggState::Sum { acc } => sum_repeated(acc, v, n),
-            AggState::Avg { sum, n: c } => {
-                sum_repeated(sum, v, n);
-                *c += n as i64;
-            }
-            AggState::Min { .. } | AggState::Max { .. } | AggState::Distinct { .. } => {
-                self.update(v)
-            }
-        }
+        Ok(())
     }
 
     /// Merge another partial state of the same shape into this one.
@@ -190,60 +159,128 @@ pub struct PartialGroup {
 /// Partial aggregates of one batch of rows.
 pub type Partials = Vec<PartialGroup>;
 
-/// Fold a batch into partial aggregates, rows in batch order (which is
-/// what makes a Float sum reproducible).
+/// Fold a batch into partial aggregates, a column at a time.
 ///
-/// Every aggregate's input is evaluated once, a column at a time; group
-/// keys are hashed and compared cell by cell in their key columns, so a
-/// row costs no allocation. RLE fast path (DESIGN.md "Compression-aware
-/// execution"): scans over run-length-encoded containers yield long
-/// stretches of identical rows, so the fold detects runs of
-/// structurally identical consecutive rows and looks the group up once
-/// per run — [`AggState::update_repeated`] folds the whole run
-/// bit-exactly.
+/// `group_ids` gives every row its group; then each aggregate is one
+/// loop over its input column and that id vector (`fold`). Rows are
+/// visited in batch order, so every group adds its floats in the order
+/// a row-at-a-time fold would, and a Float sum is bit-exact.
 pub fn aggregate_partial(batch: &Batch, group_by: &[usize], aggs: &[AggSpec]) -> Result<Partials> {
-    let inputs = aggs
-        .iter()
-        .map(|a| a.expr.eval(batch))
-        .collect::<Result<Vec<_>>>()?;
     let keys: Vec<&Column> = group_by.iter().map(|&c| &batch.cols()[c]).collect();
-    let fresh = || aggs.iter().map(|a| AggState::new(a.func)).collect::<Vec<_>>();
-    let mut table = HashChains::new(batch.rows());
-    // Per group: the first row that carried its key, and its states.
-    let mut groups: Vec<(usize, Vec<AggState>)> = Vec::new();
-    let mut i = 0;
-    while i < batch.rows() {
-        let same = |j: usize| batch.cols().iter().all(|c| c.get(j).same_repr(c.get(i)));
-        let run = 1 + (i + 1..batch.rows()).take_while(|&j| same(j)).count();
-        // Unlike a join key, a NULL group key is a group of its own.
-        let hash = eon_types::hash_cells_32(keys.iter().map(|k| k.get(i)));
-        let equal = |g: &usize| keys.iter().all(|k| k.get(groups[*g].0) == k.get(i));
-        let found = table.probe(hash).find(equal);
-        let g = found.unwrap_or_else(|| {
-            table.push(Some(hash));
-            groups.push((i, fresh()));
-            groups.len() - 1
-        });
-        for (state, input) in groups[g].1.iter_mut().zip(&inputs) {
-            state.update_repeated(input.get(i), run as u64);
-        }
-        i += run;
-    }
+    let (ids, mut firsts) = group_ids(&keys, batch.rows());
     // SQL: a global aggregate (no GROUP BY) over zero rows still
     // produces one output row (COUNT = 0, SUM = NULL, …).
-    if group_by.is_empty() && groups.is_empty() {
-        groups.push((0, fresh()));
+    if group_by.is_empty() && firsts.is_empty() {
+        firsts.push(0);
     }
-    let mut out: Partials = groups
-        .into_iter()
-        .map(|(first, states)| PartialGroup {
+    let mut states = aggs
+        .iter()
+        .map(|a| Ok(fold(a, batch, &ids, firsts.len())?.into_iter()))
+        .collect::<Result<Vec<_>>>()?;
+    let mut out: Partials = firsts
+        .iter()
+        .map(|&first| PartialGroup {
             key: keys.iter().map(|k| k.get(first).to_value()).collect(),
-            states,
+            states: states.iter_mut().map(|s| s.next().expect("a state per group")).collect(),
         })
         .collect();
     // Deterministic order for tests and stable merges.
     out.sort_by(|a, b| a.key.cmp(&b.key));
     Ok(out)
+}
+
+/// Every row's group id — groups numbered in order of first appearance —
+/// and each group's first row, which holds its key. A row's keys are
+/// hashed once and compared cell by cell with its group's first row, so
+/// a row costs no allocation. Unlike a join key, a NULL group key is a
+/// group of its own.
+fn group_ids(keys: &[&Column], rows: usize) -> (Vec<u32>, Vec<usize>) {
+    let mut table = HashChains::new(rows);
+    let mut firsts: Vec<usize> = Vec::new();
+    let ids = (0..rows)
+        .map(|i| {
+            let hash = hash_cells_32(keys.iter().map(|k| k.get(i)));
+            let equal = |g: &usize| keys.iter().all(|k| k.get(firsts[*g]) == k.get(i));
+            let found = table.probe(hash).find(equal);
+            found.unwrap_or_else(|| {
+                table.push(Some(hash));
+                firsts.push(i);
+                firsts.len() - 1
+            }) as u32
+        })
+        .collect();
+    (ids, firsts)
+}
+
+/// One aggregate's state for each of `groups` groups: one loop over its
+/// input and `ids`, chosen by the input's representation. `COUNT(*)`
+/// counts ids; `COUNT(x)` counts valid cells of a typed column; `SUM` /
+/// `AVG` over `Int` add into a wrapping `i64`, over `Float` into an
+/// `f64` that starts at `-0.0` — the additive identity bit for bit
+/// (`-0.0 + x` is `x`, `-0.0` and NaN payloads included; `0.0` would
+/// turn a lone `-0.0` into `0.0`). Each sum carries its count, so a
+/// group with no valid cell is NULL. Everything else — MIN, MAX,
+/// COUNT(DISTINCT), `Values` and `Null` inputs, and non-numeric sums,
+/// which raise the typed error — folds cell by cell.
+fn fold(spec: &AggSpec, batch: &Batch, ids: &[u32], groups: usize) -> Result<Vec<AggState>> {
+    let counts = |valid| -> Vec<AggState> {
+        let counts = per_group(ids, valid, groups, 0, |n, _| *n += 1);
+        counts.into_iter().map(|n| AggState::Count { n }).collect()
+    };
+    if spec.func == AggFunc::CountStar {
+        return Ok(counts(None));
+    }
+    let input = spec.expr.eval(batch)?;
+    let valid = input.valid();
+    let summed = |sum: Value, n: i64| {
+        let sum = if n == 0 { Value::Null } else { sum };
+        match spec.func {
+            AggFunc::Avg => AggState::Avg { sum, n },
+            _ => AggState::Sum { acc: sum },
+        }
+    };
+    Ok(match (spec.func, input.data()) {
+        (AggFunc::Count, data) if !matches!(data, Data::Null(_) | Data::Values(_)) => counts(valid),
+        (AggFunc::Sum | AggFunc::Avg, Data::Int(v)) => {
+            let sums = per_group(ids, valid, groups, (0i64, 0), |(sum, n), i| {
+                *sum = sum.wrapping_add(v[i]);
+                *n += 1;
+            });
+            sums.into_iter().map(|(sum, n)| summed(Value::Int(sum), n)).collect()
+        }
+        (AggFunc::Sum | AggFunc::Avg, Data::Float(v)) => {
+            let sums = per_group(ids, valid, groups, (-0.0f64, 0), |(sum, n), i| {
+                *sum += v[i];
+                *n += 1;
+            });
+            sums.into_iter().map(|(sum, n)| summed(Value::Float(sum), n)).collect()
+        }
+        _ => {
+            let mut states = vec![AggState::new(spec.func); groups];
+            for (i, &g) in ids.iter().enumerate() {
+                states[g as usize].update(input.get(i))?;
+            }
+            states
+        }
+    })
+}
+
+/// Per group, `step(state, row)` over the group's valid rows (all rows
+/// when `valid` is `None`), in row order, from `init`.
+fn per_group<S: Clone>(
+    ids: &[u32],
+    valid: Option<&[bool]>,
+    groups: usize,
+    init: S,
+    mut step: impl FnMut(&mut S, usize),
+) -> Vec<S> {
+    let mut states = vec![init; groups];
+    for (i, &g) in ids.iter().enumerate() {
+        if valid.is_none_or(|ok| ok[i]) {
+            step(&mut states[g as usize], i);
+        }
+    }
+    states
 }
 
 /// Merge several nodes' partials into one.
@@ -403,9 +440,9 @@ mod tests {
         assert_eq!(merged[0][1], Value::Int(3));
     }
 
-    /// The fold without the run fast path: one `update` per row over
-    /// materialized rows. Reference for the run-collapse equivalence
-    /// property.
+    /// The fold row at a time: one `update` per row over materialized
+    /// rows, keyed by owned `Vec<Value>`s. The reference the column
+    /// kernel is held to, bit for bit.
     fn aggregate_partial_rowwise(
         batch: &Batch,
         group_by: &[usize],
@@ -419,7 +456,7 @@ mod tests {
                 .entry(key)
                 .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
             for (st, input) in states.iter_mut().zip(&inputs) {
-                st.update(input.get(i));
+                st.update(input.get(i))?;
             }
         }
         if group_by.is_empty() && groups.is_empty() {
@@ -436,55 +473,176 @@ mod tests {
         Ok(out)
     }
 
+    /// The one group's states of a global SUM / AVG / COUNT(x) /
+    /// COUNT(*) over column 0 of `cells`.
+    fn global_sums(cells: &[Value]) -> Vec<AggState> {
+        let rows: Vec<Vec<Value>> = cells.iter().map(|v| vec![v.clone()]).collect();
+        let specs = [
+            AggSpec::sum(Expr::col(0)),
+            AggSpec::avg(Expr::col(0)),
+            AggSpec::new(AggFunc::Count, Expr::col(0)),
+            AggSpec::count_star(),
+        ];
+        let mut parts = aggregate_partial(&Batch::from_rows(&rows, 1), &[], &specs).unwrap();
+        assert_eq!(parts.len(), 1);
+        parts.remove(0).states
+    }
+
+    fn float_bits(v: &Value) -> u64 {
+        match v {
+            Value::Float(f) => f.to_bits(),
+            v => panic!("not a float: {v:?}"),
+        }
+    }
+
     #[test]
-    fn run_collapse_never_crosses_int_float_aliasing() {
-        // Int(1) == Float(1.0) under Value's comparison equality, but
-        // they must NOT form a run: a sum over [Int(1), Float(1.0)] is
-        // Float(2.0), while a collapsed Int run would yield Int(2).
+    fn a_group_of_only_negative_zeros_sums_to_negative_zero() {
+        let states = global_sums(&[Value::Float(-0.0), Value::Float(-0.0)]);
+        let AggState::Sum { acc } = &states[0] else { panic!("{states:?}") };
+        assert_eq!(float_bits(acc), (-0.0f64).to_bits());
+        // And a lone +0.0 stays +0.0.
+        let AggState::Sum { acc } = &global_sums(&[Value::Float(0.0)])[0] else { panic!() };
+        assert_eq!(float_bits(acc), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn sum_preserves_a_nan_payload() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let states = global_sums(&[Value::Null, Value::Float(nan)]);
+        let AggState::Sum { acc } = &states[0] else { panic!("{states:?}") };
+        assert_eq!(float_bits(acc), nan.to_bits());
+    }
+
+    #[test]
+    fn int_sum_wraps_at_i64_max() {
+        let states = global_sums(&[Value::Int(i64::MAX), Value::Int(2)]);
+        assert_eq!(states[0], AggState::Sum { acc: Value::Int(i64::MIN + 1) });
+        assert_eq!(states[1], AggState::Avg { sum: Value::Int(i64::MIN + 1), n: 2 });
+    }
+
+    #[test]
+    fn an_all_null_group_sums_to_null_and_counts_zero() {
+        for cells in [vec![Value::Null, Value::Null], vec![Value::Null, Value::Int(1)]] {
+            // Group 0 holds only NULLs, whether the column is untyped or typed.
+            let row = |(g, v): (usize, &Value)| vec![Value::Int(g as i64), v.clone()];
+            let rows: Vec<Vec<Value>> = cells.iter().enumerate().map(row).collect();
+            let out = aggregate_rows(&Batch::from_rows(&rows, 2), &[0], &specs());
+            assert_eq!(
+                out[0],
+                vec![
+                    Value::Int(0),
+                    Value::Null,
+                    Value::Int(1),
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Int(0),
+                ]
+            );
+        }
+        let states = global_sums(&[Value::Null, Value::Null]);
+        assert_eq!(states[0], AggState::Sum { acc: Value::Null });
+        assert_eq!(states[1].finalize(), Value::Null);
+        assert_eq!(states[2], AggState::Count { n: 0 });
+    }
+
+    #[test]
+    fn a_values_column_promotes_int_to_float_as_before() {
+        // Int(1) == Float(1.0) under Value's comparison equality, but a
+        // sum over [Int(1), Float(1.0)] is Float(2.0), never Int(2).
         let input = Batch::from_rows(
-            &[vec![Value::Int(0), Value::Int(1)], vec![Value::Int(0), Value::Float(1.0)]],
+            &[
+                vec![Value::Int(0), Value::Int(1)],
+                vec![Value::Int(0), Value::Float(1.0)],
+                vec![Value::Int(1), Value::Int(1)],
+                vec![Value::Int(1), Value::Int(2)],
+            ],
             2,
         );
+        assert!(matches!(input.cols()[1].data(), Data::Values(_)));
         let specs = vec![AggSpec::sum(Expr::col(1))];
         let fast = aggregate_partial(&input, &[0], &specs).unwrap();
         let slow = aggregate_partial_rowwise(&input, &[0], &specs).unwrap();
         assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
         assert_eq!(fast[0].states[0], AggState::Sum { acc: Value::Float(2.0) });
+        assert!(matches!(fast[1].states[0], AggState::Sum { acc: Value::Int(3) }));
+    }
+
+    #[test]
+    fn a_global_aggregate_over_zero_rows_is_one_row() {
+        let out = aggregate_rows(&rows(&[]), &[], &specs());
+        let null = Value::Null;
+        let want = [null.clone(), Value::Int(0), null.clone(), null.clone(), null, Value::Int(0)];
+        assert_eq!(out, vec![want.to_vec()]);
+    }
+
+    #[test]
+    fn sum_and_avg_over_non_numeric_cells_are_typed_errors() {
+        let str_rows = vec![vec![Value::Int(0), Value::Null], vec![Value::Int(0), "x".into()]];
+        let bool_rows = vec![vec![Value::Int(0), Value::Bool(true)]];
+        let date_rows = vec![vec![Value::Int(0), Value::Date(3)]];
+        let mixed = vec![vec![Value::Int(0), Value::Int(1)], vec![Value::Int(0), Value::Date(3)]];
+        for input in [str_rows, bool_rows, date_rows, mixed] {
+            let batch = Batch::from_rows(&input, 2);
+            for spec in [AggSpec::sum(Expr::col(1)), AggSpec::avg(Expr::col(1))] {
+                let err = aggregate_partial(&batch, &[0], &[spec]).unwrap_err();
+                assert!(matches!(err, EonError::Query(_)), "{err:?}");
+            }
+            // MIN / MAX / COUNT take any type.
+            let other = [AggSpec::min(Expr::col(1)), AggSpec::new(AggFunc::Count, Expr::col(1))];
+            assert!(aggregate_partial(&batch, &[0], &other).is_ok());
+        }
+        // A NULL string is never reached as a value: no error.
+        let nulls = Batch::from_rows(&[vec![Value::Str("x".into()), Value::Null]], 2);
+        let sum_of_null = AggSpec::sum(Expr::col(1));
+        assert!(aggregate_partial(&nulls, &[0], &[sum_of_null]).is_ok());
     }
 
     proptest! {
-        /// Bit-exact equivalence of the run-collapsed fold and the
-        /// row-at-a-time fold, over data with long runs, NaNs, nulls,
-        /// and Int/Float aliasing — compared via Debug strings so
-        /// Float(-0.0) vs Float(0.0) and NaN payloads can't hide
-        /// behind comparison equality.
+        /// Bit-exact equivalence of the column kernel and the row-at-a-time
+        /// fold, over Int-only, Float-only and mixed (`Values`) value
+        /// columns with long runs, NaNs, -0.0, NULLs and Int/Float
+        /// aliasing — compared via Debug strings so Float(-0.0) vs
+        /// Float(0.0) and NaN payloads can't hide behind comparison
+        /// equality.
         #[test]
-        fn prop_run_collapsed_fold_is_bit_exact(
+        fn prop_column_kernel_matches_the_rowwise_fold(
+            kind in 0usize..3,
             data in proptest::collection::vec(
                 (0i64..3, prop_oneof![
                     Just(Value::Null),
                     (-4i64..4).prop_map(Value::Int),
                     (-2i32..3).prop_map(|v| Value::Float(v as f64 * 0.5)),
                     Just(Value::Float(f64::NAN)),
+                    Just(Value::Float(-0.0)),
+                    Just(Value::Int(i64::MAX)),
                     Just(Value::Int(1)),
                     Just(Value::Float(1.0)),
                 ], 0u8..6),
                 0..80,
             ),
         ) {
+            // `kind` 0 keeps Int cells, 1 Float cells, 2 both.
+            let keep = |v: &Value| match v {
+                Value::Int(_) => kind != 1,
+                Value::Float(_) => kind != 0,
+                _ => true,
+            };
             // `reps` stretches values into runs of identical rows.
             let all: Vec<Vec<Value>> = data
                 .iter()
+                .filter(|(_, v, _)| keep(v))
                 .flat_map(|(g, v, reps)| {
                     std::iter::repeat_with(|| vec![Value::Int(*g), v.clone()])
                         .take(*reps as usize + 1)
                 })
                 .collect();
             let all = Batch::from_rows(&all, 2);
-            let specs = specs();
-            let fast = aggregate_partial(&all, &[0], &specs).unwrap();
-            let slow = aggregate_partial_rowwise(&all, &[0], &specs).unwrap();
-            prop_assert_eq!(format!("{:?}", fast), format!("{:?}", slow));
+            for group_by in [&[0][..], &[]] {
+                let fast = aggregate_partial(&all, group_by, &specs()).unwrap();
+                let slow = aggregate_partial_rowwise(&all, group_by, &specs()).unwrap();
+                prop_assert_eq!(format!("{:?}", fast), format!("{:?}", slow));
+            }
         }
 
         /// The distributed-equals-centralized property: splitting rows

@@ -8,7 +8,7 @@ use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
-use eon_columnar::{Batch, Column};
+use eon_columnar::{Batch, Column, Data};
 use eon_types::{EonError, Result, Value, ValueRef};
 
 /// Binary arithmetic operators.
@@ -206,7 +206,10 @@ impl Expr {
             Expr::Lit(v) => Column::constant(v.as_ref(), n),
             Expr::Arith { op, l, r } => {
                 let (l, r) = (l.eval(batch)?, r.eval(batch)?);
-                cells(n, |i| eval_arith(*op, l.get(i), r.get(i)))?
+                match arith_typed(*op, &l, &r) {
+                    Some(col) => col,
+                    None => cells(n, |i| eval_arith(*op, l.get(i), r.get(i)))?,
+                }
             }
             Expr::Cmp { op, l, r } => {
                 let (l, r) = (l.eval(batch)?, r.eval(batch)?);
@@ -327,6 +330,71 @@ fn connective(terms: &[Expr], batch: &Batch, decisive: bool, name: &str) -> Resu
         pending = undecided;
     }
     cells(verdict.len(), |i| Ok(verdict[i].map_or(ValueRef::Null, ValueRef::Bool)))
+}
+
+/// `l op r` in one monomorphic loop when both sides are `Int` / `Float`
+/// columns, under [`eval_arith`]'s rules: Int op Int wraps, `/` goes
+/// Float, a mixed pair is computed as `f64`, division by zero is NULL.
+/// A cell is valid where both inputs are and the divisor is not zero.
+/// `None` for every other pair: the per-cell loop, which is the
+/// reference and the only path that raises type errors, evaluates those.
+fn arith_typed(op: ArithOp, l: &Column, r: &Column) -> Option<Column> {
+    let mut valid = match (l.valid(), r.valid()) {
+        (None, None) => None,
+        (Some(v), None) | (None, Some(v)) => Some(v.to_vec()),
+        (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(x, y)| x & y).collect()),
+    };
+    let int = |x: &i64| *x as f64;
+    let float = |x: &f64| *x;
+    let mut data = match (l.data(), r.data(), op) {
+        (Data::Int(a), Data::Int(b), ArithOp::Add) => Data::Int(zip(a, b, i64::wrapping_add)),
+        (Data::Int(a), Data::Int(b), ArithOp::Sub) => Data::Int(zip(a, b, i64::wrapping_sub)),
+        (Data::Int(a), Data::Int(b), ArithOp::Mul) => Data::Int(zip(a, b, i64::wrapping_mul)),
+        (Data::Int(a), Data::Int(b), ArithOp::Div) => float_arith(op, a, b, int, int, &mut valid),
+        (Data::Int(a), Data::Float(b), _) => float_arith(op, a, b, int, float, &mut valid),
+        (Data::Float(a), Data::Int(b), _) => float_arith(op, a, b, float, int, &mut valid),
+        (Data::Float(a), Data::Float(b), _) => float_arith(op, a, b, float, float, &mut valid),
+        _ => return None,
+    };
+    // A NULL cell holds the type's default, as `Column::push` leaves it.
+    fn clear<T: Default>(cells: &mut [T], valid: &[bool]) {
+        cells.iter_mut().zip(valid).filter(|(_, ok)| !**ok).for_each(|(x, _)| *x = T::default());
+    }
+    match (&mut data, &valid) {
+        (Data::Int(v), Some(ok)) => clear(v, ok),
+        (Data::Float(v), Some(ok)) => clear(v, ok),
+        _ => {}
+    }
+    Some(Column::new(data, valid))
+}
+
+fn zip<T: Copy>(a: &[T], b: &[T], f: impl Fn(T, T) -> T) -> Vec<T> {
+    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+}
+
+/// `a op b` as `f64`s, each side widened by its `fa` / `fb`; a zero
+/// divisor clears its cell in `valid`.
+fn float_arith<A, B>(
+    op: ArithOp,
+    a: &[A],
+    b: &[B],
+    fa: impl Fn(&A) -> f64,
+    fb: impl Fn(&B) -> f64,
+    valid: &mut Option<Vec<bool>>,
+) -> Data {
+    let pairs = a.iter().zip(b).map(|(x, y)| (fa(x), fb(y)));
+    Data::Float(match op {
+        ArithOp::Add => pairs.map(|(x, y)| x + y).collect(),
+        ArithOp::Sub => pairs.map(|(x, y)| x - y).collect(),
+        ArithOp::Mul => pairs.map(|(x, y)| x * y).collect(),
+        ArithOp::Div => {
+            if b.iter().any(|y| fb(y) == 0.0) {
+                let valid = valid.get_or_insert_with(|| vec![true; b.len()]);
+                valid.iter_mut().zip(b).for_each(|(ok, y)| *ok &= fb(y) != 0.0);
+            }
+            pairs.map(|(x, y)| x / y).collect()
+        }
+    })
 }
 
 fn eval_arith<'a>(op: ArithOp, l: ValueRef<'_>, r: ValueRef<'_>) -> Result<ValueRef<'a>> {

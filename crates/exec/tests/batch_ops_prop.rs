@@ -160,6 +160,10 @@ fn ref_aggregate(chunks: &[Vec<Row>], group_by: &[usize], aggs: &[AggSpec]) -> R
             }
             for (acc, spec) in groups[g].1.iter_mut().zip(aggs) {
                 let v = eval(&spec.expr, row)?;
+                let numeric = matches!(v, Value::Null | Value::Int(_) | Value::Float(_));
+                if !numeric && matches!(spec.func, AggFunc::Sum | AggFunc::Avg) {
+                    return Err(EonError::Query("SUM / AVG over non-numeric".into()));
+                }
                 if !v.is_null() {
                     acc.part = add(acc.part.take(), &v);
                     acc.n += 1;
@@ -356,6 +360,13 @@ proptest! {
             AggSpec::min(Expr::col(6)),
             AggSpec::new(AggFunc::CountDistinct, Expr::col(0)),
             AggSpec::new(AggFunc::CountDistinct, Expr::col(3)),
+            // TPC-H Q1's computed inputs: price * (1 - discount) [* (1 + tax)].
+            AggSpec::sum(Expr::mul(Expr::col(2), Expr::sub(Expr::lit(1i64), Expr::col(2)))),
+            AggSpec::sum(Expr::mul(
+                Expr::mul(Expr::col(2), Expr::sub(Expr::lit(1i64), Expr::col(2))),
+                Expr::add(Expr::lit(1i64), Expr::col(2)),
+            )),
+            AggSpec::avg(Expr::col(6)),                         // Int/Float `Values`
         ];
         for group_by in [vec![], vec![0], vec![3, 5], vec![6], vec![2]] {
             let width = group_by.len() + aggs.len();
@@ -373,6 +384,18 @@ proptest! {
                 let what = format!("group by {group_by:?} over {split} chunks");
                 check(got, ref_aggregate(&chunks, &group_by, &aggs), width, &what);
             }
+            // SUM over strings: the typed error on both sides as soon as
+            // a non-NULL string is reached, NULL (or no row) otherwise.
+            let sum_str = [AggSpec::sum(Expr::col(3))];
+            let got = aggregate_partial(&Batch::from_rows(&rows, WIDTH), &group_by, &sum_str)
+                .map(|p| finalize_partials(p, group_by.len() + 1));
+            let want = ref_aggregate(std::slice::from_ref(&rows), &group_by, &sum_str);
+            let reached = rows.iter().any(|r| !r[3].is_null());
+            for err in [got.as_ref().err(), want.as_ref().err()] {
+                let typed = matches!(err, Some(EonError::Query(_)));
+                assert_eq!(typed, reached, "SUM over strings: {err:?}");
+            }
+            check(got, want, group_by.len() + 1, &format!("SUM over strings by {group_by:?}"));
         }
     }
 }
