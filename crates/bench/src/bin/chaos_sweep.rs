@@ -4,12 +4,18 @@
 //! 0)`) and runs the crash schedule — each site must crash, recover,
 //! and leave the database answering exactly. Phase 2 sweeps seeded
 //! fault plans (`--seeds N`, default 32) in both plain and
-//! ambiguous-PUT S3 modes. Prints a one-line JSON verdict and exits
-//! non-zero if any run violated an invariant.
+//! ambiguous-PUT S3 modes. Phase 3 runs the group-commit crash schedule
+//! once per commit crash site (seeds `0..GROUP_COMMIT_SITES`): a pinned
+//! batch's leader dies and every node's log must hold the whole batch or
+//! none of it.
+//! Prints a one-line JSON verdict and exits non-zero if any run
+//! violated an invariant.
 //!
 //!     cargo run --release --bin chaos_sweep -- --seeds 32
 
-use eon_bench::chaos::{crash_schedule, seeded_crash_schedule};
+use eon_bench::chaos::{
+    crash_schedule, crash_schedule_group_commit, seeded_crash_schedule, GROUP_COMMIT_SITES,
+};
 use eon_bench::{metrics_summary, print_json};
 use eon_storage::fault::{FaultPlan, SITES};
 
@@ -79,6 +85,21 @@ fn main() {
         }
     }
 
+    // Phase 3: group commit, one seed per commit crash site.
+    for seed in 0..GROUP_COMMIT_SITES as u64 {
+        runs += 1;
+        match crash_schedule_group_commit(seed) {
+            Ok(r) => {
+                passed += 1;
+                crashes += 1;
+                reclaimed += r.reclaimed;
+            }
+            Err(e) => failures.push(serde_json::json!({
+                "mode": "group_commit", "seed": seed, "error": e,
+            })),
+        }
+    }
+
     if let Some(text) = &metrics_sample {
         let snapshot: serde_json::Value =
             serde_json::from_str(text).expect("snapshot is valid JSON");
@@ -98,6 +119,7 @@ fn main() {
             "bench": "chaos_sweep",
             "sites": SITES.len(),
             "seeds": seeds,
+            "group_commit_seeds": GROUP_COMMIT_SITES,
             "runs": runs,
             "passed": passed,
             "failed": failed,

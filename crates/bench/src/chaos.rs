@@ -342,6 +342,10 @@ const GROUP_SITES: &[&str] = &[
     site::COMMIT_POST_APPEND,
 ];
 
+/// How many commit crash sites [`crash_schedule_group_commit`] cycles:
+/// seeds `0..GROUP_COMMIT_SITES` arm each exactly once.
+pub const GROUP_COMMIT_SITES: usize = GROUP_SITES.len();
+
 /// Outcome of one group-commit crash schedule that upheld every
 /// invariant.
 #[derive(Debug, Clone)]
@@ -378,9 +382,10 @@ pub struct GroupCommitRunReport {
 /// * a mid-distribution or post-append crash commits the batch — the
 ///   laggard peers converge from the most-advanced durable log;
 /// * the cluster serves normal traffic afterwards, and the whole run
-///   replays byte-identically for the same seed (sequenced arrivals
-///   pin batch composition; `commit_group_max` closes the batch at
-///   exactly the planned membership).
+///   replays byte-identically for the same seed (`EonDb::pinned_batch`
+///   holds the commit lock while sequenced arrivals park, and releases
+///   it when the planned membership has, so the leader drains exactly
+///   that).
 pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, String> {
     const WRITERS: usize = 4;
     let armed = GROUP_SITES[(seed % GROUP_SITES.len() as u64) as usize];
@@ -396,7 +401,6 @@ pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, St
     let config = EonConfig::new(NODES, NODES)
         .faults(faults.clone())
         .observability(registry.clone())
-        .commit_group_max(WRITERS)
         .exec_slots(1);
     let db = EonDb::create(s3.clone(), config).map_err(|e| format!("create: {e}"))?;
     let s = schema![("id", Int), ("v", Int)];
@@ -413,35 +417,19 @@ pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, St
         .map_err(|e| format!("base copy: {e}"))?;
     model.rows.extend(base);
 
-    // Arm the crash and open the window only now: bootstrap committed
-    // as batches of one, and `rearm` resets the occurrence counters, so
-    // occurrence 0 of the armed site is the batch's.
+    // Arm the crash only now: bootstrap committed as batches of one,
+    // and `rearm` resets the occurrence counters, so occurrence 0 of
+    // the armed site is the batch's.
     let v0 = db.version();
     faults.rearm(armed, 0, None);
-    db.set_commit_group_window(500_000);
 
-    // Sequenced arrivals: writer `i` starts once `i` statements are
-    // parked, so batch composition (and upload order) is the plan's,
-    // not the scheduler's. `commit_group_max == WRITERS` closes the
-    // batch at exactly the planned membership.
+    // Pinned batch: batch composition (and upload order) is the plan's,
+    // not the scheduler's.
     let batch_rows: Vec<Vec<Value>> = (0..WRITERS)
         .map(|i| vec![Value::Int(10_000 + i as i64), Value::Int(1)])
         .collect();
-    let outcomes: Vec<eon_types::Result<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..WRITERS)
-            .map(|i| {
-                let db = db.clone();
-                let row = batch_rows[i].clone();
-                scope.spawn(move || {
-                    while db.commit_group_queued() < i {
-                        std::thread::yield_now();
-                    }
-                    db.copy_into("t", vec![row])
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let outcomes: Vec<eon_types::Result<u64>> =
+        db.pinned_batch(WRITERS, |i| db.copy_into("t", vec![batch_rows[i].clone()]));
     for (i, o) in outcomes.iter().enumerate() {
         match o {
             Err(EonError::FaultInjected(_)) => {}
@@ -487,9 +475,7 @@ pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, St
         model.rows.extend(batch_rows.iter().cloned());
     }
 
-    // Normal service resumes (small window: a lone statement commits as
-    // a singleton batch without waiting out the chaos window).
-    db.set_commit_group_window(2);
+    // Normal service resumes: a lone statement is a batch of one.
     let extra = int_rows(200..260);
     db.copy_into("t", extra.clone())
         .map_err(|e| format!("site {armed}: post-crash copy: {e}"))?;

@@ -25,43 +25,24 @@ pub struct TxnRecord {
     pub ops: Vec<CatalogOp>,
 }
 
-impl TxnRecord {
-    pub fn encode(&self) -> Bytes {
-        Bytes::from(serde_json::to_vec(self).expect("txn record serialization cannot fail"))
-    }
-
-    pub fn decode(data: &[u8]) -> Result<TxnRecord> {
-        serde_json::from_slice(data)
-            .map_err(|e| EonError::Corrupt(format!("bad txn record: {e}")))
-    }
+/// Encode one log file: a JSON array of consecutive records. Every
+/// append is a batch — a lone commit is a batch of one.
+pub fn encode_log_file(records: &[TxnRecord]) -> Bytes {
+    Bytes::from(serde_json::to_vec(records).expect("txn log serialization cannot fail"))
 }
 
-/// Encode a group-commit batch as one log file: a JSON array of
-/// records. The array brace is the format discriminator — single
-/// records serialize as objects, so [`decode_log_file`] can dispatch on
-/// the leading byte.
-pub fn encode_batch(records: &[TxnRecord]) -> Bytes {
-    Bytes::from(serde_json::to_vec(records).expect("txn batch serialization cannot fail"))
-}
-
-/// Decode a log file that may hold either a single [`TxnRecord`] or a
-/// group-commit batch of them. Batches must be non-empty and hold
-/// consecutive versions — a malformed batch is corruption, not a gap.
+/// Decode a log file. It must be a non-empty array of consecutive
+/// versions — a malformed file is corruption, not a gap.
 pub fn decode_log_file(data: &[u8]) -> Result<Vec<TxnRecord>> {
-    let records = if data.first() == Some(&b'[') {
-        let records: Vec<TxnRecord> = serde_json::from_slice(data)
-            .map_err(|e| EonError::Corrupt(format!("bad txn batch: {e}")))?;
-        if records.is_empty() {
-            return Err(EonError::Corrupt("empty txn batch".into()));
-        }
-        records
-    } else {
-        vec![TxnRecord::decode(data)?]
-    };
+    let records: Vec<TxnRecord> = serde_json::from_slice(data)
+        .map_err(|e| EonError::Corrupt(format!("bad txn log file: {e}")))?;
+    if records.is_empty() {
+        return Err(EonError::Corrupt("empty txn log file".into()));
+    }
     for pair in records.windows(2) {
         if pair[1].version != pair[0].version.next() {
             return Err(EonError::Corrupt(format!(
-                "non-consecutive txn batch: {} then {}",
+                "non-consecutive txn log file: {} then {}",
                 pair[0].version.0, pair[1].version.0
             )));
         }
@@ -88,18 +69,10 @@ impl Checkpoint {
     }
 }
 
-/// Key for the log file of `version` under `prefix`. Zero-padded so
-/// lexicographic order equals version order — the property `list`-based
-/// replay depends on.
-pub fn txn_key(prefix: &str, version: TxnVersion) -> String {
-    format!("{prefix}txn/{:020}", version.0)
-}
-
-/// Key for a group-commit batch holding versions `lo..=hi`. The lexico-
-/// graphic position is fixed by the zero-padded `lo` (and `-` sorts
-/// before every digit), so batch files interleave correctly with
-/// single-record files in `list`-based replay.
-pub fn txn_batch_key(prefix: &str, lo: TxnVersion, hi: TxnVersion) -> String {
+/// Key for the log file holding versions `lo..=hi`. Zero-padded so
+/// lexicographic order (by `lo`) equals version order — the property
+/// `list`-based replay depends on.
+pub fn txn_key(prefix: &str, lo: TxnVersion, hi: TxnVersion) -> String {
     format!("{prefix}txn/{:020}-{:020}", lo.0, hi.0)
 }
 
@@ -119,35 +92,34 @@ fn parse_padded(s: &str) -> Option<TxnVersion> {
     }
 }
 
-/// The `txn/` / `ckpt/` path component of a log key, or `None` if the
-/// key is not shaped like one of ours.
-fn log_kind_component(key: &str) -> Option<&str> {
+/// A key's kind component (`txn`, `ckpt`, …) and its last component.
+fn split_log_key(key: &str) -> Option<(&str, &str)> {
     let mut it = key.rsplit('/');
     let last = it.next()?;
-    matches!(it.next(), Some("txn" | "ckpt")).then_some(last)
+    Some((it.next()?, last))
 }
 
-/// Parse the version out of a `txn_key`/`ckpt_key`-shaped key. Requires
-/// the `txn/`/`ckpt/` component and the exact zero-padded shape; batch
-/// keys and any other object under the prefix return `None`.
-pub fn version_of_key(key: &str) -> Option<TxnVersion> {
-    parse_padded(log_kind_component(key)?)
-}
-
-/// Parse the inclusive version range of a log key: `(v, v)` for a
-/// single-record key, `(lo, hi)` for a batch key. `None` for anything
-/// that is not a well-formed log key.
+/// The inclusive version range of a key: `(lo, hi)` for a
+/// `txn/{lo}-{hi}` log file, `(v, v)` for a `ckpt/{v}` checkpoint.
+/// `None` for anything else under the prefix.
 pub fn version_range_of_key(key: &str) -> Option<(TxnVersion, TxnVersion)> {
-    let last = log_kind_component(key)?;
-    if let Some(v) = parse_padded(last) {
-        return Some((v, v));
+    match split_log_key(key)? {
+        ("txn", last) => {
+            let (lo, hi) = last.split_once('-')?;
+            let (lo, hi) = (parse_padded(lo)?, parse_padded(hi)?);
+            (lo <= hi).then_some((lo, hi))
+        }
+        ("ckpt", last) => parse_padded(last).map(|v| (v, v)),
+        _ => None,
     }
-    let (lo, hi) = last.split_once('-')?;
-    let (lo, hi) = (parse_padded(lo)?, parse_padded(hi)?);
-    if lo <= hi {
-        Some((lo, hi))
-    } else {
-        None
+}
+
+/// The version of a checkpoint key; `None` for a log file or anything
+/// else under the prefix.
+pub fn version_of_key(key: &str) -> Option<TxnVersion> {
+    match split_log_key(key)? {
+        ("ckpt", last) => parse_padded(last),
+        _ => None,
     }
 }
 
@@ -156,13 +128,23 @@ mod tests {
     use super::*;
     use eon_types::Oid;
 
+    fn records(versions: std::ops::RangeInclusive<u64>) -> Vec<TxnRecord> {
+        versions
+            .map(|v| TxnRecord {
+                version: TxnVersion(v),
+                ops: vec![CatalogOp::DropTable(Oid(v))],
+            })
+            .collect()
+    }
+
     #[test]
-    fn record_roundtrip() {
-        let r = TxnRecord {
-            version: TxnVersion(7),
-            ops: vec![CatalogOp::DropTable(Oid(1))],
-        };
-        assert_eq!(TxnRecord::decode(&r.encode()).unwrap(), r);
+    fn log_file_roundtrip() {
+        let recs = records(1..=3);
+        assert_eq!(decode_log_file(&encode_log_file(&recs)).unwrap(), recs);
+        // A lone commit is a file of exactly one record.
+        let one = encode_log_file(&recs[..1]);
+        assert_eq!(one.first(), Some(&b'['));
+        assert_eq!(decode_log_file(&one).unwrap(), recs[..1]);
     }
 
     #[test]
@@ -175,87 +157,69 @@ mod tests {
     }
 
     #[test]
-    fn decode_garbage_errors() {
-        assert!(TxnRecord::decode(b"{not json").is_err());
+    fn malformed_log_files_are_corrupt() {
+        assert!(decode_log_file(b"{not json").is_err());
+        // A bare record is not a log file: every file is an array.
+        let bare = serde_json::to_vec(&records(1..=1)[0]).unwrap();
+        assert!(decode_log_file(&bare).is_err());
+        // Empty or gapped files are corruption.
+        assert!(decode_log_file(b"[]").is_err());
+        let recs = records(1..=3);
+        let gapped = vec![recs[0].clone(), recs[2].clone()];
+        assert!(decode_log_file(&encode_log_file(&gapped)).is_err());
         assert!(Checkpoint::decode(b"").is_err());
     }
 
     #[test]
     fn keys_sort_by_version() {
-        let a = txn_key("meta/", TxnVersion(9));
-        let b = txn_key("meta/", TxnVersion(10));
-        let c = txn_key("meta/", TxnVersion(100));
+        let a = txn_key("meta/", TxnVersion(6), TxnVersion(9));
+        let b = txn_key("meta/", TxnVersion(10), TxnVersion(10));
+        let c = txn_key("meta/", TxnVersion(11), TxnVersion(100));
         assert!(a < b && b < c);
-        assert_eq!(version_of_key(&c), Some(TxnVersion(100)));
-        assert_eq!(version_of_key("meta/ckpt/nope"), None);
+        assert!(ckpt_key("meta/", TxnVersion(9)) < ckpt_key("meta/", TxnVersion(10)));
     }
 
     #[test]
-    fn version_of_key_requires_log_shape() {
-        // Wrong path component: numeric suffix alone must not parse.
-        assert_eq!(version_of_key("catalog/junk/00000000000000000007"), None);
-        // Unpadded or otherwise malformed version components.
-        assert_eq!(version_of_key("catalog/txn/7"), None);
-        assert_eq!(version_of_key("catalog/txn/0000000000000000007x"), None);
-        assert_eq!(version_of_key("txn"), None);
-        // The exact constructor shapes still parse.
-        assert_eq!(
-            version_of_key(&txn_key("catalog/", TxnVersion(7))),
-            Some(TxnVersion(7))
-        );
+    fn version_of_key_reads_checkpoints_only() {
         assert_eq!(
             version_of_key(&ckpt_key("meta/inc0/", TxnVersion(3))),
             Some(TxnVersion(3))
         );
-        // Batch keys are not single-version keys.
+        assert_eq!(version_of_key("meta/ckpt/nope"), None);
+        // Wrong path component: numeric suffix alone must not parse.
+        assert_eq!(version_of_key("catalog/junk/00000000000000000007"), None);
+        assert_eq!(version_of_key("catalog/ckpt/7"), None);
+        assert_eq!(version_of_key("ckpt"), None);
+        // Log files are not checkpoints.
         assert_eq!(
-            version_of_key(&txn_batch_key("catalog/", TxnVersion(4), TxnVersion(6))),
+            version_of_key(&txn_key("catalog/", TxnVersion(4), TxnVersion(4))),
             None
         );
     }
 
     #[test]
-    fn version_range_of_key_parses_both_shapes() {
+    fn version_range_of_key_requires_log_shape() {
         assert_eq!(
-            version_range_of_key(&txn_key("catalog/", TxnVersion(7))),
+            version_range_of_key(&txn_key("catalog/", TxnVersion(7), TxnVersion(7))),
             Some((TxnVersion(7), TxnVersion(7)))
         );
         assert_eq!(
-            version_range_of_key(&txn_batch_key("catalog/", TxnVersion(4), TxnVersion(6))),
+            version_range_of_key(&txn_key("catalog/", TxnVersion(4), TxnVersion(6))),
             Some((TxnVersion(4), TxnVersion(6)))
         );
-        // Inverted ranges and junk paths are rejected.
         assert_eq!(
-            version_range_of_key(&txn_batch_key("catalog/", TxnVersion(6), TxnVersion(4))),
+            version_range_of_key(&ckpt_key("catalog/", TxnVersion(5))),
+            Some((TxnVersion(5), TxnVersion(5)))
+        );
+        // Under `txn/` only `lo-hi` parses: a single version, an unpadded
+        // or inverted range, and junk paths are rejected.
+        assert_eq!(version_range_of_key("catalog/txn/00000000000000000007"), None);
+        assert_eq!(version_range_of_key("catalog/txn/7-7"), None);
+        assert_eq!(
+            version_range_of_key(&txn_key("catalog/", TxnVersion(6), TxnVersion(4))),
             None
         );
         assert_eq!(version_range_of_key("catalog/junk/00000000000000000007"), None);
-    }
-
-    #[test]
-    fn batch_keys_interleave_with_single_keys() {
-        // A batch covering 7..=9 must sort after txn 6 and before txn 10
-        // by its lo component.
-        let before = txn_key("catalog/", TxnVersion(6));
-        let batch = txn_batch_key("catalog/", TxnVersion(7), TxnVersion(9));
-        let after = txn_key("catalog/", TxnVersion(10));
-        assert!(before < batch && batch < after);
-    }
-
-    #[test]
-    fn batch_roundtrip_and_dispatch() {
-        let recs: Vec<TxnRecord> = (1..=3)
-            .map(|v| TxnRecord {
-                version: TxnVersion(v),
-                ops: vec![CatalogOp::DropTable(Oid(v))],
-            })
-            .collect();
-        assert_eq!(decode_log_file(&encode_batch(&recs)).unwrap(), recs);
-        // Single-record files decode through the same entry point.
-        assert_eq!(decode_log_file(&recs[0].encode()).unwrap(), recs[..1]);
-        // Empty or gapped batches are corruption.
-        assert!(decode_log_file(b"[]").is_err());
-        let gapped = vec![recs[0].clone(), recs[2].clone()];
-        assert!(decode_log_file(&encode_batch(&gapped)).is_err());
+        assert_eq!(version_range_of_key("txn"), None);
     }
 }

@@ -15,8 +15,8 @@ use eon_storage::fault::{site, FaultPlan};
 use eon_storage::{FaultInjector, SharedFs};
 
 use crate::log::{
-    ckpt_key, decode_log_file, encode_batch, txn_batch_key, txn_key, version_of_key,
-    version_range_of_key, Checkpoint, TxnRecord,
+    ckpt_key, decode_log_file, encode_log_file, txn_key, version_of_key, version_range_of_key,
+    Checkpoint, TxnRecord,
 };
 use crate::state::CatalogState;
 
@@ -73,31 +73,22 @@ impl CatalogStore {
         &self.shared_prefix
     }
 
-    /// Append a committed record to the local redo log (the §3.5 commit
-    /// durability point: "process termination results in reading the
-    /// local transaction logs and no loss of transactions").
-    pub fn append_local(&self, record: &TxnRecord) -> Result<()> {
-        self.local
-            .write(&txn_key(LOCAL_PREFIX, record.version), record.encode())
-    }
-
-    /// Append a group-commit batch as **one** local log file (one write
-    /// = one durability point for the whole batch: after a crash either
-    /// every record in the file is replayable or none is, which is how
-    /// the prefix-or-nothing batch invariant is kept). Records must be
-    /// consecutive versions in order; a batch of one — every lone
-    /// commit — writes the plain single-record file.
-    pub fn append_local_batch(&self, records: &[TxnRecord]) -> Result<()> {
-        match records {
-            [] => Ok(()),
-            [one] => self.append_local(one),
-            many => {
-                let (lo, hi) = (many[0].version, many[many.len() - 1].version);
-                debug_assert_eq!(hi.0 - lo.0 + 1, many.len() as u64);
-                self.local
-                    .write(&txn_batch_key(LOCAL_PREFIX, lo, hi), encode_batch(many))
-            }
-        }
+    /// Append consecutive committed records to the local redo log as
+    /// **one** file — the §3.5 commit durability point ("process
+    /// termination results in reading the local transaction logs and no
+    /// loss of transactions"). One write is one durability point for the
+    /// whole batch: after a crash either every record in the file is
+    /// replayable or none is, which is how the prefix-or-nothing batch
+    /// invariant is kept. A lone commit is a batch of one.
+    pub fn append_local(&self, records: &[TxnRecord]) -> Result<()> {
+        let (Some(lo), Some(hi)) = (records.first(), records.last()) else {
+            return Ok(());
+        };
+        debug_assert_eq!(hi.version.0 - lo.version.0 + 1, records.len() as u64);
+        self.local.write(
+            &txn_key(LOCAL_PREFIX, lo.version, hi.version),
+            encode_log_file(records),
+        )
     }
 
     /// Write a checkpoint locally and prune old checkpoints + the log
@@ -229,8 +220,7 @@ impl CatalogStore {
         };
         // Replay logs after the checkpoint, in version order, stopping
         // at the first gap (later records cannot be applied soundly).
-        // A log file may be a single record or a group-commit batch;
-        // batch files straddling the checkpoint or the truncation point
+        // Files straddling the checkpoint or the truncation point
         // contribute only their in-range records.
         let mut logs: Vec<(TxnVersion, TxnVersion, String)> = fs
             .list(&format!("{prefix}txn/"))?
@@ -311,7 +301,7 @@ impl CatalogStore {
                         .filter(|r| r.version <= truncation)
                         .collect();
                     self.local.delete(&k)?;
-                    self.append_local_batch(&keep)?;
+                    self.append_local(&keep)?;
                 }
             }
         }
@@ -335,24 +325,9 @@ mod tests {
         (Arc::new(MemFs::new()), Arc::new(MemFs::new()))
     }
 
-    fn commit_table(cat: &Catalog, store: &CatalogStore, name: &str) -> TxnRecord {
-        let mut t = cat.begin();
-        let oid = cat.next_oid();
-        t.push(CatalogOp::CreateTable(Table {
-            oid,
-            name: name.into(),
-            schema: schema![("a", Int)],
-            projections: vec![],
-            defaults: vec![Value::Null],
-        }));
-        let rec = cat.commit(t).unwrap();
-        store.append_local(&rec).unwrap();
-        rec
-    }
-
     /// Commit `names` as consecutive versions and durably append them
-    /// as one batch log file (the group-commit shape).
-    fn commit_batch(cat: &Catalog, store: &CatalogStore, names: &[&str]) -> Vec<TxnRecord> {
+    /// as one log file, as a commit batch does.
+    fn commit_batch(cat: &Catalog, store: &CatalogStore, names: &[&str]) {
         let recs: Vec<TxnRecord> = names
             .iter()
             .map(|name| {
@@ -368,8 +343,12 @@ mod tests {
                 cat.commit(t).unwrap()
             })
             .collect();
-        store.append_local_batch(&recs).unwrap();
-        recs
+        store.append_local(&recs).unwrap();
+    }
+
+    /// A lone commit: a batch of one.
+    fn commit_table(cat: &Catalog, store: &CatalogStore, name: &str) {
+        commit_batch(cat, store, &[name]);
     }
 
     #[test]
@@ -423,7 +402,7 @@ mod tests {
         assert_eq!(ckpts.len(), 2, "{ckpts:?}");
         // Logs subsumed by the older retained checkpoint are gone.
         let logs = local2.list("catalog/txn/").unwrap();
-        assert!(logs.iter().all(|k| version_of_key(k).unwrap() > TxnVersion(4)));
+        assert!(logs.iter().all(|k| version_range_of_key(k).unwrap().0 > TxnVersion(4)));
         // Recovery still lands at the head version.
         let (_, version) = store.recover_local().unwrap();
         assert_eq!(version, TxnVersion(5));
@@ -438,7 +417,12 @@ mod tests {
         commit_table(&cat, &store, "t2");
         let si = store.sync_to_shared().unwrap();
         assert_eq!(si.hi, TxnVersion(2));
-        assert_eq!(shared.list("meta/inc0/txn/").unwrap().len(), 2);
+        // Shared storage holds the local files under the local names: a
+        // lone commit is `txn/{v}-{v}`.
+        let mut keys = shared.list("meta/inc0/txn/").unwrap();
+        keys.sort();
+        let lone = |v| txn_key("meta/inc0/", TxnVersion(v), TxnVersion(v));
+        assert_eq!(keys, vec![lone(1), lone(2)]);
         // Idempotent: second sync uploads nothing new.
         let before = shared.stats().puts;
         store.sync_to_shared().unwrap();
@@ -470,7 +454,9 @@ mod tests {
             commit_table(&cat, &store, n);
         }
         // Simulate losing the middle log file.
-        local2.delete(&txn_key("catalog/", TxnVersion(2))).unwrap();
+        local2
+            .delete(&txn_key("catalog/", TxnVersion(2), TxnVersion(2)))
+            .unwrap();
         let (state, version) = store.recover_local().unwrap();
         assert_eq!(version, TxnVersion(1));
         assert_eq!(state.tables.len(), 1);

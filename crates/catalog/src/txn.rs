@@ -199,38 +199,11 @@ impl Catalog {
         })
     }
 
-    /// Apply a record committed elsewhere (peer distribution or log
-    /// replay). Versions must arrive in order with no gaps.
-    pub fn apply_committed(&self, record: &TxnRecord) -> Result<()> {
-        let mut g = self.inner.lock();
-        if record.version != g.version.next() {
-            return Err(EonError::Catalog(format!(
-                "out-of-order log record {} applied at {}",
-                record.version, g.version
-            )));
-        }
-        let mut scratch = (*g.state).clone();
-        for op in &record.ops {
-            scratch.apply(op, record.version)?;
-        }
-        g.state = Arc::new(scratch);
-        g.version = record.version;
-        drop(g);
-        // Keep this node's OID counter ahead of any same-namespace OID
-        // it has seen (relevant after this node restarts and its peers
-        // replay records the old process minted).
-        for oid in record.ops.iter().flat_map(touched_oids) {
-            self.bump_oid_floor(oid.0);
-        }
-        Ok(())
-    }
-
-    /// Apply a consecutive run of records committed elsewhere with
-    /// **one** scratch clone — the group-commit distribution path, which
-    /// amortizes the copy-on-write cost [`Self::apply_committed`] pays
-    /// per record. All-or-nothing: the swap happens only after every
-    /// record applies, so a failure leaves the catalog at its prior
-    /// version (same contract a single failed `apply_committed` has).
+    /// Apply a consecutive run of records committed elsewhere (a commit
+    /// batch's distribution, a catch-up tail) with **one** scratch clone.
+    /// Versions must continue this catalog's with no gaps. All-or-nothing:
+    /// the swap happens only after every record applies, so a failure
+    /// leaves the catalog at its prior version.
     pub fn apply_committed_batch(&self, records: &[TxnRecord]) -> Result<()> {
         let Some(first) = records.first() else {
             return Ok(());
@@ -259,6 +232,9 @@ impl Catalog {
         g.state = Arc::new(scratch);
         g.version = version;
         drop(g);
+        // Keep this node's OID counter ahead of any same-namespace OID
+        // it has seen (relevant after this node restarts and its peers
+        // replay records the old process minted).
         for oid in records
             .iter()
             .flat_map(|r| r.ops.iter())
@@ -383,30 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn apply_committed_replicates_in_order() {
+    fn apply_committed_batch_replicates_in_order() {
         let src = Catalog::new();
         let dst = Catalog::new();
-        let mut recs = Vec::new();
-        for name in ["t1", "t2", "t3"] {
-            let mut t = src.begin();
-            let (_, op) = table_op(&src, name);
-            t.push(op);
-            recs.push(src.commit(t).unwrap());
-        }
-        // Out of order rejected.
-        assert!(dst.apply_committed(&recs[1]).is_err());
-        for r in &recs {
-            dst.apply_committed(r).unwrap();
-        }
-        assert_eq!(dst.version(), src.version());
-        assert_eq!(*dst.snapshot(), *src.snapshot());
-    }
-
-    #[test]
-    fn apply_committed_batch_matches_serial_application() {
-        let src = Catalog::new();
-        let serial = Catalog::new();
-        let batched = Catalog::new();
         let recs: Vec<TxnRecord> = ["t1", "t2", "t3"]
             .iter()
             .map(|name| {
@@ -416,18 +371,27 @@ mod tests {
                 src.commit(t).unwrap()
             })
             .collect();
+        // A tail that does not continue the catalog's version, or has a
+        // gap, is rejected without mutating state.
+        assert!(dst.apply_committed_batch(&recs[1..]).is_err());
+        let gapped = [recs[0].clone(), recs[2].clone()];
+        assert!(dst.apply_committed_batch(&gapped).is_err());
+        assert_eq!(dst.version(), TxnVersion::ZERO);
+        // One record at a time and the whole tail at once agree.
+        let serial = Catalog::new();
         for r in &recs {
-            serial.apply_committed(r).unwrap();
+            serial.apply_committed_batch(std::slice::from_ref(r)).unwrap();
         }
-        batched.apply_committed_batch(&recs).unwrap();
-        assert_eq!(batched.version(), serial.version());
-        assert_eq!(*batched.snapshot(), *serial.snapshot());
-        // Out-of-order batch rejected without mutating state.
-        assert!(batched.apply_committed_batch(&recs).is_err());
-        assert_eq!(batched.version(), TxnVersion(3));
+        dst.apply_committed_batch(&recs).unwrap();
+        assert_eq!(dst.version(), src.version());
+        assert_eq!(*dst.snapshot(), *src.snapshot());
+        assert_eq!(*serial.snapshot(), *src.snapshot());
+        // Replaying the tail again is out of order.
+        assert!(dst.apply_committed_batch(&recs).is_err());
+        assert_eq!(dst.version(), TxnVersion(3));
         // Empty batch is a no-op.
-        batched.apply_committed_batch(&[]).unwrap();
-        assert_eq!(batched.version(), TxnVersion(3));
+        dst.apply_committed_batch(&[]).unwrap();
+        assert_eq!(dst.version(), TxnVersion(3));
     }
 
     #[test]

@@ -215,7 +215,7 @@ mod tests {
             defaults: vec![Value::Null],
         }));
         let rec = node.catalog.commit(t).unwrap();
-        node.store.append_local(&rec).unwrap();
+        node.store.append_local(&[rec]).unwrap();
     }
 
     #[test]

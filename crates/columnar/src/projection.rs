@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use eon_types::{Result, Schema, Value};
+use eon_types::{DataType, Result, Schema, Value};
 
 /// Distribution of a projection's tuples across the hash space.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -169,7 +169,8 @@ impl Projection {
     }
 
     /// Check that all referenced indices are in range for the table
-    /// schema (run at CREATE PROJECTION time).
+    /// schema and that a LAP sums only `Int` / `Float` columns (run at
+    /// CREATE PROJECTION time).
     pub fn validate(&self, table_schema: &Schema) -> Result<()> {
         for &c in &self.columns {
             if c >= table_schema.len() {
@@ -207,6 +208,15 @@ impl Projection {
                     return Err(eon_types::EonError::Catalog(format!(
                         "live aggregate projection {}: column {c} out of range",
                         self.name
+                    )));
+                }
+            }
+            for &(_, c) in lap.aggs.iter().filter(|(f, _)| *f == LapFunc::Sum) {
+                let field = table_schema.field(c);
+                if !matches!(field.dtype, DataType::Int | DataType::Float) {
+                    return Err(eon_types::EonError::Catalog(format!(
+                        "live aggregate projection {}: SUM over {} column {}",
+                        self.name, field.dtype, field.name
                     )));
                 }
             }

@@ -3,17 +3,19 @@
 //! bootstrap transactions — parks in the accumulator and is committed
 //! as a member of a batch, and a lone statement is a batch of one.
 //!
-//! Every DML statement serializes on the global commit lock, so under
-//! many small concurrent writers (the trickle-load shape) commit cost —
-//! the durable log append and the distribution round-trip to every up
-//! node — not data movement, bounds throughput. The first arrival
-//! becomes the **batch leader** and waits an accumulation window
-//! (`EonConfig::commit_group_window` deterministic ticks, closing early
-//! at `commit_group_max` statements); followers park their validated
-//! [`Txn`]s and wake with their own [`TxnRecord`] or their own typed
-//! error. With the default window of 0 the leader does not wait: it
-//! takes the queue — itself — in the same critical section it joined
-//! it in. The leader then, under the commit lock:
+//! Every statement serializes on the global commit lock, and each commit
+//! pays a durable log append and a distribution round-trip to every up
+//! node; a batch shares both among the statements queued behind one
+//! lock holder. No benchmark workload forms a batch larger than one
+//! (DESIGN.md "Group commit"), so batches of more are driven by tests.
+//!
+//! The first arrival becomes the **batch leader** and waits for the
+//! commit lock; whoever arrives while it waits parks its validated
+//! [`Txn`] as a follower and wakes with its own [`TxnRecord`] or its own
+//! typed error. There is no timer and no size cap: a batch is the set of
+//! arrivals behind the lock, so a statement with nobody beside it is a
+//! batch of one and a burst behind a long commit shares one append. Once
+//! it holds the lock the leader takes the queue and, in that one pass:
 //!
 //! 1. per statement, in arrival order: re-validates its §4.5 writer
 //!    subscriptions against the *current* snapshot and OCC-commits it
@@ -26,22 +28,18 @@
 //!    and repair via re-subscription (§3.3);
 //! 3. appends all records as **one** log file on the coordinator (the
 //!    §3.5 durability point — a single atomic write, so a crash durably
-//!    commits the whole batch or nothing, never a gap; a batch of one
-//!    writes the plain single-record file), then distributes the same
-//!    single append to every peer;
+//!    commits the whole batch or nothing, never a gap), then distributes
+//!    the same single append to every peer;
 //! 4. hands each statement's dropped keys whose catalog reference count
 //!    reached zero to the §6.5 reaper.
 //!
-//! Determinism rule: the accumulation window is measured in planned
-//! ticks — each leader wait charges one full tick whether the condvar
-//! wakes early or times out — and batch *composition* under seeded
-//! scheduling is pinned by the harness, which gates arrivals on
-//! [`EonDb::commit_group_queued`] and sizes `commit_group_max` to the
-//! intended batch, so the leader closes the batch at exactly the
+//! Determinism rule: batch *composition* under seeded scheduling is
+//! pinned by the harness through [`EonDb::pinned_batch`], which holds
+//! the commit lock while sequenced arrivals park and releases it when
+//! the queue holds the planned batch, so the leader drains exactly the
 //! planned membership and same-seed chaos runs replay byte-identically.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -54,18 +52,13 @@ use eon_types::{EonError, Result};
 use crate::db::EonDb;
 use crate::load::LoadWriters;
 
-/// One accumulation tick. The absolute length only matters for wall
-/// clock — determinism comes from charging whole ticks, not from the
-/// duration.
-const GROUP_TICK: Duration = Duration::from_micros(200);
-
 /// Registry handles for the commit protocol. All deterministic
 /// functions of the workload and the batch composition.
 pub(crate) struct CommitMetrics {
     /// Statements committed through the cluster commit protocol.
     pub(crate) statements: Arc<Counter>,
     /// Durable log-file appends on the batch coordinator — the count
-    /// group commit exists to shrink (one per statement at window 0).
+    /// group commit exists to shrink (one per batch).
     pub(crate) appends: Arc<Counter>,
     /// Statements that parked as group-commit followers.
     pub(crate) group_waits: Arc<Counter>,
@@ -132,33 +125,47 @@ struct Pending {
 #[derive(Default)]
 struct GroupInner {
     queue: Vec<Pending>,
-    /// A leader is currently accumulating (not yet drained its batch).
+    /// A leader is waiting for the commit lock (not yet drained its
+    /// batch).
     leader_active: bool,
 }
 
 /// The group-commit accumulator hung off [`EonDb`].
+#[derive(Default)]
 pub(crate) struct GroupCommit {
     inner: Mutex<GroupInner>,
-    /// Leader parks here between ticks; arrivals notify it so a full
-    /// batch closes without waiting out the window.
-    arrivals: Condvar,
-}
-
-impl GroupCommit {
-    pub(crate) fn new() -> GroupCommit {
-        GroupCommit {
-            inner: Mutex::new(GroupInner::default()),
-            arrivals: Condvar::new(),
-        }
-    }
 }
 
 impl EonDb {
-    /// Statements currently parked in the accumulator. Harness hook:
-    /// deterministic schedules gate arrivals on this so batch
-    /// composition is part of the plan, not of thread timing.
-    pub fn commit_group_queued(&self) -> usize {
-        self.group_commit.inner.lock().queue.len()
+    /// Run `member(i)` for each `i < n` on its own thread, with each
+    /// member's first commit landing in **one** batch. Harness hook (see
+    /// the module docs): the commit lock is held, member `i` starts once
+    /// `i` statements are parked, and the lock is released when all `n`
+    /// are — so arrival order, key minting and batch composition are the
+    /// plan's, not the scheduler's. Later commits of a member run free.
+    /// Every member must commit at least once. Results in member order.
+    #[doc(hidden)]
+    pub fn pinned_batch<T: Send>(&self, n: usize, member: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let park_until = |queued: usize| {
+            while self.group_commit.inner.lock().queue.len() < queued {
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|scope| {
+            let hold = self.commit_lock.lock();
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let (member, park_until) = (&member, &park_until);
+                    scope.spawn(move || {
+                        park_until(i);
+                        member(i)
+                    })
+                })
+                .collect();
+            park_until(n);
+            drop(hold);
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     /// Commit a catalog transaction cluster-wide.
@@ -191,48 +198,38 @@ impl EonDb {
         writers: Option<LoadWriters>,
     ) -> Result<TxnRecord> {
         let metrics = CommitMetrics::register(&self.config.obs);
-        let gc = &self.group_commit;
         let slot = CommitSlot::new();
-        let mut g = gc.inner.lock();
-        let is_leader = !g.leader_active;
-        g.leader_active = true;
-        g.queue.push(Pending {
-            txn,
-            coord,
-            writers,
-            slot: slot.clone(),
-        });
-        gc.arrivals.notify_all();
+        let is_leader = {
+            let mut g = self.group_commit.inner.lock();
+            g.queue.push(Pending {
+                txn,
+                coord,
+                writers,
+                slot: slot.clone(),
+            });
+            !std::mem::replace(&mut g.leader_active, true)
+        };
         if !is_leader {
-            drop(g);
             metrics.group_waits.inc();
             return slot.wait();
         }
-        // Leader: accumulate for up to `window` ticks (none at window
-        // 0), closing early when the batch fills. Each wait charges one
-        // full tick regardless of why it woke (the planned-wait
-        // determinism rule): tick count is a function of arrivals, not
-        // of races.
-        let window = self.commit_group_window();
-        let max = self.config.commit_group_max.max(1);
-        let mut ticks = 0;
-        while g.queue.len() < max && ticks < window {
-            gc.arrivals.wait_for(&mut g, GROUP_TICK);
-            ticks += 1;
-        }
-        let batch: Vec<Pending> = std::mem::take(&mut g.queue);
-        g.leader_active = false;
-        drop(g);
+        // Leader: the batch is whoever queued while it waited for the
+        // lock — itself at least.
+        let _lock = self.commit_lock.lock();
+        let batch = {
+            let mut g = self.group_commit.inner.lock();
+            g.leader_active = false;
+            std::mem::take(&mut g.queue)
+        };
         metrics.batch_size.observe(batch.len() as u64);
         self.run_commit_batch(batch, &metrics);
         slot.wait()
     }
 
-    /// The leader's pass. Never returns an error — every outcome,
-    /// including the leader's own, is delivered through the members'
-    /// slots so each statement observes *its* result.
+    /// The leader's pass, under the commit lock. Never returns an error
+    /// — every outcome, including the leader's own, is delivered through
+    /// the members' slots so each statement observes *its* result.
     fn run_commit_batch(&self, batch: Vec<Pending>, metrics: &CommitMetrics) {
-        let _lock = self.commit_lock.lock();
         // Phase 1 — commit each statement on the batch coordinator (the
         // coord of the first statement whose coord is still up), in
         // arrival order.
@@ -336,13 +333,13 @@ impl EonDb {
                 .map_err(|e| self.declare_divergence(node.id, &e))?;
         }
         faults.hit(site::COMMIT_LEADER_APPEND)?;
-        coord.store.append_local_batch(records)?;
+        coord.store.append_local(records)?;
         metrics.appends.inc();
         for node in &peers {
             faults.hit_node(site::COMMIT_MID_DISTRIBUTION, node.id.0)?;
             faults
                 .hit_node(site::COMMIT_PEER_APPEND, node.id.0)
-                .and_then(|()| node.store.append_local_batch(records))
+                .and_then(|()| node.store.append_local(records))
                 .map_err(|e| self.declare_divergence(node.id, &e))?;
         }
         faults.hit(site::COMMIT_POST_APPEND)
@@ -390,42 +387,24 @@ mod tests {
         out
     }
 
-    /// Sequenced concurrent single-row COPYs: writer `i` starts once
-    /// `i` statements are parked, so arrival order (and therefore
-    /// coordinator rotation, key minting, and batch composition) is the
-    /// plan's, not the scheduler's.
-    fn run_sequenced_copies(db: &Arc<EonDb>, writers: usize) {
-        std::thread::scope(|scope| {
-            for i in 0..writers {
-                let db = db.clone();
-                scope.spawn(move || {
-                    while db.commit_group_queued() < i {
-                        std::thread::yield_now();
-                    }
-                    db.copy_into("t", vec![vec![Value::Int(i as i64), Value::Int(7)]])
-                        .unwrap();
-                });
-            }
-        });
-    }
-
     #[test]
     fn grouped_copies_match_serial_state_with_fewer_appends() {
         const WRITERS: usize = 4;
+        let copy = |db: &EonDb, i: usize| {
+            db.copy_into("t", vec![vec![Value::Int(i as i64), Value::Int(7)]])
+                .unwrap()
+        };
         // Serial reference: same statements, same order, one at a time.
         let serial = db_with(EonConfig::new(3, 3));
         for i in 0..WRITERS {
-            serial
-                .copy_into("t", vec![vec![Value::Int(i as i64), Value::Int(7)]])
-                .unwrap();
+            copy(&serial, i);
         }
-        let grouped = db_with(EonConfig::new(3, 3).commit_group_max(WRITERS));
+        let grouped = db_with(EonConfig::new(3, 3));
         let metrics = CommitMetrics::register(grouped.metrics());
         // Bootstrap and DDL committed as batches of one; count from here.
         let (appends0, stmts0) = (metrics.appends.get(), metrics.statements.get());
         let (batches0, batched0) = (metrics.batch_size.count(), metrics.batch_size.sum());
-        grouped.set_commit_group_window(500_000);
-        run_sequenced_copies(&grouped, WRITERS);
+        grouped.pinned_batch(WRITERS, |i| copy(&grouped, i));
         assert_eq!(fingerprint(&grouped), fingerprint(&serial));
 
         // The whole batch landed in one durable append: every node's
@@ -449,30 +428,17 @@ mod tests {
 
     #[test]
     fn conflicting_member_fails_alone() {
-        let db = db_with(EonConfig::new(3, 3).commit_group_max(2));
-        db.set_commit_group_window(500_000);
+        let db = db_with(EonConfig::new(3, 3));
         let coord = db.membership().up_nodes()[0].clone();
         let oid = coord.catalog.snapshot().table_by_name("t").unwrap().oid;
         let v0 = db.version();
         // Both members drop the same table: the first (by arrival order)
         // commits, the second must get its own WriteConflict while the
         // batch still commits.
-        let results: Vec<Result<TxnRecord>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2)
-                .map(|i| {
-                    let db = db.clone();
-                    let coord = coord.clone();
-                    scope.spawn(move || {
-                        while db.commit_group_queued() < i {
-                            std::thread::yield_now();
-                        }
-                        let mut txn = coord.catalog.begin();
-                        txn.push(CatalogOp::DropTable(oid));
-                        db.commit_cluster(txn, &coord)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results: Vec<Result<TxnRecord>> = db.pinned_batch(2, |_| {
+            let mut txn = coord.catalog.begin();
+            txn.push(CatalogOp::DropTable(oid));
+            db.commit_cluster(txn, &coord)
         });
         assert!(results[0].is_ok(), "{:?}", results[0]);
         assert!(
@@ -553,9 +519,10 @@ mod tests {
 
     #[test]
     fn lone_commit_is_a_batch_of_one() {
-        // Default config, statements one at a time: bootstrap (two
-        // transactions), DDL, COPY, DDL, DELETE, COPY. Each is its own
-        // batch, with its own append, and nobody parks as a follower.
+        // Statements one at a time: bootstrap (two transactions), DDL,
+        // COPY, DDL, DELETE, COPY. With nobody behind the lock each is
+        // its own batch, with its own append, and nobody parks as a
+        // follower.
         let db = db_with(EonConfig::new(3, 3));
         db.copy_into("t", (0..40).map(|i| vec![Value::Int(i), Value::Int(7)]).collect())
             .unwrap();
@@ -579,28 +546,29 @@ mod tests {
         assert_eq!(metrics.appends.get(), statements);
         assert_eq!(metrics.group_waits.get(), 0);
 
-        // On disk a batch of one is the plain single-record file: one
-        // `txn/{version:020}` key per commit holding exactly that
-        // record's encoding, on every node.
+        // On disk a batch of one is a log file of one record: one
+        // `txn/{v:020}-{v:020}` key per commit holding exactly that
+        // record, on every node.
         for node in db.membership().up_nodes() {
             let want: Vec<String> = (1..=statements)
-                .map(|v| format!("catalog/txn/{v:020}"))
+                .map(|v| format!("catalog/txn/{v:020}-{v:020}"))
                 .collect();
             let mut keys = node.local_disk.list("catalog/txn/").unwrap();
             keys.sort();
             assert_eq!(keys, want, "{}", node.id);
             for (key, v) in want.iter().zip(1..) {
                 let bytes = node.local_disk.read(key).unwrap();
-                let rec = TxnRecord::decode(&bytes).unwrap();
-                assert_eq!(rec.version, TxnVersion(v));
-                assert_eq!(rec.encode(), bytes);
+                let recs = eon_catalog::log::decode_log_file(&bytes).unwrap();
+                assert_eq!(recs.len(), 1, "{key}");
+                assert_eq!(recs[0].version, TxnVersion(v));
+                assert_eq!(eon_catalog::log::encode_log_file(&recs), bytes);
             }
         }
     }
 
     #[test]
     fn commit_crash_points_hold_for_a_lone_statement() {
-        // No window, no concurrency: a lone COPY is a batch, so the
+        // No concurrency: a lone COPY is a batch of one, so the
         // leader's crash points are its crash points.
         for s in [
             site::COMMIT_LEADER_APPEND,
@@ -640,23 +608,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_lone_commits_all_land() {
-        // Window 0 under concurrency: every statement leads its own
-        // batch of one and they serialize on the commit lock.
+    fn concurrent_commits_batch_without_a_window() {
+        // No timer, no cap: statements that arrive while a batch holds
+        // the commit lock form the next batch. The first round is pinned
+        // into one batch behind a held lock; then the threads run free.
         const THREADS: usize = 8;
         const PER: usize = 20;
         let db = db_with(EonConfig::new(3, 3));
+        let metrics = CommitMetrics::register(db.metrics());
+        let (appends0, stmts0) = (metrics.appends.get(), metrics.statements.get());
+        let batched0 = metrics.batch_size.sum();
         let v0 = db.version();
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let db = &db;
-                scope.spawn(move || {
-                    for i in 0..PER {
-                        let id = (t * PER + i) as i64;
-                        db.copy_into("t", vec![vec![Value::Int(id), Value::Int(7)]])
-                            .unwrap();
-                    }
-                });
+        db.pinned_batch(THREADS, |t| {
+            for i in 0..PER {
+                let id = (t * PER + i) as i64;
+                db.copy_into("t", vec![vec![Value::Int(id), Value::Int(7)]])
+                    .unwrap();
             }
         });
         let total = (THREADS * PER) as u64;
@@ -672,32 +639,10 @@ mod tests {
             let want: Vec<u64> = (v0.0 + 1..=v0.0 + total).collect();
             assert_eq!(versions, want, "{}", node.id);
         }
-    }
-
-    #[test]
-    fn grouped_path_serves_ddl_and_dml() {
-        // A lone statement through the grouped path: the leader waits
-        // out the (small) window and commits a singleton batch. The
-        // window is live from creation, so bootstrap DDL also routes
-        // through the accumulator.
-        let db = db_with(EonConfig::new(3, 3).commit_group_window(2));
-        db.copy_into("t", vec![vec![Value::Int(1), Value::Int(2)]])
-            .unwrap();
-        let s = schema![("x", Int)];
-        db.create_table(
-            "t2",
-            s.clone(),
-            vec![Projection::super_projection("t2p", &s, &[0], &[0])],
-        )
-        .unwrap();
-        let n = db
-            .delete_where(
-                "t",
-                &eon_columnar::Predicate::cmp(0, eon_columnar::pruning::CmpOp::Eq, 1i64),
-            )
-            .unwrap();
-        assert_eq!(n, 1);
-        let metrics = CommitMetrics::register(db.metrics());
-        assert_eq!(metrics.appends.get(), metrics.batch_size.count());
+        let appends = metrics.appends.get() - appends0;
+        let stmts = metrics.statements.get() - stmts0;
+        assert_eq!(stmts, total);
+        assert!(appends < stmts, "{appends} appends for {stmts} statements");
+        assert_eq!(metrics.batch_size.sum() - batched0, stmts);
     }
 }

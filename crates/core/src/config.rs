@@ -68,15 +68,6 @@ pub struct EonConfig {
     /// the supervisor re-admits it through the `restart_node` path.
     /// `0` disables auto-restart (detection and takeover still run).
     pub supervisor_restart_ticks: u64,
-    /// Group commit (DESIGN.md "Group commit"): how many deterministic
-    /// accumulation ticks the batch leader waits for followers to join
-    /// before closing the batch. `0` = the leader does not wait, so a
-    /// statement with nobody beside it is a batch of one and pays its
-    /// own log append and distribution round-trip.
-    pub commit_group_window: u64,
-    /// Max statements per commit batch; the leader closes the batch
-    /// early when it fills.
-    pub commit_group_max: usize,
 }
 
 impl Default for EonConfig {
@@ -98,8 +89,6 @@ impl Default for EonConfig {
             breaker: None,
             health: eon_cluster::HealthConfig::default(),
             supervisor_restart_ticks: 4,
-            commit_group_window: 0,
-            commit_group_max: 16,
         }
     }
 }
@@ -196,18 +185,6 @@ impl EonConfig {
     /// Supervisor auto-restart delay in ticks (`0` = off).
     pub fn supervisor_restart_ticks(mut self, ticks: u64) -> Self {
         self.supervisor_restart_ticks = ticks;
-        self
-    }
-
-    /// Group-commit accumulation window in ticks (`0` = no wait).
-    pub fn commit_group_window(mut self, ticks: u64) -> Self {
-        self.commit_group_window = ticks;
-        self
-    }
-
-    /// Max statements per commit batch.
-    pub fn commit_group_max(mut self, n: usize) -> Self {
-        self.commit_group_max = n.max(1);
         self
     }
 }

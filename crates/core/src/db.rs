@@ -23,7 +23,8 @@ pub struct EonDb {
     /// Hex incarnation id; changes on revive (§3.5).
     pub(crate) incarnation: Mutex<String>,
     /// Serializes cluster commits (stand-in for the distributed commit
-    /// protocol; Vertica's global catalog lock plays the same role).
+    /// protocol; Vertica's global catalog lock plays the same role). A
+    /// commit batch forms while its leader waits for it.
     pub(crate) commit_lock: Mutex<()>,
     /// Session counter: varies participant selection per query (§4.1).
     pub(crate) session_counter: AtomicU64,
@@ -47,12 +48,6 @@ pub struct EonDb {
     /// Group-commit accumulator (DESIGN.md "Group commit"): every
     /// commit parks here.
     pub(crate) group_commit: crate::commit::GroupCommit,
-    /// Live group-commit window, ticks (`EonConfig::commit_group_window`
-    /// seeds it). Dynamic so a harness can bring the cluster up with
-    /// no wait and then open the window for the workload under test —
-    /// bootstrap DDL has no concurrency to amortize against and would
-    /// otherwise wait out the whole window alone.
-    pub(crate) commit_group_window: AtomicU64,
     /// Set when metadata divergence is detected (§3.4): a node applied
     /// a record in memory but could not persist it, or refused a record
     /// its peers accepted. A halted cluster reports `Down` from
@@ -134,8 +129,7 @@ impl EonDb {
             ),
             breaker,
             supervisor: Mutex::new(crate::supervisor::SupervisorState::new(&config)),
-            group_commit: crate::commit::GroupCommit::new(),
-            commit_group_window: AtomicU64::new(config.commit_group_window),
+            group_commit: Default::default(),
             halted: Mutex::new(None),
             config,
         })
@@ -274,19 +268,6 @@ impl EonDb {
     /// Next session seed (drives assignment edge-order variation).
     pub(crate) fn next_session_seed(&self) -> u64 {
         self.session_counter.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The live group-commit accumulation window, in ticks (`0` = the
-    /// batch leader does not wait: a lone statement is a batch of one).
-    pub fn commit_group_window(&self) -> u64 {
-        self.commit_group_window.load(Ordering::Relaxed)
-    }
-
-    /// Change the group-commit window at runtime; statements already
-    /// parked in the accumulator finish under the window they arrived
-    /// with.
-    pub fn set_commit_group_window(&self, ticks: u64) {
-        self.commit_group_window.store(ticks, Ordering::Relaxed);
     }
 
     /// Record metadata divergence (§3.4: "the cluster shuts down" —

@@ -256,6 +256,57 @@ mod tests {
     }
 
     #[test]
+    fn lap_sums_only_numbers_and_folds_strings_like_the_base() {
+        let s = schema![("id", Int), ("grp", Int), ("name", Str)];
+        let db = EonDb::create(Arc::new(MemFs::new()), EonConfig::new(3, 3)).unwrap();
+        let with_lap = |name: &str, aggs| {
+            db.create_table(
+                name,
+                s.clone(),
+                vec![
+                    Projection::super_projection(format!("{name}_super"), &s, &[0], &[0]),
+                    Projection::live_aggregate(format!("{name}_lap"), &[1], aggs),
+                ],
+            )
+        };
+        // A LAP cannot sum strings: a typed error at CREATE TABLE, not
+        // a `0.0` answer later.
+        let err = with_lap("t", vec![(LapFunc::Sum, 2)]).unwrap_err();
+        assert!(matches!(err, eon_types::EonError::Catalog(_)), "{err:?}");
+        assert!(db.snapshot().unwrap().table_by_name("t").is_none());
+
+        // MIN / MAX / COUNT(*) over a string column are kept, and the
+        // LAP answers what the base projection does.
+        with_lap("u", vec![(LapFunc::Min, 2), (LapFunc::Max, 2), (LapFunc::CountStar, 0)])
+            .unwrap();
+        let row = |id: i64, name: &str| {
+            vec![Value::Int(id), Value::Int(id % 2), Value::Str(name.into())]
+        };
+        db.copy_into("u", vec![row(0, "b"), row(1, "a"), row(2, "c")]).unwrap();
+        db.copy_into("u", vec![row(4, "a"), row(5, "d")]).unwrap();
+        let aggs = vec![
+            AggSpec::min(Expr::col(2)),
+            AggSpec::max(Expr::col(2)),
+            AggSpec::count_star(),
+        ];
+        let base = Plan::scan(ScanSpec::new("u").projection("u_super"))
+            .aggregate(vec![1], aggs.clone());
+        let lap = Plan::scan(ScanSpec::new("u")).aggregate(vec![1], aggs);
+        let mut want = db.query(&base).unwrap();
+        want.sort();
+        let mut got = db.query(&lap).unwrap();
+        got.sort();
+        assert_eq!(got, want);
+        assert_eq!(
+            want,
+            vec![
+                vec![Value::Int(0), Value::Str("a".into()), Value::Str("c".into()), Value::Int(3)],
+                vec![Value::Int(1), Value::Str("a".into()), Value::Str("d".into()), Value::Int(2)],
+            ]
+        );
+    }
+
+    #[test]
     fn deletes_are_rejected_with_lap() {
         let db = db_with_lap();
         db.copy_into("t", vec![vec![Value::Int(1), Value::Int(0), Value::Int(5)]])

@@ -151,8 +151,9 @@ impl EonDb {
     /// its tail — never a surviving in-memory catalog, because there is
     /// none. A mid-distribution crash (coordinator appended, some peers
     /// did not) converges here: the batch append is one atomic file, so
-    /// each log holds the whole batch or nothing, and the laggards
-    /// stream the missing records. Returns the converged version.
+    /// each log holds the whole batch or nothing, and each laggard
+    /// applies the missing tail as one batch and appends it as one log
+    /// file. Returns the converged version.
     pub fn cold_restart_all(&self) -> Result<TxnVersion> {
         let mut nodes: Vec<Arc<NodeRuntime>> = Vec::new();
         for old in self.membership.all() {
@@ -178,10 +179,8 @@ impl EonDb {
                         tip.catalog.version().0
                     )));
                 }
-                for rec in records {
-                    node.catalog.apply_committed(&rec)?;
-                    node.store.append_local(&rec)?;
-                }
+                node.catalog.apply_committed_batch(&records)?;
+                node.store.append_local(&records)?;
             }
             self.membership.add(node.clone());
         }
@@ -282,9 +281,10 @@ impl EonDb {
         Ok(())
     }
 
-    /// Metadata transfer (§3.3): ship log records the node is missing;
-    /// if the peer's log no longer covers the gap (checkpoint pruning),
-    /// ship a full snapshot.
+    /// Metadata transfer (§3.3): ship the log tail the node is missing,
+    /// applied as one batch and appended as one log file; if the peer's
+    /// log no longer covers the gap (checkpoint pruning), ship a full
+    /// snapshot.
     fn catch_up_node(&self, node: &Arc<NodeRuntime>, peer: &Arc<NodeRuntime>) -> Result<()> {
         loop {
             let have = node.catalog.version();
@@ -299,10 +299,8 @@ impl EonDb {
                 node.checkpoint()?;
                 return Ok(());
             }
-            for rec in records {
-                node.catalog.apply_committed(&rec)?;
-                node.store.append_local(&rec)?;
-            }
+            node.catalog.apply_committed_batch(&records)?;
+            node.store.append_local(&records)?;
         }
     }
 

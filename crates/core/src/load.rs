@@ -36,7 +36,8 @@ use eon_cluster::pool::run_indexed;
 use eon_cluster::NodeRuntime;
 use eon_obs::{Counter, Histogram, QueryProfile, Registry};
 use eon_storage::fault::site as fault_site;
-use eon_columnar::{split_rows_by_shard, Projection, RosWriter};
+use eon_columnar::{split_rows_by_shard, Batch, Column, Projection, RosWriter};
+use eon_exec::{AggSpec, Expr};
 use eon_shard::{select_participants, AssignmentProblem};
 use eon_types::{EonError, NodeId, Oid, Result, ShardId, Value};
 
@@ -106,62 +107,39 @@ pub(crate) struct LoadWriters {
 }
 
 /// Fold base-table rows into a Live Aggregate Projection's layout:
-/// one row per group — group values followed by aggregate values.
+/// one row per group — group values followed by aggregate values —
+/// through the query engine's aggregation kernel, so a LAP and a base
+/// scan fold alike. Only the columns the LAP reads become typed
+/// columns, renumbered in order of first use.
 pub(crate) fn fold_live_aggregate(
     rows: &[Vec<Value>],
     lap: &eon_columnar::LiveAggregate,
-) -> Vec<Vec<Value>> {
+) -> Result<Vec<Vec<Value>>> {
     use eon_columnar::LapFunc;
-    let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = lap.group_by.iter().map(|&c| row[c].clone()).collect();
-        let accs = groups.entry(key).or_insert_with(|| {
-            lap.aggs
-                .iter()
-                .map(|(f, _)| match f {
-                    LapFunc::CountStar => Value::Int(0),
-                    _ => Value::Null,
-                })
-                .collect()
-        });
-        for (acc, (f, col)) in accs.iter_mut().zip(&lap.aggs) {
-            let v = &row[*col];
-            match f {
-                LapFunc::CountStar => {
-                    *acc = Value::Int(acc.as_int().unwrap_or(0) + 1);
-                }
-                _ if v.is_null() => {}
-                LapFunc::Sum => {
-                    *acc = match (&*acc, v) {
-                        (Value::Null, x) => x.clone(),
-                        (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
-                        (a, b) => Value::Float(
-                            a.as_float().unwrap_or(0.0) + b.as_float().unwrap_or(0.0),
-                        ),
-                    };
-                }
-                LapFunc::Min => {
-                    if acc.is_null() || v < acc {
-                        *acc = v.clone();
-                    }
-                }
-                LapFunc::Max => {
-                    if acc.is_null() || v > acc {
-                        *acc = v.clone();
-                    }
-                }
-            }
-        }
-    }
-    let mut out: Vec<Vec<Value>> = groups
-        .into_iter()
-        .map(|(mut key, accs)| {
-            key.extend(accs);
-            key
+    let mut used: Vec<usize> = Vec::new();
+    let mut slot = |c: usize| {
+        used.iter().position(|&u| u == c).unwrap_or_else(|| {
+            used.push(c);
+            used.len() - 1
+        })
+    };
+    let group_by: Vec<usize> = lap.group_by.iter().map(|&c| slot(c)).collect();
+    let aggs: Vec<AggSpec> = lap
+        .aggs
+        .iter()
+        .map(|&(f, c)| match f {
+            LapFunc::Sum => AggSpec::sum(Expr::col(slot(c))),
+            LapFunc::Min => AggSpec::min(Expr::col(slot(c))),
+            LapFunc::Max => AggSpec::max(Expr::col(slot(c))),
+            LapFunc::CountStar => AggSpec::count_star(),
         })
         .collect();
-    out.sort();
-    out
+    let cols = used
+        .iter()
+        .map(|&c| Column::from_values(rows.iter().map(|r| r[c].as_ref())))
+        .collect();
+    let batch = Batch::new(cols, rows.len());
+    Ok(eon_exec::agg::aggregate(&batch, &group_by, &aggs)?.into_rows())
 }
 
 impl EonDb {
@@ -285,7 +263,7 @@ impl EonDb {
             let proj_rows: Vec<Vec<Value>> = match &proj.live_aggregate {
                 // Live Aggregate Projection (§2.1): fold the batch into
                 // pre-computed partial aggregate rows before writing.
-                Some(lap) => fold_live_aggregate(rows, lap),
+                Some(lap) => fold_live_aggregate(rows, lap)?,
                 None => rows.iter().map(|r| proj.project_row(r)).collect(),
             };
             if proj.is_replicated() {

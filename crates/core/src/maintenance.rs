@@ -280,6 +280,13 @@ impl EonDb {
         Ok(info)
     }
 
+    /// Invariant-checker introspection: shared-storage keys currently
+    /// awaiting safe deletion. Rollback tests use this to prove a
+    /// failed statement's uploads are accounted for, not leaked.
+    pub fn reaper_pending_keys(&self) -> Vec<String> {
+        self.reaper.pending_keys()
+    }
+
     /// Delete zero-reference files whose retention conditions have
     /// passed (§6.5). Returns keys deleted.
     ///
@@ -289,13 +296,6 @@ impl EonDb {
     /// outcomes (the delete applied but the response was lost) are
     /// safe to re-register too: deleting a missing object is not an
     /// error, so the retry is a no-op.
-    /// Invariant-checker introspection: shared-storage keys currently
-    /// awaiting safe deletion. Rollback tests use this to prove a
-    /// failed statement's uploads are accounted for, not leaked.
-    pub fn reaper_pending_keys(&self) -> Vec<String> {
-        self.reaper.pending_keys()
-    }
-
     pub fn reap_files(&self) -> Result<Vec<String>> {
         // No up nodes = no attestation that old versions are unread (a
         // restarting node may resume a query): skip the pass entirely

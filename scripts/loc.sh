@@ -52,8 +52,8 @@ printf '%-16s %6d\n' "with_retry calls" \
     "$(matches 'with_retry' $(ls -d crates/*/ | grep -v '^crates/storage/'))"
 
 # "One semaphore, metrics wired at construction" as numbers: planned-
-# wait loops (condvar `wait_for(` sites; target 2: the `ExecSlots`
-# semaphore and the group-commit window) and registry re-homing methods
+# wait loops (condvar `wait_for(` sites; target 1: the `ExecSlots`
+# semaphore — group commit has no timer) and registry re-homing methods
 # (target 0: every component takes its registry when it is built).
 printf '%-16s %6d\n' "planned-wait loops" "$(matches 'wait_for[(]' crates)"
 printf '%-16s %6d\n' "attach_metrics" "$(matches 'fn attach_metrics' crates)"

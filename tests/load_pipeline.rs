@@ -204,37 +204,20 @@ fn batched_commit_crash_is_prefix_or_nothing() {
         site::COMMIT_POST_APPEND,
     ] {
         let faults = FaultPlan::inert();
-        let db = EonDb::create(
-            Arc::new(MemFs::new()),
-            cfg(3, 3, 1).faults(faults.clone()).commit_group_max(WRITERS),
-        )
-        .unwrap();
+        let db = EonDb::create(Arc::new(MemFs::new()), cfg(3, 3, 1).faults(faults.clone()))
+            .unwrap();
         make_table(&db);
         let base = gen_rows(3, 90);
         db.copy_into("t", base.clone()).unwrap();
         let v0 = db.version();
 
-        // Quiet bootstrap done: arm the crash, open the window, park a
-        // full batch (writer `i` arrives once `i` are queued, so
-        // composition is the plan's, not the scheduler's).
+        // Quiet bootstrap done: arm the crash and park a full batch
+        // behind the held commit lock.
         faults.rearm(s, 0, None);
-        db.set_commit_group_window(500_000);
         let batch_row =
             |i: usize| vec![Value::Int(1_000 + i as i64), Value::Int(0), Value::Int(0)];
-        let outcomes: Vec<Result<u64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..WRITERS)
-                .map(|i| {
-                    let db = db.clone();
-                    scope.spawn(move || {
-                        while db.commit_group_queued() < i {
-                            std::thread::yield_now();
-                        }
-                        db.copy_into("t", vec![batch_row(i)])
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let outcomes: Vec<Result<u64>> =
+            db.pinned_batch(WRITERS, |i| db.copy_into("t", vec![batch_row(i)]));
         for (i, o) in outcomes.iter().enumerate() {
             assert!(
                 matches!(o, Err(EonError::FaultInjected(_))),
@@ -264,7 +247,6 @@ fn batched_commit_crash_is_prefix_or_nothing() {
         if durable {
             model.rows.extend((0..WRITERS).map(batch_row));
         }
-        db.set_commit_group_window(0);
         let report = check_crash_invariants(&db, &[model]).unwrap();
         if !durable {
             assert!(
@@ -278,33 +260,17 @@ fn batched_commit_crash_is_prefix_or_nothing() {
 
 /// The same sequenced batch schedule commits byte-identical state —
 /// storage keys included — run to run: batch composition is pinned by
-/// the arrival gate, so group commit adds no nondeterminism to the
-/// write pipeline.
+/// the held commit lock and the arrival gate, so group commit adds no
+/// nondeterminism to the write pipeline.
 #[test]
 fn batched_commit_replays_byte_identically() {
     let run = || {
-        let db = EonDb::create(
-            Arc::new(MemFs::new()),
-            cfg(3, 3, 1).commit_group_max(4),
-        )
-        .unwrap();
+        let db = EonDb::create(Arc::new(MemFs::new()), cfg(3, 3, 1)).unwrap();
         make_table(&db);
         db.copy_into("t", gen_rows(11, 60)).unwrap();
-        db.set_commit_group_window(500_000);
-        std::thread::scope(|scope| {
-            for i in 0..4usize {
-                let db = db.clone();
-                scope.spawn(move || {
-                    while db.commit_group_queued() < i {
-                        std::thread::yield_now();
-                    }
-                    db.copy_into(
-                        "t",
-                        vec![vec![Value::Int(2_000 + i as i64), Value::Int(1), Value::Int(2)]],
-                    )
-                    .unwrap();
-                });
-            }
+        db.pinned_batch(4, |i| {
+            let row = vec![Value::Int(2_000 + i as i64), Value::Int(1), Value::Int(2)];
+            db.copy_into("t", vec![row]).unwrap()
         });
         (fingerprint(&db), sorted_rows(&db))
     };

@@ -328,7 +328,7 @@ fn one_retry_loop_below_the_depot() {
     let store = eon_catalog::CatalogStore::new(local, shared, "inc0");
     for v in 1..=8 {
         let record = eon_catalog::TxnRecord { version: TxnVersion(v), ops: Vec::new() };
-        store.append_local(&record).unwrap();
+        store.append_local(&[record]).unwrap();
     }
     let retried = |what: &str, op: &dyn Fn()| {
         let faults = series_sum(&registry, "s3_faults_injected_total");
