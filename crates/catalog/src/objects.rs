@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 
 use eon_columnar::Projection;
-use eon_types::{HashRange, NodeId, Oid, Schema, ShardId, Value};
+use eon_types::{EonError, HashRange, NodeId, Oid, Result, Schema, ShardId, Value};
 
 /// Whether a shard holds segmented or replicated storage (§3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,6 +74,55 @@ impl Table {
             .iter()
             .find(|(o, _)| *o == oid)
             .map(|(_, p)| p)
+    }
+
+    /// The projection that answers a scan reading the table columns
+    /// `needed`: the one named `hint` when the scan is pinned, otherwise
+    /// the first carrying every needed column, preferring replicated
+    /// projections for global scans (one copy to read) and segmented ones
+    /// for shard-local scans. The scan and the plan rule that reasons
+    /// about its segmentation both ask here, so they cannot disagree.
+    pub fn pick_projection(
+        &self,
+        needed: &[usize],
+        global: bool,
+        hint: Option<&str>,
+    ) -> Result<(Oid, &Projection)> {
+        if let Some(name) = hint {
+            return self
+                .projections
+                .iter()
+                .find(|(_, p)| p.name == name)
+                .map(|(oid, p)| (*oid, p))
+                .ok_or_else(|| {
+                    EonError::Query(format!("{} has no projection named {name}", self.name))
+                });
+        }
+        let qualifies = |p: &Projection| needed.iter().all(|c| p.columns.contains(c));
+        let (mut segmented, mut replicated) = (None, None);
+        for (oid, p) in &self.projections {
+            // A LAP's rows are pre-aggregated; it never answers a scan
+            // implicitly (§2.1) — only via an explicit projection pin.
+            if p.is_live_aggregate() || !qualifies(p) {
+                continue;
+            }
+            if p.is_replicated() {
+                replicated.get_or_insert((*oid, p));
+            } else {
+                segmented.get_or_insert((*oid, p));
+            }
+        }
+        let pick = if global {
+            replicated.or(segmented)
+        } else {
+            segmented.or(replicated)
+        };
+        pick.ok_or_else(|| {
+            EonError::Query(format!(
+                "no projection of {} covers the required columns",
+                self.name
+            ))
+        })
     }
 }
 

@@ -31,7 +31,8 @@ pub fn split_rows_by_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eon_types::HashRange;
+    use eon_types::{hash_value, HashRange};
+    use proptest::prelude::*;
 
     fn rows(n: i64) -> Vec<Vec<Value>> {
         (0..n).map(|i| vec![Value::Int(i), Value::Int(i * 10)]).collect()
@@ -73,6 +74,67 @@ mod tests {
                 shard_of_row(&t1_row, &[1], 4),
                 shard_of_row(&t2_row, &[0], 4)
             );
+        }
+    }
+
+    /// Cells where equality across types is easy to get wrong: signed
+    /// zeros, NaN payloads, integers around 2^53 (where `f64` stops
+    /// being exact) and at the ends of `i64`, and the same small numbers
+    /// as `Int`, `Float`, `Date` and `Str`.
+    fn cell() -> impl Strategy<Value = Value> {
+        const EDGE: i64 = 1 << 53;
+        let ints = [0, 1, -1, 5, EDGE - 1, EDGE, EDGE + 1, -EDGE - 1, -EDGE, i64::MIN, i64::MAX];
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            5.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            EDGE as f64,
+            -(EDGE as f64),
+            (EDGE + 2) as f64,
+            i64::MIN as f64,
+            i64::MAX as f64,
+        ];
+        prop_oneof![
+            (0..ints.len()).prop_map(move |i| Value::Int(ints[i])),
+            (0..floats.len()).prop_map(move |i| Value::Float(floats[i])),
+            (-1i32..6).prop_map(Value::Date),
+            (0..3usize).prop_map(|i| Value::Str(["", "1", "a"][i].into())),
+            Just(Value::Null),
+        ]
+    }
+
+    /// The same number in the other representation, where one exists.
+    fn twin(v: &Value) -> Value {
+        match v {
+            Value::Int(i) => Value::Float(*i as f64),
+            Value::Float(f) if f.fract() == 0.0 => Value::Int(*f as i64),
+            v => v.clone(),
+        }
+    }
+
+    proptest! {
+        /// What co-located joins stand on: cells that compare equal hash
+        /// equal, so rows that a join matches land in the same shard for
+        /// every shard count, alone or beside another column.
+        #[test]
+        fn equal_cells_hash_and_shard_alike(a in cell(), b in cell(), c in cell()) {
+            for b in [b, twin(&a)] {
+                if a != b {
+                    continue;
+                }
+                prop_assert_eq!(hash_value(&a), hash_value(&b), "{:?} == {:?}", a, b);
+                let (ra, rb) = (vec![c.clone(), a.clone()], vec![c.clone(), b.clone()]);
+                for n in 1..=16 {
+                    prop_assert_eq!(shard_of_row(&ra, &[1], n), shard_of_row(&rb, &[1], n));
+                    prop_assert_eq!(shard_of_row(&ra, &[0, 1], n), shard_of_row(&rb, &[0, 1], n));
+                }
+            }
         }
     }
 

@@ -5,9 +5,10 @@
 //! slices (§4.4).
 //!
 //! Scans run as a *pipeline* (see DESIGN.md "Scan pipeline"): the
-//! per-shard container list fans out across a bounded per-node worker
-//! pool so shared-storage latency on one container overlaps decode and
-//! filter compute on another, and every container goes through the one
+//! containers of every scan of a local phase fan out as one wave across
+//! a bounded per-node worker pool, so shared-storage latency on one
+//! container overlaps decode and filter compute on another, and every
+//! container goes through the one
 //! block-filter kernel, [`RosReader::filter_blocks`] — coalesced ranged
 //! reads, predicates on encoded views, non-predicate columns fetched
 //! only for blocks with surviving rows. Results merge in container
@@ -186,54 +187,6 @@ impl NodeProvider {
         keep
     }
 
-    /// Choose the projection to answer a scan: the first one carrying
-    /// every needed column, preferring replicated projections for
-    /// global scans (one copy to read) and segmented ones for
-    /// shard-local scans.
-    fn pick_projection<'t>(
-        &self,
-        table: &'t Table,
-        needed: &[usize],
-        global: bool,
-        hint: Option<&str>,
-    ) -> Result<(Oid, &'t Projection)> {
-        if let Some(name) = hint {
-            return table
-                .projections
-                .iter()
-                .find(|(_, p)| p.name == name)
-                .map(|(oid, p)| (*oid, p))
-                .ok_or_else(|| {
-                    EonError::Query(format!("{} has no projection named {name}", table.name))
-                });
-        }
-        let qualifies = |p: &Projection| needed.iter().all(|c| p.columns.contains(c));
-        let (mut segmented, mut replicated) = (None, None);
-        for (oid, p) in &table.projections {
-            // A LAP's rows are pre-aggregated; it never answers a scan
-            // implicitly (§2.1) — only via an explicit projection pin.
-            if p.is_live_aggregate() || !qualifies(p) {
-                continue;
-            }
-            if p.is_replicated() {
-                replicated.get_or_insert((*oid, p));
-            } else {
-                segmented.get_or_insert((*oid, p));
-            }
-        }
-        let pick = if global {
-            replicated.or(segmented)
-        } else {
-            segmented.or(replicated)
-        };
-        pick.ok_or_else(|| {
-            EonError::Query(format!(
-                "no projection of {} covers the required columns",
-                table.name
-            ))
-        })
-    }
-
     /// Merged delete-vector keep mask for a container, if any deletes
     /// exist.
     fn delete_mask(&self, c: &ContainerMeta) -> Result<Option<Vec<bool>>> {
@@ -254,18 +207,25 @@ impl NodeProvider {
         ScanMetrics::register(&self.scan.obs, &format!("node{}", self.node.id.0))
     }
 
-    /// Run `count` independent scan tasks on the session's scan pool
-    /// and return their results in task order, so callers see exactly
-    /// the iteration order of a one-worker scan. The lowest-index error
-    /// wins; the pool claims nothing further once a task has failed.
-    fn run_scan_tasks<T, F>(&self, count: usize, metrics: &ScanMetrics, f: F) -> Result<Vec<T>>
+    /// Run `count` independent scan tasks on at most `width` of the
+    /// session's scan workers and return their results in task order, so
+    /// callers see exactly the iteration order of a one-worker scan. The
+    /// lowest-index error wins; the pool claims nothing further once a
+    /// task has failed.
+    fn run_scan_tasks<T, F>(
+        &self,
+        width: usize,
+        count: usize,
+        metrics: &ScanMetrics,
+        f: F,
+    ) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(usize) -> Result<T> + Sync,
     {
         metrics.pool_tasks.add(count as u64);
         let cancel = self.scan.cancel.as_ref();
-        run_indexed(self.scan.workers, count, cancel, Some(&metrics.queue_wait), f)
+        run_indexed(width, count, cancel, Some(&metrics.queue_wait), f)
             .into_iter()
             .flatten()
             .collect()
@@ -291,13 +251,10 @@ impl NodeProvider {
             .columns
             .clone()
             .unwrap_or_else(|| (0..table.schema.len()).collect());
-        let mut needed = out_cols.clone();
-        needed.extend(spec.predicate.columns());
-        needed.sort_unstable();
-        needed.dedup();
+        let needed = spec.needed_columns(table.schema.len());
         let global = spec.distribute == eon_exec::Distribution::Global;
         let (proj_oid, proj) =
-            self.pick_projection(table, &needed, global, spec.projection.as_deref())?;
+            table.pick_projection(&needed, global, spec.projection.as_deref())?;
 
         let (pred, mut read_cols, out_local) = if proj.is_live_aggregate() {
             // Pinned LAP scan: yields the LAP's own layout; predicates
@@ -471,10 +428,13 @@ impl NodeProvider {
         Ok((positions, out))
     }
 
-    /// The profile span covering one scan's pipeline on this node.
-    fn pipeline_span(&self, table: &str) -> Option<eon_obs::SpanGuard> {
-        let scope = format!("node{}:{table}", self.node.id.0);
-        self.scan.profile.as_ref().map(|p| p.span("scan_pipeline", &scope))
+    /// The profile span covering one wave of scans on this node,
+    /// labelled `node<id>:<t1>+<t2>+…` with the tables it reads.
+    fn pipeline_span(&self, specs: &[&ScanSpec]) -> Option<eon_obs::SpanGuard> {
+        self.scan.profile.as_ref().map(|p| {
+            let tables: Vec<&str> = specs.iter().map(|s| s.table.as_str()).collect();
+            p.span("scan_pipeline", &format!("node{}:{}", self.node.id.0, tables.join("+")))
+        })
     }
 
     /// The shards a scan covers given its distribution and projection.
@@ -531,7 +491,7 @@ impl NodeProvider {
             .global();
         let rs = self.resolve_scan(&spec)?;
         let metrics = self.scan_metrics();
-        let per_container = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
+        let per_container = self.run_scan_tasks(self.scan.workers, rs.work.len(), &metrics, |i| {
             self.scan_container(&rs, rs.work[i].1, &metrics)
         })?;
         let mut out = Vec::new();
@@ -545,16 +505,28 @@ impl NodeProvider {
 }
 
 impl TableProvider for NodeProvider {
-    fn scan(&self, spec: &ScanSpec) -> Result<Batch> {
+    /// A local phase's scans as one wave: every spec resolved before any
+    /// I/O, then every container of every scan claimed from one pool, as
+    /// wide as the widest scan would run alone — never a thread a scan's
+    /// own pool would not have had, so a wave of one-container scans runs
+    /// inline.
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
         let metrics = self.scan_metrics();
-        let _span = self.pipeline_span(&spec.table);
-        let rs = self.resolve_scan(spec)?;
-        let per_container = self.run_scan_tasks(rs.work.len(), &metrics, |i| {
-            self.scan_container(&rs, rs.work[i].1, &metrics)
+        let _span = self.pipeline_span(specs);
+        let scans = specs.iter().map(|spec| self.resolve_scan(spec)).collect::<Result<Vec<_>>>()?;
+        let tasks: Vec<(usize, &ContainerMeta)> = scans
+            .iter()
+            .enumerate()
+            .flat_map(|(s, rs)| rs.work.iter().map(move |&(_, c)| (s, c)))
+            .collect();
+        let width = scans.iter().map(|rs| rs.work.len().min(self.scan.workers)).max();
+        let per_container = self.run_scan_tasks(width.unwrap_or(0), tasks.len(), &metrics, |i| {
+            let (s, c) = tasks[i];
+            self.scan_container(&scans[s], c, &metrics)
         })?;
-        let mut out = Batch::nulls(rs.out_local.len(), 0);
-        for (_, batch) in per_container {
-            out.append(batch);
+        let mut out: Vec<Batch> = scans.iter().map(|rs| Batch::nulls(rs.out_local.len(), 0)).collect();
+        for (&(s, _), (_, batch)) in tasks.iter().zip(per_container) {
+            out[s].append(batch);
         }
         Ok(out)
     }

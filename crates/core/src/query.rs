@@ -17,7 +17,10 @@ use eon_catalog::CatalogState;
 use eon_cluster::NodeRuntime;
 use eon_exec::crunch::CrunchSlice;
 use eon_exec::execute::LocalResult;
-use eon_exec::{auto_distribute, prune_columns, push_predicates, Plan, ScanSpec};
+use eon_exec::colocate::Layout;
+use eon_exec::{
+    auto_distribute, co_locate_joins, prune_columns, push_predicates, Distribution, Plan, ScanSpec,
+};
 use eon_obs::QueryProfile;
 use eon_shard::{select_participants, AssignmentProblem};
 use eon_types::{EonError, NodeId, Result, ShardId, Value};
@@ -64,8 +67,9 @@ pub struct Participation {
 /// The plan a statement actually runs, and the one `EXPLAIN` renders —
 /// the plan rules in order (DESIGN.md "Plan rules"): eligible aggregates
 /// answered from Live Aggregate Projections (§2.1), filter conjuncts
-/// moved into the scans they test, then every scan narrowed to the
-/// columns the plan uses. Read-only on the catalog.
+/// moved into the scans they test, every scan narrowed to the columns
+/// the plan uses, then co-segmented joins read shard-local (§4).
+/// Read-only on the catalog.
 pub fn optimize(plan: &Plan, snapshot: &CatalogState) -> Plan {
     // Asked for scans without a column list (the table's width) and for
     // pinned scans, where a LAP yields its own layout.
@@ -81,9 +85,25 @@ pub fn optimize(plan: &Plan, snapshot: &CatalogState) -> Plan {
             (None, None) => table.schema.len(),
         })
     };
+    // Asked which projection a scan reads: the pick `resolve_scan` makes.
+    let seg_of = |spec: &ScanSpec| {
+        let table = snapshot.table_by_name(&spec.table)?;
+        let needed = spec.needed_columns(table.schema.len());
+        let global = spec.distribute == Distribution::Global;
+        let (_, p) = table.pick_projection(&needed, global, spec.projection.as_deref()).ok()?;
+        let layout = if p.is_live_aggregate() {
+            Layout::LiveAggregate
+        } else if p.is_replicated() {
+            Layout::Replicated
+        } else {
+            Layout::Segmented(p.seg_cols().iter().map(|&c| p.columns[c]).collect())
+        };
+        Some((p.name.clone(), layout))
+    };
     let plan = crate::lap::rewrite_for_laps(plan, snapshot);
     let plan = push_predicates(&plan, &scan_width);
-    prune_columns(&plan, &scan_width)
+    let plan = prune_columns(&plan, &scan_width);
+    co_locate_joins(&plan, &scan_width, &seg_of)
 }
 
 impl EonDb {
@@ -534,7 +554,7 @@ mod tests {
                 crunch: Some(CrunchSlice::new(worker, 2)),
                 scan: db.scan_options(&node, None, None),
             };
-            provider.scan(&ScanSpec::new("sales").columns(vec![1])).unwrap().rows()
+            provider.scan(&[&ScanSpec::new("sales").columns(vec![1])]).unwrap()[0].rows()
         };
         let (a, b) = (rows_of(0), rows_of(1));
         assert_eq!(a + b, 2000);

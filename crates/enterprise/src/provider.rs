@@ -116,19 +116,22 @@ impl EnterpriseProvider {
 }
 
 impl TableProvider for EnterpriseProvider {
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
+        specs.iter().map(|spec| self.scan_one(spec)).collect()
+    }
+}
+
+impl EnterpriseProvider {
     /// Decode to rows, `eval_row` each one — deliberately not the Eon
     /// scan kernel, so answers from here check it independently — and
     /// transpose to a batch only at this boundary.
-    fn scan(&self, spec: &ScanSpec) -> Result<Batch> {
+    fn scan_one(&self, spec: &ScanSpec) -> Result<Batch> {
         let t = self.table(&spec.table)?;
         let out_cols: Vec<usize> = spec
             .columns
             .clone()
             .unwrap_or_else(|| (0..t.schema.len()).collect());
-        let mut needed: Vec<usize> = out_cols.clone();
-        needed.extend(spec.predicate.columns());
-        needed.sort_unstable();
-        needed.dedup();
+        let needed = spec.needed_columns(t.schema.len());
 
         let mut rows = Vec::new();
         match spec.distribute {

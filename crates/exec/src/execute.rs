@@ -23,19 +23,37 @@ use crate::expr::Expr;
 use crate::ops;
 use crate::plan::{AggSpec, Plan, ScanSpec, SortKey};
 
-/// Storage integration point: materialize a scan.
+/// Storage integration point: materialize scans.
 pub trait TableProvider {
-    /// The scan's output columns; a scan that finds no rows still
-    /// returns a batch of the right width.
-    fn scan(&self, spec: &ScanSpec) -> Result<Batch>;
+    /// One batch per spec, in order: each scan's output columns (a scan
+    /// that finds no rows still returns a batch of the right width).
+    /// [`execute`] asks once per plan, for all of its scans, so a
+    /// provider may fetch them together.
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>>;
 }
 
-/// Execute a plan on a single node.
+/// Execute a plan on a single node: its scans in one provider call, in
+/// `visit_scans` order, then the operators over their batches.
 pub fn execute(plan: &Plan, provider: &dyn TableProvider) -> Result<Batch> {
+    let mut specs = Vec::new();
+    plan.visit_scans(&mut |spec| specs.push(spec));
+    let batches = provider.scan(&specs)?;
+    if batches.len() != specs.len() {
+        return Err(EonError::Internal(format!(
+            "the provider returned {} batches for {} scans",
+            batches.len(),
+            specs.len()
+        )));
+    }
+    run(plan, &mut batches.into_iter())
+}
+
+/// `plan` over its scans' batches, taken in `visit_scans` order.
+fn run(plan: &Plan, scanned: &mut impl Iterator<Item = Batch>) -> Result<Batch> {
     match plan {
-        Plan::Scan(spec) => provider.scan(spec),
-        Plan::Filter { input, predicate } => ops::filter(execute(input, provider)?, predicate),
-        Plan::Project { input, exprs, .. } => ops::project(execute(input, provider)?, exprs),
+        Plan::Scan(_) => Ok(scanned.next().expect("execute checked one batch per scan")),
+        Plan::Filter { input, predicate } => ops::filter(run(input, scanned)?, predicate),
+        Plan::Project { input, exprs, .. } => ops::project(run(input, scanned)?, exprs),
         Plan::Join {
             left,
             right,
@@ -43,17 +61,17 @@ pub fn execute(plan: &Plan, provider: &dyn TableProvider) -> Result<Batch> {
             right_keys,
             kind,
         } => {
-            let l = execute(left, provider)?;
-            let r = execute(right, provider)?;
+            let l = run(left, scanned)?;
+            let r = run(right, scanned)?;
             ops::hash_join(l, r, left_keys, right_keys, *kind)
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
-        } => aggregate(&execute(input, provider)?, group_by, aggs),
-        Plan::Sort { input, keys } => Ok(ops::sort(execute(input, provider)?, keys)),
-        Plan::Limit { input, n } => Ok(ops::limit(execute(input, provider)?, *n)),
+        } => aggregate(&run(input, scanned)?, group_by, aggs),
+        Plan::Sort { input, keys } => Ok(ops::sort(run(input, scanned)?, keys)),
+        Plan::Limit { input, n } => Ok(ops::limit(run(input, scanned)?, *n)),
     }
 }
 
@@ -214,11 +232,13 @@ pub mod testing {
     use std::collections::HashMap;
 
     use super::*;
+    use eon_columnar::segment::shard_of_row;
     use eon_types::Value;
 
     /// Tables as materialized rows; `LocalShards` scans return the
-    /// node's slice (row index mod node count), `Global` scans return
-    /// everything — mimicking segmentation without real storage.
+    /// node's slice — one shard per node, every table segmented on its
+    /// first column — and `Global` scans return everything: segmentation
+    /// without real storage.
     pub struct MemProvider {
         pub tables: HashMap<String, Vec<Vec<Value>>>,
         pub node: usize,
@@ -236,16 +256,22 @@ pub mod testing {
     }
 
     impl TableProvider for MemProvider {
-        fn scan(&self, spec: &ScanSpec) -> Result<Batch> {
+        fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
+            specs.iter().map(|spec| self.scan_one(spec)).collect()
+        }
+    }
+
+    impl MemProvider {
+        fn scan_one(&self, spec: &ScanSpec) -> Result<Batch> {
             let rows = self
                 .tables
                 .get(&spec.table)
                 .ok_or_else(|| EonError::UnknownTable(spec.table.clone()))?;
             let width = rows.first().map_or(0, |r| r.len());
             let mut out = Vec::new();
-            for (i, row) in rows.iter().enumerate() {
+            for row in rows {
                 if spec.distribute == crate::plan::Distribution::LocalShards
-                    && i % self.nodes_total != self.node
+                    && shard_of_row(row, &[0], self.nodes_total) != self.node
                 {
                     continue;
                 }
@@ -369,6 +395,28 @@ mod tests {
                 let mut p = provider();
                 p.node = node;
                 p.nodes_total = 2;
+                dp.execute_local(&p).unwrap()
+            })
+            .collect();
+        assert_eq!(dp.finish(results).unwrap().into_rows(), single);
+    }
+
+    /// Both sides shard-local: each node joins its slice of `sales` with
+    /// its slice of `regions`, which holds exactly the keys it needs.
+    #[test]
+    fn distributed_co_segmented_join_is_exact() {
+        let plan = Plan::scan(ScanSpec::new("sales"))
+            .join(Plan::scan(ScanSpec::new("regions")), vec![0], vec![0])
+            .aggregate(vec![3], vec![AggSpec::sum(Expr::col(1)), AggSpec::count_star()])
+            .sort(vec![SortKey::asc(0)]);
+        let single = execute(&plan, &provider()).unwrap().into_rows();
+        assert_eq!(single, irows(&[&[100, 37, 3], &[200, 20, 2]]));
+        let dp = auto_distribute(&plan);
+        let results: Vec<_> = (0..3)
+            .map(|node| {
+                let mut p = provider();
+                p.node = node;
+                p.nodes_total = 3;
                 dp.execute_local(&p).unwrap()
             })
             .collect();

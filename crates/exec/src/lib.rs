@@ -15,9 +15,9 @@
 //! * [`execute`] — the single-node executor over a [`TableProvider`],
 //!   plus [`execute::auto_distribute`], which splits a logical plan
 //!   into a per-node local phase and a coordinator merge phase;
-//! * [`prune`] and [`push`] — the plan rules: scans read only the
-//!   columns the plan uses, and carry every filter conjunct they can
-//!   evaluate;
+//! * [`prune`], [`push`] and [`colocate`] — the plan rules: scans read
+//!   only the columns the plan uses, carry every filter conjunct they
+//!   can evaluate, and co-segmented joins read shard-local;
 //! * [`crunch`] — crunch scaling (§4.4): hash-filter and container-split
 //!   predicates that let several nodes share one shard's scan.
 //!
@@ -26,6 +26,7 @@
 //! cluster-agnostic.
 
 pub mod agg;
+pub mod colocate;
 pub mod crunch;
 pub mod execute;
 pub mod expr;
@@ -34,6 +35,7 @@ pub mod plan;
 pub mod prune;
 pub mod push;
 
+pub use colocate::co_locate_joins;
 pub use execute::{auto_distribute, execute, DistributedPlan, MergeStep, TableProvider};
 pub use expr::Expr;
 pub use plan::{AggFunc, AggSpec, Distribution, JoinKind, Plan, ScanSpec, SortKey};

@@ -1,8 +1,8 @@
 //! The logical plan language.
 //!
 //! Plans come from the SQL binder (`eon-sql`) or are built by hand (the
-//! workload crate), and the plan rules (`prune`, `push`, and in
-//! `eon-core` the Live Aggregate Projection rewrite) rewrite them before
+//! workload crate), and the plan rules (`prune`, `push`, `colocate`, and
+//! in `eon-core` the Live Aggregate Projection rewrite) rewrite them before
 //! Eon executes. A plan is explicit about the two things the paper's
 //! execution model cares about: which predicate is *pushed down* into
 //! the scan (for block pruning, §2.1) and how each scan *distributes*
@@ -78,6 +78,17 @@ impl ScanSpec {
     pub fn global(mut self) -> Self {
         self.distribute = Distribution::Global;
         self
+    }
+
+    /// The table columns the scan reads, ascending: its output columns
+    /// (all `width` of them without a list) and those its predicate
+    /// tests. The projection that answers it must carry each one.
+    pub fn needed_columns(&self, width: usize) -> Vec<usize> {
+        let mut needed = self.columns.clone().unwrap_or_else(|| (0..width).collect());
+        needed.extend(self.predicate.columns());
+        needed.sort_unstable();
+        needed.dedup();
+        needed
     }
 }
 

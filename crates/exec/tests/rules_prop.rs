@@ -1,17 +1,30 @@
 //! Property test of the plan rules (DESIGN.md "Plan rules"),
-//! `push_predicates`, `prune_columns` and their composition in the order
-//! `optimize` applies them: for seeded random plans over three small
-//! tables — filters with conjuncts a scan can and cannot evaluate, over
-//! all four join kinds and on their nullable sides, computed projects,
-//! aggregates with computed inputs and `COUNT(*)`, sorts on columns the
-//! output drops, limits, scans that already carry a predicate or a
-//! column list, and pinned scans —
+//! `push_predicates`, `prune_columns`, `co_locate_joins` and their
+//! composition in the order `optimize` applies them.
+//!
+//! On one node, for seeded random plans over four small tables — filters
+//! with conjuncts a scan can and cannot evaluate, over all four join
+//! kinds and on their nullable sides, computed projects, aggregates with
+//! computed inputs and `COUNT(*)`, sorts on columns the output drops,
+//! limits, scans that already carry a predicate or a column list, and
+//! pinned scans —
 //!
 //! * each rule's output answers like its input, row for row in order
 //!   (floats by bits), same width, same names at a `Project` root;
 //! * each rule is idempotent;
 //! * after pruning, no scan outputs a column nothing above it reads
 //!   (checked by an independent top-down walk that rebuilds nothing).
+//!
+//! Across the nodes of a session — each keeping the rows of the shards
+//! it serves, with crunch slices or without — for random local phases:
+//! a spine of filters, sorts, column projects and joins of all four
+//! kinds over co-segmented and non-co-segmented pairs, keys through
+//! filters, projects and left join sides, NULL and mixed `Int` / `Float`
+//! keys, replicated, Live-Aggregate-like and pinned scans, under an
+//! order-free aggregate or none —
+//!
+//! * `auto_distribute` of the optimized plan, run on every node and
+//!   finished, answers like the unoptimized plan on one node.
 //!
 //! Every comparison is well typed, so a pushed predicate and the
 //! expression it came from cannot disagree about an error. The named
@@ -20,16 +33,20 @@
 use std::collections::{BTreeSet, HashMap};
 
 use eon_columnar::pruning::CmpOp;
+use eon_columnar::segment::shard_of_row;
 use eon_columnar::{Batch, Predicate};
+use eon_exec::colocate::Layout;
+use eon_exec::crunch::CrunchSlice;
 use eon_exec::{
-    execute, prune_columns, push_predicates, AggFunc, AggSpec, Expr, JoinKind, Plan, ScanSpec,
-    SortKey, TableProvider,
+    auto_distribute, co_locate_joins, execute, prune_columns, push_predicates, AggFunc, AggSpec,
+    Distribution, Expr, JoinKind, Plan, ScanSpec, SortKey, TableProvider,
 };
 use eon_types::{EonError, Result, Value};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
 
 type Row = Vec<Value>;
+type Data = HashMap<String, Vec<Row>>;
 
 /// Arithmetic and SUM / AVG take `Num` columns only, so no generated
 /// plan errors: the rule may drop an erroring expression nobody reads,
@@ -41,45 +58,92 @@ enum Ty {
 }
 use Ty::{Num, Other};
 
-/// Table name → column types. `t0` also has the pinned projection.
-const TABLES: [(&str, &[Ty]); 3] = [
-    ("t0", &[Num, Num, Num, Other, Other]),
-    ("t1", &[Num, Other, Num]),
-    ("t2", &[Num, Num, Other, Num]),
+/// Table name → column types, and the table columns its one projection,
+/// `<table>_p`, is segmented on (`None`: replicated). `t0` also has the
+/// pinned projection.
+type TableDef = (&'static str, &'static [Ty], Option<&'static [usize]>);
+const TABLES: [TableDef; 4] = [
+    ("t0", &[Num, Num, Num, Other, Other], Some(&[0])),
+    ("t1", &[Num, Other, Num], Some(&[0])),
+    ("t2", &[Num, Num, Other, Num], Some(&[1, 0])),
+    ("t3", &[Num, Other], None),
 ];
 
 /// The layout a scan pinned to `t0`'s projection `pin` yields, whatever
-/// column list the spec carries (as a Live Aggregate Projection does).
+/// column list the spec carries (as a Live Aggregate Projection does);
+/// its rows are segmented like `t0`'s.
 const PIN: &str = "pin";
-const PIN_LAYOUT: [usize; 2] = [3, 1];
+const PIN_LAYOUT: [usize; 2] = [2, 0];
 
-struct Tables(HashMap<String, Vec<Row>>);
+/// One participant of a session: the shards it serves out of `shards`,
+/// its crunch slice (§4.4), and whether it is the one participant that
+/// reads a replicated table's shard-local scan.
+struct NodeView {
+    serves: Vec<usize>,
+    shards: usize,
+    slice: CrunchSlice,
+    reads_replicas: bool,
+}
 
-impl TableProvider for Tables {
-    fn scan(&self, spec: &ScanSpec) -> Result<Batch> {
-        let rows = self.0.get(&spec.table).ok_or_else(|| EonError::UnknownTable(spec.table.clone()))?;
+/// The tables as one node sees them: a `Global` scan reads every row, a
+/// `LocalShards` scan the rows of the node's shards and slice — on a
+/// replicated table, every row on one node and none elsewhere. `node:
+/// None` is a single node serving everything.
+struct Tables<'a> {
+    data: &'a Data,
+    node: Option<&'a NodeView>,
+}
+
+impl Tables<'_> {
+    fn scan_one(&self, spec: &ScanSpec) -> Result<Batch> {
+        let rows = self.data.get(&spec.table).ok_or_else(|| EonError::UnknownTable(spec.table.clone()))?;
         let all: Vec<usize> = (0..rows.first().map_or(0, Vec::len)).collect();
-        let cols = match (&spec.projection, &spec.columns) {
-            (Some(_), _) => PIN_LAYOUT.to_vec(),
-            (None, Some(cols)) => cols.clone(),
-            (None, None) => all,
+        let cols = match (spec.projection.as_deref(), &spec.columns) {
+            (Some(PIN), _) => PIN_LAYOUT.to_vec(),
+            (_, Some(cols)) => cols.clone(),
+            (_, None) => all,
+        };
+        let segmented = TABLES.iter().find(|(name, ..)| *name == spec.table).and_then(|t| t.2);
+        let seen = |row: &Row| match (self.node, spec.distribute, segmented) {
+            (None, ..) | (_, Distribution::Global, _) => true,
+            (Some(node), Distribution::LocalShards, Some(seg)) => {
+                node.serves.contains(&shard_of_row(row, seg, node.shards)) && node.slice.keeps_row(row, seg)
+            }
+            (Some(node), Distribution::LocalShards, None) => node.reads_replicas,
         };
         let out: Vec<Row> = rows
             .iter()
-            .filter(|row| spec.predicate.eval_row(row))
+            .filter(|row| seen(row) && spec.predicate.eval_row(row))
             .map(|row| cols.iter().map(|&c| row[c].clone()).collect())
             .collect();
         Ok(Batch::from_rows(&out, cols.len()))
     }
 }
 
-/// What the rule may ask of the catalog.
+impl TableProvider for Tables<'_> {
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
+        specs.iter().map(|spec| self.scan_one(spec)).collect()
+    }
+}
+
+/// What the rules may ask of the catalog: how wide a scan is...
 fn scan_width(spec: &ScanSpec) -> Option<usize> {
-    if spec.projection.is_some() {
+    if spec.projection.as_deref() == Some(PIN) {
         return Some(PIN_LAYOUT.len());
     }
-    let table = TABLES.iter().find(|(name, _)| *name == spec.table)?;
+    let table = TABLES.iter().find(|(name, ..)| *name == spec.table)?;
     Some(spec.columns.as_ref().map_or(table.1.len(), Vec::len))
+}
+
+/// ... and which projection it reads: its pin, or `<table>_p`.
+fn seg_of(spec: &ScanSpec) -> Option<(String, Layout)> {
+    let (name, _, segmented) = TABLES.iter().find(|(name, ..)| *name == spec.table)?;
+    let layout = match (spec.projection.as_deref(), segmented) {
+        (Some(PIN), _) => Layout::LiveAggregate,
+        (_, Some(cols)) => Layout::Segmented(cols.to_vec()),
+        (_, None) => Layout::Replicated,
+    };
+    Some((spec.projection.clone().unwrap_or_else(|| format!("{name}_p")), layout))
 }
 
 fn prune(plan: &Plan) -> Plan {
@@ -90,28 +154,32 @@ fn push(plan: &Plan) -> Plan {
     push_predicates(plan, &scan_width)
 }
 
+fn co_locate(plan: &Plan) -> Plan {
+    co_locate_joins(plan, &scan_width, &seg_of)
+}
+
 type Rule = fn(&Plan) -> Plan;
 
 /// `optimize`'s rule list without the Live Aggregate Projection rewrite,
 /// which needs a catalog.
 fn optimize(plan: &Plan) -> Plan {
-    prune(&push(plan))
+    co_locate(&prune(&push(plan)))
 }
 
 // --------------------------------------------------------------- inputs
 
-fn gen_tables(rng: &mut StdRng) -> Tables {
+fn gen_tables(rng: &mut StdRng) -> Data {
     let cell = |rng: &mut StdRng, ty: Ty| match (rng.gen_range(0..8u32), ty) {
         (0, _) => Value::Null,
         (1..=5, Num) => Value::Int(rng.gen_range(0..5u32) as i64 - 1),
-        (_, Num) => Value::Float([0.1, -2.5, 1e300, -0.0][rng.gen_range(0..4usize)]),
+        (_, Num) => Value::Float([0.1, -2.5, 1e300, -0.0, 1.0, 2.0][rng.gen_range(0..6usize)]),
         (_, Other) => Value::Str(["", "a", "ab", "é"][rng.gen_range(0..4usize)].into()),
     };
     let table = |rng: &mut StdRng, tys: &[Ty]| -> Vec<Row> {
         // At least one row, so the provider knows the table's width.
         (0..rng.gen_range(1..25usize)).map(|_| tys.iter().map(|&ty| cell(rng, ty)).collect()).collect()
     };
-    Tables(TABLES.iter().map(|(name, tys)| (name.to_string(), table(rng, tys))).collect())
+    TABLES.iter().map(|(name, tys, _)| (name.to_string(), table(rng, tys))).collect()
 }
 
 fn pick(rng: &mut StdRng, n: usize) -> usize {
@@ -205,7 +273,12 @@ fn gen_filter(rng: &mut StdRng, tys: &[Ty]) -> Expr {
 }
 
 fn gen_scan(rng: &mut StdRng) -> (Plan, Vec<Ty>) {
-    let (name, tys) = TABLES[pick(rng, TABLES.len())];
+    let name = TABLES[pick(rng, TABLES.len())].0;
+    gen_scan_of(rng, name)
+}
+
+fn gen_scan_of(rng: &mut StdRng, name: &str) -> (Plan, Vec<Ty>) {
+    let tys = TABLES.iter().find(|t| t.0 == name).expect("a generated table").1;
     let mut spec = ScanSpec::new(name);
     if pick(rng, 3) == 0 {
         let col = pick(rng, tys.len());
@@ -216,6 +289,9 @@ fn gen_scan(rng: &mut StdRng) -> (Plan, Vec<Ty>) {
     }
     if name == "t0" && pick(rng, 5) == 0 {
         return (Plan::Scan(spec.projection(PIN)), PIN_LAYOUT.iter().map(|&c| tys[c]).collect());
+    }
+    if pick(rng, 8) == 0 {
+        return (Plan::Scan(spec.projection(format!("{name}_p"))), tys.to_vec());
     }
     if pick(rng, 3) == 0 {
         // Pre-narrowed, in any order, repeats allowed.
@@ -282,7 +358,174 @@ fn gen_plan(rng: &mut StdRng, depth: usize) -> (Plan, Vec<Ty>) {
     }
 }
 
+/// Join keys over inputs `left` and `right` wide: on each side, half the
+/// time the first columns in either order — where the segmentation
+/// columns sit — so co-segmented pairs, and pairs matched out of order,
+/// are common.
+fn gen_keys(rng: &mut StdRng, left: usize, right: usize) -> (Vec<usize>, Vec<usize>) {
+    let n = rng.gen_range(1..3usize);
+    let mut side = |width: usize| -> Vec<usize> {
+        match pick(rng, 4) {
+            0 => [0, 1][..n].iter().map(|&c| c.min(width - 1)).collect(),
+            1 => [1, 0][..n].iter().map(|&c| c.min(width - 1)).collect(),
+            _ => (0..n).map(|_| pick(rng, width)).collect(),
+        }
+    };
+    (side(left), side(right))
+}
+
+/// A project of columns, in any order and with repeats, now and then
+/// with a computed one.
+fn gen_column_project(rng: &mut StdRng, input: Plan, tys: &[Ty]) -> (Plan, Vec<Ty>) {
+    let (exprs, out): (Vec<Expr>, Vec<Ty>) = (0..rng.gen_range(1..5usize))
+        .map(|_| match pick(rng, 5) {
+            0 => gen_scalar(rng, tys),
+            _ => {
+                let c = pick(rng, tys.len());
+                (Expr::col(c), tys[c])
+            }
+        })
+        .unzip();
+    let names = (0..exprs.len()).map(|i| format!("c{i}")).collect();
+    (Plan::Project { input: Box::new(input), exprs, names }, out)
+}
+
+fn global(plan: Plan) -> Plan {
+    match plan {
+        Plan::Scan(spec) => Plan::Scan(spec.global()),
+        plan => plan,
+    }
+}
+
+/// A join's right input as the binder and the hand-built plans make it —
+/// a `Global` scan under filters and column projects — and now and then
+/// a sort or a limit, which must keep it broadcast. Half of them scan
+/// `probe`, the table the left side scans: self-joins are where the
+/// test tables are co-segmented on two columns.
+fn gen_right(rng: &mut StdRng, probe: &str) -> (Plan, Vec<Ty>) {
+    let (scan, mut tys) = match pick(rng, 2) {
+        0 => gen_scan_of(rng, probe),
+        _ => gen_scan(rng),
+    };
+    let mut plan = global(scan);
+    for _ in 0..pick(rng, 3) {
+        plan = match pick(rng, 6) {
+            0 | 1 => plan.filter(gen_filter(rng, &tys)),
+            2 | 3 => {
+                let (project, out) = gen_column_project(rng, plan, &tys);
+                tys = out;
+                project
+            }
+            4 => plan.sort(vec![SortKey::asc(pick(rng, tys.len()))]),
+            _ => plan.limit(pick(rng, 6)),
+        };
+    }
+    (plan, tys)
+}
+
+/// A plan `auto_distribute` may run on every node: a left-deep spine over
+/// one scan — shard-local, now and then global — of filters, sorts,
+/// column projects and joins of all four kinds with [`gen_right`] inputs,
+/// under an aggregate whose answer does not depend on row order, or
+/// under nothing.
+fn gen_local_phase(rng: &mut StdRng) -> Plan {
+    let probe = TABLES[pick(rng, TABLES.len())].0;
+    let (mut plan, mut tys) = gen_scan_of(rng, probe);
+    if pick(rng, 4) == 0 {
+        plan = global(plan);
+    }
+    for _ in 0..rng.gen_range(1..5usize) {
+        match pick(rng, 6) {
+            0 => plan = plan.filter(gen_filter(rng, &tys)),
+            1 => plan = plan.sort(vec![SortKey::desc(pick(rng, tys.len()))]),
+            2 => (plan, tys) = gen_column_project(rng, plan, &tys),
+            _ => {
+                let (right, right_tys) = gen_right(rng, probe);
+                let (left_keys, right_keys) = gen_keys(rng, tys.len(), right_tys.len());
+                let kind = [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti][pick(rng, 4)];
+                if matches!(kind, JoinKind::Inner | JoinKind::Left) {
+                    tys.extend(right_tys);
+                }
+                plan = plan.join_kind(right, left_keys, right_keys, kind);
+            }
+        }
+    }
+    if pick(rng, 2) == 0 {
+        return plan;
+    }
+    let group_by = (0..pick(rng, 3)).map(|_| pick(rng, tys.len())).collect();
+    let aggs = (0..rng.gen_range(1..4usize))
+        .map(|_| {
+            let c = Expr::col(pick(rng, tys.len()));
+            match pick(rng, 5) {
+                0 => AggSpec::count_star(),
+                1 => AggSpec::new(AggFunc::Count, c),
+                2 => AggSpec::new(AggFunc::CountDistinct, c),
+                3 => AggSpec::min(c),
+                _ => AggSpec::max(c),
+            }
+        })
+        .collect();
+    plan.aggregate(group_by, aggs)
+}
+
+/// The participants of a session over one to four shards: each shard
+/// served by one node (a node may serve several), or — crunch — by one
+/// to three workers, each keeping a hash slice of it. The first
+/// participant reads replicated tables' shard-local scans.
+fn gen_session(rng: &mut StdRng) -> Vec<NodeView> {
+    let shards = rng.gen_range(1..5usize);
+    let node = |serves, slice| NodeView { serves, shards, slice, reads_replicas: false };
+    let mut session: Vec<NodeView> = if pick(rng, 2) == 0 {
+        let mut serves = vec![Vec::new(); rng.gen_range(1..shards + 1)];
+        for shard in 0..shards {
+            let n = pick(rng, serves.len());
+            serves[n].push(shard);
+        }
+        serves.into_iter().filter(|s| !s.is_empty()).map(|s| node(s, CrunchSlice::all())).collect()
+    } else {
+        (0..shards)
+            .flat_map(|shard| {
+                let k = rng.gen_range(1..4usize);
+                (0..k).map(move |w| (shard, CrunchSlice::new(w, k)))
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|(shard, slice)| node(vec![shard], slice))
+            .collect()
+    };
+    session[0].reads_replicas = true;
+    session
+}
+
+/// `plan` split by `auto_distribute`, its local phase run on every
+/// participant — on one when it scans nothing shard-local, as the
+/// coordinator does — and finished.
+fn distributed(plan: &Plan, data: &Data, session: &[NodeView]) -> Result<Batch> {
+    let dp = auto_distribute(plan);
+    let nodes = if dp.has_local_scan() { session } else { &session[..1] };
+    let results = nodes
+        .iter()
+        .map(|node| dp.execute_local(&Tables { data, node: Some(node) }))
+        .collect::<Result<Vec<_>>>()?;
+    dp.finish(results)
+}
+
 // --------------------------------------------------------------- checks
+
+/// Rows as a sorted multiset, numbers by the bits of their `f64`: a
+/// node's share folds in another order, and a group key or an extreme
+/// may then keep the `Int` or the `Float` of equal values.
+fn multiset(batch: Batch) -> Vec<Vec<String>> {
+    let cell = |v: &Value| match v {
+        Value::Int(i) => format!("{:016x}", (*i as f64).to_bits()),
+        Value::Float(f) => format!("{:016x}", f.to_bits()),
+        v => format!("{v:?}"),
+    };
+    let mut rows: Vec<Vec<String>> = batch.into_rows().iter().map(|r| r.iter().map(cell).collect()).collect();
+    rows.sort();
+    rows
+}
 
 fn bits(batch: Batch) -> Vec<Vec<String>> {
     let cell = |v: &Value| match v {
@@ -347,9 +590,14 @@ proptest! {
     #[test]
     fn rewritten_plans_answer_alike_and_scan_only_what_is_read(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let tables = gen_tables(&mut rng);
-        let rules: [(&str, Rule); 3] =
-            [("push_predicates", push), ("prune_columns", prune), ("optimize", optimize)];
+        let data = gen_tables(&mut rng);
+        let tables = Tables { data: &data, node: None };
+        let rules: [(&str, Rule); 4] = [
+            ("push_predicates", push),
+            ("prune_columns", prune),
+            ("co_locate_joins", co_locate),
+            ("optimize", optimize),
+        ];
         for _ in 0..8 {
             let (plan, _) = gen_plan(&mut rng, 4);
             let want = execute(&plan, &tables).expect("generated plans are well typed");
@@ -364,10 +612,29 @@ proptest! {
                     prop_assert_eq!(a, b, "{}", what);
                 }
                 prop_assert_eq!(&rule(&out), &out, "not idempotent: {}", what);
-                if name != "push_predicates" {
+                if matches!(name, "prune_columns" | "optimize") {
                     assert_every_scanned_column_is_read(&out, (0..width(&out)).collect());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn optimized_local_phases_answer_on_every_node_like_the_plan_on_one(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = gen_tables(&mut rng);
+        let one = Tables { data: &data, node: None };
+        for _ in 0..8 {
+            let plan = gen_local_phase(&mut rng);
+            let session = gen_session(&mut rng);
+            let want = multiset(execute(&plan, &one).expect("generated plans are well typed"));
+            let broadcast = distributed(&plan, &data, &session).expect("generated plans are well typed");
+            prop_assert_eq!(&multiset(broadcast), &want, "the plan itself does not distribute: {:?}", plan);
+            let out = optimize(&plan);
+            let what = format!("{plan:?}→\n{out:?}");
+            prop_assert_eq!(&co_locate(&out), &out, "not idempotent: {}", what);
+            let got = distributed(&out, &data, &session).expect("a rule keeps a plan executable");
+            prop_assert_eq!(&multiset(got), &want, "{}", what);
         }
     }
 }
@@ -529,5 +796,63 @@ fn conjuncts_move_into_the_one_scan_they_test_where_they_may() {
         Plan::scan(scan("t0")).project(vec![Expr::col(1)], vec!["a"]).filter(lt(0, 5)),
     ] {
         assert_eq!(push(&stays), stays);
+    }
+}
+
+/// The shapes `co_locate_joins` exists for, and the near misses it must
+/// leave broadcast.
+#[test]
+fn co_segmented_joins_read_shard_local_and_near_misses_stay_broadcast() {
+    let local = |t: &str| scan(t).projection(format!("{t}_p"));
+    // Q3: the second join's key is a column of the first join's right
+    // side, so only the first is co-located; pruning happens first.
+    let q3 = Plan::scan(scan("t0"))
+        .join(Plan::scan(scan("t1").global()), vec![0], vec![0])
+        .join(Plan::scan(scan("t2").global()), vec![5], vec![0]);
+    assert_eq!(scans(&co_locate(&q3)), vec![scan("t0"), local("t1"), scan("t2").global()]);
+    let counted = q3.aggregate(vec![6], vec![AggSpec::count_star()]);
+    assert_eq!(
+        scans(&optimize(&counted)),
+        vec![scan("t0").columns(vec![0]), local("t1").columns(vec![0, 1]), scan("t2").global().columns(vec![0])]
+    );
+
+    // Keys through a filter, a sort and a column project on the left and
+    // a filter and a project on the right, for every join kind.
+    for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+        let left = Plan::scan(scan("t1"))
+            .filter(Expr::IsNull(Box::new(Expr::col(1))))
+            .sort(vec![SortKey::asc(2)])
+            .project(vec![Expr::col(2), Expr::col(0)], vec!["a", "b"]);
+        let right = Plan::scan(scan("t0").global())
+            .filter(Expr::IsNull(Box::new(Expr::col(3))))
+            .project(vec![Expr::col(1), Expr::col(0)], vec!["c", "d"]);
+        let plan = left.join_kind(right, vec![1], vec![1], kind);
+        assert_eq!(scans(&co_locate(&plan))[1], local("t0"), "{kind:?}");
+    }
+
+    // Two segmentation columns match position by position.
+    let t2 = |right_keys| Plan::scan(scan("t2")).join(Plan::scan(scan("t2").global()), vec![0, 1], right_keys);
+    assert_eq!(scans(&co_locate(&t2(vec![0, 1])))[1], local("t2"));
+
+    let t1 = || Plan::scan(scan("t1").global());
+    for stays in [
+        // Swapped segmentation columns, and one of two.
+        t2(vec![1, 0]),
+        Plan::scan(scan("t2")).join(Plan::scan(scan("t2").global()), vec![1], vec![1]),
+        // Segmented on one column and on two.
+        Plan::scan(scan("t0")).join(Plan::scan(scan("t2").global()), vec![0], vec![1]),
+        // A replicated side, a Live Aggregate Projection, a global left.
+        Plan::scan(scan("t1")).join(Plan::scan(scan("t3").global()), vec![0], vec![0]),
+        Plan::scan(scan("t3")).join(t1(), vec![0], vec![0]),
+        Plan::scan(scan("t0").projection(PIN)).join(t1(), vec![1], vec![0]),
+        Plan::scan(scan("t0").global()).join(t1(), vec![0], vec![0]),
+        // A computed key, a key from a join's right side.
+        Plan::scan(scan("t0")).project(vec![Expr::add(Expr::col(0), Expr::lit(0i64))], vec!["k"]).join(t1(), vec![0], vec![0]),
+        Plan::scan(scan("t2")).join(Plan::scan(scan("t0").global()), vec![3], vec![1]).join(t1(), vec![4], vec![0]),
+        // A right input that is more than filters and projects.
+        Plan::scan(scan("t0")).join(t1().limit(3), vec![0], vec![0]),
+        Plan::scan(scan("t0")).join(t1().aggregate(vec![0], vec![AggSpec::count_star()]), vec![0], vec![0]),
+    ] {
+        assert_eq!(co_locate(&stays), stays, "{stays:?}");
     }
 }

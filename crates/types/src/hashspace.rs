@@ -175,11 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn int_float_hash_compatibly() {
-        assert_eq!(hash_value(&Value::Int(9)), hash_value(&Value::Float(9.0)));
-    }
-
-    #[test]
     fn sequential_keys_spread_evenly() {
         // The paper recommends high-cardinality columns; sequential ids
         // are the common case (e.g. HASH(sale_id) in Fig 2). Check the
