@@ -4,17 +4,17 @@
 //! 0)`) and runs the crash schedule — each site must crash, recover,
 //! and leave the database answering exactly. Phase 2 sweeps seeded
 //! fault plans (`--seeds N`, default 32) in both plain and
-//! ambiguous-PUT S3 modes. Phase 3 runs the group-commit crash schedule
-//! once per commit crash site (seeds `0..GROUP_COMMIT_SITES`): a pinned
-//! batch's leader dies and every node's log must hold the whole batch or
-//! none of it.
+//! ambiguous-PUT S3 modes. Phase 3 runs the commit crash schedule once
+//! per commit crash site (seeds `0..COMMIT_SITES`): a COPY's coordinator
+//! dies mid-commit and every node's log must hold its record or none
+//! of it.
 //! Prints a one-line JSON verdict and exits non-zero if any run
 //! violated an invariant.
 //!
 //!     cargo run --release --bin chaos_sweep -- --seeds 32
 
 use eon_bench::chaos::{
-    crash_schedule, crash_schedule_group_commit, seeded_crash_schedule, GROUP_COMMIT_SITES,
+    crash_schedule, crash_schedule_commit, seeded_crash_schedule, COMMIT_SITES,
 };
 use eon_bench::{metrics_summary, print_json};
 use eon_storage::fault::{FaultPlan, SITES};
@@ -85,17 +85,17 @@ fn main() {
         }
     }
 
-    // Phase 3: group commit, one seed per commit crash site.
-    for seed in 0..GROUP_COMMIT_SITES as u64 {
+    // Phase 3: commit, one seed per commit crash site.
+    for seed in 0..COMMIT_SITES as u64 {
         runs += 1;
-        match crash_schedule_group_commit(seed) {
+        match crash_schedule_commit(seed) {
             Ok(r) => {
                 passed += 1;
                 crashes += 1;
                 reclaimed += r.reclaimed;
             }
             Err(e) => failures.push(serde_json::json!({
-                "mode": "group_commit", "seed": seed, "error": e,
+                "mode": "commit", "seed": seed, "error": e,
             })),
         }
     }
@@ -119,7 +119,7 @@ fn main() {
             "bench": "chaos_sweep",
             "sites": SITES.len(),
             "seeds": seeds,
-            "group_commit_seeds": GROUP_COMMIT_SITES,
+            "commit_seeds": COMMIT_SITES,
             "runs": runs,
             "passed": passed,
             "failed": failed,

@@ -332,30 +332,28 @@ pub fn flap_brownout_schedule(seed: u64) -> Result<HealthRunReport, String> {
 
 /// The commit crash sites, in the order the seed cycles them. Every
 /// commit passes them, but they stay out of [`SITES`]: a fired commit
-/// site is the leader's death with every in-memory catalog gone, which
-/// only `cold_restart_all` recovers — the per-site recovery loop of
-/// `crash_schedule` does not perform it, and adding to `SITES` would
+/// site is the coordinator's death with every in-memory catalog gone,
+/// which only `cold_restart_all` recovers — the per-site recovery loop
+/// of `crash_schedule` does not perform it, and adding to `SITES` would
 /// change which site every existing seed picks.
-const GROUP_SITES: &[&str] = &[
+const COMMIT_SITE_LIST: &[&str] = &[
     site::COMMIT_LEADER_APPEND,
     site::COMMIT_MID_DISTRIBUTION,
     site::COMMIT_POST_APPEND,
 ];
 
-/// How many commit crash sites [`crash_schedule_group_commit`] cycles:
-/// seeds `0..GROUP_COMMIT_SITES` arm each exactly once.
-pub const GROUP_COMMIT_SITES: usize = GROUP_SITES.len();
+/// How many commit crash sites [`crash_schedule_commit`] cycles: seeds
+/// `0..COMMIT_SITES` arm each exactly once.
+pub const COMMIT_SITES: usize = COMMIT_SITE_LIST.len();
 
-/// Outcome of one group-commit crash schedule that upheld every
-/// invariant.
+/// Outcome of one commit crash schedule that upheld every invariant.
 #[derive(Debug, Clone)]
-pub struct GroupCommitRunReport {
-    /// The armed crash site (seed-selected from the group-commit
-    /// sites).
+pub struct CommitRunReport {
+    /// The armed crash site (seed-selected from the commit sites).
     pub site: String,
-    /// Whether the batch survived the crash — true exactly when the
-    /// crash hit after the coordinator's durable batch append.
-    pub batch_durable: bool,
+    /// Whether the statement survived the crash — true exactly when
+    /// the crash hit after the coordinator's durable append.
+    pub durable: bool,
     /// Orphaned objects the post-crash leak scan reclaimed.
     pub reclaimed: usize,
     /// Rows the table holds at the end of the schedule.
@@ -366,29 +364,22 @@ pub struct GroupCommitRunReport {
     pub metrics: String,
 }
 
-/// Group-commit crash schedule (DESIGN.md "Group commit"): park a full
-/// batch of sequenced concurrent single-row COPYs in the accumulator,
-/// crash the batch leader at a seed-selected point — before the
-/// coordinator's durable append, mid-distribution, or after every
-/// append but before waking the members — then cold-restart the whole
-/// cluster (the leader's death loses every in-memory catalog) and
-/// verify the batch-durability invariant:
+/// Commit crash schedule (DESIGN.md "Commit"): crash one single-row
+/// COPY's commit at a seed-selected point — before the coordinator's
+/// durable append, mid-distribution, or after every append — then
+/// cold-restart the whole cluster (the coordinator's death loses every
+/// in-memory catalog) and verify the durability rule:
 ///
-/// * **prefix-or-nothing, never a gap**: every node's durable log
-///   holds the whole batch or none of it — the batch is one atomic
-///   multi-record file;
-/// * a leader-append crash aborts the batch and the leak scan reclaims
-///   every member's orphaned upload;
-/// * a mid-distribution or post-append crash commits the batch — the
-///   laggard peers converge from the most-advanced durable log;
+/// * every node's durable log holds the statement's one record or
+///   none of it;
+/// * a coordinator-append crash aborts the statement and the leak scan
+///   reclaims its orphaned upload;
+/// * a mid-distribution or post-append crash commits it — the laggard
+///   peers converge from the most-advanced durable log;
 /// * the cluster serves normal traffic afterwards, and the whole run
-///   replays byte-identically for the same seed (`EonDb::pinned_batch`
-///   holds the commit lock while sequenced arrivals park, and releases
-///   it when the planned membership has, so the leader drains exactly
-///   that).
-pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, String> {
-    const WRITERS: usize = 4;
-    let armed = GROUP_SITES[(seed % GROUP_SITES.len() as u64) as usize];
+///   replays byte-identically for the same seed.
+pub fn crash_schedule_commit(seed: u64) -> Result<CommitRunReport, String> {
+    let armed = COMMIT_SITE_LIST[(seed % COMMIT_SITES as u64) as usize];
     let registry = Registry::new();
     let s3 = Arc::new(S3SimFs::with_metrics(
         S3Config {
@@ -417,47 +408,31 @@ pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, St
         .map_err(|e| format!("base copy: {e}"))?;
     model.rows.extend(base);
 
-    // Arm the crash only now: bootstrap committed as batches of one,
-    // and `rearm` resets the occurrence counters, so occurrence 0 of
-    // the armed site is the batch's.
+    // Arm the crash only now: `rearm` resets the occurrence counters,
+    // so occurrence 0 of the armed site is the crashing COPY's.
     let v0 = db.version();
     faults.rearm(armed, 0, None);
-
-    // Pinned batch: batch composition (and upload order) is the plan's,
-    // not the scheduler's.
-    let batch_rows: Vec<Vec<Value>> = (0..WRITERS)
-        .map(|i| vec![Value::Int(10_000 + i as i64), Value::Int(1)])
-        .collect();
-    let outcomes: Vec<eon_types::Result<u64>> =
-        db.pinned_batch(WRITERS, |i| db.copy_into("t", vec![batch_rows[i].clone()]));
-    for (i, o) in outcomes.iter().enumerate() {
-        match o {
-            Err(EonError::FaultInjected(_)) => {}
-            other => {
-                return Err(format!(
-                    "site {armed}: writer {i} expected a crash, got {other:?}"
-                ))
-            }
-        }
+    let row = vec![Value::Int(10_000), Value::Int(1)];
+    match db.copy_into("t", vec![row.clone()]) {
+        Err(EonError::FaultInjected(_)) => {}
+        other => return Err(format!("site {armed}: expected a crash, got {other:?}")),
     }
 
-    // The leader process died: every in-memory catalog is gone. Each
-    // node recovers from its local durable log alone, laggards replay
-    // the most-advanced log's tail.
+    // The coordinator process died: every in-memory catalog is gone.
+    // Each node recovers from its local durable log alone, laggards
+    // replay the most-advanced log's tail.
     let tip = db
         .cold_restart_all()
         .map_err(|e| format!("site {armed}: cold restart: {e}"))?;
     let expect_durable = armed != site::COMMIT_LEADER_APPEND;
-    let batch_durable = tip.0 == v0.0 + WRITERS as u64;
-    if batch_durable != expect_durable {
+    let durable = tip.0 == v0.0 + 1;
+    if durable != expect_durable {
         return Err(format!(
-            "site {armed}: batch durable={batch_durable}, expected {expect_durable} (v0 {} tip {})",
+            "site {armed}: durable={durable}, expected {expect_durable} (v0 {} tip {})",
             v0.0, tip.0
         ));
     }
-    // Prefix-or-nothing on every node: the whole batch or none of it,
-    // never a partial suffix of members missing.
-    let want = if expect_durable { WRITERS } else { 0 };
+    let want = usize::from(expect_durable);
     for node in db.membership().up_nodes() {
         let got = node
             .store
@@ -466,30 +441,30 @@ pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, St
             .len();
         if got != want {
             return Err(format!(
-                "site {armed}: {} holds {got} batch records durably, want {want}",
+                "site {armed}: {} holds {got} new records durably, want {want}",
                 node.id
             ));
         }
     }
     if expect_durable {
-        model.rows.extend(batch_rows.iter().cloned());
+        model.rows.push(row);
     }
 
-    // Normal service resumes: a lone statement is a batch of one.
+    // Normal service resumes.
     let extra = int_rows(200..260);
     db.copy_into("t", extra.clone())
         .map_err(|e| format!("site {armed}: post-crash copy: {e}"))?;
     model.rows.extend(extra);
 
-    // Invariants: committed data answers exactly; an aborted batch's
-    // uploads are crash orphans the leak scan must reclaim (the abort
-    // path deliberately leaves them — the "process died").
+    // Invariants: committed data answers exactly; an aborted
+    // statement's upload is a crash orphan the leak scan must reclaim
+    // (the abort path deliberately leaves it — the "process died").
     let report = check_crash_invariants(&db, std::slice::from_ref(&model))
         .map_err(|e| format!("site {armed}: invariants: {e}"))?;
     let reclaimed = report.reclaimed.len();
-    if !expect_durable && reclaimed < WRITERS {
+    if !expect_durable && reclaimed == 0 {
         return Err(format!(
-            "site {armed}: aborted batch left only {reclaimed} reclaimable orphans, want >= {WRITERS}"
+            "site {armed}: aborted COPY left no reclaimable orphan"
         ));
     }
 
@@ -503,9 +478,9 @@ pub fn crash_schedule_group_commit(seed: u64) -> Result<GroupCommitRunReport, St
     armed.hash(&mut h);
     format!("{rows:?}").hash(&mut h);
     keys.hash(&mut h);
-    Ok(GroupCommitRunReport {
+    Ok(CommitRunReport {
         site: armed.to_owned(),
-        batch_durable,
+        durable,
         reclaimed,
         rows: rows.len(),
         digest: h.finish(),

@@ -25,8 +25,8 @@ pub struct TxnRecord {
     pub ops: Vec<CatalogOp>,
 }
 
-/// Encode one log file: a JSON array of consecutive records. Every
-/// append is a batch — a lone commit is a batch of one.
+/// Encode one log file: a JSON array of consecutive records. A commit
+/// writes a file of one record; a catch-up writes its whole tail as one.
 pub fn encode_log_file(records: &[TxnRecord]) -> Bytes {
     Bytes::from(serde_json::to_vec(records).expect("txn log serialization cannot fail"))
 }

@@ -77,9 +77,9 @@ impl CatalogStore {
     /// **one** file — the §3.5 commit durability point ("process
     /// termination results in reading the local transaction logs and no
     /// loss of transactions"). One write is one durability point for the
-    /// whole batch: after a crash either every record in the file is
-    /// replayable or none is, which is how the prefix-or-nothing batch
-    /// invariant is kept. A lone commit is a batch of one.
+    /// whole file: after a crash either every record in it is replayable
+    /// or none is. A commit appends one record; a catch-up appends its
+    /// whole tail.
     pub fn append_local(&self, records: &[TxnRecord]) -> Result<()> {
         let (Some(lo), Some(hi)) = (records.first(), records.last()) else {
             return Ok(());
@@ -326,7 +326,7 @@ mod tests {
     }
 
     /// Commit `names` as consecutive versions and durably append them
-    /// as one log file, as a commit batch does.
+    /// as one log file, as a catch-up does.
     fn commit_batch(cat: &Catalog, store: &CatalogStore, names: &[&str]) {
         let recs: Vec<TxnRecord> = names
             .iter()
@@ -346,7 +346,7 @@ mod tests {
         store.append_local(&recs).unwrap();
     }
 
-    /// A lone commit: a batch of one.
+    /// A lone commit: a file of one record.
     fn commit_table(cat: &Catalog, store: &CatalogStore, name: &str) {
         commit_batch(cat, store, &[name]);
     }

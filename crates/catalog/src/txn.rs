@@ -199,8 +199,8 @@ impl Catalog {
         })
     }
 
-    /// Apply a consecutive run of records committed elsewhere (a commit
-    /// batch's distribution, a catch-up tail) with **one** scratch clone.
+    /// Apply a consecutive run of records committed elsewhere (a
+    /// commit's distribution, a catch-up tail) with **one** scratch clone.
     /// Versions must continue this catalog's with no gaps. All-or-nothing:
     /// the swap happens only after every record applies, so a failure
     /// leaves the catalog at its prior version.

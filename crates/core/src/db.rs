@@ -23,9 +23,12 @@ pub struct EonDb {
     /// Hex incarnation id; changes on revive (§3.5).
     pub(crate) incarnation: Mutex<String>,
     /// Serializes cluster commits (stand-in for the distributed commit
-    /// protocol; Vertica's global catalog lock plays the same role). A
-    /// commit batch forms while its leader waits for it.
+    /// protocol; Vertica's global catalog lock plays the same role).
+    /// Each statement holds it for its whole commit, one log append
+    /// included.
     pub(crate) commit_lock: Mutex<()>,
+    /// Commit-protocol counters, registered once with the database.
+    pub(crate) commit_metrics: crate::commit::CommitMetrics,
     /// Session counter: varies participant selection per query (§4.1).
     pub(crate) session_counter: AtomicU64,
     /// Coordinator rotation. Deliberately separate from
@@ -45,9 +48,6 @@ pub struct EonDb {
     /// Self-healing supervisor state: the failure detector plus repair
     /// bookkeeping, driven by [`EonDb::supervise_tick`].
     pub(crate) supervisor: Mutex<crate::supervisor::SupervisorState>,
-    /// Group-commit accumulator (DESIGN.md "Group commit"): every
-    /// commit parks here.
-    pub(crate) group_commit: crate::commit::GroupCommit,
     /// Set when metadata divergence is detected (§3.4): a node applied
     /// a record in memory but could not persist it, or refused a record
     /// its peers accepted. A halted cluster reports `Down` from
@@ -118,6 +118,7 @@ impl EonDb {
             membership: Membership::new(),
             incarnation: Mutex::new(incarnation),
             commit_lock: Mutex::new(()),
+            commit_metrics: crate::commit::CommitMetrics::new(&config.obs),
             session_counter: AtomicU64::new(1),
             coordinator_counter: AtomicU64::new(0),
             next_node_id: AtomicU64::new(config.num_nodes as u64),
@@ -129,7 +130,6 @@ impl EonDb {
             ),
             breaker,
             supervisor: Mutex::new(crate::supervisor::SupervisorState::new(&config)),
-            group_commit: Default::default(),
             halted: Mutex::new(None),
             config,
         })

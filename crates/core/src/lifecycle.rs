@@ -140,9 +140,9 @@ impl EonDb {
     }
 
     /// Whole-cluster process crash: every node's memory is lost at
-    /// once, local disks survive. The group-commit fault sites model
-    /// the batch *leader* dying, and in this in-process cluster the
-    /// leader's death takes every in-memory catalog with it — so unlike
+    /// once, local disks survive. The commit fault sites model the
+    /// coordinator process dying, and in this in-process cluster its
+    /// death takes every in-memory catalog with it — so unlike
     /// [`EonDb::restart_node`], no surviving peer exists to snapshot
     /// from, and recovery must come from the durable logs alone.
     ///
@@ -150,10 +150,10 @@ impl EonDb {
     /// point), then nodes behind the most-advanced *durable* log replay
     /// its tail — never a surviving in-memory catalog, because there is
     /// none. A mid-distribution crash (coordinator appended, some peers
-    /// did not) converges here: the batch append is one atomic file, so
-    /// each log holds the whole batch or nothing, and each laggard
-    /// applies the missing tail as one batch and appends it as one log
-    /// file. Returns the converged version.
+    /// did not) converges here: the append is one atomic file, so each
+    /// log holds the record or nothing, and each laggard applies the
+    /// missing tail as one batch and appends it as one log file.
+    /// Returns the converged version.
     pub fn cold_restart_all(&self) -> Result<TxnVersion> {
         let mut nodes: Vec<Arc<NodeRuntime>> = Vec::new();
         for old in self.membership.all() {

@@ -99,8 +99,7 @@ pub(crate) struct StagedContainer {
 }
 
 /// The writers a staged load used, for §4.5 re-validation under the
-/// commit lock; parks in the group-commit accumulator with the
-/// statement.
+/// commit lock.
 pub(crate) struct LoadWriters {
     assignment: HashMap<ShardId, NodeId>,
     replica_writer: Option<NodeId>,

@@ -440,10 +440,12 @@ impl NodeProvider {
     /// The shards a scan covers given its distribution and projection.
     fn shards_for(&self, proj: &Projection, global: bool) -> Vec<ShardId> {
         if proj.is_replicated() {
-            // One physical copy; for a shard-local scan only the node
+            // One physical copy; for a shard-local scan only the worker
             // serving the first session shard reads it (exactly one
-            // node cluster-wide), for global scans this node reads it.
-            if global || self.my_shards.contains(&self.all_shards[0]) {
+            // worker cluster-wide: under crunch scaling, slice 0 of
+            // that shard), for global scans this node reads it.
+            let first_worker = self.crunch.is_none_or(|slice| slice.worker == 0);
+            if global || (first_worker && self.my_shards.contains(&self.all_shards[0])) {
                 vec![self.replica_shard]
             } else {
                 vec![]

@@ -564,17 +564,28 @@ mod tests {
     #[test]
     fn crunch_scaling_matches_plain() {
         let db = db_loaded(4, 2);
-        let plain = db.query(&sum_by_grp()).unwrap();
-        let crunched = db
-            .query_with(
-                &sum_by_grp(),
-                &SessionOpts {
-                    crunch: true,
-                    ..Default::default()
-                },
-            )
+        // A replicated table is one physical copy: exactly one crunch
+        // worker may read it.
+        let s = schema![("x", Int)];
+        db.create_table(
+            "dim",
+            s.clone(),
+            vec![Projection::replicated("dim_r", &s, &[0])],
+        )
+        .unwrap();
+        db.copy_into("dim", (0..25).map(|i| vec![Value::Int(i)]).collect())
             .unwrap();
-        assert_eq!(plain, crunched);
+        let count_dim =
+            Plan::scan(ScanSpec::new("dim")).aggregate(vec![], vec![AggSpec::count_star()]);
+        assert_eq!(db.query(&count_dim).unwrap(), vec![vec![Value::Int(25)]]);
+        let crunch = SessionOpts {
+            crunch: true,
+            ..Default::default()
+        };
+        for plan in [sum_by_grp(), count_dim] {
+            let plain = db.query(&plan).unwrap();
+            assert_eq!(db.query_with(&plan, &crunch).unwrap(), plain, "{plan:?}");
+        }
     }
 
     #[test]

@@ -76,33 +76,32 @@ pub mod site {
     /// whole process aborting.
     pub const QUERY_WORKER_PANIC: &str = "query.worker.panic";
 
-    // Commit-protocol sites. Every commit is a group-commit batch (a
-    // lone statement is a batch of one), so every commit passes all
-    // four. Deliberately NOT in [`SITES`], which stays exactly as it
-    // is so seeded plans keep picking the same sites: a fired crash
-    // site here models the batch leader's death, which loses every
-    // in-memory catalog at once and needs `cold_restart_all` — the
+    // Commit-protocol sites. Every commit runs the one commit
+    // protocol, so every commit passes all four. Deliberately NOT in
+    // [`SITES`], which stays exactly as it is so seeded plans keep
+    // picking the same sites: a fired crash site here models the
+    // coordinator process dying, which loses every in-memory catalog
+    // at once and needs `cold_restart_all` — the
     // generic per-site recovery loop
     // (`every_named_site_crashes_and_recovers`) does not perform it —
     // and `COMMIT_PEER_APPEND` models a peer disk failure (classified
     // as metadata divergence), not a process death that loop can retry
     // through. The commit chaos schedule arms them from its own list.
 
-    /// A peer's durable log append fails after it applied the batch in
-    /// memory — §3.4 metadata divergence, never a crash. Node-scoped:
+    /// A peer's durable log append fails after it applied the record
+    /// in memory — §3.4 metadata divergence, never a crash. Node-scoped:
     /// the plan picks the failing peer.
     pub const COMMIT_PEER_APPEND: &str = "commit.peer_append";
-    /// The batch leader dies after committing the batch in memory,
-    /// before the coordinator's durable batch append — nothing in the
-    /// batch is durable.
+    /// The coordinator dies after committing the statement in memory,
+    /// before its durable append — nothing is durable.
     pub const COMMIT_LEADER_APPEND: &str = "commit.leader_append";
-    /// The leader dies mid-distribution, after the coordinator's
-    /// durable append but before this peer's — the batch is durable,
-    /// the peer catches up on restart (§3.3). Node-scoped.
+    /// The coordinator dies mid-distribution, after its durable append
+    /// but before this peer's — the record is durable, the peer
+    /// catches up on restart (§3.3). Node-scoped.
     pub const COMMIT_MID_DISTRIBUTION: &str = "commit.mid_distribution";
-    /// The leader dies after every durable append, before waking the
-    /// parked members — the batch is fully durable but every member
-    /// observes a crash.
+    /// The coordinator dies after every durable append, before the
+    /// statement returns — the record is fully durable but the
+    /// statement observes a crash.
     pub const COMMIT_POST_APPEND: &str = "commit.post_append";
 }
 

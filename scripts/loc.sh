@@ -53,7 +53,9 @@ printf '%-16s %6d\n' "with_retry calls" \
 
 # "One semaphore, metrics wired at construction" as numbers: planned-
 # wait loops (condvar `wait_for(` sites; target 1: the `ExecSlots`
-# semaphore — group commit has no timer) and registry re-homing methods
-# (target 0: every component takes its registry when it is built).
+# semaphore), registry re-homing methods (target 0: every component
+# takes its registry when it is built) and condvars (target 2: the
+# depot's single-flight fill and `ExecSlots` — commits only take a lock).
 printf '%-16s %6d\n' "planned-wait loops" "$(matches 'wait_for[(]' crates)"
 printf '%-16s %6d\n' "attach_metrics" "$(matches 'fn attach_metrics' crates)"
+printf '%-16s %6d\n' "condvars" "$(matches 'Condvar::new[(]' crates)"

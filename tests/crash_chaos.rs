@@ -9,8 +9,8 @@
 //! reachable, and a given seed replays identically.
 
 use eon_bench::chaos::{
-    crash_schedule, crash_schedule_encoded, crash_schedule_group_commit, flap_brownout_schedule,
-    seeded_crash_schedule,
+    crash_schedule, crash_schedule_commit, crash_schedule_encoded, flap_brownout_schedule,
+    seeded_crash_schedule, COMMIT_SITES,
 };
 use eon_columnar::Encoding;
 use eon_db as _;
@@ -120,36 +120,35 @@ fn force_encoded_schedules_replay_identically() {
     }
 }
 
-/// Group-commit crash points (DESIGN.md "Group commit"): a full batch
-/// of parked writers crashes at the leader-append, mid-distribution,
-/// or post-append point, the whole cluster cold-restarts from its
-/// durable logs, and batch durability must be prefix-or-nothing —
-/// the leader-append crash aborts the batch (and the leak scan
-/// reclaims every member's orphaned upload); the later crash points
-/// commit it everywhere, with laggard peers converging from the
-/// most-advanced durable log. The schedule itself verifies the
-/// per-node log contents; this test pins the site → durability map.
+/// Commit crash points (DESIGN.md "Commit"): a COPY crashes at the
+/// coordinator-append, mid-distribution, or post-append point, the
+/// whole cluster cold-restarts from its durable logs, and every node
+/// holds the statement's record or none of it — the coordinator-append
+/// crash aborts it (and the leak scan reclaims its orphaned upload);
+/// the later crash points commit it everywhere, with laggard peers
+/// converging from the most-advanced durable log. The schedule itself
+/// verifies the per-node log contents; this test pins the site →
+/// durability map.
 #[test]
 fn group_commit_crash_points_are_prefix_or_nothing() {
     let mut aborted = 0;
     let mut committed = 0;
-    // Seeds 0..3 cycle through the three group-commit crash sites.
-    for seed in 0..3u64 {
-        let r = crash_schedule_group_commit(seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    // Seeds 0..3 cycle through the three commit crash sites.
+    for seed in 0..COMMIT_SITES as u64 {
+        let r = crash_schedule_commit(seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(
-            r.batch_durable,
+            r.durable,
             r.site != site::COMMIT_LEADER_APPEND,
             "seed {seed} site {}: wrong durability outcome",
             r.site
         );
-        if r.batch_durable {
+        if r.durable {
             committed += 1;
         } else {
             aborted += 1;
             assert!(
-                r.reclaimed >= 4,
-                "seed {seed}: aborted batch reclaimed only {} orphans",
-                r.reclaimed
+                r.reclaimed >= 1,
+                "seed {seed}: aborted COPY reclaimed no orphan"
             );
         }
     }
@@ -157,14 +156,13 @@ fn group_commit_crash_points_are_prefix_or_nothing() {
 }
 
 /// Same seed ⇒ byte-identical digest and metrics snapshot for the
-/// group-commit crash schedule: sequenced arrivals pin the batch
-/// composition, so the whole run — upload order, crash point, cold
-/// restart, leak scan — replays exactly.
+/// commit crash schedule: the whole run — upload order, crash point,
+/// cold restart, leak scan — replays exactly.
 #[test]
 fn group_commit_schedule_replays_identically() {
-    for seed in 0..3u64 {
-        let a = crash_schedule_group_commit(seed).unwrap();
-        let b = crash_schedule_group_commit(seed).unwrap();
+    for seed in 0..COMMIT_SITES as u64 {
+        let a = crash_schedule_commit(seed).unwrap();
+        let b = crash_schedule_commit(seed).unwrap();
         assert_eq!(a.site, b.site, "seed {seed}: armed sites diverged");
         assert_eq!(a.digest, b.digest, "seed {seed}: final state diverged");
         assert_eq!(a.rows, b.rows);
@@ -173,7 +171,7 @@ fn group_commit_schedule_replays_identically() {
             "seed {seed}: metrics snapshots diverged"
         );
         assert!(
-            a.metrics.contains("commit_batch_size"),
+            a.metrics.contains("commit_appends_total"),
             "snapshot should carry commit metrics: {}",
             a.metrics
         );

@@ -187,96 +187,6 @@ fn armed_load_crash_leaves_no_committed_trace() {
     }
 }
 
-/// Batched commits under armed crash points (DESIGN.md "Group
-/// commit"): a full batch of sequenced writers parks in the
-/// accumulator and the leader "dies" at the leader-append,
-/// mid-distribution, or post-append point. Every member observes the
-/// crash; after a cold restart (all in-memory state lost, durable
-/// logs survive) batch durability must be prefix-or-nothing — the
-/// whole batch on every node's log, or none of it, never a gap — and
-/// an aborted batch's uploads must be reclaimable crash orphans.
-#[test]
-fn batched_commit_crash_is_prefix_or_nothing() {
-    const WRITERS: usize = 3;
-    for s in [
-        site::COMMIT_LEADER_APPEND,
-        site::COMMIT_MID_DISTRIBUTION,
-        site::COMMIT_POST_APPEND,
-    ] {
-        let faults = FaultPlan::inert();
-        let db = EonDb::create(Arc::new(MemFs::new()), cfg(3, 3, 1).faults(faults.clone()))
-            .unwrap();
-        make_table(&db);
-        let base = gen_rows(3, 90);
-        db.copy_into("t", base.clone()).unwrap();
-        let v0 = db.version();
-
-        // Quiet bootstrap done: arm the crash and park a full batch
-        // behind the held commit lock.
-        faults.rearm(s, 0, None);
-        let batch_row =
-            |i: usize| vec![Value::Int(1_000 + i as i64), Value::Int(0), Value::Int(0)];
-        let outcomes: Vec<Result<u64>> =
-            db.pinned_batch(WRITERS, |i| db.copy_into("t", vec![batch_row(i)]));
-        for (i, o) in outcomes.iter().enumerate() {
-            assert!(
-                matches!(o, Err(EonError::FaultInjected(_))),
-                "site {s}: writer {i} should observe the leader's crash: {o:?}"
-            );
-        }
-
-        // The leader's death loses every in-memory catalog at once:
-        // recover from the durable logs alone.
-        db.cold_restart_all().unwrap();
-        let durable = s != site::COMMIT_LEADER_APPEND;
-        let want = if durable { WRITERS } else { 0 };
-        for node in db.membership().up_nodes() {
-            assert_eq!(
-                node.store.read_records_after(v0).unwrap().len(),
-                want,
-                "site {s}: {} batch records on {} (prefix-or-nothing violated)",
-                want,
-                node.id
-            );
-        }
-
-        let mut model = TableModel {
-            name: "t".into(),
-            rows: base,
-        };
-        if durable {
-            model.rows.extend((0..WRITERS).map(batch_row));
-        }
-        let report = check_crash_invariants(&db, &[model]).unwrap();
-        if !durable {
-            assert!(
-                report.reclaimed.len() >= WRITERS,
-                "site {s}: aborted members' uploads not reclaimed: {:?}",
-                report.reclaimed
-            );
-        }
-    }
-}
-
-/// The same sequenced batch schedule commits byte-identical state —
-/// storage keys included — run to run: batch composition is pinned by
-/// the held commit lock and the arrival gate, so group commit adds no
-/// nondeterminism to the write pipeline.
-#[test]
-fn batched_commit_replays_byte_identically() {
-    let run = || {
-        let db = EonDb::create(Arc::new(MemFs::new()), cfg(3, 3, 1)).unwrap();
-        make_table(&db);
-        db.copy_into("t", gen_rows(11, 60)).unwrap();
-        db.pinned_batch(4, |i| {
-            let row = vec![Value::Int(2_000 + i as i64), Value::Int(1), Value::Int(2)];
-            db.copy_into("t", vec![row]).unwrap()
-        });
-        (fingerprint(&db), sorted_rows(&db))
-    };
-    assert_eq!(run(), run());
-}
-
 /// UPDATE atomicity under crashes: arm each fault site the statement
 /// passes — DV upload, container upload, pre-commit — and require the
 /// table to be byte-identical to before the UPDATE, then a clean retry.
