@@ -101,8 +101,7 @@ fn main() {
     }
 
     if let Some(text) = &metrics_sample {
-        let snapshot: serde_json::Value =
-            serde_json::from_str(text).expect("snapshot is valid JSON");
+        let snapshot = serde_json::parse(text).expect("snapshot is valid JSON");
         print_json(
             "chaos_metrics",
             serde_json::json!({

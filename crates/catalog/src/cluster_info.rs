@@ -1,23 +1,25 @@
-//! `cluster_info.json` (paper §3.5): the commit point for revive.
+//! `cluster_info` (paper §3.5): the commit point for revive.
 //!
 //! A running cluster's elected leader periodically writes this file with
 //! the consensus truncation version, a lease, and the incarnation id.
 //! Revive reads it to learn where to truncate and refuses to start while
 //! the lease is live (another cluster is probably running); writing a
-//! new `cluster_info.json` with a fresh incarnation id *is* the atomic
-//! commit of a revive.
+//! new `cluster_info` with a fresh incarnation id *is* the atomic
+//! commit of a revive. The paper's file is JSON; ours is framed and
+//! checksummed like every catalog file ([`crate::codec`]).
 
 use eon_types::{EonError, Result, TxnVersion};
-use serde::{Deserialize, Serialize};
 
 use eon_storage::FileSystem;
 
+use crate::codec::{decode_cluster_info, encode_cluster_info};
+
 /// The shared-storage key. A single well-known object, deliberately not
 /// SID-named: there is exactly one per database.
-pub const CLUSTER_INFO_KEY: &str = "cluster_info.json";
+pub const CLUSTER_INFO_KEY: &str = "cluster_info";
 
-/// Contents of `cluster_info.json`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Contents of `cluster_info`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterInfo {
     /// Consensus truncation version: the highest version consistent
     /// with respect to every shard (Fig 5).
@@ -39,11 +41,7 @@ impl ClusterInfo {
     /// written one (fresh database).
     pub fn read(fs: &dyn FileSystem) -> Result<Option<ClusterInfo>> {
         match fs.read(CLUSTER_INFO_KEY) {
-            Ok(data) => {
-                let info = serde_json::from_slice(&data)
-                    .map_err(|e| EonError::Corrupt(format!("bad cluster_info.json: {e}")))?;
-                Ok(Some(info))
-            }
+            Ok(data) => decode_cluster_info(&data).map(Some),
             Err(EonError::NotFound(_)) => Ok(None),
             Err(e) => Err(e),
         }
@@ -52,9 +50,7 @@ impl ClusterInfo {
     /// Write (replacing any previous version — this is the one object
     /// the engine intentionally overwrites).
     pub fn write(&self, fs: &dyn FileSystem) -> Result<()> {
-        let data = serde_json::to_vec_pretty(self)
-            .map_err(|e| EonError::Internal(e.to_string()))?;
-        fs.write(CLUSTER_INFO_KEY, bytes::Bytes::from(data))
+        fs.write(CLUSTER_INFO_KEY, encode_cluster_info(self))
     }
 
     /// Is the lease still held at `now_ms`?

@@ -12,12 +12,15 @@
 //!   sets validated against object versions at commit (§6.3).
 //! * [`log`] — transaction-log records and checkpoints, totally ordered
 //!   by the incrementing version counter; two checkpoints retained.
+//! * [`codec`] — the one at-rest format of every catalog file: framed,
+//!   checksummed records over `eon_columnar::format`.
 //! * [`store`] — persistence: local append + asynchronous upload to
 //!   shared storage, sync intervals, recovery replay (§3.5).
-//! * [`cluster_info`] — the `cluster_info.json` commit point for revive:
+//! * [`cluster_info`] — the `cluster_info` commit point for revive:
 //!   truncation version, incarnation id, lease (§3.5).
 
 pub mod cluster_info;
+pub mod codec;
 pub mod log;
 pub mod objects;
 pub mod state;

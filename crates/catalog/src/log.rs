@@ -6,67 +6,31 @@
 //! exceeds a threshold, the catalog writes out a checkpoint … Vertica
 //! retains two checkpoints."
 //!
-//! Records serialize as JSON — catalog metadata is small relative to
-//! data, and a self-describing format keeps revive debuggable, which is
-//! worth more than bytes here.
+//! This module holds the record types and the key scheme: a log file
+//! `txn/{lo}-{hi}` holds the consecutive records `lo..=hi`, a
+//! checkpoint `ckpt/{v}` the state at `v`, both zero-padded so key order
+//! is version order. How the files are laid out is
+//! [`crate::codec`]'s alone.
 
-use bytes::Bytes;
-use eon_types::{EonError, Result, TxnVersion};
-use serde::{Deserialize, Serialize};
+use eon_types::TxnVersion;
 
 use crate::objects::CatalogOp;
 use crate::state::CatalogState;
 
 /// One committed transaction: the ops that move the catalog from
 /// `version - 1` to `version`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TxnRecord {
     pub version: TxnVersion,
     pub ops: Vec<CatalogOp>,
 }
 
-/// Encode one log file: a JSON array of consecutive records. A commit
-/// writes a file of one record; a catch-up writes its whole tail as one.
-pub fn encode_log_file(records: &[TxnRecord]) -> Bytes {
-    Bytes::from(serde_json::to_vec(records).expect("txn log serialization cannot fail"))
-}
-
-/// Decode a log file. It must be a non-empty array of consecutive
-/// versions — a malformed file is corruption, not a gap.
-pub fn decode_log_file(data: &[u8]) -> Result<Vec<TxnRecord>> {
-    let records: Vec<TxnRecord> = serde_json::from_slice(data)
-        .map_err(|e| EonError::Corrupt(format!("bad txn log file: {e}")))?;
-    if records.is_empty() {
-        return Err(EonError::Corrupt("empty txn log file".into()));
-    }
-    for pair in records.windows(2) {
-        if pair[1].version != pair[0].version.next() {
-            return Err(EonError::Corrupt(format!(
-                "non-consecutive txn log file: {} then {}",
-                pair[0].version.0, pair[1].version.0
-            )));
-        }
-    }
-    Ok(records)
-}
-
 /// A full catalog snapshot labelled with its version, so it "can be
 /// ordered relative to the transaction logs".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     pub version: TxnVersion,
     pub state: CatalogState,
-}
-
-impl Checkpoint {
-    pub fn encode(&self) -> Bytes {
-        Bytes::from(serde_json::to_vec(self).expect("checkpoint serialization cannot fail"))
-    }
-
-    pub fn decode(data: &[u8]) -> Result<Checkpoint> {
-        serde_json::from_slice(data)
-            .map_err(|e| EonError::Corrupt(format!("bad checkpoint: {e}")))
-    }
 }
 
 /// Key for the log file holding versions `lo..=hi`. Zero-padded so
@@ -126,49 +90,6 @@ pub fn version_of_key(key: &str) -> Option<TxnVersion> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eon_types::Oid;
-
-    fn records(versions: std::ops::RangeInclusive<u64>) -> Vec<TxnRecord> {
-        versions
-            .map(|v| TxnRecord {
-                version: TxnVersion(v),
-                ops: vec![CatalogOp::DropTable(Oid(v))],
-            })
-            .collect()
-    }
-
-    #[test]
-    fn log_file_roundtrip() {
-        let recs = records(1..=3);
-        assert_eq!(decode_log_file(&encode_log_file(&recs)).unwrap(), recs);
-        // A lone commit is a file of exactly one record.
-        let one = encode_log_file(&recs[..1]);
-        assert_eq!(one.first(), Some(&b'['));
-        assert_eq!(decode_log_file(&one).unwrap(), recs[..1]);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let c = Checkpoint {
-            version: TxnVersion(3),
-            state: CatalogState::default(),
-        };
-        assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
-    }
-
-    #[test]
-    fn malformed_log_files_are_corrupt() {
-        assert!(decode_log_file(b"{not json").is_err());
-        // A bare record is not a log file: every file is an array.
-        let bare = serde_json::to_vec(&records(1..=1)[0]).unwrap();
-        assert!(decode_log_file(&bare).is_err());
-        // Empty or gapped files are corruption.
-        assert!(decode_log_file(b"[]").is_err());
-        let recs = records(1..=3);
-        let gapped = vec![recs[0].clone(), recs[2].clone()];
-        assert!(decode_log_file(&encode_log_file(&gapped)).is_err());
-        assert!(Checkpoint::decode(b"").is_err());
-    }
 
     #[test]
     fn keys_sort_by_version() {

@@ -4,13 +4,11 @@
 //! written prior to commit" (§2.4) — so a [`CatalogOp`] never carries
 //! tuple data, only object descriptions and shared-storage keys.
 
-use serde::{Deserialize, Serialize};
-
 use eon_columnar::Projection;
 use eon_types::{EonError, HashRange, NodeId, Oid, Result, Schema, ShardId, Value};
 
 /// Whether a shard holds segmented or replicated storage (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardKind {
     /// Owns a region of the 32-bit hash space.
     Segment,
@@ -20,7 +18,7 @@ pub enum ShardKind {
 }
 
 /// A shard definition: fixed at database creation (§3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardDef {
     pub id: ShardId,
     pub kind: ShardKind,
@@ -30,7 +28,7 @@ pub struct ShardDef {
 }
 
 /// Subscription state machine (§3.3, Fig 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubState {
     /// Declared; metadata transfer in progress.
     Pending,
@@ -45,7 +43,7 @@ pub enum SubState {
 
 /// A node's subscription to a shard — itself a *global* catalog object
 /// so every node can compute participating sets consistently.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subscription {
     pub node: NodeId,
     pub shard: ShardId,
@@ -53,7 +51,7 @@ pub struct Subscription {
 }
 
 /// A table with its projections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     pub oid: Oid,
     pub name: String,
@@ -64,7 +62,6 @@ pub struct Table {
     /// added by ALTER TABLE (§6.3) record their default here so
     /// containers written *before* the ADD COLUMN can be scanned — the
     /// missing column materializes as the default.
-    #[serde(default)]
     pub defaults: Vec<Value>,
 }
 
@@ -129,7 +126,7 @@ impl Table {
 /// A ROS container as the catalog sees it: a pointer to an immutable
 /// shared-storage object plus planning statistics. Storage-scoped: only
 /// subscribers of `shard` carry it (§3.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContainerMeta {
     pub oid: Oid,
     /// Shared-storage object key (from the SID scheme, §5.1).
@@ -146,7 +143,7 @@ pub struct ContainerMeta {
 
 /// A delete vector as the catalog sees it (§2.3): positions are in the
 /// object at `key`; `container` is the storage it tombstones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeleteVectorMeta {
     pub oid: Oid,
     pub key: String,
@@ -157,7 +154,7 @@ pub struct DeleteVectorMeta {
 
 /// The redo-log operation language. Applying the ops of a commit to a
 /// catalog snapshot at version *v* yields the snapshot at *v+1*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CatalogOp {
     /// Database bootstrap: define the shard layout (once).
     DefineShards(Vec<ShardDef>),
@@ -243,17 +240,5 @@ mod tests {
         };
         assert!(t.projection(Oid(10)).is_some());
         assert!(t.projection(Oid(11)).is_none());
-    }
-
-    #[test]
-    fn ops_serialize_roundtrip() {
-        let op = CatalogOp::UpsertSubscription(Subscription {
-            node: NodeId(1),
-            shard: ShardId(2),
-            state: SubState::Active,
-        });
-        let j = serde_json::to_string(&op).unwrap();
-        let back: CatalogOp = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, op);
     }
 }

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use eon_types::{EonError, NodeId, Oid, Result, ShardId, TxnVersion, Value};
 
 use crate::objects::{
@@ -19,38 +17,17 @@ use crate::objects::{
 /// A complete catalog snapshot. Cloning is O(catalog size); commits
 /// clone-then-mutate, which at metadata scale (thousands of objects) is
 /// cheap and keeps reader snapshots immutable without locks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatalogState {
     pub shards: Vec<ShardDef>,
     pub tables: BTreeMap<Oid, Table>,
     pub containers: BTreeMap<Oid, ContainerMeta>,
     pub delete_vectors: BTreeMap<Oid, DeleteVectorMeta>,
     /// Keyed by (node, shard); at most one subscription per pair.
-    /// Serialized as a list — JSON map keys must be strings.
-    #[serde(with = "subs_as_list")]
     pub subscriptions: BTreeMap<(NodeId, ShardId), Subscription>,
     pub mergeout_coord: BTreeMap<ShardId, NodeId>,
     /// Version that last modified each object (for OCC validation).
     pub obj_versions: BTreeMap<Oid, TxnVersion>,
-}
-
-mod subs_as_list {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(
-        map: &BTreeMap<(NodeId, ShardId), Subscription>,
-        ser: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        serde::Serialize::serialize(&map.values().collect::<Vec<_>>(), ser)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        de: D,
-    ) -> std::result::Result<BTreeMap<(NodeId, ShardId), Subscription>, D::Error> {
-        let list: Vec<Subscription> = serde::Deserialize::deserialize(de)?;
-        Ok(list.into_iter().map(|s| ((s.node, s.shard), s)).collect())
-    }
 }
 
 impl CatalogState {

@@ -8,16 +8,14 @@
 //! has uploaded: checkpoints raise the lower bound, uploaded logs raise
 //! the upper bound.
 
-use eon_types::{EonError, Result, TxnVersion};
+use eon_types::{Result, TxnVersion};
 use parking_lot::Mutex;
 
 use eon_storage::fault::{site, FaultPlan};
 use eon_storage::{FaultInjector, SharedFs};
 
-use crate::log::{
-    ckpt_key, decode_log_file, encode_log_file, txn_key, version_of_key, version_range_of_key,
-    Checkpoint, TxnRecord,
-};
+use crate::codec::{decode_checkpoint, decode_log_file, encode_checkpoint, encode_log_file};
+use crate::log::{ckpt_key, txn_key, version_of_key, version_range_of_key, Checkpoint, TxnRecord};
 use crate::state::CatalogState;
 
 /// The range of versions a node can revive to from shared storage
@@ -95,8 +93,10 @@ impl CatalogStore {
     /// records they subsume, retaining [`CHECKPOINTS_RETAINED`].
     pub fn write_checkpoint(&self, ckpt: &Checkpoint) -> Result<()> {
         self.faults.lock().hit(site::CKPT_PRE_WRITE)?;
-        self.local
-            .write(&ckpt_key(LOCAL_PREFIX, ckpt.version), ckpt.encode())?;
+        self.local.write(
+            &ckpt_key(LOCAL_PREFIX, ckpt.version),
+            encode_checkpoint(ckpt),
+        )?;
         let mut ckpts = self.local.list(&format!("{LOCAL_PREFIX}ckpt/"))?;
         ckpts.sort();
         if ckpts.len() > CHECKPOINTS_RETAINED {
@@ -206,16 +206,7 @@ impl CatalogStore {
             .collect();
         ckpts.sort();
         let (mut state, mut version) = match ckpts.last() {
-            Some((v, key)) => {
-                let ck = Checkpoint::decode(&fs.read(key)?)?;
-                if ck.version != *v {
-                    return Err(EonError::Corrupt(format!(
-                        "checkpoint {key} labelled {v} contains {}",
-                        ck.version
-                    )));
-                }
-                (ck.state, ck.version)
-            }
+            Some((v, key)) => (decode_checkpoint(&fs.read(key)?, *v)?.state, *v),
             None => (CatalogState::default(), TxnVersion::ZERO),
         };
         // Replay logs after the checkpoint, in version order, stopping
@@ -229,8 +220,8 @@ impl CatalogStore {
             .filter(|(lo, hi, _)| *hi > version && upto.map(|u| *lo <= u).unwrap_or(true))
             .collect();
         logs.sort();
-        'files: for (_, _, key) in logs {
-            for rec in decode_log_file(&fs.read(&key)?)? {
+        'files: for (lo, hi, key) in logs {
+            for rec in decode_log_file(&fs.read(&key)?, (lo, hi))? {
                 let v = rec.version;
                 if v <= version {
                     continue; // subsumed by the checkpoint
@@ -264,8 +255,8 @@ impl CatalogStore {
         found.sort();
         let mut out = Vec::with_capacity(found.len());
         let mut expect = after.next();
-        'files: for (_, _, key) in found {
-            for rec in decode_log_file(&self.local.read(&key)?)? {
+        'files: for (lo, hi, key) in found {
+            for rec in decode_log_file(&self.local.read(&key)?, (lo, hi))? {
                 if rec.version <= after {
                     continue; // batch prefix the peer already has
                 }
@@ -296,7 +287,7 @@ impl CatalogStore {
                     // A batch straddling the truncation point: rewrite
                     // it to its surviving prefix so local recovery can
                     // never resurrect truncated commits.
-                    let keep: Vec<TxnRecord> = decode_log_file(&self.local.read(&k)?)?
+                    let keep: Vec<TxnRecord> = decode_log_file(&self.local.read(&k)?, (lo, hi))?
                         .into_iter()
                         .filter(|r| r.version <= truncation)
                         .collect();
@@ -318,7 +309,7 @@ mod tests {
     use crate::objects::{CatalogOp, Table};
     use crate::txn::Catalog;
     use eon_storage::MemFs;
-    use eon_types::{schema, Value};
+    use eon_types::{schema, EonError, Value};
     use std::sync::Arc;
 
     fn fses() -> (SharedFs, SharedFs) {
@@ -460,6 +451,30 @@ mod tests {
         let (state, version) = store.recover_local().unwrap();
         assert_eq!(version, TxnVersion(1));
         assert_eq!(state.tables.len(), 1);
+    }
+
+    /// A `txn/{lo}-{hi}` file holding other versions is corruption, not
+    /// a gap: replay and catch-up fail typed instead of silently ending
+    /// before the later commits.
+    #[test]
+    fn log_file_must_hold_the_versions_its_key_names() {
+        let (local, shared) = fses();
+        let local2 = local.clone();
+        let store = CatalogStore::new(local, shared, "inc0");
+        let cat = Catalog::new();
+        for n in ["t1", "t2", "t3"] {
+            commit_table(&cat, &store, n);
+        }
+        let key = |v| txn_key("catalog/", TxnVersion(v), TxnVersion(v));
+        // Version 3's record under version 2's key.
+        local2
+            .write(&key(2), local2.read(&key(3)).unwrap())
+            .unwrap();
+        let is_corrupt = |r: Result<_>| matches!(r, Err(EonError::Corrupt(_)));
+        assert!(is_corrupt(store.recover_local().map(|_| ())));
+        assert!(is_corrupt(
+            store.read_records_after(TxnVersion(1)).map(|_| ())
+        ));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Compact binary codec for on-disk structures: a little-endian writer
 //! over `Vec<u8>` and a checked cursor over `Bytes`. All ROS container
 //! payloads, footers, and delete vectors flow through this module so the
-//! wire format lives in exactly one place.
+//! wire format lives in exactly one place; the catalog's files frame
+//! their records with it too (`eon-catalog::codec`).
 
 use bytes::Bytes;
 use eon_types::{EonError, Result, Value, ValueRef};
@@ -77,6 +78,11 @@ impl Writer {
 
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.put_varint(b.len() as u64);
+        self.put_raw(b);
+    }
+
+    /// Bytes with no length prefix: the reader must know how many.
+    pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
 
@@ -137,7 +143,8 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// The next `n` bytes, or `Corrupt` when fewer remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(EonError::Corrupt(format!(
                 "short read: wanted {n} bytes, {} remain",

@@ -6,12 +6,10 @@
 //! HASH(cols)` or replicated to every subscriber. The definition is a
 //! global catalog object; the containers realizing it are shard-scoped.
 
-use serde::{Deserialize, Serialize};
-
 use eon_types::{DataType, Result, Schema, Value};
 
 /// Distribution of a projection's tuples across the hash space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Segmentation {
     /// `SEGMENTED BY HASH(<cols>)`; indices are positions *within the
     /// projection's own column list*.
@@ -22,14 +20,14 @@ pub enum Segmentation {
 
 /// The projection sort order: projection-local column indices, major
 /// first.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SortOrder(pub Vec<usize>);
 
 /// Aggregate functions a Live Aggregate Projection can maintain (§2.1).
 /// Only functions whose partials merge by re-applying the same function
 /// (plus COUNT, which merges by summation) — AVG and DISTINCT need
 /// richer state and are answered from base projections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LapFunc {
     Sum,
     Min,
@@ -45,7 +43,7 @@ pub enum LapFunc {
 /// trade-off is a restriction on base-table updates: DELETE/UPDATE are
 /// rejected while a LAP exists (tombstones cannot be applied to
 /// pre-aggregated rows).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveAggregate {
     /// Grouping columns, as base-table indices.
     pub group_by: Vec<usize>,
@@ -55,7 +53,7 @@ pub struct LiveAggregate {
 }
 
 /// A projection definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Projection {
     pub name: String,
     /// Indices into the base table schema, in projection column order.
@@ -66,7 +64,6 @@ pub struct Projection {
     pub sort: SortOrder,
     pub segmentation: Segmentation,
     /// Present iff this is a Live Aggregate Projection (§2.1).
-    #[serde(default)]
     pub live_aggregate: Option<LiveAggregate>,
 }
 

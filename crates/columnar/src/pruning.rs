@@ -13,13 +13,11 @@
 use std::cmp::Ordering;
 
 use eon_types::Value;
-use serde::{Deserialize, Serialize};
-
 use crate::batch::{Column, Data};
 use crate::encoding::EncodedBlock;
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -55,7 +53,7 @@ pub struct ColumnStats<'a> {
 }
 
 /// A pushed-down scan predicate over projection-local column indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true (scan everything).
     True,

@@ -302,10 +302,11 @@ mod tests {
             assert_eq!(keys, want, "{}", node.id);
             for (key, v) in want.iter().zip(1..) {
                 let bytes = node.local_disk.read(key).unwrap();
-                let recs = eon_catalog::log::decode_log_file(&bytes).unwrap();
+                let version = TxnVersion(v);
+                let recs = eon_catalog::codec::decode_log_file(&bytes, (version, version)).unwrap();
                 assert_eq!(recs.len(), 1, "{key}");
-                assert_eq!(recs[0].version, TxnVersion(v));
-                assert_eq!(eon_catalog::log::encode_log_file(&recs), bytes);
+                assert_eq!(recs[0].version, version);
+                assert_eq!(eon_catalog::codec::encode_log_file(&recs), bytes);
             }
         }
     }

@@ -14,7 +14,7 @@
 //!   crunch scaling (§4.4);
 //! * DML — `delete_where`, `update_where` via delete vectors;
 //! * maintenance — mergeout with per-shard coordinators (§6.2),
-//!   metadata sync + consensus truncation + `cluster_info.json`
+//!   metadata sync + consensus truncation + `cluster_info`
 //!   (§3.5), reference-counted file deletion and the leak scan (§6.5);
 //! * elasticity & fault tolerance — `kill_node`, `restart_node`
 //!   (re-subscription, §3.3/§6.1), `add_node`/`remove_node` (§6.4),

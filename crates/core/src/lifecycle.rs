@@ -9,7 +9,7 @@
 //!   rebalance over the new node set; no data moves, only metadata and
 //!   (optionally) cache warming.
 //! * revive — §3.5: start a cluster from nothing but shared storage,
-//!   honoring the `cluster_info.json` lease and truncation version and
+//!   honoring the `cluster_info` lease and truncation version and
 //!   stamping a fresh incarnation id.
 
 use std::sync::atomic::Ordering;
@@ -331,10 +331,10 @@ impl EonDb {
     }
 
     /// Revive a cluster from shared storage (§3.5): read
-    /// `cluster_info.json`, refuse while the lease is live, recover the
+    /// `cluster_info`, refuse while the lease is live, recover the
     /// catalog at the truncation version, start fresh nodes under a new
     /// incarnation id, and commit the revive by writing a new
-    /// `cluster_info.json`.
+    /// `cluster_info`.
     pub fn revive(
         shared: eon_storage::SharedFs,
         config: EonConfig,
@@ -342,7 +342,7 @@ impl EonDb {
     ) -> Result<Arc<EonDb>> {
         let (shared, breaker) = Self::resilient(shared, &config);
         let info = ClusterInfo::read(shared.as_ref())?
-            .ok_or_else(|| EonError::Revive("no cluster_info.json on shared storage".into()))?;
+            .ok_or_else(|| EonError::Revive("no cluster_info on shared storage".into()))?;
         if info.lease_live(now_ms) {
             return Err(EonError::Revive(format!(
                 "lease live until {}ms — another cluster may be running",
@@ -424,11 +424,11 @@ impl EonDb {
         db.commit_cluster(txn, &coord)?;
 
         // Crash site: cluster rebuilt in memory but the committing
-        // `cluster_info.json` write never happens — the old info (and
+        // `cluster_info` write never happens — the old info (and
         // its expired lease) still governs; a retried revive succeeds.
         db.config.faults.hit(fault_site::REVIVE_PRE_INFO_WRITE)?;
 
-        // Commit point of revive: the new cluster_info.json (§3.5).
+        // Commit point of revive: the new cluster_info (§3.5).
         let new_info = ClusterInfo {
             truncation_version: db.version(),
             incarnation: new_incarnation,

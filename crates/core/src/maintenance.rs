@@ -1,5 +1,5 @@
 //! Background services: mergeout (§6.2), metadata sync + consensus
-//! truncation + `cluster_info.json` (§3.5), and file deletion (§6.5).
+//! truncation + `cluster_info` (§3.5), and file deletion (§6.5).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use eon_types::{Oid, Result, ShardId, TxnVersion};
 use crate::db::EonDb;
 use crate::provider::NodeProvider;
 
-/// Lease duration stamped into `cluster_info.json` by every metadata
+/// Lease duration stamped into `cluster_info` by every metadata
 /// sync and by revive, milliseconds (§3.5): a revive refuses to start
 /// while the previous cluster's lease is live.
 pub(crate) const LEASE_MS: u64 = 10_000;
@@ -247,7 +247,7 @@ impl EonDb {
 
     /// Upload every node's catalog to shared storage, compute the
     /// consensus truncation version (Fig 5), and write
-    /// `cluster_info.json` (§3.5). Returns the info written.
+    /// `cluster_info` (§3.5). Returns the info written.
     pub fn sync_metadata(&self, now_ms: u64) -> Result<ClusterInfo> {
         let mut intervals = HashMap::new();
         for node in self.membership.up_nodes() {
@@ -264,7 +264,7 @@ impl EonDb {
         }
         let truncation = eon_shard::consensus_truncation(&subscribers, &intervals)
             .ok_or_else(|| eon_types::EonError::Internal("no consensus truncation".into()))?;
-        // Crash site: catalogs uploaded but `cluster_info.json` never
+        // Crash site: catalogs uploaded but `cluster_info` never
         // rewritten — revive must work from the *previous* info's
         // truncation version (§3.5).
         self.config.faults.hit(fault_site::SYNC_PRE_INFO_WRITE)?;

@@ -9,7 +9,7 @@ use eon_columnar::Projection;
 use eon_core::{EonConfig, EonDb};
 use eon_exec::{AggSpec, Expr, Plan, ScanSpec};
 use eon_storage::{MemFs, SharedFs};
-use eon_types::{schema, EonError, NodeId, Value};
+use eon_types::{schema, DataType, EonError, Field, NodeId, Value};
 
 fn db_loaded(nodes: usize, shards: usize) -> (SharedFs, Arc<EonDb>) {
     let shared: SharedFs = Arc::new(MemFs::new());
@@ -208,6 +208,61 @@ fn restarted_nodes_count_into_the_registry() {
         assert!(node1("depot_hits_total", "depot") > hits, "depot hits stalled");
     }
     assert_eq!(node1("depot_warmup_files_total", "depot"), warmed as u64);
+}
+
+/// Floats survive the redo log bit for bit. A COPY of NaN, ±inf and
+/// -0.0 puts NaN and -inf into its container's min/max statistics, and
+/// ADD COLUMN records a NaN default; a restarted node and a cold
+/// restart both replay those records and answer the same rows.
+#[test]
+fn non_finite_floats_survive_restarts_bit_for_bit() {
+    let shared: SharedFs = Arc::new(MemFs::new());
+    let db = EonDb::create(shared, EonConfig::new(3, 3)).unwrap();
+    let s = schema![("id", Int), ("x", Float)];
+    db.create_table(
+        "f",
+        s.clone(),
+        vec![Projection::super_projection("p", &s, &[0], &[0])],
+    )
+    .unwrap();
+    let xs = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1.5];
+    let rows = (0..)
+        .zip(xs)
+        .map(|(i, x)| vec![Value::Int(i), Value::Float(x)])
+        .collect();
+    db.copy_into("f", rows).unwrap();
+    db.add_column(
+        "f",
+        Field::new("y", DataType::Float),
+        Value::Float(f64::NAN),
+    )
+    .unwrap();
+
+    let float_bits = |db: &EonDb| {
+        let mut rows = db.query(&Plan::scan(ScanSpec::new("f"))).unwrap();
+        rows.sort_by_key(|r| r[0].as_int());
+        rows.iter()
+            .map(|r| {
+                r[1..]
+                    .iter()
+                    .map(|v| match v {
+                        Value::Float(f) => f.to_bits(),
+                        other => panic!("not a float: {other:?}"),
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    let want: Vec<Vec<u64>> = xs
+        .iter()
+        .map(|x| vec![x.to_bits(), f64::NAN.to_bits()])
+        .collect();
+    assert_eq!(float_bits(&db), want);
+    db.kill_node(NodeId(1)).unwrap();
+    db.restart_node(NodeId(1)).unwrap();
+    assert_eq!(float_bits(&db), want);
+    db.cold_restart_all().unwrap();
+    assert_eq!(float_bits(&db), want);
 }
 
 #[test]

@@ -14,8 +14,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use eon_columnar::{Batch, Column, Data};
 use eon_types::{hash_cells_32, EonError, Result, Value, ValueRef};
 
@@ -24,7 +22,7 @@ use crate::plan::{AggFunc, AggSpec};
 
 /// A mergeable partial aggregate. Serializable so nodes can ship states
 /// to the coordinator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AggState {
     Sum { acc: Value },
     Count { n: i64 },
@@ -150,7 +148,7 @@ impl AggState {
 }
 
 /// One group's partial result: key columns + per-agg states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialGroup {
     pub key: Vec<Value>,
     pub states: Vec<AggState>,

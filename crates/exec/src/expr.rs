@@ -6,13 +6,11 @@
 
 use std::borrow::Cow;
 
-use serde::{Deserialize, Serialize};
-
 use eon_columnar::{Batch, Column, Data};
 use eon_types::{EonError, Result, Value, ValueRef};
 
 /// Binary arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
     Add,
     Sub,
@@ -24,7 +22,7 @@ pub enum ArithOp {
 pub use eon_columnar::pruning::CmpOp;
 
 /// A scalar expression over the columns of its input row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Column reference by input-row index.
     Col(usize),

@@ -8,14 +8,12 @@
 //! the scan (for block pruning, §2.1) and how each scan *distributes*
 //! over the cluster (shard-local vs global, §4).
 
-use serde::{Deserialize, Serialize};
-
 use eon_columnar::Predicate;
 
 use crate::expr::Expr;
 
 /// How a scan spreads over participating nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Distribution {
     /// Each participating node scans only the containers of the shards
     /// the session assigned to it — union over nodes sees each row
@@ -29,7 +27,7 @@ pub enum Distribution {
 }
 
 /// A table scan with pushdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanSpec {
     pub table: String,
     /// Subset of table columns to materialize (`None` = all). Output
@@ -43,7 +41,6 @@ pub struct ScanSpec {
     /// a Live Aggregate Projection (its rows are pre-aggregated, so the
     /// planner never picks one implicitly); `columns` is ignored for a
     /// pinned LAP — the scan yields the LAP's own column layout.
-    #[serde(default)]
     pub projection: Option<String>,
 }
 
@@ -93,7 +90,7 @@ impl ScanSpec {
 }
 
 /// Join kinds used by the workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     Inner,
     /// Left outer; unmatched left rows pad the right side with NULLs.
@@ -105,7 +102,7 @@ pub enum JoinKind {
 }
 
 /// Aggregate functions with mergeable partial states (see `agg`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     Sum,
     Count,
@@ -119,7 +116,7 @@ pub enum AggFunc {
 }
 
 /// One aggregate column: `func(expr)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggSpec {
     pub func: AggFunc,
     pub expr: Expr,
@@ -152,7 +149,7 @@ impl AggSpec {
 }
 
 /// A sort key over output column indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortKey {
     pub col: usize,
     pub desc: bool,
@@ -169,7 +166,7 @@ impl SortKey {
 }
 
 /// The logical plan tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     Scan(ScanSpec),
     Filter {

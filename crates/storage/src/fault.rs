@@ -14,7 +14,7 @@
 //! transient — retry loops must not swallow a crash — so the failure
 //! propagates out of the operation exactly where a real process death
 //! would cut it off, leaving whatever partial state (orphaned uploads,
-//! stale `cluster_info.json`, un-dropped mergeout inputs) the paper's
+//! stale `cluster_info`, un-dropped mergeout inputs) the paper's
 //! recovery machinery has to clean up. The chaos harness then
 //! restarts/revives and checks the §3.5/§6.5 invariants.
 //!
@@ -58,13 +58,13 @@ pub mod site {
     /// Catalog sync: before each individual checkpoint/log upload
     /// (hit per file; crashes leave a partially synced interval).
     pub const SYNC_MID_UPLOAD: &str = "catalog.sync.mid_upload";
-    /// Metadata sync: catalogs uploaded, `cluster_info.json` not yet
+    /// Metadata sync: catalogs uploaded, `cluster_info` not yet
     /// rewritten — the consensus truncation is stale (§3.5).
     pub const SYNC_PRE_INFO_WRITE: &str = "sync.pre_info_write";
     /// Revive: lease checked, nothing recovered yet.
     pub const REVIVE_POST_LEASE: &str = "revive.post_lease";
     /// Revive: cluster rebuilt in memory, the committing
-    /// `cluster_info.json` write not yet done (§3.5's revive commit
+    /// `cluster_info` write not yet done (§3.5's revive commit
     /// point).
     pub const REVIVE_PRE_INFO_WRITE: &str = "revive.pre_info_write";
     /// Query: a participant dies during its local phase (§4.1). Node-

@@ -3,7 +3,7 @@
 //! loop and the circuit-breaker gate to every operation. `EonDb` wraps
 //! its shared storage in this once, so all downstream access — depots'
 //! backing reads and write-through, catalog uploads,
-//! `cluster_info.json`, the leak scan — survives transient failures
+//! `cluster_info`, the leak scan — survives transient failures
 //! and throttles uniformly. Nothing above this layer retries: one
 //! logical operation is at most `max_attempts` store requests.
 //!

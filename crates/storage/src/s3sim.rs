@@ -54,7 +54,7 @@ pub struct S3Config {
     pub ambiguous_rate: f64,
     /// Reject PUTs to keys that already exist. Vertica never overwrites
     /// data files (§5.2), so enabling this in tests catches bugs; it is
-    /// off by default because `cluster_info.json` (§3.5) *is* replaced.
+    /// off by default because `cluster_info` (§3.5) *is* replaced.
     pub reject_overwrite: bool,
     /// RNG seed for failure injection, making runs reproducible.
     pub seed: u64,

@@ -15,11 +15,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
-
 /// The 120-bit node instance identifier. Stored in a u128 with the top
 /// byte forced to zero so exactly 120 bits carry entropy, as in Fig 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstanceId(pub u128);
 
 const INSTANCE_MASK: u128 = (1u128 << 120) - 1;
@@ -55,7 +53,7 @@ impl fmt::Display for InstanceId {
 }
 
 /// A globally unique storage identifier: instance id + local OID.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StorageId {
     pub instance: InstanceId,
     pub local: u64,

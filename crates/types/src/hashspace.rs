@@ -10,8 +10,6 @@
 //! the paper recommends, so we use an FNV-1a/Murmur-style mix rather than
 //! `DefaultHasher` (whose seeding is process-local).
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::{Value, ValueRef};
 
 /// Width of the hash space. Shard ranges are over `[0, 2^32)`.
@@ -80,7 +78,7 @@ pub fn hash_row_32(row: &[Value], cols: &[usize]) -> u32 {
 
 /// A half-open region `[lo, hi)` of the 32-bit hash space. `hi` is held
 /// as u64 so the final range can end at exactly `2^32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HashRange {
     pub lo: u64,
     pub hi: u64,

@@ -4,14 +4,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u64);
 
         impl fmt::Display for $name {
@@ -53,9 +49,7 @@ id_newtype!(
 /// The global catalog version counter: increments on every transaction
 /// commit (§3.4). Totally ordered; checkpoints and transaction logs are
 /// labelled with it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxnVersion(pub u64);
 
 impl TxnVersion {

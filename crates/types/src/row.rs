@@ -3,13 +3,11 @@
 //! the edges, matching how Vertica reconstructs complete tuples from
 //! per-column files (§2.3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// A single tuple. Thin wrapper over `Vec<Value>` so it can grow methods
 /// without committing to a representation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Row(pub Vec<Value>);
 
 impl Row {

@@ -1,12 +1,10 @@
 //! Table schemas: ordered lists of named, typed fields.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{EonError, Result};
 use crate::value::{DataType, Value};
 
 /// One column of a table schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     pub name: String,
     pub dtype: DataType,
@@ -31,7 +29,7 @@ impl Field {
 /// An ordered collection of fields. Column references throughout the
 /// engine are by *index* into the schema; name lookup happens once at
 /// plan-build time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     pub fields: Vec<Field>,
 }

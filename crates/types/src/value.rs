@@ -10,10 +10,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The SQL data types supported by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     Int,
     Float,
@@ -42,7 +40,7 @@ impl fmt::Display for DataType {
 /// value and compares equal to itself, giving `Value` a total order that
 /// `sort_unstable` and min/max block metadata (§2.3) can rely on. Floats
 /// use IEEE total ordering for NaN so the order really is total.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Int(i64),

@@ -38,7 +38,7 @@ fn main() -> eon_db::types::Result<()> {
     )?;
 
     // Periodic metadata sync: uploads logs + checkpoints, computes the
-    // consensus truncation version, writes cluster_info.json.
+    // consensus truncation version, writes cluster_info.
     let info = db.sync_metadata(1_000)?;
     println!(
         "synced: truncation={} incarnation={} lease_until={}ms",
@@ -71,7 +71,7 @@ fn main() -> eon_db::types::Result<()> {
         count(&revived)
     );
 
-    // The revive committed by replacing cluster_info.json.
+    // The revive committed by replacing cluster_info.
     let new_info = ClusterInfo::read(shared.as_ref())?.unwrap();
     assert_eq!(new_info.incarnation, revived.incarnation());
 

@@ -1,51 +1,390 @@
-//! Offline stand-in for `serde_json`, built on the serde shim's
-//! [`Value`] tree: a strict recursive-descent JSON parser, compact and
-//! pretty writers, and a flat-object `json!` macro. Object keys are
-//! `BTreeMap`-ordered, so output is deterministic — the observability
-//! snapshots rely on that for byte-identical same-seed runs.
+//! Offline stand-in for `serde_json`, for the JSON the process prints
+//! for people and harnesses (metric snapshots, bench records): a
+//! [`Value`] tree, a strict recursive-descent parser, compact
+//! (`Display`) and pretty writers, and a `json!` macro over anything
+//! that implements [`ToJson`]. Object keys are `BTreeMap`-ordered, so
+//! output is deterministic — the observability snapshots rely on that
+//! for byte-identical same-seed runs. Nothing here persists state: the
+//! catalog's files have a binary codec of their own.
 
-use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::fmt;
 
-pub use serde::value::{Number, Value};
-pub use serde::Error;
-
-pub mod error {
-    pub use serde::Error;
+/// A parse or render failure.
+#[derive(Debug, Clone)]
+pub struct Error {
+    msg: String,
 }
 
-pub fn to_value<T: Serialize + ?Sized>(t: &T) -> Result<Value, Error> {
-    Ok(t.to_value())
+impl Error {
+    pub fn custom<T: fmt::Display>(msg: T) -> Self {
+        Error {
+            msg: msg.to_string(),
+        }
+    }
 }
 
-pub fn from_value<T: Deserialize>(v: Value) -> Result<T, Error> {
-    T::from_value(v)
+impl fmt::Display for Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.msg)
+    }
 }
 
-pub fn to_string<T: Serialize + ?Sized>(t: &T) -> Result<String, Error> {
-    Ok(t.to_value().to_string())
+impl std::error::Error for Error {}
+
+#[derive(Debug, Clone, PartialEq, Default)]
+pub enum Value {
+    #[default]
+    Null,
+    Bool(bool),
+    Number(Number),
+    String(String),
+    Array(Vec<Value>),
+    Object(BTreeMap<String, Value>),
 }
 
-pub fn to_string_pretty<T: Serialize + ?Sized>(t: &T) -> Result<String, Error> {
+#[derive(Debug, Clone, Copy)]
+pub enum Number {
+    PosInt(u128),
+    NegInt(i128),
+    Float(f64),
+}
+
+impl Number {
+    pub fn as_f64(&self) -> f64 {
+        match *self {
+            Number::PosInt(p) => p as f64,
+            Number::NegInt(n) => n as f64,
+            Number::Float(f) => f,
+        }
+    }
+
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Number::PosInt(p) => u64::try_from(p).ok(),
+            Number::NegInt(_) | Number::Float(_) => None,
+        }
+    }
+
+    pub fn as_i64(&self) -> Option<i64> {
+        match *self {
+            Number::PosInt(p) => i64::try_from(p).ok(),
+            Number::NegInt(n) => i64::try_from(n).ok(),
+            Number::Float(_) => None,
+        }
+    }
+}
+
+impl PartialEq for Number {
+    fn eq(&self, other: &Self) -> bool {
+        use Number::*;
+        match (*self, *other) {
+            (PosInt(a), PosInt(b)) => a == b,
+            (NegInt(a), NegInt(b)) => a == b,
+            (PosInt(a), NegInt(b)) | (NegInt(b), PosInt(a)) => b >= 0 && a == b as u128,
+            (Float(a), Float(b)) => a == b,
+            // Integer-vs-float compare numerically (serde_json treats
+            // 1 and 1.0 as distinct, but nothing here relies on that).
+            (Float(f), other) | (other, Float(f)) => Number::as_f64(&other) == f,
+        }
+    }
+}
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Number::PosInt(p) => write!(f, "{p}"),
+            Number::NegInt(n) => write!(f, "{n}"),
+            Number::Float(x) if !x.is_finite() => f.write_str("null"),
+            Number::Float(x) if x == x.trunc() && x.abs() < 1e16 => write!(f, "{x:.1}"),
+            Number::Float(x) => write!(f, "{x}"),
+        }
+    }
+}
+
+impl Value {
+    pub fn is_null(&self) -> bool {
+        matches!(self, Value::Null)
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Number(n) => n.as_u64(),
+            _ => None,
+        }
+    }
+
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Value::Number(n) => n.as_i64(),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(n.as_f64()),
+            _ => None,
+        }
+    }
+
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
+        match self {
+            Value::Array(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+        match self {
+            Value::Object(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_object().and_then(|m| m.get(key))
+    }
+}
+
+static NULL: Value = Value::Null;
+
+impl std::ops::Index<&str> for Value {
+    type Output = Value;
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).unwrap_or(&NULL)
+    }
+}
+
+impl std::ops::Index<usize> for Value {
+    type Output = Value;
+    fn index(&self, idx: usize) -> &Value {
+        self.as_array().and_then(|a| a.get(idx)).unwrap_or(&NULL)
+    }
+}
+
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn write_compact(v: &Value, out: &mut String) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(true) => out.push_str("true"),
+        Value::Bool(false) => out.push_str("false"),
+        Value::Number(n) => out.push_str(&n.to_string()),
+        Value::String(s) => escape_into(out, s),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_compact(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(m) => {
+            out.push('{');
+            for (i, (k, val)) in m.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                escape_into(out, k);
+                out.push(':');
+                write_compact(val, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// Compact JSON — `format!("{v}")` is the canonical snapshot encoding.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        write_compact(self, &mut out);
+        f.write_str(&out)
+    }
+}
+
+// From impls so values build ergonomically.
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Value { Value::Number(Number::PosInt(v as u128)) }
+        }
+    )*};
+}
+from_unsigned!(u8, u16, u32, u64, usize, u128);
+
+macro_rules! from_signed {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Value {
+                let v = v as i128;
+                if v >= 0 { Value::Number(Number::PosInt(v as u128)) }
+                else { Value::Number(Number::NegInt(v)) }
+            }
+        }
+    )*};
+}
+from_signed!(i8, i16, i32, i64, isize, i128);
+
+/// JSON has no NaN or infinity: a non-finite float is `null`.
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        if v.is_finite() {
+            Value::Number(Number::Float(v))
+        } else {
+            Value::Null
+        }
+    }
+}
+
+impl From<f32> for Value {
+    fn from(v: f32) -> Value {
+        Value::from(v as f64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Value {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Value {
+        Value::String(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Value {
+        Value::String(v)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(v: Vec<T>) -> Value {
+        Value::Array(v.into_iter().map(Into::into).collect())
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl From<BTreeMap<String, Value>> for Value {
+    fn from(m: BTreeMap<String, Value>) -> Value {
+        Value::Object(m)
+    }
+}
+
+/// What `json!` accepts: anything with a JSON rendering, taken by
+/// reference so the caller keeps its value.
+pub trait ToJson {
+    fn to_json(&self) -> Value;
+}
+
+pub fn to_value<T: ToJson + ?Sized>(t: &T) -> Value {
+    t.to_json()
+}
+
+macro_rules! to_json_via_from {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Value { Value::from(self.clone()) }
+        }
+    )*};
+}
+to_json_via_from!(
+    u8, u16, u32, u64, usize, u128, i8, i16, i32, i64, isize, i128, f32, f64, bool, String
+);
+
+impl ToJson for str {
+    fn to_json(&self) -> Value {
+        Value::from(self)
+    }
+}
+
+impl ToJson for Value {
+    fn to_json(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Value {
+        self.as_ref().map_or(Value::Null, ToJson::to_json)
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Value {
+        self.as_slice().to_json()
+    }
+}
+
+impl<K: fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
+    fn to_json(&self) -> Value {
+        Value::Object(
+            self.iter()
+                .map(|(k, v)| (k.to_string(), v.to_json()))
+                .collect(),
+        )
+    }
+}
+
+pub fn to_string_pretty(v: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_pretty(&t.to_value(), 0, &mut out);
+    write_pretty(v, 0, &mut out);
     Ok(out)
-}
-
-pub fn to_vec<T: Serialize + ?Sized>(t: &T) -> Result<Vec<u8>, Error> {
-    to_string(t).map(String::into_bytes)
-}
-
-pub fn to_vec_pretty<T: Serialize + ?Sized>(t: &T) -> Result<Vec<u8>, Error> {
-    to_string_pretty(t).map(String::into_bytes)
-}
-
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    T::from_value(parse(s)?)
-}
-
-pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error::custom(format!("invalid UTF-8: {e}")))?;
-    from_str(s)
 }
 
 fn write_pretty(v: &Value, indent: usize, out: &mut String) {
@@ -69,7 +408,7 @@ fn write_pretty(v: &Value, indent: usize, out: &mut String) {
             out.push_str("{\n");
             for (i, (k, val)) in m.iter().enumerate() {
                 out.push_str(&pad_in);
-                out.push_str(&Value::String(k.clone()).to_string());
+                escape_into(out, k);
                 out.push_str(": ");
                 write_pretty(val, indent + 1, out);
                 if i + 1 < m.len() {
@@ -183,7 +522,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Array(items));
                 }
-                _ => return Err(Error::custom(format!("expected `,` or `]` at {}", self.pos))),
+                _ => {
+                    return Err(Error::custom(format!(
+                        "expected `,` or `]` at {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -212,7 +556,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Object(m));
                 }
-                _ => return Err(Error::custom(format!("expected `,` or `}}` at {}", self.pos))),
+                _ => {
+                    return Err(Error::custom(format!(
+                        "expected `,` or `}}` at {}",
+                        self.pos
+                    )))
+                }
             }
         }
     }
@@ -335,7 +684,7 @@ impl<'a> Parser<'a> {
 
 /// Build a [`Value`] in place. Supports the workspace's usage: flat or
 /// nested objects with string-literal keys, arrays, and bare
-/// expressions convertible with `Value::from`.
+/// expressions of a [`ToJson`] type.
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::Value::Null };
@@ -344,13 +693,13 @@ macro_rules! json {
         let mut __m = ::std::collections::BTreeMap::new();
         // Borrow like serde_json's `json!` does, so callers can keep
         // using the named value afterwards.
-        $( __m.insert(::std::string::String::from($key), $crate::to_value(&$val).unwrap()); )*
+        $( __m.insert(::std::string::String::from($key), $crate::to_value(&$val)); )*
         $crate::Value::Object(__m)
     }};
     ([ $($elem:expr),* $(,)? ]) => {
-        $crate::Value::Array(vec![ $( $crate::to_value(&$elem).unwrap() ),* ])
+        $crate::Value::Array(vec![ $( $crate::to_value(&$elem) ),* ])
     };
-    ($other:expr) => { $crate::to_value(&$other).unwrap() };
+    ($other:expr) => { $crate::to_value(&$other) };
 }
 
 #[cfg(test)]
@@ -367,8 +716,8 @@ mod tests {
             "-12",
             "1.5",
         ] {
-            let v: Value = from_str(text).unwrap();
-            let v2: Value = from_str(&v.to_string()).unwrap();
+            let v = parse(text).unwrap();
+            let v2 = parse(&v.to_string()).unwrap();
             assert_eq!(v, v2, "{text}");
         }
     }
@@ -384,7 +733,7 @@ mod tests {
     fn pretty_parses_back() {
         let v = json!({"x": 1u64, "y": vec![1u64, 2]});
         let pretty = to_string_pretty(&v).unwrap();
-        let back: Value = from_str(&pretty).unwrap();
+        let back = parse(&pretty).unwrap();
         assert_eq!(v, back);
     }
 
