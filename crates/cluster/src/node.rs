@@ -1,20 +1,27 @@
 //! The node runtime: everything one Vertica process owns.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eon_cache::FileCache;
 use eon_catalog::{Catalog, CatalogState, CatalogStore, Checkpoint};
+use eon_columnar::RosReader;
 use eon_obs::Registry;
 use eon_storage::{FaultInjector, InstanceId, MemFs, SharedFs, SidFactory, StorageId};
 use eon_types::{NodeId, Result, TxnVersion};
 
 use crate::slots::ExecSlots;
 
+/// One container's opened reader, filled by the first scan that opens
+/// it; concurrent openers of the key wait on the slot instead of
+/// reading the tail again.
+type FooterSlot = Arc<parking_lot::Mutex<Option<Arc<RosReader>>>>;
+
 /// One simulated node process.
 ///
 /// Kill/restart semantics mirror a real process: [`NodeRuntime::kill`]
-/// discards in-memory state (catalog, cache index, WOS-equivalents) but
+/// discards in-memory state (catalog, cache index, kept footers) but
 /// the *local durable store* (transaction logs, checkpoints) survives,
 /// exactly the §3.5 "process termination results in reading the local
 /// transaction logs and no loss of transactions" scenario. The cache
@@ -36,6 +43,10 @@ pub struct NodeRuntime {
     /// (gossiped for §6.5 file deletion). u64::MAX when idle.
     min_query_version: AtomicU64,
     query_versions: parking_lot::Mutex<Vec<u64>>,
+    /// Opened containers by key (DESIGN.md "Scan pipeline"): containers
+    /// are immutable and keys never reused, so a footer stays valid
+    /// until the reaper deletes its object and forgets it here.
+    footers: parking_lot::Mutex<HashMap<String, FooterSlot>>,
 }
 
 impl NodeRuntime {
@@ -104,6 +115,7 @@ impl NodeRuntime {
             subcluster: AtomicU64::new(0),
             min_query_version: AtomicU64::new(u64::MAX),
             query_versions: parking_lot::Mutex::new(Vec::new()),
+            footers: parking_lot::Mutex::new(HashMap::new()),
         })
     }
 
@@ -190,6 +202,39 @@ impl NodeRuntime {
     /// queries in flight.
     pub fn min_query_version(&self) -> u64 {
         self.min_query_version.load(Ordering::SeqCst)
+    }
+
+    /// The opened container `key`: the kept reader, or `open`'s, which
+    /// is kept. One open per key however many scans ask at once; a
+    /// failed open keeps nothing, so the next scan tries again.
+    pub fn footer(
+        &self,
+        key: &str,
+        open: impl FnOnce() -> Result<RosReader>,
+    ) -> Result<Arc<RosReader>> {
+        let slot = self.footers.lock().entry(key.to_owned()).or_default().clone();
+        let mut kept = slot.lock();
+        if let Some(reader) = kept.as_ref() {
+            return Ok(reader.clone());
+        }
+        let reader = Arc::new(open()?);
+        *kept = Some(reader.clone());
+        Ok(reader)
+    }
+
+    /// Forget the footer of a container whose object was deleted.
+    pub fn forget_footer(&self, key: &str) {
+        self.footers.lock().remove(key);
+    }
+
+    /// Keys whose footer this node keeps, sorted (invariant-checker
+    /// introspection: a reaped key must not be among them).
+    pub fn kept_footers(&self) -> Vec<String> {
+        let map = self.footers.lock();
+        let mut keys: Vec<String> =
+            map.iter().filter(|(_, slot)| slot.lock().is_some()).map(|(k, _)| k.clone()).collect();
+        keys.sort();
+        keys
     }
 }
 

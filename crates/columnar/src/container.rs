@@ -349,23 +349,22 @@ impl RosReader {
     /// The container's one range planner: the kept blocks of every
     /// column in `cols` (distinct indices; all columns share block
     /// boundaries, hence one `keep` mask), sorted by file offset and
-    /// fetched in as few ranged reads as `gap` allows — blocks that are
-    /// adjacent or separated by at most that many dead bytes, whether a
-    /// pruned block or an unrequested column, share a read. Surviving
-    /// blocks come back as [`EncodedBlock`] views: RLE runs and
-    /// dictionary codes are *not* expanded to rows. Returns one block
-    /// list per entry of `cols`, `None` in the slots `keep` skips.
-    pub fn read_columns_encoded(
+    /// coalesced into runs — blocks that are adjacent or separated by at
+    /// most `gap` dead bytes, whether a pruned block or an unrequested
+    /// column, share a run — and every run fetched in one
+    /// [`read_ranges`](eon_storage::FileSystem::read_ranges) call, one
+    /// wave. Returns each kept block's raw bytes, one list per entry of
+    /// `cols`, `None` in the slots `keep` skips.
+    fn fetch_blocks(
         &self,
         fs: &dyn eon_storage::FileSystem,
         cols: &[usize],
         keep: &[bool],
         gap: u64,
         stats: &mut ReadStats,
-    ) -> Result<Vec<Vec<Option<EncodedBlock>>>> {
+    ) -> Result<Vec<Vec<Option<Bytes>>>> {
         let mut out = Vec::with_capacity(cols.len());
-        // (slot in `cols`, block index, block) for every kept block.
-        let mut wanted: Vec<(usize, usize, &BlockMeta)> = Vec::new();
+        let mut wanted: Vec<KeptBlock> = Vec::new();
         for (slot, &col) in cols.iter().enumerate() {
             let meta = self
                 .footer
@@ -381,9 +380,11 @@ impl RosReader {
         }
         wanted.sort_by_key(|(_, _, b)| b.offset);
 
+        // Each run is the span [start, end) of one ranged read and the
+        // blocks it carries.
+        let mut runs: Vec<(u64, u64, &[KeptBlock])> = Vec::new();
         let mut rest = wanted.as_slice();
         while let Some((_, _, first)) = rest.first() {
-            // A run is the span [start, end) of one ranged read.
             let (start, mut end) = (first.offset, first.offset + first.len);
             let mut n = 1;
             while let Some((_, _, b)) = rest.get(n) {
@@ -395,8 +396,12 @@ impl RosReader {
             }
             let (run, tail) = rest.split_at(n);
             rest = tail;
+            runs.push((start, end, run));
+        }
 
-            let raw = fs.read_range(&self.key, start, end - start)?;
+        let ranges: Vec<(u64, u64)> = runs.iter().map(|&(start, end, _)| (start, end - start)).collect();
+        let fetched = fs.read_ranges(&self.key, &ranges)?;
+        for (&(start, end, run), raw) in runs.iter().zip(fetched) {
             if (raw.len() as u64) < end - start {
                 return Err(EonError::Corrupt(format!(
                     "{}: short ranged read ({} < {})",
@@ -409,36 +414,70 @@ impl RosReader {
             let gap_bytes = (end - start).saturating_sub(kept);
             stats.requests += 1;
             stats.bytes_read += end - start;
-            stats.requests_saved += n as u64 - 1;
+            stats.requests_saved += run.len() as u64 - 1;
             stats.gap_bytes += gap_bytes;
             stats.waste_bytes += gap_bytes;
             for &(slot, i, b) in run {
                 let lo = (b.offset - start) as usize;
-                let hi = lo + b.len as usize;
-                let view = decode_column_view(&mut Reader::new(&raw[lo..hi]))?;
-                if view.rows() as u64 != b.rows {
-                    return Err(EonError::Corrupt(format!(
-                        "{}: block decoded {} rows, footer says {}",
-                        self.key,
-                        view.rows(),
-                        b.rows
-                    )));
-                }
-                stats.encoded_blocks += view.is_encoded() as u64;
-                out[slot][i] = Some(view);
+                out[slot][i] = Some(raw.slice(lo..lo + b.len as usize));
             }
         }
         Ok(out)
     }
 
-    /// The block-filter kernel every scan runs: fetch the predicate's
-    /// columns through the range planner, evaluate the predicate on the
-    /// encoded views — once per RLE run / dictionary entry — AND in the
-    /// row mask, drop blocks with no survivors before anything else is
-    /// fetched for them, then fetch the remaining columns under the
-    /// refined `keep` and gather only the surviving rows, column-major.
-    /// `Predicate::True` is the all-true selection; blocks come back in
-    /// block order, rows in position order.
+    /// Decode block `block` of column `col` from its raw bytes into an
+    /// [`EncodedBlock`] view, checking its row count against the footer.
+    fn decode_block(
+        &self,
+        raw: &[u8],
+        col: usize,
+        block: usize,
+        stats: &mut ReadStats,
+    ) -> Result<EncodedBlock> {
+        let view = decode_column_view(&mut Reader::new(raw))?;
+        let rows = self.footer.columns[col].blocks[block].rows;
+        if view.rows() as u64 != rows {
+            return Err(EonError::Corrupt(format!(
+                "{}: block decoded {} rows, footer says {rows}",
+                self.key,
+                view.rows(),
+            )));
+        }
+        stats.encoded_blocks += view.is_encoded() as u64;
+        Ok(view)
+    }
+
+    /// The kept blocks of every column in `cols` through the range
+    /// planner, decoded as [`EncodedBlock`] views: RLE runs and
+    /// dictionary codes are *not* expanded to rows. Returns one block
+    /// list per entry of `cols`, `None` in the slots `keep` skips.
+    pub fn read_columns_encoded(
+        &self,
+        fs: &dyn eon_storage::FileSystem,
+        cols: &[usize],
+        keep: &[bool],
+        gap: u64,
+        stats: &mut ReadStats,
+    ) -> Result<Vec<Vec<Option<EncodedBlock>>>> {
+        let raw = self.fetch_blocks(fs, cols, keep, gap, stats)?;
+        let mut out = Vec::with_capacity(cols.len());
+        for (&col, blocks) in cols.iter().zip(&raw) {
+            let decoded = blocks.iter().enumerate().map(|(b, raw)| {
+                raw.as_ref().map(|raw| self.decode_block(raw, col, b, stats)).transpose()
+            });
+            out.push(decoded.collect::<Result<Vec<_>>>()?);
+        }
+        Ok(out)
+    }
+
+    /// The block-filter kernel every scan runs: fetch the kept blocks of
+    /// every column it reads, predicate and output alike, in one wave of
+    /// the range planner; evaluate the predicate on the predicate
+    /// columns' encoded views — once per RLE run / dictionary entry —
+    /// AND in the row mask, and decode and gather the other columns only
+    /// for blocks with a surviving row, column-major. `Predicate::True`
+    /// is the all-true selection; blocks come back in block order, rows
+    /// in position order.
     pub fn filter_blocks(
         &self,
         fs: &dyn eon_storage::FileSystem,
@@ -456,78 +495,74 @@ impl RosReader {
         if let Some(c) = touched.iter().chain(f.read_cols).chain(consts).find(|&&c| c >= f.width) {
             return Err(EonError::Query(format!("column {c} outside row width {}", f.width)));
         }
-        let reads_pred = |c: &usize| touched.binary_search(c).is_ok();
-        let (pcols, rest): (Vec<usize>, Vec<usize>) =
-            f.read_cols.iter().partition(|c| reads_pred(c));
-        let pblocks = self.read_columns_encoded(fs, &pcols, keep, gap, stats)?;
+        let raw = self.fetch_blocks(fs, f.read_cols, keep, gap, stats)?;
+        // Slots of `read_cols` the predicate reads.
+        let pslots: Vec<usize> =
+            (0..f.read_cols.len()).filter(|&s| touched.binary_search(&f.read_cols[s]).is_ok()).collect();
 
         // What the predicate sees of a column it touches but no read
         // fetched: the constant for a column the container lacks, Null
         // for one nobody reads.
         let unfetched: Vec<(usize, &Value)> = touched
             .iter()
-            .filter(|c| !pcols.contains(c))
+            .filter(|c| !f.read_cols.contains(c))
             .map(|&c| (c, f.consts.iter().find(|(k, _)| *k == c).map_or(&Value::Null, |(_, v)| v)))
             .collect();
         let untouched = EncodedBlock::constant(Value::Null.as_ref(), 0);
-        let mut keep = keep.to_vec();
-        let mut survivors: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut out = Vec::new();
         let mut start = 0usize;
         for (b, meta) in block_meta.iter().enumerate() {
             let rows = meta.rows as usize;
-            if keep[b] {
-                let consts: Vec<EncodedBlock> =
-                    unfetched.iter().map(|(_, v)| EncodedBlock::constant(v.as_ref(), rows)).collect();
-                let mut view = vec![&untouched; f.width];
-                for ((c, _), block) in unfetched.iter().zip(&consts) {
-                    view[*c] = block;
-                }
-                for (&c, blocks) in pcols.iter().zip(&pblocks) {
-                    let fetched = blocks[b].as_ref().expect("kept block");
-                    stats.rows_short_circuited += fetched.short_circuit_rows();
-                    view[c] = fetched;
-                }
-                let mut sel = f.pred.eval_block(&view, rows);
-                if let Some(mask) = f.row_mask {
-                    for (s, m) in sel.iter_mut().zip(&mask[start..start + rows]) {
-                        *s &= m;
-                    }
-                }
-                let surv: Vec<usize> = (0..rows).filter(|&r| sel[r]).collect();
-                if surv.is_empty() {
-                    // The predicate-column bytes fetched for this block
-                    // contributed no row: count them as waste.
-                    keep[b] = false;
-                    stats.blocks_late_skipped += 1;
-                    stats.waste_bytes +=
-                        pcols.iter().map(|&c| self.footer.columns[c].blocks[b].len).sum::<u64>();
-                } else {
-                    survivors.push((b, surv));
+            let first = start;
+            start += rows;
+            if !keep[b] {
+                continue;
+            }
+            let block = |slot: usize| raw[slot][b].as_deref().expect("kept block");
+            let pviews = pslots
+                .iter()
+                .map(|&s| self.decode_block(block(s), f.read_cols[s], b, stats))
+                .collect::<Result<Vec<_>>>()?;
+            let consts: Vec<EncodedBlock> =
+                unfetched.iter().map(|(_, v)| EncodedBlock::constant(v.as_ref(), rows)).collect();
+            let mut view = vec![&untouched; f.width];
+            for ((c, _), block) in unfetched.iter().zip(&consts) {
+                view[*c] = block;
+            }
+            for (&s, fetched) in pslots.iter().zip(&pviews) {
+                stats.rows_short_circuited += fetched.short_circuit_rows();
+                view[f.read_cols[s]] = fetched;
+            }
+            let mut sel = f.pred.eval_block(&view, rows);
+            if let Some(mask) = f.row_mask {
+                for (s, m) in sel.iter_mut().zip(&mask[first..first + rows]) {
+                    *s &= m;
                 }
             }
-            start += rows;
+            let surv: Vec<usize> = (0..rows).filter(|&r| sel[r]).collect();
+            if surv.is_empty() {
+                // Every byte fetched for this block contributed no row.
+                stats.blocks_late_skipped += 1;
+                stats.waste_bytes +=
+                    f.read_cols.iter().map(|&c| self.footer.columns[c].blocks[b].len).sum::<u64>();
+                continue;
+            }
+            let mut cols = Vec::with_capacity(f.read_cols.len());
+            for (s, &c) in f.read_cols.iter().enumerate() {
+                cols.push(match pslots.iter().position(|&p| p == s) {
+                    Some(k) => pviews[k].gather(&surv),
+                    None => self.decode_block(block(s), c, b, stats)?.gather(&surv),
+                });
+            }
+            out.push(BlockRows { block: b, rows: surv, cols });
         }
-
-        let rblocks = self.read_columns_encoded(fs, &rest, &keep, gap, stats)?;
-        let (mut p, mut r) = (pblocks.iter(), rblocks.iter());
-        let by_col: Vec<&Vec<Option<EncodedBlock>>> = f
-            .read_cols
-            .iter()
-            .map(|c| if reads_pred(c) { p.next() } else { r.next() }.expect("partitioned above"))
-            .collect();
-        Ok(survivors
-            .into_iter()
-            .map(|(block, rows)| BlockRows {
-                block,
-                cols: by_col
-                    .iter()
-                    .map(|blocks| blocks[block].as_ref().expect("kept block").gather(&rows))
-                    .collect(),
-                rows,
-            })
-            .collect())
+        Ok(out)
     }
 }
+
+/// (slot in the requested columns, block index, block) of one block the
+/// range planner fetches.
+type KeptBlock<'a> = (usize, usize, &'a BlockMeta);
 
 /// What [`RosReader::filter_blocks`] keeps of a container: which rows
 /// (predicate, optional position mask) and which columns.
@@ -572,8 +607,8 @@ pub struct ReadStats {
     /// run (the price paid for fewer requests).
     pub gap_bytes: u64,
     /// Bytes fetched and then discarded without contributing a row:
-    /// coalescing gap bytes, plus predicate-column blocks whose every
-    /// row was filtered out after the fetch.
+    /// coalescing gap bytes, plus every column's bytes of blocks whose
+    /// every row was filtered out after the fetch.
     pub waste_bytes: u64,
     /// Blocks served in compressed form (RLE / dictionary views).
     pub encoded_blocks: u64,
@@ -581,7 +616,7 @@ pub struct ReadStats {
     /// entries instead of rows.
     pub rows_short_circuited: u64,
     /// Blocks that passed min/max pruning but kept no row, so their
-    /// non-predicate columns were never fetched.
+    /// non-predicate columns were fetched but never decoded.
     pub blocks_late_skipped: u64,
 }
 
@@ -867,7 +902,7 @@ mod tests {
         /// to rows, `eval_row`, apply the keep and row masks. Whatever
         /// the stored encoding, predicate shape, column subset and gap,
         /// `filter_blocks` returns those rows in block/row order, and
-        /// its `ReadStats` describe exactly the blocks it fetched.
+        /// its `ReadStats` describe exactly the one wave it fetched.
         #[test]
         fn filter_blocks_matches_naive_scan(
             seed in 0u64..1_000_000,
@@ -967,6 +1002,7 @@ mod tests {
                 row_mask,
             };
             let mut stats = ReadStats::default();
+            let gets = fs.stats().gets;
             let got: Vec<_> = reader
                 .filter_blocks(&fs, &filter, &keep, gap, &mut stats)
                 .unwrap()
@@ -975,25 +1011,35 @@ mod tests {
                 .collect();
             prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
 
-            // Predicate columns are fetched for every kept block, the
-            // rest only for blocks with a survivor.
-            let block_bytes = |c: usize, b: usize| footer.columns[c].blocks[b].len;
-            let survived = |b: usize| want.iter().any(|br| br.0 == b);
-            let touched = pred.columns();
-            let mut kept_bytes = 0;
-            for &c in &read_cols {
-                for b in (0..nblocks).filter(|&b| keep[b]) {
-                    if touched.contains(&c) || survived(b) {
-                        kept_bytes += block_bytes(c, b);
-                    }
-                }
-            }
+            // One wave: every column read is fetched for every kept
+            // block, predicate or not, in one request per run — the
+            // kept blocks in file order, a new run wherever more than
+            // `gap` dead bytes separate neighbours.
+            let mut spans: Vec<(u64, u64)> = read_cols
+                .iter()
+                .flat_map(|&c| footer.columns[c].blocks.iter().zip(&keep))
+                .filter(|(_, &k)| k)
+                .map(|(bm, _)| (bm.offset, bm.offset + bm.len))
+                .collect();
+            spans.sort();
+            let runs = spans.windows(2).filter(|w| w[1].0 - w[0].1 > gap).count()
+                + usize::from(!spans.is_empty());
+            let kept_bytes: u64 = spans.iter().map(|(lo, hi)| hi - lo).sum();
+            prop_assert_eq!(stats.requests, runs as u64);
+            prop_assert_eq!(fs.stats().gets - gets, stats.requests);
+            prop_assert_eq!(stats.requests + stats.requests_saved, spans.len() as u64);
             prop_assert_eq!(stats.bytes_read, kept_bytes + stats.gap_bytes);
             if gap == 0 {
                 prop_assert_eq!(stats.gap_bytes, 0);
             }
-            let late = (0..nblocks).filter(|&b| keep[b] && !survived(b)).count() as u64;
-            prop_assert_eq!(stats.blocks_late_skipped, late);
+            // A late-skipped block's bytes, every column's, are waste.
+            let survived = |b: usize| want.iter().any(|br| br.0 == b);
+            let late: Vec<usize> = (0..nblocks).filter(|&b| keep[b] && !survived(b)).collect();
+            let block_bytes =
+                |b: usize| read_cols.iter().map(|&c| footer.columns[c].blocks[b].len).sum::<u64>();
+            let late_bytes: u64 = late.iter().map(|&b| block_bytes(b)).sum();
+            prop_assert_eq!(stats.blocks_late_skipped, late.len() as u64);
+            prop_assert_eq!(stats.waste_bytes, stats.gap_bytes + late_bytes);
         }
     }
 

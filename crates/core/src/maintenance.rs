@@ -318,6 +318,7 @@ impl EonDb {
                         // the shared file; the cache copy dies with the
                         // node's instance storage anyway.
                         let _ = node.cache.evict(&p.key);
+                        node.forget_footer(&p.key);
                     }
                     deleted.push(p.key);
                 }

@@ -9,10 +9,11 @@
 //! a bounded per-node worker pool, so shared-storage latency on one
 //! container overlaps decode and filter compute on another, and every
 //! container goes through the one
-//! block-filter kernel, [`RosReader::filter_blocks`] — coalesced ranged
-//! reads, predicates on encoded views, non-predicate columns fetched
-//! only for blocks with surviving rows. Results merge in container
-//! order, so output does not depend on the pool width.
+//! block-filter kernel, [`RosReader::filter_blocks`] — one wave of
+//! coalesced ranged reads, predicates on encoded views, non-predicate
+//! columns decoded only for blocks with surviving rows. Footers are
+//! opened once per node and kept. Results merge in container order, so
+//! output does not depend on the pool width.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,8 +33,8 @@ use eon_obs::{Counter, Histogram, QueryProfile, Registry};
 use eon_types::{hash_cells_32, EonError, Oid, Result, ShardId, Value, ValueRef};
 
 /// Coalescing gap for node reads: fetch up to this many dead bytes
-/// between two surviving blocks rather than pay a second request
-/// round-trip.
+/// between two surviving blocks rather than issue a second request in
+/// the container's wave.
 pub const DEFAULT_COALESCE_GAP: u64 = 64 * 1024;
 
 /// One container's scan output: the scan's output columns for the
@@ -328,10 +329,11 @@ impl NodeProvider {
     /// Scan one container, returning the scan's output columns
     /// (columns the container lacks carry the table default).
     ///
-    /// Open the footer with one tail read sized from the catalog →
-    /// prune blocks on footer min/max stats → run the block-filter
-    /// kernel through this node's filesystem with the delete vector as
-    /// its row mask → [`assemble`](Self::assemble).
+    /// The node's kept footer, or one tail read sized from the catalog
+    /// on a first open → prune blocks on footer min/max stats → run the
+    /// block-filter kernel (one wave of ranged reads) through this
+    /// node's filesystem with the delete vector as its row mask →
+    /// [`assemble`](Self::assemble).
     fn scan_container(
         &self,
         rs: &ResolvedScan,
@@ -339,7 +341,7 @@ impl NodeProvider {
         metrics: &ScanMetrics,
     ) -> Result<PosBatch> {
         let fs = self.node.cache.reader(self.cache_mode, Some(c.size_bytes));
-        let reader = RosReader::open_sized(fs, &c.key, c.size_bytes)?;
+        let reader = self.node.footer(&c.key, || RosReader::open_sized(fs, &c.key, c.size_bytes))?;
         let keep = Self::prune_blocks(reader.footer(), &rs.pred, metrics);
         if !keep.iter().any(|&k| k) {
             return Ok((Vec::new(), Batch::nulls(rs.out_local.len(), 0)));

@@ -57,6 +57,16 @@ pub trait FileSystem: Send + Sync {
         Ok(all.slice(start..end))
     }
 
+    /// Read several ranges of one object: one result per `(offset,
+    /// len)`, in order. The default reads them one after another, which
+    /// suits a local store and the depot — a depot miss faults the whole
+    /// object in once and the later ranges are hits. [`crate::RetryFs`],
+    /// through which every shared-storage read passes, issues them all
+    /// at once.
+    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
+        ranges.iter().map(|&(offset, len)| self.read_range(path, offset, len)).collect()
+    }
+
     /// Object size in bytes.
     fn size(&self, path: &str) -> Result<u64>;
 
@@ -104,6 +114,18 @@ mod tests {
         // Out-of-bounds clamps rather than erroring, like a short read.
         assert_eq!(fs.read_range("k", 6, 100).unwrap().as_ref(), b"world");
         assert_eq!(fs.read_range("k", 100, 5).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn default_read_ranges_reads_each_range_in_order() {
+        let fs = MemFs::new();
+        fs.write("k", Bytes::from_static(b"hello world")).unwrap();
+        let got = fs.read_ranges("k", &[(6, 5), (0, 5), (6, 100)]).unwrap();
+        let got: Vec<&[u8]> = got.iter().map(|b| b.as_ref()).collect();
+        assert_eq!(got, [&b"world"[..], b"hello", b"world"]);
+        assert_eq!(fs.stats().gets, 3);
+        assert!(fs.read_ranges("k", &[]).unwrap().is_empty());
+        assert_eq!(fs.stats().gets, 3, "no range, no request");
     }
 
     #[test]

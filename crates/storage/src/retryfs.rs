@@ -88,6 +88,25 @@ impl FileSystem for RetryFs {
         self.retrying(|| self.inner.read_range(path, offset, len))
     }
 
+    /// Every range at once: each on its own scoped thread (the caller
+    /// takes the first), each with its own retry loop and breaker gate,
+    /// so the batch costs one round trip and a failed range is re-issued
+    /// alone. The first failed range, in order, is the error.
+    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
+        let read = |&(offset, len): &(u64, u64)| self.read_range(path, offset, len);
+        let Some((first, rest)) = ranges.split_first() else {
+            return Ok(Vec::new());
+        };
+        std::thread::scope(|s| {
+            let others: Vec<_> = rest.iter().map(|r| s.spawn(move || read(r))).collect();
+            let mut out = vec![read(first)];
+            for h in others {
+                out.push(h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            }
+            out.into_iter().collect()
+        })
+    }
+
     fn size(&self, path: &str) -> Result<u64> {
         self.retrying(|| self.inner.size(path))
     }
@@ -186,6 +205,71 @@ mod tests {
         fs.write("k", Bytes::from_static(b"v")).unwrap();
         assert_eq!(breaker.state(), BreakerState::Closed);
         assert_eq!(fs.read("k").unwrap().as_ref(), b"v");
+    }
+
+    #[test]
+    fn read_ranges_equal_serial_read_range() {
+        let sim = Arc::new(S3SimFs::new(S3Config::instant()));
+        let data: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 251) as u8).collect();
+        sim.write("obj", Bytes::from(data)).unwrap();
+        let fs = RetryFs::new(sim.clone(), instant_policy(3), &Registry::new(), None);
+        let many: Vec<(u64, u64)> = (0..9).map(|i| (i * 400, 100 + i * 37)).collect();
+        for ranges in [&[][..], &many[..1], &many[..], &[(4000, 500), (0, 0)][..]] {
+            let gets = sim.stats().gets;
+            let got = fs.read_ranges("obj", ranges).unwrap();
+            assert_eq!(sim.stats().gets - gets, ranges.len() as u64, "one GET a range");
+            let serial: Vec<Bytes> =
+                ranges.iter().map(|&(o, l)| fs.read_range("obj", o, l).unwrap()).collect();
+            assert_eq!(got, serial);
+        }
+        assert!(matches!(
+            fs.read_ranges("missing", &many),
+            Err(eon_types::EonError::NotFound(_))
+        ));
+    }
+
+    #[test]
+    fn read_ranges_reissue_only_the_failed_range() {
+        let registry = Registry::new();
+        let sim = Arc::new(S3SimFs::with_metrics(S3Config::flaky(0.3, 0.1, 7), &registry));
+        let fs = RetryFs::new(sim.clone(), instant_policy(25), &registry, None);
+        fs.write("obj", Bytes::from(vec![5u8; 8192])).unwrap();
+        // Billed GETs, failed ones included.
+        let billed = registry.counter("s3_requests_total", &[("subsystem", "s3"), ("verb", "get")]);
+        let retries = registry.counter("s3_retries_total", &[("subsystem", "s3")]);
+        let ranges: Vec<(u64, u64)> = (0..16).map(|i| (i * 512, 512)).collect();
+        for _ in 0..4 {
+            let (gets, retried) = (billed.get(), retries.get());
+            let got = fs.read_ranges("obj", &ranges).unwrap();
+            assert!(got.iter().all(|b| b.len() == 512 && b.iter().all(|&x| x == 5)));
+            // Every GET beyond one a range is a retry of a failed one.
+            let (gets, retried) = (billed.get() - gets, retries.get() - retried);
+            assert_eq!(gets, ranges.len() as u64 + retried);
+        }
+        assert!(retries.get() > 0, "40 % faults over 64 ranges must retry some");
+    }
+
+    #[test]
+    fn read_ranges_fast_fail_behind_an_open_breaker() {
+        let sim = Arc::new(S3SimFs::new(S3Config::instant()));
+        sim.write("obj", Bytes::from(vec![1u8; 1024])).unwrap();
+        let breaker = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 1,
+            cooldown: 100,
+            half_open_probes: 1,
+        });
+        let fs = RetryFs::new(sim.clone(), instant_policy(2), &Registry::new(), Some(breaker.clone()));
+        sim.set_brownout(true);
+        assert!(fs.read_range("obj", 0, 10).is_err());
+        assert_eq!(breaker.state(), BreakerState::Open);
+        sim.set_brownout(false);
+        let before = sim.stats();
+        let ranges: Vec<(u64, u64)> = (0..8).map(|i| (i * 100, 100)).collect();
+        assert!(matches!(
+            fs.read_ranges("obj", &ranges),
+            Err(eon_types::EonError::StoreUnavailable(_))
+        ));
+        assert_eq!(sim.stats(), before, "an open breaker issues no request");
     }
 
     #[test]

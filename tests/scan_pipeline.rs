@@ -25,19 +25,24 @@
 //! * a depot-cold container that fits the depot costs a predicate scan
 //!   exactly one GET — the fault-in — and depot hits after it;
 //! * a container the depot cannot hold is scanned with one tail read
-//!   plus the range planner's runs — no size request, no whole-object
-//!   GET — and answers as the warm and Bypass scans do;
+//!   plus one wave of the range planner's runs — no size request, no
+//!   whole-object GET — and answers as the warm and Bypass scans do;
+//!   the node keeps its footer, so a second scan is the wave alone;
 //! * a SQL statement naming k of n columns, and a Q3-shaped join, read
 //!   cold exactly the tails plus the planned ranges of the columns they
 //!   name — the column-pruning rule, in bytes;
+//! * a second cold scan of an oversized container issues no tail read,
+//!   its ranges are in flight together below the retry layer, and
+//!   after mergeout and a reap no node keeps a reaped key's footer;
 //! * the multi-column range planner returns exactly the blocks of
 //!   per-column reads, for any column subset, keep mask and gap.
 //!
 //! The kernel itself is property-tested against a naive evaluator in
 //! `crates/columnar` (`filter_blocks_matches_naive_scan`).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eon_cache::{mem_cache, CacheMode};
 use eon_columnar::container::TAIL_READ;
@@ -366,9 +371,11 @@ fn cold_predicate_scan_of_a_depot_sized_container_costs_one_get() {
 
 /// A container larger than the whole depot, scanned through
 /// `CacheMode::Normal`, moves only what the scan uses: one tail read to
-/// open it (sized from the catalog, so no size request), then the range
-/// planner's runs — never the whole object, which the depot could not
-/// keep. The rows are those of a warm-depot scan and of a Bypass scan.
+/// open it (sized from the catalog, so no size request), then one wave
+/// of the range planner's runs — never the whole object, which the
+/// depot could not keep. The node keeps the footer, so a second scan is
+/// the wave alone. The rows are those of a warm-depot scan and of a
+/// Bypass scan.
 #[test]
 fn oversized_container_scan_reads_tail_plus_planned_ranges() {
     const N: usize = 20_000;
@@ -388,7 +395,7 @@ fn oversized_container_scan_reads_tail_plus_planned_ranges() {
     assert!(c.size_bytes > 32 << 10, "the depot must be smaller than the container");
 
     // `id` is the sort key, so the window keeps a run of blocks of
-    // every column; `grp` and `val` ride along as the second phase.
+    // every column; `grp` and `val` ride in the same wave.
     let (lo, hi) = (N as i64 / 5, N as i64 / 2);
     let window = Predicate::and(vec![
         Predicate::cmp(0, CmpOp::Ge, lo),
@@ -426,7 +433,9 @@ fn oversized_container_scan_reads_tail_plus_planned_ranges() {
 
     let tail = c.size_bytes.min(TAIL_READ);
     assert_eq!(s1.lists - s0.lists, 0, "the catalog knows the size: no size or list request");
-    assert_eq!(planned, 2, "one coalesced read per scan phase");
+    // The pruned blocks between the columns' kept runs are small enough
+    // to bridge: the whole wave is one coalesced read.
+    assert_eq!(planned, 1, "one coalesced read for all three columns");
     assert_eq!(s1.gets - s0.gets, 1 + planned, "one tail read plus the planner's runs");
     assert_eq!(planned_bytes, kept_bytes + gap_bytes, "ReadStats: bytes_read = kept + gap");
     assert_eq!(s1.bytes_read - s0.bytes_read, tail + planned_bytes);
@@ -434,6 +443,12 @@ fn oversized_container_scan_reads_tail_plus_planned_ranges() {
         s1.bytes_read - s0.bytes_read < c.size_bytes,
         "no GET of the whole object can hide in fewer bytes than the object has"
     );
+    // The footer is kept: the same scan again is the wave alone.
+    let s1 = s3.stats(); // past this test's own open above
+    assert_eq!(cold.query(&plan).unwrap(), got);
+    let s2 = s3.stats();
+    assert_eq!(s2.gets - s1.gets, planned, "a kept footer: no tail read");
+    assert_eq!(s2.bytes_read - s1.bytes_read, planned_bytes);
     let depot = cold.membership().all()[0].cache.stats();
     assert_eq!((depot.hits, depot.misses), (0, 0), "routed around the depot, not through it");
 
@@ -457,9 +472,13 @@ fn planned_bytes(registry: &Registry) -> (u64, u64) {
 
 /// Column pruning, in bytes (DESIGN.md "Plan rules"): a
 /// SQL statement naming two of a table's three columns, run cold on a
-/// container the depot cannot hold, reads the tail plus the planned
-/// ranges of those two columns and nothing of the third. (SQL never
-/// lists scan columns; before the rule this read all three.)
+/// container the depot cannot hold, reads the tail plus one wave whose
+/// planned blocks are those two columns' and none of the third's. (SQL
+/// never lists scan columns; before the rule this read all three.) The
+/// third column lies between the two in the file and is small, so the
+/// wave's one coalesced read bridges it: those bytes are gap bytes,
+/// counted as such, not a planned range. A second run is the wave
+/// alone.
 #[test]
 fn sql_naming_k_of_n_columns_reads_tail_plus_their_planned_ranges() {
     const N: usize = 20_000;
@@ -492,13 +511,25 @@ fn sql_naming_k_of_n_columns_reads_tail_plus_their_planned_ranges() {
     let named = kept_bytes(reader.footer(), &keep, &[0, 2]);
     let unnamed = kept_bytes(reader.footer(), &keep, &[1]);
     assert!(unnamed > 0);
+    // The one run spans from `id`'s first kept block to `val`'s last:
+    // every byte in it that is not a named kept block is gap.
+    let blocks = |c: usize| reader.footer().columns[c].blocks.iter().zip(&keep).filter(|(_, &k)| k);
+    let first = blocks(0).map(|(b, _)| b.offset).min().unwrap();
+    let last = blocks(2).map(|(b, _)| b.offset + b.len).max().unwrap();
+    let dead = last - first - named;
 
-    // Each phase fetches one column's contiguous blocks: no gap to
-    // bridge, so nothing of `grp` can hide in the total.
-    assert_eq!(gap1 - gap0, 0);
-    assert_eq!(read1 - read0, named, "planned ranges are the named columns' kept blocks");
-    assert_eq!(s1.gets - s0.gets, 3, "one tail read, one range per scan phase");
-    assert_eq!(s1.bytes_read - s0.bytes_read, c.size_bytes.min(TAIL_READ) + named);
+    assert_eq!(gap1 - gap0, dead, "the gap is exactly the dead bytes of the one run");
+    assert_eq!(read1 - read0 - (gap1 - gap0), named, "planned blocks are the named columns' kept blocks");
+    assert_eq!(s1.gets - s0.gets, 2, "one tail read, one coalesced range");
+    assert_eq!(s1.bytes_read - s0.bytes_read, c.size_bytes.min(TAIL_READ) + named + dead);
+
+    // The footer is kept: a second run is the wave alone.
+    let s1 = s3.stats(); // past this test's own open above
+    assert_eq!(cold.sql(&sql).unwrap(), got);
+    let (s2, (read2, gap2)) = (s3.stats(), planned_bytes(&registry));
+    assert_eq!((read2 - read1, gap2 - gap1), (read1 - read0, gap1 - gap0));
+    assert_eq!(s2.gets - s1.gets, 1, "a kept footer: no tail read");
+    assert_eq!(s2.bytes_read - s1.bytes_read, named + dead);
 
     assert_eq!(got.len(), (hi - lo) as usize);
     assert_eq!(got, warm.sql(&sql).unwrap(), "cold scan differs from the warm scan");
@@ -508,7 +539,8 @@ fn sql_naming_k_of_n_columns_reads_tail_plus_their_planned_ranges() {
 /// column — or of any column the statement does not name: cold, with
 /// every container larger than the depot, the bytes read are the three
 /// tails plus exactly the blocks of the 4 + 4 + 2 columns read (3, 4
-/// and 1 of them scan outputs, the rest pushed-down predicates).
+/// and 1 of them scan outputs, the rest pushed-down predicates), one
+/// wave a container. Run again, the footers are kept: the waves alone.
 #[test]
 fn q3_shaped_join_reads_no_range_of_a_comment_column() {
     // Far from compressible, and most of every container.
@@ -575,16 +607,151 @@ fn q3_shaped_join_reads_no_range_of_a_comment_column() {
         named += kept_bytes(reader.footer(), &[true], read_cols);
         comments += kept_bytes(reader.footer(), &[true], &[t.schema.len() - 1]);
     }
-    // The columns of each phase are neighbours in the file: no gap
+    // The columns a container reads are neighbours in the file: no gap
     // bytes, so every planned byte is a block of a named column.
     assert_eq!(gap1 - gap0, 0);
     assert_eq!(read1 - read0, named);
     assert_eq!(s1.bytes_read - s0.bytes_read, tails + named);
     assert!(comments > 2 * named, "the comments ({comments}B) are what a 16-column scan would drag");
-    assert_eq!(s1.gets - s0.gets, 3 + 6, "three tail reads, two phases a container");
+    assert_eq!(s1.gets - s0.gets, 3 + 3, "three tail reads, one coalesced range a container");
+
+    // The footers are kept: the same statement again is the waves alone.
+    let s1 = s3.stats(); // past this test's own opens above
+    assert_eq!(cold.sql(sql).unwrap(), got);
+    let (s2, (read2, gap2)) = (s3.stats(), planned_bytes(&registry));
+    assert_eq!((read2 - read1, gap2 - gap1), (named, 0));
+    assert_eq!(s2.bytes_read - s1.bytes_read, named);
+    assert_eq!(s2.gets - s1.gets, 3, "kept footers: no tail read");
 
     assert_eq!(got.len(), 10);
     assert_eq!(got, warm.sql(sql).unwrap(), "cold join differs from the warm join");
+}
+
+/// A store that logs every ranged read and counts how many are in
+/// flight at once. Once `expect` is set, each ranged read waits (up to
+/// two seconds) until that many have been in flight together, so a
+/// wave that issues its ranges at once reaches the peak and a serial
+/// one cannot.
+#[derive(Default)]
+struct InFlight {
+    inner: MemFs,
+    ranges: std::sync::Mutex<Vec<(String, u64, u64)>>,
+    now: AtomicUsize,
+    peak: AtomicUsize,
+    expect: AtomicUsize,
+}
+
+impl FileSystem for InFlight {
+    fn write(&self, path: &str, data: bytes::Bytes) -> eon_types::Result<()> {
+        self.inner.write(path, data)
+    }
+    fn read(&self, path: &str) -> eon_types::Result<bytes::Bytes> {
+        self.inner.read(path)
+    }
+    fn read_range(&self, path: &str, offset: u64, len: u64) -> eon_types::Result<bytes::Bytes> {
+        self.ranges.lock().unwrap().push((path.to_owned(), offset, len));
+        let now = self.now.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while self.peak.load(Ordering::SeqCst) < self.expect.load(Ordering::SeqCst)
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let got = self.inner.read_range(path, offset, len);
+        self.now.fetch_sub(1, Ordering::SeqCst);
+        got
+    }
+    fn size(&self, path: &str) -> eon_types::Result<u64> {
+        self.inner.size(path)
+    }
+    fn list(&self, prefix: &str) -> eon_types::Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+    fn delete(&self, path: &str) -> eon_types::Result<()> {
+        self.inner.delete(path)
+    }
+    fn stats(&self) -> eon_storage::FsStats {
+        self.inner.stats()
+    }
+}
+
+/// Kept footers, end to end: the first cold scan of an oversized
+/// container opens it with one tail read; the second issues none, and
+/// the store — below the retry layer, where every range is a request —
+/// sees all of the container's ranges in flight together. After
+/// mergeout replaces the containers and the reaper deletes them, no up
+/// node keeps a reaped key's footer.
+#[test]
+fn second_cold_scan_is_one_wave_and_reaped_footers_are_forgotten() {
+    // Four containers of 10 000 rows — enough for one mergeout job —
+    // each three blocks of each column.
+    const BATCH: i64 = 10_000;
+    let s = schema![("id", Int), ("pad", Str)];
+    // Incompressible padding: each `pad` block is far wider than the
+    // coalescing gap, so every kept one is a run of its own.
+    let row = |i: i64| vec![Value::Int(i), Value::Str(format!("{:064x}", (i as u128 + 7) * 0x9e37_79b9_7f4a_7c15_f39c))];
+    let store = Arc::new(InFlight::default());
+    let db = EonDb::create(store.clone(), EonConfig::new(1, 1).cache_bytes(32 << 10)).unwrap();
+    db.create_table("w", s.clone(), vec![Projection::super_projection("w_p", &s, &[0], &[0])]).unwrap();
+    for b in 0..4 {
+        db.copy_into("w", (b * BATCH..(b + 1) * BATCH).map(row).collect()).unwrap();
+    }
+    let snapshot = db.snapshot().unwrap();
+    assert_eq!(snapshot.containers.len(), 4);
+    assert!(snapshot.containers.values().all(|c| c.size_bytes > 32 << 10));
+
+    // Blocks 0 and 2 of every container: two `pad` runs each.
+    let blocks_0_and_2 = |lo: i64| {
+        vec![
+            Predicate::and(vec![Predicate::cmp(0, CmpOp::Ge, lo), Predicate::cmp(0, CmpOp::Lt, lo + 4_096)]),
+            Predicate::and(vec![Predicate::cmp(0, CmpOp::Ge, lo + 8_192), Predicate::cmp(0, CmpOp::Lt, lo + BATCH)]),
+        ]
+    };
+    let pred = Predicate::Or((0..4).flat_map(|b| blocks_0_and_2(b * BATCH)).collect());
+    let plan = Plan::scan(ScanSpec::new("w").predicate(pred)).sort(vec![SortKey::asc(0)]);
+    let is_tail = |(key, offset, len): &(String, u64, u64)| {
+        snapshot.containers.values().any(|c| c.key == *key && offset + len == c.size_bytes)
+    };
+    let logged = || std::mem::take(&mut *store.ranges.lock().unwrap());
+
+    logged();
+    let first = db.query(&plan).unwrap();
+    let opened = logged();
+    assert_eq!(opened.iter().filter(|r| is_tail(r)).count(), 4, "one tail read a container");
+    let node = db.membership().all()[0].clone();
+    assert_eq!(node.kept_footers().len(), 4);
+
+    // Scan the first container alone, so the peak is its wave.
+    let lower = snapshot.containers.values().find(|c| matches!(&c.col_minmax[0], Some((Value::Int(0), _))));
+    let lower = &lower.expect("the container of the first batch").key;
+    let wave = opened.iter().filter(|r| !is_tail(r) && r.0 == *lower).count();
+    assert!(wave >= 2, "the container's wave has {wave} ranges");
+    let one = Plan::scan(ScanSpec::new("w").predicate(Predicate::Or(blocks_0_and_2(0))));
+    store.peak.store(0, Ordering::SeqCst);
+    store.expect.store(wave, Ordering::SeqCst);
+    let again = db.query(&one).unwrap();
+    store.expect.store(0, Ordering::SeqCst);
+    let rescanned = logged();
+    assert_eq!(rescanned.iter().filter(|r| is_tail(r)).count(), 0, "a kept footer: no tail read");
+    assert_eq!(rescanned.len(), wave);
+    assert_eq!(store.peak.load(Ordering::SeqCst), wave, "the container's ranges in flight together");
+    assert_eq!(again, first.iter().filter(|r| r[0] < Value::Int(BATCH)).cloned().collect::<Vec<_>>());
+
+    // Mergeout writes one new container; the reaper deletes the four
+    // old ones, and every up node forgets their footers.
+    let old: Vec<String> = snapshot.containers.values().map(|c| c.key.clone()).collect();
+    assert_eq!(db.run_mergeout().unwrap(), 1);
+    assert_eq!(db.query(&plan).unwrap(), first);
+    db.sync_metadata(1_000).unwrap();
+    let reaped = db.reap_files().unwrap();
+    assert!(old.iter().all(|k| reaped.contains(k)), "{reaped:?}");
+    for node in db.membership().up_nodes() {
+        let kept = node.kept_footers();
+        assert!(reaped.iter().all(|k| !kept.contains(k)), "node {} keeps {kept:?}", node.id.0);
+        assert_eq!(kept.len(), 1, "the merged container's footer stays");
+    }
+    assert_eq!(db.query(&plan).unwrap(), first);
 }
 
 proptest! {
