@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use eon_cache::FileCache;
 use eon_catalog::{Catalog, CatalogState, CatalogStore, Checkpoint};
-use eon_columnar::RosReader;
-use eon_obs::Registry;
+use eon_columnar::{ReadStats, RosReader};
+use eon_obs::{Counter, Histogram, Registry};
 use eon_storage::{FaultInjector, InstanceId, MemFs, SharedFs, SidFactory, StorageId};
 use eon_types::{NodeId, Result, TxnVersion};
 
@@ -17,6 +17,55 @@ use crate::slots::ExecSlots;
 /// it; concurrent openers of the key wait on the slot instead of
 /// reading the tail again.
 type FooterSlot = Arc<parking_lot::Mutex<Option<Arc<RosReader>>>>;
+
+/// Registry handles for one node's scan pipeline, registered once when
+/// the node is built. Counters are deterministic functions of the
+/// workload (which blocks were pruned, which bytes fetched); only the
+/// queue-wait histogram is wall-clock.
+pub struct ScanMetrics {
+    pub pool_tasks: Arc<Counter>,
+    pub queue_wait: Arc<Histogram>,
+    pub blocks_pruned: Arc<Counter>,
+    blocks_late_skipped: Arc<Counter>,
+    encoded_blocks: Arc<Counter>,
+    rows_short_circuited: Arc<Counter>,
+    read_requests: Arc<Counter>,
+    requests_saved: Arc<Counter>,
+    coalesced_bytes: Arc<Counter>,
+    gap_bytes: Arc<Counter>,
+    waste_bytes: Arc<Counter>,
+}
+
+impl ScanMetrics {
+    fn register(registry: &Registry, node: &str) -> Self {
+        let labels: &[(&str, &str)] = &[("node", node), ("subsystem", "scan")];
+        ScanMetrics {
+            pool_tasks: registry.counter("scan_pool_tasks_total", labels),
+            queue_wait: registry.timing_histogram("scan_pool_queue_wait_us", labels),
+            blocks_pruned: registry.counter("scan_blocks_pruned_total", labels),
+            blocks_late_skipped: registry.counter("scan_blocks_late_skipped_total", labels),
+            encoded_blocks: registry.counter("scan_encoded_blocks_total", labels),
+            rows_short_circuited: registry.counter("scan_rows_short_circuited_total", labels),
+            read_requests: registry.counter("scan_read_requests_total", labels),
+            requests_saved: registry.counter("scan_coalesced_requests_saved_total", labels),
+            coalesced_bytes: registry.counter("scan_coalesced_bytes_total", labels),
+            gap_bytes: registry.counter("scan_coalesced_gap_bytes_total", labels),
+            waste_bytes: registry.counter("scan_coalesce_waste_bytes_total", labels),
+        }
+    }
+
+    /// Count one container's reads.
+    pub fn record_io(&self, s: &ReadStats) {
+        self.read_requests.add(s.requests);
+        self.requests_saved.add(s.requests_saved);
+        self.coalesced_bytes.add(s.bytes_read);
+        self.gap_bytes.add(s.gap_bytes);
+        self.waste_bytes.add(s.waste_bytes);
+        self.encoded_blocks.add(s.encoded_blocks);
+        self.rows_short_circuited.add(s.rows_short_circuited);
+        self.blocks_late_skipped.add(s.blocks_late_skipped);
+    }
+}
 
 /// One simulated node process.
 ///
@@ -36,6 +85,8 @@ pub struct NodeRuntime {
     pub cache: Arc<FileCache>,
     pub sids: SidFactory,
     pub slots: ExecSlots,
+    /// This node's scan-pipeline metric handles.
+    pub scan_metrics: ScanMetrics,
     up: AtomicBool,
     /// Subcluster assignment for workload isolation (§4.3); 0 = default.
     pub subcluster: AtomicU64,
@@ -111,6 +162,7 @@ impl NodeRuntime {
                 instance_seed.wrapping_mul(0x1000).wrapping_add(id.0),
             )),
             slots: ExecSlots::new(exec_slots, registry, &[("node", &label), ("subsystem", "exec")]),
+            scan_metrics: ScanMetrics::register(registry, &label),
             up: AtomicBool::new(true),
             subcluster: AtomicU64::new(0),
             min_query_version: AtomicU64::new(u64::MAX),

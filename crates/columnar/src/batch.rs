@@ -4,14 +4,20 @@
 //! A [`Batch`] is a row count and one [`Column`] per output column. A
 //! column is a typed vector — `i64`, `f64`, `i32` days, `bool`, or a
 //! string arena with no allocation per cell — plus a validity mask for
-//! its NULLs. Two escape hatches keep every SQL semantic the row engine
-//! had: [`Data::Null`] is `n` NULLs of no particular type (outer-join
-//! padding, a `NULL` literal), and [`Data::Values`] holds tagged
-//! [`Value`]s for the heterogeneous columns `CASE` or mixed arithmetic
-//! can produce. [`Column::push`] picks the representation: typed while
-//! the cells agree, `Values` from the first one that does not.
+//! its NULLs. Strings a block stored as RLE or Dict stay dictionary
+//! codes ([`Data::Dict`]) from the scan to the operators. Two escape
+//! hatches keep every SQL semantic the row engine had: [`Data::Null`]
+//! is `n` NULLs of no particular type (outer-join padding, a `NULL`
+//! literal), and [`Data::Values`] holds tagged [`Value`]s for the
+//! heterogeneous columns `CASE` or mixed arithmetic can produce.
+//! [`Column::push`] picks the representation: typed while the cells
+//! agree, `Values` from the first one that does not.
 
-use eon_types::{Value, ValueRef};
+use std::collections::HashMap;
+use std::mem::discriminant;
+use std::sync::Arc;
+
+use eon_types::{hash_cells_finish, hash_cells_step, hash_value, Value, ValueRef, HASH_CELLS_SEED};
 
 /// The strings of one column in one buffer: string `i` is
 /// `bytes[ends[i - 1]..ends[i]]`.
@@ -25,6 +31,10 @@ impl StrVec {
     /// `n` empty strings: the slots of `n` NULLs.
     pub fn nulls(n: usize) -> StrVec {
         StrVec { ends: vec![0; n], bytes: String::new() }
+    }
+
+    fn with_capacity(strings: usize, bytes: usize) -> StrVec {
+        StrVec { ends: Vec::with_capacity(strings), bytes: String::with_capacity(bytes) }
     }
 
     pub fn len(&self) -> usize {
@@ -66,6 +76,10 @@ pub enum Data {
     Date(Vec<i32>),
     Bool(Vec<bool>),
     Str(StrVec),
+    /// Strings as codes into a non-empty dictionary of distinct
+    /// entries, shared through an `Arc` so a gather copies only codes.
+    /// Every code is in range; a NULL cell's code is any of them.
+    Dict { dict: Arc<StrVec>, codes: Vec<u32> },
     /// Heterogeneous fallback; NULLs are `Value::Null`.
     Values(Vec<Value>),
 }
@@ -93,6 +107,10 @@ impl Column {
         assert!(col.valid.as_ref().is_none_or(|v| {
             v.len() == col.len() && !matches!(col.data, Data::Null(_) | Data::Values(_))
         }));
+        if let Data::Dict { dict, codes } = &col.data {
+            let in_range = codes.iter().all(|&c| (c as usize) < dict.len());
+            assert!(in_range, "dictionary code out of range");
+        }
         col
     }
 
@@ -123,6 +141,49 @@ impl Column {
         col
     }
 
+    /// Cells as codes into `dict`, `None` for a NULL cell: what the
+    /// block kernel makes of a string block stored as RLE or Dict.
+    pub(crate) fn from_codes(
+        dict: Arc<StrVec>,
+        cells: impl Iterator<Item = Option<u32>>,
+    ) -> Column {
+        let mut codes = Vec::with_capacity(cells.size_hint().0);
+        let mut nulls = Vec::new();
+        for cell in cells {
+            if cell.is_none() {
+                nulls.push(codes.len());
+            }
+            codes.push(cell.unwrap_or(0));
+        }
+        let valid = (!nulls.is_empty()).then(|| {
+            let mut valid = vec![true; codes.len()];
+            nulls.iter().for_each(|&i| valid[i] = false);
+            valid
+        });
+        Column { data: Data::Dict { dict, codes }, valid }
+    }
+
+    /// A string column's distinct strings in first-appearance order, and
+    /// each cell's code into them (`None` for a NULL cell). `None` unless
+    /// the column is `Str` with at least one string.
+    pub(crate) fn dictionary(&self) -> Option<(Arc<StrVec>, Vec<Option<u32>>)> {
+        let Data::Str(strs) = &self.data else { return None };
+        let mut dict = StrVec::default();
+        let mut index: HashMap<&str, u32> = HashMap::new();
+        let code_of = (0..strs.len())
+            .map(|j| {
+                let s = strs.get(j);
+                (!self.is_null(j)).then(|| {
+                    *index.entry(s).or_insert_with(|| {
+                        dict.push(s);
+                        dict.len() as u32 - 1
+                    })
+                })
+            })
+            .collect();
+        (!dict.is_empty()).then(|| (Arc::new(dict), code_of))
+    }
+
     pub fn data(&self) -> &Data {
         &self.data
     }
@@ -139,6 +200,7 @@ impl Column {
             Data::Date(v) => v.len(),
             Data::Bool(v) => v.len(),
             Data::Str(v) => v.len(),
+            Data::Dict { codes, .. } => codes.len(),
             Data::Values(v) => v.len(),
         }
     }
@@ -159,8 +221,33 @@ impl Column {
             Data::Date(v) => ValueRef::Date(v[i]),
             Data::Bool(v) => ValueRef::Bool(v[i]),
             Data::Str(v) => ValueRef::Str(v.get(i)),
+            Data::Dict { dict, codes } => ValueRef::Str(dict.get(codes[i] as usize)),
             Data::Values(v) => v[i].as_ref(),
         }
+    }
+
+    /// Is cell `i` NULL?
+    pub fn is_null(&self, i: usize) -> bool {
+        match &self.data {
+            Data::Null(_) => true,
+            Data::Values(v) => v[i].is_null(),
+            _ => self.valid.as_ref().is_some_and(|v| !v[i]),
+        }
+    }
+
+    /// Does cell `i` equal `other`'s cell `j` under `Value`'s equality
+    /// (NULL equals NULL, `Int(1)` equals `Float(1.0)`)? Two cells coded
+    /// into one dictionary compare their codes.
+    pub fn cell_eq(&self, i: usize, other: &Column, j: usize) -> bool {
+        if let (Data::Dict { dict: a, codes: x }, Data::Dict { dict: b, codes: y }) =
+            (&self.data, &other.data)
+        {
+            if Arc::ptr_eq(a, b) {
+                let null = self.is_null(i);
+                return null == other.is_null(j) && (null || x[i] == y[j]);
+            }
+        }
+        self.get(i) == other.get(j)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = ValueRef<'_>> {
@@ -182,10 +269,56 @@ impl Column {
         out
     }
 
+    /// Fold every cell into its row's running [`hash_cells_32`] state,
+    /// `states[i]` for row `i`: one typed loop per representation, and a
+    /// dictionary's entries hashed once each. [`hash_rows`] starts and
+    /// finishes the states.
+    ///
+    /// [`hash_cells_32`]: eon_types::hash_cells_32
+    pub fn hash_into(&self, states: &mut [u64]) {
+        assert_eq!(states.len(), self.len(), "one hash state per row");
+        let null = hash_value(ValueRef::Null);
+        fn fold(
+            states: &mut [u64],
+            valid: Option<&[bool]>,
+            null: u64,
+            digest: impl Fn(usize) -> u64,
+        ) {
+            let cells = states.iter_mut().enumerate();
+            match valid {
+                None => cells.for_each(|(i, s)| *s = hash_cells_step(*s, digest(i))),
+                Some(ok) => cells.for_each(|(i, s)| {
+                    *s = hash_cells_step(*s, if ok[i] { digest(i) } else { null })
+                }),
+            }
+        }
+        let valid = self.valid.as_deref();
+        match &self.data {
+            Data::Null(_) => states.iter_mut().for_each(|s| *s = hash_cells_step(*s, null)),
+            Data::Int(v) => fold(states, valid, null, |i| hash_value(ValueRef::Int(v[i]))),
+            Data::Float(v) => fold(states, valid, null, |i| hash_value(ValueRef::Float(v[i]))),
+            Data::Date(v) => fold(states, valid, null, |i| hash_value(ValueRef::Date(v[i]))),
+            Data::Bool(v) => fold(states, valid, null, |i| hash_value(ValueRef::Bool(v[i]))),
+            Data::Str(v) => fold(states, valid, null, |i| hash_value(ValueRef::Str(v.get(i)))),
+            Data::Dict { dict, codes } => {
+                let entries: Vec<u64> =
+                    (0..dict.len()).map(|j| hash_value(ValueRef::Str(dict.get(j)))).collect();
+                fold(states, valid, null, |i| entries[codes[i] as usize])
+            }
+            Data::Values(v) => {
+                states.iter_mut().zip(v).for_each(|(s, x)| *s = hash_cells_step(*s, hash_value(x)))
+            }
+        }
+    }
+
     /// Append one cell, keeping the column typed while its cells agree:
     /// untyped NULLs take the type of the first value after them, and a
-    /// value of another type turns the column into `Values`.
+    /// value of another type turns the column into `Values`. A
+    /// dictionary-coded column becomes plain strings first.
     pub fn push(&mut self, v: ValueRef<'_>) {
+        if let Data::Dict { .. } = self.data {
+            *self = std::mem::replace(self, Column::nulls(0)).expand();
+        }
         match (&mut self.data, v) {
             (Data::Int(d), ValueRef::Int(x)) => d.push(x),
             (Data::Float(d), ValueRef::Float(x)) => d.push(x),
@@ -206,15 +339,7 @@ impl Column {
     fn push_retyping(&mut self, v: ValueRef<'_>) {
         let n = self.len();
         if let Data::Null(_) = self.data {
-            self.valid = (n > 0).then(|| vec![false; n]);
-            self.data = match v {
-                ValueRef::Int(_) => Data::Int(vec![0; n]),
-                ValueRef::Float(_) => Data::Float(vec![0.0; n]),
-                ValueRef::Date(_) => Data::Date(vec![0; n]),
-                ValueRef::Bool(_) => Data::Bool(vec![false; n]),
-                ValueRef::Str(_) => Data::Str(StrVec::nulls(n)),
-                ValueRef::Null => unreachable!("push counts untyped NULLs"),
-            };
+            *self = Column::nulls_like(&Column::constant(v, 0).data, n);
             return self.push(v);
         }
         if !v.is_null() {
@@ -228,9 +353,51 @@ impl Column {
             Data::Date(d) => d.push(0),
             Data::Bool(d) => d.push(false),
             Data::Str(d) => d.push(""),
-            Data::Null(_) | Data::Values(_) => unreachable!("push handles these"),
+            Data::Null(_) | Data::Dict { .. } | Data::Values(_) => {
+                unreachable!("push handles these")
+            }
         }
         self.valid.get_or_insert_with(|| vec![true; n]).push(false);
+    }
+
+    /// A dictionary-coded column as plain strings; any other as it is.
+    fn expand(self) -> Column {
+        let Data::Dict { dict, codes } = &self.data else { return self };
+        let cell = |(i, &c): (usize, &u32)| if self.is_null(i) { "" } else { dict.get(c as usize) };
+        let bytes = codes.iter().enumerate().map(|c| cell(c).len()).sum();
+        let mut strs = StrVec::with_capacity(codes.len(), bytes);
+        codes.iter().enumerate().for_each(|c| strs.push(cell(c)));
+        Column { data: Data::Str(strs), valid: self.valid }
+    }
+
+    /// `n` NULLs represented like `data`: a typed vector of defaults
+    /// under an all-false mask (none when `n` is 0), or codes into the
+    /// same dictionary.
+    fn nulls_like(data: &Data, n: usize) -> Column {
+        let data = match data {
+            Data::Null(_) => return Column::nulls(n),
+            Data::Values(_) => {
+                return Column { data: Data::Values(vec![Value::Null; n]), valid: None }
+            }
+            Data::Int(_) => Data::Int(vec![0; n]),
+            Data::Float(_) => Data::Float(vec![0.0; n]),
+            Data::Date(_) => Data::Date(vec![0; n]),
+            Data::Bool(_) => Data::Bool(vec![false; n]),
+            Data::Str(_) => Data::Str(StrVec::nulls(n)),
+            Data::Dict { dict, .. } => Data::Dict { dict: dict.clone(), codes: vec![0; n] },
+        };
+        Column { data, valid: (n > 0).then(|| vec![false; n]) }
+    }
+
+    /// The dictionary rule: a dictionary is kept while it holds at most
+    /// a quarter of the rows it codes — the bound under which
+    /// `choose_encoding` stores a block as Dict — and expands to plain
+    /// strings otherwise.
+    fn keep_or_expand(self) -> Column {
+        match &self.data {
+            Data::Dict { dict, codes } if dict.len() * 4 > codes.len() => self.expand(),
+            _ => self,
+        }
     }
 
     /// The cells at `idx`, in that order. An index past the end yields
@@ -251,6 +418,9 @@ impl Column {
                 idx.iter().for_each(|&i| out.push(if i < len { v.get(i) } else { "" }));
                 Data::Str(out)
             }
+            Data::Dict { dict, codes } => {
+                Data::Dict { dict: dict.clone(), codes: pick(codes, idx) }
+            }
             Data::Values(v) => {
                 Data::Values(idx.iter().map(|&i| v.get(i).cloned().unwrap_or(Value::Null)).collect())
             }
@@ -260,34 +430,129 @@ impl Column {
             let ok = |i: usize| i < len && self.valid.as_ref().is_none_or(|v| v[i]);
             idx.iter().map(|&i| ok(i)).collect()
         });
-        Column { data, valid }
+        Column { data, valid }.keep_or_expand()
     }
 
     /// Append `other`'s cells.
     pub fn append(&mut self, other: Column) {
-        if self.is_empty() && matches!(self.data, Data::Null(_)) {
-            *self = other;
-            return;
-        }
-        let (n, m) = (self.len(), other.len());
-        match (&mut self.data, other.data) {
-            (Data::Int(a), Data::Int(b)) => a.extend(b),
-            (Data::Float(a), Data::Float(b)) => a.extend(b),
-            (Data::Date(a), Data::Date(b)) => a.extend(b),
-            (Data::Bool(a), Data::Bool(b)) => a.extend(b),
-            (Data::Str(a), Data::Str(b)) => a.extend(&b),
-            (Data::Values(a), Data::Values(b)) => a.extend(b),
-            (Data::Null(a), Data::Null(b)) => *a += b,
-            (_, data) => {
-                let other = Column { data, valid: other.valid };
-                return other.iter().for_each(|v| self.push(v));
-            }
-        }
-        if self.valid.is_some() || other.valid.is_some() {
-            let valid = self.valid.get_or_insert_with(|| vec![true; n]);
-            valid.extend(other.valid.unwrap_or_else(|| vec![true; m]));
-        }
+        let this = std::mem::replace(self, Column::nulls(0));
+        *self = Column::concat(vec![this, other]);
     }
+
+    /// The pieces' cells, in order, in one column sized up front. Pieces
+    /// of one representation concatenate their vectors; dictionaries
+    /// merge, each piece's codes remapped into one dictionary of distinct
+    /// entries (kept under the dictionary rule). Dictionary-coded pieces
+    /// beside plain strings expand to strings, untyped NULL pieces take
+    /// the others' representation, and any other mix of types is pushed
+    /// cell by cell, as [`push`](Self::push) retypes.
+    pub fn concat(pieces: Vec<Column>) -> Column {
+        let rows = pieces.iter().map(Column::len).sum();
+        let mut pieces: Vec<Column> = pieces.into_iter().filter(|p| !p.is_empty()).collect();
+        if pieces.len() <= 1 {
+            return pieces.pop().map_or(Column::nulls(0), Column::keep_or_expand);
+        }
+        let dict = |p: &Column| matches!(p.data, Data::Dict { .. });
+        let untyped = |p: &Column| matches!(p.data, Data::Null(_));
+        if pieces.iter().any(dict) && pieces.iter().any(|p| !dict(p) && !untyped(p)) {
+            pieces = pieces.into_iter().map(Column::expand).collect();
+        }
+        // Untyped NULL pieces take the representation of the others.
+        let like = pieces.iter().find(|p| !untyped(p)).map(|p| Column::nulls_like(&p.data, 0));
+        if let Some(like) = like {
+            pieces = (pieces.into_iter())
+                .map(|p| match p.data {
+                    Data::Null(n) => Column::nulls_like(&like.data, n),
+                    _ => p,
+                })
+                .collect();
+        }
+        let shape = pieces.first().map(|p| discriminant(&p.data));
+        if pieces.iter().any(|p| Some(discriminant(&p.data)) != shape) {
+            let mut out = Column::nulls(0);
+            pieces.iter().flat_map(Column::iter).for_each(|v| out.push(v));
+            return out;
+        }
+        let valid = pieces.iter().any(|p| p.valid.is_some()).then(|| {
+            let mut valid = Vec::with_capacity(rows);
+            for p in &pieces {
+                match &p.valid {
+                    Some(ok) => valid.extend_from_slice(ok),
+                    None => valid.resize(valid.len() + p.len(), true),
+                }
+            }
+            valid
+        });
+        let mut rest = pieces.into_iter();
+        let first = rest.next().expect("two pieces or more");
+        macro_rules! cat {
+            ($first:ident, $variant:path) => {{
+                let mut all = $first;
+                all.reserve(rows - all.len());
+                rest.for_each(|p| if let $variant(v) = p.data { all.extend(v) });
+                $variant(all)
+            }};
+        }
+        let data = match first.data {
+            Data::Null(_) => Data::Null(rows),
+            Data::Int(v) => cat!(v, Data::Int),
+            Data::Float(v) => cat!(v, Data::Float),
+            Data::Date(v) => cat!(v, Data::Date),
+            Data::Bool(v) => cat!(v, Data::Bool),
+            Data::Values(v) => cat!(v, Data::Values),
+            Data::Str(mut all) => {
+                let str_of = |p: Column| if let Data::Str(s) = p.data { Some(s) } else { None };
+                let strs: Vec<StrVec> = rest.filter_map(str_of).collect();
+                all.ends.reserve(rows - all.len());
+                all.bytes.reserve(strs.iter().map(|s| s.bytes.len()).sum());
+                strs.iter().for_each(|s| all.extend(s));
+                Data::Str(all)
+            }
+            data @ Data::Dict { .. } => {
+                let first = Column { data, valid: None };
+                merge_dicts(&std::iter::once(first).chain(rest).collect::<Vec<_>>(), rows)
+            }
+        };
+        Column { data, valid }.keep_or_expand()
+    }
+}
+
+/// One dictionary for dictionary-coded `pieces` (of `rows` rows in all)
+/// and their codes remapped into it. A piece sharing the previous one's
+/// dictionary reuses its remap.
+fn merge_dicts(pieces: &[Column], rows: usize) -> Data {
+    let mut dict = StrVec::default();
+    let mut index: HashMap<&str, u32> = HashMap::new();
+    let mut codes = Vec::with_capacity(rows);
+    let mut last: Option<(&Arc<StrVec>, Vec<u32>)> = None;
+    for p in pieces {
+        let Data::Dict { dict: d, codes: c } = &p.data else {
+            unreachable!("dictionary pieces only")
+        };
+        if !last.as_ref().is_some_and(|(prev, _)| Arc::ptr_eq(prev, d)) {
+            let code_of = |j| {
+                let s = d.get(j);
+                *index.entry(s).or_insert_with(|| {
+                    dict.push(s);
+                    dict.len() as u32 - 1
+                })
+            };
+            last = Some((d, (0..d.len()).map(code_of).collect()));
+        }
+        let remap = &last.as_ref().expect("set above").1;
+        codes.extend(c.iter().map(|&k| remap[k as usize]));
+    }
+    Data::Dict { dict: Arc::new(dict), codes }
+}
+
+/// [`hash_cells_32`](eon_types::hash_cells_32) of each of `rows` rows'
+/// cells across `cols`, computed a column at a time
+/// ([`Column::hash_into`]): the hash a group or join key has, however
+/// its columns are represented.
+pub fn hash_rows(cols: &[&Column], rows: usize) -> Vec<u32> {
+    let mut states = vec![HASH_CELLS_SEED; rows];
+    cols.iter().for_each(|c| c.hash_into(&mut states));
+    states.into_iter().map(hash_cells_finish).collect()
 }
 
 /// A block of rows, column-major.
@@ -343,19 +608,24 @@ impl Batch {
         Batch { cols: self.cols.iter().map(|c| c.gather(idx)).collect(), rows: idx.len() }
     }
 
-    /// Append `other`'s rows (same width).
-    pub fn append(&mut self, other: Batch) {
-        assert_eq!(self.cols.len(), other.cols.len(), "batch widths differ");
-        self.rows += other.rows;
-        for (a, b) in self.cols.iter_mut().zip(other.cols) {
-            a.append(b);
+    /// The pieces' rows, in order, as one batch `width` wide: each
+    /// column concatenated once ([`Column::concat`]), sized up front.
+    pub fn concat(pieces: Vec<Batch>, width: usize) -> Batch {
+        let rows = pieces.iter().map(|b| b.rows).sum();
+        let mut cols: Vec<Vec<Column>> =
+            (0..width).map(|_| Vec::with_capacity(pieces.len())).collect();
+        for piece in pieces {
+            assert_eq!(piece.width(), width, "batch widths differ");
+            cols.iter_mut().zip(piece.cols).for_each(|(col, c)| col.push(c));
         }
+        Batch { cols: cols.into_iter().map(Column::concat).collect(), rows }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eon_types::hash_cells_32;
     use proptest::prelude::*;
 
     fn cell() -> impl Strategy<Value = Value> {
@@ -427,6 +697,125 @@ mod tests {
             want.extend(b.iter().cloned());
             prop_assert_eq!(joined.len(), want.len());
             prop_assert_eq!(debug(&joined), format!("{want:?}"));
+
+            // The column-wise hash is `hash_cells_32`, row by row.
+            let (a, b) = (&a[..a.len().min(b.len())], &b[..a.len().min(b.len())]);
+            let keys = [col(a), col(b)];
+            let want: Vec<u32> =
+                (0..a.len()).map(|i| hash_cells_32([a[i].as_ref(), b[i].as_ref()])).collect();
+            prop_assert_eq!(hash_rows(&[&keys[0], &keys[1]], a.len()), want);
         }
+
+        /// A dictionary-coded column — any entry order, unused entries
+        /// included — is the same cells as the plain `Str` column under
+        /// every `Column` operation: `get`, `gather` (past the end is
+        /// NULL), `append` across different dictionaries, the concat
+        /// (dictionary and plain pieces mixed), equality, `cell_eq`, and
+        /// the column-wise hash, also beside Int/Float `Values` keys.
+        #[test]
+        fn dictionary_columns_behave_as_plain_strings(
+            a in strings(),
+            b in strings(),
+            order_a in (0usize..720).prop_map(order),
+            order_b in (0usize..720).prop_map(order),
+            picks in proptest::collection::vec(0usize..50, 0..30),
+            cuts in proptest::collection::vec(0usize..40, 0..4),
+            nums in proptest::collection::vec(
+                prop_oneof![
+                    Just(Value::Null),
+                    (-2i64..2).prop_map(Value::Int),
+                    (-2i32..2).prop_map(|x| Value::Float(x as f64)),
+                ],
+                40..41,
+            ),
+        ) {
+            let (dict, plain) = (coded(&a, &order_a), strs(&a));
+            prop_assert!(matches!(dict.data(), Data::Dict { .. }));
+            for i in 0..a.len() {
+                prop_assert!(dict.get(i).same_repr(plain.get(i)));
+                prop_assert_eq!(dict.is_null(i), plain.is_null(i));
+                for j in 0..a.len() {
+                    prop_assert_eq!(dict.cell_eq(i, &dict, j), plain.get(i) == plain.get(j));
+                    prop_assert_eq!(dict.cell_eq(i, &plain, j), plain.get(i) == plain.get(j));
+                }
+            }
+            prop_assert_eq!(&dict, &plain);
+            prop_assert_eq!(debug(&dict.gather(&picks)), debug(&plain.gather(&picks)));
+
+            let mut joined = dict.clone();
+            joined.append(coded(&b, &order_b));
+            let mut want = plain.clone();
+            want.append(strs(&b));
+            prop_assert_eq!(debug(&joined), debug(&want));
+
+            // `a` cut into pieces, each coded with its own dictionary
+            // (every other one plain when `b` is odd-sized), then `b`.
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(a.len())).collect();
+            bounds.extend([0, a.len()]);
+            bounds.sort();
+            let mut pieces: Vec<Column> = bounds
+                .windows(2)
+                .enumerate()
+                .map(|(k, w)| {
+                    let cells = &a[w[0]..w[1]];
+                    match (k % 2, b.len() % 2) {
+                        (1, 1) => strs(cells),
+                        (1, _) => coded(cells, &order_b),
+                        _ => coded(cells, &order_a),
+                    }
+                })
+                .collect();
+            pieces.push(coded(&b, &order_b));
+            let all = Column::concat(pieces);
+            prop_assert_eq!(debug(&all), debug(&want));
+            prop_assert_eq!(&all, &want);
+
+            let nums = Column::from_values(nums[..a.len()].iter().map(Value::as_ref));
+            let want: Vec<u32> =
+                (0..a.len()).map(|i| hash_cells_32([nums.get(i), plain.get(i)])).collect();
+            prop_assert_eq!(hash_rows(&[&nums, &dict], a.len()), want.clone());
+            prop_assert_eq!(hash_rows(&[&nums, &plain], a.len()), want);
+        }
+    }
+
+    const WORDS: [&str; 6] = ["", "a", "ab", "é", "b", "aé"];
+
+    /// Permutation number `k` (of 720) of the word indices.
+    fn order(mut k: usize) -> Vec<usize> {
+        let mut left: Vec<usize> = (0..WORDS.len()).collect();
+        let mut out = Vec::new();
+        while !left.is_empty() {
+            let n = left.len();
+            out.push(left.remove(k % n));
+            k /= n;
+        }
+        out
+    }
+
+    /// Up to 40 cells over `WORDS`, NULLs among them, at least one string.
+    fn strings() -> impl Strategy<Value = Vec<Option<usize>>> {
+        let word = || (0..WORDS.len()).prop_map(Some);
+        let cell = prop_oneof![Just(None), word(), word(), word()];
+        (proptest::collection::vec(cell, 0..40), 0..WORDS.len())
+            .prop_map(|(mut cells, w)| {
+                cells.push(Some(w));
+                cells
+            })
+    }
+
+    fn strs(cells: &[Option<usize>]) -> Column {
+        let word = |c: &Option<usize>| c.map_or(ValueRef::Null, |w| ValueRef::Str(WORDS[w]));
+        Column::from_values(cells.iter().map(word))
+    }
+
+    /// `cells` as codes into a dictionary holding every word, in `order`.
+    fn coded(cells: &[Option<usize>], order: &[usize]) -> Column {
+        let mut dict = StrVec::default();
+        order.iter().for_each(|&w| dict.push(WORDS[w]));
+        let code = |w: usize| order.iter().position(|&o| o == w).unwrap() as u32;
+        let codes = cells.iter().map(|c| c.map_or(0, code)).collect();
+        let valid =
+            cells.iter().any(Option::is_none).then(|| cells.iter().map(Option::is_some).collect());
+        Column::new(Data::Dict { dict: Arc::new(dict), codes }, valid)
     }
 }

@@ -547,14 +547,18 @@ impl RosReader {
                     f.read_cols.iter().map(|&c| self.footer.columns[c].blocks[b].len).sum::<u64>();
                 continue;
             }
+            // Each view is consumed: a block whose every row survives
+            // hands over its decoded column instead of a copy.
+            let mut pviews: Vec<Option<EncodedBlock>> = pviews.into_iter().map(Some).collect();
             let mut cols = Vec::with_capacity(f.read_cols.len());
             for (s, &c) in f.read_cols.iter().enumerate() {
-                cols.push(match pslots.iter().position(|&p| p == s) {
-                    Some(k) => pviews[k].gather(&surv),
-                    None => self.decode_block(block(s), c, b, stats)?.gather(&surv),
-                });
+                let view = match pslots.iter().position(|&p| p == s) {
+                    Some(k) => pviews[k].take().expect("one slot per predicate column"),
+                    None => self.decode_block(block(s), c, b, stats)?,
+                };
+                cols.push(view.select(&surv));
             }
-            out.push(BlockRows { block: b, rows: surv, cols });
+            out.push(BlockRows { block: b, first: first as u64, rows: surv, cols });
         }
         Ok(out)
     }
@@ -587,6 +591,9 @@ pub struct BlockFilter<'a> {
 pub struct BlockRows {
     /// Block index within the container.
     pub block: usize,
+    /// Container position of the block's first row: a survivor's
+    /// position is `first + rows[k]`.
+    pub first: u64,
     /// Surviving in-block row indices, ascending.
     pub rows: Vec<usize>,
     /// One column per column read, parallel to `rows`.

@@ -307,25 +307,45 @@ impl EncodedBlock {
 
     /// Materialize only the rows at `idx` (sorted ascending, in range):
     /// late materialization below the decode boundary. One pass over
-    /// the runs/codes regardless of how many survivors there are.
+    /// the runs/codes regardless of how many survivors there are. A
+    /// string block stored as RLE or Dict comes out dictionary-coded
+    /// ([`Data::Dict`]): its distinct strings once, a code per row.
     pub fn gather(&self, idx: &[usize]) -> Column {
         debug_assert!(idx.windows(2).all(|w| w[0] < w[1]));
         match self {
             EncodedBlock::Plain(col) => col.gather(idx),
             EncodedBlock::Rle { runs, values, .. } => {
                 let (mut run, mut end) = (0, runs.first().copied().unwrap_or(0));
-                let of_run = |&i: &usize| {
+                let mut of_run = |&i: &usize| {
                     while i as u64 >= end {
                         run += 1;
                         end += runs[run];
                     }
                     run
                 };
-                values.gather(&idx.iter().map(of_run).collect::<Vec<_>>())
+                match values.dictionary() {
+                    Some((dict, code_of)) => {
+                        Column::from_codes(dict, idx.iter().map(|i| code_of[of_run(i)]))
+                    }
+                    None => values.gather(&idx.iter().map(of_run).collect::<Vec<_>>()),
+                }
             }
-            EncodedBlock::Dict { dict, codes } => {
-                dict.gather(&idx.iter().map(|&i| codes[i] as usize).collect::<Vec<_>>())
-            }
+            EncodedBlock::Dict { dict, codes } => match dict.dictionary() {
+                Some((entries, code_of)) => {
+                    Column::from_codes(entries, idx.iter().map(|&i| code_of[codes[i] as usize]))
+                }
+                None => dict.gather(&idx.iter().map(|&i| codes[i] as usize).collect::<Vec<_>>()),
+            },
+        }
+    }
+
+    /// The rows at `idx` (sorted ascending, in range), consuming the
+    /// view: when `idx` is every row of a plain block, its decoded
+    /// column itself, moved rather than copied.
+    pub fn select(self, idx: &[usize]) -> Column {
+        match self {
+            EncodedBlock::Plain(col) if idx.len() == col.len() => col,
+            view => view.gather(idx),
         }
     }
 }

@@ -19,7 +19,7 @@ pub mod projection;
 pub mod pruning;
 pub mod segment;
 
-pub use batch::{Batch, Column, Data, StrVec};
+pub use batch::{hash_rows, Batch, Column, Data, StrVec};
 pub use container::{
     BlockFilter, BlockMeta, BlockRows, ColumnMeta, ReadStats, RosFooter, RosReader, RosWriter,
 };

@@ -29,6 +29,8 @@ pub struct EonDb {
     pub(crate) commit_lock: Mutex<()>,
     /// Commit-protocol counters, registered once with the database.
     pub(crate) commit_metrics: crate::commit::CommitMetrics,
+    /// Coordinator query counters, registered once with the database.
+    pub(crate) query_metrics: crate::query::QueryMetrics,
     /// Session counter: varies participant selection per query (§4.1).
     pub(crate) session_counter: AtomicU64,
     /// Coordinator rotation. Deliberately separate from
@@ -119,6 +121,7 @@ impl EonDb {
             incarnation: Mutex::new(incarnation),
             commit_lock: Mutex::new(()),
             commit_metrics: crate::commit::CommitMetrics::new(&config.obs),
+            query_metrics: crate::query::QueryMetrics::new(&config.obs),
             session_counter: AtomicU64::new(1),
             coordinator_counter: AtomicU64::new(0),
             next_node_id: AtomicU64::new(config.num_nodes as u64),
@@ -248,7 +251,6 @@ impl EonDb {
     ) -> crate::provider::ScanOptions {
         crate::provider::ScanOptions {
             workers: node.slots.capacity().max(1),
-            obs: self.config.obs.clone(),
             profile: profile.cloned(),
             cancel,
         }

@@ -15,32 +15,28 @@
 //! opened once per node and kept. Results merge in container order, so
 //! output does not depend on the pool width.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use eon_cache::CacheMode;
 use eon_catalog::{CatalogState, ContainerMeta, Table};
 use eon_cluster::pool::run_indexed;
-use eon_cluster::NodeRuntime;
+use eon_cluster::{NodeRuntime, ScanMetrics};
 use eon_columnar::pruning::ColumnStats;
 use eon_columnar::{
-    Batch, BlockFilter, BlockRows, Column, DeleteVector, Predicate, Projection, ReadStats,
-    RosFooter, RosReader,
+    hash_rows, Batch, BlockFilter, BlockRows, Column, DeleteVector, Predicate, Projection,
+    ReadStats, RosFooter, RosReader,
 };
 use eon_exec::crunch::CrunchSlice;
 use eon_exec::{ScanSpec, TableProvider};
-use eon_obs::{Counter, Histogram, QueryProfile, Registry};
-use eon_types::{hash_cells_32, EonError, Oid, Result, ShardId, Value, ValueRef};
+use eon_obs::QueryProfile;
+use eon_types::{EonError, Oid, Result, ShardId, Value, ValueRef};
 
 /// Coalescing gap for node reads: fetch up to this many dead bytes
 /// between two surviving blocks rather than issue a second request in
 /// the container's wave.
 pub const DEFAULT_COALESCE_GAP: u64 = 64 * 1024;
-
-/// One container's scan output: the scan's output columns for the
-/// surviving rows, in position order, with each row's container
-/// position beside them (delete vectors reference positions).
-type PosBatch = (Vec<u64>, Batch);
 
 /// Scan-pipeline tuning, carried per session (built by
 /// `EonDb::scan_options`).
@@ -50,60 +46,11 @@ pub struct ScanOptions {
     /// execution-slot budget (§4.2) for queries and DML, so a scan
     /// can't out-parallelize its admission, and 1 for mergeout.
     pub workers: usize,
-    /// Registry scan metrics land in.
-    pub obs: Registry,
     /// Per-query profile for scan spans, when one is being collected.
     pub profile: Option<QueryProfile>,
     /// Session cancellation, checked at every scan-task claim so a
     /// cancelled session stops fetching instead of finishing the scan.
     pub cancel: Option<eon_types::CancelToken>,
-}
-
-/// Registry handles for one node's scan pipeline. Counters are
-/// deterministic functions of the workload (which blocks were pruned,
-/// which bytes fetched); only the queue-wait histogram is wall-clock.
-struct ScanMetrics {
-    pool_tasks: Arc<Counter>,
-    queue_wait: Arc<Histogram>,
-    blocks_pruned: Arc<Counter>,
-    blocks_late_skipped: Arc<Counter>,
-    encoded_blocks: Arc<Counter>,
-    rows_short_circuited: Arc<Counter>,
-    read_requests: Arc<Counter>,
-    requests_saved: Arc<Counter>,
-    coalesced_bytes: Arc<Counter>,
-    gap_bytes: Arc<Counter>,
-    waste_bytes: Arc<Counter>,
-}
-
-impl ScanMetrics {
-    fn register(registry: &Registry, node: &str) -> Self {
-        let labels: &[(&str, &str)] = &[("node", node), ("subsystem", "scan")];
-        ScanMetrics {
-            pool_tasks: registry.counter("scan_pool_tasks_total", labels),
-            queue_wait: registry.timing_histogram("scan_pool_queue_wait_us", labels),
-            blocks_pruned: registry.counter("scan_blocks_pruned_total", labels),
-            blocks_late_skipped: registry.counter("scan_blocks_late_skipped_total", labels),
-            encoded_blocks: registry.counter("scan_encoded_blocks_total", labels),
-            rows_short_circuited: registry.counter("scan_rows_short_circuited_total", labels),
-            read_requests: registry.counter("scan_read_requests_total", labels),
-            requests_saved: registry.counter("scan_coalesced_requests_saved_total", labels),
-            coalesced_bytes: registry.counter("scan_coalesced_bytes_total", labels),
-            gap_bytes: registry.counter("scan_coalesced_gap_bytes_total", labels),
-            waste_bytes: registry.counter("scan_coalesce_waste_bytes_total", labels),
-        }
-    }
-
-    fn record_io(&self, s: &ReadStats) {
-        self.read_requests.add(s.requests);
-        self.requests_saved.add(s.requests_saved);
-        self.coalesced_bytes.add(s.bytes_read);
-        self.gap_bytes.add(s.gap_bytes);
-        self.waste_bytes.add(s.waste_bytes);
-        self.encoded_blocks.add(s.encoded_blocks);
-        self.rows_short_circuited.add(s.rows_short_circuited);
-        self.blocks_late_skipped.add(s.blocks_late_skipped);
-    }
 }
 
 /// Per-session, per-node scan context.
@@ -203,9 +150,9 @@ impl NodeProvider {
         Ok(Some(merged.keep_mask(c.rows)))
     }
 
-    /// Handles for this node's scan-pipeline metrics.
-    fn scan_metrics(&self) -> ScanMetrics {
-        ScanMetrics::register(&self.scan.obs, &format!("node{}", self.node.id.0))
+    /// This node's scan-pipeline metric handles, registered with the node.
+    pub(crate) fn metrics(&self) -> &ScanMetrics {
+        &self.node.scan_metrics
     }
 
     /// Run `count` independent scan tasks on at most `width` of the
@@ -213,17 +160,12 @@ impl NodeProvider {
     /// callers see exactly the iteration order of a one-worker scan. The
     /// lowest-index error wins; the pool claims nothing further once a
     /// task has failed.
-    fn run_scan_tasks<T, F>(
-        &self,
-        width: usize,
-        count: usize,
-        metrics: &ScanMetrics,
-        f: F,
-    ) -> Result<Vec<T>>
+    fn run_scan_tasks<T, F>(&self, width: usize, count: usize, f: F) -> Result<Vec<T>>
     where
         T: Send,
         F: Fn(usize) -> Result<T> + Sync,
     {
+        let metrics = self.metrics();
         metrics.pool_tasks.add(count as u64);
         let cancel = self.scan.cancel.as_ref();
         run_indexed(width, count, cancel, Some(&metrics.queue_wait), f)
@@ -326,25 +268,21 @@ impl NodeProvider {
         })
     }
 
-    /// Scan one container, returning the scan's output columns
-    /// (columns the container lacks carry the table default).
+    /// Scan one container: its surviving blocks, each carrying the
+    /// scan's output columns (columns the container lacks carry the
+    /// table default).
     ///
     /// The node's kept footer, or one tail read sized from the catalog
     /// on a first open → prune blocks on footer min/max stats → run the
     /// block-filter kernel (one wave of ranged reads) through this
     /// node's filesystem with the delete vector as its row mask →
     /// [`assemble`](Self::assemble).
-    fn scan_container(
-        &self,
-        rs: &ResolvedScan,
-        c: &ContainerMeta,
-        metrics: &ScanMetrics,
-    ) -> Result<PosBatch> {
+    fn scan_container(&self, rs: &ResolvedScan, c: &ContainerMeta) -> Result<Vec<BlockRows>> {
         let fs = self.node.cache.reader(self.cache_mode, Some(c.size_bytes));
         let reader = self.node.footer(&c.key, || RosReader::open_sized(fs, &c.key, c.size_bytes))?;
-        let keep = Self::prune_blocks(reader.footer(), &rs.pred, metrics);
+        let keep = Self::prune_blocks(reader.footer(), &rs.pred, self.metrics());
         if !keep.iter().any(|&k| k) {
-            return Ok((Vec::new(), Batch::nulls(rs.out_local.len(), 0)));
+            return Ok(Vec::new());
         }
         // Columns the container holds, and the §6.3 default of each
         // column added to the table after it was written.
@@ -365,69 +303,68 @@ impl NodeProvider {
         };
         let mut rstats = ReadStats::default();
         let blocks = reader.filter_blocks(fs, &filter, &keep, DEFAULT_COALESCE_GAP, &mut rstats)?;
-        metrics.record_io(&rstats);
-        self.assemble(rs, &reader, blocks, &held, &absent)
+        self.metrics().record_io(&rstats);
+        blocks.into_iter().map(|br| self.assemble(rs, reader.key(), br, &held, &absent)).collect()
     }
 
-    /// Turn a container's surviving blocks (carrying columns `cols`)
-    /// into the scan's output columns, a column at a time — container
-    /// positions, the crunch slice, defaults for `absent` columns. Only
-    /// `out_local` columns are materialized.
+    /// Turn one surviving block (carrying columns `cols`) into the
+    /// scan's output columns: the crunch slice, when one applies, keeps
+    /// the rows whose segmentation columns hash into it; defaults fill
+    /// `absent` columns; every fetched column is moved, not copied, and
+    /// gathered only when the slice dropped rows.
     fn assemble(
         &self,
         rs: &ResolvedScan,
-        reader: &RosReader,
-        blocks: Vec<BlockRows>,
+        key: &str,
+        mut br: BlockRows,
         cols: &[usize],
         absent: &[(usize, Value)],
-    ) -> Result<PosBatch> {
-        // (start position, row count) of every block.
-        let mut spans = Vec::new();
-        let mut acc = 0u64;
-        for bm in reader.footer().columns.first().map_or(&[][..], |col| &col.blocks) {
-            spans.push((acc, bm.rows));
-            acc += bm.rows;
+    ) -> Result<BlockRows> {
+        if br.cols.len() != cols.len() || br.cols.iter().any(|c| c.len() != br.rows.len()) {
+            return Err(EonError::Corrupt(format!(
+                "{key}: survivors of block {} do not fit the container",
+                br.block
+            )));
         }
-        let crunch = self.crunch.as_ref().filter(|_| rs.apply_crunch);
+        let rows = br.rows.len();
         let default_of = |col: usize| {
             let found = absent.iter().find(|(c, _)| *c == col);
             found.map_or(ValueRef::Null, |(_, v)| v.as_ref())
         };
-        let mut positions = Vec::new();
-        let mut out = Batch::nulls(rs.out_local.len(), 0);
-        for br in blocks {
-            let span = spans.get(br.block).filter(|(_, rows)| {
-                br.cols.len() == cols.len()
-                    && br.cols.iter().all(|c| c.len() == br.rows.len())
-                    && br.rows.last().is_none_or(|&r| (r as u64) < *rows)
-            });
-            let Some(&(start, _)) = span else {
-                return Err(EonError::Corrupt(format!(
-                    "{}: survivors of block {} do not fit the container",
-                    reader.key(),
-                    br.block
-                )));
-            };
-            // Projection-local column `col` of this block: fetched, a
-            // §6.3 default, or (nobody reads it) Null.
-            let fetched = |col: usize| cols.iter().position(|&c| c == col).map(|k| &br.cols[k]);
-            let cell = |col: usize, k: usize| fetched(col).map_or(default_of(col), |c| c.get(k));
-            let pos = |k: usize| start + br.rows[k] as u64;
-            let kept: Vec<usize> = (0..br.rows.len())
-                .filter(|&k| {
-                    let seg = rs.proj.seg_cols().iter().map(|&c| cell(c, k));
-                    crunch.is_none_or(|slice| slice.keeps(hash_cells_32(seg)))
+        // Projection-local column `col` of this block: fetched (its
+        // slot), a §6.3 default, or (nobody reads it) Null.
+        let slot = |col: usize| cols.iter().position(|&c| c == col);
+        // The crunch slice's rows, when it applies and drops some.
+        let kept = self.crunch.as_ref().filter(|_| rs.apply_crunch).and_then(|slice| {
+            let seg: Vec<Cow<Column>> = (rs.proj.seg_cols().iter())
+                .map(|&c| match slot(c) {
+                    Some(k) => Cow::Borrowed(&br.cols[k]),
+                    None => Cow::Owned(Column::constant(default_of(c), rows)),
                 })
                 .collect();
-            positions.extend(kept.iter().map(|&k| pos(k)));
-            let out_col = |&col: &usize| match fetched(col) {
-                Some(c) if kept.len() == c.len() => c.clone(),
-                Some(c) => c.gather(&kept),
-                None => Column::constant(default_of(col), kept.len()),
+            let hashes = hash_rows(&seg.iter().map(|c| c.as_ref()).collect::<Vec<_>>(), rows);
+            let kept: Vec<usize> = (0..rows).filter(|&k| slice.keeps(hashes[k])).collect();
+            (kept.len() < rows).then_some(kept)
+        });
+        let mut fetched: Vec<Option<Column>> =
+            std::mem::take(&mut br.cols).into_iter().map(Some).collect();
+        let mut out: Vec<Column> = Vec::with_capacity(rs.out_local.len());
+        for &col in &rs.out_local {
+            let column = match slot(col) {
+                // An output column named twice is a copy of the first.
+                Some(k) => fetched[k].take().unwrap_or_else(|| {
+                    out[rs.out_local.iter().position(|&o| o == col).expect("named before")].clone()
+                }),
+                None => Column::constant(default_of(col), rows),
             };
-            out.append(Batch::new(rs.out_local.iter().map(out_col).collect(), kept.len()));
+            out.push(column);
         }
-        Ok((positions, out))
+        if let Some(kept) = kept {
+            out = out.iter().map(|c| c.gather(&kept)).collect();
+            br.rows = kept.iter().map(|&k| br.rows[k]).collect();
+        }
+        br.cols = out;
+        Ok(br)
     }
 
     /// The profile span covering one wave of scans on this node,
@@ -479,7 +416,7 @@ impl NodeProvider {
             work: Vec::new(),
         };
         // Mergeout's k-way merge and the container writer take rows.
-        Ok(self.scan_container(&rs, c, &self.scan_metrics())?.1.into_rows())
+        Ok(block_batch(self.scan_container(&rs, c)?, rs.out_local.len()).into_rows())
     }
 
     /// Positions of rows matching `predicate`, per container — the DML
@@ -494,12 +431,14 @@ impl NodeProvider {
             .predicate(predicate.clone())
             .global();
         let rs = self.resolve_scan(&spec)?;
-        let metrics = self.scan_metrics();
-        let per_container = self.run_scan_tasks(self.scan.workers, rs.work.len(), &metrics, |i| {
-            self.scan_container(&rs, rs.work[i].1, &metrics)
+        let per_container = self.run_scan_tasks(self.scan.workers, rs.work.len(), |i| {
+            self.scan_container(&rs, rs.work[i].1)
         })?;
         let mut out = Vec::new();
-        for ((shard, c), (positions, _)) in rs.work.iter().zip(per_container) {
+        for ((shard, c), blocks) in rs.work.iter().zip(per_container) {
+            let position = |br: &BlockRows, r: usize| br.first + r as u64;
+            let positions: Vec<u64> =
+                blocks.iter().flat_map(|br| br.rows.iter().map(|&r| position(br, r))).collect();
             if !positions.is_empty() {
                 out.push((c.oid, *shard, positions));
             }
@@ -515,7 +454,6 @@ impl TableProvider for NodeProvider {
     /// own pool would not have had, so a wave of one-container scans runs
     /// inline.
     fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
-        let metrics = self.scan_metrics();
         let _span = self.pipeline_span(specs);
         let scans = specs.iter().map(|spec| self.resolve_scan(spec)).collect::<Result<Vec<_>>>()?;
         let tasks: Vec<(usize, &ContainerMeta)> = scans
@@ -524,14 +462,22 @@ impl TableProvider for NodeProvider {
             .flat_map(|(s, rs)| rs.work.iter().map(move |&(_, c)| (s, c)))
             .collect();
         let width = scans.iter().map(|rs| rs.work.len().min(self.scan.workers)).max();
-        let per_container = self.run_scan_tasks(width.unwrap_or(0), tasks.len(), &metrics, |i| {
+        let per_container = self.run_scan_tasks(width.unwrap_or(0), tasks.len(), |i| {
             let (s, c) = tasks[i];
-            self.scan_container(&scans[s], c, &metrics)
+            self.scan_container(&scans[s], c)
         })?;
-        let mut out: Vec<Batch> = scans.iter().map(|rs| Batch::nulls(rs.out_local.len(), 0)).collect();
-        for (&(s, _), (_, batch)) in tasks.iter().zip(per_container) {
-            out[s].append(batch);
+        // Every surviving block of every container, in container order,
+        // concatenated once per scan.
+        let mut blocks: Vec<Vec<BlockRows>> = scans.iter().map(|_| Vec::new()).collect();
+        for (&(s, _), container) in tasks.iter().zip(per_container) {
+            blocks[s].extend(container);
         }
-        Ok(out)
+        Ok(scans.iter().zip(blocks).map(|(rs, b)| block_batch(b, rs.out_local.len())).collect())
     }
+}
+
+/// Surviving blocks carrying `width` output columns, as one batch.
+fn block_batch(blocks: Vec<BlockRows>, width: usize) -> Batch {
+    let pieces = blocks.into_iter().map(|br| Batch::new(br.cols, br.rows.len())).collect();
+    Batch::concat(pieces, width)
 }

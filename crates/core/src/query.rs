@@ -21,12 +21,30 @@ use eon_exec::colocate::Layout;
 use eon_exec::{
     auto_distribute, co_locate_joins, prune_columns, push_predicates, Distribution, Plan, ScanSpec,
 };
-use eon_obs::QueryProfile;
+use eon_obs::{Counter, QueryProfile, Registry};
 use eon_shard::{select_participants, AssignmentProblem};
 use eon_types::{EonError, NodeId, Result, ShardId, Value};
 
 use crate::db::EonDb;
 use crate::provider::NodeProvider;
+
+/// Coordinator counters, registered once with the database.
+pub(crate) struct QueryMetrics {
+    /// Query attempts, failover retries included.
+    attempts: Arc<Counter>,
+    /// Attempts retried after a participant was lost mid-query.
+    failovers: Arc<Counter>,
+}
+
+impl QueryMetrics {
+    pub(crate) fn new(registry: &Registry) -> Self {
+        let labels: &[(&str, &str)] = &[("subsystem", "coordinator")];
+        QueryMetrics {
+            attempts: registry.counter("coordinator_query_attempts_total", labels),
+            failovers: registry.counter("coordinator_failovers_total", labels),
+        }
+    }
+}
 
 /// Per-query session options.
 #[derive(Debug, Clone, Default)]
@@ -232,9 +250,7 @@ impl EonDb {
                 admit_started.elapsed().as_micros() as u64,
             );
         }
-        let labels: &[(&str, &str)] = &[("subsystem", "coordinator")];
-        let attempts = self.config.obs.counter("coordinator_query_attempts_total", labels);
-        let failed_over = self.config.obs.counter("coordinator_failovers_total", labels);
+        let QueryMetrics { attempts, failovers: failed_over } = &self.query_metrics;
         let mut failovers = 0;
         loop {
             attempts.inc();
@@ -559,6 +575,41 @@ mod tests {
         let (a, b) = (rows_of(0), rows_of(1));
         assert_eq!(a + b, 2000);
         assert!(a > 0 && b > 0, "slices of {a} and {b} rows");
+    }
+
+    /// Scan metric handles are registered once, with the node: two
+    /// providers on one node count into the node's own handles — the
+    /// registry's — and a scan registers nothing of its own.
+    #[test]
+    fn scans_on_one_node_share_its_registered_metric_handles() {
+        use eon_exec::TableProvider;
+        let db = db_loaded(1, 1);
+        let node = db.membership().all()[0].clone();
+        let provider = || NodeProvider {
+            node: node.clone(),
+            snapshot: db.snapshot().unwrap(),
+            my_shards: db.segment_shards(),
+            all_shards: db.segment_shards(),
+            replica_shard: db.replica_shard(),
+            cache_mode: CacheMode::Normal,
+            crunch: None,
+            scan: db.scan_options(&node, None, None),
+        };
+        let (a, b) = (provider(), provider());
+        let labels = [("node", "node0"), ("subsystem", "scan")];
+        let registered = db.metrics().counter("scan_pool_tasks_total", &labels);
+        assert!(Arc::ptr_eq(&a.metrics().pool_tasks, &b.metrics().pool_tasks));
+        assert!(Arc::ptr_eq(&a.metrics().pool_tasks, &registered));
+        let waits = db.metrics().timing_histogram("scan_pool_queue_wait_us", &labels);
+        assert!(Arc::ptr_eq(&a.metrics().queue_wait, &b.metrics().queue_wait));
+        assert!(Arc::ptr_eq(&b.metrics().queue_wait, &waits));
+        let before = registered.get();
+        let spec = ScanSpec::new("sales").columns(vec![1]);
+        assert_eq!(a.scan(&[&spec]).unwrap()[0].rows(), 2000);
+        let one = registered.get() - before;
+        assert!(one > 0);
+        assert_eq!(b.scan(&[&spec]).unwrap()[0].rows(), 2000);
+        assert_eq!(registered.get() - before, 2 * one);
     }
 
     #[test]

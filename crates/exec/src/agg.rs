@@ -14,8 +14,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use eon_columnar::{Batch, Column, Data};
-use eon_types::{hash_cells_32, EonError, Result, Value, ValueRef};
+use eon_columnar::{hash_rows, Batch, Column, Data};
+use eon_types::{EonError, Result, Value, ValueRef};
 
 use crate::ops::HashChains;
 use crate::plan::{AggFunc, AggSpec};
@@ -188,17 +188,19 @@ pub fn aggregate_partial(batch: &Batch, group_by: &[usize], aggs: &[AggSpec]) ->
 }
 
 /// Every row's group id — groups numbered in order of first appearance —
-/// and each group's first row, which holds its key. A row's keys are
-/// hashed once and compared cell by cell with its group's first row, so
-/// a row costs no allocation. Unlike a join key, a NULL group key is a
-/// group of its own.
+/// and each group's first row, which holds its key. The keys are hashed
+/// a column at a time ([`hash_rows`]), and a row's keys are compared
+/// cell by cell with its group's first row (a dictionary key by code),
+/// so a row costs no allocation. Unlike a join key, a NULL group key is
+/// a group of its own.
 fn group_ids(keys: &[&Column], rows: usize) -> (Vec<u32>, Vec<usize>) {
     let mut table = HashChains::new(rows);
     let mut firsts: Vec<usize> = Vec::new();
-    let ids = (0..rows)
-        .map(|i| {
-            let hash = hash_cells_32(keys.iter().map(|k| k.get(i)));
-            let equal = |g: &usize| keys.iter().all(|k| k.get(firsts[*g]) == k.get(i));
+    let ids = hash_rows(keys, rows)
+        .into_iter()
+        .enumerate()
+        .map(|(i, hash)| {
+            let equal = |g: &usize| keys.iter().all(|k| k.cell_eq(firsts[*g], k, i));
             let found = table.probe(hash).find(equal);
             found.unwrap_or_else(|| {
                 table.push(Some(hash));

@@ -188,14 +188,11 @@ impl DistributedPlan {
     /// concatenated in node order — and apply the merge steps.
     pub fn finish(&self, results: Vec<LocalResult>) -> Result<Batch> {
         let mut parts = Vec::new();
-        let mut all: Option<Batch> = None;
+        let mut batches = Vec::new();
         for r in results {
             match (r, &self.partial_agg) {
                 (LocalResult::Partials(p), Some(_)) => parts.push(p),
-                (LocalResult::Batch(b), None) => match &mut all {
-                    Some(all) => all.append(b),
-                    None => all = Some(b),
-                },
+                (LocalResult::Batch(b), None) => batches.push(b),
                 (LocalResult::Batch(_), Some(_)) => {
                     return Err(EonError::Internal("expected partial aggregates from node".into()))
                 }
@@ -210,7 +207,11 @@ impl DistributedPlan {
             Some((group_by, aggs)) => {
                 finalize_partials(merge_partials(parts), group_by.len() + aggs.len())
             }
-            None => all.ok_or_else(|| EonError::Internal("no node answered the query".into()))?,
+            None => {
+                let unanswered = || EonError::Internal("no node answered the query".into());
+                let width = batches.first().map(Batch::width).ok_or_else(unanswered)?;
+                Batch::concat(batches, width)
+            }
         };
         for step in &self.merge {
             batch = match step {

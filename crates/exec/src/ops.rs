@@ -7,8 +7,8 @@
 //! matches in build order, a sort is stable — because Float sums
 //! downstream are only bit-reproducible when rows fold in one order.
 
-use eon_columnar::{Batch, Column};
-use eon_types::{hash_cells_32, Result, ValueRef};
+use eon_columnar::{hash_rows, Batch, Column};
+use eon_types::{Result, ValueRef};
 
 use crate::expr::Expr;
 use crate::plan::{JoinKind, SortKey};
@@ -53,12 +53,6 @@ impl HashChains {
         HashChains { heads: vec![NONE; buckets], next: Vec::new(), hashes: Vec::new() }
     }
 
-    /// The hash of row `i`'s key cells, `None` if any is NULL.
-    pub(crate) fn key_hash(keys: &[&Column], i: usize) -> Option<u32> {
-        let cells = keys.iter().map(|k| k.get(i));
-        (!cells.clone().any(ValueRef::is_null)).then(|| hash_cells_32(cells))
-    }
-
     /// Add the next entry; `Some(hash)` links it in, `None` leaves it
     /// unreachable (a NULL key never matches).
     pub(crate) fn push(&mut self, hash: Option<u32>) {
@@ -95,16 +89,14 @@ pub fn hash_join(
     let lkeys: Vec<&Column> = left_keys.iter().map(|&c| &left.cols()[c]).collect();
     let rkeys: Vec<&Column> = right_keys.iter().map(|&c| &right.cols()[c]).collect();
     let mut table = HashChains::new(right.rows());
-    for r in 0..right.rows() {
-        table.push(HashChains::key_hash(&rkeys, r));
-    }
+    join_hashes(&rkeys, right.rows()).into_iter().for_each(|hash| table.push(hash));
     // An index past the end gathers as NULL: the padding of `Left`.
     let unmatched = usize::MAX;
     let (mut lidx, mut ridx, mut matches) = (Vec::new(), Vec::new(), Vec::new());
-    for l in 0..left.rows() {
+    for (l, hash) in join_hashes(&lkeys, left.rows()).into_iter().enumerate() {
         matches.clear();
-        if let Some(hash) = HashChains::key_hash(&lkeys, l) {
-            let equal = |r: &usize| lkeys.iter().zip(&rkeys).all(|(a, b)| a.get(l) == b.get(*r));
+        if let Some(hash) = hash {
+            let equal = |r: &usize| lkeys.iter().zip(&rkeys).all(|(a, b)| a.cell_eq(l, b, *r));
             matches.extend(table.probe(hash).filter(equal));
         }
         match kind {
@@ -127,6 +119,13 @@ pub fn hash_join(
         cols.extend(right.gather(&ridx).into_cols());
     }
     Ok(Batch::new(cols, lidx.len()))
+}
+
+/// Each row's key hash, computed a column at a time ([`hash_rows`]),
+/// `None` where a key cell is NULL: a NULL key never matches.
+fn join_hashes(keys: &[&Column], rows: usize) -> Vec<Option<u32>> {
+    let hashes = hash_rows(keys, rows).into_iter().enumerate();
+    hashes.map(|(i, hash)| keys.iter().all(|k| !k.is_null(i)).then_some(hash)).collect()
 }
 
 /// Stable multi-key sort, as a permutation applied to every column.

@@ -9,18 +9,21 @@
 //! Inputs cover NULLs in every column, NaN and -0.0, `i64::MIN/MAX`
 //! (wrapping sums), empty and multi-byte strings, a heterogeneous
 //! Int/Float `Values` column (`Int(1)` and `Float(1.0)` must hash and
-//! group as one key), RLE-shaped runs of identical rows, and zero-row
-//! inputs.
+//! group as one key), RLE-shaped runs of identical rows, zero-row
+//! inputs, and batches built as a scan builds them: pieces whose string
+//! column is dictionary-coded, each with its own dictionary, merged by
+//! `Batch::concat`.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use eon_columnar::pruning::CmpOp;
-use eon_columnar::{Batch, Data};
+use eon_columnar::{Batch, Column, Data, StrVec};
 use eon_exec::agg::{aggregate_partial, finalize_partials, merge_partials};
 use eon_exec::expr::ArithOp;
 use eon_exec::{ops, AggFunc, AggSpec, Expr, JoinKind, SortKey};
-use eon_types::{EonError, Result, Value};
+use eon_types::{EonError, Result, Value, ValueRef};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -271,6 +274,58 @@ fn exprs() -> Vec<Expr> {
     ]
 }
 
+/// `rows` as a batch, built one of three ways by `seed`: transposed
+/// whole, or — the way a scan builds one — cut into pieces whose string
+/// column is dictionary-coded (each piece its own dictionary, entries
+/// in a seeded order, one unused), every piece or every other one, then
+/// concatenated.
+fn to_batch(rows: &[Row], seed: u64) -> Batch {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mode = seed % 3;
+    if mode == 0 {
+        return Batch::from_rows(rows, WIDTH);
+    }
+    let mut cuts: Vec<usize> = (0..rng.gen_range(0..4usize)).map(|_| rng.gen_range(0..=rows.len())).collect();
+    cuts.extend([0, rows.len()]);
+    cuts.sort();
+    let pieces = cuts.windows(2).enumerate().map(|(k, w)| {
+        let piece = Batch::from_rows(&rows[w[0]..w[1]], WIDTH);
+        if mode == 2 && k % 2 == 1 {
+            return piece;
+        }
+        let mut cols = piece.into_cols();
+        cols[3] = dict_coded(&cols[3], &mut rng);
+        Batch::new(cols, w[1] - w[0])
+    });
+    Batch::concat(pieces.collect(), WIDTH)
+}
+
+/// A string column as codes into a dictionary of its distinct strings,
+/// shuffled, plus one no cell uses; any other column as it is.
+fn dict_coded(col: &Column, rng: &mut StdRng) -> Column {
+    let cells: Vec<Option<&str>> = col
+        .iter()
+        .map(|v| match v {
+            ValueRef::Str(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    let mut entries: Vec<&str> = cells.iter().flatten().copied().collect::<BTreeSet<_>>().into_iter().collect();
+    if entries.is_empty() || col.iter().any(|v| !matches!(v, ValueRef::Str(_) | ValueRef::Null)) {
+        return col.clone();
+    }
+    entries.push("unused");
+    for i in (1..entries.len()).rev() {
+        entries.swap(i, rng.gen_range(0..=i));
+    }
+    let mut dict = StrVec::default();
+    entries.iter().for_each(|e| dict.push(e));
+    let code = |s: &str| entries.iter().position(|e| *e == s).unwrap() as u32;
+    let codes = cells.iter().map(|c| c.map_or(0, code)).collect();
+    let valid = cells.iter().any(Option::is_none).then(|| cells.iter().map(Option::is_some).collect());
+    Column::new(Data::Dict { dict: Arc::new(dict), codes }, valid)
+}
+
 /// Rows with floats spelled by bits, so NaN payloads and -0.0 count.
 fn bits(rows: &[Row]) -> Vec<Vec<String>> {
     let cell = |v: &Value| match v {
@@ -296,10 +351,15 @@ proptest! {
     #[test]
     fn batch_round_trips_rows(seed in 0u64..1_000_000) {
         let rows = gen_rows(&mut StdRng::seed_from_u64(seed), 40);
-        let batch = Batch::from_rows(&rows, WIDTH);
+        let batch = to_batch(&rows, seed);
         if !rows.is_empty() {
             // Typed where the column is homogeneous, `Values` where it is not.
             prop_assert!(!matches!(batch.cols()[1].data(), Data::Values(_)));
+        }
+        // Every piece coded, the dictionary (at most six entries) is kept
+        // over 24 rows or more.
+        if seed % 3 == 1 && rows.len() >= 24 && rows.iter().any(|r| !r[3].is_null()) {
+            prop_assert!(matches!(batch.cols()[3].data(), Data::Dict { .. }));
         }
         prop_assert_eq!(bits(&batch.into_rows()), bits(&rows));
     }
@@ -308,7 +368,7 @@ proptest! {
     fn filter_project_sort_limit_match_the_reference(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = gen_rows(&mut rng, 60);
-        let batch = || Batch::from_rows(&rows, WIDTH);
+        let batch = || to_batch(&rows, seed);
         for (i, e) in exprs().iter().enumerate() {
             check(ops::filter(batch(), e), ref_filter(&rows, e), WIDTH, &format!("filter by expr {i}"));
             let pair = [e.clone(), Expr::col(3)];
@@ -327,14 +387,17 @@ proptest! {
     fn joins_match_nested_loops(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (left, right) = (gen_rows(&mut rng, 40), gen_rows(&mut rng, 25));
-        // Single key, composite key, and the Int/Float `Values` key.
-        for (lk, rk) in [(vec![0], vec![0]), (vec![0, 5], vec![0, 5]), (vec![6], vec![6]), (vec![6, 0], vec![0, 6])] {
+        // Single key, composite key, the Int/Float `Values` key, and
+        // string keys (dictionary-coded on either side, or both).
+        let keys = [
+            (vec![0], vec![0]), (vec![0, 5], vec![0, 5]), (vec![6], vec![6]), (vec![6, 0], vec![0, 6]),
+            (vec![3], vec![3]), (vec![3, 0], vec![3, 0]),
+        ];
+        for (lk, rk) in keys {
             for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
                 let width = if matches!(kind, JoinKind::Inner | JoinKind::Left) { 2 * WIDTH } else { WIDTH };
                 for right in [&right, &Vec::new()] {
-                    let got = ops::hash_join(
-                        Batch::from_rows(&left, WIDTH), Batch::from_rows(right, WIDTH), &lk, &rk, kind,
-                    );
+                    let got = ops::hash_join(to_batch(&left, seed), to_batch(right, seed / 3), &lk, &rk, kind);
                     let want = ref_join(&left, right, &lk, &rk, kind);
                     check(got, Ok(want), width, &format!("{kind:?} join on {lk:?}={rk:?}"));
                 }
@@ -378,7 +441,7 @@ proptest! {
                 chunks.resize(split, Vec::new()); // zero-row nodes answer too
                 let parts = chunks
                     .iter()
-                    .map(|c| aggregate_partial(&Batch::from_rows(c, WIDTH), &group_by, &aggs))
+                    .map(|c| aggregate_partial(&to_batch(c, seed), &group_by, &aggs))
                     .collect::<Result<Vec<_>>>();
                 let got = parts.map(|p| finalize_partials(merge_partials(p), width));
                 let what = format!("group by {group_by:?} over {split} chunks");
@@ -387,7 +450,7 @@ proptest! {
             // SUM over strings: the typed error on both sides as soon as
             // a non-NULL string is reached, NULL (or no row) otherwise.
             let sum_str = [AggSpec::sum(Expr::col(3))];
-            let got = aggregate_partial(&Batch::from_rows(&rows, WIDTH), &group_by, &sum_str)
+            let got = aggregate_partial(&to_batch(&rows, seed), &group_by, &sum_str)
                 .map(|p| finalize_partials(p, group_by.len() + 1));
             let want = ref_aggregate(std::slice::from_ref(&rows), &group_by, &sum_str);
             let reached = rows.iter().any(|r| !r[3].is_null());

@@ -61,13 +61,25 @@ pub fn hash_value<'a>(v: impl Into<ValueRef<'a>>) -> u64 {
 /// Combining uses a positional multiplier so `HASH(a, b) != HASH(b, a)`
 /// in general, like SQL `HASH(a, b)`.
 pub fn hash_cells_32<'a>(cells: impl IntoIterator<Item = ValueRef<'a>>) -> u32 {
-    let mut acc = FNV_OFFSET;
-    for v in cells {
-        acc = acc
-            .rotate_left(5)
-            .wrapping_mul(FNV_PRIME)
-            .wrapping_add(hash_value(v));
-    }
+    let acc = cells.into_iter().fold(HASH_CELLS_SEED, |acc, v| hash_cells_step(acc, hash_value(v)));
+    hash_cells_finish(acc)
+}
+
+/// [`hash_cells_32`]'s running state before its first cell. A caller
+/// hashing a column at a time keeps one state per row, folds each cell's
+/// [`hash_value`] in with [`hash_cells_step`] and ends with
+/// [`hash_cells_finish`] — the same hash, cell for cell.
+pub const HASH_CELLS_SEED: u64 = FNV_OFFSET;
+
+/// Fold the next cell's [`hash_value`] digest into a running state.
+#[inline]
+pub fn hash_cells_step(acc: u64, digest: u64) -> u64 {
+    acc.rotate_left(5).wrapping_mul(FNV_PRIME).wrapping_add(digest)
+}
+
+/// The 32-bit hash of a finished running state.
+#[inline]
+pub fn hash_cells_finish(acc: u64) -> u32 {
     (mix(acc) >> 32) as u32
 }
 

@@ -17,7 +17,10 @@ pub mod value;
 
 pub use cancel::CancelToken;
 pub use error::{all_error_exemplars, EonError, Result, WireError};
-pub use hashspace::{hash_cells_32, hash_row_32, hash_value, HashRange, HASH_SPACE_BITS};
+pub use hashspace::{
+    hash_cells_32, hash_cells_finish, hash_cells_step, hash_row_32, hash_value, HashRange,
+    HASH_CELLS_SEED, HASH_SPACE_BITS,
+};
 pub use ids::{NodeId, Oid, ShardId, TxnVersion};
 pub use row::Row;
 pub use schema::{Field, Schema};

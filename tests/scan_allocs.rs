@@ -8,7 +8,9 @@
 //! several per row (a `Vec` per row, a `String` per string cell, a key
 //! per group lookup), so a transpose creeping back in between decode
 //! and the `ROWS` edge, or an aggregate loop that allocates per cell,
-//! fails here however fast the host is.
+//! fails here however fast the host is. The same allocator counts bytes
+//! too, and the Q1-shaped query's added rows may cost little more than
+//! they do now: a second copy of the scan's output fails.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,12 +27,15 @@ use eon_types::{schema, Value};
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated: every allocation's size, and every realloc's growth.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state.
+// the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -42,6 +47,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -122,39 +128,41 @@ fn q1_plan() -> Plan {
         .sort(vec![SortKey::asc(0), SortKey::asc(1)])
 }
 
-/// Allocations of one warm query answering `groups` rows: the least of
-/// a few runs, so a differently shaped participant assignment cannot
-/// add noise.
-fn allocs_per_query(db: &EonDb, plan: &Plan, groups: usize) -> u64 {
+/// Allocations and bytes allocated by one warm query answering `groups`
+/// rows: the least of a few runs each, so a differently shaped
+/// participant assignment cannot add noise.
+fn spent_per_query(db: &EonDb, plan: &Plan, groups: usize) -> (u64, u64) {
     assert_eq!(db.query(plan).unwrap().len(), groups); // warm the depots
-    (0..5)
+    let runs: Vec<(u64, u64)> = (0..5)
         .map(|_| {
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let before = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
             let rows = db.query(plan).unwrap();
-            let spent = ALLOCS.load(Ordering::Relaxed) - before;
+            let after = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
             assert_eq!(rows.len(), groups);
-            spent
+            (after.0 - before.0, after.1 - before.1)
         })
-        .min()
-        .unwrap()
+        .collect();
+    (runs.iter().map(|r| r.0).min().unwrap(), runs.iter().map(|r| r.1).min().unwrap())
 }
 
-/// `plan`'s allocations over the N-row and the 4N-row database grow by
-/// less than 0.1 per added row. The databases are loaded once; the
-/// tests take turns, so one's allocations never count in another's.
-fn assert_allocations_grow_with_blocks_and_groups(plan: &Plan, groups: usize) {
+/// What `plan` spends over the 4N-row database beyond the N-row one,
+/// per added row: (allocations, bytes). The databases are loaded once;
+/// the tests take turns, so one's allocations never count in another's.
+fn spent_per_added_row(plan: &Plan, groups: usize) -> (f64, f64) {
     static TURN: Mutex<()> = Mutex::new(());
     static DBS: OnceLock<[Arc<EonDb>; 2]> = OnceLock::new();
     let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let [small, large] = DBS.get_or_init(|| [load(N), load(4 * N)]);
-    let small = allocs_per_query(small, plan, groups);
-    let large = allocs_per_query(large, plan, groups);
-    let per_added_row = large.saturating_sub(small) as f64 / (3 * N) as f64;
-    assert!(
-        per_added_row < 0.1,
-        "{small} allocations over {N} rows, {large} over {}: {per_added_row:.3} per added row",
-        4 * N
-    );
+    let small = spent_per_query(small, plan, groups);
+    let large = spent_per_query(large, plan, groups);
+    let per_row = |s: u64, l: u64| l.saturating_sub(s) as f64 / (3 * N) as f64;
+    (per_row(small.0, large.0), per_row(small.1, large.1))
+}
+
+/// `plan`'s allocations grow by less than 0.1 per added row.
+fn assert_allocations_grow_with_blocks_and_groups(plan: &Plan, groups: usize) {
+    let (per_added_row, _) = spent_per_added_row(plan, groups);
+    assert!(per_added_row < 0.1, "{per_added_row:.3} allocations per added row");
 }
 
 #[test]
@@ -165,4 +173,22 @@ fn allocations_grow_with_blocks_and_groups_not_rows() {
 #[test]
 fn q1_shaped_aggregation_allocates_per_group_not_per_row() {
     assert_allocations_grow_with_blocks_and_groups(&q1_plan(), 6);
+}
+
+/// The Q1-shaped query's bytes over the added 3N rows, realloc growth
+/// included. The scan returns `amount` and `disc` (8 bytes a row each)
+/// and the two string keys as dictionary codes (4 each): one decoded
+/// copy of its output is 24 bytes a row. An added row costs 158 bytes
+/// at this writing — the scan's decode and its one concat (two copies,
+/// `day` decoded for the predicate too), its selection vectors (9), the
+/// aggregate's computed Float inputs (72), key hashes and group ids
+/// (≈ 22) — and the bound leaves half a copy of slack, so a scan that
+/// copies its output again fails here: a clone in `assemble` costs
+/// ≈ 178, a `Column::append` per block ≈ 203.
+#[test]
+fn q1_shaped_scan_copies_its_output_at_most_once() {
+    const COPY: f64 = 24.0;
+    const SPENT: f64 = 158.0;
+    let (_, bytes) = spent_per_added_row(&q1_plan(), 6);
+    assert!(bytes < SPENT + COPY / 2.0, "{bytes:.1} bytes per added row");
 }
