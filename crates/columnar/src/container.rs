@@ -22,7 +22,7 @@ use crate::encoding::{
     decode_column_view, encode_column, encode_with, encoding_fits, EncodedBlock, Encoding,
 };
 use crate::format::{checksum, Reader, Writer};
-use crate::pruning::Predicate;
+use crate::pruning::{ColumnStats, Predicate};
 
 const MAGIC: u32 = 0x524f_5331; // "ROS1"
 const TRAILER_LEN: u64 = 4 + 8 + 4;
@@ -82,6 +82,23 @@ impl ColumnMeta {
 pub struct RosFooter {
     pub total_rows: u64,
     pub columns: Vec<ColumnMeta>,
+}
+
+impl RosFooter {
+    /// Block-level pruning on the footer's min/max statistics: `false`
+    /// for each block `pred` cannot match. All columns share block
+    /// boundaries, so one mask covers the container.
+    pub fn keep_blocks(&self, pred: &Predicate) -> Vec<bool> {
+        let nblocks = self.columns.first().map_or(0, |col| col.blocks.len());
+        (0..nblocks)
+            .map(|b| {
+                pred.could_match(&|col: usize| {
+                    let meta = self.columns.get(col)?.blocks.get(b)?;
+                    Some(ColumnStats { min: &meta.min, max: &meta.max, has_null: meta.has_null })
+                })
+            })
+            .collect()
+    }
 }
 
 fn minmax(values: &[Value]) -> (Value, Value, bool) {
@@ -325,25 +342,12 @@ impl RosReader {
         self.footer.columns.len()
     }
 
-    /// Read one whole column.
+    /// Read one whole column, decoded.
     pub fn read_column(&self, fs: &dyn eon_storage::FileSystem, col: usize) -> Result<Vec<Value>> {
-        let keep = vec![true; self.footer.columns[col].blocks.len()];
-        let blocks = self.read_column_blocks(fs, col, &keep)?;
-        Ok(blocks.into_iter().flatten().flatten().collect())
-    }
-
-    /// Read a column with block pruning: `keep[i] == false` skips block
-    /// `i` (returning `None` in its slot so positions stay alignable).
-    /// Adjacent surviving blocks share a ranged read.
-    pub fn read_column_blocks(
-        &self,
-        fs: &dyn eon_storage::FileSystem,
-        col: usize,
-        keep: &[bool],
-    ) -> Result<Vec<Option<Vec<Value>>>> {
-        let mut cols = self.read_columns_encoded(fs, &[col], keep, 0, &mut ReadStats::default())?;
+        let keep = vec![true; self.footer.columns.first().map_or(0, |c| c.blocks.len())];
+        let mut cols = self.read_columns_encoded(fs, &[col], &keep, 0, &mut ReadStats::default())?;
         let blocks = cols.pop().expect("one column requested");
-        Ok(blocks.into_iter().map(|b| b.map(|view| view.decode().to_values())).collect())
+        Ok(blocks.into_iter().flatten().flat_map(|view| view.decode().to_values()).collect())
     }
 
     /// The container's one range planner: the kept blocks of every
@@ -714,6 +718,13 @@ mod tests {
         assert_eq!(col0.blocks[2].max, Value::Int(9999));
         assert_eq!(col0.min(), Some(&Value::Int(0)));
         assert_eq!(col0.max(), Some(&Value::Int(9999)));
+        let footer = r.footer();
+        let ge = |v: i64| Predicate::cmp(0, crate::pruning::CmpOp::Ge, v);
+        assert_eq!(footer.keep_blocks(&ge(5000)), [false, true, true]);
+        assert_eq!(footer.keep_blocks(&ge(10_000)), [false, false, false]);
+        assert_eq!(footer.keep_blocks(&Predicate::True), [true, true, true]);
+        // A column the footer lacks has no stats, so it cannot prune.
+        assert_eq!(footer.keep_blocks(&Predicate::eq(7, 1i64)), [true, true, true]);
     }
 
     #[test]
@@ -721,9 +732,7 @@ mod tests {
         let fs = MemFs::new();
         write_sample(&fs, "c1");
         let r = RosReader::open(&fs, "c1").unwrap();
-        let blocks = r
-            .read_column_blocks(&fs, 0, &[false, true, false])
-            .unwrap();
+        let blocks = planned(&r, &fs, &[false, true, false], 0, &mut ReadStats::default());
         assert!(blocks[0].is_none());
         assert!(blocks[2].is_none());
         let mid = blocks[1].as_ref().unwrap();
@@ -851,7 +860,21 @@ mod tests {
         assert_eq!(wide.requests_saved, 1);
         assert_eq!(wide.gap_bytes, gap);
         assert_eq!(merged, split);
-        assert_eq!(merged, r.read_column_blocks(&fs, 0, &keep).unwrap());
+        let whole = r.read_column(&fs, 0).unwrap();
+        let block = |b: usize| {
+            let end = ((b + 1) * DEFAULT_BLOCK_ROWS).min(whole.len());
+            Some(whole[b * DEFAULT_BLOCK_ROWS..end].to_vec())
+        };
+        assert_eq!(merged, vec![block(0), None, block(2)]);
+    }
+
+    #[test]
+    fn reading_a_column_past_the_last_is_a_typed_error() {
+        let fs = MemFs::new();
+        write_sample(&fs, "c1");
+        let r = RosReader::open(&fs, "c1").unwrap();
+        let past = r.column_count();
+        assert!(matches!(r.read_column(&fs, past), Err(EonError::Query(_))));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use eon_cluster::{NodeRuntime, ScanMetrics};
 use eon_columnar::pruning::ColumnStats;
 use eon_columnar::{
     hash_rows, Batch, BlockFilter, BlockRows, Column, DeleteVector, Predicate, Projection,
-    ReadStats, RosFooter, RosReader,
+    ReadStats, RosReader,
 };
 use eon_exec::crunch::CrunchSlice;
 use eon_exec::{ScanSpec, TableProvider};
@@ -117,24 +117,6 @@ fn remap_predicate(p: &Predicate, map: &HashMap<usize, usize>) -> Result<Predica
 }
 
 impl NodeProvider {
-    /// Block-level pruning on footer min/max statistics; all columns
-    /// share block boundaries, so one mask covers the container.
-    fn prune_blocks(footer: &RosFooter, pred: &Predicate, metrics: &ScanMetrics) -> Vec<bool> {
-        let nblocks = footer.columns.first().map_or(0, |col| col.blocks.len());
-        let keep: Vec<bool> = (0..nblocks)
-            .map(|b| {
-                pred.could_match(&|col: usize| {
-                    let meta = footer.columns.get(col)?.blocks.get(b)?;
-                    Some(ColumnStats { min: &meta.min, max: &meta.max, has_null: meta.has_null })
-                })
-            })
-            .collect();
-        metrics
-            .blocks_pruned
-            .add(keep.iter().filter(|&&k| !k).count() as u64);
-        keep
-    }
-
     /// Merged delete-vector keep mask for a container, if any deletes
     /// exist.
     fn delete_mask(&self, c: &ContainerMeta) -> Result<Option<Vec<bool>>> {
@@ -280,7 +262,8 @@ impl NodeProvider {
     fn scan_container(&self, rs: &ResolvedScan, c: &ContainerMeta) -> Result<Vec<BlockRows>> {
         let fs = self.node.cache.reader(self.cache_mode, Some(c.size_bytes));
         let reader = self.node.footer(&c.key, || RosReader::open_sized(fs, &c.key, c.size_bytes))?;
-        let keep = Self::prune_blocks(reader.footer(), &rs.pred, self.metrics());
+        let keep = reader.footer().keep_blocks(&rs.pred);
+        self.metrics().blocks_pruned.add(keep.iter().filter(|&&k| !k).count() as u64);
         if !keep.iter().any(|&k| k) {
             return Ok(Vec::new());
         }

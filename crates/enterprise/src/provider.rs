@@ -10,8 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eon_columnar::pruning::ColumnStats;
-use eon_columnar::{Batch, RosReader};
+use eon_columnar::{Batch, BlockFilter, BlockRows, ReadStats, RosReader};
 use eon_exec::{Distribution, ScanSpec, TableProvider};
 use eon_types::{EonError, Result, Value};
 
@@ -37,81 +36,47 @@ impl EnterpriseProvider {
             .ok_or_else(|| EonError::UnknownTable(name.to_owned()))
     }
 
-    /// Scan one segment's containers + WOS rows from `source`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_segment(
-        &self,
-        source: &EnterpriseNode,
-        t: &EnterpriseTable,
-        seg: usize,
-        spec: &ScanSpec,
-        out_cols: &[usize],
-        needed: &[usize],
-        rows: &mut Vec<Vec<Value>>,
-    ) -> Result<()> {
-        let width = t.schema.len();
-        let containers: Vec<crate::db::LocalContainer> = source
-            .containers
-            .read()
-            .iter()
-            .filter(|c| c.projection == t.projection_oid() && c.segment == seg)
-            .cloned()
-            .collect();
-        for c in containers {
-            let reader = RosReader::open(source.disk.as_ref(), &c.key)?;
-            let footer = reader.footer();
-            let nblocks = footer
-                .columns
-                .first()
-                .map(|col| col.blocks.len())
-                .unwrap_or(0);
-            let mut keep = vec![true; nblocks];
-            for (b, slot) in keep.iter_mut().enumerate() {
-                let stats = |col: usize| {
-                    let m = footer.columns.get(col)?.blocks.get(b)?;
-                    Some(ColumnStats { min: &m.min, max: &m.max, has_null: m.has_null })
-                };
-                *slot = spec.predicate.could_match(&stats);
+    /// One scan over the segments this node serves (or, broadcast,
+    /// every segment): their containers through the block-filter kernel,
+    /// their WOS rows — unsorted and unencoded (§2.3) — through
+    /// `eval_row` and one transpose, concatenated once.
+    fn scan_one(&self, spec: &ScanSpec) -> Result<Batch> {
+        let t = self.table(&spec.table)?;
+        let out_cols: Vec<usize> = spec
+            .columns
+            .clone()
+            .unwrap_or_else(|| (0..t.schema.len()).collect());
+        let needed = spec.needed_columns(t.schema.len());
+        let filter = BlockFilter {
+            width: t.schema.len(),
+            pred: &spec.predicate,
+            read_cols: &needed,
+            consts: &[],
+            row_mask: None,
+        };
+        let sources: Vec<(&EnterpriseNode, usize)> = match spec.distribute {
+            Distribution::LocalShards => {
+                self.segments.iter().map(|&seg| (&*self.node, seg)).collect()
             }
-            if !keep.iter().any(|&k| k) {
-                continue;
+            // Broadcast: pull every segment from its server — this is
+            // the cross-node traffic Enterprise pays for joins that
+            // Eon's co-segmentation avoids (§9).
+            Distribution::Global => {
+                self.servers.iter().enumerate().map(|(seg, &n)| (&*self.cluster[n], seg)).collect()
             }
-            let mut col_data: HashMap<usize, Vec<Option<Vec<Value>>>> = HashMap::new();
-            for &col in needed {
-                col_data.insert(
-                    col,
-                    reader.read_column_blocks(source.disk.as_ref(), col, &keep)?,
-                );
-            }
-            for b in 0..nblocks {
-                if !keep[b] {
-                    continue;
-                }
-                let n_rows = footer.columns[0].blocks[b].rows as usize;
-                for r in 0..n_rows {
-                    let mut row = vec![Value::Null; width];
-                    for &col in needed {
-                        if let Some(blocks) = col_data.get(&col) {
-                            if let Some(vals) = &blocks[b] {
-                                row[col] = vals[r].clone();
-                            }
-                        }
-                    }
-                    if !spec.predicate.eval_row(&row) {
-                        continue;
-                    }
-                    rows.push(out_cols.iter().map(|&c| row[c].clone()).collect());
-                }
-            }
+        };
+        let mut pieces = Vec::new();
+        let mut wos_rows: Vec<Vec<Value>> = Vec::new();
+        for (source, seg) in sources {
+            scan_containers(source, t, seg, &filter, &out_cols, &mut pieces)?;
+            // Consumed row by row: each buffered row's copy is freed as
+            // its output row is made, so the two never peak together.
+            let buffered = source.wos.rows(wos_key(t.projection_oid(), seg)).into_iter();
+            let kept = buffered.filter(|row| spec.predicate.eval_row(row));
+            wos_rows.extend(kept.map(|row| out_cols.iter().map(|&c| row[c].clone()).collect()));
         }
-        // WOS rows for this segment (unsorted, unencoded, §2.3).
-        for row in source.wos.rows(wos_key(t.projection_oid(), seg)) {
-            if !spec.predicate.eval_row(&row) {
-                continue;
-            }
-            rows.push(out_cols.iter().map(|&c| row[c].clone()).collect());
-        }
-        Ok(())
+        pieces.push(Batch::from_rows(&wos_rows, out_cols.len()));
+        Ok(Batch::concat(pieces, out_cols.len()))
     }
 }
 
@@ -121,35 +86,48 @@ impl TableProvider for EnterpriseProvider {
     }
 }
 
-impl EnterpriseProvider {
-    /// Decode to rows, `eval_row` each one — deliberately not the Eon
-    /// scan kernel, so answers from here check it independently — and
-    /// transpose to a batch only at this boundary.
-    fn scan_one(&self, spec: &ScanSpec) -> Result<Batch> {
-        let t = self.table(&spec.table)?;
-        let out_cols: Vec<usize> = spec
-            .columns
-            .clone()
-            .unwrap_or_else(|| (0..t.schema.len()).collect());
-        let needed = spec.needed_columns(t.schema.len());
-
-        let mut rows = Vec::new();
-        match spec.distribute {
-            Distribution::LocalShards => {
-                for &seg in &self.segments {
-                    self.scan_segment(&self.node, t, seg, spec, &out_cols, &needed, &mut rows)?;
-                }
-            }
-            Distribution::Global => {
-                // Broadcast: pull every segment from its server — this
-                // is the cross-node traffic Enterprise pays for joins
-                // that Eon's co-segmentation avoids (§9).
-                for (seg, &server) in self.servers.iter().enumerate() {
-                    let source = self.cluster[server].clone();
-                    self.scan_segment(&source, t, seg, spec, &out_cols, &needed, &mut rows)?;
-                }
-            }
+/// Segment `seg`'s containers on `source` through the block-filter
+/// kernel Eon's scans run — footer pruning, the predicate on encoded
+/// views, one wave of ranged reads — each surviving block appended to
+/// `pieces` as a batch of the output columns `out_cols`.
+fn scan_containers(
+    source: &EnterpriseNode,
+    t: &EnterpriseTable,
+    seg: usize,
+    filter: &BlockFilter<'_>,
+    out_cols: &[usize],
+    pieces: &mut Vec<Batch>,
+) -> Result<()> {
+    let disk = source.disk.as_ref();
+    let keys: Vec<String> = (source.containers.read().iter())
+        .filter(|c| c.projection == t.projection_oid() && c.segment == seg)
+        .map(|c| c.key.clone())
+        .collect();
+    for key in keys {
+        let reader = RosReader::open(disk, &key)?;
+        let keep = reader.footer().keep_blocks(filter.pred);
+        if !keep.contains(&true) {
+            continue;
         }
-        Ok(Batch::from_rows(&rows, out_cols.len()))
+        // A node-local disk charges nothing per request, so only
+        // adjacent blocks share a read.
+        let blocks = reader.filter_blocks(disk, filter, &keep, 0, &mut ReadStats::default())?;
+        pieces.extend(blocks.into_iter().map(|br| block_output(br, filter.read_cols, out_cols)));
     }
+    Ok(())
+}
+
+/// One kernel block — carrying the columns `needed` names, in that
+/// (ascending) order — as a batch of the output columns `out_cols`.
+/// Each column moves to its last use; an earlier use is a copy.
+fn block_output(br: BlockRows, needed: &[usize], out_cols: &[usize]) -> Batch {
+    let rows = br.rows.len();
+    let mut fetched: Vec<_> = br.cols.into_iter().map(Some).collect();
+    let cols = out_cols.iter().enumerate().map(|(i, col)| {
+        let k = needed.binary_search(col).expect("needed columns cover the output");
+        let column =
+            if out_cols[i + 1..].contains(col) { fetched[k].clone() } else { fetched[k].take() };
+        column.expect("a column is moved at its last use only")
+    });
+    Batch::new(cols.collect(), rows)
 }

@@ -226,73 +226,8 @@ impl DistributedPlan {
 }
 
 #[cfg(test)]
-pub mod testing {
-    //! A trivial in-memory provider used by this crate's tests and by
-    //! downstream crates' unit tests.
-
-    use std::collections::HashMap;
-
-    use super::*;
-    use eon_columnar::segment::shard_of_row;
-    use eon_types::Value;
-
-    /// Tables as materialized rows; `LocalShards` scans return the
-    /// node's slice — one shard per node, every table segmented on its
-    /// first column — and `Global` scans return everything: segmentation
-    /// without real storage.
-    pub struct MemProvider {
-        pub tables: HashMap<String, Vec<Vec<Value>>>,
-        pub node: usize,
-        pub nodes_total: usize,
-    }
-
-    impl MemProvider {
-        pub fn single(tables: HashMap<String, Vec<Vec<Value>>>) -> Self {
-            MemProvider {
-                tables,
-                node: 0,
-                nodes_total: 1,
-            }
-        }
-    }
-
-    impl TableProvider for MemProvider {
-        fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
-            specs.iter().map(|spec| self.scan_one(spec)).collect()
-        }
-    }
-
-    impl MemProvider {
-        fn scan_one(&self, spec: &ScanSpec) -> Result<Batch> {
-            let rows = self
-                .tables
-                .get(&spec.table)
-                .ok_or_else(|| EonError::UnknownTable(spec.table.clone()))?;
-            let width = rows.first().map_or(0, |r| r.len());
-            let mut out = Vec::new();
-            for row in rows {
-                if spec.distribute == crate::plan::Distribution::LocalShards
-                    && shard_of_row(row, &[0], self.nodes_total) != self.node
-                {
-                    continue;
-                }
-                if !spec.predicate.eval_row(row) {
-                    continue;
-                }
-                let projected: Vec<Value> = match &spec.columns {
-                    Some(cols) => cols.iter().map(|&c| row[c].clone()).collect(),
-                    None => row.clone(),
-                };
-                out.push(projected);
-            }
-            Ok(Batch::from_rows(&out, spec.columns.as_ref().map_or(width, |c| c.len())))
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::testing::MemProvider;
+    use crate::MemProvider;
     use super::*;
     use crate::expr::CmpOp;
     use crate::plan::{AggFunc, JoinKind};

@@ -19,7 +19,10 @@
 //!   only the columns the plan uses, carry every filter conjunct they
 //!   can evaluate, and co-segmented joins read shard-local;
 //! * [`crunch`] — crunch scaling (§4.4): hash-filter and container-split
-//!   predicates that let several nodes share one shard's scan.
+//!   predicates that let several nodes share one shard's scan;
+//! * [`reference`] — [`MemProvider`], tables as in-memory rows scanned
+//!   with `eval_row`: the answer the storage providers' shared scan
+//!   kernel is checked against.
 //!
 //! The coordinator/participant wiring (which nodes run the local phase,
 //! §4.1's max-flow selection) lives in `eon-core`; this crate is
@@ -34,6 +37,7 @@ pub mod ops;
 pub mod plan;
 pub mod prune;
 pub mod push;
+pub mod reference;
 
 pub use colocate::co_locate_joins;
 pub use execute::{auto_distribute, execute, DistributedPlan, MergeStep, TableProvider};
@@ -41,3 +45,4 @@ pub use expr::Expr;
 pub use plan::{AggFunc, AggSpec, Distribution, JoinKind, Plan, ScanSpec, SortKey};
 pub use prune::prune_columns;
 pub use push::push_predicates;
+pub use reference::MemProvider;

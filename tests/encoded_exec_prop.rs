@@ -12,7 +12,10 @@
 //!   silently become `Float(1.0)`) to a database that stored the same
 //!   rows `Plain` — same layout, pruning metrics in agreement, never an
 //!   encoded view served — and, as a sorted multiset, the rows
-//!   `EnterpriseDb` (decode everything, `eval_row` each row) computes.
+//!   `MemProvider` computes from the rows themselves (`eval_row` each
+//!   row, no container). The Plain comparison shares the block-filter
+//!   kernel with the database under test, as Enterprise does; the
+//!   reference shares nothing below the plan.
 //!
 //! * **Decoder hardening** — truncating or bit-flipping encoded column
 //!   bytes must yield a typed [`EonError`], never a panic; at the
@@ -20,19 +23,19 @@
 //!   as a block of exactly the footer's row count — never silently
 //!   short rows.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use eon_columnar::format::{Reader, Writer};
 use eon_columnar::pruning::CmpOp;
 use eon_columnar::{
-    decode_column, encode_with, encoding_fits, Encoding, Predicate, Projection, RosReader,
-    RosWriter,
+    decode_column, encode_with, encoding_fits, Encoding, Predicate, Projection, ReadStats,
+    RosReader, RosWriter,
 };
 use eon_core::{EonConfig, EonDb};
 use eon_db as _;
-use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
-use eon_exec::{AggSpec, Expr, Plan, ScanSpec, SortKey};
+use eon_exec::{execute, AggSpec, Expr, MemProvider, Plan, ScanSpec, SortKey};
 use eon_storage::{FileSystem, MemFs};
 use eon_types::{schema, EonError, Value};
 use proptest::prelude::*;
@@ -91,20 +94,11 @@ fn make_db(force: Option<Encoding>, rows: &[Vec<Value>]) -> Arc<EonDb> {
     db
 }
 
-/// The same rows on the Enterprise baseline, spilled straight to ROS
-/// containers: the independent reference engine.
-fn make_enterprise(rows: &[Vec<Value>]) -> Arc<EnterpriseDb> {
-    // Two nodes: each segment lives on its owner and a distinct buddy.
-    let ent = EnterpriseDb::create(EnterpriseConfig {
-        num_nodes: 2,
-        exec_slots: 2,
-        wos_threshold: 1,
-    });
-    let s = schema![("id", Int), ("grp", Int), ("tag", Str), ("val", Int)];
-    ent.create_table("t", s.clone(), Projection::super_projection("p", &s, &[0], &[0]))
-        .unwrap();
-    ent.copy_into("t", rows.to_vec()).unwrap();
-    ent
+/// `plan`'s answer over `rows` as table `t`, from the reference
+/// provider: an `eval_row` scan of the rows, no storage.
+fn reference(rows: &[Vec<Value>], plan: &Plan) -> Vec<Vec<Value>> {
+    let tables = HashMap::from([("t".to_owned(), rows.to_vec())]);
+    execute(plan, &MemProvider::single(tables)).unwrap().into_rows()
 }
 
 /// A random predicate over the four columns, weighted toward shapes the
@@ -189,26 +183,25 @@ proptest! {
     /// stored `Plain` — including the exact `Value` variants (`Debug`
     /// equality), so run-collapsed aggregates can never alias `Int` and
     /// `Float` — with pruning metrics in agreement, and with the sorted
-    /// multiset the Enterprise engine computes.
+    /// multiset the reference provider computes.
     #[test]
-    fn encoded_blocks_answer_as_plain_stored_and_enterprise(
+    fn encoded_blocks_answer_as_plain_stored_and_reference(
         seed in 0u64..1_000_000,
         n in 60usize..220,
     ) {
         let rows = gen_rows(seed, n);
         let plans = gen_plans(&mut StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15), n);
         let plain = make_db(Some(Encoding::Plain), &rows);
-        let ent = make_enterprise(&rows);
         let mut want = Vec::new();
         for plan in &plans {
             let a = plain.query(plan).unwrap();
-            let (mut got, mut reference) = (a.clone(), ent.query(plan).unwrap());
+            let (mut got, mut want_rows) = (a.clone(), reference(&rows, plan));
             got.sort();
-            reference.sort();
+            want_rows.sort();
             prop_assert_eq!(
                 format!("{got:?}"),
-                format!("{reference:?}"),
-                "Enterprise disagrees: seed {}",
+                format!("{want_rows:?}"),
+                "the reference disagrees: seed {}",
                 seed
             );
             want.push(a);
@@ -343,10 +336,10 @@ proptest! {
         };
         for (c, meta) in footer.columns.iter().enumerate() {
             let keep = vec![true; meta.blocks.len()];
-            match reader.read_column_blocks(&fs, c, &keep) {
-                Ok(blocks) => {
-                    for (b, rows) in blocks.iter().enumerate() {
-                        let got = rows.as_ref().map(Vec::len).unwrap_or(0) as u64;
+            match reader.read_columns_encoded(&fs, &[c], &keep, 0, &mut ReadStats::default()) {
+                Ok(mut cols) => {
+                    for (b, view) in cols.remove(0).into_iter().enumerate() {
+                        let got = view.map_or(0, |v| v.decode().to_values().len()) as u64;
                         prop_assert_eq!(
                             got, meta.blocks[b].rows,
                             "col {} block {}: short/long rows survived corruption at byte {}",

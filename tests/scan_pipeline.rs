@@ -5,15 +5,18 @@
 //! encoded views, and single-flight depot fills are all performance
 //! machinery: none of them may change a query answer, the order of a
 //! scan's output, or the exactness of the depot's hit/miss accounting.
-//! There is one scan path, so the references are other *data* and
-//! another *engine*, not another mode. These tests pin that:
+//! There is one scan path, so the references are other *data* and no
+//! storage at all, not another mode. These tests pin that:
 //!
 //! * a property test runs the same seeded workload (Normal, Bypass, and
 //!   crunch sessions) over each forced block encoding and requires
 //!   (a) exactly the answers of a database that stored the same rows
 //!   `Plain` — same layout, no encoded view ever served — and (b) the
-//!   answers of `EnterpriseDb`, the serial, decode-everything,
-//!   row-at-a-time scan, as a sorted multiset;
+//!   answers of `MemProvider`, the plan over the rows themselves with
+//!   an `eval_row` scan and no container, as a sorted multiset (Eon and
+//!   Enterprise share the block-filter kernel, so neither can check
+//!   it: a bug that drops the same row under every encoding passes
+//!   (a) and fails (b));
 //! * a single-node test compares *unsorted* scan output of an
 //!   eight-worker pool with a one-slot (serial) node, which pins the
 //!   deterministic container-order merge of the parallel pool;
@@ -40,6 +43,7 @@
 //! The kernel itself is property-tested against a naive evaluator in
 //! `crates/columnar` (`filter_blocks_matches_naive_scan`).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -50,8 +54,7 @@ use eon_columnar::pruning::CmpOp;
 use eon_columnar::{Encoding, Predicate, Projection, ReadStats, RosFooter, RosReader, RosWriter};
 use eon_core::{EonConfig, EonDb, SessionOpts};
 use eon_db as _;
-use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
-use eon_exec::{AggSpec, Expr, Plan, ScanSpec, SortKey};
+use eon_exec::{execute, AggSpec, Expr, MemProvider, Plan, ScanSpec, SortKey};
 use eon_obs::Registry;
 use eon_storage::fault::{site, FaultPlan};
 use eon_storage::{FileSystem, MemFs, S3Config, S3SimFs, SharedFs};
@@ -100,19 +103,11 @@ fn cfg(nodes: usize, shards: usize, force: Option<Encoding>) -> EonConfig {
     EonConfig::new(nodes, shards).exec_slots(8).force_encoding(force)
 }
 
-/// The same rows on the Enterprise baseline, spilled straight to ROS
-/// containers so its decode-then-`eval_row` scan reads real blocks.
-fn load_enterprise(rows: &[Vec<Value>]) -> Arc<EnterpriseDb> {
-    let ent = EnterpriseDb::create(EnterpriseConfig {
-        num_nodes: 2,
-        exec_slots: 4,
-        wos_threshold: 1,
-    });
-    let s = schema![("id", Int), ("grp", Int), ("val", Int)];
-    ent.create_table("t", s.clone(), Projection::super_projection("p", &s, &[0], &[0]))
-        .unwrap();
-    ent.copy_into("t", rows.to_vec()).unwrap();
-    ent
+/// `plan`'s answer over `rows` as table `t`, from the reference
+/// provider: an `eval_row` scan of the rows, no storage.
+fn reference(rows: &[Vec<Value>], plan: &Plan) -> Vec<Vec<Value>> {
+    let tables = HashMap::from([("t".to_owned(), rows.to_vec())]);
+    execute(plan, &MemProvider::single(tables)).unwrap().into_rows()
 }
 
 /// Reference for `ReadStats`: the bytes of `cols`' blocks kept by
@@ -159,9 +154,9 @@ proptest! {
     /// Delta), every answer — in Normal, Bypass, and crunch sessions —
     /// is exactly the answer over `Plain`-stored rows, row order and
     /// `Debug` value variants included, and the sorted multiset the
-    /// Enterprise engine computes from the same rows.
+    /// reference provider computes from the same rows.
     #[test]
-    fn scan_matches_plain_stored_and_enterprise(seed in 0u64..1_000_000, n in 100usize..400) {
+    fn scan_matches_plain_stored_and_reference(seed in 0u64..1_000_000, n in 100usize..400) {
         let force = match seed % 5 {
             0 => None,
             1 => Some(Encoding::Plain),
@@ -177,7 +172,6 @@ proptest! {
         let forced = EonDb::create(Arc::new(MemFs::new()), cfg(5, 2, force)).unwrap();
         load(&plain, &rows, 2);
         load(&forced, &rows, 2);
-        let ent = load_enterprise(&rows);
 
         let sessions = [
             SessionOpts::default(),
@@ -185,7 +179,7 @@ proptest! {
             SessionOpts { crunch: true, ..Default::default() },
         ];
         for plan in &plans(n) {
-            let mut want = ent.query(plan).unwrap();
+            let mut want = reference(&rows, plan);
             want.sort();
             for opts in &sessions {
                 let a = plain.query_with(plan, opts).unwrap();
@@ -194,7 +188,7 @@ proptest! {
                 prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "value variants diverged");
                 let mut got = b;
                 got.sort();
-                prop_assert_eq!(&got, &want, "Enterprise disagrees: seed {} opts {:?}", seed, opts);
+                prop_assert_eq!(&got, &want, "reference disagrees: seed {} opts {:?}", seed, opts);
             }
         }
         // Plain-stored blocks have no compressed shape to serve.

@@ -1,11 +1,16 @@
 //! Cross-architecture validation: every TPC-H query must produce the
 //! same answer on Eon mode (shared storage, distributed local phases +
-//! coordinator merge) and on the Enterprise baseline (shared nothing,
-//! buddy projections). The two paths share the executor but nothing
-//! about storage, pruning, caching, sharding, or distribution — so
-//! agreement is strong evidence both are right. SQL statements also
-//! differ in the optimizer: Eon applies the plan rules, Enterprise runs
-//! the bound plan as it is.
+//! coordinator merge), on the Enterprise baseline (shared nothing,
+//! buddy projections) and on the reference provider (`MemProvider`:
+//! the generator's rows scanned with `eval_row` on one node). Eon and
+//! Enterprise share the executor and the block-filter kernel but
+//! nothing about sharding, caching or distribution; the reference
+//! shares only the operators above the scan. Enterprise runs twice:
+//! once with every load buffered in its WOS, once at the default WOS
+//! threshold (1 024 rows per load bucket), where `lineitem` is written
+//! as ROS containers and the other tables stay WOS rows. SQL statements
+//! also differ in the optimizer: Eon applies the plan rules, Enterprise
+//! runs the bound plan as it is.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,6 +18,7 @@ use std::sync::Arc;
 use eon_columnar::Projection;
 use eon_core::{EonConfig, EonDb};
 use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
+use eon_exec::{execute, MemProvider};
 use eon_storage::MemFs;
 use eon_types::{schema, Schema, Value};
 use eon_workload::tpch::{load_tpch_enterprise, load_tpch_eon, tpch_tables, TpchData};
@@ -38,32 +44,63 @@ fn rows_approx_eq(a: &[Vec<eon_types::Value>], b: &[Vec<eon_types::Value>]) -> b
     })
 }
 
-fn setup() -> (Arc<EonDb>, Arc<EnterpriseDb>) {
+/// The engines under comparison, loaded with one generated data set.
+struct Engines {
+    eon: Arc<EonDb>,
+    /// Enterprise with every load buffered in the WOS, and Enterprise
+    /// at the default WOS threshold (loads above it in ROS containers).
+    ents: [Arc<EnterpriseDb>; 2],
+    /// The generator's rows, scanned with `eval_row`.
+    reference: MemProvider,
+}
+
+fn setup() -> Engines {
     let data = TpchData::generate(0.002, 0xeee);
     let eon = EonDb::create(Arc::new(MemFs::new()), EonConfig::new(4, 3)).unwrap();
     load_tpch_eon(&eon, &data).unwrap();
-    let ent = EnterpriseDb::create(EnterpriseConfig {
-        num_nodes: 4,
-        exec_slots: 4,
-        wos_threshold: 1_000_000, // force everything through the WOS path too
+    let ents = [1_000_000, EnterpriseConfig::default().wos_threshold].map(|wos_threshold| {
+        let ent =
+            EnterpriseDb::create(EnterpriseConfig { num_nodes: 4, exec_slots: 4, wos_threshold });
+        load_tpch_enterprise(&ent, &data).unwrap();
+        ent
     });
-    load_tpch_enterprise(&ent, &data).unwrap();
-    (eon, ent)
+    let tables = [
+        ("region", data.region),
+        ("nation", data.nation),
+        ("supplier", data.supplier),
+        ("customer", data.customer),
+        ("part", data.part),
+        ("partsupp", data.partsupp),
+        ("orders", data.orders),
+        ("lineitem", data.lineitem),
+    ];
+    let tables = tables.into_iter().map(|(name, rows)| (name.to_owned(), rows)).collect();
+    let reference = MemProvider::single(tables);
+    Engines { eon, ents, reference }
 }
 
 #[test]
 fn all_twenty_queries_agree_across_architectures() {
-    let (eon, ent) = setup();
+    let Engines { eon, ents, reference } = setup();
     let mut nonempty = 0;
     for q in 1..=TPCH_QUERY_COUNT {
         let plan = tpch_query(q);
         let a = eon.query(&plan).unwrap_or_else(|e| panic!("Q{q} failed on Eon: {e}"));
-        let b = ent
-            .query(&plan)
-            .unwrap_or_else(|e| panic!("Q{q} failed on Enterprise: {e}"));
+        for (ent, layout) in ents.iter().zip(["WOS", "ROS"]) {
+            let b = ent
+                .query(&plan)
+                .unwrap_or_else(|e| panic!("Q{q} failed on Enterprise ({layout}): {e}"));
+            assert!(
+                rows_approx_eq(&a, &b),
+                "Q{q}: Eon and Enterprise ({layout}) disagree\n eon: {a:?}\n ent: {b:?}"
+            );
+        }
+        let c = execute(&plan, &reference)
+            .unwrap_or_else(|e| panic!("Q{q} failed on the reference: {e}"))
+            .into_rows();
         assert!(
-            rows_approx_eq(&a, &b),
-            "Q{q}: Eon and Enterprise disagree\n eon: {a:?}\n ent: {b:?}"
+            rows_approx_eq(&a, &c),
+            "Q{q}: Eon and the reference disagree\n eon: {a:?}\n ref: {c:?}"
         );
         if !a.is_empty() {
             nonempty += 1;
@@ -77,7 +114,7 @@ fn all_twenty_queries_agree_across_architectures() {
 
 #[test]
 fn eon_answers_stable_under_node_failure() {
-    let (eon, _) = setup();
+    let eon = setup().eon;
     let baseline: Vec<_> = (1..=6).map(|q| eon.query(&tpch_query(q)).unwrap()).collect();
     eon.kill_node(eon_types::NodeId(2)).unwrap();
     for (i, q) in (1..=6).enumerate() {
@@ -90,7 +127,7 @@ fn eon_answers_stable_under_node_failure() {
 
 #[test]
 fn eon_answers_stable_after_mergeout() {
-    let (eon, _) = setup();
+    let eon = setup().eon;
     let baseline: Vec<_> = (1..=6).map(|q| eon.query(&tpch_query(q)).unwrap()).collect();
     eon.run_mergeout().unwrap();
     for (i, q) in (1..=6).enumerate() {
@@ -142,7 +179,7 @@ const SQL: [&str; 8] = [
 ];
 
 /// SQL through both engines: Eon runs each statement through `sql` —
-/// bound, then every plan rule — and Enterprise runs the
+/// bound, then every plan rule — and both Enterprises run the
 /// `eon_sql::bind` output with no rule at all. A rule that changes an
 /// answer, such as a WHERE test moved below the NULL-padded side of a
 /// LEFT JOIN (1 000 rows for 500 on both engines while they shared the
@@ -150,7 +187,7 @@ const SQL: [&str; 8] = [
 /// multisets.
 #[test]
 fn sql_agrees_with_enterprise_running_the_bound_plan() {
-    let (eon, ent) = setup();
+    let Engines { eon, ents, .. } = setup();
     // Region 1 has no row, so the odd-region half of the sales is
     // NULL-padded by the LEFT JOIN.
     let sales = schema![("id", Int), ("grp", Str), ("price", Int), ("region_id", Int)];
@@ -167,19 +204,23 @@ fn sql_agrees_with_enterprise_running_the_bound_plan() {
     for (name, schema, rows) in [("sales", sales, sales_rows), ("regions", regions, region_rows)] {
         let proj = Projection::super_projection(format!("{name}_super"), &schema, &[0], &[0]);
         eon.create_table(name, schema.clone(), vec![proj.clone()]).unwrap();
-        ent.create_table(name, schema.clone(), proj).unwrap();
         eon.copy_into(name, rows.clone()).unwrap();
-        ent.copy_into(name, rows).unwrap();
+        for ent in &ents {
+            ent.create_table(name, schema.clone(), proj.clone()).unwrap();
+            ent.copy_into(name, rows.clone()).unwrap();
+        }
         schemas.insert(name.to_owned(), schema);
     }
 
     for sql in SQL {
         let bound = eon_sql::bind(&eon_sql::parse(sql).unwrap(), &schemas).unwrap();
         let mut a = eon.sql(sql).unwrap_or_else(|e| panic!("Eon: {e}\n{sql}"));
-        let mut b = ent.query(&bound).unwrap_or_else(|e| panic!("Enterprise: {e}\n{sql}"));
-        assert!(!b.is_empty(), "{sql}");
         a.sort();
-        b.sort();
-        assert!(rows_approx_eq(&a, &b), "{sql}\n eon: {a:?}\n ent: {b:?}");
+        for ent in &ents {
+            let mut b = ent.query(&bound).unwrap_or_else(|e| panic!("Enterprise: {e}\n{sql}"));
+            assert!(!b.is_empty(), "{sql}");
+            b.sort();
+            assert!(rows_approx_eq(&a, &b), "{sql}\n eon: {a:?}\n ent: {b:?}");
+        }
     }
 }
