@@ -22,20 +22,20 @@
 //!   `NotFound`;
 //! * a **miss** costs exactly one backing GET of the whole object
 //!   (shared by concurrent misses on the key), the reader is answered
-//!   from the fetched bytes, and the object is admitted if it fits; a
-//!   ranged read under a never-cache prefix, known beforehand not to be
-//!   kept, fetches just its range and counts as neither hit nor miss;
-//! * an object that can never be admitted — larger than the whole
-//!   depot — should not be read through here at all: every read of it
-//!   would be that whole-object GET. [`FileCache::reader`] is the one
-//!   place that rule and [`CacheMode::Bypass`] are applied: the scan
-//!   path (`eon-core::provider`) asks it which filesystem to read a
-//!   container through, and for those two cases gets shared storage
-//!   itself for ranged reads; those reads are not depot traffic and
-//!   count as neither hit nor miss.
+//!   from the fetched bytes, and the object is admitted if it fits;
+//! * a **bypass** goes straight to shared storage and is counted once
+//!   per range (or whole read) it sends: a read from a
+//!   [`CacheMode::Bypass`] session, a ranged read of an object larger
+//!   than the whole depot — which could never be admitted, so a read
+//!   through the depot would move the whole object — and a ranged read
+//!   under a never-cache prefix, known beforehand not to be kept.
+//!   [`FileCache::reader`] is the one place the first two are decided:
+//!   the scan path (`eon-core::provider`) asks it which filesystem to
+//!   read a container through, and for those cases gets the depot's
+//!   counting bypass face instead of the depot.
 //!
-//! With that one exception `hits + misses + bypasses` equals the reads
-//! issued, whole and ranged.
+//! So `hits + misses + bypasses` equals the reads issued, whole and
+//! ranged, on every path — the scan path's included.
 //!
 //! The depot **never retries**: every backing request below is issued
 //! once. The §5.3 retry loop and the circuit breaker live in the
@@ -160,6 +160,8 @@ impl Inner {
 pub struct FileCache {
     local: SharedFs,
     backing: SharedFs,
+    /// Shared storage seen through the bypass counter.
+    bypass: Bypass,
     capacity: u64,
     metrics: CacheMetrics,
     inner: Mutex<Inner>,
@@ -181,6 +183,7 @@ impl FileCache {
         metrics.used_bytes.set(0);
         FileCache {
             local,
+            bypass: Bypass { backing: backing.clone(), bypasses: metrics.bypasses.clone() },
             backing,
             capacity: capacity_bytes,
             metrics,
@@ -295,11 +298,11 @@ impl FileCache {
     /// knows it. A bypass session (§5.2) and an object larger than the
     /// whole depot — which [`insert_local`](Self::insert_local) would
     /// never keep, so every read through the depot would move the whole
-    /// object — read ranges straight from shared storage, as neither
-    /// hit nor miss; everything else reads through the depot.
+    /// object — read straight from shared storage, one bypass per range;
+    /// everything else reads through the depot.
     pub fn reader(&self, mode: CacheMode, size_bytes: Option<u64>) -> &dyn FileSystem {
         if mode == CacheMode::Bypass || !self.admits(size_bytes.unwrap_or(0)) {
-            self.backing.as_ref()
+            &self.bypass
         } else {
             self
         }
@@ -438,8 +441,7 @@ impl FileCache {
     /// Read a whole object with an explicit cache mode.
     pub fn read_with(&self, key: &str, mode: CacheMode) -> Result<Bytes> {
         if mode == CacheMode::Bypass {
-            self.metrics.bypasses.inc();
-            return self.backing.read(key);
+            return self.bypass.read(key);
         }
         match self.read_hit(key, |local| local.read(key)) {
             Some(hit) => hit,
@@ -513,12 +515,12 @@ impl FileSystem for FileCache {
         // Whole-file caching: a hit slices the local file; a miss
         // faults the object in and slices the bytes that fetch returned,
         // admitted or not — never a second GET. A never-cache key is
-        // known beforehand not to be kept: fetch just the range.
+        // known beforehand not to be kept: bypass for just the range.
         if let Some(hit) = self.read_hit(path, |local| local.read_range(path, offset, len)) {
             return hit;
         }
         if self.never_cached(path) {
-            return self.backing.read_range(path, offset, len);
+            return self.bypass.read_range(path, offset, len);
         }
         let all = self.fault_in(path)?;
         let start = (offset as usize).min(all.len());
@@ -539,6 +541,54 @@ impl FileSystem for FileCache {
 
     fn delete(&self, path: &str) -> Result<()> {
         self.evict(path)?;
+        self.backing.delete(path)
+    }
+
+    fn stats(&self) -> FsStats {
+        self.backing.stats()
+    }
+}
+
+/// The depot's bypass face: reads sent straight to shared storage, each
+/// range — or whole read — counted as one `depot_bypasses_total`. The
+/// depot's own reads that skip it go through here too, so every bypass
+/// is counted in one place.
+struct Bypass {
+    backing: SharedFs,
+    bypasses: Arc<Counter>,
+}
+
+impl FileSystem for Bypass {
+    fn write(&self, path: &str, data: Bytes) -> Result<()> {
+        self.backing.write(path, data)
+    }
+
+    fn read(&self, path: &str) -> Result<Bytes> {
+        self.bypasses.inc();
+        self.backing.read(path)
+    }
+
+    fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
+        self.bypasses.inc();
+        self.backing.read_range(path, offset, len)
+    }
+
+    /// One bypass per range, all sent as shared storage sends them (at
+    /// once, through `RetryFs`).
+    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
+        self.bypasses.add(ranges.len() as u64);
+        self.backing.read_ranges(path, ranges)
+    }
+
+    fn size(&self, path: &str) -> Result<u64> {
+        self.backing.size(path)
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<String>> {
+        self.backing.list(prefix)
+    }
+
+    fn delete(&self, path: &str) -> Result<()> {
         self.backing.delete(path)
     }
 
@@ -642,6 +692,32 @@ mod tests {
         cache.read_with("big", CacheMode::Bypass).unwrap();
         assert!(!cache.contains("big"));
         assert_eq!(cache.stats().bypasses, 1);
+    }
+
+    #[test]
+    fn every_read_past_the_depot_counts_one_bypass_per_range() {
+        let (backing, cache) = setup(50);
+        backing.write("big", payload(100)).unwrap();
+        backing.write("small", payload(10)).unwrap();
+        // An object larger than the whole depot, read by a normal session.
+        let oversize = cache.reader(CacheMode::Normal, Some(100));
+        assert_eq!(oversize.read_range("big", 10, 5).unwrap().len(), 5);
+        assert_eq!(cache.stats().bypasses, 1);
+        // A bypass session's ranged read of an object that would fit.
+        let bypass = cache.reader(CacheMode::Bypass, Some(10));
+        assert_eq!(bypass.read_range("small", 0, 4).unwrap().len(), 4);
+        assert_eq!(cache.stats().bypasses, 2);
+        // A wave of three ranges is three bypasses; nothing was admitted.
+        bypass.read_ranges("big", &[(0, 1), (10, 2), (20, 3)]).unwrap();
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.bypasses), (0, 0, 5));
+        assert!(!cache.contains("small") && !cache.contains("big"));
+        // A read that fits goes through the depot: a miss, then a hit.
+        let normal = cache.reader(CacheMode::Normal, Some(10));
+        normal.read_range("small", 0, 4).unwrap();
+        normal.read_range("small", 4, 4).unwrap();
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.bypasses), (1, 1, 5));
     }
 
     #[test]

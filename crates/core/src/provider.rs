@@ -12,8 +12,10 @@
 //! block-filter kernel, [`RosReader::filter_blocks`] — one wave of
 //! coalesced ranged reads, predicates on encoded views, non-predicate
 //! columns decoded only for blocks with surviving rows. Footers are
-//! opened once per node and kept. Results merge in container order, so
-//! output does not depend on the pool width.
+//! opened once per node and kept. A scan's output is its surviving
+//! blocks, each one piece, in container order and then block order —
+//! never concatenated here — so output does not depend on the pool
+//! width.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -29,7 +31,7 @@ use eon_columnar::{
     ReadStats, RosReader,
 };
 use eon_exec::crunch::CrunchSlice;
-use eon_exec::{ScanSpec, TableProvider};
+use eon_exec::{Pieces, ScanSpec, TableProvider};
 use eon_obs::QueryProfile;
 use eon_types::{EonError, Oid, Result, ShardId, Value, ValueRef};
 
@@ -399,7 +401,8 @@ impl NodeProvider {
             work: Vec::new(),
         };
         // Mergeout's k-way merge and the container writer take rows.
-        Ok(block_batch(self.scan_container(&rs, c)?, rs.out_local.len()).into_rows())
+        let blocks = self.scan_container(&rs, c)?.into_iter();
+        Ok(blocks.flat_map(|br| Batch::new(br.cols, br.rows.len()).into_rows()).collect())
     }
 
     /// Positions of rows matching `predicate`, per container — the DML
@@ -435,8 +438,8 @@ impl TableProvider for NodeProvider {
     /// I/O, then every container of every scan claimed from one pool, as
     /// wide as the widest scan would run alone — never a thread a scan's
     /// own pool would not have had, so a wave of one-container scans runs
-    /// inline.
-    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
+    /// inline. Each scan's pieces are its surviving blocks.
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Pieces>> {
         let _span = self.pipeline_span(specs);
         let scans = specs.iter().map(|spec| self.resolve_scan(spec)).collect::<Result<Vec<_>>>()?;
         let tasks: Vec<(usize, &ContainerMeta)> = scans
@@ -449,18 +452,14 @@ impl TableProvider for NodeProvider {
             let (s, c) = tasks[i];
             self.scan_container(&scans[s], c)
         })?;
-        // Every surviving block of every container, in container order,
-        // concatenated once per scan.
-        let mut blocks: Vec<Vec<BlockRows>> = scans.iter().map(|_| Vec::new()).collect();
+        // Every surviving block of every container, in container order:
+        // one piece each, moved.
+        let empty = |rs: &ResolvedScan| Pieces { width: rs.out_local.len(), batches: Vec::new() };
+        let mut out: Vec<Pieces> = scans.iter().map(empty).collect();
         for (&(s, _), container) in tasks.iter().zip(per_container) {
-            blocks[s].extend(container);
+            let pieces = container.into_iter().map(|br| Batch::new(br.cols, br.rows.len()));
+            out[s].batches.extend(pieces);
         }
-        Ok(scans.iter().zip(blocks).map(|(rs, b)| block_batch(b, rs.out_local.len())).collect())
+        Ok(out)
     }
-}
-
-/// Surviving blocks carrying `width` output columns, as one batch.
-fn block_batch(blocks: Vec<BlockRows>, width: usize) -> Batch {
-    let pieces = blocks.into_iter().map(|br| Batch::new(br.cols, br.rows.len())).collect();
-    Batch::concat(pieces, width)
 }

@@ -10,9 +10,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eon_columnar::{Batch, BlockFilter, BlockRows, ReadStats, RosReader};
-use eon_exec::{Distribution, ScanSpec, TableProvider};
-use eon_types::{EonError, Result, Value};
+use eon_columnar::{Batch, BlockFilter, BlockRows, Column, ReadStats, RosReader};
+use eon_exec::{Distribution, Pieces, ScanSpec, TableProvider};
+use eon_types::{EonError, Result};
 
 use crate::db::{wos_key, EnterpriseNode, EnterpriseTable};
 
@@ -39,7 +39,8 @@ impl EnterpriseProvider {
     /// One scan over the segments this node serves (or, broadcast,
     /// every segment): their containers through the block-filter kernel,
     /// their WOS rows — unsorted and unencoded (§2.3) — through
-    /// `eval_row` and one transpose, concatenated once.
+    /// `eval_row` on the borrowed buffer into typed columns, concatenated
+    /// once: the scan's one piece.
     fn scan_one(&self, spec: &ScanSpec) -> Result<Batch> {
         let t = self.table(&spec.table)?;
         let out_cols: Vec<usize> = spec
@@ -66,23 +67,26 @@ impl EnterpriseProvider {
             }
         };
         let mut pieces = Vec::new();
-        let mut wos_rows: Vec<Vec<Value>> = Vec::new();
+        let mut wos: Vec<Column> = out_cols.iter().map(|_| Column::nulls(0)).collect();
+        let mut wos_rows = 0;
         for (source, seg) in sources {
             scan_containers(source, t, seg, &filter, &out_cols, &mut pieces)?;
-            // Consumed row by row: each buffered row's copy is freed as
-            // its output row is made, so the two never peak together.
-            let buffered = source.wos.rows(wos_key(t.projection_oid(), seg)).into_iter();
-            let kept = buffered.filter(|row| spec.predicate.eval_row(row));
-            wos_rows.extend(kept.map(|row| out_cols.iter().map(|&c| row[c].clone()).collect()));
+            source.wos.for_each_row(wos_key(t.projection_oid(), seg), |row| {
+                if spec.predicate.eval_row(row) {
+                    wos.iter_mut().zip(&out_cols).for_each(|(col, &c)| col.push(row[c].as_ref()));
+                    wos_rows += 1;
+                }
+            });
         }
-        pieces.push(Batch::from_rows(&wos_rows, out_cols.len()));
+        pieces.push(Batch::new(wos, wos_rows));
         Ok(Batch::concat(pieces, out_cols.len()))
     }
 }
 
 impl TableProvider for EnterpriseProvider {
-    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
-        specs.iter().map(|spec| self.scan_one(spec)).collect()
+    /// One piece per scan.
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Pieces>> {
+        specs.iter().map(|spec| self.scan_one(spec).map(Pieces::one)).collect()
     }
 }
 

@@ -7,15 +7,19 @@
 //! would allow skipping the merge; we always merge because states are
 //! tiny and it is unconditionally correct.
 //!
-//! The local fold is column-at-a-time (DESIGN.md "Aggregation: group
-//! ids, then one typed loop per aggregate"): one pass numbers every
-//! row's group, then each aggregate is one loop over its input column
-//! and those ids.
+//! The local fold is a running [`Aggregator`] that takes a scan's
+//! pieces in order, column-at-a-time (DESIGN.md "Aggregation: group
+//! ids, then one typed loop per aggregate"): per piece, one pass
+//! numbers every row's group, then each aggregate is one loop over its
+//! input column and those ids.
 
 use std::collections::{BTreeSet, HashMap};
 
 use eon_columnar::{hash_rows, Batch, Column, Data};
-use eon_types::{EonError, Result, Value, ValueRef};
+use eon_types::{
+    hash_cells_finish, hash_cells_step, hash_value, EonError, Result, Value, ValueRef,
+    HASH_CELLS_SEED,
+};
 
 use crate::ops::HashChains;
 use crate::plan::{AggFunc, AggSpec};
@@ -73,7 +77,7 @@ impl AggState {
     }
 
     /// Fold one input cell (already evaluated from the agg's expr): the
-    /// per-cell arm of [`aggregate_partial`]. SQL semantics: NULL inputs
+    /// per-cell arm of [`Aggregator::fold`]. SQL semantics: NULL inputs
     /// are ignored by every aggregate (COUNT(*) never gets here).
     fn update(&mut self, v: ValueRef<'_>) -> Result<()> {
         if v.is_null() {
@@ -154,133 +158,310 @@ pub struct PartialGroup {
     pub states: Vec<AggState>,
 }
 
-/// Partial aggregates of one batch of rows.
+/// Partial aggregates: one group per distinct key, sorted by key.
 pub type Partials = Vec<PartialGroup>;
 
-/// Fold a batch into partial aggregates, a column at a time.
-///
-/// `group_ids` gives every row its group; then each aggregate is one
-/// loop over its input column and that id vector (`fold`). Rows are
-/// visited in batch order, so every group adds its floats in the order
-/// a row-at-a-time fold would, and a Float sum is bit-exact.
+/// Fold one batch into partial aggregates: an [`Aggregator`] over that
+/// one piece.
 pub fn aggregate_partial(batch: &Batch, group_by: &[usize], aggs: &[AggSpec]) -> Result<Partials> {
-    let keys: Vec<&Column> = group_by.iter().map(|&c| &batch.cols()[c]).collect();
-    let (ids, mut firsts) = group_ids(&keys, batch.rows());
-    // SQL: a global aggregate (no GROUP BY) over zero rows still
-    // produces one output row (COUNT = 0, SUM = NULL, …).
-    if group_by.is_empty() && firsts.is_empty() {
-        firsts.push(0);
-    }
-    let mut states = aggs
-        .iter()
-        .map(|a| Ok(fold(a, batch, &ids, firsts.len())?.into_iter()))
-        .collect::<Result<Vec<_>>>()?;
-    let mut out: Partials = firsts
-        .iter()
-        .map(|&first| PartialGroup {
-            key: keys.iter().map(|k| k.get(first).to_value()).collect(),
-            states: states.iter_mut().map(|s| s.next().expect("a state per group")).collect(),
-        })
-        .collect();
-    // Deterministic order for tests and stable merges.
-    out.sort_by(|a, b| a.key.cmp(&b.key));
-    Ok(out)
+    Aggregator::over(group_by, aggs, std::slice::from_ref(batch))
 }
 
-/// Every row's group id — groups numbered in order of first appearance —
-/// and each group's first row, which holds its key. The keys are hashed
-/// a column at a time ([`hash_rows`]), and a row's keys are compared
-/// cell by cell with its group's first row (a dictionary key by code),
-/// so a row costs no allocation. Unlike a join key, a NULL group key is
-/// a group of its own.
-fn group_ids(keys: &[&Column], rows: usize) -> (Vec<u32>, Vec<usize>) {
-    let mut table = HashChains::new(rows);
-    let mut firsts: Vec<usize> = Vec::new();
-    let ids = hash_rows(keys, rows)
-        .into_iter()
-        .enumerate()
-        .map(|(i, hash)| {
-            let equal = |g: &usize| keys.iter().all(|k| k.cell_eq(firsts[*g], k, i));
-            let found = table.probe(hash).find(equal);
-            found.unwrap_or_else(|| {
-                table.push(Some(hash));
-                firsts.push(i);
-                firsts.len() - 1
-            }) as u32
-        })
-        .collect();
-    (ids, firsts)
-}
-
-/// One aggregate's state for each of `groups` groups: one loop over its
-/// input and `ids`, chosen by the input's representation. `COUNT(*)`
-/// counts ids; `COUNT(x)` counts valid cells of a typed column; `SUM` /
-/// `AVG` over `Int` add into a wrapping `i64`, over `Float` into an
-/// `f64` that starts at `-0.0` — the additive identity bit for bit
-/// (`-0.0 + x` is `x`, `-0.0` and NaN payloads included; `0.0` would
-/// turn a lone `-0.0` into `0.0`). Each sum carries its count, so a
-/// group with no valid cell is NULL. Everything else — MIN, MAX,
-/// COUNT(DISTINCT), `Values` and `Null` inputs, and non-numeric sums,
-/// which raise the typed error — folds cell by cell.
-fn fold(spec: &AggSpec, batch: &Batch, ids: &[u32], groups: usize) -> Result<Vec<AggState>> {
-    let counts = |valid| -> Vec<AggState> {
-        let counts = per_group(ids, valid, groups, 0, |n, _| *n += 1);
-        counts.into_iter().map(|n| AggState::Count { n }).collect()
-    };
-    if spec.func == AggFunc::CountStar {
-        return Ok(counts(None));
-    }
-    let input = spec.expr.eval(batch)?;
-    let valid = input.valid();
-    let summed = |sum: Value, n: i64| {
-        let sum = if n == 0 { Value::Null } else { sum };
-        match spec.func {
-            AggFunc::Avg => AggState::Avg { sum, n },
-            _ => AggState::Sum { acc: sum },
-        }
-    };
-    Ok(match (spec.func, input.data()) {
-        (AggFunc::Count, data) if !matches!(data, Data::Null(_) | Data::Values(_)) => counts(valid),
-        (AggFunc::Sum | AggFunc::Avg, Data::Int(v)) => {
-            let sums = per_group(ids, valid, groups, (0i64, 0), |(sum, n), i| {
-                *sum = sum.wrapping_add(v[i]);
-                *n += 1;
-            });
-            sums.into_iter().map(|(sum, n)| summed(Value::Int(sum), n)).collect()
-        }
-        (AggFunc::Sum | AggFunc::Avg, Data::Float(v)) => {
-            let sums = per_group(ids, valid, groups, (-0.0f64, 0), |(sum, n), i| {
-                *sum += v[i];
-                *n += 1;
-            });
-            sums.into_iter().map(|(sum, n)| summed(Value::Float(sum), n)).collect()
-        }
-        _ => {
-            let mut states = vec![AggState::new(spec.func); groups];
-            for (i, &g) in ids.iter().enumerate() {
-                states[g as usize].update(input.get(i))?;
-            }
-            states
-        }
-    })
-}
-
-/// Per group, `step(state, row)` over the group's valid rows (all rows
-/// when `valid` is `None`), in row order, from `init`.
-fn per_group<S: Clone>(
-    ids: &[u32],
-    valid: Option<&[bool]>,
+/// A running aggregate: one group table and typed per-group states that
+/// pieces fold into in scan order, a column at a time.
+///
+/// Per piece, `group_ids` gives every row its group; then each
+/// aggregate is one loop over its input column and those ids
+/// (`Running::fold`). Pieces are visited in order, and rows in order
+/// within a piece, so every group adds its floats in the order a fold
+/// over the pieces' concatenation would, and a Float sum is bit-exact
+/// however the rows were cut.
+pub struct Aggregator<'a> {
+    group_by: &'a [usize],
+    aggs: &'a [AggSpec],
+    /// Group `g`'s key is cell `g` of these columns, one per key column.
+    keys: Vec<Column>,
+    /// Groups by key hash ([`hash_rows`]'s hash, however a piece
+    /// represents its keys).
+    table: HashChains,
     groups: usize,
-    init: S,
-    mut step: impl FnMut(&mut S, usize),
-) -> Vec<S> {
-    let mut states = vec![init; groups];
-    for (i, &g) in ids.iter().enumerate() {
-        if valid.is_none_or(|ok| ok[i]) {
-            step(&mut states[g as usize], i);
+    /// One per aggregate.
+    states: Vec<Running>,
+}
+
+impl<'a> Aggregator<'a> {
+    pub fn new(group_by: &'a [usize], aggs: &'a [AggSpec]) -> Aggregator<'a> {
+        // SQL: a global aggregate (no GROUP BY) has its one group even
+        // over zero rows (COUNT = 0, SUM = NULL, …).
+        let groups = usize::from(group_by.is_empty());
+        Aggregator {
+            group_by,
+            aggs,
+            keys: group_by.iter().map(|_| Column::nulls(0)).collect(),
+            table: HashChains::new(0),
+            groups,
+            states: aggs.iter().map(|a| Running::new(a.func, groups)).collect(),
         }
     }
-    states
+
+    /// The partials of `pieces` folded in order.
+    pub fn over(group_by: &[usize], aggs: &[AggSpec], pieces: &[Batch]) -> Result<Partials> {
+        let mut agg = Aggregator::new(group_by, aggs);
+        pieces.iter().try_for_each(|piece| agg.fold(piece))?;
+        Ok(agg.finish())
+    }
+
+    /// Fold the next piece's rows, in order.
+    pub fn fold(&mut self, piece: &Batch) -> Result<()> {
+        let keys: Vec<&Column> = self.group_by.iter().map(|&c| &piece.cols()[c]).collect();
+        let ids = self.group_ids(&keys, piece.rows());
+        for (state, spec) in self.states.iter_mut().zip(self.aggs) {
+            state.resize(spec.func, self.groups);
+            state.fold(spec, piece, &ids)?;
+        }
+        Ok(())
+    }
+
+    /// Every group's key and states, sorted by key (groups with equal
+    /// keys — `Int(1)` and `Float(1.0)` hashed apart — keep their order
+    /// of first appearance).
+    pub fn finish(self) -> Partials {
+        let mut states: Vec<_> =
+            (self.states.into_iter().zip(self.aggs)).map(|(s, a)| s.finish(a.func)).collect();
+        let mut out: Partials = (0..self.groups)
+            .map(|g| PartialGroup {
+                key: self.keys.iter().map(|k| k.get(g).to_value()).collect(),
+                states: states.iter_mut().map(|s| s.next().expect("a state per group")).collect(),
+            })
+            .collect();
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        out
+    }
+
+    /// Every row's group id, groups numbered in order of first
+    /// appearance across the pieces folded so far. A piece whose keys
+    /// are all dictionary-coded numbers its rows by [`dict_slots`] and
+    /// looks each distinct slot up once; any other hashes its keys a
+    /// column at a time ([`hash_rows`]) and looks each row up. Either
+    /// way a lookup compares keys cell by cell with the group's stored
+    /// key and costs no allocation. Unlike a join key, a NULL group key
+    /// is a group of its own.
+    fn group_ids(&mut self, keys: &[&Column], rows: usize) -> Vec<u32> {
+        if keys.is_empty() {
+            return vec![0; rows];
+        }
+        let Some((mut slots, count)) = dict_slots(keys, rows) else {
+            let hashes = hash_rows(keys, rows).into_iter().enumerate();
+            return hashes.map(|(i, hash)| self.group_of(keys, i, hash)).collect();
+        };
+        let mut group_of_slot = vec![u32::MAX; count];
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let group = &mut group_of_slot[*slot as usize];
+            if *group == u32::MAX {
+                *group = self.group_of(keys, i, row_hash(keys, i));
+            }
+            *slot = *group;
+        }
+        slots
+    }
+
+    /// The group of row `i` of `keys`, whose key hashes to `hash`: an
+    /// existing group with an equal key, or a new one.
+    fn group_of(&mut self, keys: &[&Column], i: usize, hash: u32) -> u32 {
+        let stored = &self.keys;
+        let equal = |g: &usize| keys.iter().zip(stored).all(|(k, s)| k.cell_eq(i, s, *g));
+        if let Some(g) = self.table.probe(hash).find(equal) {
+            return g as u32;
+        }
+        self.table.push(Some(hash));
+        self.keys.iter_mut().zip(keys).for_each(|(s, k)| s.push(k.get(i)));
+        self.groups += 1;
+        u32::try_from(self.groups - 1).expect("under 2^32 groups")
+    }
+}
+
+/// Each row's slot when every key column is dictionary-coded: the
+/// mixed-radix number of its codes, a NULL cell coding as one past its
+/// column's dictionary — and how many slots there are. `None` unless
+/// every key is `Data::Dict` and the product of (dictionary length + 1)
+/// over the keys is at most `rows`, so the slot table is never larger
+/// than the piece it numbers.
+fn dict_slots(keys: &[&Column], rows: usize) -> Option<(Vec<u32>, usize)> {
+    let mut count = 1usize;
+    let mut coded = Vec::with_capacity(keys.len());
+    for k in keys {
+        let Data::Dict { dict, codes } = k.data() else { return None };
+        count = count.checked_mul(dict.len() + 1).filter(|&c| c <= rows)?;
+        coded.push((codes, dict.len() as u32, k.valid()));
+    }
+    let mut slots = vec![0u32; rows];
+    let mut stride = 1u32;
+    for (codes, null, valid) in coded {
+        let cells = slots.iter_mut().zip(codes);
+        match valid {
+            None => cells.for_each(|(s, &c)| *s += c * stride),
+            Some(ok) => {
+                cells.zip(ok).for_each(|((s, &c), &ok)| *s += if ok { c } else { null } * stride)
+            }
+        }
+        stride *= null + 1;
+    }
+    Some((slots, count))
+}
+
+/// Row `i`'s [`hash_rows`] hash, computed alone.
+fn row_hash(keys: &[&Column], i: usize) -> u32 {
+    let step = |state, k: &&Column| hash_cells_step(state, hash_value(k.get(i)));
+    hash_cells_finish(keys.iter().fold(HASH_CELLS_SEED, step))
+}
+
+/// One aggregate's running state for every group so far: typed tallies
+/// for COUNT, SUM and AVG, and MIN, MAX and COUNT(DISTINCT) folded cell
+/// by cell.
+enum Running {
+    Tallies(Vec<Tally>),
+    Cells(Vec<AggState>),
+}
+
+/// A group's count of valid cells and their running sum, which is NULL
+/// while the count is 0. It adds as [`add_values`] does, cell by cell:
+/// `i64` with wrapping until its first Float cell, `f64` from then on —
+/// so a piece of Int cells after a piece of Float cells adds exactly as
+/// one `Values` column of both would.
+#[derive(Clone, Copy)]
+struct Tally {
+    sum: Num,
+    n: i64,
+}
+
+#[derive(Clone, Copy)]
+enum Num {
+    Int(i64),
+    Float(f64),
+}
+
+impl Default for Tally {
+    fn default() -> Tally {
+        Tally { sum: Num::Int(0), n: 0 }
+    }
+}
+
+impl Tally {
+    fn add_int(&mut self, x: i64) {
+        match &mut self.sum {
+            Num::Int(a) => *a = a.wrapping_add(x),
+            Num::Float(a) => *a += x as f64,
+        }
+        self.n += 1;
+    }
+
+    /// A first cell is taken as it is, bit for bit (`-0.0` and NaN
+    /// payloads included).
+    fn add_float(&mut self, x: f64) {
+        match &mut self.sum {
+            Num::Float(a) => *a += x,
+            Num::Int(a) => self.sum = Num::Float(if self.n == 0 { x } else { *a as f64 + x }),
+        }
+        self.n += 1;
+    }
+
+    fn sum(self) -> Value {
+        match self.sum {
+            _ if self.n == 0 => Value::Null,
+            Num::Int(a) => Value::Int(a),
+            Num::Float(a) => Value::Float(a),
+        }
+    }
+}
+
+impl Running {
+    fn new(func: AggFunc, groups: usize) -> Running {
+        let mut running = match func {
+            AggFunc::Min | AggFunc::Max | AggFunc::CountDistinct => Running::Cells(Vec::new()),
+            _ => Running::Tallies(Vec::new()),
+        };
+        running.resize(func, groups);
+        running
+    }
+
+    /// Fresh states for the groups added since the last piece.
+    fn resize(&mut self, func: AggFunc, groups: usize) {
+        match self {
+            Running::Tallies(t) => t.resize(groups, Tally::default()),
+            Running::Cells(c) => c.resize(groups, AggState::new(func)),
+        }
+    }
+
+    /// Fold one piece: one loop over its input and `ids`, chosen by the
+    /// input's representation. `COUNT(*)` counts ids; `COUNT(x)` counts
+    /// valid cells; `SUM` / `AVG` over `Int` and `Float` run typed loops.
+    /// Everything else — MIN, MAX, COUNT(DISTINCT), sums over `Values`
+    /// inputs, and non-numeric sums, which raise the typed error — folds
+    /// cell by cell.
+    fn fold(&mut self, spec: &AggSpec, piece: &Batch, ids: &[u32]) -> Result<()> {
+        let t = match self {
+            Running::Tallies(t) => t,
+            Running::Cells(states) => {
+                let input = spec.expr.eval(piece)?;
+                for (i, &g) in ids.iter().enumerate() {
+                    states[g as usize].update(input.get(i))?;
+                }
+                return Ok(());
+            }
+        };
+        if spec.func == AggFunc::CountStar {
+            ids.iter().for_each(|&g| t[g as usize].n += 1);
+            return Ok(());
+        }
+        let input = spec.expr.eval(piece)?;
+        let valid = input.valid();
+        match (spec.func, input.data()) {
+            (_, Data::Null(_)) => {}
+            (AggFunc::Count, Data::Values(v)) => {
+                each_valid(ids, None, |g, i| t[g].n += i64::from(!v[i].is_null()))
+            }
+            (AggFunc::Count, _) => each_valid(ids, valid, |g, _| t[g].n += 1),
+            (_, Data::Int(v)) => each_valid(ids, valid, |g, i| t[g].add_int(v[i])),
+            (_, Data::Float(v)) => each_valid(ids, valid, |g, i| t[g].add_float(v[i])),
+            (func, _) => {
+                let func = if func == AggFunc::Avg { "AVG" } else { "SUM" };
+                for (i, &g) in ids.iter().enumerate() {
+                    match input.get(i) {
+                        ValueRef::Null => {}
+                        ValueRef::Int(x) => t[g as usize].add_int(x),
+                        ValueRef::Float(x) => t[g as usize].add_float(x),
+                        v => {
+                            numeric(func, v)?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Each group's state, in group order.
+    fn finish(self, func: AggFunc) -> std::vec::IntoIter<AggState> {
+        let state = |t: Tally| match func {
+            AggFunc::Avg => AggState::Avg { sum: t.sum(), n: t.n },
+            AggFunc::Sum => AggState::Sum { acc: t.sum() },
+            _ => AggState::Count { n: t.n },
+        };
+        match self {
+            Running::Tallies(t) => t.into_iter().map(state).collect::<Vec<_>>().into_iter(),
+            Running::Cells(states) => states.into_iter(),
+        }
+    }
+}
+
+/// `step(group, row)` over the rows whose cell is valid (every row
+/// when `valid` is `None`), in row order.
+fn each_valid(ids: &[u32], valid: Option<&[bool]>, mut step: impl FnMut(usize, usize)) {
+    let rows = ids.iter().enumerate();
+    match valid {
+        None => rows.for_each(|(i, &g)| step(g as usize, i)),
+        Some(ok) => rows.filter(|(i, _)| ok[*i]).for_each(|(i, &g)| step(g as usize, i)),
+    }
 }
 
 /// Merge several nodes' partials into one.
@@ -325,7 +506,7 @@ pub fn finalize_partials(parts: Partials, width: usize) -> Batch {
     Batch::new((0..width).map(col).collect(), parts.len())
 }
 
-/// Single-phase aggregation (fold + finalize).
+/// Single-phase aggregation of one batch (fold + finalize).
 pub fn aggregate(batch: &Batch, group_by: &[usize], aggs: &[AggSpec]) -> Result<Batch> {
     let parts = aggregate_partial(batch, group_by, aggs)?;
     Ok(finalize_partials(parts, group_by.len() + aggs.len()))
@@ -596,6 +777,41 @@ mod tests {
         let nulls = Batch::from_rows(&[vec![Value::Str("x".into()), Value::Null]], 2);
         let sum_of_null = AggSpec::sum(Expr::col(1));
         assert!(aggregate_partial(&nulls, &[0], &[sum_of_null]).is_ok());
+    }
+
+    /// Two dictionary-coded keys of 2 and 3 entries have (2 + 1) · (3 + 1)
+    /// = 12 slots: a piece of 12 rows takes the slot path, one of 11 (or a
+    /// key that is not a dictionary) the hash path — and the partials are
+    /// the same whichever path, and however the rows are cut.
+    #[test]
+    fn dictionary_keys_take_slots_only_while_the_slots_fit_the_piece() {
+        let dict = |entries: &[&str], cells: &[Option<u32>]| {
+            let mut strs = eon_columnar::StrVec::default();
+            entries.iter().for_each(|e| strs.push(e));
+            let codes = cells.iter().map(|c| c.unwrap_or(0)).collect();
+            let valid = cells.iter().map(Option::is_some).collect();
+            Column::new(Data::Dict { dict: std::sync::Arc::new(strs), codes }, Some(valid))
+        };
+        let a = dict(&["x", "y"], &[0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1].map(Some));
+        let mut b_cells = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2].map(Some);
+        b_cells[4] = None;
+        let b = dict(&["p", "q", "r"], &b_cells);
+        assert_eq!(dict_slots(&[&a, &b], 12).map(|(_, count)| count), Some(12));
+        assert!(dict_slots(&[&a, &b], 11).is_none());
+        let floats = Column::from_values((0..12).map(|i| ValueRef::Float(0.1 * i as f64 - 0.3)));
+        assert!(dict_slots(&[&a, &floats], 12).is_none());
+
+        let coded = Batch::new(vec![a, b, floats], 12);
+        let plain = Batch::from_rows(&coded.clone().into_rows(), 3);
+        let rows = |r: std::ops::Range<usize>| coded.gather(&r.collect::<Vec<_>>());
+        let halves = [rows(0..6), rows(6..12)];
+        let specs = [AggSpec::sum(Expr::col(2)), AggSpec::avg(Expr::col(2)), AggSpec::count_star()];
+        let slots = aggregate_partial(&coded, &[0, 1], &specs).unwrap();
+        let hashed = aggregate_partial(&plain, &[0, 1], &specs).unwrap();
+        let cut = Aggregator::over(&[0, 1], &specs, &halves).unwrap();
+        assert_eq!(slots.len(), 7); // six pairs, and (x, NULL)
+        assert_eq!(format!("{slots:?}"), format!("{hashed:?}"));
+        assert_eq!(format!("{slots:?}"), format!("{cut:?}"));
     }
 
     proptest! {

@@ -10,50 +10,92 @@
 //! session-assigned shards), aggregates fold into mergeable partial
 //! states, and the coordinator merges partials then applies the
 //! remaining operators (HAVING filters, final projections, sort,
-//! limit). For plans with no aggregate, nodes return raw rows and the
-//! coordinator concatenates.
+//! limit). For plans with no aggregate, nodes return their pieces and
+//! the coordinator concatenates them once.
+//!
+//! Rows flow between operators as [`Pieces`], in scan order: a scan's
+//! pieces (Eon: one per surviving block) pass through filter, project
+//! and the join probe a piece at a time and fold into a running
+//! [`Aggregator`]. Only the pipeline breakers concatenate — the join's
+//! build side, the sort and the coordinator.
 
 use eon_columnar::Batch;
 use eon_types::{EonError, Result};
 
-use crate::agg::{
-    aggregate, aggregate_partial, finalize_partials, merge_partials, Partials,
-};
+use crate::agg::{finalize_partials, merge_partials, Aggregator, Partials};
 use crate::expr::Expr;
 use crate::ops;
-use crate::plan::{AggSpec, Plan, ScanSpec, SortKey};
+use crate::plan::{AggSpec, JoinKind, Plan, ScanSpec, SortKey};
 
 /// Storage integration point: materialize scans.
 pub trait TableProvider {
-    /// One batch per spec, in order: each scan's output columns (a scan
-    /// that finds no rows still returns a batch of the right width).
-    /// [`execute`] asks once per plan, for all of its scans, so a
-    /// provider may fetch them together.
-    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>>;
+    /// One [`Pieces`] per spec, in order: each scan's output columns, cut
+    /// into batches in scan order wherever the provider likes (a scan
+    /// that finds no rows may return no batch at all). [`execute`] asks
+    /// once per plan, for all of its scans, so a provider may fetch them
+    /// together.
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Pieces>>;
+}
+
+/// An operator's output: batches whose rows, in order, are its rows,
+/// and the width they share — known even when there is no batch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pieces {
+    pub width: usize,
+    pub batches: Vec<Batch>,
+}
+
+impl Pieces {
+    /// One batch as the whole output.
+    pub fn one(batch: Batch) -> Pieces {
+        Pieces { width: batch.width(), batches: vec![batch] }
+    }
+
+    /// Rows across every piece.
+    pub fn rows(&self) -> usize {
+        self.batches.iter().map(Batch::rows).sum()
+    }
+
+    /// `f` over each piece, into pieces `width` wide.
+    fn map(self, width: usize, f: impl FnMut(Batch) -> Result<Batch>) -> Result<Pieces> {
+        Ok(Pieces { width, batches: self.batches.into_iter().map(f).collect::<Result<_>>()? })
+    }
 }
 
 /// Execute a plan on a single node: its scans in one provider call, in
-/// `visit_scans` order, then the operators over their batches.
+/// `visit_scans` order, then the operators over their pieces, and the
+/// output as one batch.
 pub fn execute(plan: &Plan, provider: &dyn TableProvider) -> Result<Batch> {
+    concatenate(vec![scan_and_run(plan, provider)?])
+}
+
+/// `plan`'s output pieces: its scans, then its operators.
+fn scan_and_run(plan: &Plan, provider: &dyn TableProvider) -> Result<Pieces> {
     let mut specs = Vec::new();
     plan.visit_scans(&mut |spec| specs.push(spec));
-    let batches = provider.scan(&specs)?;
-    if batches.len() != specs.len() {
+    let scanned = provider.scan(&specs)?;
+    if scanned.len() != specs.len() {
         return Err(EonError::Internal(format!(
-            "the provider returned {} batches for {} scans",
-            batches.len(),
+            "the provider returned {} scans for {} specs",
+            scanned.len(),
             specs.len()
         )));
     }
-    run(plan, &mut batches.into_iter())
+    run(plan, &mut scanned.into_iter())
 }
 
-/// `plan` over its scans' batches, taken in `visit_scans` order.
-fn run(plan: &Plan, scanned: &mut impl Iterator<Item = Batch>) -> Result<Batch> {
+/// `plan` over its scans' pieces, taken in `visit_scans` order.
+fn run(plan: &Plan, scanned: &mut impl Iterator<Item = Pieces>) -> Result<Pieces> {
     match plan {
-        Plan::Scan(_) => Ok(scanned.next().expect("execute checked one batch per scan")),
-        Plan::Filter { input, predicate } => ops::filter(run(input, scanned)?, predicate),
-        Plan::Project { input, exprs, .. } => ops::project(run(input, scanned)?, exprs),
+        Plan::Scan(_) => Ok(scanned.next().expect("execute checked one output per scan")),
+        Plan::Filter { input, predicate } => {
+            let input = run(input, scanned)?;
+            let width = input.width;
+            input.map(width, |piece| ops::filter(piece, predicate))
+        }
+        Plan::Project { input, exprs, .. } => {
+            run(input, scanned)?.map(exprs.len(), |piece| ops::project(piece, exprs))
+        }
         Plan::Join {
             left,
             right,
@@ -61,18 +103,46 @@ fn run(plan: &Plan, scanned: &mut impl Iterator<Item = Batch>) -> Result<Batch> 
             right_keys,
             kind,
         } => {
-            let l = run(left, scanned)?;
-            let r = run(right, scanned)?;
-            ops::hash_join(l, r, left_keys, right_keys, *kind)
+            let left = run(left, scanned)?;
+            let right = run(right, scanned)?;
+            let width = match kind {
+                JoinKind::Inner | JoinKind::Left => left.width + right.width,
+                JoinKind::Semi | JoinKind::Anti => left.width,
+            };
+            let build = ops::JoinBuild::new(Batch::concat(right.batches, right.width), right_keys);
+            left.map(width, |piece| Ok(build.probe(&piece, left_keys, *kind)))
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
-        } => aggregate(&run(input, scanned)?, group_by, aggs),
-        Plan::Sort { input, keys } => Ok(ops::sort(run(input, scanned)?, keys)),
-        Plan::Limit { input, n } => Ok(ops::limit(run(input, scanned)?, *n)),
+        } => {
+            let parts = Aggregator::over(group_by, aggs, &run(input, scanned)?.batches)?;
+            Ok(Pieces::one(finalize_partials(parts, group_by.len() + aggs.len())))
+        }
+        Plan::Sort { input, keys } => {
+            let input = run(input, scanned)?;
+            Ok(Pieces::one(ops::sort(Batch::concat(input.batches, input.width), keys)))
+        }
+        Plan::Limit { input, n } => {
+            let input = run(input, scanned)?;
+            let mut left = *n;
+            let head = input.batches.into_iter().map_while(|piece| {
+                let piece = (left > 0).then(|| ops::limit(piece, left))?;
+                left -= piece.rows();
+                Some(piece)
+            });
+            Ok(Pieces { width: input.width, batches: head.collect() })
+        }
     }
+}
+
+/// The coordinator's one concatenation: every node's pieces, in node
+/// order, as one batch.
+fn concatenate(results: Vec<Pieces>) -> Result<Batch> {
+    let unanswered = || EonError::Internal("no node answered the query".into());
+    let width = results.first().map(|p| p.width).ok_or_else(unanswered)?;
+    Ok(Batch::concat(results.into_iter().flat_map(|p| p.batches).collect(), width))
 }
 
 /// Coordinator-side steps applied after combining node results.
@@ -100,7 +170,7 @@ pub struct DistributedPlan {
 /// What a node ships back to the coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LocalResult {
-    Batch(Batch),
+    Pieces(Pieces),
     Partials(Partials),
 }
 
@@ -173,27 +243,28 @@ impl DistributedPlan {
         any
     }
 
-    /// Run the local phase on one node.
+    /// Run the local phase on one node: its pieces, or their partial
+    /// aggregates folded in scan order.
     pub fn execute_local(&self, provider: &dyn TableProvider) -> Result<LocalResult> {
-        let batch = execute(&self.local, provider)?;
+        let pieces = scan_and_run(&self.local, provider)?;
         match &self.partial_agg {
-            Some((group_by, aggs)) => Ok(LocalResult::Partials(aggregate_partial(
-                &batch, group_by, aggs,
-            )?)),
-            None => Ok(LocalResult::Batch(batch)),
+            Some((group_by, aggs)) => {
+                Ok(LocalResult::Partials(Aggregator::over(group_by, aggs, &pieces.batches)?))
+            }
+            None => Ok(LocalResult::Pieces(pieces)),
         }
     }
 
-    /// Coordinator: combine node results — partials merged, batches
-    /// concatenated in node order — and apply the merge steps.
+    /// Coordinator: combine node results — partials merged, pieces
+    /// concatenated once in node order — and apply the merge steps.
     pub fn finish(&self, results: Vec<LocalResult>) -> Result<Batch> {
         let mut parts = Vec::new();
-        let mut batches = Vec::new();
+        let mut pieces = Vec::new();
         for r in results {
             match (r, &self.partial_agg) {
                 (LocalResult::Partials(p), Some(_)) => parts.push(p),
-                (LocalResult::Batch(b), None) => batches.push(b),
-                (LocalResult::Batch(_), Some(_)) => {
+                (LocalResult::Pieces(p), None) => pieces.push(p),
+                (LocalResult::Pieces(_), Some(_)) => {
                     return Err(EonError::Internal("expected partial aggregates from node".into()))
                 }
                 (LocalResult::Partials(_), None) => {
@@ -207,11 +278,7 @@ impl DistributedPlan {
             Some((group_by, aggs)) => {
                 finalize_partials(merge_partials(parts), group_by.len() + aggs.len())
             }
-            None => {
-                let unanswered = || EonError::Internal("no node answered the query".into());
-                let width = batches.first().map(Batch::width).ok_or_else(unanswered)?;
-                Batch::concat(batches, width)
-            }
+            None => concatenate(pieces)?,
         };
         for step in &self.merge {
             batch = match step {

@@ -10,11 +10,12 @@
 //!   aggregate/sort/limit;
 //! * [`ops`] — the operators, each one implementation over typed column
 //!   batches (`eon_columnar::Batch`);
-//! * [`agg`] — aggregation with *mergeable partial states*, the basis of
-//!   distributed group-by;
-//! * [`execute`] — the single-node executor over a [`TableProvider`],
-//!   plus [`execute::auto_distribute`], which splits a logical plan
-//!   into a per-node local phase and a coordinator merge phase;
+//! * [`agg`] — a running aggregate with *mergeable partial states*, the
+//!   basis of distributed group-by;
+//! * [`execute`] — the single-node executor over a [`TableProvider`]'s
+//!   [`Pieces`], plus [`execute::auto_distribute`], which splits a
+//!   logical plan into a per-node local phase and a coordinator merge
+//!   phase;
 //! * [`prune`], [`push`] and [`colocate`] — the plan rules: scans read
 //!   only the columns the plan uses, carry every filter conjunct they
 //!   can evaluate, and co-segmented joins read shard-local;
@@ -40,7 +41,7 @@ pub mod push;
 pub mod reference;
 
 pub use colocate::co_locate_joins;
-pub use execute::{auto_distribute, execute, DistributedPlan, MergeStep, TableProvider};
+pub use execute::{auto_distribute, execute, DistributedPlan, MergeStep, Pieces, TableProvider};
 pub use expr::Expr;
 pub use plan::{AggFunc, AggSpec, Distribution, JoinKind, Plan, ScanSpec, SortKey};
 pub use prune::prune_columns;

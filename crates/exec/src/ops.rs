@@ -35,13 +35,15 @@ pub fn project(batch: Batch, exprs: &[Expr]) -> Result<Batch> {
 /// A bucket-chained hash index over entry numbers: what the join's
 /// build side and the aggregate's group table share. Keys live in the
 /// caller's columns; the index holds only hashes and links, so looking
-/// a row up allocates nothing.
+/// a row up allocates nothing. The buckets double, and every linked
+/// entry is relinked, when the entries outgrow them.
 pub(crate) struct HashChains {
     /// Bucket → its most recently linked entry, `NONE` when empty.
     heads: Vec<u32>,
     /// Entry → the entry linked into its bucket before it.
     next: Vec<u32>,
-    hashes: Vec<u32>,
+    /// Entry → its hash, `None` when it is not linked.
+    hashes: Vec<Option<u32>>,
 }
 
 const NONE: u32 = u32::MAX;
@@ -56,10 +58,23 @@ impl HashChains {
     /// Add the next entry; `Some(hash)` links it in, `None` leaves it
     /// unreachable (a NULL key never matches).
     pub(crate) fn push(&mut self, hash: Option<u32>) {
-        let entry = u32::try_from(self.next.len()).expect("under 2^32 entries");
-        let bucket = hash.map(|h| h as usize & (self.heads.len() - 1));
-        self.next.push(bucket.map_or(NONE, |b| std::mem::replace(&mut self.heads[b], entry)));
-        self.hashes.push(hash.unwrap_or(0));
+        u32::try_from(self.next.len()).expect("under 2^32 entries");
+        if self.next.len() >= self.heads.len() {
+            self.heads = vec![NONE; self.heads.len() * 2];
+            for entry in 0..self.next.len() {
+                self.link(entry);
+            }
+        }
+        self.next.push(NONE);
+        self.hashes.push(hash);
+        self.link(self.next.len() - 1);
+    }
+
+    fn link(&mut self, entry: usize) {
+        if let Some(hash) = self.hashes[entry] {
+            let bucket = hash as usize & (self.heads.len() - 1);
+            self.next[entry] = std::mem::replace(&mut self.heads[bucket], entry as u32);
+        }
     }
 
     /// Entries linked under `hash`, most recent first.
@@ -70,55 +85,64 @@ impl HashChains {
             at = self.next[entry];
             Some(entry)
         })
-        .filter(move |&e| self.hashes[e] == hash)
+        .filter(move |&e| self.hashes[e] == Some(hash))
     }
 }
 
-/// Hash join: builds on the right side's key columns, probes with the
-/// left's, and emits by gather indices — left rows in probe order, each
-/// one's matches in build order. A NULL in any key column never matches
-/// (SQL equi-join); `Left` pads unmatched rows with NULLs, `Semi` /
-/// `Anti` emit left columns only.
-pub fn hash_join(
-    left: Batch,
+/// A hash join's build side: the right input, whole, indexed on its
+/// key columns. Each probe emits by gather indices — left rows in probe
+/// order, each one's matches in build order — so probing a left input's
+/// pieces in turn emits what probing their concatenation would. A NULL
+/// in any key column never matches (SQL equi-join); `Left` pads
+/// unmatched rows with NULLs, `Semi` / `Anti` emit left columns only.
+pub struct JoinBuild {
     right: Batch,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    kind: JoinKind,
-) -> Result<Batch> {
-    let lkeys: Vec<&Column> = left_keys.iter().map(|&c| &left.cols()[c]).collect();
-    let rkeys: Vec<&Column> = right_keys.iter().map(|&c| &right.cols()[c]).collect();
-    let mut table = HashChains::new(right.rows());
-    join_hashes(&rkeys, right.rows()).into_iter().for_each(|hash| table.push(hash));
-    // An index past the end gathers as NULL: the padding of `Left`.
-    let unmatched = usize::MAX;
-    let (mut lidx, mut ridx, mut matches) = (Vec::new(), Vec::new(), Vec::new());
-    for (l, hash) in join_hashes(&lkeys, left.rows()).into_iter().enumerate() {
-        matches.clear();
-        if let Some(hash) = hash {
-            let equal = |r: &usize| lkeys.iter().zip(&rkeys).all(|(a, b)| a.cell_eq(l, b, *r));
-            matches.extend(table.probe(hash).filter(equal));
-        }
-        match kind {
-            JoinKind::Inner | JoinKind::Left => {
-                if matches.is_empty() && kind == JoinKind::Left {
-                    matches.push(unmatched);
-                }
-                lidx.extend(std::iter::repeat_n(l, matches.len()));
-                ridx.extend(matches.iter().rev());
-            }
-            JoinKind::Semi | JoinKind::Anti => {
-                if matches.is_empty() == (kind == JoinKind::Anti) {
-                    lidx.push(l);
-                }
-            }
-        }
+    keys: Vec<usize>,
+    table: HashChains,
+}
+
+impl JoinBuild {
+    pub fn new(right: Batch, right_keys: &[usize]) -> JoinBuild {
+        let rkeys: Vec<&Column> = right_keys.iter().map(|&c| &right.cols()[c]).collect();
+        let mut table = HashChains::new(right.rows());
+        join_hashes(&rkeys, right.rows()).into_iter().for_each(|hash| table.push(hash));
+        JoinBuild { keys: right_keys.to_vec(), table, right }
     }
-    let mut cols = left.gather(&lidx).into_cols();
-    if matches!(kind, JoinKind::Inner | JoinKind::Left) {
-        cols.extend(right.gather(&ridx).into_cols());
+
+    /// `left`'s rows joined with the build side.
+    pub fn probe(&self, left: &Batch, left_keys: &[usize], kind: JoinKind) -> Batch {
+        let lkeys: Vec<&Column> = left_keys.iter().map(|&c| &left.cols()[c]).collect();
+        let rkeys: Vec<&Column> = self.keys.iter().map(|&c| &self.right.cols()[c]).collect();
+        // An index past the end gathers as NULL: the padding of `Left`.
+        let unmatched = usize::MAX;
+        let (mut lidx, mut ridx, mut matches) = (Vec::new(), Vec::new(), Vec::new());
+        for (l, hash) in join_hashes(&lkeys, left.rows()).into_iter().enumerate() {
+            matches.clear();
+            if let Some(hash) = hash {
+                let equal = |r: &usize| lkeys.iter().zip(&rkeys).all(|(a, b)| a.cell_eq(l, b, *r));
+                matches.extend(self.table.probe(hash).filter(equal));
+            }
+            match kind {
+                JoinKind::Inner | JoinKind::Left => {
+                    if matches.is_empty() && kind == JoinKind::Left {
+                        matches.push(unmatched);
+                    }
+                    lidx.extend(std::iter::repeat_n(l, matches.len()));
+                    ridx.extend(matches.iter().rev());
+                }
+                JoinKind::Semi | JoinKind::Anti => {
+                    if matches.is_empty() == (kind == JoinKind::Anti) {
+                        lidx.push(l);
+                    }
+                }
+            }
+        }
+        let mut cols = left.gather(&lidx).into_cols();
+        if matches!(kind, JoinKind::Inner | JoinKind::Left) {
+            cols.extend(self.right.gather(&ridx).into_cols());
+        }
+        Batch::new(cols, lidx.len())
     }
-    Ok(Batch::new(cols, lidx.len()))
 }
 
 /// Each row's key hash, computed a column at a time ([`hash_rows`]),
@@ -167,6 +191,10 @@ mod tests {
 
     fn batch(data: &[&[i64]]) -> Batch {
         Batch::from_rows(&rows(data), data.first().map_or(0, |r| r.len()))
+    }
+
+    fn hash_join(left: Batch, right: Batch, lk: &[usize], rk: &[usize], kind: JoinKind) -> Result<Batch> {
+        Ok(JoinBuild::new(right, rk).probe(&left, lk, kind))
     }
 
     #[test]

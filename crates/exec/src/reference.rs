@@ -18,7 +18,7 @@ use eon_columnar::segment::shard_of_row;
 use eon_columnar::Batch;
 use eon_types::{EonError, Result, Value};
 
-use crate::execute::TableProvider;
+use crate::execute::{Pieces, TableProvider};
 use crate::plan::{Distribution, ScanSpec};
 
 /// Tables as materialized rows in table column order. `LocalShards`
@@ -71,7 +71,8 @@ impl MemProvider {
 }
 
 impl TableProvider for MemProvider {
-    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
-        specs.iter().map(|spec| self.scan_one(spec)).collect()
+    /// One piece per scan.
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Pieces>> {
+        specs.iter().map(|spec| self.scan_one(spec).map(Pieces::one)).collect()
     }
 }

@@ -13,6 +13,13 @@
 //! inputs, and batches built as a scan builds them: pieces whose string
 //! column is dictionary-coded, each with its own dictionary, merged by
 //! `Batch::concat`.
+//!
+//! One more property holds the executor to its pieces: any plan built
+//! from these operators, run over a random cut of its tables into
+//! pieces, answers exactly (floats by bits, rows in order) what it
+//! answers over their `Batch::concat` — the running aggregate's
+//! dictionary-slot and hash group ids, the piece-wise join probe and
+//! limit, and zero or only empty pieces included.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -22,7 +29,10 @@ use eon_columnar::pruning::CmpOp;
 use eon_columnar::{Batch, Column, Data, StrVec};
 use eon_exec::agg::{aggregate_partial, finalize_partials, merge_partials};
 use eon_exec::expr::ArithOp;
-use eon_exec::{ops, AggFunc, AggSpec, Expr, JoinKind, SortKey};
+use eon_exec::{
+    auto_distribute, execute, ops, AggFunc, AggSpec, Expr, JoinKind, Pieces, Plan, ScanSpec,
+    SortKey, TableProvider,
+};
 use eon_types::{EonError, Result, Value, ValueRef};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
@@ -326,6 +336,32 @@ fn dict_coded(col: &Column, rng: &mut StdRng) -> Column {
     Column::new(Data::Dict { dict: Arc::new(dict), codes }, valid)
 }
 
+/// Every aggregate function over every column shape.
+fn aggs() -> Vec<AggSpec> {
+    vec![
+        AggSpec::sum(Expr::col(1)),                         // wraps at i64::MIN/MAX
+        AggSpec::sum(Expr::col(2)),                         // Float: order-sensitive
+        AggSpec::sum(Expr::col(6)),                         // Int → Float promotion
+        AggSpec::sum(Expr::mul(Expr::col(0), Expr::lit(2i64))),
+        AggSpec::new(AggFunc::Count, Expr::col(0)),
+        AggSpec::count_star(),
+        AggSpec::avg(Expr::col(1)),
+        AggSpec::avg(Expr::col(2)),
+        AggSpec::min(Expr::col(3)),
+        AggSpec::max(Expr::col(2)),
+        AggSpec::min(Expr::col(6)),
+        AggSpec::new(AggFunc::CountDistinct, Expr::col(0)),
+        AggSpec::new(AggFunc::CountDistinct, Expr::col(3)),
+        // TPC-H Q1's computed inputs: price * (1 - discount) [* (1 + tax)].
+        AggSpec::sum(Expr::mul(Expr::col(2), Expr::sub(Expr::lit(1i64), Expr::col(2)))),
+        AggSpec::sum(Expr::mul(
+            Expr::mul(Expr::col(2), Expr::sub(Expr::lit(1i64), Expr::col(2))),
+            Expr::add(Expr::lit(1i64), Expr::col(2)),
+        )),
+        AggSpec::avg(Expr::col(6)),                         // Int/Float `Values`
+    ]
+}
+
 /// Rows with floats spelled by bits, so NaN payloads and -0.0 count.
 fn bits(rows: &[Row]) -> Vec<Vec<String>> {
     let cell = |v: &Value| match v {
@@ -346,6 +382,134 @@ fn check(got: Result<Batch>, want: Result<Vec<Row>>, width: usize, what: &str) {
         (got, want) => assert_eq!(got.is_err(), want.is_err(), "{what}: error"),
     }
 }
+
+// ------------------------------------------------------ pieces ≡ whole
+
+/// Scans answered from tables held as pieces, returned as they are
+/// (every generated scan is a bare `ScanSpec::new(table)`).
+struct PieceTables(HashMap<&'static str, Pieces>);
+
+impl TableProvider for PieceTables {
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Pieces>> {
+        Ok(specs.iter().map(|s| self.0[s.table.as_str()].clone()).collect())
+    }
+}
+
+impl PieceTables {
+    /// The same tables, each as one piece: its pieces' `Batch::concat`.
+    fn whole(&self) -> PieceTables {
+        let one = |p: &Pieces| Pieces::one(Batch::concat(p.batches.clone(), p.width));
+        PieceTables(self.0.iter().map(|(&t, p)| (t, one(p))).collect())
+    }
+}
+
+/// `rows` cut at random the way a scan cuts them: some pieces empty,
+/// each piece's string column dictionary-coded with a dictionary of its
+/// own or left plain — and, with no rows, sometimes no piece at all.
+fn to_pieces(rows: &[Row], rng: &mut StdRng) -> Pieces {
+    if rows.is_empty() && rng.gen_range(0..2u32) == 0 {
+        return Pieces { width: WIDTH, batches: Vec::new() };
+    }
+    let mut cuts: Vec<usize> = (0..rng.gen_range(0..6usize)).map(|_| rng.gen_range(0..=rows.len())).collect();
+    cuts.extend([0, rows.len()]);
+    cuts.sort();
+    let batches = cuts.windows(2).map(|w| {
+        let piece = Batch::from_rows(&rows[w[0]..w[1]], WIDTH);
+        if rng.gen_range(0..3u32) == 0 {
+            return piece;
+        }
+        let mut cols = piece.into_cols();
+        cols[3] = dict_coded(&cols[3], rng);
+        Batch::new(cols, w[1] - w[0])
+    });
+    Pieces { width: WIDTH, batches: batches.collect() }
+}
+
+/// Plans over tables `l` and `r` (both `WIDTH` wide): every filter and
+/// projection expression, sort + limit and a bare limit, every join key
+/// set and kind, grouped and global aggregates — string keys alone, in
+/// pairs (the dictionary-slot path while the slots fit the piece, the
+/// hash path once they do not) and beside a plain key — and a Q3-shaped
+/// filter → join → aggregate → sort → limit.
+fn plans(rng: &mut StdRng) -> Vec<Plan> {
+    let scan = |t: &str| Plan::scan(ScanSpec::new(t));
+    let mut plans = Vec::new();
+    for e in exprs() {
+        plans.push(scan("l").filter(e.clone()));
+        plans.push(scan("l").project(vec![e, Expr::col(3)], vec!["e", "s"]));
+    }
+    let keys: Vec<SortKey> = (0..rng.gen_range(1..4usize))
+        .map(|_| SortKey { col: rng.gen_range(0..WIDTH), desc: rng.gen_range(0..2u32) == 0 })
+        .collect();
+    let n = rng.gen_range(0..50usize);
+    plans.push(scan("l").sort(keys).limit(n));
+    plans.push(scan("l").limit(n));
+    for (lk, rk) in [(vec![0], vec![0]), (vec![6, 0], vec![0, 6]), (vec![3], vec![3]), (vec![3, 0], vec![3, 0])] {
+        for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+            plans.push(scan("l").join_kind(scan("r"), lk.clone(), rk.clone(), kind));
+        }
+    }
+    for group_by in [vec![], vec![0], vec![3], vec![3, 3], vec![3, 5], vec![6], vec![2]] {
+        plans.push(scan("l").aggregate(group_by, aggs()));
+    }
+    let shipped = Expr::Or(vec![Expr::IsNull(Box::new(Expr::col(0))), Expr::col(5)]);
+    let q3 = scan("l")
+        .filter(shipped)
+        .join(scan("r"), vec![3, 0], vec![3, 0])
+        .aggregate(vec![3, 10], vec![AggSpec::sum(Expr::col(2)), AggSpec::sum(Expr::col(9)), AggSpec::count_star()])
+        .sort(vec![SortKey::desc(2), SortKey::asc(0)])
+        .limit(3);
+    plans.push(q3);
+    plans
+}
+
+/// Same width and rows by bits — or both a typed error.
+fn same(got: Result<Batch>, want: Result<Batch>, what: &str) {
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            assert_eq!(got.width(), want.width(), "{what}: width");
+            assert_eq!(bits(&got.into_rows()), bits(&want.into_rows()), "{what}");
+        }
+        (got, want) => assert_eq!(got.is_err(), want.is_err(), "{what}: error"),
+    }
+}
+
+proptest! {
+    #[test]
+    fn pieces_answer_as_their_concatenation(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (left, right) = (gen_rows(&mut rng, 80), gen_rows(&mut rng, 25));
+        let mut tables = HashMap::new();
+        tables.insert("l", to_pieces(&left, &mut rng));
+        tables.insert("r", to_pieces(&right, &mut rng));
+        // An empty table as no piece, and as only empty pieces.
+        tables.insert("none", Pieces { width: WIDTH, batches: Vec::new() });
+        tables.insert("empty", Pieces { width: WIDTH, batches: vec![Batch::nulls(WIDTH, 0); 2] });
+        let pieces = PieceTables(tables);
+        let whole = pieces.whole();
+        for (i, plan) in plans(&mut rng).iter().enumerate() {
+            let what = format!("plan {i}: {plan:?}");
+            same(execute(plan, &pieces), execute(plan, &whole), &what);
+            // The same plan split as the cluster runs it: a node's local
+            // phase, then the coordinator's merge.
+            let dp = auto_distribute(plan);
+            let distributed = |t: &PieceTables| dp.execute_local(t).and_then(|r| dp.finish(vec![r]));
+            same(distributed(&pieces), distributed(&whole), &format!("distributed {what}"));
+        }
+        // A global aggregate over no row is one row: COUNT 0, SUM NULL.
+        for table in ["none", "empty"] {
+            let plan = Plan::scan(ScanSpec::new(table))
+                .aggregate(vec![], vec![AggSpec::count_star(), AggSpec::sum(Expr::col(2))]);
+            let out = execute(&plan, &pieces).unwrap().into_rows();
+            prop_assert_eq!(out, vec![vec![Value::Int(0), Value::Null]]);
+            let dp = auto_distribute(&plan);
+            let out = dp.finish(vec![dp.execute_local(&pieces).unwrap()]).unwrap().into_rows();
+            prop_assert_eq!(out, vec![vec![Value::Int(0), Value::Null]]);
+        }
+    }
+}
+
+// --------------------------------------------------------------- operators
 
 proptest! {
     #[test]
@@ -397,7 +561,8 @@ proptest! {
             for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
                 let width = if matches!(kind, JoinKind::Inner | JoinKind::Left) { 2 * WIDTH } else { WIDTH };
                 for right in [&right, &Vec::new()] {
-                    let got = ops::hash_join(to_batch(&left, seed), to_batch(right, seed / 3), &lk, &rk, kind);
+                    let build = ops::JoinBuild::new(to_batch(right, seed / 3), &rk);
+                    let got = Ok(build.probe(&to_batch(&left, seed), &lk, kind));
                     let want = ref_join(&left, right, &lk, &rk, kind);
                     check(got, Ok(want), width, &format!("{kind:?} join on {lk:?}={rk:?}"));
                 }
@@ -409,28 +574,7 @@ proptest! {
     fn aggregates_match_the_row_fold(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = gen_rows(&mut rng, 80);
-        let aggs = vec![
-            AggSpec::sum(Expr::col(1)),                         // wraps at i64::MIN/MAX
-            AggSpec::sum(Expr::col(2)),                         // Float: order-sensitive
-            AggSpec::sum(Expr::col(6)),                         // Int → Float promotion
-            AggSpec::sum(Expr::mul(Expr::col(0), Expr::lit(2i64))),
-            AggSpec::new(AggFunc::Count, Expr::col(0)),
-            AggSpec::count_star(),
-            AggSpec::avg(Expr::col(1)),
-            AggSpec::avg(Expr::col(2)),
-            AggSpec::min(Expr::col(3)),
-            AggSpec::max(Expr::col(2)),
-            AggSpec::min(Expr::col(6)),
-            AggSpec::new(AggFunc::CountDistinct, Expr::col(0)),
-            AggSpec::new(AggFunc::CountDistinct, Expr::col(3)),
-            // TPC-H Q1's computed inputs: price * (1 - discount) [* (1 + tax)].
-            AggSpec::sum(Expr::mul(Expr::col(2), Expr::sub(Expr::lit(1i64), Expr::col(2)))),
-            AggSpec::sum(Expr::mul(
-                Expr::mul(Expr::col(2), Expr::sub(Expr::lit(1i64), Expr::col(2))),
-                Expr::add(Expr::lit(1i64), Expr::col(2)),
-            )),
-            AggSpec::avg(Expr::col(6)),                         // Int/Float `Values`
-        ];
+        let aggs = aggs();
         for group_by in [vec![], vec![0], vec![3, 5], vec![6], vec![2]] {
             let width = group_by.len() + aggs.len();
             // One chunk: the single-phase fold, Float sums bit-exact.

@@ -39,7 +39,7 @@ use eon_exec::colocate::Layout;
 use eon_exec::crunch::CrunchSlice;
 use eon_exec::{
     auto_distribute, co_locate_joins, execute, prune_columns, push_predicates, AggFunc, AggSpec,
-    Distribution, Expr, JoinKind, Plan, ScanSpec, SortKey, TableProvider,
+    Distribution, Expr, JoinKind, Pieces, Plan, ScanSpec, SortKey, TableProvider,
 };
 use eon_types::{EonError, Result, Value};
 use proptest::prelude::*;
@@ -121,8 +121,8 @@ impl Tables<'_> {
 }
 
 impl TableProvider for Tables<'_> {
-    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Batch>> {
-        specs.iter().map(|spec| self.scan_one(spec)).collect()
+    fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Pieces>> {
+        specs.iter().map(|spec| self.scan_one(spec).map(Pieces::one)).collect()
     }
 }
 

@@ -35,14 +35,13 @@ impl Wos {
         buf.len() >= self.moveout_threshold
     }
 
-    /// Rows currently buffered for a projection (queries must read the
-    /// WOS too — it holds committed data in Enterprise mode).
-    pub fn rows(&self, projection: Oid) -> Vec<Vec<Value>> {
-        self.buffers
-            .lock()
-            .get(&projection)
-            .cloned()
-            .unwrap_or_default()
+    /// Visit the rows currently buffered for a projection, in order,
+    /// borrowed under the buffer's lock (queries must read the WOS too —
+    /// it holds committed data in Enterprise mode), so a scan copies
+    /// only the cells it keeps.
+    pub fn for_each_row(&self, projection: Oid, visit: impl FnMut(&[Value])) {
+        let buffers = self.buffers.lock();
+        buffers.get(&projection).into_iter().flatten().map(Vec::as_slice).for_each(visit);
     }
 
     pub fn buffered_count(&self, projection: Oid) -> usize {
@@ -106,8 +105,10 @@ mod tests {
         let wos = Wos::new(100);
         wos.append(Oid(1), rows(3));
         wos.append(Oid(2), rows(4));
-        assert_eq!(wos.rows(Oid(1)).len(), 3);
-        assert_eq!(wos.rows(Oid(2)).len(), 4);
+        let mut seen = Vec::new();
+        wos.for_each_row(Oid(2), |row| seen.push(row.to_vec()));
+        assert_eq!(seen, rows(4));
+        assert_eq!(wos.buffered_count(Oid(1)), 3);
         assert_eq!(wos.total_rows(), 7);
     }
 

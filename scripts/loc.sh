@@ -73,3 +73,9 @@ printf '%-16s %6d\n' "condvars" "$(matches 'Condvar::new[(]' crates)"
 # nothing persists through serde).
 printf '%-16s %6d\n' "serde derives" \
     "$(grep -rE --include='*.rs' 'derive\(.*(Serialize|Deserialize)' crates shims src tests examples | wc -l)"
+
+# "Scans feed the operators block by block" as a number: `Batch::concat`
+# call sites in non-test crate source (target 4: the join's build side
+# and the sort in `eon-exec::execute`, the coordinator's one
+# concatenation, and Enterprise's WOS edge — no scan concatenates).
+printf '%-16s %6d\n' "Batch::concat calls" "$(matches 'Batch::concat[(]' crates)"
