@@ -184,6 +184,70 @@ impl Column {
         (!dict.is_empty()).then(|| (Arc::new(dict), code_of))
     }
 
+    /// Cell `codes[i]` of this column for every `i` (each code in range):
+    /// a Dict block's rows — all its codes, or the survivors' — its
+    /// dictionary mapped through them. Numbers come out typed. Strings
+    /// stay codes: moved as they are when the entries are already
+    /// distinct and none is NULL, else remapped into the distinct
+    /// entries.
+    pub(crate) fn take_codes(&self, codes: Vec<u32>) -> Column {
+        fn map<T: Copy>(cells: &[T], codes: &[u32]) -> Vec<T> {
+            codes.iter().map(|&c| cells[c as usize]).collect()
+        }
+        let valid = self.valid.as_ref().map(|ok| map(ok, &codes));
+        let data = match &self.data {
+            Data::Int(v) => Data::Int(map(v, &codes)),
+            Data::Float(v) => Data::Float(map(v, &codes)),
+            Data::Date(v) => Data::Date(map(v, &codes)),
+            Data::Bool(v) => Data::Bool(map(v, &codes)),
+            Data::Dict { dict, codes: c } => Data::Dict { dict: dict.clone(), codes: map(c, &codes) },
+            Data::Str(_) => {
+                let Some((dict, code_of)) = self.dictionary() else {
+                    return Column::nulls_like(&self.data, codes.len());
+                };
+                if code_of.iter().enumerate().all(|(j, c)| *c == Some(j as u32)) {
+                    return Column { data: Data::Dict { dict, codes }, valid: None };
+                }
+                return Column::from_codes(dict, code_of.into_iter()).take_codes(codes);
+            }
+            Data::Null(_) => Data::Null(codes.len()),
+            Data::Values(v) => Data::Values(codes.iter().map(|&c| v[c as usize].clone()).collect()),
+        };
+        Column { data, valid }
+    }
+
+    /// Cell `k` repeated `runs[k]` times, for every `k`: an RLE block's
+    /// rows — its run lengths, or each run's survivor count — filled run
+    /// by run. Strings come out dictionary-coded, as
+    /// [`from_codes`](Self::from_codes) makes them.
+    pub(crate) fn repeat_runs(&self, runs: &[u64]) -> Column {
+        fn fill<T: Copy>(cells: &[T], runs: &[u64]) -> Vec<T> {
+            let mut out = Vec::with_capacity(runs.iter().sum::<u64>() as usize);
+            cells.iter().zip(runs).for_each(|(&x, &run)| out.resize(out.len() + run as usize, x));
+            out
+        }
+        let valid = self.valid.as_ref().map(|ok| fill(ok, runs));
+        let data = match &self.data {
+            Data::Int(v) => Data::Int(fill(v, runs)),
+            Data::Float(v) => Data::Float(fill(v, runs)),
+            Data::Date(v) => Data::Date(fill(v, runs)),
+            Data::Bool(v) => Data::Bool(fill(v, runs)),
+            Data::Dict { dict, codes } => Data::Dict { dict: dict.clone(), codes: fill(codes, runs) },
+            Data::Str(_) => {
+                return match self.dictionary() {
+                    Some((dict, code_of)) => Column::from_codes(dict, code_of.into_iter()).repeat_runs(runs),
+                    None => Column::nulls_like(&self.data, runs.iter().sum::<u64>() as usize),
+                };
+            }
+            Data::Null(_) => Data::Null(runs.iter().sum::<u64>() as usize),
+            Data::Values(v) => {
+                let cells = v.iter().zip(runs).flat_map(|(x, &run)| std::iter::repeat_n(x, run as usize));
+                Data::Values(cells.cloned().collect())
+            }
+        };
+        Column { data, valid }
+    }
+
     pub fn data(&self) -> &Data {
         &self.data
     }

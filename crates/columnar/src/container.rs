@@ -478,10 +478,11 @@ impl RosReader {
     /// every column it reads, predicate and output alike, in one wave of
     /// the range planner; evaluate the predicate on the predicate
     /// columns' encoded views — once per RLE run / dictionary entry —
-    /// AND in the row mask, and decode and gather the other columns only
-    /// for blocks with a surviving row, column-major. `Predicate::True`
-    /// is the all-true selection; blocks come back in block order, rows
-    /// in position order.
+    /// AND in the row mask, and materialize the columns the caller keeps
+    /// only for blocks with a surviving row, column-major. A predicate
+    /// column the caller does not keep is tested and goes no further.
+    /// `Predicate::True` is the all-true selection; blocks come back in
+    /// block order, rows in position order.
     pub fn filter_blocks(
         &self,
         fs: &dyn eon_storage::FileSystem,
@@ -499,6 +500,11 @@ impl RosReader {
         if let Some(c) = touched.iter().chain(f.read_cols).chain(consts).find(|&&c| c >= f.width) {
             return Err(EonError::Query(format!("column {c} outside row width {}", f.width)));
         }
+        // The slot of `read_cols` each kept column is read into.
+        let kept_slots = (f.keep_cols.iter())
+            .map(|c| f.read_cols.iter().position(|r| r == c))
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(|| EonError::Internal("a kept column is not read".into()))?;
         let raw = self.fetch_blocks(fs, f.read_cols, keep, gap, stats)?;
         // Slots of `read_cols` the predicate reads.
         let pslots: Vec<usize> =
@@ -554,11 +560,13 @@ impl RosReader {
             // Each view is consumed: a block whose every row survives
             // hands over its decoded column instead of a copy.
             let mut pviews: Vec<Option<EncodedBlock>> = pviews.into_iter().map(Some).collect();
-            let mut cols = Vec::with_capacity(f.read_cols.len());
-            for (s, &c) in f.read_cols.iter().enumerate() {
+            let mut cols = Vec::with_capacity(kept_slots.len());
+            for &s in &kept_slots {
                 let view = match pslots.iter().position(|&p| p == s) {
-                    Some(k) => pviews[k].take().expect("one slot per predicate column"),
-                    None => self.decode_block(block(s), c, b, stats)?,
+                    Some(k) => pviews[k].take().ok_or_else(|| {
+                        EonError::Internal("a column is kept twice".into())
+                    })?,
+                    None => self.decode_block(block(s), f.read_cols[s], b, stats)?,
                 };
                 cols.push(view.select(&surv));
             }
@@ -578,9 +586,14 @@ pub struct BlockFilter<'a> {
     /// Row width the predicate's column indices are resolved against.
     pub width: usize,
     pub pred: &'a Predicate,
-    /// Columns to return, all physically present in the container. A
+    /// Columns to read, all physically present in the container. A
     /// predicate column outside this list evaluates as `Null`.
     pub read_cols: &'a [usize],
+    /// The columns of `read_cols` the caller keeps, each once:
+    /// [`BlockRows::cols`] holds these, in this order. A column read
+    /// only for the predicate is left out, so it is tested on its
+    /// encoded view and never materialized.
+    pub keep_cols: &'a [usize],
     /// Columns the container lacks (added to the table after it was
     /// written, §6.3) with the value every row carries; the predicate
     /// sees them as constants.
@@ -600,7 +613,8 @@ pub struct BlockRows {
     pub first: u64,
     /// Surviving in-block row indices, ascending.
     pub rows: Vec<usize>,
-    /// One column per column read, parallel to `rows`.
+    /// One column per kept column ([`BlockFilter::keep_cols`]), each
+    /// parallel to `rows`.
     pub cols: Vec<Column>,
 }
 
@@ -994,6 +1008,13 @@ mod tests {
             if seed % 2 == 1 {
                 read_cols.reverse();
             }
+            // Any subset of those kept, in any order: the others are
+            // read for the predicate only.
+            let mut keep_cols: Vec<usize> =
+                read_cols.iter().copied().filter(|_| rng.gen_range(0..4u32) != 0).collect();
+            for i in (1..keep_cols.len()).rev() {
+                keep_cols.swap(i, rng.gen_range(0..=i));
+            }
             let nblocks = n.div_ceil(BLOCK);
             let keep: Vec<bool> = (0..nblocks).map(|b| keep_bits & (1 << b) != 0).collect();
             let mask: Vec<bool> = (0..n).map(|_| rng.gen_range(0..4u32) != 0).collect();
@@ -1003,7 +1024,7 @@ mod tests {
             // The naive answer, from whole decoded columns.
             let decoded: Vec<Vec<Value>> =
                 (0..4).map(|c| reader.read_column(&fs, c).unwrap()).collect();
-            // (block, in-block rows, one value vector per column read)
+            // (block, in-block rows, one value vector per kept column)
             let mut want: Vec<(usize, Vec<usize>, Vec<Vec<Value>>)> = Vec::new();
             for i in 0..n {
                 let mut row = vec![Value::Null; WIDTH];
@@ -1015,11 +1036,11 @@ mod tests {
                     continue;
                 }
                 if want.last().map(|br| br.0) != Some(i / BLOCK) {
-                    want.push((i / BLOCK, vec![], vec![vec![]; read_cols.len()]));
+                    want.push((i / BLOCK, vec![], vec![vec![]; keep_cols.len()]));
                 }
                 let br = want.last_mut().unwrap();
                 br.1.push(i % BLOCK);
-                for (vals, &c) in br.2.iter_mut().zip(&read_cols) {
+                for (vals, &c) in br.2.iter_mut().zip(&keep_cols) {
                     vals.push(row[c].clone());
                 }
             }
@@ -1028,6 +1049,7 @@ mod tests {
                 width: WIDTH,
                 pred: &pred,
                 read_cols: &read_cols,
+                keep_cols: &keep_cols,
                 consts: &consts,
                 row_mask,
             };

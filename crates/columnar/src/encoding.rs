@@ -299,15 +299,25 @@ impl EncodedBlock {
 
     /// Materialize every row.
     pub fn decode(&self) -> Column {
+        self.clone().into_rows()
+    }
+
+    /// Every row, consuming the view, with no index vector: a plain
+    /// block hands over its decoded column, an RLE block fills its runs,
+    /// and a Dict block maps its codes through its dictionary (strings
+    /// keep the codes themselves when the entries are already distinct).
+    fn into_rows(self) -> Column {
         match self {
-            EncodedBlock::Plain(col) => col.clone(),
-            _ => self.gather(&(0..self.rows()).collect::<Vec<_>>()),
+            EncodedBlock::Plain(col) => col,
+            EncodedBlock::Rle { runs, values, .. } => values.repeat_runs(&runs),
+            EncodedBlock::Dict { dict, codes } => dict.take_codes(codes),
         }
     }
 
     /// Materialize only the rows at `idx` (sorted ascending, in range):
-    /// late materialization below the decode boundary. One pass over
-    /// the runs/codes regardless of how many survivors there are. A
+    /// late materialization below the decode boundary, through the same
+    /// kernel as every row — an RLE block repeats each run's value once
+    /// per survivor in it, a Dict block maps the survivors' codes. A
     /// string block stored as RLE or Dict comes out dictionary-coded
     /// ([`Data::Dict`]): its distinct strings once, a code per row.
     pub fn gather(&self, idx: &[usize]) -> Column {
@@ -315,38 +325,31 @@ impl EncodedBlock {
         match self {
             EncodedBlock::Plain(col) => col.gather(idx),
             EncodedBlock::Rle { runs, values, .. } => {
+                let mut kept = vec![0u64; runs.len()];
                 let (mut run, mut end) = (0, runs.first().copied().unwrap_or(0));
-                let mut of_run = |&i: &usize| {
+                for &i in idx {
                     while i as u64 >= end {
                         run += 1;
                         end += runs[run];
                     }
-                    run
-                };
-                match values.dictionary() {
-                    Some((dict, code_of)) => {
-                        Column::from_codes(dict, idx.iter().map(|i| code_of[of_run(i)]))
-                    }
-                    None => values.gather(&idx.iter().map(of_run).collect::<Vec<_>>()),
+                    kept[run] += 1;
                 }
+                values.repeat_runs(&kept)
             }
-            EncodedBlock::Dict { dict, codes } => match dict.dictionary() {
-                Some((entries, code_of)) => {
-                    Column::from_codes(entries, idx.iter().map(|&i| code_of[codes[i] as usize]))
-                }
-                None => dict.gather(&idx.iter().map(|&i| codes[i] as usize).collect::<Vec<_>>()),
-            },
+            EncodedBlock::Dict { dict, codes } => {
+                dict.take_codes(idx.iter().map(|&i| codes[i]).collect())
+            }
         }
     }
 
     /// The rows at `idx` (sorted ascending, in range), consuming the
-    /// view: when `idx` is every row of a plain block, its decoded
-    /// column itself, moved rather than copied.
+    /// view: when `idx` is every row, the block moves or expands whole
+    /// ([`into_rows`](Self::into_rows)).
     pub fn select(self, idx: &[usize]) -> Column {
-        match self {
-            EncodedBlock::Plain(col) if idx.len() == col.len() => col,
-            view => view.gather(idx),
+        if idx.len() < self.rows() {
+            return self.gather(idx);
         }
+        self.into_rows()
     }
 }
 
@@ -400,14 +403,25 @@ pub fn decode_column_view(r: &mut Reader<'_>) -> Result<EncodedBlock> {
             if n > r.remaining() {
                 return Err(corrupt("dict code count exceeds payload"));
             }
-            let mut codes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let code = r.get_varint()?;
-                if code >= dsize as u64 {
+            let codes = if dsize <= 128 {
+                // Every code fits one varint byte: `n` bytes, each below
+                // the dictionary size (a continuation byte never is).
+                let bytes = r.take(n)?;
+                if bytes.iter().any(|&b| b as usize >= dsize) {
                     return Err(corrupt("dict code out of range"));
                 }
-                codes.push(code as u32);
-            }
+                bytes.iter().map(|&b| u32::from(b)).collect()
+            } else {
+                let mut codes = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let code = r.get_varint()?;
+                    if code >= dsize as u64 {
+                        return Err(corrupt("dict code out of range"));
+                    }
+                    codes.push(code as u32);
+                }
+                codes
+            };
             Ok(EncodedBlock::Dict { dict, codes })
         }
         Encoding::Delta => {
@@ -415,15 +429,19 @@ pub fn decode_column_view(r: &mut Reader<'_>) -> Result<EncodedBlock> {
             if n > r.remaining() {
                 return Err(corrupt("delta count exceeds payload"));
             }
-            let mut prev: i64 = 0;
-            let mut next = || -> Result<i64> {
-                prev = prev.wrapping_add(r.get_signed_varint()?);
-                Ok(prev)
-            };
+            // Cumulated straight into the column's own type, sized up front.
+            fn cumulate<T>(r: &mut Reader<'_>, n: usize, cast: impl Fn(i64) -> T) -> Result<Vec<T>> {
+                let (mut cells, mut prev) = (Vec::with_capacity(n), 0i64);
+                for _ in 0..n {
+                    prev = prev.wrapping_add(r.get_signed_varint()?);
+                    cells.push(cast(prev));
+                }
+                Ok(cells)
+            }
             let data = if is_date {
-                Data::Date((0..n).map(|_| Ok(next()? as i32)).collect::<Result<_>>()?)
+                Data::Date(cumulate(r, n, |x| x as i32)?)
             } else {
-                Data::Int((0..n).map(|_| next()).collect::<Result<_>>()?)
+                Data::Int(cumulate(r, n, |x| x)?)
             };
             Ok(EncodedBlock::Plain(Column::new(data, None)))
         }
@@ -608,6 +626,186 @@ mod tests {
         assert!(matches!(&view, EncodedBlock::Plain(_)));
         assert!(!view.is_encoded());
         assert_eq!(view.decode().to_values(), ints);
+    }
+
+    /// A varint read a byte at a time, apart from `Reader::get_varint`.
+    fn varint_by_bytes(r: &mut Reader<'_>) -> u64 {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let byte = r.get_u8().unwrap();
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    /// The per-cell reference decoder: every value through
+    /// `get_value_ref`, every run length, code and delta a varint read
+    /// byte by byte — none of the decoder's typed runs.
+    fn reference(bytes: &[u8]) -> Vec<Value> {
+        let mut r = Reader::new(bytes);
+        let enc = Encoding::from_tag(r.get_u8().unwrap()).unwrap();
+        let n = varint_by_bytes(&mut r) as usize;
+        let cell = |r: &mut Reader<'_>| r.get_value_ref().unwrap().to_value();
+        let out: Vec<Value> = match enc {
+            Encoding::Plain => (0..n).map(|_| cell(&mut r)).collect(),
+            Encoding::Rle => {
+                let mut out = Vec::new();
+                while out.len() < n {
+                    let run = varint_by_bytes(&mut r) as usize;
+                    let v = cell(&mut r);
+                    out.extend(std::iter::repeat_n(v, run));
+                }
+                out
+            }
+            Encoding::Dict => {
+                let size = varint_by_bytes(&mut r) as usize;
+                let dict: Vec<Value> = (0..size).map(|_| cell(&mut r)).collect();
+                (0..n).map(|_| dict[varint_by_bytes(&mut r) as usize].clone()).collect()
+            }
+            Encoding::Delta => {
+                let is_date = r.get_u8().unwrap() != 0;
+                let mut prev = 0i64;
+                (0..n)
+                    .map(|_| {
+                        let z = varint_by_bytes(&mut r);
+                        prev = prev.wrapping_add(((z >> 1) as i64) ^ -((z & 1) as i64));
+                        if is_date { Value::Date(prev as i32) } else { Value::Int(prev) }
+                    })
+                    .collect()
+            }
+        };
+        assert!(r.is_exhausted());
+        out
+    }
+
+    /// A random block and the one encoding it is written with, by
+    /// `kind`: Dict of 1–128 entries, Dict of 129–300, RLE of strings or
+    /// numbers with NULL runs, Delta at the Int and Date extremes, Plain
+    /// Floats with NULLs, NaN payloads and −0.0.
+    fn fast_path_block(kind: u32, rng: &mut rand::StdRng) -> (Vec<Value>, Encoding) {
+        use rand::Rng;
+        let nan = |rng: &mut rand::StdRng| f64::from_bits(0x7ff0_0000_0000_0001 | rng.gen_range(0..1u64 << 51));
+        let float = |rng: &mut rand::StdRng| match rng.gen_range(0..5u32) {
+            0 => nan(rng),
+            1 => -0.0,
+            2 => 0.0,
+            _ => rng.gen_range(-1e6..1e6),
+        };
+        match kind {
+            0 | 1 => {
+                let size = if kind == 0 { rng.gen_range(1..=128usize) } else { rng.gen_range(129..=300) };
+                let shape = rng.gen_range(0..3u32);
+                // A NULL entry, or none: strings then keep their codes.
+                let null_entry = size > 1 && rng.gen_range(0..2u32) == 0;
+                let entry = |j: usize| match (shape, j) {
+                    (_, 0) if null_entry => Value::Null,
+                    (0, j) => Value::Str(format!("é{j}")),
+                    (1, j) => Value::Int(j as i64 * 1_000_003 - 7),
+                    (_, j) => Value::Float(j as f64 / 3.0),
+                };
+                // Every entry at least once, so the writer keeps them all.
+                let mut rows: Vec<usize> = (0..size).collect();
+                rows.extend((0..rng.gen_range(0..400)).map(|_| rng.gen_range(0..size)));
+                for i in (1..rows.len()).rev() {
+                    rows.swap(i, rng.gen_range(0..=i));
+                }
+                (rows.into_iter().map(entry).collect(), Encoding::Dict)
+            }
+            2 => {
+                let strings = rng.gen_range(0..2u32) == 0;
+                let mut vals = Vec::new();
+                for _ in 0..rng.gen_range(1..40) {
+                    let v = match (rng.gen_range(0..4u32), strings) {
+                        (0, _) => Value::Null,
+                        (_, true) => Value::Str(["", "a", "ab", "é"][rng.gen_range(0..4)].into()),
+                        (1, false) => Value::Float(float(rng)),
+                        _ => Value::Int(rng.gen_range(-3..3)),
+                    };
+                    vals.extend(std::iter::repeat_n(v, rng.gen_range(1..20)));
+                }
+                if !strings && rng.gen_range(0..2u32) == 0 {
+                    // One type per column, as a stored column has.
+                    vals.retain(|v| !matches!(v, Value::Float(_)));
+                }
+                (vals, Encoding::Rle)
+            }
+            3 => {
+                let n = rng.gen_range(1..300);
+                let vals = if rng.gen_range(0..2u32) == 0 {
+                    let pick = [i64::MIN, i64::MAX, 0, -1, 1, i64::MIN + 1, i64::MAX - 1];
+                    (0..n).map(|_| Value::Int(pick[rng.gen_range(0..pick.len())])).collect()
+                } else {
+                    let pick = [i32::MIN, i32::MAX, 0, -1, 1, 9_000];
+                    (0..n).map(|_| Value::Date(pick[rng.gen_range(0..pick.len())])).collect()
+                };
+                (vals, Encoding::Delta)
+            }
+            _ => {
+                let n = rng.gen_range(1..300);
+                let cell = |rng: &mut rand::StdRng| {
+                    if rng.gen_range(0..6u32) == 0 { Value::Null } else { Value::Float(float(rng)) }
+                };
+                ((0..n).map(|_| cell(rng)).collect(), Encoding::Plain)
+            }
+        }
+    }
+
+    proptest! {
+        /// Every fast decode — one-byte dictionary codes, whole blocks
+        /// moved or expanded, Float cells read as a run, Delta straight
+        /// into its type — equals the per-cell reference by bits, for
+        /// every row and for a random subset.
+        #[test]
+        fn prop_fast_decode_matches_the_per_cell_reference(kind in 0u32..5, seed: u64) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::StdRng::seed_from_u64(seed);
+            let (vals, enc) = fast_path_block(kind, &mut rng);
+            let mut w = Writer::new();
+            encode_with(&vals, enc, &mut w);
+            let bytes = w.into_bytes();
+            let want = reference(&bytes);
+            prop_assert_eq!(format!("{want:?}"), format!("{vals:?}"));
+            let view = || decode_column_view(&mut Reader::new(&bytes)).unwrap();
+            let all: Vec<usize> = (0..want.len()).collect();
+            let got = view().select(&all);
+            prop_assert_eq!(&got, &Column::from_values(want.iter().map(Value::as_ref)));
+            let some: Vec<usize> = all.into_iter().filter(|_| rng.gen_range(0..2u32) == 0).collect();
+            let picked = some.iter().map(|&i| want[i].as_ref());
+            prop_assert_eq!(view().select(&some), Column::from_values(picked));
+        }
+
+        /// A Dict block with a mutated code — at or past the dictionary
+        /// size, or with its continuation bit set — or cut short is
+        /// `Corrupt`, never a block.
+        #[test]
+        fn prop_mutated_dict_codes_are_corrupt(large: bool, seed: u64) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::StdRng::seed_from_u64(seed);
+            let (vals, enc) = fast_path_block(u32::from(large), &mut rng);
+            let mut w = Writer::new();
+            encode_with(&vals, enc, &mut w);
+            let bytes = w.as_slice().to_vec();
+            let mut header = Reader::new(&bytes);
+            let (_, _) = (header.get_u8().unwrap(), header.get_varint().unwrap());
+            let size = header.get_varint().unwrap() as usize;
+            let mut mutants = vec![bytes[..bytes.len() - rng.gen_range(1..=vals.len().min(4))].to_vec()];
+            if size <= 128 {
+                // The codes are the block's last `rows` bytes, one each.
+                let at = bytes.len() - 1 - rng.gen_range(0..vals.len());
+                let mut past = bytes.clone();
+                past[at] = rng.gen_range(size..=255) as u8;
+                let mut continued = bytes.clone();
+                continued[at] |= 0x80;
+                mutants.extend([past, continued]);
+            }
+            for bad in mutants {
+                let got = decode_column_view(&mut Reader::new(&bad));
+                prop_assert!(matches!(got, Err(eon_types::EonError::Corrupt(_))), "{:?}", got);
+            }
+        }
     }
 
     proptest! {

@@ -176,20 +176,23 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
+    /// LEB128 unsigned varint, decoded from the slice. A `u64` takes at
+    /// most ten bytes, and the tenth holds bit 63 alone: a tenth byte
+    /// above 1 (more bits, or a continuation) is `Corrupt`, never a
+    /// value with its high bits dropped.
     pub fn get_varint(&mut self) -> Result<u64> {
         let mut v: u64 = 0;
-        let mut shift = 0;
-        loop {
-            let byte = self.get_u8()?;
-            if shift >= 64 {
+        for (k, &byte) in self.buf[self.pos..].iter().take(10).enumerate() {
+            if k == 9 && byte > 1 {
                 return Err(EonError::Corrupt("varint overflow".into()));
             }
-            v |= ((byte & 0x7f) as u64) << shift;
+            v |= ((byte & 0x7f) as u64) << (7 * k);
             if byte & 0x80 == 0 {
+                self.pos += k + 1;
                 return Ok(v);
             }
-            shift += 7;
         }
+        Err(EonError::Corrupt("short read: varint runs past the buffer".into()))
     }
 
     pub fn get_signed_varint(&mut self) -> Result<i64> {
@@ -221,16 +224,21 @@ impl<'a> Reader<'a> {
     pub fn get_cells(&mut self, n: usize) -> Result<Column> {
         // Cells tagged `$tag` (read by `$read`) or NULL, appended to
         // `$cells` until there are `n` or a cell of another type shows.
+        // `$run` reads a run of cells in one loop, where it can.
         macro_rules! typed {
-            ($tag:literal, $cells:expr, $null:expr, $read:expr, $data:path) => {{
+            ($tag:literal, $cells:expr, $null:expr, $read:expr, $data:path, $run:expr) => {{
                 let mut cells = $cells;
                 // NULLs are rare: their positions, not a flag per cell.
                 let mut nulls: Vec<usize> = (0..cells.len()).collect();
                 while cells.len() < n {
                     match self.buf.get(self.pos) {
                         Some($tag) => {
-                            self.pos += 1;
-                            cells.push($read);
+                            let before = cells.len();
+                            $run(self.buf, &mut self.pos, &mut cells, n);
+                            if cells.len() == before {
+                                self.pos += 1;
+                                cells.push($read);
+                            }
                         }
                         Some(0) => {
                             self.pos += 1;
@@ -248,11 +256,11 @@ impl<'a> Reader<'a> {
         let lead = self.buf[self.pos..].iter().take(n).take_while(|&&tag| tag == 0).count();
         self.pos += lead;
         let mut out = match self.buf.get(self.pos).filter(|_| lead < n) {
-            Some(1) => typed!(1, vec![0i64; lead], 0, self.get_signed_varint()?, Data::Int),
-            Some(2) => typed!(2, vec![0f64; lead], 0.0, self.get_f64()?, Data::Float),
-            Some(3) => typed!(3, StrVec::nulls(lead), "", self.get_str_ref()?, Data::Str),
-            Some(4) => typed!(4, vec![false; lead], false, self.get_u8()? != 0, Data::Bool),
-            Some(5) => typed!(5, vec![0i32; lead], 0, self.get_signed_varint()? as i32, Data::Date),
+            Some(1) => typed!(1, vec![0i64; lead], 0, self.get_signed_varint()?, Data::Int, no_run),
+            Some(2) => typed!(2, vec![0f64; lead], 0.0, self.get_f64()?, Data::Float, float_run),
+            Some(3) => typed!(3, StrVec::nulls(lead), "", self.get_str_ref()?, Data::Str, no_run),
+            Some(4) => typed!(4, vec![false; lead], false, self.get_u8()? != 0, Data::Bool, no_run),
+            Some(5) => typed!(5, vec![0i32; lead], 0, self.get_signed_varint()? as i32, Data::Date, no_run),
             _ => Column::nulls(lead),
         };
         // A block of mixed types (or a bad tag, reported here): cell by cell.
@@ -275,6 +283,19 @@ impl<'a> Reader<'a> {
         })
     }
 }
+
+/// The non-NULL Float cells at `buf[*pos..]`, while `cells` holds fewer
+/// than `n`: whole 9-byte cells (tag 2, then the little-endian bits)
+/// read in one loop, stopping at the first cell of another tag.
+fn float_run(buf: &[u8], pos: &mut usize, cells: &mut Vec<f64>, n: usize) {
+    let run = buf[*pos..].chunks_exact(9).take(n - cells.len()).take_while(|c| c[0] == 2);
+    let before = cells.len();
+    cells.extend(run.map(|c| f64::from_le_bytes(c[1..].try_into().expect("8 bytes"))));
+    *pos += 9 * (cells.len() - before);
+}
+
+/// No run reader: cells of this type are read one at a time.
+fn no_run<C>(_: &[u8], _: &mut usize, _: &mut C, _: usize) {}
 
 /// FNV-1a content checksum used by container footers.
 pub fn checksum(data: &[u8]) -> u64 {
@@ -325,6 +346,28 @@ mod tests {
             let b = w.into_bytes();
             assert_eq!(Reader::new(&b).get_varint().unwrap(), v);
         }
+    }
+
+    /// A tenth varint byte carries bit 63 only: anything above 1 there
+    /// is `Corrupt`, as is a varint with no end; the extremes round-trip.
+    #[test]
+    fn overlong_varints_are_corrupt() {
+        let mut overlong = vec![0xff; 9];
+        overlong.push(0x02);
+        for bad in [overlong, [0xff; 10].to_vec(), [0x80; 11].to_vec(), vec![0x80, 0x80]] {
+            let got = Reader::new(&bad).get_varint();
+            assert!(matches!(got, Err(EonError::Corrupt(_))), "{bad:?}: {got:?}");
+        }
+        let mut w = Writer::new();
+        w.put_varint(u64::MAX);
+        w.put_signed_varint(i64::MIN);
+        w.put_signed_varint(i64::MAX);
+        let b = w.into_bytes();
+        let mut r = Reader::new(&b);
+        assert_eq!(r.get_varint().unwrap(), u64::MAX);
+        assert_eq!(r.get_signed_varint().unwrap(), i64::MIN);
+        assert_eq!(r.get_signed_varint().unwrap(), i64::MAX);
+        assert!(r.is_exhausted());
     }
 
     proptest! {

@@ -278,18 +278,26 @@ impl NodeProvider {
             .into_iter()
             .map(|col| (col, Self::default_for(rs.table, rs.proj, col)))
             .collect();
+        // The held columns the scan keeps: its output, and the
+        // segmentation columns a crunch slice hashes. A column read only
+        // for the predicate is tested and never materialized.
+        let crunch = self.crunch.is_some() && rs.apply_crunch;
+        let kept: Vec<usize> = (held.iter().copied())
+            .filter(|c| rs.out_local.contains(c) || (crunch && rs.proj.seg_cols().contains(c)))
+            .collect();
         let mask = self.delete_mask(c)?;
         let filter = BlockFilter {
             width: rs.proj.columns.len(),
             pred: &rs.pred,
             read_cols: &held,
+            keep_cols: &kept,
             consts: &absent,
             row_mask: mask.as_deref(),
         };
         let mut rstats = ReadStats::default();
         let blocks = reader.filter_blocks(fs, &filter, &keep, DEFAULT_COALESCE_GAP, &mut rstats)?;
         self.metrics().record_io(&rstats);
-        blocks.into_iter().map(|br| self.assemble(rs, reader.key(), br, &held, &absent)).collect()
+        blocks.into_iter().map(|br| self.assemble(rs, reader.key(), br, &kept, &absent)).collect()
     }
 
     /// Turn one surviving block (carrying columns `cols`) into the

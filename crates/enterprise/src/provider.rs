@@ -48,10 +48,13 @@ impl EnterpriseProvider {
             .clone()
             .unwrap_or_else(|| (0..t.schema.len()).collect());
         let needed = spec.needed_columns(t.schema.len());
+        // Ascending, as `needed` is: a predicate-only column is never built.
+        let kept: Vec<usize> = needed.iter().copied().filter(|c| out_cols.contains(c)).collect();
         let filter = BlockFilter {
             width: t.schema.len(),
             pred: &spec.predicate,
             read_cols: &needed,
+            keep_cols: &kept,
             consts: &[],
             row_mask: None,
         };
@@ -116,19 +119,19 @@ fn scan_containers(
         // A node-local disk charges nothing per request, so only
         // adjacent blocks share a read.
         let blocks = reader.filter_blocks(disk, filter, &keep, 0, &mut ReadStats::default())?;
-        pieces.extend(blocks.into_iter().map(|br| block_output(br, filter.read_cols, out_cols)));
+        pieces.extend(blocks.into_iter().map(|br| block_output(br, filter.keep_cols, out_cols)));
     }
     Ok(())
 }
 
-/// One kernel block — carrying the columns `needed` names, in that
+/// One kernel block — carrying the columns `kept` names, in that
 /// (ascending) order — as a batch of the output columns `out_cols`.
 /// Each column moves to its last use; an earlier use is a copy.
-fn block_output(br: BlockRows, needed: &[usize], out_cols: &[usize]) -> Batch {
+fn block_output(br: BlockRows, kept: &[usize], out_cols: &[usize]) -> Batch {
     let rows = br.rows.len();
     let mut fetched: Vec<_> = br.cols.into_iter().map(Some).collect();
     let cols = out_cols.iter().enumerate().map(|(i, col)| {
-        let k = needed.binary_search(col).expect("needed columns cover the output");
+        let k = kept.binary_search(col).expect("kept columns cover the output");
         let column =
             if out_cols[i + 1..].contains(col) { fetched[k].clone() } else { fetched[k].take() };
         column.expect("a column is moved at its last use only")

@@ -11,8 +11,10 @@
 //! pieces in order, column-at-a-time (DESIGN.md "Aggregation: group
 //! ids, then one typed loop per aggregate"): per piece, one pass
 //! numbers every row's group, then each aggregate is one loop over its
-//! input column and those ids.
+//! input column and those ids (`SUM` and `AVG` over one input sharing
+//! one loop, each distinct input evaluated once).
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 use eon_columnar::{hash_rows, Batch, Column, Data};
@@ -21,6 +23,7 @@ use eon_types::{
     HASH_CELLS_SEED,
 };
 
+use crate::expr::Expr;
 use crate::ops::HashChains;
 use crate::plan::{AggFunc, AggSpec};
 
@@ -170,12 +173,14 @@ pub fn aggregate_partial(batch: &Batch, group_by: &[usize], aggs: &[AggSpec]) ->
 /// A running aggregate: one group table and typed per-group states that
 /// pieces fold into in scan order, a column at a time.
 ///
-/// Per piece, `group_ids` gives every row its group; then each
-/// aggregate is one loop over its input column and those ids
-/// (`Running::fold`). Pieces are visited in order, and rows in order
-/// within a piece, so every group adds its floats in the order a fold
-/// over the pieces' concatenation would, and a Float sum is bit-exact
-/// however the rows were cut.
+/// Per piece, `group_ids` gives every row its group; then each running
+/// state is one loop over its input column and those ids
+/// (`Running::fold`). Each distinct input expression is evaluated once
+/// per piece, and `SUM` and `AVG` over one input share one state: their
+/// adds are the same adds. Pieces are visited in order, and rows in
+/// order within a piece, so every group adds its floats in the order a
+/// fold over the pieces' concatenation would, and a Float sum is
+/// bit-exact however the rows were cut.
 pub struct Aggregator<'a> {
     group_by: &'a [usize],
     aggs: &'a [AggSpec],
@@ -185,8 +190,13 @@ pub struct Aggregator<'a> {
     /// represents its keys).
     table: HashChains,
     groups: usize,
-    /// One per aggregate.
-    states: Vec<Running>,
+    /// The aggregates' distinct input expressions (`COUNT(*)` has none).
+    inputs: Vec<&'a Expr>,
+    /// The running states, each with the function it folds by and its
+    /// input, in order of the first aggregate that uses it.
+    states: Vec<(AggFunc, Option<usize>, Running)>,
+    /// Aggregate `k`'s state in `states`.
+    state_of: Vec<usize>,
 }
 
 impl<'a> Aggregator<'a> {
@@ -194,13 +204,35 @@ impl<'a> Aggregator<'a> {
         // SQL: a global aggregate (no GROUP BY) has its one group even
         // over zero rows (COUNT = 0, SUM = NULL, …).
         let groups = usize::from(group_by.is_empty());
+        let mut inputs: Vec<&Expr> = Vec::new();
+        let mut states: Vec<(AggFunc, Option<usize>, Running)> = Vec::new();
+        let state_of = (aggs.iter())
+            .map(|a| {
+                let input = (a.func != AggFunc::CountStar).then(|| {
+                    inputs.iter().position(|e| e.same_as(&a.expr)).unwrap_or_else(|| {
+                        inputs.push(&a.expr);
+                        inputs.len() - 1
+                    })
+                });
+                let sums = |f: AggFunc| matches!(f, AggFunc::Sum | AggFunc::Avg);
+                let shared = |(f, i, _): &(AggFunc, Option<usize>, Running)| {
+                    sums(*f) && sums(a.func) && *i == input
+                };
+                states.iter().position(shared).unwrap_or_else(|| {
+                    states.push((a.func, input, Running::new(a.func, groups)));
+                    states.len() - 1
+                })
+            })
+            .collect();
         Aggregator {
             group_by,
             aggs,
             keys: group_by.iter().map(|_| Column::nulls(0)).collect(),
             table: HashChains::new(0),
             groups,
-            states: aggs.iter().map(|a| Running::new(a.func, groups)).collect(),
+            inputs,
+            states,
+            state_of,
         }
     }
 
@@ -211,13 +243,22 @@ impl<'a> Aggregator<'a> {
         Ok(agg.finish())
     }
 
-    /// Fold the next piece's rows, in order.
+    /// Fold the next piece's rows, in order: each input evaluated when a
+    /// state first needs it, each state folded once.
     pub fn fold(&mut self, piece: &Batch) -> Result<()> {
         let keys: Vec<&Column> = self.group_by.iter().map(|&c| &piece.cols()[c]).collect();
         let ids = self.group_ids(&keys, piece.rows());
-        for (state, spec) in self.states.iter_mut().zip(self.aggs) {
-            state.resize(spec.func, self.groups);
-            state.fold(spec, piece, &ids)?;
+        let mut evaluated: Vec<Option<Cow<Column>>> = self.inputs.iter().map(|_| None).collect();
+        for (func, input, state) in &mut self.states {
+            state.resize(*func, self.groups);
+            let input = match *input {
+                Some(i) => Some(match &mut evaluated[i] {
+                    Some(col) => &**col,
+                    slot => &**slot.insert(self.inputs[i].eval(piece)?),
+                }),
+                None => None,
+            };
+            state.fold(*func, input, &ids)?;
         }
         Ok(())
     }
@@ -225,9 +266,10 @@ impl<'a> Aggregator<'a> {
     /// Every group's key and states, sorted by key (groups with equal
     /// keys — `Int(1)` and `Float(1.0)` hashed apart — keep their order
     /// of first appearance).
-    pub fn finish(self) -> Partials {
-        let mut states: Vec<_> =
-            (self.states.into_iter().zip(self.aggs)).map(|(s, a)| s.finish(a.func)).collect();
+    pub fn finish(mut self) -> Partials {
+        let mut states: Vec<_> = (self.aggs.iter().zip(&self.state_of))
+            .map(|(a, &s)| self.states[s].2.finish(a.func))
+            .collect();
         let mut out: Partials = (0..self.groups)
             .map(|g| PartialGroup {
                 key: self.keys.iter().map(|k| k.get(g).to_value()).collect(),
@@ -365,7 +407,7 @@ impl Tally {
         self.n += 1;
     }
 
-    fn sum(self) -> Value {
+    fn sum(&self) -> Value {
         match self.sum {
             _ if self.n == 0 => Value::Null,
             Num::Int(a) => Value::Int(a),
@@ -392,30 +434,29 @@ impl Running {
         }
     }
 
-    /// Fold one piece: one loop over its input and `ids`, chosen by the
-    /// input's representation. `COUNT(*)` counts ids; `COUNT(x)` counts
-    /// valid cells; `SUM` / `AVG` over `Int` and `Float` run typed loops.
-    /// Everything else — MIN, MAX, COUNT(DISTINCT), sums over `Values`
-    /// inputs, and non-numeric sums, which raise the typed error — folds
-    /// cell by cell.
-    fn fold(&mut self, spec: &AggSpec, piece: &Batch, ids: &[u32]) -> Result<()> {
-        let t = match self {
-            Running::Tallies(t) => t,
-            Running::Cells(states) => {
-                let input = spec.expr.eval(piece)?;
+    /// Fold one piece: one loop over its input (`None` for `COUNT(*)`)
+    /// and `ids`, chosen by the input's representation. `COUNT(*)`
+    /// counts ids; `COUNT(x)` counts valid cells; `SUM` / `AVG` over
+    /// `Int` and `Float` run typed loops. Everything else — MIN, MAX,
+    /// COUNT(DISTINCT), sums over `Values` inputs, and non-numeric sums,
+    /// which raise the typed error — folds cell by cell.
+    fn fold(&mut self, func: AggFunc, input: Option<&Column>, ids: &[u32]) -> Result<()> {
+        let (t, input) = match (self, input) {
+            (Running::Tallies(t), Some(input)) => (t, input),
+            (Running::Tallies(t), None) => {
+                ids.iter().for_each(|&g| t[g as usize].n += 1);
+                return Ok(());
+            }
+            (Running::Cells(states), input) => {
+                let input = input.expect("a cell aggregate has an input");
                 for (i, &g) in ids.iter().enumerate() {
                     states[g as usize].update(input.get(i))?;
                 }
                 return Ok(());
             }
         };
-        if spec.func == AggFunc::CountStar {
-            ids.iter().for_each(|&g| t[g as usize].n += 1);
-            return Ok(());
-        }
-        let input = spec.expr.eval(piece)?;
         let valid = input.valid();
-        match (spec.func, input.data()) {
+        match (func, input.data()) {
             (_, Data::Null(_)) => {}
             (AggFunc::Count, Data::Values(v)) => {
                 each_valid(ids, None, |g, i| t[g].n += i64::from(!v[i].is_null()))
@@ -440,16 +481,18 @@ impl Running {
         Ok(())
     }
 
-    /// Each group's state, in group order.
-    fn finish(self, func: AggFunc) -> std::vec::IntoIter<AggState> {
-        let state = |t: Tally| match func {
+    /// Each group's state as `func`'s, in group order. Tallies are read,
+    /// so aggregates sharing them each get their own; cell states are
+    /// taken, as only one aggregate has them.
+    fn finish(&mut self, func: AggFunc) -> std::vec::IntoIter<AggState> {
+        let state = |t: &Tally| match func {
             AggFunc::Avg => AggState::Avg { sum: t.sum(), n: t.n },
             AggFunc::Sum => AggState::Sum { acc: t.sum() },
             _ => AggState::Count { n: t.n },
         };
         match self {
-            Running::Tallies(t) => t.into_iter().map(state).collect::<Vec<_>>().into_iter(),
-            Running::Cells(states) => states.into_iter(),
+            Running::Tallies(t) => t.iter().map(state).collect::<Vec<_>>().into_iter(),
+            Running::Cells(states) => std::mem::take(states).into_iter(),
         }
     }
 }

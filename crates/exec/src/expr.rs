@@ -152,6 +152,47 @@ impl Expr {
         }
     }
 
+    /// Is `other` the same expression, literals compared by
+    /// representation? `==` compares literals as `Value`s, under which
+    /// `Int(1)` equals `Float(1.0)`; two expressions the same here
+    /// compute the same cells, bit for bit.
+    pub(crate) fn same_as(&self, other: &Expr) -> bool {
+        if self != other {
+            return false;
+        }
+        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
+        self.literals(&mut mine);
+        other.literals(&mut theirs);
+        mine.iter().zip(&theirs).all(|(a, b)| a.as_ref().same_repr(b.as_ref()))
+    }
+
+    /// Every literal, `IN` lists included, in one fixed order.
+    fn literals<'e>(&'e self, out: &mut Vec<&'e Value>) {
+        match self {
+            Expr::Col(_) => {}
+            Expr::Lit(v) => out.push(v),
+            Expr::Arith { l, r, .. } | Expr::Cmp { l, r, .. } => {
+                l.literals(out);
+                r.literals(out);
+            }
+            Expr::And(es) | Expr::Or(es) => es.iter().for_each(|e| e.literals(out)),
+            Expr::Not(e) | Expr::IsNull(e) | Expr::ExtractYear(e) | Expr::Like { expr: e, .. } => {
+                e.literals(out)
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.literals(out);
+                out.extend(list);
+            }
+            Expr::Case { whens, otherwise } => {
+                for (cond, then) in whens {
+                    cond.literals(out);
+                    then.literals(out);
+                }
+                otherwise.literals(out);
+            }
+        }
+    }
+
     /// The expression with every column reference `i` rewritten to
     /// `map(i)`; `None` if `map` has no answer for one of them.
     pub fn remap_cols(&self, map: &impl Fn(usize) -> Option<usize>) -> Option<Expr> {
@@ -202,13 +243,28 @@ impl Expr {
                     .ok_or_else(|| EonError::Query(format!("column {i} out of range")));
             }
             Expr::Lit(v) => Column::constant(v.as_ref(), n),
-            Expr::Arith { op, l, r } => {
-                let (l, r) = (l.eval(batch)?, r.eval(batch)?);
-                match arith_typed(*op, &l, &r) {
-                    Some(col) => col,
-                    None => cells(n, |i| eval_arith(*op, l.get(i), r.get(i)))?,
+            // A numeric literal beside a column is broadcast, not built
+            // into a column of its own.
+            Expr::Arith { op, l, r } => match (&**l, &**r) {
+                (Expr::Lit(x), e) | (e, Expr::Lit(x))
+                    if matches!(x, Value::Int(_) | Value::Float(_)) && !matches!(e, Expr::Lit(_)) =>
+                {
+                    let lit_left = matches!(**l, Expr::Lit(_));
+                    let (col, x) = (e.eval(batch)?, x.as_ref());
+                    match arith_literal(*op, &col, x, lit_left) {
+                        Some(col) => col,
+                        None if lit_left => cells(n, |i| eval_arith(*op, x, col.get(i)))?,
+                        None => cells(n, |i| eval_arith(*op, col.get(i), x))?,
+                    }
                 }
-            }
+                _ => {
+                    let (l, r) = (l.eval(batch)?, r.eval(batch)?);
+                    match arith_typed(*op, &l, &r) {
+                        Some(col) => col,
+                        None => cells(n, |i| eval_arith(*op, l.get(i), r.get(i)))?,
+                    }
+                }
+            },
             Expr::Cmp { op, l, r } => {
                 let (l, r) = (l.eval(batch)?, r.eval(batch)?);
                 cells(n, |i| {
@@ -344,7 +400,7 @@ fn arith_typed(op: ArithOp, l: &Column, r: &Column) -> Option<Column> {
     };
     let int = |x: &i64| *x as f64;
     let float = |x: &f64| *x;
-    let mut data = match (l.data(), r.data(), op) {
+    let data = match (l.data(), r.data(), op) {
         (Data::Int(a), Data::Int(b), ArithOp::Add) => Data::Int(zip(a, b, i64::wrapping_add)),
         (Data::Int(a), Data::Int(b), ArithOp::Sub) => Data::Int(zip(a, b, i64::wrapping_sub)),
         (Data::Int(a), Data::Int(b), ArithOp::Mul) => Data::Int(zip(a, b, i64::wrapping_mul)),
@@ -354,7 +410,12 @@ fn arith_typed(op: ArithOp, l: &Column, r: &Column) -> Option<Column> {
         (Data::Float(a), Data::Float(b), _) => float_arith(op, a, b, float, float, &mut valid),
         _ => return None,
     };
-    // A NULL cell holds the type's default, as `Column::push` leaves it.
+    Some(typed_column(data, valid))
+}
+
+/// A typed arithmetic result under its validity: a NULL cell holds the
+/// type's default, as `Column::push` leaves it.
+fn typed_column(mut data: Data, valid: Option<Vec<bool>>) -> Column {
     fn clear<T: Default>(cells: &mut [T], valid: &[bool]) {
         cells.iter_mut().zip(valid).filter(|(_, ok)| !**ok).for_each(|(x, _)| *x = T::default());
     }
@@ -363,7 +424,69 @@ fn arith_typed(op: ArithOp, l: &Column, r: &Column) -> Option<Column> {
         (Data::Float(v), Some(ok)) => clear(v, ok),
         _ => {}
     }
-    Some(Column::new(data, valid))
+    Column::new(data, valid)
+}
+
+/// `x op col` (`lit_left`) or `col op x` for a numeric literal `x`, the
+/// literal broadcast to every row: the cells and bits [`arith_typed`]
+/// computes over a column of copies of `x`. `None` unless `col` is
+/// `Int` or `Float`.
+fn arith_literal(op: ArithOp, col: &Column, x: ValueRef<'_>, lit_left: bool) -> Option<Column> {
+    let mut valid = col.valid().map(<[bool]>::to_vec);
+    let data = match (col.data(), x) {
+        (Data::Int(a), ValueRef::Int(x)) if op != ArithOp::Div => {
+            let f = match op {
+                ArithOp::Add => i64::wrapping_add,
+                ArithOp::Sub => i64::wrapping_sub,
+                _ => i64::wrapping_mul,
+            };
+            Data::Int(each(a, |c| c, x, lit_left, f))
+        }
+        (Data::Int(a), x) => float_literal(op, a, |c| c as f64, x.as_float()?, lit_left, &mut valid),
+        (Data::Float(a), x) => float_literal(op, a, |c| c, x.as_float()?, lit_left, &mut valid),
+        _ => return None,
+    };
+    Some(typed_column(data, valid))
+}
+
+/// `f(x, widen(cell))` (`lit_left`) or `f(widen(cell), x)` for every cell.
+fn each<T: Copy, X: Copy, R>(
+    cells: &[T],
+    widen: impl Fn(T) -> X,
+    x: X,
+    lit_left: bool,
+    f: impl Fn(X, X) -> R,
+) -> Vec<R> {
+    if lit_left {
+        cells.iter().map(|&c| f(x, widen(c))).collect()
+    } else {
+        cells.iter().map(|&c| f(widen(c), x)).collect()
+    }
+}
+
+/// [`arith_literal`] as `f64`s, each cell widened by `widen`; a zero
+/// divisor clears its cell in `valid`.
+fn float_literal<T: Copy>(
+    op: ArithOp,
+    cells: &[T],
+    widen: impl Fn(T) -> f64 + Copy,
+    x: f64,
+    lit_left: bool,
+    valid: &mut Option<Vec<bool>>,
+) -> Data {
+    Data::Float(match op {
+        ArithOp::Add => each(cells, widen, x, lit_left, |p, q| p + q),
+        ArithOp::Sub => each(cells, widen, x, lit_left, |p, q| p - q),
+        ArithOp::Mul => each(cells, widen, x, lit_left, |p, q| p * q),
+        ArithOp::Div => {
+            let zero = |c: &T| widen(*c) == 0.0;
+            if (lit_left && cells.iter().any(zero)) || (!lit_left && x == 0.0) {
+                let valid = valid.get_or_insert_with(|| vec![true; cells.len()]);
+                valid.iter_mut().zip(cells).for_each(|(ok, c)| *ok &= lit_left && !zero(c));
+            }
+            each(cells, widen, x, lit_left, |p, q| p / q)
+        }
+    })
 }
 
 fn zip<T: Copy>(a: &[T], b: &[T], f: impl Fn(T, T) -> T) -> Vec<T> {

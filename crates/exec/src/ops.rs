@@ -7,8 +7,10 @@
 //! matches in build order, a sort is stable — because Float sums
 //! downstream are only bit-reproducible when rows fold in one order.
 
-use eon_columnar::{hash_rows, Batch, Column};
-use eon_types::{Result, ValueRef};
+use std::cmp::Ordering;
+
+use eon_columnar::{Batch, Column, Data, StrVec};
+use eon_types::{hash_value, Result, ValueRef};
 
 use crate::expr::Expr;
 use crate::plan::{JoinKind, SortKey};
@@ -113,13 +115,14 @@ impl JoinBuild {
     pub fn probe(&self, left: &Batch, left_keys: &[usize], kind: JoinKind) -> Batch {
         let lkeys: Vec<&Column> = left_keys.iter().map(|&c| &left.cols()[c]).collect();
         let rkeys: Vec<&Column> = self.keys.iter().map(|&c| &self.right.cols()[c]).collect();
+        let tests: Vec<KeyEq> = lkeys.iter().zip(&rkeys).map(|(l, r)| KeyEq::new(l, r)).collect();
         // An index past the end gathers as NULL: the padding of `Left`.
         let unmatched = usize::MAX;
         let (mut lidx, mut ridx, mut matches) = (Vec::new(), Vec::new(), Vec::new());
         for (l, hash) in join_hashes(&lkeys, left.rows()).into_iter().enumerate() {
             matches.clear();
             if let Some(hash) = hash {
-                let equal = |r: &usize| lkeys.iter().zip(&rkeys).all(|(a, b)| a.cell_eq(l, b, *r));
+                let equal = |r: &usize| tests.iter().all(|t| t.eq(l, *r));
                 matches.extend(self.table.probe(hash).filter(equal));
             }
             match kind {
@@ -145,28 +148,193 @@ impl JoinBuild {
     }
 }
 
-/// Each row's key hash, computed a column at a time ([`hash_rows`]),
-/// `None` where a key cell is NULL: a NULL key never matches.
+/// Each row's join key digest, `None` where a key cell is NULL: a NULL
+/// key never matches. The digest is private to the join: one function
+/// of each cell's value ([`cell_digest`]), so cells equal under
+/// `Value`'s equality digest alike whatever their columns'
+/// representations, folded a column at a time in one typed loop per
+/// representation. Shards, crunch slices and group ids hash with
+/// `hash_rows`, which this leaves alone.
 fn join_hashes(keys: &[&Column], rows: usize) -> Vec<Option<u32>> {
-    let hashes = hash_rows(keys, rows).into_iter().enumerate();
-    hashes.map(|(i, hash)| keys.iter().all(|k| !k.is_null(i)).then_some(hash)).collect()
+    fn fold(states: &mut [u64], digest: impl Fn(usize) -> u64) {
+        states.iter_mut().enumerate().for_each(|(i, s)| *s = mix(*s ^ digest(i)));
+    }
+    let mut states = vec![0u64; rows];
+    let mut valid = vec![true; rows];
+    for key in keys {
+        match key.data() {
+            Data::Null(_) => valid.fill(false),
+            Data::Int(v) => fold(&mut states, |i| cell_digest(ValueRef::Int(v[i]))),
+            Data::Float(v) => fold(&mut states, |i| cell_digest(ValueRef::Float(v[i]))),
+            Data::Date(v) => fold(&mut states, |i| cell_digest(ValueRef::Date(v[i]))),
+            Data::Bool(v) => fold(&mut states, |i| cell_digest(ValueRef::Bool(v[i]))),
+            Data::Str(v) => fold(&mut states, |i| cell_digest(ValueRef::Str(v.get(i)))),
+            Data::Dict { dict, codes } => {
+                let entries: Vec<u64> =
+                    (0..dict.len()).map(|j| cell_digest(ValueRef::Str(dict.get(j)))).collect();
+                fold(&mut states, |i| entries[codes[i] as usize])
+            }
+            Data::Values(v) => {
+                fold(&mut states, |i| cell_digest(v[i].as_ref()));
+                valid.iter_mut().zip(v).for_each(|(ok, x)| *ok &= !x.is_null());
+            }
+        }
+        if let Some(ok) = key.valid() {
+            valid.iter_mut().zip(ok).for_each(|(a, b)| *a &= b);
+        }
+    }
+    let finish = |(s, ok): (u64, bool)| ok.then_some((s ^ (s >> 32)) as u32);
+    states.into_iter().zip(valid).map(finish).collect()
+}
+
+/// A non-NULL join key cell's digest. A number digests its `f64` bits,
+/// as `hash_value` does: `Int(x)` equals `Float(y)` exactly when
+/// `x as f64` has `y`'s bits.
+fn cell_digest(v: ValueRef<'_>) -> u64 {
+    match v {
+        ValueRef::Int(x) => (x as f64).to_bits(),
+        ValueRef::Float(x) => x.to_bits(),
+        ValueRef::Date(d) => d as u64 ^ 0xd1b5_4a32_d192_ed03,
+        ValueRef::Bool(b) => b as u64 ^ 0xa076_1d64_78bd_642f,
+        ValueRef::Str(s) => hash_value(ValueRef::Str(s)),
+        ValueRef::Null => 0,
+    }
+}
+
+/// The splitmix64 finalizer: every input bit reaches the low bits the
+/// buckets index by.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// How a probe tests one key column's cell against the build side's:
+/// `Int` columns compare their `i64`s, any other pair by
+/// [`Column::cell_eq`] (codes into one dictionary compare as codes).
+/// Both cells are non-NULL: a NULL key is never linked or probed.
+enum KeyEq<'a> {
+    Ints(&'a [i64], &'a [i64]),
+    Cells(&'a Column, &'a Column),
+}
+
+impl<'a> KeyEq<'a> {
+    fn new(left: &'a Column, right: &'a Column) -> KeyEq<'a> {
+        match (left.data(), right.data()) {
+            (Data::Int(l), Data::Int(r)) => KeyEq::Ints(l, r),
+            _ => KeyEq::Cells(left, right),
+        }
+    }
+
+    fn eq(&self, l: usize, r: usize) -> bool {
+        match self {
+            KeyEq::Ints(a, b) => a[l] == b[r],
+            KeyEq::Cells(a, b) => a.cell_eq(l, b, r),
+        }
+    }
 }
 
 /// Stable multi-key sort, as a permutation applied to every column.
+/// Each key compares its column's typed cells; the order is `Value`'s.
+/// When the first key has an integer form that keeps its order
+/// ([`SortCol::Ranked`]), the rows sort as (NULL flag, integer, row)
+/// triples in one unstable pass — the row breaks ties, so the order is
+/// the stable one — and only rows that tie on it are compared on the
+/// other keys.
 pub fn sort(batch: Batch, keys: &[SortKey]) -> Batch {
-    let mut order: Vec<usize> = (0..batch.rows()).collect();
-    order.sort_by(|&a, &b| {
-        for k in keys {
-            let col = &batch.cols()[k.col];
-            let ord = col.get(a).cmp(&col.get(b));
-            let ord = if k.desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
+    let typed: Vec<(SortCol, bool)> =
+        keys.iter().map(|k| (SortCol::new(&batch.cols()[k.col]), k.desc)).collect();
+    let order = match typed.first() {
+        Some((SortCol::Ranked(ranked), desc)) => {
+            let triple = |(i, &(ok, k)): (usize, &(bool, u64))| {
+                if *desc { (!ok, !k, i) } else { (ok, k, i) }
+            };
+            let mut triples: Vec<(bool, u64, usize)> = ranked.iter().enumerate().map(triple).collect();
+            triples.sort_unstable();
+            let mut order: Vec<usize> = triples.iter().map(|&(_, _, row)| row).collect();
+            let mut start = 0;
+            for tie in triples.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                order[start..start + tie.len()].sort_by(|&a, &b| compare(&typed[1..], a, b));
+                start += tie.len();
             }
+            order
         }
-        std::cmp::Ordering::Equal
-    });
+        _ => {
+            let mut order: Vec<usize> = (0..batch.rows()).collect();
+            order.sort_by(|&a, &b| compare(&typed, a, b));
+            order
+        }
+    };
     batch.gather(&order)
+}
+
+/// Rows `a` and `b` compared on `keys` in turn, each descending key
+/// reversed.
+fn compare(keys: &[(SortCol, bool)], a: usize, b: usize) -> Ordering {
+    for (col, desc) in keys {
+        let ord = col.cmp(a, b);
+        if ord != Ordering::Equal {
+            return if *desc { ord.reverse() } else { ord };
+        }
+    }
+    Ordering::Equal
+}
+
+/// One sort key's column, shaped for comparing two of its rows under
+/// `Value`'s order, NULL first.
+enum SortCol<'a> {
+    /// Each row's (not NULL, integer), the integer keeping the cells'
+    /// order — an `i64` or `i32` with its sign bit flipped, a float's
+    /// bits as `total_cmp` reads them, a dictionary entry's rank — and
+    /// 0 for a NULL, so the pairs compare as the cells do.
+    Ranked(Vec<(bool, u64)>),
+    /// Strings, by bytes.
+    Str(&'a StrVec, Option<&'a [bool]>),
+    /// A column of no single type, cell by cell.
+    Cells(&'a Column),
+}
+
+impl<'a> SortCol<'a> {
+    fn new(col: &'a Column) -> SortCol<'a> {
+        fn ranked(valid: Option<&[bool]>, rows: usize, key: impl Fn(usize) -> u64) -> SortCol<'static> {
+            let pair = |i: usize| {
+                let ok = valid.is_none_or(|v| v[i]);
+                (ok, if ok { key(i) } else { 0 })
+            };
+            SortCol::Ranked((0..rows).map(pair).collect())
+        }
+        const SIGN: u64 = 1 << 63;
+        let (valid, rows) = (col.valid(), col.len());
+        match col.data() {
+            Data::Int(v) => ranked(valid, rows, |i| v[i] as u64 ^ SIGN),
+            Data::Date(v) => ranked(valid, rows, |i| v[i] as i64 as u64 ^ SIGN),
+            Data::Float(v) => ranked(valid, rows, |i| {
+                let bits = v[i].to_bits() as i64;
+                (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ SIGN
+            }),
+            Data::Bool(v) => ranked(valid, rows, |i| u64::from(v[i])),
+            Data::Dict { dict, codes } => {
+                let mut by_entry: Vec<usize> = (0..dict.len()).collect();
+                by_entry.sort_by(|&a, &b| dict.get(a).cmp(dict.get(b)));
+                let mut ranks = vec![0; dict.len()];
+                by_entry.iter().enumerate().for_each(|(rank, &j)| ranks[j] = rank as u64);
+                ranked(valid, rows, |i| ranks[codes[i] as usize])
+            }
+            Data::Str(v) => SortCol::Str(v, valid),
+            Data::Null(_) | Data::Values(_) => SortCol::Cells(col),
+        }
+    }
+
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        match self {
+            SortCol::Ranked(ranked) => ranked[a].cmp(&ranked[b]),
+            SortCol::Str(v, valid) => match valid.map(|ok| (ok[a], ok[b])) {
+                None | Some((true, true)) => v.get(a).cmp(v.get(b)),
+                Some((x, y)) => x.cmp(&y),
+            },
+            SortCol::Cells(col) => col.get(a).cmp(&col.get(b)),
+        }
+    }
 }
 
 /// First `n` rows.

@@ -258,6 +258,11 @@ fn exprs() -> Vec<Expr> {
         Expr::div(col(2), col(2)),
         Expr::sub(col(6), col(1)),
         Expr::sub(col(4), Expr::lit(1i64)),
+        // Literals broadcast on either side: wrapping Int, a zero divisor, zero cells divided into.
+        Expr::sub(Expr::lit(7i64), col(1)),
+        Expr::div(col(1), Expr::lit(0i64)),
+        Expr::div(Expr::lit(2.5), col(0)),
+        Expr::div(col(2), Expr::lit(-0.0)),
         Expr::mul(Expr::sub(Expr::lit(1i64), col(2)), Expr::add(Expr::lit(1i64), col(6))),
         Expr::cmp(CmpOp::Ge, col(6), col(0)),
         Expr::cmp(CmpOp::Eq, col(3), Expr::lit("a")),
@@ -343,6 +348,8 @@ fn aggs() -> Vec<AggSpec> {
         AggSpec::sum(Expr::col(2)),                         // Float: order-sensitive
         AggSpec::sum(Expr::col(6)),                         // Int → Float promotion
         AggSpec::sum(Expr::mul(Expr::col(0), Expr::lit(2i64))),
+        // Equal to the one above under `Value`'s `==`, yet a Float sum.
+        AggSpec::sum(Expr::mul(Expr::col(0), Expr::lit(2.0))),
         AggSpec::new(AggFunc::Count, Expr::col(0)),
         AggSpec::count_star(),
         AggSpec::avg(Expr::col(1)),
@@ -566,6 +573,75 @@ proptest! {
                     let want = ref_join(&left, right, &lk, &rk, kind);
                     check(got, Ok(want), width, &format!("{kind:?} join on {lk:?}={rk:?}"));
                 }
+            }
+        }
+    }
+
+    /// The typed sort on one key of every shape — Int, wide Int, Float
+    /// (NaN, ±0.0), Str (plain or dictionary-coded), Date, Bool, the
+    /// Int/Float `Values` column, an untyped NULL column — ascending and
+    /// descending, then on two keys: the stable `Value`-order sort. A
+    /// row-number column shows every reordering of tied rows.
+    #[test]
+    fn typed_sort_is_the_stable_value_order(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = gen_rows(&mut rng, 60);
+        let numbered: Vec<Row> = (rows.iter().enumerate())
+            .map(|(i, r)| r.iter().cloned().chain([Value::Int(i as i64), Value::Null]).collect())
+            .collect();
+        let batch = || {
+            let mut cols = to_batch(&rows, seed).into_cols();
+            cols.push(Column::from_values((0..rows.len()).map(|i| ValueRef::Int(i as i64))));
+            cols.push(Column::nulls(rows.len()));
+            Batch::new(cols, rows.len())
+        };
+        let width = WIDTH + 2;
+        for col in (0..WIDTH).chain([WIDTH + 1]) {
+            for desc in [false, true] {
+                let keys = [SortKey { col, desc }];
+                let want = ref_sort(numbered.clone(), &keys);
+                check(Ok(ops::sort(batch(), &keys)), Ok(want), width, &format!("sort by {keys:?}"));
+            }
+        }
+        let keys = [
+            SortKey { col: rng.gen_range(0..WIDTH), desc: rng.gen_range(0..2u32) == 0 },
+            SortKey { col: rng.gen_range(0..WIDTH), desc: rng.gen_range(0..2u32) == 0 },
+        ];
+        check(Ok(ops::sort(batch(), &keys)), Ok(ref_sort(numbered, &keys)), width, &format!("sort by {keys:?}"));
+    }
+
+    /// An Int key joined with a Float key: `5` meets `5.0` (and
+    /// `2^53 + 1` meets `2^53`, as `Value`'s equality has it), `0` meets
+    /// `0.0` but not `-0.0`, and a NULL on either side meets nothing —
+    /// whichever side builds.
+    #[test]
+    fn joins_match_across_int_and_float_keys(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let big = 1i64 << 53;
+        let ints = [0, 5, -3, big, big + 1, i64::MIN];
+        let floats = [0.0, -0.0, 5.0, -3.0, 0.5, big as f64, f64::NAN, i64::MIN as f64];
+        let side = |rng: &mut StdRng, float: bool| -> Vec<Row> {
+            (0..rng.gen_range(0..30usize))
+                .map(|i| {
+                    let key = match (rng.gen_range(0..6u32), float) {
+                        (0, _) => Value::Null,
+                        (_, false) => Value::Int(ints[rng.gen_range(0..ints.len())]),
+                        (_, true) => Value::Float(floats[rng.gen_range(0..floats.len())]),
+                    };
+                    let mut row = vec![Value::Null; WIDTH];
+                    row[..2].clone_from_slice(&[key, Value::Int(i as i64)]);
+                    row
+                })
+                .collect()
+        };
+        let (ints_side, floats_side) = (side(&mut rng, false), side(&mut rng, true));
+        for (left, right) in [(&ints_side, &floats_side), (&floats_side, &ints_side), (&ints_side, &ints_side)] {
+            for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
+                let width = if matches!(kind, JoinKind::Inner | JoinKind::Left) { 2 * WIDTH } else { WIDTH };
+                let build = ops::JoinBuild::new(Batch::from_rows(right, WIDTH), &[0]);
+                let got = Ok(build.probe(&Batch::from_rows(left, WIDTH), &[0], kind));
+                let want = ref_join(left, right, &[0], &[0], kind);
+                check(got, Ok(want), width, &format!("{kind:?} join of Int and Float keys"));
             }
         }
     }
