@@ -17,5 +17,5 @@ pub mod slots;
 
 pub use health::{FailureDetector, HealthConfig, HealthEvent, HealthTransition, NodeHealth};
 pub use membership::Membership;
-pub use node::{NodeRuntime, ScanMetrics};
+pub use node::{LoadMetrics, NodeRuntime, ScanMetrics};
 pub use slots::{ExecSlots, SlotGuard, SlotWait};

@@ -67,6 +67,34 @@ impl ScanMetrics {
     }
 }
 
+/// Registry handles for one node's write pipeline, registered once when
+/// the node is built (rollbacks are counted per database, on `EonDb`).
+/// All counters are deterministic functions of the workload (how many
+/// containers, rows, bytes a statement wrote); only the queue-wait
+/// histogram is wall-clock.
+pub struct LoadMetrics {
+    pub pool_tasks: Arc<Counter>,
+    pub queue_wait: Arc<Histogram>,
+    pub containers: Arc<Counter>,
+    pub rows: Arc<Counter>,
+    pub bytes: Arc<Counter>,
+    pub peer_ships: Arc<Counter>,
+}
+
+impl LoadMetrics {
+    pub fn register(registry: &Registry, node: &str) -> Self {
+        let labels: &[(&str, &str)] = &[("node", node), ("subsystem", "load")];
+        LoadMetrics {
+            pool_tasks: registry.counter("load_pool_tasks_total", labels),
+            queue_wait: registry.timing_histogram("load_pool_queue_wait_us", labels),
+            containers: registry.counter("load_containers_written_total", labels),
+            rows: registry.counter("load_rows_written_total", labels),
+            bytes: registry.counter("load_bytes_uploaded_total", labels),
+            peer_ships: registry.counter("load_peer_ships_total", labels),
+        }
+    }
+}
+
 /// One simulated node process.
 ///
 /// Kill/restart semantics mirror a real process: [`NodeRuntime::kill`]
@@ -87,6 +115,8 @@ pub struct NodeRuntime {
     pub slots: ExecSlots,
     /// This node's scan-pipeline metric handles.
     pub scan_metrics: ScanMetrics,
+    /// This node's write-pipeline metric handles.
+    pub load_metrics: LoadMetrics,
     up: AtomicBool,
     /// Subcluster assignment for workload isolation (§4.3); 0 = default.
     pub subcluster: AtomicU64,
@@ -163,6 +193,7 @@ impl NodeRuntime {
             )),
             slots: ExecSlots::new(exec_slots, registry, &[("node", &label), ("subsystem", "exec")]),
             scan_metrics: ScanMetrics::register(registry, &label),
+            load_metrics: LoadMetrics::register(registry, &label),
             up: AtomicBool::new(true),
             subcluster: AtomicU64::new(0),
             min_query_version: AtomicU64::new(u64::MAX),

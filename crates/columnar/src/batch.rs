@@ -17,7 +17,10 @@ use std::collections::HashMap;
 use std::mem::discriminant;
 use std::sync::Arc;
 
-use eon_types::{hash_cells_finish, hash_cells_step, hash_value, Value, ValueRef, HASH_CELLS_SEED};
+use eon_types::{
+    hash_cells_finish, hash_cells_step, hash_value, DataType, EonError, Result, Schema, Value, ValueRef,
+    HASH_CELLS_SEED,
+};
 
 /// The strings of one column in one buffer: string `i` is
 /// `bytes[ends[i - 1]..ends[i]]`.
@@ -135,9 +138,90 @@ impl Column {
         Column { data, valid: None }
     }
 
+    /// The column [`push`](Self::push) builds from `values` one cell at a
+    /// time, filled in one typed loop, sized up front, while the cells
+    /// keep the first value's type — the load edge's case.
     pub fn from_values<'a>(values: impl IntoIterator<Item = ValueRef<'a>>) -> Column {
+        /// Cells into `out` through `put` (a NULL as its type's default,
+        /// marked in `valid`, made at the first NULL after `len` cells)
+        /// up to the first cell `put` refuses, one of another type, which
+        /// is handed back.
+        fn fill<'a, T>(
+            out: &mut T,
+            valid: &mut Option<Vec<bool>>,
+            mut len: usize,
+            values: &mut impl Iterator<Item = ValueRef<'a>>,
+            put: impl Fn(&mut T, ValueRef<'a>) -> bool,
+        ) -> Option<ValueRef<'a>> {
+            for v in values {
+                if !put(out, v) {
+                    return Some(v);
+                }
+                if v.is_null() {
+                    valid.get_or_insert_with(|| vec![true; len]).push(false);
+                } else if let Some(ok) = valid {
+                    ok.push(true);
+                }
+                len += 1;
+            }
+            None
+        }
+        let mut values = values.into_iter();
         let mut col = Column::nulls(0);
-        values.into_iter().for_each(|v| col.push(v));
+        // Leading NULLs, then the first value, which types the column.
+        for v in values.by_ref() {
+            col.push(v);
+            if !v.is_null() {
+                break;
+            }
+        }
+        let (len, more) = (col.len(), values.size_hint().0);
+        let Column { data, valid } = &mut col;
+        if let Some(ok) = valid {
+            ok.reserve(more);
+        }
+        macro_rules! typed {
+            ($out:expr, $variant:ident, $default:expr) => {{
+                $out.reserve(more);
+                let put = |out: &mut Vec<_>, v: ValueRef<'a>| match v {
+                    ValueRef::$variant(x) => {
+                        out.push(x);
+                        true
+                    }
+                    ValueRef::Null => {
+                        out.push($default);
+                        true
+                    }
+                    _ => false,
+                };
+                fill($out, valid, len, &mut values, put)
+            }};
+        }
+        let stray = match data {
+            Data::Int(out) => typed!(out, Int, 0),
+            Data::Float(out) => typed!(out, Float, 0.0),
+            Data::Date(out) => typed!(out, Date, 0),
+            Data::Bool(out) => typed!(out, Bool, false),
+            Data::Str(out) => {
+                out.ends.reserve(more);
+                let put = |out: &mut StrVec, v: ValueRef<'a>| match v {
+                    ValueRef::Str(x) => {
+                        out.push(x);
+                        true
+                    }
+                    ValueRef::Null => {
+                        out.push("");
+                        true
+                    }
+                    _ => false,
+                };
+                fill(out, valid, len, &mut values, put)
+            }
+            Data::Null(_) | Data::Dict { .. } | Data::Values(_) => None,
+        };
+        // A cell of another type makes the column `Values`; `push` takes
+        // it from there.
+        stray.into_iter().chain(values).for_each(|v| col.push(v));
         col
     }
 
@@ -455,7 +539,7 @@ impl Column {
 
     /// The dictionary rule: a dictionary is kept while it holds at most
     /// a quarter of the rows it codes — the bound under which
-    /// `choose_encoding` stores a block as Dict — and expands to plain
+    /// the encoder stores a block as Dict — and expands to plain
     /// strings otherwise.
     fn keep_or_expand(self) -> Column {
         match &self.data {
@@ -478,8 +562,9 @@ impl Column {
             Data::Date(v) => Data::Date(pick(v, idx)),
             Data::Bool(v) => Data::Bool(pick(v, idx)),
             Data::Str(v) => {
-                let mut out = StrVec::default();
-                idx.iter().for_each(|&i| out.push(if i < len { v.get(i) } else { "" }));
+                let cell = |i: usize| if i < len { v.get(i) } else { "" };
+                let mut out = StrVec::with_capacity(idx.len(), idx.iter().map(|&i| cell(i).len()).sum());
+                idx.iter().for_each(|&i| out.push(cell(i)));
                 Data::Str(out)
             }
             Data::Dict { dict, codes } => {
@@ -639,10 +724,54 @@ impl Batch {
         Batch { cols: vec![Column::nulls(rows); width], rows }
     }
 
-    /// Transpose rows (each `width` wide) into a batch.
+    /// Transpose rows (each `width` wide) into a batch, one typed loop
+    /// per column ([`Column::from_values`]). Panics on a row narrower
+    /// than `width`: the load edge checks widths first.
     pub fn from_rows(rows: &[Vec<Value>], width: usize) -> Batch {
         let col = |c: usize| Column::from_values(rows.iter().map(|r| r[c].as_ref()));
         Batch { cols: (0..width).map(col).collect(), rows: rows.len() }
+    }
+
+    /// Does this batch conform to `schema` — one column per field, each
+    /// of its field's type and, where the field is not nullable, without
+    /// a NULL? Checked a column at a time: the column's representation
+    /// names its type ([`Data::Null`] has none, a [`Data::Values`] column
+    /// reports its first cell of another type) and its validity mask its
+    /// NULLs. A violation is [`EonError::SchemaMismatch`].
+    pub fn check_schema(&self, schema: &Schema) -> Result<()> {
+        if self.width() != schema.len() {
+            return Err(EonError::SchemaMismatch(format!(
+                "batch has {} columns, schema has {} fields",
+                self.width(),
+                schema.len()
+            )));
+        }
+        for (col, f) in self.cols.iter().zip(&schema.fields) {
+            let dtype = match col.data() {
+                Data::Null(_) => None,
+                Data::Int(_) => Some(DataType::Int),
+                Data::Float(_) => Some(DataType::Float),
+                Data::Date(_) => Some(DataType::Date),
+                Data::Bool(_) => Some(DataType::Bool),
+                Data::Str(_) | Data::Dict { .. } => Some(DataType::Str),
+                Data::Values(v) => v.iter().filter_map(Value::data_type).find(|&t| t != f.dtype),
+            };
+            if let Some(dt) = dtype.filter(|&dt| dt != f.dtype) {
+                return Err(EonError::SchemaMismatch(format!(
+                    "column {} expects {}, got {}",
+                    f.name, f.dtype, dt
+                )));
+            }
+            let has_null = match col.data() {
+                Data::Null(n) => *n > 0,
+                Data::Values(v) => v.iter().any(Value::is_null),
+                _ => col.valid().is_some_and(|ok| ok.contains(&false)),
+            };
+            if has_null && !f.nullable {
+                return Err(EonError::SchemaMismatch(format!("NULL in non-nullable column {}", f.name)));
+            }
+        }
+        Ok(())
     }
 
     /// Transpose into rows: the edges that are rows by contract.
@@ -739,6 +868,13 @@ mod tests {
                 (0..rows).map(|i| cols.iter().map(|c| c[i].clone()).collect()).collect();
             let batch = Batch::from_rows(&input, cols.len());
             prop_assert_eq!((batch.rows(), batch.width()), (rows, cols.len()));
+            // The typed fill builds what `push` would, representation
+            // and mask included.
+            for (c, col) in batch.cols().iter().enumerate() {
+                let mut pushed = Column::nulls(0);
+                input.iter().for_each(|r| pushed.push(r[c].as_ref()));
+                prop_assert_eq!(format!("{col:?}"), format!("{pushed:?}"));
+            }
             prop_assert_eq!(format!("{:?}", batch.into_rows()), format!("{input:?}"));
         }
 

@@ -18,9 +18,7 @@ use bytes::Bytes;
 use eon_types::{EonError, Result, Value};
 
 use crate::batch::Column;
-use crate::encoding::{
-    decode_column_view, encode_column, encode_with, encoding_fits, EncodedBlock, Encoding,
-};
+use crate::encoding::{block_stats, decode_column_view, encode_block, EncodedBlock, Encoding};
 use crate::format::{checksum, Reader, Writer};
 use crate::pruning::{ColumnStats, Predicate};
 
@@ -101,29 +99,6 @@ impl RosFooter {
     }
 }
 
-fn minmax(values: &[Value]) -> (Value, Value, bool) {
-    let mut min: Option<&Value> = None;
-    let mut max: Option<&Value> = None;
-    let mut has_null = false;
-    for v in values {
-        if v.is_null() {
-            has_null = true;
-            continue;
-        }
-        if min.map(|m| v < m).unwrap_or(true) {
-            min = Some(v);
-        }
-        if max.map(|m| v > m).unwrap_or(true) {
-            max = Some(v);
-        }
-    }
-    (
-        min.cloned().unwrap_or(Value::Null),
-        max.cloned().unwrap_or(Value::Null),
-        has_null,
-    )
-}
-
 /// Encodes column-major data into the container format.
 pub struct RosWriter {
     block_rows: usize,
@@ -162,10 +137,11 @@ impl RosWriter {
         self
     }
 
-    /// Encode `columns` (column-major, equal lengths, already sorted by
-    /// the projection sort order) into one container object.
-    pub fn encode(&self, columns: &[Vec<Value>]) -> Result<(Bytes, RosFooter)> {
-        let total_rows = columns.first().map(|c| c.len()).unwrap_or(0) as u64;
+    /// Encode typed `columns` (equal lengths, already sorted by the
+    /// projection sort order) into one container object, each block
+    /// through [`encode_block`] and [`block_stats`].
+    pub fn encode(&self, columns: &[Column]) -> Result<(Bytes, RosFooter)> {
+        let total_rows = columns.first().map_or(0, Column::len) as u64;
         for (i, c) in columns.iter().enumerate() {
             if c.len() as u64 != total_rows {
                 return Err(EonError::Internal(format!(
@@ -183,19 +159,15 @@ impl RosWriter {
 
         for col in columns {
             let mut meta = ColumnMeta::default();
-            for chunk in col.chunks(self.block_rows.max(1)) {
+            for lo in (0..col.len()).step_by(self.block_rows) {
+                let rows = lo..(lo + self.block_rows).min(col.len());
                 let offset = w.len() as u64;
-                match self.force {
-                    Some(enc) if encoding_fits(chunk, enc) => encode_with(chunk, enc, &mut w),
-                    _ => {
-                        encode_column(chunk, &mut w);
-                    }
-                }
-                let (min, max, has_null) = minmax(chunk);
+                encode_block(col, rows.clone(), self.force, &mut w);
+                let (min, max, has_null) = block_stats(col, rows.clone());
                 meta.blocks.push(BlockMeta {
                     offset,
                     len: w.len() as u64 - offset,
-                    rows: chunk.len() as u64,
+                    rows: rows.len() as u64,
                     min,
                     max,
                     has_null,
@@ -342,12 +314,12 @@ impl RosReader {
         self.footer.columns.len()
     }
 
-    /// Read one whole column, decoded.
-    pub fn read_column(&self, fs: &dyn eon_storage::FileSystem, col: usize) -> Result<Vec<Value>> {
+    /// Read one whole column, decoded: its blocks' rows concatenated.
+    pub fn read_column(&self, fs: &dyn eon_storage::FileSystem, col: usize) -> Result<Column> {
         let keep = vec![true; self.footer.columns.first().map_or(0, |c| c.blocks.len())];
         let mut cols = self.read_columns_encoded(fs, &[col], &keep, 0, &mut ReadStats::default())?;
         let blocks = cols.pop().expect("one column requested");
-        Ok(blocks.into_iter().flatten().flat_map(|view| view.decode().to_values()).collect())
+        Ok(Column::concat(blocks.into_iter().flatten().map(|view| view.decode()).collect()))
     }
 
     /// The container's one range planner: the kept blocks of every
@@ -659,8 +631,13 @@ mod tests {
         ]
     }
 
+    /// `cols` as typed columns, as the writer takes them.
+    fn typed(cols: &[Vec<Value>]) -> Vec<Column> {
+        cols.iter().map(|c| Column::from_values(c.iter().map(Value::as_ref))).collect()
+    }
+
     fn write_sample(fs: &MemFs, key: &str) -> RosFooter {
-        let (bytes, footer) = RosWriter::new().encode(&sample_columns()).unwrap();
+        let (bytes, footer) = RosWriter::new().encode(&typed(&sample_columns())).unwrap();
         fs.write(key, bytes).unwrap();
         footer
     }
@@ -674,7 +651,7 @@ mod tests {
         assert_eq!(r.column_count(), 3);
         let cols = sample_columns();
         for (i, expect) in cols.iter().enumerate() {
-            assert_eq!(&r.read_column(&fs, i).unwrap(), expect);
+            assert_eq!(&r.read_column(&fs, i).unwrap().to_values(), expect);
         }
     }
 
@@ -695,7 +672,7 @@ mod tests {
 
         // 2 000 ten-row blocks: the footer alone outgrows the tail.
         let cols: Vec<Vec<Value>> = vec![(0..20_000i64).map(Value::Int).collect()];
-        let (bytes, footer) = RosWriter::with_block_rows(10).encode(&cols).unwrap();
+        let (bytes, footer) = RosWriter::with_block_rows(10).encode(&typed(&cols)).unwrap();
         let size = bytes.len() as u64;
         fs.write("long", bytes).unwrap();
         let before = fs.stats();
@@ -703,7 +680,7 @@ mod tests {
         assert!(r.index_bytes() > TAIL_READ);
         assert_eq!(fs.stats().gets - before.gets, 2);
         assert_eq!(r.footer(), &footer);
-        assert_eq!(r.read_column(&fs, 0).unwrap(), cols[0]);
+        assert_eq!(r.read_column(&fs, 0).unwrap().to_values(), cols[0]);
         // A wrong size reads the wrong tail: typed corruption, no panic.
         assert!(matches!(
             RosReader::open_sized(&fs, "long", size - 1),
@@ -758,19 +735,19 @@ mod tests {
     fn empty_container() {
         let fs = MemFs::new();
         let (bytes, _) = RosWriter::new()
-            .encode(&[Vec::new(), Vec::new()])
+            .encode(&[Column::nulls(0), Column::nulls(0)])
             .unwrap();
         fs.write("empty", bytes).unwrap();
         let r = RosReader::open(&fs, "empty").unwrap();
         assert_eq!(r.total_rows(), 0);
         assert_eq!(r.column_count(), 2);
-        assert!(r.read_column(&fs, 0).unwrap().is_empty());
+        assert!(r.read_column(&fs, 0).unwrap().to_values().is_empty());
     }
 
     #[test]
     fn ragged_columns_rejected() {
         let cols = vec![vec![Value::Int(1)], vec![]];
-        assert!(RosWriter::new().encode(&cols).is_err());
+        assert!(RosWriter::new().encode(&typed(&cols)).is_err());
     }
 
     #[test]
@@ -802,7 +779,7 @@ mod tests {
     #[test]
     fn nulls_tracked_in_block_meta() {
         let cols = vec![vec![Value::Null, Value::Int(5), Value::Null]];
-        let (bytes, footer) = RosWriter::new().encode(&cols).unwrap();
+        let (bytes, footer) = RosWriter::new().encode(&typed(&cols)).unwrap();
         let b = &footer.columns[0].blocks[0];
         assert!(b.has_null);
         assert_eq!(b.min, Value::Int(5));
@@ -810,13 +787,13 @@ mod tests {
         let fs = MemFs::new();
         fs.write("n", bytes).unwrap();
         let r = RosReader::open(&fs, "n").unwrap();
-        assert_eq!(r.read_column(&fs, 0).unwrap(), cols[0]);
+        assert_eq!(r.read_column(&fs, 0).unwrap().to_values(), cols[0]);
     }
 
     #[test]
     fn all_null_block_meta() {
         let cols = vec![vec![Value::Null, Value::Null]];
-        let (_, footer) = RosWriter::new().encode(&cols).unwrap();
+        let (_, footer) = RosWriter::new().encode(&typed(&cols)).unwrap();
         let b = &footer.columns[0].blocks[0];
         assert!(b.min.is_null() && b.max.is_null() && b.has_null);
     }
@@ -874,7 +851,7 @@ mod tests {
         assert_eq!(wide.requests_saved, 1);
         assert_eq!(wide.gap_bytes, gap);
         assert_eq!(merged, split);
-        let whole = r.read_column(&fs, 0).unwrap();
+        let whole = r.read_column(&fs, 0).unwrap().to_values();
         let block = |b: usize| {
             let end = ((b + 1) * DEFAULT_BLOCK_ROWS).min(whole.len());
             Some(whole[b * DEFAULT_BLOCK_ROWS..end].to_vec())
@@ -899,21 +876,21 @@ mod tests {
             write_sample(&fs, "auto");
             let r = RosReader::open(&fs, "auto").unwrap();
             (0..3)
-                .map(|c| r.read_column(&fs, c).unwrap())
+                .map(|c| r.read_column(&fs, c).unwrap().to_values())
                 .collect::<Vec<_>>()
         };
         for enc in [Encoding::Plain, Encoding::Rle, Encoding::Dict, Encoding::Delta] {
             let fs = MemFs::new();
             let (bytes, _) = RosWriter::new()
                 .force_encoding(Some(enc))
-                .encode(&cols)
+                .encode(&typed(&cols))
                 .unwrap();
             fs.write("f", bytes).unwrap();
             let r = RosReader::open(&fs, "f").unwrap();
             for (c, expect) in plain.iter().enumerate() {
                 // Delta can't hold the Str/Float columns — the writer
                 // falls back, and the data still round-trips.
-                assert_eq!(&r.read_column(&fs, c).unwrap(), expect, "{enc:?} col {c}");
+                assert_eq!(&r.read_column(&fs, c).unwrap().to_values(), expect, "{enc:?} col {c}");
             }
         }
     }
@@ -924,7 +901,7 @@ mod tests {
         let cols = sample_columns();
         let (bytes, _) = RosWriter::new()
             .force_encoding(Some(Encoding::Dict))
-            .encode(&cols)
+            .encode(&typed(&cols))
             .unwrap();
         fs.write("d", bytes).unwrap();
         let r = RosReader::open(&fs, "d").unwrap();
@@ -980,7 +957,7 @@ mod tests {
                 .get(force_idx)
                 .copied(); // index 4: the writer's own heuristic
             let (bytes, footer) =
-                RosWriter::with_block_rows(BLOCK).force_encoding(force).encode(&stored).unwrap();
+                RosWriter::with_block_rows(BLOCK).force_encoding(force).encode(&typed(&stored)).unwrap();
             let fs = MemFs::new();
             fs.write("c", bytes).unwrap();
             let reader = RosReader::open(&fs, "c").unwrap();
@@ -1023,7 +1000,7 @@ mod tests {
 
             // The naive answer, from whole decoded columns.
             let decoded: Vec<Vec<Value>> =
-                (0..4).map(|c| reader.read_column(&fs, c).unwrap()).collect();
+                (0..4).map(|c| reader.read_column(&fs, c).unwrap().to_values()).collect();
             // (block, in-block rows, one value vector per kept column)
             let mut want: Vec<(usize, Vec<usize>, Vec<Vec<Value>>)> = Vec::new();
             for i in 0..n {
@@ -1098,11 +1075,11 @@ mod tests {
     #[test]
     fn custom_block_size() {
         let cols: Vec<Vec<Value>> = vec![(0..100i64).map(Value::Int).collect()];
-        let (bytes, footer) = RosWriter::with_block_rows(10).encode(&cols).unwrap();
+        let (bytes, footer) = RosWriter::with_block_rows(10).encode(&typed(&cols)).unwrap();
         assert_eq!(footer.columns[0].blocks.len(), 10);
         let fs = MemFs::new();
         fs.write("k", bytes).unwrap();
         let r = RosReader::open(&fs, "k").unwrap();
-        assert_eq!(r.read_column(&fs, 0).unwrap(), cols[0]);
+        assert_eq!(r.read_column(&fs, 0).unwrap().to_values(), cols[0]);
     }
 }

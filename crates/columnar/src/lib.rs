@@ -24,10 +24,7 @@ pub use container::{
     BlockFilter, BlockMeta, BlockRows, ColumnMeta, ReadStats, RosFooter, RosReader, RosWriter,
 };
 pub use delete::DeleteVector;
-pub use encoding::{
-    decode_column, decode_column_view, encode_column, encode_with, encoding_fits, EncodedBlock,
-    Encoding,
-};
+pub use encoding::{block_stats, decode_column, decode_column_view, encode_block, EncodedBlock, Encoding};
 pub use projection::{LapFunc, LiveAggregate, Projection, SortOrder};
 pub use pruning::{ColumnStats, Predicate};
-pub use segment::split_rows_by_shard;
+pub use segment::split_by_shard;

@@ -6,7 +6,7 @@
 //! HASH(cols)` or replicated to every subscriber. The definition is a
 //! global catalog object; the containers realizing it are shard-scoped.
 
-use eon_types::{DataType, Result, Schema, Value};
+use eon_types::{DataType, Result, Schema};
 
 /// Distribution of a projection's tuples across the hash space.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,26 +145,6 @@ impl Projection {
         table_schema.project(&self.columns)
     }
 
-    /// Map a full table row to this projection's column subset.
-    pub fn project_row(&self, table_row: &[Value]) -> Vec<Value> {
-        self.columns.iter().map(|&i| table_row[i].clone()).collect()
-    }
-
-    /// Sort projection rows by the projection sort order. Stable so
-    /// ties keep load order, which keeps mergeout deterministic.
-    pub fn sort_rows(&self, rows: &mut [Vec<Value>]) {
-        let keys = &self.sort.0;
-        rows.sort_by(|a, b| {
-            for &k in keys {
-                match a[k].cmp(&b[k]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
     /// Check that all referenced indices are in range for the table
     /// schema and that a LAP sums only `Int` / `Float` columns (run at
     /// CREATE PROJECTION time).
@@ -253,31 +233,7 @@ mod tests {
             live_aggregate: None,
         };
         assert!(p.validate(&s).is_ok());
-        let row = vec![
-            Value::Int(1),
-            Value::Str("Grace".into()),
-            Value::Date(17500),
-            Value::Int(50),
-        ];
-        assert_eq!(
-            p.project_row(&row),
-            vec![Value::Str("Grace".into()), Value::Int(50)]
-        );
-    }
-
-    #[test]
-    fn sort_rows_respects_order() {
-        let s = sales_schema();
-        let p = Projection::super_projection("p", &s, &[1, 3], &[0]);
-        let mut rows = vec![
-            vec![Value::Int(1), Value::Str("b".into()), Value::Date(0), Value::Int(9)],
-            vec![Value::Int(2), Value::Str("a".into()), Value::Date(0), Value::Int(5)],
-            vec![Value::Int(3), Value::Str("a".into()), Value::Date(0), Value::Int(1)],
-        ];
-        p.sort_rows(&mut rows);
-        assert_eq!(rows[0][0], Value::Int(3)); // (a, 1)
-        assert_eq!(rows[1][0], Value::Int(2)); // (a, 5)
-        assert_eq!(rows[2][0], Value::Int(1)); // (b, 9)
+        assert_eq!(p.schema(&s), schema![("customer", Str), ("price", Int)]);
     }
 
     #[test]

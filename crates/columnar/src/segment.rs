@@ -5,6 +5,8 @@
 
 use eon_types::{hash_row_32, HashRange, Value};
 
+use crate::batch::{hash_rows, Column};
+
 /// Shard index for a single row given the segmentation columns and the
 /// (even) shard count fixed at database creation.
 pub fn shard_of_row(row: &[Value], seg_cols: &[usize], num_shards: usize) -> usize {
@@ -12,18 +14,15 @@ pub fn shard_of_row(row: &[Value], seg_cols: &[usize], num_shards: usize) -> usi
     HashRange::even_index(h, num_shards)
 }
 
-/// Split `rows` into `num_shards` buckets by segmentation hash. Order
-/// within a bucket preserves input order (the projection sort happens
-/// afterwards, per shard).
-pub fn split_rows_by_shard(
-    rows: Vec<Vec<Value>>,
-    seg_cols: &[usize],
-    num_shards: usize,
-) -> Vec<Vec<Vec<Value>>> {
-    let mut buckets: Vec<Vec<Vec<Value>>> = (0..num_shards).map(|_| Vec::new()).collect();
-    for row in rows {
-        let s = shard_of_row(&row, seg_cols, num_shards);
-        buckets[s].push(row);
+/// Split `rows` rows into `num_shards` buckets by the segmentation hash
+/// of their `seg` cells: each row's [`hash_rows`] (a column at a time,
+/// equal to [`hash_row_32`] of the row) placed by
+/// [`HashRange::even_index`]. Returns each bucket's row indices, in row
+/// order (the projection sort happens afterwards, per shard).
+pub fn split_by_shard(seg: &[&Column], rows: usize, num_shards: usize) -> Vec<Vec<usize>> {
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
+    for (i, h) in hash_rows(seg, rows).into_iter().enumerate() {
+        buckets[HashRange::even_index(h, num_shards)].push(i);
     }
     buckets
 }
@@ -38,10 +37,15 @@ mod tests {
         (0..n).map(|i| vec![Value::Int(i), Value::Int(i * 10)]).collect()
     }
 
+    /// Column `c` of `rows`.
+    fn column(rows: &[Vec<Value>], c: usize) -> Column {
+        Column::from_values(rows.iter().map(|r| r[c].as_ref()))
+    }
+
     #[test]
     fn split_partitions_all_rows() {
         let input = rows(1000);
-        let buckets = split_rows_by_shard(input.clone(), &[0], 4);
+        let buckets = split_by_shard(&[&column(&input, 0)], input.len(), 4);
         assert_eq!(buckets.len(), 4);
         let total: usize = buckets.iter().map(|b| b.len()).sum();
         assert_eq!(total, 1000);
@@ -54,10 +58,14 @@ mod tests {
     #[test]
     fn split_is_consistent_with_shard_of_row() {
         let input = rows(200);
-        let buckets = split_rows_by_shard(input, &[0], 3);
-        for (i, bucket) in buckets.iter().enumerate() {
-            for row in bucket {
-                assert_eq!(shard_of_row(row, &[0], 3), i);
+        let (a, b) = (column(&input, 0), column(&input, 1));
+        for (cols, seg) in [(vec![&a], vec![0]), (vec![&b, &a], vec![1, 0])] {
+            let buckets = split_by_shard(&cols, input.len(), 3);
+            for (i, bucket) in buckets.iter().enumerate() {
+                assert!(bucket.windows(2).all(|w| w[0] < w[1]), "row order kept");
+                for &r in bucket {
+                    assert_eq!(shard_of_row(&input[r], &seg, 3), i);
+                }
             }
         }
     }

@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 
 use eon_catalog::{CatalogOp, CatalogState, ShardDef, ShardKind, SubState, Subscription, Txn};
 use eon_cluster::{Membership, NodeRuntime};
+use eon_obs::Counter;
 use eon_shard::rebalance_plan;
 use eon_storage::{CircuitBreaker, MemFs, RetryFs, SharedFs};
 use eon_types::{EonError, HashRange, NodeId, Result, ShardId, TxnVersion};
@@ -31,6 +32,10 @@ pub struct EonDb {
     pub(crate) commit_metrics: crate::commit::CommitMetrics,
     /// Coordinator query counters, registered once with the database.
     pub(crate) query_metrics: crate::query::QueryMetrics,
+    /// Statements rolled back after uploading, and the files they left
+    /// for the reaper (`node="db"`), registered once with the database.
+    pub(crate) rollbacks: Arc<Counter>,
+    pub(crate) rollback_orphans: Arc<Counter>,
     /// Session counter: varies participant selection per query (§4.1).
     pub(crate) session_counter: AtomicU64,
     /// Coordinator rotation. Deliberately separate from
@@ -56,6 +61,10 @@ pub struct EonDb {
     /// [`EonDb::cluster_health`] and admits nothing further.
     pub(crate) halted: Mutex<Option<String>>,
 }
+
+/// The rollback counters' labels: the load subsystem's, under the
+/// pseudo-node `db`.
+const ROLLBACK_LABELS: &[(&str, &str)] = &[("node", "db"), ("subsystem", "load")];
 
 impl EonDb {
     /// Create a brand-new database on empty shared storage: commission
@@ -122,6 +131,8 @@ impl EonDb {
             commit_lock: Mutex::new(()),
             commit_metrics: crate::commit::CommitMetrics::new(&config.obs),
             query_metrics: crate::query::QueryMetrics::new(&config.obs),
+            rollbacks: config.obs.counter("load_rollbacks_total", ROLLBACK_LABELS),
+            rollback_orphans: config.obs.counter("load_rollback_orphans_total", ROLLBACK_LABELS),
             session_counter: AtomicU64::new(1),
             coordinator_counter: AtomicU64::new(0),
             next_node_id: AtomicU64::new(config.num_nodes as u64),

@@ -12,7 +12,7 @@ use eon_cache::CacheMode;
 use eon_catalog::{CatalogOp, Txn};
 use eon_cluster::NodeRuntime;
 use eon_storage::fault::site as fault_site;
-use eon_columnar::{DeleteVector, Predicate};
+use eon_columnar::{Batch, Column, DeleteVector, Predicate};
 use eon_exec::{Plan, ScanSpec};
 use eon_types::{EonError, Result, Value};
 
@@ -161,28 +161,32 @@ impl EonDb {
         txn.observe(t.oid);
 
         // Read the matching rows (full rows, all columns) from the
-        // transaction's own snapshot, apply SET, and re-validate.
+        // transaction's own snapshot, set the SET columns, and
+        // re-validate: the batch is COPY input.
         let plan = Plan::scan(ScanSpec::new(table).predicate(predicate.clone()).global());
         let provider = self.dml_provider(&coord, Arc::new(txn.snapshot().clone()));
-        // Rows from here on: they are COPY input.
-        let mut rows = eon_exec::execute(&plan, &provider)?.into_rows();
-        if rows.is_empty() {
+        let matched = eon_exec::execute(&plan, &provider)?;
+        let n = matched.rows();
+        if n == 0 {
             return Ok(0);
         }
-        for row in &mut rows {
-            for (col, v) in set {
-                row[*col] = v.clone();
-            }
-            t.schema.check_row(row)?;
+        let mut cols = matched.into_cols();
+        for (col, v) in set {
+            let slot = cols.get_mut(*col).ok_or_else(|| {
+                EonError::SchemaMismatch(format!("SET column {col} outside {} columns", t.schema.len()))
+            })?;
+            *slot = Column::constant(v.as_ref(), n);
         }
-        let n = rows.len() as u64;
+        let batch = Batch::new(cols, n);
+        batch.check_schema(&t.schema)?;
+        let n = n as u64;
 
         let mut uploaded = Vec::new();
         let result = (|| {
             let total =
                 self.stage_delete_vectors(&mut txn, &coord, table, predicate, &mut uploaded)?;
             debug_assert_eq!(total, n, "scan and tombstone row counts agree");
-            let writers = self.stage_load(&mut txn, &coord, &t, &rows, (None, None), &mut uploaded)?;
+            let writers = self.stage_load(&mut txn, &coord, &t, &batch, (None, None), &mut uploaded)?;
             // Crash site: every DV and container is uploaded; dying
             // here must leave the table byte-identical to before the
             // UPDATE.

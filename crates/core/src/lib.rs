@@ -7,8 +7,9 @@
 //!
 //! * DDL — `create_table`, `create_projection`, `add_column` (OCC,
 //!   §6.3), `drop_table`;
-//! * load — `copy_into` (the Fig 8 workflow: split by shard, write
-//!   through the cache, ship to peer caches, upload before commit);
+//! * load — `copy_batch`, and `copy_into` for rows (the Fig 8
+//!   workflow: split by shard, write through the cache, ship to peer
+//!   caches, upload before commit);
 //! * queries — `query` with participating-subscription selection
 //!   (§4.1), execution slots (§4.2), subcluster isolation (§4.3), and
 //!   crunch scaling (§4.4);

@@ -1,13 +1,15 @@
 //! Data load: the Fig 8 workflow, run through a parallel write
 //! pipeline (DESIGN.md "Write pipeline").
 //!
-//! 1. ingest rows;
+//! 1. ingest a typed batch, checked against the schema a column at a
+//!    time (rows enter through `copy_into*`, transposed once);
 //! 2. split per projection by segmentation hash so each container holds
 //!    exactly one shard's rows (§4.5) — each non-empty (projection,
-//!    shard) bucket becomes one independent upload job;
+//!    shard) bucket, gathered from the projection's columns, becomes one
+//!    independent upload job;
 //! 3. fan the jobs across the bounded pool
 //!    ([`eon_cluster::pool::run_indexed`], as wide as the coordinator's
-//!    §4.2 execution-slot budget): each job sorts + encodes its rows, writes
+//!    §4.2 execution-slot budget): each job sorts + encodes its columns, writes
 //!    the container through the writer's cache (write-through, §5.2) —
 //!    uploading to shared storage — and ships the bytes to the shard's
 //!    other subscribers' caches concurrently so a node-down failover
@@ -34,45 +36,14 @@ use parking_lot::Mutex;
 use eon_catalog::{CatalogOp, ContainerMeta, SubState, Table, Txn};
 use eon_cluster::pool::run_indexed;
 use eon_cluster::NodeRuntime;
-use eon_obs::{Counter, Histogram, QueryProfile, Registry};
+use eon_obs::QueryProfile;
 use eon_storage::fault::site as fault_site;
-use eon_columnar::{split_rows_by_shard, Batch, Column, Projection, RosWriter};
-use eon_exec::{AggSpec, Expr};
+use eon_columnar::{split_by_shard, Batch, Column, Projection, RosWriter};
+use eon_exec::{AggSpec, Expr, SortKey};
 use eon_shard::{select_participants, AssignmentProblem};
-use eon_types::{EonError, NodeId, Oid, Result, ShardId, Value};
+use eon_types::{EonError, NodeId, Oid, Result, Schema, ShardId, Value};
 
 use crate::db::EonDb;
-
-/// Registry handles for one node's write pipeline. All counters are
-/// deterministic functions of the workload (how many containers, rows,
-/// bytes a statement wrote); only the queue-wait histogram is
-/// wall-clock.
-struct LoadMetrics {
-    pool_tasks: Arc<Counter>,
-    queue_wait: Arc<Histogram>,
-    containers: Arc<Counter>,
-    rows: Arc<Counter>,
-    bytes: Arc<Counter>,
-    peer_ships: Arc<Counter>,
-    rollbacks: Arc<Counter>,
-    rollback_orphans: Arc<Counter>,
-}
-
-impl LoadMetrics {
-    fn register(registry: &Registry, node: &str) -> Self {
-        let labels: &[(&str, &str)] = &[("node", node), ("subsystem", "load")];
-        LoadMetrics {
-            pool_tasks: registry.counter("load_pool_tasks_total", labels),
-            queue_wait: registry.timing_histogram("load_pool_queue_wait_us", labels),
-            containers: registry.counter("load_containers_written_total", labels),
-            rows: registry.counter("load_rows_written_total", labels),
-            bytes: registry.counter("load_bytes_uploaded_total", labels),
-            peer_ships: registry.counter("load_peer_ships_total", labels),
-            rollbacks: registry.counter("load_rollbacks_total", labels),
-            rollback_orphans: registry.counter("load_rollback_orphans_total", labels),
-        }
-    }
-}
 
 /// One independent (projection, shard) upload of a load statement. The
 /// storage key is pre-minted in job-build order so the committed state
@@ -83,8 +54,9 @@ pub(crate) struct LoadJob {
     shard: ShardId,
     writer: Arc<NodeRuntime>,
     key: String,
-    /// Taken exactly once by the worker that claims the job.
-    rows: Mutex<Option<Vec<Vec<Value>>>>,
+    /// The bucket's rows in projection column space, unsorted; taken
+    /// exactly once by the worker that claims the job.
+    batch: Mutex<Option<Batch>>,
 }
 
 /// What an upload job leaves on shared storage: everything
@@ -105,46 +77,39 @@ pub(crate) struct LoadWriters {
     replica_writer: Option<NodeId>,
 }
 
-/// Fold base-table rows into a Live Aggregate Projection's layout:
-/// one row per group — group values followed by aggregate values —
-/// through the query engine's aggregation kernel, so a LAP and a base
-/// scan fold alike. Only the columns the LAP reads become typed
-/// columns, renumbered in order of first use.
-pub(crate) fn fold_live_aggregate(
-    rows: &[Vec<Value>],
-    lap: &eon_columnar::LiveAggregate,
-) -> Result<Vec<Vec<Value>>> {
+/// Fold a table batch into a Live Aggregate Projection's layout: one
+/// row per group — group values followed by aggregate values — through
+/// the query engine's aggregation kernel, so a LAP and a base scan fold
+/// alike. The LAP's columns are table columns, so the batch is read as
+/// it is.
+pub(crate) fn fold_live_aggregate(batch: &Batch, lap: &eon_columnar::LiveAggregate) -> Result<Batch> {
     use eon_columnar::LapFunc;
-    let mut used: Vec<usize> = Vec::new();
-    let mut slot = |c: usize| {
-        used.iter().position(|&u| u == c).unwrap_or_else(|| {
-            used.push(c);
-            used.len() - 1
-        })
-    };
-    let group_by: Vec<usize> = lap.group_by.iter().map(|&c| slot(c)).collect();
     let aggs: Vec<AggSpec> = lap
         .aggs
         .iter()
         .map(|&(f, c)| match f {
-            LapFunc::Sum => AggSpec::sum(Expr::col(slot(c))),
-            LapFunc::Min => AggSpec::min(Expr::col(slot(c))),
-            LapFunc::Max => AggSpec::max(Expr::col(slot(c))),
+            LapFunc::Sum => AggSpec::sum(Expr::col(c)),
+            LapFunc::Min => AggSpec::min(Expr::col(c)),
+            LapFunc::Max => AggSpec::max(Expr::col(c)),
             LapFunc::CountStar => AggSpec::count_star(),
         })
         .collect();
-    let cols = used
-        .iter()
-        .map(|&c| Column::from_values(rows.iter().map(|r| r[c].as_ref())))
-        .collect();
-    let batch = Batch::new(cols, rows.len());
-    Ok(eon_exec::agg::aggregate(&batch, &group_by, &aggs)?.into_rows())
+    eon_exec::agg::aggregate(batch, &lap.group_by, &aggs)
 }
 
 impl EonDb {
+    /// Bulk-load a typed batch into a table (COPY): the load path. The
+    /// batch is checked against the schema a column at a time (width,
+    /// each column's type, NULLs only where the field is nullable)
+    /// before anything is uploaded; every projection of the table
+    /// receives the rows. Returns the number of rows loaded.
+    pub fn copy_batch(&self, table: &str, batch: Batch) -> Result<u64> {
+        self.copy_inner(table, batch.rows(), |_| Ok(batch), None, None)
+    }
+
     /// Bulk-load rows into a table (COPY). Returns the number of rows
-    /// loaded. Rows are validated against the schema; every projection
-    /// of the table receives the data.
+    /// loaded. Every row's width is checked, then the rows are
+    /// transposed once into a batch for [`EonDb::copy_batch`]'s path.
     pub fn copy_into(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64> {
         self.copy_into_inner(table, rows, None, None)
     }
@@ -176,6 +141,8 @@ impl EonDb {
         Ok((n, profile))
     }
 
+    /// The row edge: a row narrower or wider than the table is a typed
+    /// error before the transpose could index past it.
     fn copy_into_inner(
         &self,
         table: &str,
@@ -183,11 +150,36 @@ impl EonDb {
         profile: Option<&QueryProfile>,
         cancel: Option<eon_types::CancelToken>,
     ) -> Result<u64> {
+        let n = rows.len();
+        // Takes the rows, so they are freed once transposed.
+        let to_batch = move |schema: &Schema| {
+            if let Some(row) = rows.iter().find(|r| r.len() != schema.len()) {
+                return Err(EonError::SchemaMismatch(format!(
+                    "row has {} values, schema has {} fields",
+                    row.len(),
+                    schema.len()
+                )));
+            }
+            Ok(Batch::from_rows(&rows, schema.len()))
+        };
+        self.copy_inner(table, n, to_batch, profile, cancel)
+    }
+
+    /// One COPY of `rows` rows: `to_batch` builds the batch once the
+    /// table's schema is known.
+    fn copy_inner(
+        &self,
+        table: &str,
+        rows: usize,
+        to_batch: impl FnOnce(&Schema) -> Result<Batch>,
+        profile: Option<&QueryProfile>,
+        cancel: Option<eon_types::CancelToken>,
+    ) -> Result<u64> {
         // Write front door (DESIGN.md "Failure detection & degraded
         // modes"): typed ClusterDown on a non-viable cluster, typed
         // StoreUnavailable fast-fail while the breaker is open.
         self.admit_write()?;
-        if rows.is_empty() {
+        if rows == 0 {
             return Ok(0);
         }
         let coord = self.pick_coordinator()?;
@@ -198,10 +190,9 @@ impl EonDb {
             .cloned()
             .ok_or_else(|| EonError::UnknownTable(table.to_owned()))?;
         txn.observe(t.oid);
-        for row in &rows {
-            t.schema.check_row(row)?;
-        }
-        let n_rows = rows.len() as u64;
+        let batch = to_batch(&t.schema)?;
+        batch.check_schema(&t.schema)?;
+        let n_rows = batch.rows() as u64;
         // Crash site: validated but nothing uploaded yet — a crash here
         // must leave no trace at all.
         self.config.faults.hit(fault_site::LOAD_PRE_UPLOAD)?;
@@ -209,7 +200,8 @@ impl EonDb {
         let span = profile.map(|p| p.span("load_pipeline", &coord.id.to_string()));
         let mut uploaded = Vec::new();
         let session = (profile, cancel.as_ref());
-        let staged = self.stage_load(&mut txn, &coord, &t, &rows, session, &mut uploaded);
+        let staged = self.stage_load(&mut txn, &coord, &t, &batch, session, &mut uploaded);
+        drop(batch);
         let result = staged.and_then(|writers| {
             // Crash site: every container is on shared storage but the
             // commit never runs — the §3.5 orphaned-upload scenario the
@@ -248,7 +240,7 @@ impl EonDb {
         txn: &mut Txn,
         coord: &Arc<NodeRuntime>,
         t: &Table,
-        rows: &[Vec<Value>],
+        batch: &Batch,
         (profile, cancel): (Option<&QueryProfile>, Option<&eon_types::CancelToken>),
         uploaded: &mut Vec<String>,
     ) -> Result<LoadWriters> {
@@ -259,11 +251,21 @@ impl EonDb {
 
         let mut jobs: Vec<LoadJob> = Vec::new();
         for (proj_oid, proj) in &t.projections {
-            let proj_rows: Vec<Vec<Value>> = match &proj.live_aggregate {
-                // Live Aggregate Projection (§2.1): fold the batch into
-                // pre-computed partial aggregate rows before writing.
-                Some(lap) => fold_live_aggregate(rows, lap)?,
-                None => rows.iter().map(|r| proj.project_row(r)).collect(),
+            // The projection's columns, selected: a Live Aggregate
+            // Projection (§2.1) first folds the batch into pre-computed
+            // partial aggregate rows, which are its columns in order.
+            let folded = proj.live_aggregate.as_ref().map(|lap| fold_live_aggregate(batch, lap)).transpose()?;
+            let (cols, rows): (Vec<&Column>, usize) = match &folded {
+                Some(f) => (f.cols().iter().collect(), f.rows()),
+                None => (proj.columns.iter().map(|&c| &batch.cols()[c]).collect(), batch.rows()),
+            };
+            let job = |shard: ShardId, writer: Arc<NodeRuntime>, batch: Batch| LoadJob {
+                proj: proj.clone(),
+                proj_oid: *proj_oid,
+                shard,
+                key: writer.next_sid().object_key(),
+                writer,
+                batch: Mutex::new(Some(batch)),
             };
             if proj.is_replicated() {
                 // Single writer produces one container in the replica
@@ -275,20 +277,12 @@ impl EonDb {
                     .next()
                     .ok_or_else(|| EonError::ClusterDown("no nodes up".into()))?;
                 replica_writer = Some(writer.id);
-                let key = writer.next_sid().object_key();
-                jobs.push(LoadJob {
-                    proj: proj.clone(),
-                    proj_oid: *proj_oid,
-                    shard: self.replica_shard(),
-                    writer,
-                    key,
-                    rows: Mutex::new(Some(proj_rows)),
-                });
+                let all = Batch::new(cols.into_iter().cloned().collect(), rows);
+                jobs.push(job(self.replica_shard(), writer, all));
             } else {
-                let buckets =
-                    split_rows_by_shard(proj_rows, proj.seg_cols(), self.config.num_shards);
-                for (i, bucket) in buckets.into_iter().enumerate() {
-                    if bucket.is_empty() {
+                let seg: Vec<&Column> = proj.seg_cols().iter().map(|&s| cols[s]).collect();
+                for (i, idx) in split_by_shard(&seg, rows, self.config.num_shards).into_iter().enumerate() {
+                    if idx.is_empty() {
                         continue;
                     }
                     let shard = ShardId(i as u64);
@@ -297,15 +291,8 @@ impl EonDb {
                         .membership
                         .get(writer_id)
                         .ok_or_else(|| EonError::NodeDown(writer_id.to_string()))?;
-                    let key = writer.next_sid().object_key();
-                    jobs.push(LoadJob {
-                        proj: proj.clone(),
-                        proj_oid: *proj_oid,
-                        shard,
-                        writer,
-                        key,
-                        rows: Mutex::new(Some(bucket)),
-                    });
+                    let bucket = Batch::new(cols.iter().map(|c| c.gather(&idx)).collect(), idx.len());
+                    jobs.push(job(shard, writer, bucket));
                 }
             }
         }
@@ -364,7 +351,7 @@ impl EonDb {
         T: Send,
         F: Fn(usize) -> Result<T> + Sync,
     {
-        let metrics = LoadMetrics::register(&self.config.obs, &format!("node{}", coord.id.0));
+        let metrics = &coord.load_metrics;
         metrics.pool_tasks.add(keys.len() as u64);
         // While a fault plan is armed the pool is one wide: which upload
         // a one-shot crash site interrupts (and therefore which files a
@@ -427,9 +414,8 @@ impl EonDb {
         {
             return;
         }
-        let metrics = LoadMetrics::register(&self.config.obs, "db");
-        metrics.rollbacks.inc();
-        metrics.rollback_orphans.add(uploaded.len() as u64);
+        self.rollbacks.inc();
+        self.rollback_orphans.add(uploaded.len() as u64);
         self.reaper.note_uncommitted(uploaded);
     }
 
@@ -455,7 +441,7 @@ impl EonDb {
         )
     }
 
-    /// Run one upload job: sort + encode the rows into a ROS container
+    /// Run one upload job: sort + encode the batch into a ROS container
     /// (holding one of the writer's execution slots, §4.2), write it
     /// through the writer's cache (upload + local cache), and ship the
     /// bytes to peer subscribers' caches — concurrently per peer —
@@ -469,19 +455,14 @@ impl EonDb {
         // A writer killed mid-wait fails the job with `NodeDown` (its
         // slot semaphore is closed) instead of parking the load.
         let _slot = writer.slots.acquire(1)?;
-        let mut rows = job.rows.lock().take().expect("upload job claimed twice");
-        let proj = &job.proj;
-        proj.sort_rows(&mut rows);
-        let width = proj.columns.len();
-        let mut columns: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); width];
-        for row in rows {
-            for (c, v) in row.into_iter().enumerate() {
-                columns[c].push(v);
-            }
-        }
+        let batch = job.batch.lock().take().expect("upload job claimed twice");
+        // The projection sort order, stable: ties keep load order.
+        let keys: Vec<SortKey> = job.proj.sort.0.iter().map(|&c| SortKey::asc(c)).collect();
+        let sorted = if keys.is_empty() { batch } else { eon_exec::ops::sort(batch, &keys) };
         let (bytes, footer) = RosWriter::new()
             .force_encoding(self.config.force_encoding)
-            .encode(&columns)?;
+            .encode(sorted.cols())?;
+        drop(sorted);
         let key = job.key.clone();
         let size = bytes.len() as u64;
 
@@ -507,8 +488,7 @@ impl EonDb {
         .flatten()
         .collect::<Result<()>>()?;
 
-        let metrics =
-            LoadMetrics::register(&self.config.obs, &format!("node{}", writer.id.0));
+        let metrics = &writer.load_metrics;
         metrics.containers.inc();
         metrics.rows.add(footer.total_rows);
         metrics.bytes.add(size);
@@ -541,7 +521,7 @@ impl EonDb {
         proj_oid: eon_types::Oid,
         table_oid: eon_types::Oid,
         shard: ShardId,
-        rows: Vec<Vec<Value>>,
+        batch: Batch,
         coord: &Arc<NodeRuntime>,
     ) -> Result<ContainerMeta> {
         let job = LoadJob {
@@ -550,7 +530,7 @@ impl EonDb {
             shard,
             writer: writer.clone(),
             key: writer.next_sid().object_key(),
-            rows: Mutex::new(Some(rows)),
+            batch: Mutex::new(Some(batch)),
         };
         let s = self.upload_container(&job)?;
         Ok(ContainerMeta {
@@ -571,7 +551,7 @@ mod tests {
     use super::*;
     use crate::config::EonConfig;
     use eon_storage::MemFs;
-    use eon_types::schema;
+    use eon_types::{schema, ValueRef};
 
     fn db_with_table() -> Arc<EonDb> {
         let db = EonDb::create(Arc::new(MemFs::new()), EonConfig::new(3, 3)).unwrap();
@@ -638,6 +618,86 @@ mod tests {
         assert!(db.copy_into("sales", bad).is_err());
         // Nothing committed.
         assert!(db.snapshot().unwrap().containers.is_empty());
+    }
+
+    /// `sales` with a NOT NULL `id`.
+    fn db_with_strict_table() -> Arc<EonDb> {
+        use eon_types::{DataType, Field, Schema};
+        let db = EonDb::create(Arc::new(MemFs::new()), EonConfig::new(3, 3)).unwrap();
+        let s = Schema::new(vec![
+            Field::new("id", DataType::Int).not_null(),
+            Field::new("cust", DataType::Str),
+            Field::new("price", DataType::Int),
+        ]);
+        let proj = Projection::super_projection("sales_super", &s, &[0], &[0]);
+        db.create_table("sales", s, vec![proj]).unwrap();
+        db
+    }
+
+    /// A COPY refused at the load edge: a typed `SchemaMismatch`, no
+    /// object added to shared storage, nothing committed.
+    fn assert_refused_before_upload(copy: impl FnOnce(&EonDb) -> Result<u64>) {
+        let db = db_with_strict_table();
+        let (objects, version) = (db.shared().list("").unwrap(), db.version());
+        let err = copy(&db).unwrap_err();
+        assert!(matches!(err, EonError::SchemaMismatch(_)), "{err:?}");
+        assert_eq!(db.shared().list("").unwrap(), objects, "nothing uploaded");
+        assert_eq!(db.version(), version, "nothing committed");
+        assert!(db.snapshot().unwrap().containers.is_empty());
+    }
+
+    fn ints(v: &[Option<i64>]) -> Column {
+        Column::from_values(v.iter().map(|x| x.map_or(ValueRef::Null, ValueRef::Int)))
+    }
+
+    fn strs(n: usize) -> Column {
+        Column::from_values((0..n).map(|_| ValueRef::Str("c")))
+    }
+
+    #[test]
+    fn copy_into_ragged_row_is_a_typed_error() {
+        assert_refused_before_upload(|db| {
+            let mut rows = sample_rows(10);
+            rows.insert(4, vec![Value::Int(1)]);
+            db.copy_into("sales", rows)
+        });
+    }
+
+    #[test]
+    fn copy_into_mistyped_cell_is_a_typed_error() {
+        assert_refused_before_upload(|db| {
+            let mut rows = sample_rows(10);
+            rows[7][1] = Value::Float(1.5);
+            db.copy_into("sales", rows)
+        });
+    }
+
+    #[test]
+    fn copy_batch_of_the_wrong_width_is_a_typed_error() {
+        assert_refused_before_upload(|db| {
+            db.copy_batch("sales", Batch::new(vec![ints(&[Some(1), Some(2)]), strs(2)], 2))
+        });
+    }
+
+    #[test]
+    fn copy_batch_column_of_the_wrong_type_is_a_typed_error() {
+        assert_refused_before_upload(|db| {
+            let price = Column::from_values([ValueRef::Str("x"), ValueRef::Str("y")]);
+            db.copy_batch("sales", Batch::new(vec![ints(&[Some(1), Some(2)]), strs(2), price], 2))
+        });
+    }
+
+    #[test]
+    fn copy_batch_null_in_a_not_null_column_is_a_typed_error() {
+        assert_refused_before_upload(|db| {
+            let cols = vec![ints(&[Some(1), None]), strs(2), ints(&[Some(3), Some(4)])];
+            db.copy_batch("sales", Batch::new(cols, 2))
+        });
+        // An all-NULL column of no type is refused there too.
+        assert_refused_before_upload(|db| {
+            let cols = vec![Column::nulls(2), strs(2), ints(&[Some(3), Some(4)])];
+            db.copy_batch("sales", Batch::new(cols, 2))
+        });
     }
 
     #[test]

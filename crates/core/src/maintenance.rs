@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 
 use eon_cache::CacheMode;
 use eon_catalog::{CatalogOp, ClusterInfo, SubState};
+use eon_columnar::Batch;
 use eon_storage::fault::site as fault_site;
 use eon_tm::{plan_mergeout, select_coordinators, MergeoutPolicy};
 use eon_types::{Oid, Result, ShardId, TxnVersion};
@@ -214,19 +215,21 @@ impl EonDb {
             },
         };
 
-        // Gather each input's surviving rows (already sorted within a
-        // container) and k-way merge on the sort order.
-        let mut batches = Vec::with_capacity(inputs.len());
+        // Each input's surviving rows (already sorted within a
+        // container), concatenated in input order; the upload's stable
+        // sort on the projection order then makes the order a stable
+        // k-way merge would, ties resolved by input.
+        let mut pieces = Vec::new();
         for oid in inputs {
             let Some(c) = snapshot.containers.get(oid) else {
                 return Ok(()); // concurrent mergeout took it
             };
-            batches.push(provider.scan_container_for_merge(&table, &proj, c)?);
+            pieces.extend(provider.scan_container_for_merge(&table, &proj, c)?);
             txn.push(CatalogOp::DropContainer(*oid));
         }
-        let merged = eon_tm::merge_sorted_rows(batches, &proj.sort.0);
+        let merged = Batch::concat(pieces, proj.columns.len());
         let mut rewritten = (0u64, 0u64, 0usize); // rows, bytes, stratum
-        if !merged.is_empty() {
+        if merged.rows() > 0 {
             // Crash site: inputs read, merged container not yet written
             // — nothing on shared storage changes.
             self.config.faults.hit(fault_site::MERGEOUT_PRE_WRITE)?;
@@ -440,6 +443,45 @@ mod tests {
         let snap = db.snapshot().unwrap();
         let live_rows: u64 = snap.containers.values().map(|c| c.rows).sum();
         assert_eq!(live_rows, 900, "purge should shrink physical rows");
+    }
+
+    /// A merge job's rows are the stable order of its inputs'
+    /// concatenation: four containers whose sort keys tie across them,
+    /// one with a delete vector, merge into rows sorted by key, ties in
+    /// input order and then in load order, deleted rows purged.
+    #[test]
+    fn mergeout_keeps_the_stable_order_of_its_inputs() {
+        let db = EonDb::create(Arc::new(MemFs::new()), EonConfig::new(1, 1)).unwrap();
+        let s = schema![("k", Int), ("input", Int), ("pos", Int), ("tag", Str)];
+        let proj = Projection::super_projection("p", &s, &[0], &[0]);
+        db.create_table("t", s, vec![proj]).unwrap();
+        let batch = |b: i64| -> Vec<Vec<Value>> {
+            (0..200)
+                .map(|i| vec![Value::Int((i * 7 + b) % 5), Value::Int(b), Value::Int(i), Value::Str(format!("t{}", i % 3))])
+                .collect()
+        };
+        for b in 0..4 {
+            db.copy_into("t", batch(b)).unwrap();
+        }
+        let doomed = Predicate::And(vec![Predicate::eq(1, 2i64), Predicate::cmp(2, CmpOp::Lt, 20i64)]);
+        assert_eq!(db.delete_where("t", &doomed).unwrap(), 20);
+
+        assert_eq!(db.run_mergeout().unwrap(), 1);
+        let snap = db.snapshot().unwrap();
+        let merged: Vec<_> = snap.containers.values().collect();
+        assert_eq!(merged.len(), 1, "the four inputs merge into one container");
+        let fs = db.shared().as_ref();
+        let reader = eon_columnar::RosReader::open(fs, &merged[0].key).unwrap();
+        let cols: Vec<Vec<Value>> = (0..4).map(|c| reader.read_column(fs, c).unwrap().to_values()).collect();
+        let got: Vec<Vec<Value>> = (0..cols[0].len()).map(|i| cols.iter().map(|c| c[i].clone()).collect()).collect();
+
+        let mut want: Vec<Vec<Value>> = (0..4)
+            .flat_map(batch)
+            .filter(|r| !(r[1] == Value::Int(2) && r[2] < Value::Int(20)))
+            .collect();
+        want.sort_by(|a, b| a[0].cmp(&b[0]));
+        assert_eq!(got.len(), 780);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]

@@ -391,13 +391,13 @@ impl NodeProvider {
 
     /// Mergeout entry point: all surviving rows of one container in
     /// projection column space (delete vectors applied, sort order
-    /// preserved).
+    /// preserved), one piece per surviving block.
     pub fn scan_container_for_merge(
         &self,
         table: &Table,
         proj: &Projection,
         c: &ContainerMeta,
-    ) -> Result<Vec<Vec<Value>>> {
+    ) -> Result<Vec<Batch>> {
         let all: Vec<usize> = (0..proj.columns.len()).collect();
         let rs = ResolvedScan {
             table,
@@ -408,9 +408,8 @@ impl NodeProvider {
             apply_crunch: false,
             work: Vec::new(),
         };
-        // Mergeout's k-way merge and the container writer take rows.
         let blocks = self.scan_container(&rs, c)?.into_iter();
-        Ok(blocks.flat_map(|br| Batch::new(br.cols, br.rows.len()).into_rows()).collect())
+        Ok(blocks.map(|br| Batch::new(br.cols, br.rows.len())).collect())
     }
 
     /// Positions of rows matching `predicate`, per container — the DML

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use eon_cluster::ExecSlots;
-use eon_columnar::{split_rows_by_shard, Projection, RosWriter};
+use eon_columnar::segment::shard_of_row;
+use eon_columnar::{Column, Projection, RosWriter};
 use eon_exec::execute::LocalResult;
 use eon_exec::{auto_distribute, Plan};
 use eon_storage::{MemFs, SharedFs};
@@ -185,30 +186,30 @@ impl EnterpriseDb {
             t.schema.check_row(row)?;
         }
         let n = rows.len() as u64;
-        let proj_rows: Vec<Vec<Value>> = rows.iter().map(|r| t.projection.project_row(r)).collect();
-        let buckets = split_rows_by_shard(
-            proj_rows,
-            t.projection.seg_cols(),
-            self.nodes.len(),
-        );
-        for (seg, bucket) in buckets.into_iter().enumerate() {
+        let proj = &t.projection;
+        let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); self.nodes.len()];
+        for row in rows {
+            let row = project_row(proj, row);
+            buckets[shard_of_row(&row, proj.seg_cols(), self.nodes.len())].push(row);
+        }
+        for (seg, mut bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
             if bucket.len() < self.config.wos_threshold {
                 // WOS path: buffer on owner and buddy (both must be able
                 // to serve); moveout happens when the threshold trips.
-                for node_idx in [seg, self.buddy_of(seg)] {
+                // The buddy takes the bucket itself, the owner a copy.
+                for (copy, node_idx) in [(true, seg), (false, self.buddy_of(seg))] {
                     let node = &self.nodes[node_idx];
-                    if node.is_up()
-                        && node.wos.append(wos_key(t.projection_oid(), seg), bucket.clone())
-                    {
+                    let rows = if copy { bucket.clone() } else { std::mem::take(&mut bucket) };
+                    if node.is_up() && node.wos.append(wos_key(t.projection_oid(), seg), rows) {
                         self.moveout(node_idx, &t, seg)?;
                     }
                 }
             } else {
-                self.write_ros(seg, &t, seg, bucket.clone())?;
-                self.write_ros(self.buddy_of(seg), &t, seg, bucket)?;
+                self.write_ros(seg, &t, seg, &bucket)?;
+                self.write_ros(self.buddy_of(seg), &t, seg, &bucket)?;
             }
         }
         Ok(n)
@@ -222,7 +223,7 @@ impl EnterpriseDb {
         if rows.is_empty() {
             return Ok(());
         }
-        self.write_ros(node_idx, t, segment, rows)
+        self.write_ros(node_idx, t, segment, &rows)
     }
 
     fn write_ros(
@@ -230,20 +231,18 @@ impl EnterpriseDb {
         node_idx: usize,
         t: &EnterpriseTable,
         segment: usize,
-        mut rows: Vec<Vec<Value>>,
+        rows: &[Vec<Value>],
     ) -> Result<()> {
         let node = &self.nodes[node_idx];
         if !node.is_up() {
             return Err(EonError::NodeDown(format!("node {node_idx}")));
         }
-        t.projection.sort_rows(&mut rows);
+        // The rows in projection sort order, then one typed column each,
+        // through the encoder every container is written with.
+        let sorted = sort_rows(&t.projection, rows);
         let width = t.projection.columns.len();
-        let mut columns: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); width];
-        for row in rows {
-            for (c, v) in row.into_iter().enumerate() {
-                columns[c].push(v);
-            }
-        }
+        let columns: Vec<Column> =
+            (0..width).map(|c| Column::from_values(sorted.iter().map(|r| r[c].as_ref()))).collect();
         let (bytes, footer) = RosWriter::new().encode(&columns)?;
         let key = format!(
             "node{node_idx}/seg{segment}/ros{:08}",
@@ -386,6 +385,27 @@ impl EnterpriseTable {
         // table oid (sufficient for WOS/container bookkeeping).
         self.oid
     }
+}
+
+/// A table row in the projection's column space: the row itself when
+/// the projection carries every column in table order.
+fn project_row(proj: &Projection, row: Vec<Value>) -> Vec<Value> {
+    if proj.columns.len() == row.len() && proj.columns.iter().enumerate().all(|(i, &c)| i == c) {
+        return row;
+    }
+    proj.columns.iter().map(|&c| row[c].clone()).collect()
+}
+
+/// Projection rows in the projection sort order, by reference. Stable,
+/// so ties keep load order.
+fn sort_rows<'a>(proj: &Projection, rows: &'a [Vec<Value>]) -> Vec<&'a Vec<Value>> {
+    let mut sorted: Vec<&Vec<Value>> = rows.iter().collect();
+    let key_order = |a: &&Vec<Value>, b: &&Vec<Value>| {
+        let mut ord = proj.sort.0.iter().map(|&k| a[k].cmp(&b[k]));
+        ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+    };
+    sorted.sort_by(key_order);
+    sorted
 }
 
 /// WOS buffers are keyed by (projection, segment) so a node holding

@@ -2,8 +2,7 @@
 //!
 //! * [`mergeout`] — compaction planning with the exponentially tiered
 //!   strata algorithm ("merge each tuple a small fixed number of
-//!   times"), the k-way sorted merge that executes a job (purging
-//!   deleted rows), and coordinator selection for Eon mode (§6.2: one
+//!   times") and coordinator selection for Eon mode (§6.2: one
 //!   coordinator per shard so conflicting jobs never run concurrently,
 //!   rebalanced when nodes fail).
 //! * [`wos`] — the Write Optimized Store and moveout. Eon mode does
@@ -14,7 +13,6 @@ pub mod mergeout;
 pub mod wos;
 
 pub use mergeout::{
-    merge_sorted_rows, plan_mergeout, select_coordinators, MergeJob, MergeoutMetrics,
-    MergeoutPolicy,
+    plan_mergeout, select_coordinators, MergeJob, MergeoutMetrics, MergeoutPolicy,
 };
 pub use wos::Wos;

@@ -8,14 +8,11 @@
 //! the merge (§2.3), and containers with heavy delete load are promoted
 //! into eligibility early.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
-
 use std::sync::Arc;
 
 use eon_obs::{Counter, Determinism, Histogram, Registry};
-use eon_types::{NodeId, Oid, ShardId, Value};
+use eon_types::{NodeId, Oid, ShardId};
 
 /// Registry handles for the tuple mover (DESIGN.md "Observability").
 /// The maintenance loop in `eon-core` registers one of these against
@@ -167,50 +164,6 @@ pub fn plan_mergeout(containers: &[MergeInput], policy: &MergeoutPolicy) -> Vec<
     jobs
 }
 
-/// K-way merge of already-sorted row batches by the given sort columns.
-/// Stable across inputs (ties resolve by input index), so repeated
-/// mergeouts are deterministic.
-pub fn merge_sorted_rows(
-    inputs: Vec<Vec<Vec<Value>>>,
-    sort_cols: &[usize],
-) -> Vec<Vec<Value>> {
-    #[derive(PartialEq, Eq)]
-    struct HeapKey(Vec<Value>, usize);
-    impl Ord for HeapKey {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-    impl PartialOrd for HeapKey {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let key_of = |row: &Vec<Value>| -> Vec<Value> {
-        sort_cols.iter().map(|&c| row[c].clone()).collect()
-    };
-
-    let total: usize = inputs.iter().map(|v| v.len()).sum();
-    let mut heads: Vec<usize> = vec![0; inputs.len()];
-    let mut heap: BinaryHeap<Reverse<HeapKey>> = BinaryHeap::new();
-    for (i, rows) in inputs.iter().enumerate() {
-        if !rows.is_empty() {
-            heap.push(Reverse(HeapKey(key_of(&rows[0]), i)));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse(HeapKey(_, src))) = heap.pop() {
-        let idx = heads[src];
-        out.push(inputs[src][idx].clone());
-        heads[src] += 1;
-        if heads[src] < inputs[src].len() {
-            heap.push(Reverse(HeapKey(key_of(&inputs[src][heads[src]]), src)));
-        }
-    }
-    out
-}
-
 /// Select a mergeout coordinator per shard, balancing coordinator load
 /// across nodes (§6.2: "taking care to keep the workload balanced").
 /// `subscribers` lists the ACTIVE subscribers of each shard; only those
@@ -348,37 +301,6 @@ mod tests {
         assert!(merge_events > 0);
         // Container count stays bounded.
         assert!(containers.len() < 16, "{} containers", containers.len());
-    }
-
-    #[test]
-    fn kway_merge_produces_sorted_output() {
-        let a = vec![
-            vec![Value::Int(1), Value::Str("a".into())],
-            vec![Value::Int(5), Value::Str("a".into())],
-        ];
-        let b = vec![
-            vec![Value::Int(2), Value::Str("b".into())],
-            vec![Value::Int(9), Value::Str("b".into())],
-        ];
-        let c = vec![vec![Value::Int(3), Value::Str("c".into())]];
-        let merged = merge_sorted_rows(vec![a, b, c], &[0]);
-        let keys: Vec<i64> = merged.iter().map(|r| r[0].as_int().unwrap()).collect();
-        assert_eq!(keys, vec![1, 2, 3, 5, 9]);
-    }
-
-    #[test]
-    fn kway_merge_is_stable_on_ties() {
-        let a = vec![vec![Value::Int(1), Value::Str("first".into())]];
-        let b = vec![vec![Value::Int(1), Value::Str("second".into())]];
-        let merged = merge_sorted_rows(vec![a, b], &[0]);
-        assert_eq!(merged[0][1], Value::Str("first".into()));
-        assert_eq!(merged[1][1], Value::Str("second".into()));
-    }
-
-    #[test]
-    fn kway_merge_empty_inputs() {
-        assert!(merge_sorted_rows(vec![], &[0]).is_empty());
-        assert!(merge_sorted_rows(vec![vec![], vec![]], &[0]).is_empty());
     }
 
     #[test]

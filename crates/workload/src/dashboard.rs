@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use eon_columnar::pruning::CmpOp;
-use eon_columnar::{Predicate, Projection};
+use eon_columnar::{Batch, Predicate, Projection};
 use eon_exec::{AggSpec, Expr, Plan, ScanSpec, SortKey};
 use eon_types::{schema, Schema, Value};
 
@@ -97,9 +97,9 @@ pub fn load_eon(db: &eon_core::EonDb, data: &DashboardData) -> eon_types::Result
         gs.clone(),
         vec![Projection::replicated("geo_rep", &gs, &[0])],
     )?;
-    db.copy_into("events", data.events.clone())?;
-    db.copy_into("product", data.products.clone())?;
-    db.copy_into("geo", data.geos.clone())?;
+    db.copy_batch("events", Batch::from_rows(&data.events, es.len()))?;
+    db.copy_batch("product", Batch::from_rows(&data.products, ps.len()))?;
+    db.copy_batch("geo", Batch::from_rows(&data.geos, gs.len()))?;
     Ok(())
 }
 

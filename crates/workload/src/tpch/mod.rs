@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use eon_columnar::Projection;
+use eon_columnar::{Batch, Projection};
 use eon_types::value::ymd_to_days;
 use eon_types::{schema, Schema, Value};
 
@@ -372,10 +372,9 @@ pub fn load_tpch_eon(db: &eon_core::EonDb, data: &TpchData) -> eon_types::Result
         } else {
             Projection::super_projection(format!("{name}_super"), &schema, &[sort], &[seg])
         };
+        let width = schema.len();
         db.create_table(name, schema, vec![proj])?;
-    }
-    for (name, rows) in table_rows(data) {
-        db.copy_into(name, rows)?;
+        db.copy_batch(name, Batch::from_rows(table_rows(data, name), width))?;
     }
     Ok(())
 }
@@ -391,24 +390,24 @@ pub fn load_tpch_enterprise(
         let proj =
             Projection::super_projection(format!("{name}_super"), &schema, &[sort], &[seg]);
         db.create_table(name, schema, proj)?;
-    }
-    for (name, rows) in table_rows(data) {
-        db.copy_into(name, rows)?;
+        db.copy_into(name, table_rows(data, name).to_vec())?;
     }
     Ok(())
 }
 
-fn table_rows(data: &TpchData) -> Vec<(&'static str, Vec<Vec<Value>>)> {
-    vec![
-        ("region", data.region.clone()),
-        ("nation", data.nation.clone()),
-        ("supplier", data.supplier.clone()),
-        ("customer", data.customer.clone()),
-        ("part", data.part.clone()),
-        ("partsupp", data.partsupp.clone()),
-        ("orders", data.orders.clone()),
-        ("lineitem", data.lineitem.clone()),
-    ]
+/// The generated rows of the TPC-H table `name`.
+fn table_rows<'a>(data: &'a TpchData, name: &str) -> &'a [Vec<Value>] {
+    match name {
+        "region" => &data.region,
+        "nation" => &data.nation,
+        "supplier" => &data.supplier,
+        "customer" => &data.customer,
+        "part" => &data.part,
+        "partsupp" => &data.partsupp,
+        "orders" => &data.orders,
+        "lineitem" => &data.lineitem,
+        _ => unreachable!("{name} is not a TPC-H table"),
+    }
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@ use bytes::Bytes;
 use eon_columnar::format::{Reader, Writer};
 use eon_columnar::pruning::CmpOp;
 use eon_columnar::{
-    decode_column, encode_with, encoding_fits, Encoding, Predicate, Projection, ReadStats,
-    RosReader, RosWriter,
+    decode_column, encode_block, Column, Encoding, Predicate, Projection, ReadStats, RosReader,
+    RosWriter,
 };
 use eon_core::{EonConfig, EonDb};
 use eon_db as _;
@@ -254,12 +254,13 @@ proptest! {
                 _ => Value::Null,
             })
             .collect();
+        let col = Column::from_values(values.iter().map(Value::as_ref));
         for enc in [Encoding::Plain, Encoding::Rle, Encoding::Dict, Encoding::Delta] {
-            if !encoding_fits(&values, enc) {
+            let mut w = Writer::new();
+            // A forced encoding that does not fit the block falls back.
+            if encode_block(&col, 0..n, Some(enc), &mut w) != enc {
                 continue;
             }
-            let mut w = Writer::new();
-            encode_with(&values, enc, &mut w);
             let bytes = w.as_slice().to_vec();
 
             // Pristine bytes round-trip exactly.
@@ -313,6 +314,7 @@ proptest! {
             (0..n).map(|_| Value::Int(rng.gen_range(0..4i64))).collect(),
             (0..n).map(|_| Value::Str(format!("t{}", rng.gen_range(0..3u32)))).collect(),
         ];
+        let cols: Vec<Column> = cols.iter().map(|c| Column::from_values(c.iter().map(Value::as_ref))).collect();
         let (bytes, footer) = RosWriter::with_block_rows(64)
             .force_encoding(force)
             .encode(&cols)

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use eon_cache::{mem_cache, CacheMode};
 use eon_columnar::container::TAIL_READ;
 use eon_columnar::pruning::CmpOp;
-use eon_columnar::{Encoding, Predicate, Projection, ReadStats, RosFooter, RosReader, RosWriter};
+use eon_columnar::{Column, Encoding, Predicate, Projection, ReadStats, RosFooter, RosReader, RosWriter};
 use eon_core::{EonConfig, EonDb, SessionOpts};
 use eon_db as _;
 use eon_exec::{execute, AggSpec, Expr, MemProvider, Plan, ScanSpec, SortKey};
@@ -764,8 +764,7 @@ proptest! {
     ) {
         // 1 000 rows in blocks of 100: ten blocks in each of 3 columns.
         let rows = gen_rows(seed, 1_000);
-        let columns: Vec<Vec<Value>> =
-            (0..3).map(|c| rows.iter().map(|r| r[c].clone()).collect()).collect();
+        let columns: Vec<Column> = (0..3).map(|c| Column::from_values(rows.iter().map(|r| r[c].as_ref()))).collect();
         let (bytes, footer) = RosWriter::with_block_rows(100).encode(&columns).unwrap();
         let size = bytes.len() as u64;
         let fs = MemFs::new();
