@@ -10,15 +10,18 @@
 use std::sync::Arc;
 
 use eon_bench::{print_json, print_table, time_once};
+use eon_columnar::Batch;
 use eon_core::{EonConfig, EonDb};
 use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
 use eon_storage::MemFs;
 use eon_types::{NodeId, Value};
 
-fn rows(n: i64) -> Vec<Vec<Value>> {
-    (0..n)
+/// `n` rows of `schema()`, as the batch both architectures load.
+fn rows(n: i64) -> Batch {
+    let rows: Vec<Vec<Value>> = (0..n)
         .map(|i| vec![Value::Int(i), Value::Int(i % 97), Value::Str(format!("v{i}"))])
-        .collect()
+        .collect();
+    Batch::from_rows(&rows, 3)
 }
 
 fn schema() -> eon_types::Schema {
@@ -37,13 +40,14 @@ fn main() {
         )
         .unwrap();
         let s = schema();
+        let batch = rows(n_rows);
         eon.create_table(
             "t",
             s.clone(),
             vec![eon_columnar::Projection::super_projection("p", &s, &[0], &[0])],
         )
         .unwrap();
-        eon.copy_into("t", rows(n_rows)).unwrap();
+        eon.copy_batch("t", batch.clone()).unwrap();
         eon.kill_node(NodeId(1)).unwrap();
         let t_eon = time_once(|| {
             eon.restart_node(NodeId(1)).unwrap();
@@ -62,7 +66,7 @@ fn main() {
             eon_columnar::Projection::super_projection("p", &s, &[0], &[0]),
         )
         .unwrap();
-        ent.copy_into("t", rows(n_rows)).unwrap();
+        ent.copy_batch("t", batch).unwrap();
         ent.node(1).kill();
         let mut copied = 0;
         let t_ent = time_once(|| {

@@ -1,14 +1,18 @@
 //! The one bounded task pool (DESIGN.md "Write pipeline"): `count`
 //! indexed tasks claimed by at most `width` threads, results in index
-//! order. Scans, load and delete-vector uploads, and the per-peer cache
-//! ship all fan out through [`run_indexed`], so the claim rule, the
-//! cancel check and the stop-on-failure rule exist once — and this is
-//! the one place that decides how a task gets a thread.
+//! order. Scans, load and delete-vector uploads, the per-peer cache
+//! ship and both architectures' query participants all fan out through
+//! [`run_indexed`], so the claim rule, the cancel check and the
+//! stop-on-failure rule exist once — and this is the one place above
+//! storage that decides how a task gets a thread. The exception is
+//! `eon-storage`, which sits below this crate: `RetryFs::read_ranges`
+//! sends one scan wave's ranged reads on scoped threads of its own.
 //!
-//! The calling thread is worker 0. Only `width.min(count) - 1` threads
-//! are spawned, so a single slot or a single task runs the same claim
-//! loop inline: there is no separate serial implementation to keep in
-//! step with the parallel one.
+//! The calling thread is worker 0 and runs task 0 itself — a query's
+//! coordinator runs its own fragment inline. Only `width.min(count) -
+//! 1` threads are spawned, so a single slot or a single task runs the
+//! same claim loop inline: there is no separate serial implementation
+//! to keep in step with the parallel one.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -21,8 +25,8 @@ use parking_lot::Mutex;
 /// and return one entry per index: `Some(result)` for every task that
 /// was claimed, `None` for the unclaimed suffix.
 ///
-/// * Tasks are claimed in index order, so the claimed indices are
-///   always a prefix `0..k`.
+/// * Task 0 is the calling thread's; the others are claimed in index
+///   order, so the claimed indices are always a prefix `0..k`.
 /// * After any task fails no new task is claimed; tasks already running
 ///   finish and report (an upload in flight still reaches the store and
 ///   its caller must hear about it).
@@ -47,34 +51,40 @@ where
     let started = Instant::now();
     // Relaxed on both: the fetch_add alone makes claims unique, `failed`
     // only stops further claims, and results are published through the
-    // per-index mutexes and the scope's join.
-    let next = AtomicUsize::new(0);
+    // per-index mutexes and the scope's join. Task 0 is the caller's.
+    let next = AtomicUsize::new(1);
     let failed = AtomicBool::new(false);
     let results: Vec<Mutex<Option<Result<T>>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let run = |i: usize| {
+        let r = match cancel.map(|c| c.check("pool task claim")) {
+            Some(Err(e)) => Err(e),
+            _ => {
+                if let Some(h) = queue_wait {
+                    h.observe(started.elapsed().as_micros() as u64);
+                }
+                f(i)
+            }
+        };
+        if r.is_err() {
+            failed.store(true, Ordering::Relaxed);
+        }
+        *results[i].lock() = Some(r);
+    };
     let worker = || {
         while !failed.load(Ordering::Relaxed) {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= count {
                 break;
             }
-            let r = match cancel.map(|c| c.check("pool task claim")) {
-                Some(Err(e)) => Err(e),
-                _ => {
-                    if let Some(h) = queue_wait {
-                        h.observe(started.elapsed().as_micros() as u64);
-                    }
-                    f(i)
-                }
-            };
-            if r.is_err() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            *results[i].lock() = Some(r);
+            run(i);
         }
     };
     std::thread::scope(|s| {
         for _ in 1..width.min(count) {
             s.spawn(worker);
+        }
+        if count > 0 {
+            run(0);
         }
         worker();
     });
@@ -112,6 +122,15 @@ mod tests {
                     .map(|r| r.unwrap().unwrap())
                     .collect();
             assert_eq!(ran_on, vec![me; count], "width {width} count {count}");
+        }
+    }
+
+    #[test]
+    fn the_calling_thread_runs_task_zero() {
+        let me = thread::current().id();
+        for _ in 0..20 {
+            let ran_on = run_indexed(4, 4, None, None, |_| Ok(thread::current().id()));
+            assert_eq!(ran_on[0].as_ref().unwrap().as_ref().unwrap(), &me);
         }
     }
 

@@ -732,6 +732,21 @@ impl Batch {
         Batch { cols: (0..width).map(col).collect(), rows: rows.len() }
     }
 
+    /// [`from_rows`](Self::from_rows) behind the row edges' width check:
+    /// a row narrower or wider than `width` is a typed
+    /// [`EonError::SchemaMismatch`] before the transpose could index
+    /// past it.
+    pub fn from_rows_checked(rows: &[Vec<Value>], width: usize) -> Result<Batch> {
+        if let Some(row) = rows.iter().find(|r| r.len() != width) {
+            return Err(EonError::SchemaMismatch(format!(
+                "row has {} values, schema has {} fields",
+                row.len(),
+                width
+            )));
+        }
+        Ok(Batch::from_rows(rows, width))
+    }
+
     /// Does this batch conform to `schema` — one column per field, each
     /// of its field's type and, where the field is not nullable, without
     /// a NULL? Checked a column at a time: the column's representation
@@ -801,6 +816,14 @@ impl Batch {
         Batch { cols: self.cols.iter().map(|c| c.gather(idx)).collect(), rows: idx.len() }
     }
 
+    /// Append `other`'s rows (of the same width), a column at a time
+    /// ([`Column::append`]: a column's vectors grow in place).
+    pub fn append(&mut self, other: Batch) {
+        assert_eq!(other.width(), self.width(), "batch widths differ");
+        self.cols.iter_mut().zip(other.cols).for_each(|(col, c)| col.append(c));
+        self.rows += other.rows;
+    }
+
     /// The pieces' rows, in order, as one batch `width` wide: each
     /// column concatenated once ([`Column::concat`]), sized up front.
     pub fn concat(pieces: Vec<Batch>, width: usize) -> Batch {
@@ -856,6 +879,30 @@ mod tests {
         assert_eq!(format!("{:?}", col.to_values()), format!("{mixed:?}"));
         assert_eq!(debug(&Column::constant(ValueRef::Str("é"), 3)), r#"[Str("é"), Str("é"), Str("é")]"#);
         assert!(matches!(Column::constant(ValueRef::Null, 2).data(), Data::Null(2)));
+    }
+
+    /// The load edge's schema rules, a column at a time: width, each
+    /// column's type (an Int cell in a Float column included), and
+    /// NULLs only where the field is nullable.
+    #[test]
+    fn checked_rows_conform_to_the_schema_or_fail_typed() {
+        use eon_types::{schema, DataType, EonError, Field};
+        let s = schema![("id", Int), ("name", Str), ("price", Float)];
+        let check = |rows: &[Vec<Value>], s: &Schema| {
+            Batch::from_rows_checked(rows, s.len()).and_then(|b| b.check_schema(s))
+        };
+        let ok = vec![Value::Int(1), Value::Str("a".into()), Value::Float(2.0)];
+        assert!(check(std::slice::from_ref(&ok), &s).is_ok());
+        assert!(check(&[vec![Value::Null, Value::Null, Value::Null]], &s).is_ok(), "nullable");
+        let mismatch = |r: Result<()>| matches!(r, Err(EonError::SchemaMismatch(_)));
+        assert!(mismatch(check(&[ok.clone(), vec![Value::Int(1)]], &s)), "arity");
+        let wrong = vec![Value::Str("x".into()), Value::Str("a".into()), Value::Float(2.0)];
+        assert!(mismatch(check(&[ok.clone(), wrong], &s)), "type");
+        let int_price = vec![Value::Int(1), Value::Str("a".into()), Value::Int(2)];
+        assert!(mismatch(check(&[ok, int_price], &s)), "Int in a Float column");
+        let not_null = Schema::new(vec![Field::new("id", DataType::Int).not_null()]);
+        assert!(mismatch(check(&[vec![Value::Int(1)], vec![Value::Null]], &not_null)));
+        assert!(check(&[vec![Value::Int(1)]], &not_null).is_ok());
     }
 
     proptest! {

@@ -22,6 +22,7 @@ use eon_types::{Result, Value, ValueRef};
 
 use crate::batch::{Column, Data};
 use crate::format::{Reader, Writer};
+use crate::pruning::BlockView;
 
 /// Available block encodings. The numeric discriminants are the on-disk
 /// tags — do not reorder.
@@ -419,26 +420,6 @@ impl EncodedBlock {
         }
     }
 
-    /// Apply a per-value test across the block's rows, exploiting the
-    /// encoding: `test` sees one value per run for RLE, one per
-    /// dictionary entry for Dict.
-    pub fn test_rows(&self, test: impl Fn(&Column) -> Vec<bool>) -> Vec<bool> {
-        match self {
-            EncodedBlock::Plain(col) => test(col),
-            EncodedBlock::Rle { rows, runs, values } => {
-                let mut sel = Vec::with_capacity(*rows);
-                for (run, verdict) in runs.iter().zip(test(values)) {
-                    sel.resize(sel.len() + *run as usize, verdict);
-                }
-                sel
-            }
-            EncodedBlock::Dict { dict, codes } => {
-                let verdicts = test(dict);
-                codes.iter().map(|&c| verdicts[c as usize]).collect()
-            }
-        }
-    }
-
     /// Materialize every row.
     pub fn decode(&self) -> Column {
         self.clone().into_rows()
@@ -492,6 +473,27 @@ impl EncodedBlock {
             return self.gather(idx);
         }
         self.into_rows()
+    }
+}
+
+impl BlockView for EncodedBlock {
+    /// The test exploits the encoding: `test` sees one value per run
+    /// for RLE, one per dictionary entry for Dict.
+    fn test_rows(&self, test: impl Fn(&Column) -> Vec<bool>) -> Vec<bool> {
+        match self {
+            EncodedBlock::Plain(col) => test(col),
+            EncodedBlock::Rle { rows, runs, values } => {
+                let mut sel = Vec::with_capacity(*rows);
+                for (run, verdict) in runs.iter().zip(test(values)) {
+                    sel.resize(sel.len() + *run as usize, verdict);
+                }
+                sel
+            }
+            EncodedBlock::Dict { dict, codes } => {
+                let verdicts = test(dict);
+                codes.iter().map(|&c| verdicts[c as usize]).collect()
+            }
+        }
     }
 }
 

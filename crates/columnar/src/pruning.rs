@@ -14,7 +14,6 @@ use std::cmp::Ordering;
 
 use eon_types::Value;
 use crate::batch::{Column, Data};
-use crate::encoding::EncodedBlock;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,8 +174,10 @@ impl Predicate {
     /// column is tested once per run (the verdict fans across the run)
     /// and a dictionary column once per distinct value (a code-indexed
     /// verdict table maps codes to booleans), instead of once per row —
-    /// and each test is one typed loop over the column's vector.
-    pub fn eval_block(&self, cols: &[&EncodedBlock], rows: usize) -> Vec<bool> {
+    /// and each test is one typed loop over the column's vector. Plain
+    /// typed columns ([`Column`], e.g. Enterprise's WOS buffers) are
+    /// tested by the same loops, borrowed.
+    pub fn eval_block<B: BlockView>(&self, cols: &[&B], rows: usize) -> Vec<bool> {
         match self {
             Predicate::True => vec![true; rows],
             Predicate::Cmp { col, op, lit } => cols[*col].test_rows(|c| cmp_column(c, *op, lit)),
@@ -209,6 +210,21 @@ impl Predicate {
                 sel
             }
         }
+    }
+}
+
+/// What [`Predicate::eval_block`] tests: a stored block's view
+/// ([`EncodedBlock`](crate::EncodedBlock), tested per run or per
+/// dictionary entry) or a column of plain typed cells.
+pub trait BlockView {
+    /// Apply a per-value test across the rows: `test` sees the column
+    /// of values the block's encoding keeps.
+    fn test_rows(&self, test: impl Fn(&Column) -> Vec<bool>) -> Vec<bool>;
+}
+
+impl BlockView for Column {
+    fn test_rows(&self, test: impl Fn(&Column) -> Vec<bool>) -> Vec<bool> {
+        test(self)
     }
 }
 
@@ -256,6 +272,7 @@ fn cmp_column(col: &Column, op: CmpOp, lit: &Value) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::EncodedBlock;
     use proptest::prelude::*;
 
     /// Stats borrow their bounds; the caller keeps `range` alive.

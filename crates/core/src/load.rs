@@ -39,7 +39,7 @@ use eon_cluster::NodeRuntime;
 use eon_obs::QueryProfile;
 use eon_storage::fault::site as fault_site;
 use eon_columnar::{split_by_shard, Batch, Column, Projection, RosWriter};
-use eon_exec::{AggSpec, Expr, SortKey};
+use eon_exec::{AggSpec, Expr};
 use eon_shard::{select_participants, AssignmentProblem};
 use eon_types::{EonError, NodeId, Oid, Result, Schema, ShardId, Value};
 
@@ -152,16 +152,7 @@ impl EonDb {
     ) -> Result<u64> {
         let n = rows.len();
         // Takes the rows, so they are freed once transposed.
-        let to_batch = move |schema: &Schema| {
-            if let Some(row) = rows.iter().find(|r| r.len() != schema.len()) {
-                return Err(EonError::SchemaMismatch(format!(
-                    "row has {} values, schema has {} fields",
-                    row.len(),
-                    schema.len()
-                )));
-            }
-            Ok(Batch::from_rows(&rows, schema.len()))
-        };
+        let to_batch = move |schema: &Schema| Batch::from_rows_checked(&rows, schema.len());
         self.copy_inner(table, n, to_batch, profile, cancel)
     }
 
@@ -456,13 +447,8 @@ impl EonDb {
         // slot semaphore is closed) instead of parking the load.
         let _slot = writer.slots.acquire(1)?;
         let batch = job.batch.lock().take().expect("upload job claimed twice");
-        // The projection sort order, stable: ties keep load order.
-        let keys: Vec<SortKey> = job.proj.sort.0.iter().map(|&c| SortKey::asc(c)).collect();
-        let sorted = if keys.is_empty() { batch } else { eon_exec::ops::sort(batch, &keys) };
-        let (bytes, footer) = RosWriter::new()
-            .force_encoding(self.config.force_encoding)
-            .encode(sorted.cols())?;
-        drop(sorted);
+        let encoder = RosWriter::new().force_encoding(self.config.force_encoding);
+        let (bytes, footer) = eon_exec::ops::encode_sorted(batch, &job.proj, &encoder)?;
         let key = job.key.clone();
         let size = bytes.len() as u64;
 

@@ -9,14 +9,15 @@
 //! (§4.3) enters as a priority tier; crunch scaling (§4.4) spreads each
 //! shard over several workers with a hash-filter slice.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use eon_cache::CacheMode;
 use eon_catalog::CatalogState;
+use eon_cluster::pool::run_indexed;
 use eon_cluster::NodeRuntime;
 use eon_exec::crunch::CrunchSlice;
-use eon_exec::execute::LocalResult;
 use eon_exec::colocate::Layout;
 use eon_exec::{
     auto_distribute, co_locate_joins, prune_columns, push_predicates, Distribution, Plan, ScanSpec,
@@ -161,7 +162,12 @@ impl EonDb {
         )?;
 
         if !opts.crunch {
-            let mut by_node: HashMap<NodeId, Vec<ShardId>> = HashMap::new();
+            // Shards in id order on each node, nodes in id order: a
+            // node scans its shards, and a Float sum folds them, in one
+            // order whatever order the solver's map iterates in.
+            let mut assignment: Vec<(ShardId, NodeId)> = assignment.into_iter().collect();
+            assignment.sort_unstable();
+            let mut by_node: BTreeMap<NodeId, Vec<ShardId>> = BTreeMap::new();
             for (shard, node) in assignment {
                 by_node.entry(node).or_default().push(shard);
             }
@@ -263,9 +269,9 @@ impl EonDb {
                     failed_over.inc();
                     let _ = who;
                 }
-                // A worker thread panicked (bug or injected): the
-                // process survives — the panic became a typed error at
-                // the join — and the query retries like any
+                // A participant panicked (bug or injected): the
+                // process survives — its task caught the panic as a
+                // typed error — and the query retries like any
                 // mid-query participant loss.
                 Err(EonError::Internal(msg))
                     if msg.starts_with("query worker panicked") && failovers < MAX_FAILOVERS =>
@@ -292,7 +298,7 @@ impl EonDb {
     ) -> Result<Vec<Vec<Value>>> {
         self.ensure_viable()?;
         let snapshot = self.snapshot()?;
-        let dp = Arc::new(auto_distribute(&optimize(plan, &snapshot)));
+        let dp = auto_distribute(&optimize(plan, &snapshot));
         let version = self.version();
         let cache_mode = if opts.bypass_cache {
             CacheMode::Bypass
@@ -334,89 +340,66 @@ impl EonDb {
             },
             cancel: opts.cancel.clone(),
         };
-        let results: Vec<LocalResult> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers.len());
-            for (node, shards, slice) in &workers {
-                let dp = dp.clone();
-                let snapshot = snapshot.clone();
-                let all_shards = all_shards.clone();
-                let faults = self.config.faults.clone();
-                let slot_wait = &slot_wait;
-                handles.push(scope.spawn(move || {
-                    let queued = std::time::Instant::now();
-                    let _slots = node.slots.acquire_wait(shards.len().max(1), slot_wait)?;
-                    if let Some(p) = profile {
-                        p.record_span(
-                            "slot_wait",
-                            &node.id.to_string(),
-                            queued.elapsed().as_micros() as u64,
-                        );
-                    }
-                    // Crash site: this participant's process dies during
-                    // its local phase (§4.1). Node-scoped so a seeded
-                    // plan picks a deterministic victim.
-                    if faults
-                        .hit_node(eon_storage::fault::site::QUERY_WORKER_LOCAL, node.id.0)
-                        .is_err()
-                    {
-                        node.kill();
-                        return Err(EonError::NodeDown(format!("{} died mid-query", node.id)));
-                    }
-                    // Crash site: the worker *panics* instead of dying
-                    // cleanly — exercises the join-side containment
-                    // (a panic must become a typed error, not abort
-                    // the whole process).
-                    if faults
-                        .hit_node(eon_storage::fault::site::QUERY_WORKER_PANIC, node.id.0)
-                        .is_err()
-                    {
-                        panic!("injected local-phase panic on {}", node.id);
-                    }
-                    let token = node.begin_query(version);
-                    let provider = NodeProvider {
-                        node: node.clone(),
-                        snapshot,
-                        my_shards: shards.clone(),
-                        all_shards,
-                        replica_shard: replica,
-                        cache_mode,
-                        crunch: if slice.is_split() { Some(*slice) } else { None },
-                        scan: self.scan_options(node, profile, opts.cancel.clone()),
-                    };
-                    let local_span =
-                        profile.map(|p| p.span("local_phase", &node.id.to_string()));
-                    let out = dp.execute_local(&provider);
-                    drop(local_span);
-                    node.finish_query(token);
-                    // A worker killed out from under a running local
-                    // phase cannot vouch for its partial result.
-                    if out.is_ok() && !node.is_up() {
-                        return Err(EonError::NodeDown(format!("{} died mid-query", node.id)));
-                    }
-                    out
-                }));
+        // One pool task per participant, each as its own thread but the
+        // first, which runs on this one. A task never reports failure to
+        // the pool, so every participant runs (each its slot wait and its
+        // crash sites) and the first error in participant order wins.
+        let local_phase = |(node, shards, slice): &(Arc<NodeRuntime>, Vec<ShardId>, CrunchSlice)| {
+            let queued = std::time::Instant::now();
+            let _slots = node.slots.acquire_wait(shards.len().max(1), &slot_wait)?;
+            if let Some(p) = profile {
+                p.record_span("slot_wait", &node.id.to_string(), queued.elapsed().as_micros() as u64);
             }
-            // Join *every* handle before sequencing errors: a panic in
-            // one worker must not abort the process (it becomes a typed
-            // `Internal` error the failover loop retries), and
-            // short-circuiting here would leave panicked threads for
-            // the scope exit to re-panic on.
-            let joined: Vec<Result<LocalResult>> = handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        Err(EonError::Internal(format!("query worker panicked: {msg}")))
-                    }
-                })
-                .collect();
-            joined.into_iter().collect::<Result<Vec<_>>>()
-        })?;
+            // Crash site: this participant's process dies during its
+            // local phase (§4.1). Node-scoped so a seeded plan picks a
+            // deterministic victim.
+            let faults = &self.config.faults;
+            if faults.hit_node(eon_storage::fault::site::QUERY_WORKER_LOCAL, node.id.0).is_err() {
+                node.kill();
+                return Err(EonError::NodeDown(format!("{} died mid-query", node.id)));
+            }
+            // Crash site: the worker *panics* instead of dying cleanly —
+            // exercises the task-side containment (a panic must become a
+            // typed error, not abort the whole process).
+            if faults.hit_node(eon_storage::fault::site::QUERY_WORKER_PANIC, node.id.0).is_err() {
+                panic!("injected local-phase panic on {}", node.id);
+            }
+            let token = node.begin_query(version);
+            let provider = NodeProvider {
+                node: node.clone(),
+                snapshot: snapshot.clone(),
+                my_shards: shards.clone(),
+                all_shards: all_shards.clone(),
+                replica_shard: replica,
+                cache_mode,
+                crunch: if slice.is_split() { Some(*slice) } else { None },
+                scan: self.scan_options(node, profile, opts.cancel.clone()),
+            };
+            let local_span = profile.map(|p| p.span("local_phase", &node.id.to_string()));
+            let out = dp.execute_local(&provider);
+            drop(local_span);
+            node.finish_query(token);
+            // A worker killed out from under a running local phase
+            // cannot vouch for its partial result.
+            if out.is_ok() && !node.is_up() {
+                return Err(EonError::NodeDown(format!("{} died mid-query", node.id)));
+            }
+            out
+        };
+        let results = run_indexed(workers.len(), workers.len(), None, None, |i| {
+            // A panic becomes the typed `Internal` error the failover
+            // loop retries, not a process abort.
+            Ok(catch_unwind(AssertUnwindSafe(|| local_phase(&workers[i]))).unwrap_or_else(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                Err(EonError::Internal(format!("query worker panicked: {msg}")))
+            }))
+        });
+        let results = results.into_iter().flatten().map(|r| r.and_then(|local| local));
+        let results = results.collect::<Result<Vec<_>>>()?;
 
         // Rows are the contract of every public query entry point: one
         // transpose, after the merge.
@@ -756,5 +739,29 @@ mod tests {
             }
         }
         assert!(seen.len() > 2, "only {} nodes ever participated", seen.len());
+    }
+
+    /// A node scans its shards in id order whatever order the
+    /// participant solver's map iterates in, so a Float `SUM` folds its
+    /// shards in one order: 40 runs on 1 node × 3 shards give one
+    /// answer, bit for bit.
+    #[test]
+    fn float_sum_is_bitwise_stable_across_runs() {
+        let db = EonDb::create(Arc::new(MemFs::new()), EonConfig::new(1, 3)).unwrap();
+        let s = schema![("id", Int), ("x", Float)];
+        let proj = Projection::super_projection("p", &s, &[0], &[0]);
+        db.create_table("t", s, vec![proj]).unwrap();
+        // Magnitudes 12 decades apart: the rounding depends on the order.
+        let x = |i: i64| if i % 3 == 0 { 1e12 + i as f64 } else { (i as f64).sqrt() * 1e-3 };
+        let rows = (0..3000).map(|i| vec![Value::Int(i), Value::Float(x(i))]).collect();
+        db.copy_into("t", rows).unwrap();
+        let plan = Plan::scan(ScanSpec::new("t")).aggregate(vec![], vec![AggSpec::sum(Expr::col(1))]);
+        let answers: std::collections::HashSet<u64> = (0..40)
+            .map(|_| match db.query(&plan).unwrap()[0][0] {
+                Value::Float(f) => f.to_bits(),
+                ref v => panic!("SUM of floats gave {v:?}"),
+            })
+            .collect();
+        assert_eq!(answers.len(), 1, "{} distinct sums in 40 runs", answers.len());
     }
 }

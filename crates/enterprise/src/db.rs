@@ -1,15 +1,15 @@
 //! The Enterprise database object.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use eon_cluster::pool::run_indexed;
 use eon_cluster::ExecSlots;
-use eon_columnar::segment::shard_of_row;
-use eon_columnar::{Column, Projection, RosWriter};
-use eon_exec::execute::LocalResult;
+use eon_columnar::{split_by_shard, Batch, Column, Projection, RosWriter};
+use eon_exec::ops::encode_sorted;
 use eon_exec::{auto_distribute, Plan};
 use eon_storage::{MemFs, SharedFs};
 use eon_tm::Wos;
@@ -176,74 +176,75 @@ impl EnterpriseDb {
             .ok_or_else(|| EonError::UnknownTable(name.to_owned()))
     }
 
-    /// Load rows. Small loads buffer in the WOS; larger loads write ROS
-    /// containers to the owner node *and* its buddy (§2.2's replicated
-    /// placement, done with duplicated work on each side).
-    pub fn copy_into(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64> {
+    /// Bulk-load a typed batch (COPY): the load path. The batch is
+    /// checked against the schema a column at a time, its projection
+    /// columns selected and split by the segmentation hash. Small
+    /// buckets buffer in the WOS; larger ones write ROS containers to
+    /// the owner node *and* its buddy (§2.2's replicated placement,
+    /// done with duplicated work on each side: each sorts and encodes
+    /// its own copy).
+    pub fn copy_batch(&self, table: &str, batch: Batch) -> Result<u64> {
         let _g = self.load_lock.lock();
         let t = self.table(table)?;
-        for row in &rows {
-            t.schema.check_row(row)?;
-        }
-        let n = rows.len() as u64;
+        batch.check_schema(&t.schema)?;
         let proj = &t.projection;
-        let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); self.nodes.len()];
-        for row in rows {
-            let row = project_row(proj, row);
-            buckets[shard_of_row(&row, proj.seg_cols(), self.nodes.len())].push(row);
-        }
-        for (seg, mut bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
+        let cols: Vec<&Column> = proj.columns.iter().map(|&c| &batch.cols()[c]).collect();
+        let seg_cols: Vec<&Column> = proj.seg_cols().iter().map(|&s| cols[s]).collect();
+        let buckets = split_by_shard(&seg_cols, batch.rows(), self.nodes.len());
+        for (seg, idx) in buckets.into_iter().enumerate() {
+            if idx.is_empty() {
                 continue;
             }
-            if bucket.len() < self.config.wos_threshold {
+            let bucket = Batch::new(cols.iter().map(|c| c.gather(&idx)).collect(), idx.len());
+            let copies = [(seg, bucket.clone()), (self.buddy_of(seg), bucket)];
+            if idx.len() < self.config.wos_threshold {
                 // WOS path: buffer on owner and buddy (both must be able
                 // to serve); moveout happens when the threshold trips.
-                // The buddy takes the bucket itself, the owner a copy.
-                for (copy, node_idx) in [(true, seg), (false, self.buddy_of(seg))] {
+                for (node_idx, bucket) in copies {
                     let node = &self.nodes[node_idx];
-                    let rows = if copy { bucket.clone() } else { std::mem::take(&mut bucket) };
-                    if node.is_up() && node.wos.append(wos_key(t.projection_oid(), seg), rows) {
+                    if node.is_up() && node.wos.append(wos_key(t.projection_oid(), seg), bucket) {
                         self.moveout(node_idx, &t, seg)?;
                     }
                 }
             } else {
-                self.write_ros(seg, &t, seg, &bucket)?;
-                self.write_ros(self.buddy_of(seg), &t, seg, &bucket)?;
+                for (node_idx, bucket) in copies {
+                    self.write_ros(node_idx, &t, seg, bucket)?;
+                }
             }
         }
-        Ok(n)
+        Ok(batch.rows() as u64)
+    }
+
+    /// Bulk-load rows: the row edge. Every row's width is checked, then
+    /// the rows are transposed once for [`EnterpriseDb::copy_batch`].
+    pub fn copy_into(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64> {
+        let width = self.table(table)?.schema.len();
+        self.copy_batch(table, Batch::from_rows_checked(&rows, width)?)
     }
 
     /// Spill one node's WOS buffer for a projection into a sorted ROS
     /// container (§2.3 moveout).
     pub fn moveout(&self, node_idx: usize, t: &EnterpriseTable, segment: usize) -> Result<()> {
-        let node = &self.nodes[node_idx];
-        let rows = node.wos.moveout(wos_key(t.projection_oid(), segment));
-        if rows.is_empty() {
-            return Ok(());
+        match self.nodes[node_idx].wos.moveout(wos_key(t.projection_oid(), segment)) {
+            Some(batch) => self.write_ros(node_idx, t, segment, batch),
+            None => Ok(()),
         }
-        self.write_ros(node_idx, t, segment, &rows)
     }
 
+    /// Sort one copy of a segment's rows by the projection and encode
+    /// it ([`encode_sorted`], Eon's upload path too) onto a node's disk.
     fn write_ros(
         &self,
         node_idx: usize,
         t: &EnterpriseTable,
         segment: usize,
-        rows: &[Vec<Value>],
+        batch: Batch,
     ) -> Result<()> {
         let node = &self.nodes[node_idx];
         if !node.is_up() {
             return Err(EonError::NodeDown(format!("node {node_idx}")));
         }
-        // The rows in projection sort order, then one typed column each,
-        // through the encoder every container is written with.
-        let sorted = sort_rows(&t.projection, rows);
-        let width = t.projection.columns.len();
-        let columns: Vec<Column> =
-            (0..width).map(|c| Column::from_values(sorted.iter().map(|r| r[c].as_ref()))).collect();
-        let (bytes, footer) = RosWriter::new().encode(&columns)?;
+        let (bytes, footer) = encode_sorted(batch, &t.projection, &RosWriter::new())?;
         let key = format!(
             "node{node_idx}/seg{segment}/ros{:08}",
             self.key_counter.fetch_add(1, Ordering::Relaxed)
@@ -279,11 +280,12 @@ impl EnterpriseDb {
 
     /// Execute a query: the fixed layout means every up node
     /// participates, serving its own segment plus any down neighbour's
-    /// (§2.2). Plans use the same language as Eon mode.
+    /// (§2.2). Plans use the same language as Eon mode; the participants
+    /// run on the one task pool, in node order, the first on this thread.
     pub fn query(&self, plan: &Plan) -> Result<Vec<Vec<Value>>> {
-        let dp = Arc::new(auto_distribute(plan));
+        let dp = auto_distribute(plan);
         let servers = self.segment_servers()?;
-        let mut by_node: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         if dp.has_local_scan() {
             for (seg, node) in servers.iter().enumerate() {
                 by_node.entry(*node).or_default().push(seg);
@@ -293,32 +295,23 @@ impl EnterpriseDb {
             // would multiply broadcast rows into the merge).
             by_node.insert(servers[0], Vec::new());
         }
-        let results: Vec<LocalResult> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (node_idx, segments) in by_node {
-                let dp = dp.clone();
-                let node = self.nodes[node_idx].clone();
-                let tables = self.tables.read().clone();
-                let cluster = self.nodes.clone();
-                let servers = servers.clone();
-                handles.push(scope.spawn(move || {
-                    let _slots = node.slots.acquire(segments.len().max(1))?;
-                    let provider = crate::provider::EnterpriseProvider {
-                        node,
-                        cluster,
-                        servers,
-                        tables,
-                        segments,
-                    };
-                    dp.execute_local(&provider)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("enterprise worker panicked"))
-                .collect::<Result<Vec<_>>>()
-        })?;
-        dp.finish(results).map(eon_columnar::Batch::into_rows)
+        let by_node: Vec<(usize, Vec<usize>)> = by_node.into_iter().collect();
+        let tables = self.tables.read().clone();
+        let results = run_indexed(by_node.len(), by_node.len(), None, None, |i| {
+            let (node_idx, segments) = &by_node[i];
+            let node = &self.nodes[*node_idx];
+            let _slots = node.slots.acquire(segments.len().max(1))?;
+            let provider = crate::provider::EnterpriseProvider {
+                node,
+                cluster: &self.nodes,
+                servers: &servers,
+                tables: &tables,
+                segments,
+            };
+            dp.execute_local(&provider)
+        });
+        let results = results.into_iter().flatten().collect::<Result<Vec<_>>>()?;
+        dp.finish(results).map(Batch::into_rows)
     }
 
     /// Rebuild a restarted node's data from its buddies: the §6.1
@@ -385,27 +378,6 @@ impl EnterpriseTable {
         // table oid (sufficient for WOS/container bookkeeping).
         self.oid
     }
-}
-
-/// A table row in the projection's column space: the row itself when
-/// the projection carries every column in table order.
-fn project_row(proj: &Projection, row: Vec<Value>) -> Vec<Value> {
-    if proj.columns.len() == row.len() && proj.columns.iter().enumerate().all(|(i, &c)| i == c) {
-        return row;
-    }
-    proj.columns.iter().map(|&c| row[c].clone()).collect()
-}
-
-/// Projection rows in the projection sort order, by reference. Stable,
-/// so ties keep load order.
-fn sort_rows<'a>(proj: &Projection, rows: &'a [Vec<Value>]) -> Vec<&'a Vec<Value>> {
-    let mut sorted: Vec<&Vec<Value>> = rows.iter().collect();
-    let key_order = |a: &&Vec<Value>, b: &&Vec<Value>| {
-        let mut ord = proj.sort.0.iter().map(|&k| a[k].cmp(&b[k]));
-        ord.find(|o| o.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
-    };
-    sorted.sort_by(key_order);
-    sorted
 }
 
 /// WOS buffers are keyed by (projection, segment) so a node holding
@@ -519,6 +491,55 @@ mod tests {
             copied2 > copied * 3 / 2,
             "copied {copied} vs {copied2} for 2x data"
         );
+    }
+
+    /// Every container on every disk, by (node, segment), as bytes.
+    fn container_bytes(db: &EnterpriseDb) -> Vec<(usize, usize, Vec<u8>)> {
+        let mut out = Vec::new();
+        for n in db.nodes() {
+            for c in n.containers.read().iter() {
+                out.push((n.index, c.segment, n.disk.read(&c.key).unwrap().to_vec()));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// Moveout writes what a direct load writes: small loads buffered
+    /// in load order, then moved out, encode to the same bytes on every
+    /// (node, segment) as one direct load of the same rows — sort ties
+    /// (the sort column holds five values) in load order, NULLs kept.
+    #[test]
+    fn moved_out_small_loads_write_the_bytes_of_one_direct_load() {
+        let s = schema![("id", Int), ("k", Int), ("f", Float), ("s", Str)];
+        let proj = Projection::super_projection("p", &s, &[1], &[0]);
+        let rows: Vec<Vec<Value>> = (0..600i64)
+            .map(|i| {
+                let f = if i % 7 == 0 { Value::Null } else { Value::Float(i as f64 / 3.0) };
+                let st = if i % 11 == 0 { Value::Null } else { Value::Str(format!("ü{}", i % 13)) };
+                vec![Value::Int(i), Value::Int(i % 5), f, st]
+            })
+            .collect();
+        let db_with = |wos_threshold| {
+            let db = EnterpriseDb::create(EnterpriseConfig { num_nodes: 3, exec_slots: 4, wos_threshold });
+            db.create_table("t", s.clone(), proj.clone()).unwrap();
+            db
+        };
+        let buffered = db_with(usize::MAX);
+        for chunk in rows.chunks(70) {
+            buffered.copy_into("t", chunk.to_vec()).unwrap();
+        }
+        assert_eq!(container_bytes(&buffered), vec![]);
+        let t = buffered.table("t").unwrap();
+        for seg in 0..3 {
+            buffered.moveout(seg, &t, seg).unwrap();
+            buffered.moveout(buffered.buddy_of(seg), &t, seg).unwrap();
+        }
+        let direct = db_with(1);
+        direct.copy_into("t", rows).unwrap();
+        let (moved, loaded) = (container_bytes(&buffered), container_bytes(&direct));
+        assert_eq!(moved.len(), 6, "one container per segment copy");
+        assert!(moved == loaded, "moveout and direct load wrote different bytes");
     }
 
     #[test]

@@ -16,20 +16,21 @@ use eon_types::{EonError, Result};
 
 use crate::db::{wos_key, EnterpriseNode, EnterpriseTable};
 
-/// Per-query, per-node scan context.
-pub struct EnterpriseProvider {
+/// Per-query, per-node scan context, borrowed from the query.
+pub struct EnterpriseProvider<'a> {
     /// The executing node.
-    pub node: Arc<EnterpriseNode>,
+    pub node: &'a EnterpriseNode,
     /// All cluster nodes (for broadcast reads).
-    pub cluster: Vec<Arc<EnterpriseNode>>,
+    pub cluster: &'a [Arc<EnterpriseNode>],
     /// For each segment, the node serving it this query.
-    pub servers: Vec<usize>,
-    pub tables: HashMap<String, EnterpriseTable>,
+    pub servers: &'a [usize],
+    /// The query's one snapshot of the table map.
+    pub tables: &'a HashMap<String, EnterpriseTable>,
     /// Segments this node serves for the query.
-    pub segments: Vec<usize>,
+    pub segments: &'a [usize],
 }
 
-impl EnterpriseProvider {
+impl EnterpriseProvider<'_> {
     fn table(&self, name: &str) -> Result<&EnterpriseTable> {
         self.tables
             .get(name)
@@ -38,10 +39,10 @@ impl EnterpriseProvider {
 
     /// One scan over the segments this node serves (or, broadcast,
     /// every segment): their containers through the block-filter kernel,
-    /// their WOS rows — unsorted and unencoded (§2.3) — through
-    /// `eval_row` on the borrowed buffer into typed columns, concatenated
-    /// once: the scan's one piece.
-    fn scan_one(&self, spec: &ScanSpec) -> Result<Batch> {
+    /// one piece per surviving block, and their WOS buffers — unsorted
+    /// and unencoded (§2.3) — tested by the kernel's predicate loops
+    /// where they lie, one piece each.
+    fn scan_one(&self, spec: &ScanSpec) -> Result<Pieces> {
         let t = self.table(&spec.table)?;
         let out_cols: Vec<usize> = spec
             .columns
@@ -59,9 +60,7 @@ impl EnterpriseProvider {
             row_mask: None,
         };
         let sources: Vec<(&EnterpriseNode, usize)> = match spec.distribute {
-            Distribution::LocalShards => {
-                self.segments.iter().map(|&seg| (&*self.node, seg)).collect()
-            }
+            Distribution::LocalShards => self.segments.iter().map(|&seg| (self.node, seg)).collect(),
             // Broadcast: pull every segment from its server — this is
             // the cross-node traffic Enterprise pays for joins that
             // Eon's co-segmentation avoids (§9).
@@ -70,26 +69,23 @@ impl EnterpriseProvider {
             }
         };
         let mut pieces = Vec::new();
-        let mut wos: Vec<Column> = out_cols.iter().map(|_| Column::nulls(0)).collect();
-        let mut wos_rows = 0;
         for (source, seg) in sources {
             scan_containers(source, t, seg, &filter, &out_cols, &mut pieces)?;
-            source.wos.for_each_row(wos_key(t.projection_oid(), seg), |row| {
-                if spec.predicate.eval_row(row) {
-                    wos.iter_mut().zip(&out_cols).for_each(|(col, &c)| col.push(row[c].as_ref()));
-                    wos_rows += 1;
-                }
+            let wos = source.wos.read(wos_key(t.projection_oid(), seg), |buf| {
+                let cols: Vec<&Column> = buf.cols().iter().collect();
+                let keep = spec.predicate.eval_block(&cols, buf.rows());
+                let idx: Vec<usize> = (0..buf.rows()).filter(|&r| keep[r]).collect();
+                Batch::new(out_cols.iter().map(|&c| cols[c].gather(&idx)).collect(), idx.len())
             });
+            pieces.extend(wos.filter(|b| b.rows() > 0));
         }
-        pieces.push(Batch::new(wos, wos_rows));
-        Ok(Batch::concat(pieces, out_cols.len()))
+        Ok(Pieces { width: out_cols.len(), batches: pieces })
     }
 }
 
-impl TableProvider for EnterpriseProvider {
-    /// One piece per scan.
+impl TableProvider for EnterpriseProvider<'_> {
     fn scan(&self, specs: &[&ScanSpec]) -> Result<Vec<Pieces>> {
-        specs.iter().map(|spec| self.scan_one(spec).map(Pieces::one)).collect()
+        specs.iter().map(|spec| self.scan_one(spec)).collect()
     }
 }
 

@@ -9,7 +9,8 @@
 
 use std::cmp::Ordering;
 
-use eon_columnar::{Batch, Column, Data, StrVec};
+use bytes::Bytes;
+use eon_columnar::{Batch, Column, Data, Projection, RosFooter, RosWriter, StrVec};
 use eon_types::{hash_value, Result, ValueRef};
 
 use crate::expr::Expr;
@@ -266,6 +267,19 @@ pub fn sort(batch: Batch, keys: &[SortKey]) -> Batch {
         }
     };
     batch.gather(&order)
+}
+
+/// A projection's rows as one container, for both architectures' loads
+/// and moveouts: sorted by the projection's sort columns (stably, so
+/// ties keep load order), then through the one typed encoder.
+pub fn encode_sorted(
+    batch: Batch,
+    proj: &Projection,
+    writer: &RosWriter,
+) -> Result<(Bytes, RosFooter)> {
+    let keys: Vec<SortKey> = proj.sort.0.iter().map(|&c| SortKey::asc(c)).collect();
+    let sorted = if keys.is_empty() { batch } else { sort(batch, &keys) };
+    writer.encode(sorted.cols())
 }
 
 /// Rows `a` and `b` compared on `keys` in turn, each descending key

@@ -1,21 +1,28 @@
 //! The Write Optimized Store — Enterprise mode only.
 //!
-//! §2.3: in-memory, unencoded, buffers small writes until moveout sorts
-//! and spills them as a ROS container. §5.1 explains why Eon mode drops
-//! it: data in a WOS can be lost on crash, and asymmetric memory
-//! pressure makes node storage diverge. The Enterprise baseline keeps
-//! it so the comparison in the benches is faithful.
+//! §2.3: in-memory, unsorted and unencoded, buffers small writes until
+//! moveout sorts and spills them as a ROS container. §5.1 explains why
+//! Eon mode drops it: data in a WOS can be lost on crash, and
+//! asymmetric memory pressure makes node storage diverge. The
+//! Enterprise baseline keeps it so the comparison in the benches is
+//! faithful.
+//!
+//! A buffer is typed columns — one [`Batch`] per key, appended in load
+//! order — so a scan tests it with the scan kernel's predicate loops and
+//! moveout hands it to the one encoder without a transpose.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use eon_types::{Oid, Value};
+use eon_columnar::Batch;
+use eon_types::Oid;
 use parking_lot::Mutex;
 
-/// Per-projection in-memory row buffer.
+/// Per-projection in-memory column buffer.
 pub struct Wos {
     /// Moveout trigger: buffered rows per projection.
     moveout_threshold: usize,
-    buffers: Mutex<HashMap<Oid, Vec<Vec<Value>>>>,
+    buffers: Mutex<HashMap<Oid, Batch>>,
 }
 
 impl Wos {
@@ -26,44 +33,43 @@ impl Wos {
         }
     }
 
-    /// Buffer rows for a projection; returns true when the projection
-    /// has crossed the moveout threshold.
-    pub fn append(&self, projection: Oid, rows: Vec<Vec<Value>>) -> bool {
+    /// Buffer a batch for a projection, after the rows already there;
+    /// returns true when the projection has crossed the moveout
+    /// threshold.
+    pub fn append(&self, projection: Oid, batch: Batch) -> bool {
         let mut g = self.buffers.lock();
-        let buf = g.entry(projection).or_default();
-        buf.extend(rows);
-        buf.len() >= self.moveout_threshold
+        let buf = match g.entry(projection) {
+            Entry::Occupied(e) => {
+                let buf = e.into_mut();
+                buf.append(batch);
+                buf
+            }
+            Entry::Vacant(e) => e.insert(batch),
+        };
+        buf.rows() >= self.moveout_threshold
     }
 
-    /// Visit the rows currently buffered for a projection, in order,
-    /// borrowed under the buffer's lock (queries must read the WOS too —
-    /// it holds committed data in Enterprise mode), so a scan copies
-    /// only the cells it keeps.
-    pub fn for_each_row(&self, projection: Oid, visit: impl FnMut(&[Value])) {
-        let buffers = self.buffers.lock();
-        buffers.get(&projection).into_iter().flatten().map(Vec::as_slice).for_each(visit);
+    /// Run `read` on the batch buffered for a projection, borrowed
+    /// under the buffer's lock (queries must read the WOS too — it
+    /// holds committed data in Enterprise mode), so a scan copies only
+    /// the cells it keeps. `None` when nothing is buffered.
+    pub fn read<R>(&self, projection: Oid, read: impl FnOnce(&Batch) -> R) -> Option<R> {
+        self.buffers.lock().get(&projection).map(read)
     }
 
     pub fn buffered_count(&self, projection: Oid) -> usize {
-        self.buffers
-            .lock()
-            .get(&projection)
-            .map(|b| b.len())
-            .unwrap_or(0)
+        self.buffers.lock().get(&projection).map_or(0, Batch::rows)
     }
 
     /// Moveout: drain the buffer for conversion to a ROS container.
-    /// The caller sorts (WOS data is unsorted by design) and writes.
-    pub fn moveout(&self, projection: Oid) -> Vec<Vec<Value>> {
-        self.buffers
-            .lock()
-            .remove(&projection)
-            .unwrap_or_default()
+    /// The caller sorts (WOS data is unsorted by design) and encodes.
+    pub fn moveout(&self, projection: Oid) -> Option<Batch> {
+        self.buffers.lock().remove(&projection)
     }
 
     /// Total rows across all projections (memory pressure signal).
     pub fn total_rows(&self) -> usize {
-        self.buffers.lock().values().map(|b| b.len()).sum()
+        self.buffers.lock().values().map(Batch::rows).sum()
     }
 
     /// Crash simulation: in-memory contents vanish. This is exactly the
@@ -76,38 +82,44 @@ impl Wos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eon_types::Value;
 
-    fn rows(n: i64) -> Vec<Vec<Value>> {
-        (0..n).map(|i| vec![Value::Int(i)]).collect()
+    fn rows(lo: i64, hi: i64) -> Vec<Vec<Value>> {
+        (lo..hi).map(|i| vec![Value::Int(i)]).collect()
+    }
+
+    fn batch(lo: i64, hi: i64) -> Batch {
+        Batch::from_rows(&rows(lo, hi), 1)
     }
 
     #[test]
     fn buffers_until_threshold() {
         let wos = Wos::new(10);
-        assert!(!wos.append(Oid(1), rows(5)));
+        assert!(!wos.append(Oid(1), batch(0, 5)));
         assert_eq!(wos.buffered_count(Oid(1)), 5);
-        assert!(wos.append(Oid(1), rows(5)));
+        assert!(wos.append(Oid(1), batch(5, 10)));
         assert_eq!(wos.buffered_count(Oid(1)), 10);
     }
 
     #[test]
-    fn moveout_drains() {
+    fn moveout_drains_in_load_order() {
         let wos = Wos::new(4);
-        wos.append(Oid(1), rows(6));
-        let drained = wos.moveout(Oid(1));
-        assert_eq!(drained.len(), 6);
+        wos.append(Oid(1), batch(0, 4));
+        wos.append(Oid(1), batch(4, 6));
+        let drained = wos.moveout(Oid(1)).expect("buffered");
+        assert_eq!(drained.into_rows(), rows(0, 6));
         assert_eq!(wos.buffered_count(Oid(1)), 0);
-        assert!(wos.moveout(Oid(1)).is_empty());
+        assert!(wos.moveout(Oid(1)).is_none());
     }
 
     #[test]
     fn projections_are_independent() {
         let wos = Wos::new(100);
-        wos.append(Oid(1), rows(3));
-        wos.append(Oid(2), rows(4));
-        let mut seen = Vec::new();
-        wos.for_each_row(Oid(2), |row| seen.push(row.to_vec()));
-        assert_eq!(seen, rows(4));
+        wos.append(Oid(1), batch(0, 3));
+        wos.append(Oid(2), batch(0, 4));
+        let seen = wos.read(Oid(2), |b| b.clone().into_rows());
+        assert_eq!(seen, Some(rows(0, 4)));
+        assert!(wos.read(Oid(3), Batch::rows).is_none());
         assert_eq!(wos.buffered_count(Oid(1)), 3);
         assert_eq!(wos.total_rows(), 7);
     }
@@ -115,7 +127,7 @@ mod tests {
     #[test]
     fn crash_loses_buffered_data() {
         let wos = Wos::new(100);
-        wos.append(Oid(1), rows(50));
+        wos.append(Oid(1), batch(0, 50));
         wos.crash();
         assert_eq!(wos.total_rows(), 0);
     }

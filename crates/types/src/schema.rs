@@ -1,7 +1,7 @@
 //! Table schemas: ordered lists of named, typed fields.
 
 use crate::error::{EonError, Result};
-use crate::value::{DataType, Value};
+use crate::value::DataType;
 
 /// One column of a table schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,37 +59,6 @@ impl Schema {
         &self.fields[idx]
     }
 
-    /// Validate that `row` conforms to this schema (arity, types,
-    /// nullability). Used by the load path before segmentation.
-    pub fn check_row(&self, row: &[Value]) -> Result<()> {
-        if row.len() != self.fields.len() {
-            return Err(EonError::SchemaMismatch(format!(
-                "row has {} values, schema has {} fields",
-                row.len(),
-                self.fields.len()
-            )));
-        }
-        for (v, f) in row.iter().zip(&self.fields) {
-            match v.data_type() {
-                None
-                    if !f.nullable => {
-                        return Err(EonError::SchemaMismatch(format!(
-                            "NULL in non-nullable column {}",
-                            f.name
-                        )));
-                    }
-                Some(dt) if dt != f.dtype => {
-                    return Err(EonError::SchemaMismatch(format!(
-                        "column {} expects {}, got {}",
-                        f.name, f.dtype, dt
-                    )));
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
     /// Build a schema by projecting a subset of this schema's columns.
     pub fn project(&self, indices: &[usize]) -> Schema {
         Schema {
@@ -120,32 +89,6 @@ mod tests {
     fn index_lookup() {
         assert_eq!(s().index_of("name").unwrap(), 1);
         assert!(s().index_of("missing").is_err());
-    }
-
-    #[test]
-    fn row_check_accepts_valid() {
-        let row = vec![Value::Int(1), Value::Str("a".into()), Value::Float(2.0)];
-        assert!(s().check_row(&row).is_ok());
-    }
-
-    #[test]
-    fn row_check_rejects_arity() {
-        assert!(s().check_row(&[Value::Int(1)]).is_err());
-    }
-
-    #[test]
-    fn row_check_rejects_type() {
-        let row = vec![Value::Str("x".into()), Value::Str("a".into()), Value::Float(2.0)];
-        assert!(s().check_row(&row).is_err());
-    }
-
-    #[test]
-    fn row_check_nullability() {
-        let sch = Schema::new(vec![Field::new("id", DataType::Int).not_null()]);
-        assert!(sch.check_row(&[Value::Null]).is_err());
-        assert!(sch.check_row(&[Value::Int(1)]).is_ok());
-        // nullable column accepts NULL
-        assert!(s().check_row(&[Value::Null, Value::Null, Value::Null]).is_ok());
     }
 
     #[test]

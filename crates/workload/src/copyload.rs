@@ -54,6 +54,7 @@ pub fn batch(rows: usize, seed: u64, batch_index: u64) -> Vec<Vec<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eon_columnar::Batch;
     use eon_core::{EonConfig, EonDb};
     use std::sync::Arc;
 
@@ -64,9 +65,8 @@ mod tests {
         let c = batch(100, 1, 1);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        for row in &a {
-            telemetry_schema().check_row(row).unwrap();
-        }
+        let schema = telemetry_schema();
+        Batch::from_rows_checked(&a, schema.len()).unwrap().check_schema(&schema).unwrap();
     }
 
     #[test]

@@ -126,9 +126,9 @@ pub fn load_enterprise(
         gs.clone(),
         Projection::super_projection("geo_super", &gs, &[0], &[0]),
     )?;
-    db.copy_into("events", data.events.clone())?;
-    db.copy_into("product", data.products.clone())?;
-    db.copy_into("geo", data.geos.clone())?;
+    db.copy_batch("events", Batch::from_rows(&data.events, es.len()))?;
+    db.copy_batch("product", Batch::from_rows(&data.products, ps.len()))?;
+    db.copy_batch("geo", Batch::from_rows(&data.geos, gs.len()))?;
     Ok(())
 }
 

@@ -389,8 +389,9 @@ pub fn load_tpch_enterprise(
     for (name, schema, sort, seg, _replicated) in tpch_tables() {
         let proj =
             Projection::super_projection(format!("{name}_super"), &schema, &[sort], &[seg]);
+        let width = schema.len();
         db.create_table(name, schema, proj)?;
-        db.copy_into(name, table_rows(data, name).to_vec())?;
+        db.copy_batch(name, Batch::from_rows(table_rows(data, name), width))?;
     }
     Ok(())
 }
@@ -440,14 +441,10 @@ mod tests {
     #[test]
     fn rows_satisfy_schemas() {
         let d = TpchData::generate(0.002, 3);
-        for row in d.lineitem.iter().take(50) {
-            lineitem_schema().check_row(row).unwrap();
-        }
-        for row in d.orders.iter().take(50) {
-            orders_schema().check_row(row).unwrap();
-        }
-        for row in &d.nation {
-            nation_schema().check_row(row).unwrap();
+        for (rows, schema) in
+            [(&d.lineitem, lineitem_schema()), (&d.orders, orders_schema()), (&d.nation, nation_schema())]
+        {
+            Batch::from_rows_checked(rows, schema.len()).unwrap().check_schema(&schema).unwrap();
         }
     }
 

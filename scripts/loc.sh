@@ -75,15 +75,23 @@ printf '%-16s %6d\n' "serde derives" \
     "$(grep -rE --include='*.rs' 'derive\(.*(Serialize|Deserialize)' crates shims src tests examples | wc -l)"
 
 # "Scans feed the operators block by block" as a number: `Batch::concat`
-# call sites in non-test crate source (target 5: the join's build side
+# call sites in non-test crate source (target 4: the join's build side
 # and the sort in `eon-exec::execute`, the coordinator's one
-# concatenation, Enterprise's WOS edge and mergeout's inputs — no scan
-# concatenates).
+# concatenation and mergeout's inputs — no scan concatenates, and an
+# Enterprise WOS buffer is one piece).
 printf '%-16s %6d\n' "Batch::concat calls" "$(matches 'Batch::concat[(]' crates)"
 
 # "Writes as columns" as a number: non-test lines naming `Vec<Vec<Value>>`
-# in eon-columnar and in eon-core's write path (target: the `copy_into*`
-# row edge and `Batch::into_rows` — every stage from the batch to the
-# encoder is typed columns).
+# in eon-columnar, in eon-core's write path and in eon-enterprise
+# (target 7: both architectures' `copy_into*` row edges, Enterprise's
+# `query` return and `Batch::into_rows` — every stage from the batch to
+# the encoder, the WOS included, is typed columns).
 printf '%-16s %6d\n' "row-path lines" "$(matches 'Vec<Vec<Value>>' crates/columnar \
-    crates/core/src/load.rs crates/core/src/dml.rs crates/core/src/maintenance.rs crates/core/src/provider.rs)"
+    crates/core/src/load.rs crates/core/src/dml.rs crates/core/src/maintenance.rs crates/core/src/provider.rs \
+    crates/enterprise)"
+
+# "One task pool" as a number: `thread::scope` sites in non-test crate
+# source (target 3: `eon-cluster::pool`, `RetryFs::read_ranges` below
+# it in `eon-storage`, and the `elasticity` bench's timing harness —
+# both architectures' query participants run on the pool).
+printf '%-16s %6d\n' "thread::scope sites" "$(matches 'thread::scope[(]' crates)"

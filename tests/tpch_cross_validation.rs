@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use eon_columnar::Projection;
+use eon_columnar::{Batch, Projection};
 use eon_core::{EonConfig, EonDb};
 use eon_enterprise::{EnterpriseConfig, EnterpriseDb};
 use eon_exec::{execute, MemProvider};
@@ -204,10 +204,11 @@ fn sql_agrees_with_enterprise_running_the_bound_plan() {
     for (name, schema, rows) in [("sales", sales, sales_rows), ("regions", regions, region_rows)] {
         let proj = Projection::super_projection(format!("{name}_super"), &schema, &[0], &[0]);
         eon.create_table(name, schema.clone(), vec![proj.clone()]).unwrap();
-        eon.copy_into(name, rows.clone()).unwrap();
+        let batch = Batch::from_rows(&rows, schema.len());
+        eon.copy_batch(name, batch.clone()).unwrap();
         for ent in &ents {
             ent.create_table(name, schema.clone(), proj.clone()).unwrap();
-            ent.copy_into(name, rows.clone()).unwrap();
+            ent.copy_batch(name, batch.clone()).unwrap();
         }
         schemas.insert(name.to_owned(), schema);
     }
