@@ -20,22 +20,28 @@
 //! * a **hit** is decided and served from the local file inside one
 //!   critical section, so a concurrent eviction can never turn it into
 //!   `NotFound`;
-//! * a **miss** costs exactly one backing GET of the whole object
-//!   (shared by concurrent misses on the key), the reader is answered
-//!   from the fetched bytes, and the object is admitted if it fits;
+//! * a **miss** costs exactly one backing fetch of the whole object
+//!   (shared by concurrent misses on the key, one single-flight slot),
+//!   the reader is answered from the fetched bytes, and the object is
+//!   admitted if it fits. When the catalog gave the object's size to
+//!   [`FileCache::reader`], the fetch is one ranged read of the whole
+//!   object through the batch verb, which `eon_storage::RetryFs` sends
+//!   as concurrent parts; otherwise (catalog logs, `cluster_info`,
+//!   delete vectors) it is one whole `read`;
 //! * a **bypass** goes straight to shared storage and is counted once
-//!   per range (or whole read) it sends: a read from a
-//!   [`CacheMode::Bypass`] session, a ranged read of an object larger
-//!   than the whole depot — which could never be admitted, so a read
-//!   through the depot would move the whole object — and a ranged read
-//!   under a never-cache prefix, known beforehand not to be kept.
-//!   [`FileCache::reader`] is the one place the first two are decided:
-//!   the scan path (`eon-core::provider`) asks it which filesystem to
-//!   read a container through, and for those cases gets the depot's
-//!   counting bypass face instead of the depot.
+//!   per range (or whole read) it sends, however many parts shared
+//!   storage cuts it into: a read from a [`CacheMode::Bypass`] session,
+//!   a ranged read of an object larger than the whole depot — which
+//!   could never be admitted, so a read through the depot would move
+//!   the whole object — and a ranged read under a never-cache prefix,
+//!   known beforehand not to be kept. [`FileCache::reader`] is the one
+//!   place the first two are decided: the scan path (`eon-core::provider`)
+//!   asks it how to read a container, and gets a [`Reader`] face that
+//!   goes past the depot for those cases and through it otherwise.
 //!
 //! So `hits + misses + bypasses` equals the reads issued, whole and
-//! ranged, on every path — the scan path's included.
+//! ranged, on every path — the scan path's included. Shared storage's
+//! own `s3_requests_total` counts parts.
 //!
 //! The depot **never retries**: every backing request below is issued
 //! once. The §5.3 retry loop and the circuit breaker live in the
@@ -160,8 +166,6 @@ impl Inner {
 pub struct FileCache {
     local: SharedFs,
     backing: SharedFs,
-    /// Shared storage seen through the bypass counter.
-    bypass: Bypass,
     capacity: u64,
     metrics: CacheMetrics,
     inner: Mutex<Inner>,
@@ -183,7 +187,6 @@ impl FileCache {
         metrics.used_bytes.set(0);
         FileCache {
             local,
-            bypass: Bypass { backing: backing.clone(), bypasses: metrics.bypasses.clone() },
             backing,
             capacity: capacity_bytes,
             metrics,
@@ -225,9 +228,9 @@ impl FileCache {
     /// skip dedup so their every-read-fetches accounting stays
     /// schedule-independent. Returns the whole object either way, so
     /// no caller goes back to shared storage for bytes it just moved.
-    fn fault_in(&self, key: &str) -> Result<Bytes> {
+    fn fault_in(&self, key: &str, size: Option<u64>) -> Result<Bytes> {
         if self.never_cached(key) {
-            let data = self.backing.read(key)?;
+            let data = self.fetch(key, size)?;
             self.metrics.misses.inc();
             self.insert_local(key, data.clone())?;
             return Ok(data);
@@ -258,7 +261,7 @@ impl FileCache {
         };
         match role {
             Role::Leader(slot) => {
-                let res = self.backing.read(key);
+                let res = self.fetch(key, size);
                 let mut inserted = Ok(());
                 if let Ok(data) = &res {
                     self.metrics.misses.inc();
@@ -289,23 +292,80 @@ impl FileCache {
         }
     }
 
+    /// The backing fetch of a whole object for a miss: with its size
+    /// known, one ranged read of all of it through the batch verb (shared
+    /// storage sends it as concurrent parts), of which a shorter answer
+    /// is `Corrupt`; otherwise one `read`.
+    fn fetch(&self, key: &str, size: Option<u64>) -> Result<Bytes> {
+        let Some(size) = size else {
+            return self.backing.read(key);
+        };
+        let data = self.backing.read_ranges(key, &[(0, size)]).pop().expect("one result per range")?;
+        if (data.len() as u64) < size {
+            return Err(EonError::Corrupt(format!("{key}: {} bytes stored, {size} expected", data.len())));
+        }
+        Ok(data)
+    }
+
+    /// A whole read through the depot: a hit, or a miss that faults the
+    /// object in.
+    fn read_through(&self, key: &str, size: Option<u64>) -> Result<Bytes> {
+        match self.read_hit(key, |local| local.read(key)) {
+            Some(hit) => hit,
+            None => self.fault_in(key, size),
+        }
+    }
+
+    /// A ranged read through the depot. Whole-file caching: a hit
+    /// slices the local file; a miss faults the object in and slices the
+    /// bytes that fetch returned, admitted or not — never a second GET.
+    /// A never-cache key is known beforehand not to be kept: bypass for
+    /// just the range.
+    fn read_range_through(&self, path: &str, offset: u64, len: u64, size: Option<u64>) -> Result<Bytes> {
+        if let Some(hit) = self.read_hit(path, |local| local.read_range(path, offset, len)) {
+            return hit;
+        }
+        if self.never_cached(path) {
+            return self.bypass().read_range(path, offset, len);
+        }
+        let all = self.fault_in(path, size)?;
+        let start = (offset as usize).min(all.len());
+        let end = (offset.saturating_add(len) as usize).min(all.len());
+        Ok(all.slice(start..end))
+    }
+
+    /// Ranges through the depot in turn, each one hit or one miss. A
+    /// failure ends the batch — the ranges after it answer with its
+    /// error — so a failing store is asked once, not once a range.
+    fn read_ranges_through(&self, path: &str, ranges: &[(u64, u64)], size: Option<u64>) -> Vec<Result<Bytes>> {
+        let mut failed: Option<EonError> = None;
+        let read = |&(offset, len): &(u64, u64)| match &failed {
+            Some(e) => Err(e.clone()),
+            None => self.read_range_through(path, offset, len, size).inspect_err(|e| failed = Some(e.clone())),
+        };
+        ranges.iter().map(read).collect()
+    }
+
     pub fn capacity(&self) -> u64 {
         self.capacity
     }
 
-    /// The filesystem a read of one object goes through, given the
-    /// session's cache mode and the object's size where the catalog
-    /// knows it. A bypass session (§5.2) and an object larger than the
-    /// whole depot — which [`insert_local`](Self::insert_local) would
-    /// never keep, so every read through the depot would move the whole
-    /// object — read straight from shared storage, one bypass per range;
-    /// everything else reads through the depot.
-    pub fn reader(&self, mode: CacheMode, size_bytes: Option<u64>) -> &dyn FileSystem {
-        if mode == CacheMode::Bypass || !self.admits(size_bytes.unwrap_or(0)) {
-            &self.bypass
-        } else {
-            self
-        }
+    /// How a read of one object goes, given the session's cache mode and
+    /// the object's size where the catalog knows it. A bypass session
+    /// (§5.2) and an object larger than the whole depot — which
+    /// [`insert_local`](Self::insert_local) would never keep, so every
+    /// read through the depot would move the whole object — read
+    /// straight from shared storage, one bypass per range; everything
+    /// else reads through the depot, a miss filling by parts when the
+    /// size is known.
+    pub fn reader(&self, mode: CacheMode, size_bytes: Option<u64>) -> Reader<'_> {
+        let bypass = mode == CacheMode::Bypass || !self.admits(size_bytes.unwrap_or(0));
+        Reader { cache: self, bypass, size: size_bytes }
+    }
+
+    /// The depot's counting bypass face.
+    fn bypass(&self) -> Reader<'_> {
+        Reader { cache: self, bypass: true, size: None }
     }
 
     /// The one admission rule: an object larger than the whole depot
@@ -441,12 +501,9 @@ impl FileCache {
     /// Read a whole object with an explicit cache mode.
     pub fn read_with(&self, key: &str, mode: CacheMode) -> Result<Bytes> {
         if mode == CacheMode::Bypass {
-            return self.bypass.read(key);
+            return self.bypass().read(key);
         }
-        match self.read_hit(key, |local| local.read(key)) {
-            Some(hit) => hit,
-            None => self.fault_in(key),
-        }
+        self.read_through(key, None)
     }
 
     /// Write-through put: cache locally, upload to shared storage. The
@@ -512,20 +569,11 @@ impl FileSystem for FileCache {
     }
 
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        // Whole-file caching: a hit slices the local file; a miss
-        // faults the object in and slices the bytes that fetch returned,
-        // admitted or not — never a second GET. A never-cache key is
-        // known beforehand not to be kept: bypass for just the range.
-        if let Some(hit) = self.read_hit(path, |local| local.read_range(path, offset, len)) {
-            return hit;
-        }
-        if self.never_cached(path) {
-            return self.bypass.read_range(path, offset, len);
-        }
-        let all = self.fault_in(path)?;
-        let start = (offset as usize).min(all.len());
-        let end = (offset.saturating_add(len) as usize).min(all.len());
-        Ok(all.slice(start..end))
+        self.read_range_through(path, offset, len, None)
+    }
+
+    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Vec<Result<Bytes>> {
+        self.read_ranges_through(path, ranges, None)
     }
 
     fn size(&self, path: &str) -> Result<u64> {
@@ -549,51 +597,76 @@ impl FileSystem for FileCache {
     }
 }
 
-/// The depot's bypass face: reads sent straight to shared storage, each
-/// range — or whole read — counted as one `depot_bypasses_total`. The
-/// depot's own reads that skip it go through here too, so every bypass
-/// is counted in one place.
-struct Bypass {
-    backing: SharedFs,
-    bypasses: Arc<Counter>,
+/// One object's read, as [`FileCache::reader`] decides it: past the
+/// depot, each range — or whole read — counted as one
+/// `depot_bypasses_total` however many parts shared storage cuts it
+/// into; or through the depot, a miss filling by parts when `size` is
+/// known. The depot's own reads that skip it go through here too, so
+/// every bypass is counted in one place.
+pub struct Reader<'a> {
+    cache: &'a FileCache,
+    /// Straight to shared storage.
+    bypass: bool,
+    /// The object's size, where the catalog knows it.
+    size: Option<u64>,
 }
 
-impl FileSystem for Bypass {
+impl Reader<'_> {
+    /// Where this face's other verbs go.
+    fn fs(&self) -> &dyn FileSystem {
+        if self.bypass {
+            self.cache.backing.as_ref()
+        } else {
+            self.cache
+        }
+    }
+}
+
+impl FileSystem for Reader<'_> {
     fn write(&self, path: &str, data: Bytes) -> Result<()> {
-        self.backing.write(path, data)
+        self.fs().write(path, data)
     }
 
     fn read(&self, path: &str) -> Result<Bytes> {
-        self.bypasses.inc();
-        self.backing.read(path)
+        if !self.bypass {
+            return self.cache.read_through(path, self.size);
+        }
+        self.cache.metrics.bypasses.inc();
+        self.cache.backing.read(path)
     }
 
     fn read_range(&self, path: &str, offset: u64, len: u64) -> Result<Bytes> {
-        self.bypasses.inc();
-        self.backing.read_range(path, offset, len)
+        if !self.bypass {
+            return self.cache.read_range_through(path, offset, len, self.size);
+        }
+        self.cache.metrics.bypasses.inc();
+        self.cache.backing.read_range(path, offset, len)
     }
 
-    /// One bypass per range, all sent as shared storage sends them (at
-    /// once, through `RetryFs`).
-    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
-        self.bypasses.add(ranges.len() as u64);
-        self.backing.read_ranges(path, ranges)
+    /// Past the depot, one bypass per range, all sent as shared storage
+    /// sends them (as one batch of parts, through `RetryFs`).
+    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Vec<Result<Bytes>> {
+        if !self.bypass {
+            return self.cache.read_ranges_through(path, ranges, self.size);
+        }
+        self.cache.metrics.bypasses.add(ranges.len() as u64);
+        self.cache.backing.read_ranges(path, ranges)
     }
 
     fn size(&self, path: &str) -> Result<u64> {
-        self.backing.size(path)
+        self.fs().size(path)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.backing.list(prefix)
+        self.fs().list(prefix)
     }
 
     fn delete(&self, path: &str) -> Result<()> {
-        self.backing.delete(path)
+        self.fs().delete(path)
     }
 
     fn stats(&self) -> FsStats {
-        self.backing.stats()
+        self.fs().stats()
     }
 }
 
@@ -708,7 +781,7 @@ mod tests {
         assert_eq!(bypass.read_range("small", 0, 4).unwrap().len(), 4);
         assert_eq!(cache.stats().bypasses, 2);
         // A wave of three ranges is three bypasses; nothing was admitted.
-        bypass.read_ranges("big", &[(0, 1), (10, 2), (20, 3)]).unwrap();
+        assert!(bypass.read_ranges("big", &[(0, 1), (10, 2), (20, 3)]).iter().all(|r| r.is_ok()));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.bypasses), (0, 0, 5));
         assert!(!cache.contains("small") && !cache.contains("big"));
@@ -972,6 +1045,66 @@ mod tests {
         assert_eq!(backing.stats().gets, 1, "one fault-in for all ranges");
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 3, "a ranged read is one hit or one miss, like a whole read");
+    }
+
+    /// The catalog's size turns a miss into one ranged read of the whole
+    /// object, which shared storage sends as parts: still one miss in
+    /// one single-flight slot. A bypassed run is one bypass however many
+    /// parts it goes out as.
+    #[test]
+    fn a_sized_miss_fills_by_parts_in_one_slot() {
+        use eon_storage::{RetryFs, RetryPolicy, PART_BYTES};
+        let registry = Registry::new();
+        let sim = S3SimFs::with_metrics(
+            S3Config { request_latency: std::time::Duration::from_millis(40), ..S3Config::instant() },
+            &registry,
+        );
+        let size = 3 * PART_BYTES + 1;
+        let body = Bytes::from((0..size).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        sim.write("big", body.clone()).unwrap();
+        sim.write("short", payload(100)).unwrap();
+        let backing = Arc::new(RetryFs::new(Arc::new(sim), RetryPolicy::default(), &registry, None));
+        let cache = FileCache::new(Arc::new(MemFs::new()), backing, 1 << 20, &registry, "n0");
+        let billed = registry.counter("s3_requests_total", &[("subsystem", "s3"), ("verb", "get")]);
+
+        const N: u64 = 4;
+        let barrier = std::sync::Barrier::new(N as usize);
+        std::thread::scope(|s| {
+            for i in 0..N {
+                let (cache, barrier, body) = (&cache, &barrier, &body);
+                s.spawn(move || {
+                    barrier.wait();
+                    let got = cache.reader(CacheMode::Normal, Some(size)).read_range("big", i * 50_000, 100);
+                    assert_eq!(got.unwrap(), body.slice(i as usize * 50_000..i as usize * 50_000 + 100));
+                });
+            }
+        });
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.singleflight_waits), (1, N - 1, N - 1), "one miss, one slot");
+        assert_eq!(billed.get(), 4, "one fill of four parts");
+        assert!(cache.contains("big"));
+        assert_eq!(cache.local.read("big").unwrap(), body);
+
+        // A bypassed run of three parts: one bypass, three GETs.
+        let run = (10, 2 * PART_BYTES + 5);
+        let got = cache.reader(CacheMode::Bypass, Some(size)).read_ranges("big", &[run]);
+        assert_eq!(got[0].as_ref().unwrap(), &body.slice(10..10 + run.1 as usize));
+        assert_eq!(cache.stats().bypasses, 1);
+        assert_eq!(billed.get(), 4 + 3);
+
+        // An object shorter than its catalog size is `Corrupt`, not kept.
+        let short = cache.reader(CacheMode::Normal, Some(200)).read_range("short", 0, 10);
+        assert!(matches!(short, Err(EonError::Corrupt(_))), "{short:?}");
+        assert!(!cache.contains("short"));
+    }
+
+    #[test]
+    fn a_failed_fill_ends_the_batch() {
+        let (backing, cache) = setup(1000);
+        let got = cache.read_ranges("missing", &[(0, 1), (1, 1), (2, 1)]);
+        assert_eq!(got.len(), 3);
+        assert!(got.iter().all(|r| matches!(r, Err(EonError::NotFound(_)))), "{got:?}");
+        assert_eq!(backing.stats().gets, 1, "one failed fill, not one a range");
     }
 
     #[test]

@@ -3,10 +3,8 @@
 //! order. Scans, load and delete-vector uploads, the per-peer cache
 //! ship and both architectures' query participants all fan out through
 //! [`run_indexed`], so the claim rule, the cancel check and the
-//! stop-on-failure rule exist once — and this is the one place above
-//! storage that decides how a task gets a thread. The exception is
-//! `eon-storage`, which sits below this crate: `RetryFs::read_ranges`
-//! sends one scan wave's ranged reads on scoped threads of its own.
+//! stop-on-failure rule exist once — and this is the one place that
+//! decides how a task gets a thread.
 //!
 //! The calling thread is worker 0 and runs task 0 itself — a query's
 //! coordinator runs its own fragment inline. Only `width.min(count) -

@@ -285,9 +285,20 @@ impl RosReader {
         if checksum(&footer_buf) != crc {
             return Err(EonError::Corrupt(format!("{key}: footer checksum mismatch")));
         }
+        let footer = parse_footer(&footer_buf)?;
+        // Every block lies in the data region: the range planner and the
+        // part splitter below it do arithmetic on these extents.
+        let data_end = size - index_bytes;
+        let mut blocks = footer.columns.iter().flat_map(|c| &c.blocks);
+        if let Some(b) = blocks.find(|b| b.offset.checked_add(b.len).is_none_or(|end| end > data_end)) {
+            return Err(EonError::Corrupt(format!(
+                "{key}: block at {} (+{}) outside the {data_end}-byte data region",
+                b.offset, b.len
+            )));
+        }
         Ok(RosReader {
             key: key.to_owned(),
-            footer: parse_footer(&footer_buf)?,
+            footer,
             index_bytes,
         })
     }
@@ -376,7 +387,7 @@ impl RosReader {
         }
 
         let ranges: Vec<(u64, u64)> = runs.iter().map(|&(start, end, _)| (start, end - start)).collect();
-        let fetched = fs.read_ranges(&self.key, &ranges)?;
+        let fetched = fs.read_ranges(&self.key, &ranges).into_iter().collect::<Result<Vec<_>>>()?;
         for (&(start, end, run), raw) in runs.iter().zip(fetched) {
             if (raw.len() as u64) < end - start {
                 return Err(EonError::Corrupt(format!(
@@ -774,6 +785,30 @@ mod tests {
         data[n - 20] ^= 0x01;
         fs.write("c1", Bytes::from(data)).unwrap();
         assert!(RosReader::open(&fs, "c1").is_err());
+    }
+
+    /// A footer whose checksum matches but whose block lies past the
+    /// data region is `Corrupt` at open, never an overflow or an
+    /// out-of-range slice when the block is read.
+    #[test]
+    fn forged_block_extent_rejected_at_open() {
+        let fs = MemFs::new();
+        let (bytes, footer) = RosWriter::new().encode(&typed(&[vec![Value::Int(1), Value::Int(2)]])).unwrap();
+        assert_eq!(footer.columns[0].blocks.len(), 1);
+        let mut data = bytes.to_vec();
+        let n = data.len();
+        let trailer = n - TRAILER_LEN as usize;
+        let footer_len = u32::from_le_bytes(data[trailer..trailer + 4].try_into().unwrap()) as usize;
+        let start = trailer - footer_len;
+        // total_rows 2, one column, one block: each a one-byte varint,
+        // then the block's u64 offset.
+        assert_eq!(&data[start..start + 3], &[2, 1, 1]);
+        data[start + 3..start + 11].copy_from_slice(&(u64::MAX - 5).to_le_bytes());
+        let crc = checksum(&data[start..trailer]);
+        data[trailer + 4..trailer + 12].copy_from_slice(&crc.to_le_bytes());
+        fs.write("forged", Bytes::from(data)).unwrap();
+        let opened = RosReader::open(&fs, "forged");
+        assert!(matches!(opened, Err(EonError::Corrupt(_))), "{:?}", opened.map(|r| r.footer().clone()));
     }
 
     #[test]

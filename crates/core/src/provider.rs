@@ -33,6 +33,7 @@ use eon_columnar::{
 use eon_exec::crunch::CrunchSlice;
 use eon_exec::{Pieces, ScanSpec, TableProvider};
 use eon_obs::QueryProfile;
+use eon_storage::FileSystem;
 use eon_types::{EonError, Oid, Result, ShardId, Value, ValueRef};
 
 /// Coalescing gap for node reads: fetch up to this many dead bytes
@@ -262,7 +263,7 @@ impl NodeProvider {
     /// node's filesystem with the delete vector as its row mask →
     /// [`assemble`](Self::assemble).
     fn scan_container(&self, rs: &ResolvedScan, c: &ContainerMeta) -> Result<Vec<BlockRows>> {
-        let fs = self.node.cache.reader(self.cache_mode, Some(c.size_bytes));
+        let fs = &self.node.cache.reader(self.cache_mode, Some(c.size_bytes));
         let reader = self.node.footer(&c.key, || RosReader::open_sized(fs, &c.key, c.size_bytes))?;
         let keep = reader.footer().keep_blocks(&rs.pred);
         self.metrics().blocks_pruned.add(keep.iter().filter(|&&k| !k).count() as u64);

@@ -57,13 +57,15 @@ pub trait FileSystem: Send + Sync {
         Ok(all.slice(start..end))
     }
 
-    /// Read several ranges of one object: one result per `(offset,
-    /// len)`, in order. The default reads them one after another, which
-    /// suits a local store and the depot — a depot miss faults the whole
-    /// object in once and the later ranges are hits. [`crate::RetryFs`],
-    /// through which every shared-storage read passes, issues them all
-    /// at once.
-    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Result<Vec<Bytes>> {
+    /// Read several ranges of one object as one batch: one result per
+    /// `(offset, len)`, in order, each as [`read_range`](Self::read_range)
+    /// would answer it — so a caller can re-issue only the ranges that
+    /// failed. The default reads them one after another, which suits a
+    /// local store. [`crate::S3SimFs`] serves a batch as concurrent
+    /// requests, and [`crate::RetryFs`], through which every
+    /// shared-storage read passes, cuts long ranges into parts and
+    /// retries each part on its own.
+    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Vec<Result<Bytes>> {
         ranges.iter().map(|&(offset, len)| self.read_range(path, offset, len)).collect()
     }
 
@@ -120,11 +122,11 @@ mod tests {
     fn default_read_ranges_reads_each_range_in_order() {
         let fs = MemFs::new();
         fs.write("k", Bytes::from_static(b"hello world")).unwrap();
-        let got = fs.read_ranges("k", &[(6, 5), (0, 5), (6, 100)]).unwrap();
+        let got: Vec<Bytes> = fs.read_ranges("k", &[(6, 5), (0, 5), (6, 100)]).into_iter().collect::<Result<_>>().unwrap();
         let got: Vec<&[u8]> = got.iter().map(|b| b.as_ref()).collect();
         assert_eq!(got, [&b"world"[..], b"hello", b"world"]);
         assert_eq!(fs.stats().gets, 3);
-        assert!(fs.read_ranges("k", &[]).unwrap().is_empty());
+        assert!(fs.read_ranges("k", &[]).is_empty());
         assert_eq!(fs.stats().gets, 3, "no range, no request");
     }
 

@@ -7,7 +7,9 @@
 //!   failures, request-cost accounting, and S3's API shape (no
 //!   rename/append, list-by-prefix);
 //! * [`RetryFs`], the one resilience layer: the §5.3 retry loop and
-//!   the circuit-breaker gate around every request to the backend.
+//!   the circuit-breaker gate around every request to the backend, and
+//!   the one place a long ranged read is cut into [`PART_BYTES`] parts
+//!   sent as one concurrent batch.
 //!
 //! The depot (`eon-cache`) sits on top and never retries. Plus the
 //! globally-unique storage identifier (SID) scheme of §5.1 / Fig 7.
@@ -26,6 +28,6 @@ pub use fault::{FaultEvent, FaultInjector, FaultPlan};
 pub use fs::{FileSystem, FsStats, SharedFs};
 pub use mem::MemFs;
 pub use retry::RetryPolicy;
-pub use retryfs::RetryFs;
+pub use retryfs::{RetryFs, PART_BYTES};
 pub use s3sim::{S3Config, S3SimFs};
 pub use sid::{InstanceId, SidFactory, StorageId};

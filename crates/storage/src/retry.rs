@@ -3,8 +3,10 @@
 //! exponential backoff; permanent errors (NotFound, schema violations)
 //! surface immediately so queries stay cancelable.
 //!
-//! [`crate::RetryFs`] is this loop's only caller: layers above it (the
-//! depot, the catalog sync) issue each request once.
+//! [`crate::RetryFs`] is this loop's only caller — and, for a batch of
+//! ranged reads, the caller of [`RetryPolicy::retry_after`], the same
+//! rule applied part by part: layers above it (the depot, the catalog
+//! sync) issue each request once.
 
 use std::time::Duration;
 
@@ -36,14 +38,27 @@ impl RetryPolicy {
         let exp = self.base_backoff.saturating_mul(1u32 << attempt.min(16));
         exp.min(self.max_backoff)
     }
+
+    /// The wait before re-issuing a request whose attempt `attempt`
+    /// (0-based) failed with `e`, or `None` when `e` is final: terminal,
+    /// or the last attempt. Throttles back off twice as hard as plain
+    /// failures — the service is telling us to slow down, and hammering
+    /// it is how you stay throttled.
+    pub(crate) fn retry_after(&self, attempt: u32, e: &EonError) -> Option<Duration> {
+        if !e.is_transient() || attempt + 1 >= self.max_attempts {
+            return None;
+        }
+        let sleep = self.backoff(attempt);
+        Some(match e {
+            EonError::Throttled => sleep.saturating_mul(2).min(self.max_backoff),
+            _ => sleep,
+        })
+    }
 }
 
 /// Run `op`, retrying transient errors per `policy`; `on_retry` runs
 /// once per retry, before the backoff sleep, so the caller can count
 /// re-issued requests without this loop knowing about metrics.
-///
-/// Throttles back off twice as hard as plain failures — the service is
-/// telling us to slow down, and hammering it is how you stay throttled.
 pub(crate) fn with_retry<T>(
     policy: &RetryPolicy,
     mut on_retry: impl FnMut(),
@@ -51,21 +66,18 @@ pub(crate) fn with_retry<T>(
 ) -> Result<T> {
     let mut attempt = 0;
     loop {
-        match op() {
+        let e = match op() {
             Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() && attempt + 1 < policy.max_attempts => {
-                let mut sleep = policy.backoff(attempt);
-                if matches!(e, EonError::Throttled) {
-                    sleep = sleep.saturating_mul(2).min(policy.max_backoff);
-                }
-                on_retry();
-                if !sleep.is_zero() {
-                    std::thread::sleep(sleep);
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
+            Err(e) => e,
+        };
+        let Some(sleep) = policy.retry_after(attempt, &e) else {
+            return Err(e);
+        };
+        on_retry();
+        if !sleep.is_zero() {
+            std::thread::sleep(sleep);
         }
+        attempt += 1;
     }
 }
 

@@ -4,9 +4,13 @@
 //! Models the properties §5 says matter:
 //!
 //! * **Latency** — every request pays a time-to-first-byte, and
-//!   transfers pay a bandwidth cost; both are injected as real (but
-//!   scaled-down) sleeps so concurrency behaves like it would against a
-//!   remote service.
+//!   transfers pay a bandwidth cost per stream; both are injected as
+//!   real (but scaled-down) sleeps so concurrency behaves like it would
+//!   against a remote service. A batch of ranged GETs
+//!   ([`FileSystem::read_ranges`]) is concurrent requests, as an
+//!   event-loop client sends them: it costs one first byte plus its
+//!   longest transfer, slept once on the calling thread, while each
+//!   request in it is billed, counted, traced and fault-rolled alone.
 //! * **Cost** — GET/PUT/LIST/DELETE requests accumulate nano-dollar
 //!   charges using the S3 price card shape (PUT/LIST ≫ GET).
 //! * **Fallibility** — "any filesystem access can (and will) fail":
@@ -254,19 +258,31 @@ impl S3SimFs {
         attempt
     }
 
-    /// Charge the per-request latency plus a bandwidth charge for
-    /// `transfer` bytes, then roll the failure dice. Returns this
-    /// request's attempt number for the ambiguous-outcome roll.
+    /// One request: [`wait`](Self::wait) out its latency, then
+    /// [`charge`](Self::charge) it.
     fn request(&self, verb: &'static str, path: &str, transfer: usize, price: u64) -> Result<u64> {
-        if trace_enabled() {
-            eprintln!("s3 {verb} {path} ({transfer}B)");
-        }
+        self.wait(transfer);
+        self.charge(verb, path, transfer, price)
+    }
+
+    /// Sleep the per-request latency plus a bandwidth charge for
+    /// `transfer` bytes: the time until a request's last byte arrives.
+    fn wait(&self, transfer: usize) {
         let mut delay = self.config.request_latency;
         if let Some(per_byte) = (transfer as u64).checked_div(self.config.bytes_per_micro) {
             delay += Duration::from_micros(per_byte);
         }
         if !delay.is_zero() {
             std::thread::sleep(delay);
+        }
+    }
+
+    /// Bill, count and trace one request, then roll the failure dice.
+    /// Returns this request's attempt number for the ambiguous-outcome
+    /// roll.
+    fn charge(&self, verb: &'static str, path: &str, transfer: usize, price: u64) -> Result<u64> {
+        if trace_enabled() {
+            eprintln!("s3 {verb} {path} ({transfer}B)");
         }
         *self.cost.lock() += price;
         self.metrics.verb(verb).inc();
@@ -342,6 +358,22 @@ impl FileSystem for S3SimFs {
         // Delegate to the store's ranged read so `FsStats` bills the
         // range served, not the whole object.
         self.store.read_range(path, offset, len)
+    }
+
+    /// A batch is concurrent GETs, as an event-loop client sends them:
+    /// it completes after one first byte plus its longest transfer — one
+    /// sleep on the calling thread — and each range is billed, counted,
+    /// traced and fault-rolled on its own.
+    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Vec<Result<Bytes>> {
+        let Some(longest) = ranges.iter().map(|&(_, len)| len).max() else {
+            return Vec::new();
+        };
+        self.wait(longest as usize);
+        let get = |&(offset, len): &(u64, u64)| {
+            self.charge("get", path, len as usize, self.config.get_price)?;
+            self.store.read_range(path, offset, len)
+        };
+        ranges.iter().map(get).collect()
     }
 
     fn size(&self, path: &str) -> Result<u64> {
@@ -527,6 +559,28 @@ mod tests {
         let t0 = std::time::Instant::now();
         fs.write("k", Bytes::new()).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn a_batch_waits_one_first_byte_and_bills_every_range() {
+        let fs = S3SimFs::new(S3Config {
+            request_latency: Duration::from_millis(30),
+            bytes_per_micro: 0,
+            ..S3Config::instant()
+        });
+        fs.write("k", Bytes::from(vec![1u8; 1000])).unwrap();
+        let before = fs.stats();
+        let ranges: Vec<(u64, u64)> = (0..8).map(|i| (i * 120, 100)).collect();
+        let t0 = std::time::Instant::now();
+        let got = fs.read_ranges("k", &ranges);
+        let took = t0.elapsed();
+        assert!(got.iter().all(|r| r.as_ref().is_ok_and(|b| b.len() == 100)));
+        // Concurrent: one first byte, not eight in a row.
+        assert!(took >= Duration::from_millis(30) && took < Duration::from_millis(150), "{took:?}");
+        let after = fs.stats();
+        assert_eq!(after.gets - before.gets, 8, "every range is a GET");
+        assert_eq!(after.cost_nanodollars - before.cost_nanodollars, 8 * 400);
+        assert!(fs.read_ranges("k", &[]).is_empty());
     }
 
     #[test]

@@ -43,7 +43,8 @@ printf '%-16s %6d\n' "EonConfig fields" "$(fields EonConfig crates/core/src/conf
 printf '%-16s %6d\n' "S3Config fields" "$(fields S3Config crates/storage/src/s3sim.rs)"
 
 # "One storage stack" as numbers: `FileSystem` impls in non-test crate
-# source (target 4: MemFs, S3SimFs, RetryFs, FileCache) and retry-loop
+# source (target 5: MemFs, S3SimFs, RetryFs, FileCache and the depot's
+# `Reader` face) and retry-loop
 # call sites outside eon-storage (target 0: only RetryFs retries).
 # matches <pattern> <crate dir>...: non-test, non-comment lines matching.
 matches() {
@@ -91,7 +92,8 @@ printf '%-16s %6d\n' "row-path lines" "$(matches 'Vec<Vec<Value>>' crates/column
     crates/enterprise)"
 
 # "One task pool" as a number: `thread::scope` sites in non-test crate
-# source (target 3: `eon-cluster::pool`, `RetryFs::read_ranges` below
-# it in `eon-storage`, and the `elasticity` bench's timing harness —
-# both architectures' query participants run on the pool).
+# source (target 2: `eon-cluster::pool` and the `elasticity` bench's
+# timing harness — both architectures' query participants run on the
+# pool, and a batch of ranged reads is concurrent in the store, not in
+# threads).
 printf '%-16s %6d\n' "thread::scope sites" "$(matches 'thread::scope[(]' crates)"

@@ -35,7 +35,7 @@
 //!   cold exactly the tails plus the planned ranges of the columns they
 //!   name — the column-pruning rule, in bytes;
 //! * a second cold scan of an oversized container issues no tail read,
-//!   its ranges are in flight together below the retry layer, and
+//!   all its parts reach the store in one batch below the retry layer, and
 //!   after mergeout and a reap no node keeps a reaped key's footer;
 //! * the multi-column range planner returns exactly the blocks of
 //!   per-column reads, for any column subset, keep mask and gap.
@@ -44,9 +44,8 @@
 //! `crates/columnar` (`filter_blocks_matches_naive_scan`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eon_cache::{mem_cache, CacheMode};
 use eon_columnar::container::TAIL_READ;
@@ -57,7 +56,7 @@ use eon_db as _;
 use eon_exec::{execute, AggSpec, Expr, MemProvider, Plan, ScanSpec, SortKey};
 use eon_obs::Registry;
 use eon_storage::fault::{site, FaultPlan};
-use eon_storage::{FileSystem, MemFs, S3Config, S3SimFs, SharedFs};
+use eon_storage::{FileSystem, MemFs, S3Config, S3SimFs, SharedFs, PART_BYTES};
 use eon_types::{schema, Value};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng, StdRng};
@@ -112,6 +111,12 @@ fn reference(rows: &[Vec<Value>], plan: &Plan) -> Vec<Vec<Value>> {
 
 /// Reference for `ReadStats`: the bytes of `cols`' blocks kept by
 /// `keep`, from the footer alone (no coalescing gaps).
+/// The GETs a ranged read of `len` bytes costs: shared storage sends it
+/// as parts of at most `PART_BYTES`.
+fn parts(len: u64) -> u64 {
+    len.div_ceil(PART_BYTES).max(1)
+}
+
 fn kept_bytes(footer: &RosFooter, keep: &[bool], cols: &[usize]) -> u64 {
     let kept = |c: &usize| footer.columns[*c].blocks.iter().zip(keep).filter(|(_, &k)| k);
     cols.iter().flat_map(kept).map(|(bm, _)| bm.len).sum()
@@ -322,10 +327,11 @@ fn concurrent_same_key_misses_issue_one_s3_get() {
 }
 
 /// A depot-cold container that fits the depot, scanned with a
-/// predicate through `CacheMode::Normal`, costs exactly one S3 GET: the
-/// footer read misses and faults the whole file in (§5.2), and every
-/// read after it — the kernel's two phases — is a depot hit. No second
-/// request reaches shared storage for the footer.
+/// predicate through `CacheMode::Normal`, costs exactly one S3 GET of
+/// the whole file — sent as its `PART_BYTES` parts: the footer read
+/// misses and faults the whole file in (§5.2), and every read after it
+/// — the kernel's two phases — is a depot hit. No second request
+/// reaches shared storage for the footer.
 #[test]
 fn cold_predicate_scan_of_a_depot_sized_container_costs_one_get() {
     const N: usize = 20_000;
@@ -352,7 +358,8 @@ fn cold_predicate_scan_of_a_depot_sized_container_costs_one_get() {
     let got = db.query(&plan).unwrap();
     let d1 = cache.stats();
 
-    assert_eq!(billed("get") - gets0, 1, "the fault-in is the only GET");
+    let size = snapshot.containers.values().next().expect("one container").size_bytes;
+    assert_eq!(billed("get") - gets0, parts(size), "the fault-in, in parts, is the only GET");
     assert_eq!(billed("list") - lists0, 0, "the catalog knows the size: no size or list request");
     assert_eq!(d1.misses - d0.misses, 1, "the footer read is the one miss");
     assert!(d1.hits > d0.hits, "the block reads hit the faulted-in file");
@@ -430,7 +437,7 @@ fn oversized_container_scan_reads_tail_plus_planned_ranges() {
     // The pruned blocks between the columns' kept runs are small enough
     // to bridge: the whole wave is one coalesced read.
     assert_eq!(planned, 1, "one coalesced read for all three columns");
-    assert_eq!(s1.gets - s0.gets, 1 + planned, "one tail read plus the planner's runs");
+    assert_eq!(s1.gets - s0.gets, 1 + parts(planned_bytes), "one tail read plus the planner's run, in parts");
     assert_eq!(planned_bytes, kept_bytes + gap_bytes, "ReadStats: bytes_read = kept + gap");
     assert_eq!(s1.bytes_read - s0.bytes_read, tail + planned_bytes);
     assert!(
@@ -441,7 +448,7 @@ fn oversized_container_scan_reads_tail_plus_planned_ranges() {
     let s1 = s3.stats(); // past this test's own open above
     assert_eq!(cold.query(&plan).unwrap(), got);
     let s2 = s3.stats();
-    assert_eq!(s2.gets - s1.gets, planned, "a kept footer: no tail read");
+    assert_eq!(s2.gets - s1.gets, parts(planned_bytes), "a kept footer: no tail read");
     assert_eq!(s2.bytes_read - s1.bytes_read, planned_bytes);
     let depot = cold.membership().all()[0].cache.stats();
     assert_eq!((depot.hits, depot.misses), (0, 0), "routed around the depot, not through it");
@@ -514,7 +521,7 @@ fn sql_naming_k_of_n_columns_reads_tail_plus_their_planned_ranges() {
 
     assert_eq!(gap1 - gap0, dead, "the gap is exactly the dead bytes of the one run");
     assert_eq!(read1 - read0 - (gap1 - gap0), named, "planned blocks are the named columns' kept blocks");
-    assert_eq!(s1.gets - s0.gets, 2, "one tail read, one coalesced range");
+    assert_eq!(s1.gets - s0.gets, 1 + parts(named + dead), "one tail read, one coalesced range in parts");
     assert_eq!(s1.bytes_read - s0.bytes_read, c.size_bytes.min(TAIL_READ) + named + dead);
 
     // The footer is kept: a second run is the wave alone.
@@ -522,7 +529,7 @@ fn sql_naming_k_of_n_columns_reads_tail_plus_their_planned_ranges() {
     assert_eq!(cold.sql(&sql).unwrap(), got);
     let (s2, (read2, gap2)) = (s3.stats(), planned_bytes(&registry));
     assert_eq!((read2 - read1, gap2 - gap1), (read1 - read0, gap1 - gap0));
-    assert_eq!(s2.gets - s1.gets, 1, "a kept footer: no tail read");
+    assert_eq!(s2.gets - s1.gets, parts(named + dead), "a kept footer: no tail read");
     assert_eq!(s2.bytes_read - s1.bytes_read, named + dead);
 
     assert_eq!(got.len(), (hi - lo) as usize);
@@ -621,21 +628,18 @@ fn q3_shaped_join_reads_no_range_of_a_comment_column() {
     assert_eq!(got, warm.sql(sql).unwrap(), "cold join differs from the warm join");
 }
 
-/// A store that logs every ranged read and counts how many are in
-/// flight at once. Once `expect` is set, each ranged read waits (up to
-/// two seconds) until that many have been in flight together, so a
-/// wave that issues its ranges at once reaches the peak and a serial
-/// one cannot.
+/// One batch of ranged reads: the object and its `(offset, len)`s.
+type Batch = (String, Vec<(u64, u64)>);
+
+/// A store that logs every batch of ranged reads it is sent, one entry
+/// per call: a wave the layers above send at once arrives as one batch.
 #[derive(Default)]
-struct InFlight {
+struct Batches {
     inner: MemFs,
-    ranges: std::sync::Mutex<Vec<(String, u64, u64)>>,
-    now: AtomicUsize,
-    peak: AtomicUsize,
-    expect: AtomicUsize,
+    log: std::sync::Mutex<Vec<Batch>>,
 }
 
-impl FileSystem for InFlight {
+impl FileSystem for Batches {
     fn write(&self, path: &str, data: bytes::Bytes) -> eon_types::Result<()> {
         self.inner.write(path, data)
     }
@@ -643,18 +647,11 @@ impl FileSystem for InFlight {
         self.inner.read(path)
     }
     fn read_range(&self, path: &str, offset: u64, len: u64) -> eon_types::Result<bytes::Bytes> {
-        self.ranges.lock().unwrap().push((path.to_owned(), offset, len));
-        let now = self.now.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(now, Ordering::SeqCst);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while self.peak.load(Ordering::SeqCst) < self.expect.load(Ordering::SeqCst)
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let got = self.inner.read_range(path, offset, len);
-        self.now.fetch_sub(1, Ordering::SeqCst);
-        got
+        self.read_ranges(path, &[(offset, len)]).pop().expect("one result per range")
+    }
+    fn read_ranges(&self, path: &str, ranges: &[(u64, u64)]) -> Vec<eon_types::Result<bytes::Bytes>> {
+        self.log.lock().unwrap().push((path.to_owned(), ranges.to_vec()));
+        self.inner.read_ranges(path, ranges)
     }
     fn size(&self, path: &str) -> eon_types::Result<u64> {
         self.inner.size(path)
@@ -672,8 +669,8 @@ impl FileSystem for InFlight {
 
 /// Kept footers, end to end: the first cold scan of an oversized
 /// container opens it with one tail read; the second issues none, and
-/// the store — below the retry layer, where every range is a request —
-/// sees all of the container's ranges in flight together. After
+/// the store — below the retry layer, where every part is a request —
+/// is sent all of the container's parts in one batch. After
 /// mergeout replaces the containers and the reaper deletes them, no up
 /// node keeps a reaped key's footer.
 #[test]
@@ -685,7 +682,7 @@ fn second_cold_scan_is_one_wave_and_reaped_footers_are_forgotten() {
     // Incompressible padding: each `pad` block is far wider than the
     // coalescing gap, so every kept one is a run of its own.
     let row = |i: i64| vec![Value::Int(i), Value::Str(format!("{:064x}", (i as u128 + 7) * 0x9e37_79b9_7f4a_7c15_f39c))];
-    let store = Arc::new(InFlight::default());
+    let store = Arc::new(Batches::default());
     let db = EonDb::create(store.clone(), EonConfig::new(1, 1).cache_bytes(32 << 10)).unwrap();
     db.create_table("w", s.clone(), vec![Projection::super_projection("w_p", &s, &[0], &[0])]).unwrap();
     for b in 0..4 {
@@ -704,32 +701,36 @@ fn second_cold_scan_is_one_wave_and_reaped_footers_are_forgotten() {
     };
     let pred = Predicate::Or((0..4).flat_map(|b| blocks_0_and_2(b * BATCH)).collect());
     let plan = Plan::scan(ScanSpec::new("w").predicate(pred)).sort(vec![SortKey::asc(0)]);
-    let is_tail = |(key, offset, len): &(String, u64, u64)| {
-        snapshot.containers.values().any(|c| c.key == *key && offset + len == c.size_bytes)
+    let is_tail = |key: &str, &(offset, len): &(u64, u64)| {
+        snapshot.containers.values().any(|c| c.key == key && offset + len == c.size_bytes)
     };
-    let logged = || std::mem::take(&mut *store.ranges.lock().unwrap());
+    let tails = |log: &[Batch]| {
+        log.iter().flat_map(|(key, batch)| batch.iter().filter(|r| is_tail(key, r))).count()
+    };
+    let logged = || std::mem::take(&mut *store.log.lock().unwrap());
 
     logged();
     let first = db.query(&plan).unwrap();
     let opened = logged();
-    assert_eq!(opened.iter().filter(|r| is_tail(r)).count(), 4, "one tail read a container");
+    assert_eq!(tails(&opened), 4, "one tail read a container");
     let node = db.membership().all()[0].clone();
     assert_eq!(node.kept_footers().len(), 4);
 
-    // Scan the first container alone, so the peak is its wave.
+    // The first container's wave: one batch of every part of its runs.
     let lower = snapshot.containers.values().find(|c| matches!(&c.col_minmax[0], Some((Value::Int(0), _))));
     let lower = &lower.expect("the container of the first batch").key;
-    let wave = opened.iter().filter(|r| !is_tail(r) && r.0 == *lower).count();
-    assert!(wave >= 2, "the container's wave has {wave} ranges");
+    let waves: Vec<&Vec<(u64, u64)>> = (opened.iter())
+        .filter(|(key, batch)| key == lower && !batch.iter().any(|r| is_tail(key, r)))
+        .map(|(_, batch)| batch)
+        .collect();
+    assert_eq!(waves.len(), 1, "the container's parts in one batch: {waves:?}");
+    let wave = waves[0].clone();
+    assert!(wave.len() >= 2, "the container's wave has {} parts", wave.len());
+    assert!(wave.iter().all(|&(_, len)| len <= eon_storage::PART_BYTES));
+    // Scanned alone, the kept footer sends the same wave and nothing else.
     let one = Plan::scan(ScanSpec::new("w").predicate(Predicate::Or(blocks_0_and_2(0))));
-    store.peak.store(0, Ordering::SeqCst);
-    store.expect.store(wave, Ordering::SeqCst);
     let again = db.query(&one).unwrap();
-    store.expect.store(0, Ordering::SeqCst);
-    let rescanned = logged();
-    assert_eq!(rescanned.iter().filter(|r| is_tail(r)).count(), 0, "a kept footer: no tail read");
-    assert_eq!(rescanned.len(), wave);
-    assert_eq!(store.peak.load(Ordering::SeqCst), wave, "the container's ranges in flight together");
+    assert_eq!(logged(), vec![(lower.clone(), wave)], "a kept footer: no tail read, one batch");
     assert_eq!(again, first.iter().filter(|r| r[0] < Value::Int(BATCH)).cloned().collect::<Vec<_>>());
 
     // Mergeout writes one new container; the reaper deletes the four
