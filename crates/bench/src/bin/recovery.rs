@@ -47,7 +47,7 @@ fn main() {
             vec![eon_columnar::Projection::super_projection("p", &s, &[0], &[0])],
         )
         .unwrap();
-        eon.copy_batch("t", batch.clone()).unwrap();
+        eon.copy_batch("t", &batch).unwrap();
         eon.kill_node(NodeId(1)).unwrap();
         let t_eon = time_once(|| {
             eon.restart_node(NodeId(1)).unwrap();
@@ -66,7 +66,7 @@ fn main() {
             eon_columnar::Projection::super_projection("p", &s, &[0], &[0]),
         )
         .unwrap();
-        ent.copy_batch("t", batch).unwrap();
+        ent.copy_batch("t", &batch).unwrap();
         ent.node(1).kill();
         let mut copied = 0;
         let t_ent = time_once(|| {

@@ -14,7 +14,7 @@
 //! [`encode_block`] picks an encoding by inspecting a block of a typed
 //! column and writes a self-describing payload, so readers never guess.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
@@ -100,17 +100,75 @@ fn choose(rows: usize, runs: usize, intlike: bool, few_distinct: impl FnOnce(usi
     Encoding::Plain
 }
 
-/// Are there at most `cap` distinct `cells`? Stops at the first one past
-/// the cap, so a high-cardinality block is inspected cheaply.
-fn few_distinct<T: Eq + Hash>(cells: impl Iterator<Item = T>, cap: usize) -> bool {
-    let mut seen = HashSet::with_capacity(cap + 1);
-    for cell in cells {
-        seen.insert(cell);
-        if seen.len() > cap {
-            return false;
-        }
+/// A dictionary of at most this many entries is searched by comparing a
+/// cell with each entry; past it, the entries move into a hash map keyed
+/// by std's `RandomState`, so cells crafted to collide cannot make a
+/// large dictionary quadratic.
+const SCANNED_ENTRIES: usize = 16;
+
+/// A block's dictionary: the row where each distinct cell first
+/// appears, in that order, and each row's code into them.
+struct Dictionary {
+    firsts: Vec<usize>,
+    codes: Vec<u32>,
+}
+
+/// The dictionary of `rows` cells, `key(i)` identifying cell `i`, or
+/// `None` at the first cell that would make it hold more than `cap`
+/// entries — so it also answers "at most `cap` distinct cells?", and a
+/// high-cardinality block is given up on early.
+fn dictionary<K: Copy + Eq + Hash>(rows: usize, key: impl Fn(usize) -> K, cap: usize) -> Option<Dictionary> {
+    let mut entries: Vec<K> = Vec::new();
+    let mut index: HashMap<K, u32> = HashMap::new();
+    let (mut firsts, mut codes) = (Vec::new(), Vec::with_capacity(rows));
+    for i in 0..rows {
+        let cell = key(i);
+        let found = if index.is_empty() {
+            entries.iter().position(|&e| e == cell).map(|j| j as u32)
+        } else {
+            index.get(&cell).copied()
+        };
+        let code = match found {
+            Some(code) => code,
+            None if firsts.len() == cap => return None,
+            None => {
+                let code = firsts.len() as u32;
+                firsts.push(i);
+                if !index.is_empty() {
+                    index.insert(cell, code);
+                } else if entries.len() < SCANNED_ENTRIES {
+                    entries.push(cell);
+                } else {
+                    index.reserve(cap.min(rows) + 1);
+                    index.extend(entries.drain(..).chain([cell]).zip(0..));
+                }
+                code
+            }
+        };
+        codes.push(code);
     }
-    true
+    Some(Dictionary { firsts, codes })
+}
+
+/// [`dictionary`] over cells that are already dense slots — `slot(i)` <
+/// `slots` — mapped through a vector: a dictionary-coded column's codes,
+/// its NULL one slot more. Nothing is hashed.
+fn slot_dictionary(rows: usize, slot: impl Fn(usize) -> usize, slots: usize, cap: usize) -> Option<Dictionary> {
+    const NEW: u32 = u32::MAX;
+    let mut code_of = vec![NEW; slots];
+    let (mut firsts, mut codes) = (Vec::new(), Vec::with_capacity(rows));
+    for i in 0..rows {
+        let code = &mut code_of[slot(i)];
+        if *code == NEW {
+            if firsts.len() == cap {
+                return None;
+            }
+            *code = firsts.len() as u32;
+            firsts.push(i);
+        }
+        codes.push(*code);
+    }
+    Some(Dictionary { firsts, codes })
 }
 
 /// The encoding a block is written with: the forced one when it fits —
@@ -126,14 +184,16 @@ fn resolve(force: Option<Encoding>, chosen: Encoding, intlike: bool) -> Encoding
 
 /// Write `rows` cells with `enc`. `key(i)` identifies cell `i` (`None`
 /// for NULL), equal exactly when the cells are the same representation;
-/// `put` writes cell `i` tagged; `ints` reads cell `i` as the integer
-/// Delta stores and says whether the block is Date — present whenever
-/// `enc` is Delta over a non-empty block.
-fn write_block<K: Copy + Eq + Hash>(
+/// `put` writes cell `i` tagged; `dict` is the block's dictionary, asked
+/// for when `enc` is Dict; `ints` reads cell `i` as the integer Delta
+/// stores and says whether the block is Date — present whenever `enc`
+/// is Delta over a non-empty block.
+fn write_block<K: Copy + Eq>(
     enc: Encoding,
     rows: usize,
     key: impl Fn(usize) -> Option<K>,
     put: impl Fn(&mut Writer, usize),
+    dict: impl FnOnce() -> Dictionary,
     ints: Option<(impl Fn(usize) -> i64, bool)>,
     w: &mut Writer,
 ) {
@@ -153,16 +213,7 @@ fn write_block<K: Copy + Eq + Hash>(
         }
         Encoding::Dict => {
             // Dictionary in first-appearance order; codes are varints.
-            let mut index: HashMap<Option<K>, u32> = HashMap::new();
-            let mut firsts: Vec<usize> = Vec::new();
-            let codes: Vec<u32> = (0..rows)
-                .map(|i| {
-                    *index.entry(key(i)).or_insert_with(|| {
-                        firsts.push(i);
-                        firsts.len() as u32 - 1
-                    })
-                })
-                .collect();
+            let Dictionary { firsts, codes } = dict();
             w.put_varint(firsts.len() as u64);
             firsts.iter().for_each(|&i| put(w, i));
             codes.iter().for_each(|&c| w.put_varint(u64::from(c)));
@@ -188,12 +239,14 @@ fn write_block<K: Copy + Eq + Hash>(
 
 /// Choose and write one block of a typed column, in one pass per step:
 /// for a column of one type, same representation and `Value`'s `==`
-/// agree, so `key` serves the choice and the writer alike. `ints` is
-/// present on an Int or Date column; Delta fits when the block also
-/// holds no NULL.
-fn encode_typed<K: Copy + Eq + Hash>(
+/// agree, so `key` serves the choice and the writer alike, and the
+/// dictionary `dict(cap)` builds to decide Dict is the one written.
+/// `ints` is present on an Int or Date column; Delta fits when the block
+/// also holds no NULL.
+fn encode_typed<K: Copy + Eq>(
     rows: usize,
     key: impl Fn(usize) -> Option<K>,
+    dict: impl Fn(usize) -> Option<Dictionary>,
     put: impl Fn(&mut Writer, usize),
     ints: Option<(impl Fn(usize) -> i64, bool)>,
     force: Option<Encoding>,
@@ -207,10 +260,28 @@ fn encode_typed<K: Copy + Eq + Hash>(
         prev = cell;
     }
     let intlike = rows == 0 || (ints.is_some() && !has_null);
-    let chosen = choose(rows, runs, intlike, |cap| few_distinct((0..rows).map(&key), cap));
+    let mut built = None;
+    let chosen = choose(rows, runs, intlike, |cap| {
+        built = dict(cap);
+        built.is_some()
+    });
     let enc = resolve(force, chosen, intlike);
-    write_block(enc, rows, key, put, ints, w);
+    let whole = || built.or_else(|| dict(usize::MAX)).expect("an uncapped dictionary");
+    write_block(enc, rows, key, put, whole, ints, w);
     enc
+}
+
+/// [`encode_typed`] over cells whose dictionary is keyed by the cells
+/// themselves ([`dictionary`]).
+fn encode_keyed<K: Copy + Eq + Hash>(
+    rows: usize,
+    key: impl Fn(usize) -> Option<K> + Copy,
+    put: impl Fn(&mut Writer, usize),
+    ints: Option<(impl Fn(usize) -> i64, bool)>,
+    force: Option<Encoding>,
+    w: &mut Writer,
+) -> Encoding {
+    encode_typed(rows, key, |cap| dictionary(rows, key, cap), put, ints, force, w)
 }
 
 /// Choose and write one block of a `Values` column: the choice counts
@@ -221,12 +292,14 @@ fn encode_values(cells: &[Value], force: Option<Encoding>, w: &mut Writer) -> En
     let runs = (0..rows).filter(|&i| i == 0 || cells[i] != cells[i - 1]).count();
     let intlike = cells.iter().all(|v| matches!(v, Value::Int(_)))
         || cells.iter().all(|v| matches!(v, Value::Date(_)));
-    let chosen = choose(rows, runs, intlike, |cap| few_distinct(cells.iter(), cap));
+    let chosen = choose(rows, runs, intlike, |cap| dictionary(rows, |i| &cells[i], cap).is_some());
     let enc = resolve(force, chosen, intlike);
     let is_date = matches!(cells.first(), Some(Value::Date(_)));
     let int_of = |i: usize| cells[i].as_int().expect("an int-like block");
     let key = |i: usize| (!cells[i].is_null()).then(|| Repr(cells[i].as_ref()));
-    write_block(enc, rows, key, |w, i| w.put_value(&cells[i]), intlike.then_some((int_of, is_date)), w);
+    let dict = || dictionary(rows, key, usize::MAX).expect("an uncapped dictionary");
+    let put = |w: &mut Writer, i: usize| w.put_value(&cells[i]);
+    write_block(enc, rows, key, put, dict, intlike.then_some((int_of, is_date)), w);
     enc
 }
 
@@ -260,35 +333,45 @@ pub fn encode_block(col: &Column, rows: Range<usize>, force: Option<Encoding>, w
     let ok = |i: usize| valid.is_none_or(|v| v[i]);
     let no_ints = None::<(fn(usize) -> i64, bool)>;
     match col.data() {
-        Data::Null(_) => encode_typed(n, |_| None::<()>, |w, _| w.put_u8(0), no_ints, force, w),
+        Data::Null(_) => encode_keyed(n, |_| None::<()>, |w, _| w.put_u8(0), no_ints, force, w),
         Data::Int(v) => {
             let v = &v[rows];
             let put = |w: &mut Writer, i: usize| tagged(w, ok(i), 1, |w| w.put_signed_varint(v[i]));
-            encode_typed(n, |i| ok(i).then(|| v[i]), put, Some((|i: usize| v[i], false)), force, w)
+            encode_keyed(n, |i| ok(i).then(|| v[i]), put, Some((|i: usize| v[i], false)), force, w)
         }
         Data::Date(v) => {
             let v = &v[rows];
             let put = |w: &mut Writer, i: usize| tagged(w, ok(i), 5, |w| w.put_signed_varint(i64::from(v[i])));
-            encode_typed(n, |i| ok(i).then(|| v[i]), put, Some((|i: usize| i64::from(v[i]), true)), force, w)
+            encode_keyed(n, |i| ok(i).then(|| v[i]), put, Some((|i: usize| i64::from(v[i]), true)), force, w)
         }
         Data::Float(v) => {
             let v = &v[rows];
             let put = |w: &mut Writer, i: usize| tagged(w, ok(i), 2, |w| w.put_f64(v[i]));
-            encode_typed(n, |i| ok(i).then(|| v[i].to_bits()), put, no_ints, force, w)
+            encode_keyed(n, |i| ok(i).then(|| v[i].to_bits()), put, no_ints, force, w)
         }
         Data::Bool(v) => {
             let v = &v[rows];
             let put = |w: &mut Writer, i: usize| tagged(w, ok(i), 4, |w| w.put_u8(u8::from(v[i])));
-            encode_typed(n, |i| ok(i).then(|| v[i]), put, no_ints, force, w)
+            encode_keyed(n, |i| ok(i).then(|| v[i]), put, no_ints, force, w)
         }
         Data::Str(s) => {
             let put = |w: &mut Writer, i: usize| tagged(w, ok(i), 3, |w| w.put_str(s.get(lo + i)));
-            encode_typed(n, |i| ok(i).then(|| s.get(lo + i)), put, no_ints, force, w)
+            encode_keyed(n, |i| ok(i).then(|| s.get(lo + i)), put, no_ints, force, w)
         }
         Data::Dict { dict, codes } => {
             let codes = &codes[rows];
             let put = |w: &mut Writer, i: usize| tagged(w, ok(i), 3, |w| w.put_str(dict.get(codes[i] as usize)));
-            encode_typed(n, |i| ok(i).then(|| codes[i]), put, no_ints, force, w)
+            let key = |i: usize| ok(i).then(|| codes[i]);
+            if dict.len() >= n {
+                // A dictionary as large as the block (a merged one) is
+                // keyed by code: a block never clears more slots than
+                // it has rows.
+                return encode_keyed(n, key, put, no_ints, force, w);
+            }
+            // Each entry is a slot, and a NULL the slot past them.
+            let slot = |i: usize| if ok(i) { codes[i] as usize } else { dict.len() };
+            let slots = |cap| slot_dictionary(n, slot, dict.len() + 1, cap);
+            encode_typed(n, key, slots, put, no_ints, force, w)
         }
         Data::Values(v) => encode_values(&v[rows], force, w),
     }
@@ -600,6 +683,7 @@ pub fn decode_column(r: &mut Reader<'_>) -> Result<Vec<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StrVec;
     use proptest::prelude::*;
 
     /// The per-value encoder the typed one replaced, kept as its
@@ -1200,6 +1284,69 @@ mod tests {
         cells
     }
 
+    /// A block at the encoder's edges, its cells shuffled so runs stay
+    /// short: as many distinct cells as the dictionary's scanned bound or
+    /// one more, or as the block's Dict cap or one more, or any number in
+    /// a block under 8 rows; every distinct cell at least once. Ints,
+    /// Floats (NaN payloads, −0.0 beside 0.0: distinct by bits) or
+    /// strings, and NULL one of the distinct cells in half the blocks.
+    fn edge_case(rng: &mut rand::StdRng) -> Vec<Value> {
+        use rand::Rng;
+        let n = match rng.gen_range(0..3u32) {
+            0 => rng.gen_range(1..8),
+            1 => rng.gen_range(8..200),
+            _ => rng.gen_range(200..=4096),
+        };
+        let cap = (n / 4).clamp(1, 4096);
+        let distinct = [SCANNED_ENTRIES, SCANNED_ENTRIES + 1, cap, cap + 1][rng.gen_range(0..4)].min(n);
+        let (ty, null) = (rng.gen_range(0..3u32), rng.gen_range(0..2u32) == 0);
+        let entry = |j: usize| match (ty, j) {
+            (_, 0) if null => Value::Null,
+            (0, j) => Value::Int(j as i64 * 7 - 50),
+            (1, 1) => Value::Float(-0.0),
+            (1, 2) => Value::Float(0.0),
+            (1, j) if j % 2 == 0 => Value::Float(f64::from_bits(0x7ff8_0000_0000_0000 | j as u64)),
+            (1, j) => Value::Float(j as f64 / 4.0),
+            (_, j) => Value::Str(format!("é{j}")),
+        };
+        let mut picks: Vec<usize> = (0..distinct).collect();
+        picks.extend((distinct..n).map(|_| rng.gen_range(0..distinct)));
+        for i in (1..picks.len()).rev() {
+            picks.swap(i, rng.gen_range(0..=i));
+        }
+        picks.into_iter().map(entry).collect()
+    }
+
+    /// String cells (NULLs among them) as a dictionary-coded column whose
+    /// dictionary also holds entries no cell uses, shuffled, so codes
+    /// first appear out of dictionary order; a NULL cell has any code.
+    fn dict_coded(vals: &[Value], rng: &mut rand::StdRng) -> Column {
+        use rand::Rng;
+        let mut entries: Vec<&str> = Vec::new();
+        for v in vals {
+            if let Value::Str(s) = v {
+                if !entries.contains(&s.as_str()) {
+                    entries.push(s);
+                }
+            }
+        }
+        let unused = ["unused", "never", "ü"];
+        entries.extend(&unused[..rng.gen_range(1..=unused.len())]);
+        for i in (1..entries.len()).rev() {
+            entries.swap(i, rng.gen_range(0..=i));
+        }
+        let mut dict = StrVec::default();
+        entries.iter().for_each(|e| dict.push(e));
+        let codes = (vals.iter())
+            .map(|v| match v {
+                Value::Str(s) => entries.iter().position(|e| e == s).unwrap() as u32,
+                _ => rng.gen_range(0..entries.len()) as u32,
+            })
+            .collect();
+        let valid = vals.iter().any(Value::is_null).then(|| vals.iter().map(|v| !v.is_null()).collect());
+        Column::new(Data::Dict { dict: std::sync::Arc::new(dict), codes }, valid)
+    }
+
     /// A footer entry's bytes: what the container stores of a block's
     /// statistics.
     fn footer_bytes((min, max, has_null): (Value, Value, bool)) -> Vec<u8> {
@@ -1218,12 +1365,14 @@ mod tests {
         /// forced one (a forced encoding that does not fit falls back
         /// alike), the block's bytes, its encoding and its footer
         /// statistics are the reference's, at the container's block
-        /// size and at a small one, and for the empty block.
+        /// size, at a small one and at one under 8 rows, and for the
+        /// empty block. Kind 7 is [`edge_case`]'s blocks, and every
+        /// string block is also encoded from [`dict_coded`]'s column.
         #[test]
-        fn prop_typed_encoding_matches_the_value_reference(kind in 0u32..7, seed: u64) {
+        fn prop_typed_encoding_matches_the_value_reference(kind in 0u32..8, seed: u64) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::StdRng::seed_from_u64(seed);
-            let vals = typed_case(kind, &mut rng);
+            let vals = if kind == 7 { edge_case(&mut rng) } else { typed_case(kind, &mut rng) };
             let mut cols = vec![Column::from_values(vals.iter().map(Value::as_ref))];
             if vals.iter().any(|v| matches!(v, Value::Str(_))) && kind == 3 {
                 let mut w = Writer::new();
@@ -1232,11 +1381,16 @@ mod tests {
                 prop_assert!(matches!(scanned.data(), Data::Dict { .. }));
                 cols.push(scanned);
             }
-            let small = rng.gen_range(1..300usize);
+            if vals.iter().any(|v| matches!(v, Value::Str(_)))
+                && vals.iter().all(|v| matches!(v, Value::Str(_) | Value::Null))
+            {
+                cols.push(dict_coded(&vals, &mut rng));
+            }
+            let (small, tiny) = (rng.gen_range(1..300usize), rng.gen_range(1..8usize));
             for col in &cols {
                 let mut blocks: Vec<Range<usize>> = vec![];
                 blocks.push(0..0);
-                for size in [4096, small] {
+                for size in [4096, small, tiny] {
                     blocks.extend((0..vals.len()).step_by(size).map(|lo| lo..(lo + size).min(vals.len())));
                 }
                 for rows in blocks {

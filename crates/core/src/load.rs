@@ -5,11 +5,12 @@
 //!    time (rows enter through `copy_into*`, transposed once);
 //! 2. split per projection by segmentation hash so each container holds
 //!    exactly one shard's rows (§4.5) — each non-empty (projection,
-//!    shard) bucket, gathered from the projection's columns, becomes one
-//!    independent upload job;
+//!    shard) bucket, as row indices into the projection's columns,
+//!    becomes one independent upload job;
 //! 3. fan the jobs across the bounded pool
 //!    ([`eon_cluster::pool::run_indexed`], as wide as the coordinator's
-//!    §4.2 execution-slot budget): each job sorts + encodes its columns, writes
+//!    §4.2 execution-slot budget): each job sorts its row indices,
+//!    gathers its columns once in that order and encodes them, writes
 //!    the container through the writer's cache (write-through, §5.2) —
 //!    uploading to shared storage — and ships the bytes to the shard's
 //!    other subscribers' caches concurrently so a node-down failover
@@ -28,10 +29,9 @@
 //! never-committed keys are handed to the §6.5 reaper as immediately
 //! deletable instead of waiting for a manual leak scan.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use eon_catalog::{CatalogOp, ContainerMeta, SubState, Table, Txn};
 use eon_cluster::pool::run_indexed;
@@ -48,15 +48,17 @@ use crate::db::EonDb;
 /// One independent (projection, shard) upload of a load statement. The
 /// storage key is pre-minted in job-build order so the committed state
 /// (keys included) does not depend on pool scheduling.
-pub(crate) struct LoadJob {
-    proj: Projection,
+pub(crate) struct LoadJob<'a> {
+    proj: &'a Projection,
     proj_oid: Oid,
     shard: ShardId,
     writer: Arc<NodeRuntime>,
     key: String,
-    /// The bucket's rows in projection column space, unsorted; taken
-    /// exactly once by the worker that claims the job.
-    batch: Mutex<Option<Batch>>,
+    /// The projection's columns: the statement's, or a Live Aggregate
+    /// Projection's folded rows.
+    cols: Vec<&'a Column>,
+    /// The bucket: indices into `cols`, in load order.
+    rows: Vec<usize>,
 }
 
 /// What an upload job leaves on shared storage: everything
@@ -103,8 +105,8 @@ impl EonDb {
     /// each column's type, NULLs only where the field is nullable)
     /// before anything is uploaded; every projection of the table
     /// receives the rows. Returns the number of rows loaded.
-    pub fn copy_batch(&self, table: &str, batch: Batch) -> Result<u64> {
-        self.copy_inner(table, batch.rows(), |_| Ok(batch), None, None)
+    pub fn copy_batch(&self, table: &str, batch: &Batch) -> Result<u64> {
+        self.copy_inner(table, batch.rows(), |_| Ok(Cow::Borrowed(batch)), None, None)
     }
 
     /// Bulk-load rows into a table (COPY). Returns the number of rows
@@ -152,17 +154,17 @@ impl EonDb {
     ) -> Result<u64> {
         let n = rows.len();
         // Takes the rows, so they are freed once transposed.
-        let to_batch = move |schema: &Schema| Batch::from_rows_checked(&rows, schema.len());
+        let to_batch = move |schema: &Schema| Batch::from_rows_checked(&rows, schema.len()).map(Cow::Owned);
         self.copy_inner(table, n, to_batch, profile, cancel)
     }
 
-    /// One COPY of `rows` rows: `to_batch` builds the batch once the
-    /// table's schema is known.
-    fn copy_inner(
+    /// One COPY of `rows` rows: `to_batch` builds or lends the batch
+    /// once the table's schema is known.
+    fn copy_inner<'b>(
         &self,
         table: &str,
         rows: usize,
-        to_batch: impl FnOnce(&Schema) -> Result<Batch>,
+        to_batch: impl FnOnce(&Schema) -> Result<Cow<'b, Batch>>,
         profile: Option<&QueryProfile>,
         cancel: Option<eon_types::CancelToken>,
     ) -> Result<u64> {
@@ -240,23 +242,27 @@ impl EonDb {
         let assignment = self.writer_assignment(&snapshot)?;
         let mut replica_writer = None;
 
+        // A Live Aggregate Projection (§2.1) first folds the batch into
+        // pre-computed partial aggregate rows, which are its columns in
+        // order.
+        let folded: Vec<Option<Batch>> = (t.projections.iter())
+            .map(|(_, proj)| proj.live_aggregate.as_ref().map(|lap| fold_live_aggregate(batch, lap)).transpose())
+            .collect::<Result<_>>()?;
         let mut jobs: Vec<LoadJob> = Vec::new();
-        for (proj_oid, proj) in &t.projections {
-            // The projection's columns, selected: a Live Aggregate
-            // Projection (§2.1) first folds the batch into pre-computed
-            // partial aggregate rows, which are its columns in order.
-            let folded = proj.live_aggregate.as_ref().map(|lap| fold_live_aggregate(batch, lap)).transpose()?;
-            let (cols, rows): (Vec<&Column>, usize) = match &folded {
+        for ((proj_oid, proj), folded) in t.projections.iter().zip(&folded) {
+            // The projection's columns, selected.
+            let (cols, rows): (Vec<&Column>, usize) = match folded {
                 Some(f) => (f.cols().iter().collect(), f.rows()),
                 None => (proj.columns.iter().map(|&c| &batch.cols()[c]).collect(), batch.rows()),
             };
-            let job = |shard: ShardId, writer: Arc<NodeRuntime>, batch: Batch| LoadJob {
-                proj: proj.clone(),
+            let job = |shard: ShardId, writer: Arc<NodeRuntime>, rows: Vec<usize>| LoadJob {
+                proj,
                 proj_oid: *proj_oid,
                 shard,
                 key: writer.next_sid().object_key(),
                 writer,
-                batch: Mutex::new(Some(batch)),
+                cols: cols.clone(),
+                rows,
             };
             if proj.is_replicated() {
                 // Single writer produces one container in the replica
@@ -268,8 +274,7 @@ impl EonDb {
                     .next()
                     .ok_or_else(|| EonError::ClusterDown("no nodes up".into()))?;
                 replica_writer = Some(writer.id);
-                let all = Batch::new(cols.into_iter().cloned().collect(), rows);
-                jobs.push(job(self.replica_shard(), writer, all));
+                jobs.push(job(self.replica_shard(), writer, (0..rows).collect()));
             } else {
                 let seg: Vec<&Column> = proj.seg_cols().iter().map(|&s| cols[s]).collect();
                 for (i, idx) in split_by_shard(&seg, rows, self.config.num_shards).into_iter().enumerate() {
@@ -282,8 +287,7 @@ impl EonDb {
                         .membership
                         .get(writer_id)
                         .ok_or_else(|| EonError::NodeDown(writer_id.to_string()))?;
-                    let bucket = Batch::new(cols.iter().map(|c| c.gather(&idx)).collect(), idx.len());
-                    jobs.push(job(shard, writer, bucket));
+                    jobs.push(job(shard, writer, idx));
                 }
             }
         }
@@ -432,8 +436,9 @@ impl EonDb {
         )
     }
 
-    /// Run one upload job: sort + encode the batch into a ROS container
-    /// (holding one of the writer's execution slots, §4.2), write it
+    /// Run one upload job: sort its rows, gather and encode its columns
+    /// into a ROS container (holding one of the writer's execution
+    /// slots, §4.2), write it
     /// through the writer's cache (upload + local cache), and ship the
     /// bytes to peer subscribers' caches — concurrently per peer —
     /// (Fig 8 step 3).
@@ -446,9 +451,8 @@ impl EonDb {
         // A writer killed mid-wait fails the job with `NodeDown` (its
         // slot semaphore is closed) instead of parking the load.
         let _slot = writer.slots.acquire(1)?;
-        let batch = job.batch.lock().take().expect("upload job claimed twice");
         let encoder = RosWriter::new().force_encoding(self.config.force_encoding);
-        let (bytes, footer) = eon_exec::ops::encode_sorted(batch, &job.proj, &encoder)?;
+        let (bytes, footer) = eon_exec::ops::encode_sorted(&job.cols, &job.rows, job.proj, &encoder)?;
         let key = job.key.clone();
         let size = bytes.len() as u64;
 
@@ -507,16 +511,17 @@ impl EonDb {
         proj_oid: eon_types::Oid,
         table_oid: eon_types::Oid,
         shard: ShardId,
-        batch: Batch,
+        batch: &Batch,
         coord: &Arc<NodeRuntime>,
     ) -> Result<ContainerMeta> {
         let job = LoadJob {
-            proj: proj.clone(),
+            proj,
             proj_oid,
             shard,
             writer: writer.clone(),
             key: writer.next_sid().object_key(),
-            batch: Mutex::new(Some(batch)),
+            cols: batch.cols().iter().collect(),
+            rows: (0..batch.rows()).collect(),
         };
         let s = self.upload_container(&job)?;
         Ok(ContainerMeta {
@@ -661,7 +666,7 @@ mod tests {
     #[test]
     fn copy_batch_of_the_wrong_width_is_a_typed_error() {
         assert_refused_before_upload(|db| {
-            db.copy_batch("sales", Batch::new(vec![ints(&[Some(1), Some(2)]), strs(2)], 2))
+            db.copy_batch("sales", &Batch::new(vec![ints(&[Some(1), Some(2)]), strs(2)], 2))
         });
     }
 
@@ -669,7 +674,7 @@ mod tests {
     fn copy_batch_column_of_the_wrong_type_is_a_typed_error() {
         assert_refused_before_upload(|db| {
             let price = Column::from_values([ValueRef::Str("x"), ValueRef::Str("y")]);
-            db.copy_batch("sales", Batch::new(vec![ints(&[Some(1), Some(2)]), strs(2), price], 2))
+            db.copy_batch("sales", &Batch::new(vec![ints(&[Some(1), Some(2)]), strs(2), price], 2))
         });
     }
 
@@ -677,12 +682,12 @@ mod tests {
     fn copy_batch_null_in_a_not_null_column_is_a_typed_error() {
         assert_refused_before_upload(|db| {
             let cols = vec![ints(&[Some(1), None]), strs(2), ints(&[Some(3), Some(4)])];
-            db.copy_batch("sales", Batch::new(cols, 2))
+            db.copy_batch("sales", &Batch::new(cols, 2))
         });
         // An all-NULL column of no type is refused there too.
         assert_refused_before_upload(|db| {
             let cols = vec![Column::nulls(2), strs(2), ints(&[Some(3), Some(4)])];
-            db.copy_batch("sales", Batch::new(cols, 2))
+            db.copy_batch("sales", &Batch::new(cols, 2))
         });
     }
 

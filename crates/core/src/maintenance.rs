@@ -234,7 +234,7 @@ impl EonDb {
             // — nothing on shared storage changes.
             self.config.faults.hit(fault_site::MERGEOUT_PRE_WRITE)?;
             let meta =
-                self.write_container(worker, &proj, proj_oid, table.oid, shard, merged, &coord)?;
+                self.write_container(worker, &proj, proj_oid, table.oid, shard, &merged, &coord)?;
             rewritten = (meta.rows, meta.size_bytes, policy.stratum(meta.rows));
             txn.push(CatalogOp::AddContainer(meta));
         }

@@ -179,11 +179,11 @@ impl EnterpriseDb {
     /// Bulk-load a typed batch (COPY): the load path. The batch is
     /// checked against the schema a column at a time, its projection
     /// columns selected and split by the segmentation hash. Small
-    /// buckets buffer in the WOS; larger ones write ROS containers to
-    /// the owner node *and* its buddy (§2.2's replicated placement,
-    /// done with duplicated work on each side: each sorts and encodes
-    /// its own copy).
-    pub fn copy_batch(&self, table: &str, batch: Batch) -> Result<u64> {
+    /// buckets are gathered and buffered in the WOS; larger ones write
+    /// ROS containers to the owner node *and* its buddy (§2.2's
+    /// replicated placement, done with duplicated work on each side:
+    /// each sorts, gathers and encodes its own copy).
+    pub fn copy_batch(&self, table: &str, batch: &Batch) -> Result<u64> {
         let _g = self.load_lock.lock();
         let t = self.table(table)?;
         batch.check_schema(&t.schema)?;
@@ -195,20 +195,20 @@ impl EnterpriseDb {
             if idx.is_empty() {
                 continue;
             }
-            let bucket = Batch::new(cols.iter().map(|c| c.gather(&idx)).collect(), idx.len());
-            let copies = [(seg, bucket.clone()), (self.buddy_of(seg), bucket)];
+            let owners = [seg, self.buddy_of(seg)];
             if idx.len() < self.config.wos_threshold {
                 // WOS path: buffer on owner and buddy (both must be able
                 // to serve); moveout happens when the threshold trips.
-                for (node_idx, bucket) in copies {
+                let bucket = Batch::new(cols.iter().map(|c| c.gather(&idx)).collect(), idx.len());
+                for (node_idx, bucket) in [(owners[0], bucket.clone()), (owners[1], bucket)] {
                     let node = &self.nodes[node_idx];
                     if node.is_up() && node.wos.append(wos_key(t.projection_oid(), seg), bucket) {
                         self.moveout(node_idx, &t, seg)?;
                     }
                 }
             } else {
-                for (node_idx, bucket) in copies {
-                    self.write_ros(node_idx, &t, seg, bucket)?;
+                for node_idx in owners {
+                    self.write_ros(node_idx, &t, seg, &cols, &idx)?;
                 }
             }
         }
@@ -219,32 +219,38 @@ impl EnterpriseDb {
     /// the rows are transposed once for [`EnterpriseDb::copy_batch`].
     pub fn copy_into(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<u64> {
         let width = self.table(table)?.schema.len();
-        self.copy_batch(table, Batch::from_rows_checked(&rows, width)?)
+        self.copy_batch(table, &Batch::from_rows_checked(&rows, width)?)
     }
 
     /// Spill one node's WOS buffer for a projection into a sorted ROS
     /// container (§2.3 moveout).
     pub fn moveout(&self, node_idx: usize, t: &EnterpriseTable, segment: usize) -> Result<()> {
         match self.nodes[node_idx].wos.moveout(wos_key(t.projection_oid(), segment)) {
-            Some(batch) => self.write_ros(node_idx, t, segment, batch),
+            Some(batch) => {
+                let rows: Vec<usize> = (0..batch.rows()).collect();
+                self.write_ros(node_idx, t, segment, &batch.cols().iter().collect::<Vec<_>>(), &rows)
+            }
             None => Ok(()),
         }
     }
 
-    /// Sort one copy of a segment's rows by the projection and encode
-    /// it ([`encode_sorted`], Eon's upload path too) onto a node's disk.
+    /// Sort one copy of a segment's rows — `rows`, indices into the
+    /// projection's columns `cols` — by the projection, and gather and
+    /// encode it ([`encode_sorted`], Eon's upload path too) onto a
+    /// node's disk.
     fn write_ros(
         &self,
         node_idx: usize,
         t: &EnterpriseTable,
         segment: usize,
-        batch: Batch,
+        cols: &[&Column],
+        rows: &[usize],
     ) -> Result<()> {
         let node = &self.nodes[node_idx];
         if !node.is_up() {
             return Err(EonError::NodeDown(format!("node {node_idx}")));
         }
-        let (bytes, footer) = encode_sorted(batch, &t.projection, &RosWriter::new())?;
+        let (bytes, footer) = encode_sorted(cols, rows, &t.projection, &RosWriter::new())?;
         let key = format!(
             "node{node_idx}/seg{segment}/ros{:08}",
             self.key_counter.fetch_add(1, Ordering::Relaxed)

@@ -235,51 +235,63 @@ impl<'a> KeyEq<'a> {
     }
 }
 
-/// Stable multi-key sort, as a permutation applied to every column.
-/// Each key compares its column's typed cells; the order is `Value`'s.
-/// When the first key has an integer form that keeps its order
-/// ([`SortCol::Ranked`]), the rows sort as (NULL flag, integer, row)
-/// triples in one unstable pass — the row breaks ties, so the order is
-/// the stable one — and only rows that tie on it are compared on the
-/// other keys.
+/// Stable multi-key sort, as a permutation ([`sort_rows`]) applied to
+/// every column.
 pub fn sort(batch: Batch, keys: &[SortKey]) -> Batch {
-    let typed: Vec<(SortCol, bool)> =
-        keys.iter().map(|k| (SortCol::new(&batch.cols()[k.col]), k.desc)).collect();
-    let order = match typed.first() {
-        Some((SortCol::Ranked(ranked), desc)) => {
-            let triple = |(i, &(ok, k)): (usize, &(bool, u64))| {
-                if *desc { (!ok, !k, i) } else { (ok, k, i) }
-            };
-            let mut triples: Vec<(bool, u64, usize)> = ranked.iter().enumerate().map(triple).collect();
-            triples.sort_unstable();
-            let mut order: Vec<usize> = triples.iter().map(|&(_, _, row)| row).collect();
-            let mut start = 0;
-            for tie in triples.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-                order[start..start + tie.len()].sort_by(|&a, &b| compare(&typed[1..], a, b));
-                start += tie.len();
-            }
-            order
-        }
-        _ => {
-            let mut order: Vec<usize> = (0..batch.rows()).collect();
-            order.sort_by(|&a, &b| compare(&typed, a, b));
-            order
-        }
-    };
+    let cols: Vec<(&Column, bool)> = keys.iter().map(|k| (&batch.cols()[k.col], k.desc)).collect();
+    let order = sort_rows(&cols, &(0..batch.rows()).collect::<Vec<_>>());
     batch.gather(&order)
 }
 
-/// A projection's rows as one container, for both architectures' loads
-/// and moveouts: sorted by the projection's sort columns (stably, so
-/// ties keep load order), then through the one typed encoder.
+/// `rows` — indices into the key columns — ordered by `keys`, each a
+/// column and whether it sorts descending, stably: rows that tie keep
+/// their order in `rows`. Each key compares its column's typed cells;
+/// the order is `Value`'s. When the first key has an integer form that
+/// keeps its order ([`SortCol::Ranked`]), the rows sort as (NULL flag,
+/// integer, position) triples in one unstable pass — the position
+/// breaks ties, so the order is the stable one — and only rows that tie
+/// on it are compared on the other keys.
+pub fn sort_rows(keys: &[(&Column, bool)], rows: &[usize]) -> Vec<usize> {
+    let typed: Vec<(SortCol, bool)> = keys.iter().map(|&(col, desc)| (SortCol::new(col), desc)).collect();
+    let Some((SortCol::Ranked(rank), desc)) = typed.first() else {
+        let mut order = rows.to_vec();
+        order.sort_by(|&a, &b| compare(&typed, a, b));
+        return order;
+    };
+    assert!(u32::try_from(rows.len()).is_ok(), "a sort holds under 2^32 rows");
+    let triple = |(p, &row): (usize, &usize)| {
+        let (ok, k) = rank(row);
+        if *desc { (!ok, !k, p as u32) } else { (ok, k, p as u32) }
+    };
+    let mut triples: Vec<(bool, u64, u32)> = rows.iter().enumerate().map(triple).collect();
+    triples.sort_unstable();
+    let mut order: Vec<usize> = triples.iter().map(|&(_, _, p)| rows[p as usize]).collect();
+    if typed.len() > 1 {
+        let mut start = 0;
+        for tie in triples.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            order[start..start + tie.len()].sort_by(|&a, &b| compare(&typed[1..], a, b));
+            start += tie.len();
+        }
+    }
+    order
+}
+
+/// A projection's rows as one container, for both architectures' loads,
+/// moveouts and mergeouts: `rows` — indices into the projection's
+/// columns `cols`, in load order — sorted by the projection's sort
+/// columns ([`sort_rows`]: stably, so ties keep load order), each
+/// column gathered once in that order, then through the one typed
+/// encoder.
 pub fn encode_sorted(
-    batch: Batch,
+    cols: &[&Column],
+    rows: &[usize],
     proj: &Projection,
     writer: &RosWriter,
 ) -> Result<(Bytes, RosFooter)> {
-    let keys: Vec<SortKey> = proj.sort.0.iter().map(|&c| SortKey::asc(c)).collect();
-    let sorted = if keys.is_empty() { batch } else { sort(batch, &keys) };
-    writer.encode(sorted.cols())
+    let keys: Vec<(&Column, bool)> = proj.sort.0.iter().map(|&c| (cols[c], false)).collect();
+    let order = sort_rows(&keys, rows);
+    let sorted: Vec<Column> = cols.iter().map(|c| c.gather(&order)).collect();
+    writer.encode(&sorted)
 }
 
 /// Rows `a` and `b` compared on `keys` in turn, each descending key
@@ -297,11 +309,11 @@ fn compare(keys: &[(SortCol, bool)], a: usize, b: usize) -> Ordering {
 /// One sort key's column, shaped for comparing two of its rows under
 /// `Value`'s order, NULL first.
 enum SortCol<'a> {
-    /// Each row's (not NULL, integer), the integer keeping the cells'
-    /// order — an `i64` or `i32` with its sign bit flipped, a float's
-    /// bits as `total_cmp` reads them, a dictionary entry's rank — and
-    /// 0 for a NULL, so the pairs compare as the cells do.
-    Ranked(Vec<(bool, u64)>),
+    /// Row → (not NULL, integer), the integer keeping the cells' order —
+    /// an `i64` or `i32` with its sign bit flipped, a float's bits as
+    /// `total_cmp` reads them, a dictionary entry's rank — and 0 for a
+    /// NULL, so the pairs compare as the cells do.
+    Ranked(Box<dyn Fn(usize) -> (bool, u64) + 'a>),
     /// Strings, by bytes.
     Str(&'a StrVec, Option<&'a [bool]>),
     /// A column of no single type, cell by cell.
@@ -310,29 +322,28 @@ enum SortCol<'a> {
 
 impl<'a> SortCol<'a> {
     fn new(col: &'a Column) -> SortCol<'a> {
-        fn ranked(valid: Option<&[bool]>, rows: usize, key: impl Fn(usize) -> u64) -> SortCol<'static> {
-            let pair = |i: usize| {
+        fn ranked<'a>(valid: Option<&'a [bool]>, key: impl Fn(usize) -> u64 + 'a) -> SortCol<'a> {
+            SortCol::Ranked(Box::new(move |i| {
                 let ok = valid.is_none_or(|v| v[i]);
                 (ok, if ok { key(i) } else { 0 })
-            };
-            SortCol::Ranked((0..rows).map(pair).collect())
+            }))
         }
         const SIGN: u64 = 1 << 63;
-        let (valid, rows) = (col.valid(), col.len());
+        let valid = col.valid();
         match col.data() {
-            Data::Int(v) => ranked(valid, rows, |i| v[i] as u64 ^ SIGN),
-            Data::Date(v) => ranked(valid, rows, |i| v[i] as i64 as u64 ^ SIGN),
-            Data::Float(v) => ranked(valid, rows, |i| {
+            Data::Int(v) => ranked(valid, |i| v[i] as u64 ^ SIGN),
+            Data::Date(v) => ranked(valid, |i| v[i] as i64 as u64 ^ SIGN),
+            Data::Float(v) => ranked(valid, |i| {
                 let bits = v[i].to_bits() as i64;
                 (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ SIGN
             }),
-            Data::Bool(v) => ranked(valid, rows, |i| u64::from(v[i])),
+            Data::Bool(v) => ranked(valid, |i| u64::from(v[i])),
             Data::Dict { dict, codes } => {
                 let mut by_entry: Vec<usize> = (0..dict.len()).collect();
                 by_entry.sort_by(|&a, &b| dict.get(a).cmp(dict.get(b)));
                 let mut ranks = vec![0; dict.len()];
                 by_entry.iter().enumerate().for_each(|(rank, &j)| ranks[j] = rank as u64);
-                ranked(valid, rows, |i| ranks[codes[i] as usize])
+                ranked(valid, move |i| ranks[codes[i] as usize])
             }
             Data::Str(v) => SortCol::Str(v, valid),
             Data::Null(_) | Data::Values(_) => SortCol::Cells(col),
@@ -341,7 +352,7 @@ impl<'a> SortCol<'a> {
 
     fn cmp(&self, a: usize, b: usize) -> Ordering {
         match self {
-            SortCol::Ranked(ranked) => ranked[a].cmp(&ranked[b]),
+            SortCol::Ranked(rank) => rank(a).cmp(&rank(b)),
             SortCol::Str(v, valid) => match valid.map(|ok| (ok[a], ok[b])) {
                 None | Some((true, true)) => v.get(a).cmp(v.get(b)),
                 Some((x, y)) => x.cmp(&y),

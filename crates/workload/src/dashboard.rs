@@ -97,9 +97,9 @@ pub fn load_eon(db: &eon_core::EonDb, data: &DashboardData) -> eon_types::Result
         gs.clone(),
         vec![Projection::replicated("geo_rep", &gs, &[0])],
     )?;
-    db.copy_batch("events", Batch::from_rows(&data.events, es.len()))?;
-    db.copy_batch("product", Batch::from_rows(&data.products, ps.len()))?;
-    db.copy_batch("geo", Batch::from_rows(&data.geos, gs.len()))?;
+    db.copy_batch("events", &Batch::from_rows(&data.events, es.len()))?;
+    db.copy_batch("product", &Batch::from_rows(&data.products, ps.len()))?;
+    db.copy_batch("geo", &Batch::from_rows(&data.geos, gs.len()))?;
     Ok(())
 }
 
@@ -126,9 +126,9 @@ pub fn load_enterprise(
         gs.clone(),
         Projection::super_projection("geo_super", &gs, &[0], &[0]),
     )?;
-    db.copy_batch("events", Batch::from_rows(&data.events, es.len()))?;
-    db.copy_batch("product", Batch::from_rows(&data.products, ps.len()))?;
-    db.copy_batch("geo", Batch::from_rows(&data.geos, gs.len()))?;
+    db.copy_batch("events", &Batch::from_rows(&data.events, es.len()))?;
+    db.copy_batch("product", &Batch::from_rows(&data.products, ps.len()))?;
+    db.copy_batch("geo", &Batch::from_rows(&data.geos, gs.len()))?;
     Ok(())
 }
 

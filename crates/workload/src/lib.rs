@@ -10,6 +10,14 @@
 //!   a star schema with a compact fact table and two dimensions.
 //! * [`copyload`] — the many-small-COPY generator of Fig 11b
 //!   ("typical of an internet of things workload").
+//!
+//! TPC-H is generated as typed columns — one `Batch` per table, a
+//! string drawn from a fixed list as a dictionary code into it — and
+//! loaded as it is, so a set-up's COPY neither transposes nor copies
+//! it. The dashboard and COPY generators still make rows: the
+//! dashboard's fields are read as row vectors by the repo benchmark,
+//! which this crate's changes must not break, and the COPY generators
+//! model clients sending rows, which `copy_into`'s row edge exists for.
 
 pub mod copyload;
 pub mod dashboard;

@@ -6,12 +6,14 @@
 //! factor — 150k customers, 1.5M orders, ~4.3 lineitems per order, 200k
 //! parts, 10k suppliers, 800k partsupps, 25 nations, 5 regions.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use eon_columnar::{Batch, Projection};
+use eon_columnar::{Batch, Column, Data, Projection, StrVec};
 use eon_types::value::ymd_to_days;
-use eon_types::{schema, Schema, Value};
+use eon_types::{schema, Schema};
 
 pub mod queries;
 
@@ -142,129 +144,198 @@ const NATIONS: [(&str, i64); 25] = [
     ("UNITED STATES", 1),
 ];
 
-/// All eight tables, generated.
+const RETURNFLAGS: [&str; 3] = ["R", "A", "N"];
+const STATUSES: [&str; 2] = ["F", "O"];
+const SUPPLIER_COMMENTS: [&str; 2] = ["careful Customer Complaints noted", "dependable supplier"];
+const ORDER_COMMENTS: [&str; 2] = ["was told to handle special requests carefully", "ordinary order comment"];
+
+/// All eight tables, generated as typed columns in schema order. A
+/// string drawn from a fixed list is a dictionary code into that list.
 pub struct TpchData {
-    pub region: Vec<Vec<Value>>,
-    pub nation: Vec<Vec<Value>>,
-    pub supplier: Vec<Vec<Value>>,
-    pub customer: Vec<Vec<Value>>,
-    pub part: Vec<Vec<Value>>,
-    pub partsupp: Vec<Vec<Value>>,
-    pub orders: Vec<Vec<Value>>,
-    pub lineitem: Vec<Vec<Value>>,
+    pub region: Batch,
+    pub nation: Batch,
+    pub supplier: Batch,
+    pub customer: Batch,
+    pub part: Batch,
+    pub partsupp: Batch,
+    pub orders: Batch,
+    pub lineitem: Batch,
 }
 
-fn s(v: &str) -> Value {
-    Value::Str(v.to_owned())
+/// A cell as the generator makes it; `Of(list, i)` is `list[i]`.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    Int(i64),
+    Float(f64),
+    Date(i32),
+    Str(&'a str),
+    Of(&'static [&'static str], usize),
+}
+
+/// The one string of a constant column.
+fn constant(text: &'static [&'static str; 1]) -> Cell<'static> {
+    Cell::Of(text, 0)
+}
+
+/// A string drawn uniformly from `list`.
+fn pick(rng: &mut StdRng, list: &'static [&'static str]) -> Cell<'static> {
+    Cell::Of(list, rng.gen_range(0..list.len()))
+}
+
+/// One generated column, typed by its first cell.
+enum Col {
+    Untyped,
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Date(Vec<i32>),
+    Str(StrVec),
+    Of(&'static [&'static str], Vec<u32>),
+}
+
+/// A table of `W` columns, filled a row at a time.
+struct Table<const W: usize>([Col; W]);
+
+impl<const W: usize> Table<W> {
+    fn new() -> Table<W> {
+        Table(std::array::from_fn(|_| Col::Untyped))
+    }
+
+    fn push(&mut self, row: [Cell<'_>; W]) {
+        for (col, cell) in self.0.iter_mut().zip(row) {
+            if let Col::Untyped = col {
+                *col = match cell {
+                    Cell::Int(_) => Col::Int(Vec::new()),
+                    Cell::Float(_) => Col::Float(Vec::new()),
+                    Cell::Date(_) => Col::Date(Vec::new()),
+                    Cell::Str(_) => Col::Str(StrVec::default()),
+                    Cell::Of(list, _) => Col::Of(list, Vec::new()),
+                };
+            }
+            match (col, cell) {
+                (Col::Int(v), Cell::Int(x)) => v.push(x),
+                (Col::Float(v), Cell::Float(x)) => v.push(x),
+                (Col::Date(v), Cell::Date(x)) => v.push(x),
+                (Col::Str(v), Cell::Str(x)) => v.push(x),
+                (Col::Of(_, v), Cell::Of(_, i)) => v.push(i as u32),
+                _ => unreachable!("a column's cells share its first cell's type"),
+            }
+        }
+    }
+
+    fn finish(self) -> Batch {
+        let cols: Vec<Column> = (self.0.into_iter())
+            .map(|col| match col {
+                Col::Untyped => Column::nulls(0),
+                Col::Int(v) => Column::new(Data::Int(v), None),
+                Col::Float(v) => Column::new(Data::Float(v), None),
+                Col::Date(v) => Column::new(Data::Date(v), None),
+                Col::Str(v) => Column::new(Data::Str(v), None),
+                Col::Of(list, codes) => {
+                    let mut dict = StrVec::default();
+                    list.iter().for_each(|s| dict.push(s));
+                    Column::new(Data::Dict { dict: Arc::new(dict), codes }, None)
+                }
+            })
+            .collect();
+        let rows = cols.first().map_or(0, Column::len);
+        Batch::new(cols, rows)
+    }
 }
 
 impl TpchData {
     /// Generate at the given scale factor (1.0 = full spec ratios;
     /// figure reproduction uses 0.01–0.05). Deterministic per seed.
     pub fn generate(sf: f64, seed: u64) -> TpchData {
+        use Cell::{Date, Float, Int, Str};
         let mut rng = StdRng::seed_from_u64(seed);
         let n_customer = ((150_000.0 * sf) as i64).max(50);
         let n_orders = n_customer * 10;
         let n_part = ((200_000.0 * sf) as i64).max(80);
         let n_supplier = ((10_000.0 * sf) as i64).max(10);
 
-        let region: Vec<Vec<Value>> = REGIONS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| vec![Value::Int(i as i64), s(name), s("about the region")])
-            .collect();
+        let mut region = Table::new();
+        for (i, name) in REGIONS.iter().enumerate() {
+            region.push([Int(i as i64), Str(name), constant(&["about the region"])]);
+        }
 
-        let nation: Vec<Vec<Value>> = NATIONS
-            .iter()
-            .enumerate()
-            .map(|(i, (name, region))| {
-                vec![Value::Int(i as i64), s(name), Value::Int(*region), s("nation notes")]
-            })
-            .collect();
+        let mut nation = Table::new();
+        for (i, (name, region)) in NATIONS.iter().enumerate() {
+            nation.push([Int(i as i64), Str(name), Int(*region), constant(&["nation notes"])]);
+        }
 
-        let supplier: Vec<Vec<Value>> = (0..n_supplier)
-            .map(|k| {
-                let complaint = rng.gen_bool(0.05);
-                vec![
-                    Value::Int(k),
-                    Value::Str(format!("Supplier#{k:09}")),
-                    Value::Str(format!("addr-{k}")),
-                    Value::Int(rng.gen_range(0..25)),
-                    Value::Str(format!("27-{k:07}")),
-                    Value::Float((rng.gen_range(-99_999i64..999_999) as f64) / 100.0),
-                    s(if complaint {
-                        "careful Customer Complaints noted"
-                    } else {
-                        "dependable supplier"
-                    }),
-                ]
-            })
-            .collect();
+        let mut supplier = Table::new();
+        for k in 0..n_supplier {
+            let complaint = rng.gen_bool(0.05);
+            supplier.push([
+                Int(k),
+                Str(&format!("Supplier#{k:09}")),
+                Str(&format!("addr-{k}")),
+                Int(rng.gen_range(0..25)),
+                Str(&format!("27-{k:07}")),
+                Float((rng.gen_range(-99_999i64..999_999) as f64) / 100.0),
+                Cell::Of(&SUPPLIER_COMMENTS, if complaint { 0 } else { 1 }),
+            ]);
+        }
 
-        let customer: Vec<Vec<Value>> = (0..n_customer)
-            .map(|k| {
-                vec![
-                    Value::Int(k),
-                    Value::Str(format!("Customer#{k:09}")),
-                    Value::Str(format!("addr-{k}")),
-                    Value::Int(rng.gen_range(0..25)),
-                    Value::Str(format!("13-{k:07}")),
-                    Value::Float((rng.gen_range(-99_999i64..999_999) as f64) / 100.0),
-                    s(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]),
-                    s("customer comment"),
-                ]
-            })
-            .collect();
+        let mut customer = Table::new();
+        for k in 0..n_customer {
+            customer.push([
+                Int(k),
+                Str(&format!("Customer#{k:09}")),
+                Str(&format!("addr-{k}")),
+                Int(rng.gen_range(0..25)),
+                Str(&format!("13-{k:07}")),
+                Float((rng.gen_range(-99_999i64..999_999) as f64) / 100.0),
+                pick(&mut rng, &SEGMENTS),
+                constant(&["customer comment"]),
+            ]);
+        }
 
-        let part: Vec<Vec<Value>> = (0..n_part)
-            .map(|k| {
-                let ty = format!(
-                    "{} {} {}",
-                    TYPE_A[rng.gen_range(0..TYPE_A.len())],
-                    TYPE_B[rng.gen_range(0..TYPE_B.len())],
-                    TYPE_C[rng.gen_range(0..TYPE_C.len())]
-                );
-                let name = format!(
-                    "{} {}",
-                    NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())],
-                    NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())]
-                );
-                vec![
-                    Value::Int(k),
-                    Value::Str(name),
-                    Value::Str(format!("Manufacturer#{}", 1 + k % 5)),
-                    Value::Str(format!("Brand#{}{}", 1 + k % 5, 1 + (k / 5) % 5)),
-                    Value::Str(ty),
-                    Value::Int(rng.gen_range(1..51)),
-                    s(CONTAINERS[rng.gen_range(0..CONTAINERS.len())]),
-                    Value::Float(900.0 + (k % 1000) as f64 / 10.0),
-                    s("part comment"),
-                ]
-            })
-            .collect();
+        let mut part = Table::new();
+        for k in 0..n_part {
+            let ty = format!(
+                "{} {} {}",
+                TYPE_A[rng.gen_range(0..TYPE_A.len())],
+                TYPE_B[rng.gen_range(0..TYPE_B.len())],
+                TYPE_C[rng.gen_range(0..TYPE_C.len())]
+            );
+            let name = format!(
+                "{} {}",
+                NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())],
+                NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())]
+            );
+            part.push([
+                Int(k),
+                Str(&name),
+                Str(&format!("Manufacturer#{}", 1 + k % 5)),
+                Str(&format!("Brand#{}{}", 1 + k % 5, 1 + (k / 5) % 5)),
+                Str(&ty),
+                Int(rng.gen_range(1..51)),
+                pick(&mut rng, &CONTAINERS),
+                Float(900.0 + (k % 1000) as f64 / 10.0),
+                constant(&["part comment"]),
+            ]);
+        }
 
-        let partsupp: Vec<Vec<Value>> = (0..n_part)
-            .flat_map(|p| {
-                let mut rows = Vec::with_capacity(4);
-                for i in 0..4 {
-                    let sk = (p + i * (n_supplier / 4).max(1)) % n_supplier;
-                    rows.push(vec![
-                        Value::Int(p),
-                        Value::Int(sk),
-                        Value::Int(1 + (p * 7 + i * 13) % 9999),
-                        Value::Float(1.0 + ((p * 31 + i * 17) % 99_900) as f64 / 100.0),
-                        s("ps comment"),
-                    ]);
-                }
-                rows
-            })
-            .collect();
+        let mut partsupp = Table::new();
+        for p in 0..n_part {
+            for i in 0..4 {
+                let sk = (p + i * (n_supplier / 4).max(1)) % n_supplier;
+                partsupp.push([
+                    Int(p),
+                    Int(sk),
+                    Int(1 + (p * 7 + i * 13) % 9999),
+                    Float(1.0 + ((p * 31 + i * 17) % 99_900) as f64 / 100.0),
+                    constant(&["ps comment"]),
+                ]);
+            }
+        }
 
         let start = ymd_to_days(1992, 1, 1);
         let span = ymd_to_days(1998, 8, 2) - start;
 
-        let mut orders = Vec::with_capacity(n_orders as usize);
-        let mut lineitem = Vec::new();
+        let mut orders = Table::new();
+        let mut lineitem = Table::new();
         for ok in 0..n_orders {
             let custkey = rng.gen_range(0..n_customer);
             let orderdate = start + rng.gen_range(0..span - 151);
@@ -282,69 +353,73 @@ impl TpchData {
                 let commitdate = orderdate + rng.gen_range(30..91);
                 let receiptdate = shipdate + rng.gen_range(1..31);
                 let today = ymd_to_days(1995, 6, 17);
+                // Flag R or A and status F, or flag N and status O.
                 let (rf, ls) = if receiptdate <= today {
-                    (if rng.gen_bool(0.5) { "R" } else { "A" }, "F")
+                    (if rng.gen_bool(0.5) { 0 } else { 1 }, 0)
                 } else {
-                    ("N", "O")
+                    (2, 1)
                 };
                 total += price * (1.0 - discount) * (1.0 + tax);
-                lineitem.push(vec![
-                    Value::Int(ok),
-                    Value::Int(partkey),
-                    Value::Int(suppkey),
-                    Value::Int(ln),
-                    Value::Float(qty),
-                    Value::Float(price),
-                    Value::Float(discount),
-                    Value::Float(tax),
-                    s(rf),
-                    s(ls),
-                    Value::Date(shipdate),
-                    Value::Date(commitdate),
-                    Value::Date(receiptdate),
-                    s(INSTRUCTS[rng.gen_range(0..INSTRUCTS.len())]),
-                    s(SHIPMODES[rng.gen_range(0..SHIPMODES.len())]),
-                    s("lineitem comment"),
+                lineitem.push([
+                    Int(ok),
+                    Int(partkey),
+                    Int(suppkey),
+                    Int(ln),
+                    Float(qty),
+                    Float(price),
+                    Float(discount),
+                    Float(tax),
+                    Cell::Of(&RETURNFLAGS, rf),
+                    Cell::Of(&STATUSES, ls),
+                    Date(shipdate),
+                    Date(commitdate),
+                    Date(receiptdate),
+                    pick(&mut rng, &INSTRUCTS),
+                    pick(&mut rng, &SHIPMODES),
+                    constant(&["lineitem comment"]),
                 ]);
             }
-            orders.push(vec![
-                Value::Int(ok),
-                Value::Int(custkey),
-                s(if rng.gen_bool(0.5) { "F" } else { "O" }),
-                Value::Float(total),
-                Value::Date(orderdate),
-                s(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
-                Value::Str(format!("Clerk#{:09}", rng.gen_range(0..1000))),
-                Value::Int(0),
-                s(if special {
-                    "was told to handle special requests carefully"
-                } else {
-                    "ordinary order comment"
-                }),
+            orders.push([
+                Int(ok),
+                Int(custkey),
+                Cell::Of(&STATUSES, if rng.gen_bool(0.5) { 0 } else { 1 }),
+                Float(total),
+                Date(orderdate),
+                pick(&mut rng, &PRIORITIES),
+                Str(&format!("Clerk#{:09}", rng.gen_range(0..1000))),
+                Int(0),
+                Cell::Of(&ORDER_COMMENTS, if special { 0 } else { 1 }),
             ]);
         }
 
         TpchData {
-            region,
-            nation,
-            supplier,
-            customer,
-            part,
-            partsupp,
-            orders,
-            lineitem,
+            region: region.finish(),
+            nation: nation.finish(),
+            supplier: supplier.finish(),
+            customer: customer.finish(),
+            part: part.finish(),
+            partsupp: partsupp.finish(),
+            orders: orders.finish(),
+            lineitem: lineitem.finish(),
         }
     }
 
     pub fn total_rows(&self) -> usize {
-        self.region.len()
-            + self.nation.len()
-            + self.supplier.len()
-            + self.customer.len()
-            + self.part.len()
-            + self.partsupp.len()
-            + self.orders.len()
-            + self.lineitem.len()
+        self.tables().iter().map(|(_, b)| b.rows()).sum()
+    }
+
+    /// Each table's name and columns, in [`tpch_tables`] order.
+    pub fn tables(&self) -> [(&'static str, &Batch); 8] {
+        [
+            ("region", &self.region),
+            ("nation", &self.nation),
+            ("supplier", &self.supplier),
+            ("customer", &self.customer),
+            ("part", &self.part),
+            ("partsupp", &self.partsupp),
+            ("orders", &self.orders),
+            ("lineitem", &self.lineitem),
+        ]
     }
 }
 
@@ -364,17 +439,17 @@ pub fn tpch_tables() -> Vec<(&'static str, Schema, usize, usize, bool)> {
     ]
 }
 
-/// Create TPC-H tables and load generated data into an Eon database.
+/// Create TPC-H tables and load generated data into an Eon database:
+/// each table's columns handed to COPY as they are.
 pub fn load_tpch_eon(db: &eon_core::EonDb, data: &TpchData) -> eon_types::Result<()> {
-    for (name, schema, sort, seg, replicated) in tpch_tables() {
+    for ((name, schema, sort, seg, replicated), (_, batch)) in tpch_tables().into_iter().zip(data.tables()) {
         let proj = if replicated {
             Projection::replicated(format!("{name}_rep"), &schema, &[sort])
         } else {
             Projection::super_projection(format!("{name}_super"), &schema, &[sort], &[seg])
         };
-        let width = schema.len();
         db.create_table(name, schema, vec![proj])?;
-        db.copy_batch(name, Batch::from_rows(table_rows(data, name), width))?;
+        db.copy_batch(name, batch)?;
     }
     Ok(())
 }
@@ -386,29 +461,13 @@ pub fn load_tpch_enterprise(
     db: &eon_enterprise::EnterpriseDb,
     data: &TpchData,
 ) -> eon_types::Result<()> {
-    for (name, schema, sort, seg, _replicated) in tpch_tables() {
+    for ((name, schema, sort, seg, _replicated), (_, batch)) in tpch_tables().into_iter().zip(data.tables()) {
         let proj =
             Projection::super_projection(format!("{name}_super"), &schema, &[sort], &[seg]);
-        let width = schema.len();
         db.create_table(name, schema, proj)?;
-        db.copy_batch(name, Batch::from_rows(table_rows(data, name), width))?;
+        db.copy_batch(name, batch)?;
     }
     Ok(())
-}
-
-/// The generated rows of the TPC-H table `name`.
-fn table_rows<'a>(data: &'a TpchData, name: &str) -> &'a [Vec<Value>] {
-    match name {
-        "region" => &data.region,
-        "nation" => &data.nation,
-        "supplier" => &data.supplier,
-        "customer" => &data.customer,
-        "part" => &data.part,
-        "partsupp" => &data.partsupp,
-        "orders" => &data.orders,
-        "lineitem" => &data.lineitem,
-        _ => unreachable!("{name} is not a TPC-H table"),
-    }
 }
 
 #[cfg(test)]
@@ -419,41 +478,41 @@ mod tests {
     fn generation_is_deterministic() {
         let a = TpchData::generate(0.002, 7);
         let b = TpchData::generate(0.002, 7);
-        assert_eq!(a.lineitem.len(), b.lineitem.len());
-        assert_eq!(a.lineitem[0], b.lineitem[0]);
-        assert_eq!(a.orders[10], b.orders[10]);
+        assert_eq!(a.lineitem, b.lineitem);
+        assert_eq!(a.orders, b.orders);
     }
 
     #[test]
     fn ratios_follow_spec() {
         let d = TpchData::generate(0.01, 1);
-        assert_eq!(d.region.len(), 5);
-        assert_eq!(d.nation.len(), 25);
-        assert_eq!(d.customer.len(), 1500);
-        assert_eq!(d.orders.len(), 15_000);
-        assert_eq!(d.part.len(), 2000);
-        assert_eq!(d.partsupp.len(), 8000);
+        assert_eq!(d.region.rows(), 5);
+        assert_eq!(d.nation.rows(), 25);
+        assert_eq!(d.customer.rows(), 1500);
+        assert_eq!(d.orders.rows(), 15_000);
+        assert_eq!(d.part.rows(), 2000);
+        assert_eq!(d.partsupp.rows(), 8000);
         // ~4 lineitems per order
-        let ratio = d.lineitem.len() as f64 / d.orders.len() as f64;
+        let ratio = d.lineitem.rows() as f64 / d.orders.rows() as f64;
         assert!((3.0..5.0).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
     fn rows_satisfy_schemas() {
         let d = TpchData::generate(0.002, 3);
-        for (rows, schema) in
-            [(&d.lineitem, lineitem_schema()), (&d.orders, orders_schema()), (&d.nation, nation_schema())]
-        {
-            Batch::from_rows_checked(rows, schema.len()).unwrap().check_schema(&schema).unwrap();
+        for ((name, schema, ..), (table, batch)) in tpch_tables().into_iter().zip(d.tables()) {
+            assert_eq!(name, table);
+            batch.check_schema(&schema).unwrap();
         }
     }
 
     #[test]
     fn dates_are_consistent() {
         let d = TpchData::generate(0.002, 3);
-        for row in d.lineitem.iter().take(200) {
-            let ship = row[10].as_int().unwrap();
-            let receipt = row[12].as_int().unwrap();
+        let cols = d.lineitem.cols();
+        let (Data::Date(ship), Data::Date(receipt)) = (cols[10].data(), cols[12].data()) else {
+            panic!("l_shipdate and l_receiptdate are dates");
+        };
+        for (ship, receipt) in ship.iter().zip(receipt).take(200) {
             assert!(receipt > ship, "receipt after ship");
         }
     }

@@ -97,3 +97,8 @@ printf '%-16s %6d\n' "row-path lines" "$(matches 'Vec<Vec<Value>>' crates/column
 # pool, and a batch of ranged reads is concurrent in the store, not in
 # threads).
 printf '%-16s %6d\n' "thread::scope sites" "$(matches 'thread::scope[(]' crates)"
+
+# "Generated as columns" as a number: `Batch::from_rows` (and
+# `from_rows_checked`) call sites in non-test crate source — the row
+# edges left between a generator or client and the typed engine.
+printf '%-16s %6d\n' "Batch::from_rows sites" "$(matches 'Batch::from_rows' crates)"

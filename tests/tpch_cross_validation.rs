@@ -50,7 +50,7 @@ struct Engines {
     /// Enterprise with every load buffered in the WOS, and Enterprise
     /// at the default WOS threshold (loads above it in ROS containers).
     ents: [Arc<EnterpriseDb>; 2],
-    /// The generator's rows, scanned with `eval_row`.
+    /// The generated tables as rows, scanned with `eval_row`.
     reference: MemProvider,
 }
 
@@ -64,17 +64,9 @@ fn setup() -> Engines {
         load_tpch_enterprise(&ent, &data).unwrap();
         ent
     });
-    let tables = [
-        ("region", data.region),
-        ("nation", data.nation),
-        ("supplier", data.supplier),
-        ("customer", data.customer),
-        ("part", data.part),
-        ("partsupp", data.partsupp),
-        ("orders", data.orders),
-        ("lineitem", data.lineitem),
-    ];
-    let tables = tables.into_iter().map(|(name, rows)| (name.to_owned(), rows)).collect();
+    let tables = (data.tables().into_iter())
+        .map(|(name, batch)| (name.to_owned(), batch.clone().into_rows()))
+        .collect();
     let reference = MemProvider::single(tables);
     Engines { eon, ents, reference }
 }
@@ -205,10 +197,10 @@ fn sql_agrees_with_enterprise_running_the_bound_plan() {
         let proj = Projection::super_projection(format!("{name}_super"), &schema, &[0], &[0]);
         eon.create_table(name, schema.clone(), vec![proj.clone()]).unwrap();
         let batch = Batch::from_rows(&rows, schema.len());
-        eon.copy_batch(name, batch.clone()).unwrap();
+        eon.copy_batch(name, &batch).unwrap();
         for ent in &ents {
             ent.create_table(name, schema.clone(), proj.clone()).unwrap();
-            ent.copy_batch(name, batch.clone()).unwrap();
+            ent.copy_batch(name, &batch).unwrap();
         }
         schemas.insert(name.to_owned(), schema);
     }
