@@ -100,12 +100,6 @@ fn choose(rows: usize, runs: usize, intlike: bool, few_distinct: impl FnOnce(usi
     Encoding::Plain
 }
 
-/// A dictionary of at most this many entries is searched by comparing a
-/// cell with each entry; past it, the entries move into a hash map keyed
-/// by std's `RandomState`, so cells crafted to collide cannot make a
-/// large dictionary quadratic.
-const SCANNED_ENTRIES: usize = 16;
-
 /// A block's dictionary: the row where each distinct cell first
 /// appears, in that order, and each row's code into them.
 struct Dictionary {
@@ -116,35 +110,21 @@ struct Dictionary {
 /// The dictionary of `rows` cells, `key(i)` identifying cell `i`, or
 /// `None` at the first cell that would make it hold more than `cap`
 /// entries — so it also answers "at most `cap` distinct cells?", and a
-/// high-cardinality block is given up on early.
+/// high-cardinality block is given up on early. The entries are keyed
+/// by std's `RandomState`, so cells crafted to collide cannot make a
+/// block quadratic.
 fn dictionary<K: Copy + Eq + Hash>(rows: usize, key: impl Fn(usize) -> K, cap: usize) -> Option<Dictionary> {
-    let mut entries: Vec<K> = Vec::new();
-    let mut index: HashMap<K, u32> = HashMap::new();
+    let mut index: HashMap<K, u32> = HashMap::with_capacity(cap.min(rows) + 1);
     let (mut firsts, mut codes) = (Vec::new(), Vec::with_capacity(rows));
     for i in 0..rows {
-        let cell = key(i);
-        let found = if index.is_empty() {
-            entries.iter().position(|&e| e == cell).map(|j| j as u32)
-        } else {
-            index.get(&cell).copied()
-        };
-        let code = match found {
-            Some(code) => code,
-            None if firsts.len() == cap => return None,
-            None => {
-                let code = firsts.len() as u32;
-                firsts.push(i);
-                if !index.is_empty() {
-                    index.insert(cell, code);
-                } else if entries.len() < SCANNED_ENTRIES {
-                    entries.push(cell);
-                } else {
-                    index.reserve(cap.min(rows) + 1);
-                    index.extend(entries.drain(..).chain([cell]).zip(0..));
-                }
-                code
+        let next = firsts.len() as u32;
+        let code = *index.entry(key(i)).or_insert(next);
+        if code == next {
+            if firsts.len() == cap {
+                return None;
             }
-        };
+            firsts.push(i);
+        }
         codes.push(code);
     }
     Some(Dictionary { firsts, codes })
@@ -1285,11 +1265,11 @@ mod tests {
     }
 
     /// A block at the encoder's edges, its cells shuffled so runs stay
-    /// short: as many distinct cells as the dictionary's scanned bound or
-    /// one more, or as the block's Dict cap or one more, or any number in
-    /// a block under 8 rows; every distinct cell at least once. Ints,
-    /// Floats (NaN payloads, −0.0 beside 0.0: distinct by bits) or
-    /// strings, and NULL one of the distinct cells in half the blocks.
+    /// short: as many distinct cells as the block's Dict cap or one more,
+    /// or a handful (2 to 17), or any number in a block under 8 rows;
+    /// every distinct cell at least once. Ints, Floats (NaN payloads,
+    /// −0.0 beside 0.0: distinct by bits) or strings, and NULL one of
+    /// the distinct cells in half the blocks.
     fn edge_case(rng: &mut rand::StdRng) -> Vec<Value> {
         use rand::Rng;
         let n = match rng.gen_range(0..3u32) {
@@ -1298,7 +1278,7 @@ mod tests {
             _ => rng.gen_range(200..=4096),
         };
         let cap = (n / 4).clamp(1, 4096);
-        let distinct = [SCANNED_ENTRIES, SCANNED_ENTRIES + 1, cap, cap + 1][rng.gen_range(0..4)].min(n);
+        let distinct = [rng.gen_range(2..18), cap, cap + 1][rng.gen_range(0..3)].min(n);
         let (ty, null) = (rng.gen_range(0..3u32), rng.gen_range(0..2u32) == 0);
         let entry = |j: usize| match (ty, j) {
             (_, 0) if null => Value::Null,

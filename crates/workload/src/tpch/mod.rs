@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use eon_columnar::{Batch, Column, Data, Projection, StrVec};
 use eon_types::value::ymd_to_days;
-use eon_types::{schema, Schema};
+use eon_types::{schema, Schema, ValueRef};
 
 pub mod queries;
 
@@ -162,13 +162,11 @@ pub struct TpchData {
     pub lineitem: Batch,
 }
 
-/// A cell as the generator makes it; `Of(list, i)` is `list[i]`.
+/// A cell as the generator makes it: a value, or `Of(list, i)`, the
+/// string `list[i]` kept as a dictionary code.
 #[derive(Clone, Copy)]
 enum Cell<'a> {
-    Int(i64),
-    Float(f64),
-    Date(i32),
-    Str(&'a str),
+    Is(ValueRef<'a>),
     Of(&'static [&'static str], usize),
 }
 
@@ -182,55 +180,33 @@ fn pick(rng: &mut StdRng, list: &'static [&'static str]) -> Cell<'static> {
     Cell::Of(list, rng.gen_range(0..list.len()))
 }
 
-/// One generated column, typed by its first cell.
-enum Col {
-    Untyped,
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Date(Vec<i32>),
-    Str(StrVec),
-    Of(&'static [&'static str], Vec<u32>),
+/// A table of `W` columns, filled a row at a time: a value cell through
+/// [`Column::push`], which types the column by its first cell; an `Of`
+/// cell's code into its column's list.
+struct Table<const W: usize> {
+    cols: [Column; W],
+    coded: [Option<(&'static [&'static str], Vec<u32>)>; W],
 }
-
-/// A table of `W` columns, filled a row at a time.
-struct Table<const W: usize>([Col; W]);
 
 impl<const W: usize> Table<W> {
     fn new() -> Table<W> {
-        Table(std::array::from_fn(|_| Col::Untyped))
+        Table { cols: std::array::from_fn(|_| Column::nulls(0)), coded: std::array::from_fn(|_| None) }
     }
 
     fn push(&mut self, row: [Cell<'_>; W]) {
-        for (col, cell) in self.0.iter_mut().zip(row) {
-            if let Col::Untyped = col {
-                *col = match cell {
-                    Cell::Int(_) => Col::Int(Vec::new()),
-                    Cell::Float(_) => Col::Float(Vec::new()),
-                    Cell::Date(_) => Col::Date(Vec::new()),
-                    Cell::Str(_) => Col::Str(StrVec::default()),
-                    Cell::Of(list, _) => Col::Of(list, Vec::new()),
-                };
-            }
-            match (col, cell) {
-                (Col::Int(v), Cell::Int(x)) => v.push(x),
-                (Col::Float(v), Cell::Float(x)) => v.push(x),
-                (Col::Date(v), Cell::Date(x)) => v.push(x),
-                (Col::Str(v), Cell::Str(x)) => v.push(x),
-                (Col::Of(_, v), Cell::Of(_, i)) => v.push(i as u32),
-                _ => unreachable!("a column's cells share its first cell's type"),
+        for ((col, coded), cell) in self.cols.iter_mut().zip(&mut self.coded).zip(row) {
+            match cell {
+                Cell::Is(v) => col.push(v),
+                Cell::Of(list, i) => coded.get_or_insert_with(|| (list, Vec::new())).1.push(i as u32),
             }
         }
     }
 
     fn finish(self) -> Batch {
-        let cols: Vec<Column> = (self.0.into_iter())
-            .map(|col| match col {
-                Col::Untyped => Column::nulls(0),
-                Col::Int(v) => Column::new(Data::Int(v), None),
-                Col::Float(v) => Column::new(Data::Float(v), None),
-                Col::Date(v) => Column::new(Data::Date(v), None),
-                Col::Str(v) => Column::new(Data::Str(v), None),
-                Col::Of(list, codes) => {
+        let cols: Vec<Column> = (self.cols.into_iter().zip(self.coded))
+            .map(|(col, coded)| match coded {
+                None => col,
+                Some((list, codes)) => {
                     let mut dict = StrVec::default();
                     list.iter().for_each(|s| dict.push(s));
                     Column::new(Data::Dict { dict: Arc::new(dict), codes }, None)
@@ -246,7 +222,8 @@ impl TpchData {
     /// Generate at the given scale factor (1.0 = full spec ratios;
     /// figure reproduction uses 0.01–0.05). Deterministic per seed.
     pub fn generate(sf: f64, seed: u64) -> TpchData {
-        use Cell::{Date, Float, Int, Str};
+        use Cell::Is;
+        use ValueRef::{Date, Float, Int, Str};
         let mut rng = StdRng::seed_from_u64(seed);
         let n_customer = ((150_000.0 * sf) as i64).max(50);
         let n_orders = n_customer * 10;
@@ -255,24 +232,24 @@ impl TpchData {
 
         let mut region = Table::new();
         for (i, name) in REGIONS.iter().enumerate() {
-            region.push([Int(i as i64), Str(name), constant(&["about the region"])]);
+            region.push([Is(Int(i as i64)), Is(Str(name)), constant(&["about the region"])]);
         }
 
         let mut nation = Table::new();
         for (i, (name, region)) in NATIONS.iter().enumerate() {
-            nation.push([Int(i as i64), Str(name), Int(*region), constant(&["nation notes"])]);
+            nation.push([Is(Int(i as i64)), Is(Str(name)), Is(Int(*region)), constant(&["nation notes"])]);
         }
 
         let mut supplier = Table::new();
         for k in 0..n_supplier {
             let complaint = rng.gen_bool(0.05);
             supplier.push([
-                Int(k),
-                Str(&format!("Supplier#{k:09}")),
-                Str(&format!("addr-{k}")),
-                Int(rng.gen_range(0..25)),
-                Str(&format!("27-{k:07}")),
-                Float((rng.gen_range(-99_999i64..999_999) as f64) / 100.0),
+                Is(Int(k)),
+                Is(Str(&format!("Supplier#{k:09}"))),
+                Is(Str(&format!("addr-{k}"))),
+                Is(Int(rng.gen_range(0..25))),
+                Is(Str(&format!("27-{k:07}"))),
+                Is(Float((rng.gen_range(-99_999i64..999_999) as f64) / 100.0)),
                 Cell::Of(&SUPPLIER_COMMENTS, if complaint { 0 } else { 1 }),
             ]);
         }
@@ -280,12 +257,12 @@ impl TpchData {
         let mut customer = Table::new();
         for k in 0..n_customer {
             customer.push([
-                Int(k),
-                Str(&format!("Customer#{k:09}")),
-                Str(&format!("addr-{k}")),
-                Int(rng.gen_range(0..25)),
-                Str(&format!("13-{k:07}")),
-                Float((rng.gen_range(-99_999i64..999_999) as f64) / 100.0),
+                Is(Int(k)),
+                Is(Str(&format!("Customer#{k:09}"))),
+                Is(Str(&format!("addr-{k}"))),
+                Is(Int(rng.gen_range(0..25))),
+                Is(Str(&format!("13-{k:07}"))),
+                Is(Float((rng.gen_range(-99_999i64..999_999) as f64) / 100.0)),
                 pick(&mut rng, &SEGMENTS),
                 constant(&["customer comment"]),
             ]);
@@ -305,14 +282,14 @@ impl TpchData {
                 NAME_WORDS[rng.gen_range(0..NAME_WORDS.len())]
             );
             part.push([
-                Int(k),
-                Str(&name),
-                Str(&format!("Manufacturer#{}", 1 + k % 5)),
-                Str(&format!("Brand#{}{}", 1 + k % 5, 1 + (k / 5) % 5)),
-                Str(&ty),
-                Int(rng.gen_range(1..51)),
+                Is(Int(k)),
+                Is(Str(&name)),
+                Is(Str(&format!("Manufacturer#{}", 1 + k % 5))),
+                Is(Str(&format!("Brand#{}{}", 1 + k % 5, 1 + (k / 5) % 5))),
+                Is(Str(&ty)),
+                Is(Int(rng.gen_range(1..51))),
                 pick(&mut rng, &CONTAINERS),
-                Float(900.0 + (k % 1000) as f64 / 10.0),
+                Is(Float(900.0 + (k % 1000) as f64 / 10.0)),
                 constant(&["part comment"]),
             ]);
         }
@@ -322,10 +299,10 @@ impl TpchData {
             for i in 0..4 {
                 let sk = (p + i * (n_supplier / 4).max(1)) % n_supplier;
                 partsupp.push([
-                    Int(p),
-                    Int(sk),
-                    Int(1 + (p * 7 + i * 13) % 9999),
-                    Float(1.0 + ((p * 31 + i * 17) % 99_900) as f64 / 100.0),
+                    Is(Int(p)),
+                    Is(Int(sk)),
+                    Is(Int(1 + (p * 7 + i * 13) % 9999)),
+                    Is(Float(1.0 + ((p * 31 + i * 17) % 99_900) as f64 / 100.0)),
                     constant(&["ps comment"]),
                 ]);
             }
@@ -361,33 +338,33 @@ impl TpchData {
                 };
                 total += price * (1.0 - discount) * (1.0 + tax);
                 lineitem.push([
-                    Int(ok),
-                    Int(partkey),
-                    Int(suppkey),
-                    Int(ln),
-                    Float(qty),
-                    Float(price),
-                    Float(discount),
-                    Float(tax),
+                    Is(Int(ok)),
+                    Is(Int(partkey)),
+                    Is(Int(suppkey)),
+                    Is(Int(ln)),
+                    Is(Float(qty)),
+                    Is(Float(price)),
+                    Is(Float(discount)),
+                    Is(Float(tax)),
                     Cell::Of(&RETURNFLAGS, rf),
                     Cell::Of(&STATUSES, ls),
-                    Date(shipdate),
-                    Date(commitdate),
-                    Date(receiptdate),
+                    Is(Date(shipdate)),
+                    Is(Date(commitdate)),
+                    Is(Date(receiptdate)),
                     pick(&mut rng, &INSTRUCTS),
                     pick(&mut rng, &SHIPMODES),
                     constant(&["lineitem comment"]),
                 ]);
             }
             orders.push([
-                Int(ok),
-                Int(custkey),
+                Is(Int(ok)),
+                Is(Int(custkey)),
                 Cell::Of(&STATUSES, if rng.gen_bool(0.5) { 0 } else { 1 }),
-                Float(total),
-                Date(orderdate),
+                Is(Float(total)),
+                Is(Date(orderdate)),
                 pick(&mut rng, &PRIORITIES),
-                Str(&format!("Clerk#{:09}", rng.gen_range(0..1000))),
-                Int(0),
+                Is(Str(&format!("Clerk#{:09}", rng.gen_range(0..1000)))),
+                Is(Int(0)),
                 Cell::Of(&ORDER_COMMENTS, if special { 0 } else { 1 }),
             ]);
         }
@@ -442,7 +419,8 @@ pub fn tpch_tables() -> Vec<(&'static str, Schema, usize, usize, bool)> {
 /// Create TPC-H tables and load generated data into an Eon database:
 /// each table's columns handed to COPY as they are.
 pub fn load_tpch_eon(db: &eon_core::EonDb, data: &TpchData) -> eon_types::Result<()> {
-    for ((name, schema, sort, seg, replicated), (_, batch)) in tpch_tables().into_iter().zip(data.tables()) {
+    for ((name, schema, sort, seg, replicated), (table, batch)) in tpch_tables().into_iter().zip(data.tables()) {
+        assert_eq!(name, table, "TpchData::tables() follows tpch_tables() order");
         let proj = if replicated {
             Projection::replicated(format!("{name}_rep"), &schema, &[sort])
         } else {
@@ -461,7 +439,8 @@ pub fn load_tpch_enterprise(
     db: &eon_enterprise::EnterpriseDb,
     data: &TpchData,
 ) -> eon_types::Result<()> {
-    for ((name, schema, sort, seg, _replicated), (_, batch)) in tpch_tables().into_iter().zip(data.tables()) {
+    for ((name, schema, sort, seg, _replicated), (table, batch)) in tpch_tables().into_iter().zip(data.tables()) {
+        assert_eq!(name, table, "TpchData::tables() follows tpch_tables() order");
         let proj =
             Projection::super_projection(format!("{name}_super"), &schema, &[sort], &[seg]);
         db.create_table(name, schema, proj)?;
