@@ -549,9 +549,19 @@ impl Column {
     }
 
     /// The cells at `idx`, in that order. An index past the end yields
-    /// NULL (the padding of an outer join's unmatched rows).
+    /// NULL (the padding of an outer join's unmatched rows). A plain
+    /// string column gathered into at least four rows per source row
+    /// (a join's build side repeated by the probe) comes out as codes
+    /// into its distinct strings: the dictionary rule, met because a
+    /// dictionary never holds more entries than the source has rows.
     pub fn gather(&self, idx: &[usize]) -> Column {
         let len = self.len();
+        if matches!(self.data, Data::Str(_)) && idx.len() >= 4 * len {
+            if let Some((dict, code_of)) = self.dictionary() {
+                let cells = idx.iter().map(|&i| code_of.get(i).copied().flatten());
+                return Column::from_codes(dict, cells);
+            }
+        }
         fn pick<T: Copy + Default>(cells: &[T], idx: &[usize]) -> Vec<T> {
             idx.iter().map(|&i| cells.get(i).copied().unwrap_or_default()).collect()
         }
@@ -903,6 +913,46 @@ mod tests {
         let not_null = Schema::new(vec![Field::new("id", DataType::Int).not_null()]);
         assert!(mismatch(check(&[vec![Value::Int(1)], vec![Value::Null]], &not_null)));
         assert!(check(&[vec![Value::Int(1)]], &not_null).is_ok());
+    }
+
+    /// The gather rule: a plain string column gathered into four rows or
+    /// more per source row comes out as codes, cell for cell what `get`
+    /// reads (a NULL cell and an index past the end are NULL); below
+    /// that, or with no string to code, it stays `Str`, and a `Dict`
+    /// input keeps or expands its dictionary as before.
+    #[test]
+    fn a_repeating_gather_codes_plain_strings() {
+        let col = strs(&[Some(1), None, Some(3), Some(1)]);
+        let cells = |c: &Column| (0..c.len()).map(|i| c.get(i).to_value()).collect::<Vec<_>>();
+        let want = |idx: &[usize]| {
+            let cell = |i: usize| if i < col.len() { col.get(i).to_value() } else { Value::Null };
+            idx.iter().map(|&i| cell(i)).collect::<Vec<_>>()
+        };
+        let repeated: Vec<usize> = (0..16).map(|i| [0, 1, 2, 3, 9][i % 5]).collect();
+        let out = col.gather(&repeated);
+        assert!(matches!(out.data(), Data::Dict { dict, .. } if dict.len() == 2));
+        assert_eq!(cells(&out), want(&repeated));
+        assert_eq!((out.is_null(1), out.is_null(4)), (true, true));
+
+        let below = &repeated[..15];
+        let out = col.gather(below);
+        assert!(matches!(out.data(), Data::Str(_)));
+        assert_eq!(cells(&out), want(below));
+
+        // No string to code: an all-NULL column and an empty one gather
+        // as they did, NULL strings under an all-false mask.
+        let none = Column::new(Data::Str(StrVec::nulls(2)), Some(vec![false; 2]));
+        let out = none.gather(&[0; 8]);
+        assert!(matches!(out.data(), Data::Str(_)));
+        assert_eq!(out.valid(), Some(&[false; 8][..]));
+        let empty = Column::new(Data::Str(StrVec::default()), None);
+        assert!(matches!(empty.gather(&[0, 1]).data(), Data::Str(_)));
+        assert_eq!(cells(&empty.gather(&[0, 1])), [Value::Null, Value::Null]);
+
+        // A `Dict` input: kept while its 6 entries code 24 rows or more.
+        let coded = coded(&[Some(0), Some(5)], &[0, 1, 2, 3, 4, 5]);
+        assert!(matches!(coded.gather(&[1; 24]).data(), Data::Dict { .. }));
+        assert!(matches!(coded.gather(&[1; 23]).data(), Data::Str(_)));
     }
 
     proptest! {

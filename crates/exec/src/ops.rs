@@ -119,30 +119,33 @@ impl JoinBuild {
         let tests: Vec<KeyEq> = lkeys.iter().zip(&rkeys).map(|(l, r)| KeyEq::new(l, r)).collect();
         // An index past the end gathers as NULL: the padding of `Left`.
         let unmatched = usize::MAX;
-        let (mut lidx, mut ridx, mut matches) = (Vec::new(), Vec::new(), Vec::new());
+        let pairs = matches!(kind, JoinKind::Inner | JoinKind::Left);
+        let mut lidx = Vec::with_capacity(left.rows());
+        let mut ridx = Vec::with_capacity(left.rows());
         for (l, hash) in join_hashes(&lkeys, left.rows()).into_iter().enumerate() {
-            matches.clear();
+            // The chain yields the latest build row first: each row's
+            // matches go straight into `ridx`, then turn into build order.
+            let start = ridx.len();
             if let Some(hash) = hash {
                 let equal = |r: &usize| tests.iter().all(|t| t.eq(l, *r));
-                matches.extend(self.table.probe(hash).filter(equal));
+                ridx.extend(self.table.probe(hash).filter(equal));
             }
-            match kind {
-                JoinKind::Inner | JoinKind::Left => {
-                    if matches.is_empty() && kind == JoinKind::Left {
-                        matches.push(unmatched);
-                    }
-                    lidx.extend(std::iter::repeat_n(l, matches.len()));
-                    ridx.extend(matches.iter().rev());
+            let matched = ridx.len() > start;
+            if pairs {
+                ridx[start..].reverse();
+                if !matched && kind == JoinKind::Left {
+                    ridx.push(unmatched);
                 }
-                JoinKind::Semi | JoinKind::Anti => {
-                    if matches.is_empty() == (kind == JoinKind::Anti) {
-                        lidx.push(l);
-                    }
+                lidx.resize(ridx.len(), l);
+            } else {
+                ridx.truncate(start);
+                if matched == (kind == JoinKind::Semi) {
+                    lidx.push(l);
                 }
             }
         }
         let mut cols = left.gather(&lidx).into_cols();
-        if matches!(kind, JoinKind::Inner | JoinKind::Left) {
+        if pairs {
             cols.extend(self.right.gather(&ridx).into_cols());
         }
         Batch::new(cols, lidx.len())

@@ -577,6 +577,69 @@ proptest! {
         }
     }
 
+    /// A dimension joined in, then grouped by its string: a build side
+    /// of 1–8 rows whose string column is plain, dictionary-coded, plain
+    /// with NULL cells, or all NULL, probed by a left side four times
+    /// its size or more (`Inner` and `Left`), then SUM, COUNT(*) and
+    /// COUNT(DISTINCT) by that column, the padding's NULL group
+    /// included. Wherever the gather's dictionary rule applies, the
+    /// joined column is codes.
+    #[test]
+    fn a_joined_dimension_groups_by_its_strings(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, shape) = (rng.gen_range(1..=8usize), rng.gen_range(0..4u32));
+        let right: Vec<Row> = (0..n)
+            .map(|i| {
+                let mut row = vec![Value::Null; WIDTH];
+                if rng.gen_range(0..6u32) > 0 {
+                    row[0] = Value::Int(rng.gen_range(0..5i64) - 2);
+                }
+                row[1] = Value::Int(i as i64);
+                if shape == 0 || (shape < 3 && rng.gen_range(0..3u32) > 0) {
+                    row[3] = Value::Str(["", "a", "ab", "é"][rng.gen_range(0..4usize)].into());
+                }
+                row
+            })
+            .collect();
+        let mut cols = Batch::from_rows(&right, WIDTH).into_cols();
+        cols[3] = match shape {
+            1 => dict_coded(&cols[3], &mut rng),
+            3 => Column::new(Data::Str(StrVec::nulls(n)), Some(vec![false; n])),
+            _ => cols[3].clone(),
+        };
+        // The entries the joined column would code: the build side's
+        // rows, or its dictionary's length.
+        let entries = match cols[3].data() {
+            Data::Dict { dict, .. } => Some(dict.len()),
+            _ => right.iter().any(|r| !r[3].is_null()).then_some(n),
+        };
+        let mut left = Vec::new();
+        while left.len() < 4 * n {
+            left.extend(gen_rows(&mut rng, 60));
+        }
+        let build = ops::JoinBuild::new(Batch::new(cols, n), &[0]);
+        let aggs = [
+            AggSpec::sum(Expr::col(2)),
+            AggSpec::sum(Expr::col(1)),
+            AggSpec::count_star(),
+            AggSpec::new(AggFunc::CountDistinct, Expr::col(WIDTH + 1)),
+        ];
+        for kind in [JoinKind::Inner, JoinKind::Left] {
+            let joined = build.probe(&to_batch(&left, seed), &[0], kind);
+            let want = ref_join(&left, &right, &[0], &[0], kind);
+            check(Ok(joined.clone()), Ok(want.clone()), 2 * WIDTH, &format!("{kind:?} join"));
+            if entries.is_some_and(|e| joined.rows() >= 4 * e) {
+                let coded = matches!(joined.cols()[WIDTH + 3].data(), Data::Dict { .. });
+                prop_assert!(coded, "{:?}", kind);
+            }
+            let group_by = [WIDTH + 3];
+            let got = aggregate_partial(&joined, &group_by, &aggs)
+                .map(|p| finalize_partials(p, 1 + aggs.len()));
+            let want = ref_aggregate(&[want], &group_by, &aggs);
+            check(got, want, 1 + aggs.len(), &format!("{kind:?} join grouped by its string"));
+        }
+    }
+
     /// The typed sort on one key of every shape — Int, wide Int, Float
     /// (NaN, ±0.0), Str (plain or dictionary-coded), Date, Bool, the
     /// Int/Float `Values` column, an untyped NULL column — ascending and

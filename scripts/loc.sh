@@ -102,3 +102,7 @@ printf '%-16s %6d\n' "thread::scope sites" "$(matches 'thread::scope[(]' crates)
 # `from_rows_checked`) call sites in non-test crate source — the row
 # edges left between a generator or client and the typed engine.
 printf '%-16s %6d\n' "Batch::from_rows sites" "$(matches 'Batch::from_rows' crates)"
+
+# "No untyped column" as a number: non-test lines naming `Data::Values`
+# in crate source (target 0: every column typed, ROADMAP item 12).
+printf '%-16s %6d\n' "Data::Values sites" "$(matches 'Data::Values' crates)"
